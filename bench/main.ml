@@ -661,13 +661,13 @@ let tcache_exp ~domains =
      skipped the cache lookup entirely.\n"
     loops
 
-(* ---- Translate throughput: the arena fast pipeline vs the seed
-   reference pipeline, plus the cores-vs-throughput curve of the
+(* ---- Translate throughput: per-phase translation time of the
+   suite's captured requests, plus the cores-vs-throughput curve of the
    parallel replay path.  The suite is run once under the driver with
    request capture; every measurement below replays the same captured
-   batch, so all sides translate exactly the same regions and the
-   artifacts are asserted bit-identical across pipelines and job
-   counts.  Writes BENCH_TRANSLATE.json at the repo root. ---- *)
+   batch, so all points translate exactly the same regions and the
+   artifacts are asserted bit-identical across job counts.  Writes
+   BENCH_TRANSLATE.json at the repo root. ---- *)
 
 let translate_out_path =
   match Sys.getenv_opt "BENCH_TRANSLATE" with
@@ -675,7 +675,7 @@ let translate_out_path =
   | None -> "BENCH_TRANSLATE.json"
 
 let translate_exp ~domains:_ =
-  hr "Translate throughput: fast vs reference pipeline, parallel replay";
+  hr "Translate throughput: per-phase time, parallel replay";
   let unroll =
     match Sys.getenv_opt "BENCH_TRANSLATE_UNROLL" with
     | Some s -> (try max 8 (int_of_string (String.trim s)) with _ -> 8)
@@ -713,18 +713,18 @@ let translate_exp ~domains:_ =
   let pool =
     if max_jobs > 1 then Some (Exec.Pool.create ~domains:max_jobs ()) else None
   in
-  let replay_suite ~pipeline ~jobs =
-    let acc = Runtime.Profile.create () in
+  let replay_suite ~jobs =
+    let acc = Sched.Profile.create () in
     let wall = ref 0.0 in
     let artifacts = ref [] in
     for rep = 1 to reps do
       List.iter
         (fun (cfg, reqs) ->
           let r =
-            if jobs = 1 then Exec.Translate.replay ~jobs:1 ~pipeline ~config:cfg reqs
-            else Exec.Translate.replay ?pool ~jobs ~pipeline ~config:cfg reqs
+            if jobs = 1 then Exec.Translate.replay ~jobs:1 ~config:cfg reqs
+            else Exec.Translate.replay ?pool ~jobs ~config:cfg reqs
           in
-          Runtime.Profile.accumulate ~into:acc r.Exec.Translate.profile;
+          Sched.Profile.accumulate ~into:acc r.Exec.Translate.profile;
           wall := !wall +. r.Exec.Translate.wall_seconds;
           if rep = 1 then
             artifacts := List.rev_append r.Exec.Translate.artifacts !artifacts)
@@ -732,87 +732,68 @@ let translate_exp ~domains:_ =
     done;
     (acc, !wall, List.rev !artifacts)
   in
-  let fast, fast_wall, fast_arts =
-    replay_suite ~pipeline:Sched.Pipeline.Fast ~jobs:1
-  in
-  let slow, _, slow_arts =
-    replay_suite ~pipeline:Sched.Pipeline.Reference ~jobs:1
-  in
-  let identical = ref (List.for_all2 Exec.Translate.equal_artifact fast_arts slow_arts) in
   (* cores-vs-throughput curve: same captured batch, same persistent
-     pool, only the job window changes *)
-  let curve =
-    List.map
-      (fun jobs ->
-        let p, wall, arts = replay_suite ~pipeline:Sched.Pipeline.Fast ~jobs in
-        identical :=
-          !identical && List.for_all2 Exec.Translate.equal_artifact fast_arts arts;
-        let regions_per_s =
-          if wall > 0.0 then float_of_int p.Sched.Profile.regions /. wall
-          else 0.0
-        in
-        (jobs, wall, regions_per_s))
-      curve_jobs
-  in
+     pool, only the job window changes; the jobs=1 point is the
+     sequential single-arena path every other point must match *)
+  let curve = List.map (fun jobs -> (jobs, replay_suite ~jobs)) curve_jobs in
   (match pool with Some p -> Exec.Pool.shutdown p | None -> ());
-  let row name (p : Runtime.Profile.t) =
-    Printf.printf "%-10s %8.3fs %7d regions %8d instrs %10.0f regions/s\n"
-      name (Runtime.Profile.total p) p.Sched.Profile.regions
-      p.Sched.Profile.instrs
-      (Runtime.Profile.regions_per_second p)
+  let seq, jt1_wall, seq_arts = List.assoc 1 curve in
+  let identical =
+    List.for_all
+      (fun (_, (_, _, arts)) ->
+        List.for_all2 Exec.Translate.equal_artifact seq_arts arts)
+      curve
   in
   Printf.printf "suite=specfp-kernels unroll=%d reps=%d scheme=%s\n\n" unroll
     reps (Smarq.Scheme.name scheme);
-  row "fast" fast;
-  row "reference" slow;
-  let speedup =
-    let ft = Runtime.Profile.total fast in
-    if ft > 0.0 then Runtime.Profile.total slow /. ft else 0.0
+  Printf.printf "%8.3fs %7d regions %8d instrs %10.0f regions/s\n"
+    (Sched.Profile.total seq) seq.Sched.Profile.regions
+    seq.Sched.Profile.instrs
+    (Sched.Profile.regions_per_second seq);
+  Printf.printf "\nper-phase seconds:\n";
+  List.iter
+    (fun (name, f) -> Printf.printf "  %-9s %9.4f\n" name f)
+    (Sched.Profile.phases seq);
+  let regions_per_s (p : Sched.Profile.t) wall =
+    if wall > 0.0 then float_of_int p.Sched.Profile.regions /. wall else 0.0
   in
-  Printf.printf "\nper-phase seconds (fast | reference):\n";
-  List.iter2
-    (fun (name, f) (_, s) -> Printf.printf "  %-9s %9.4f  %9.4f\n" name f s)
-    (Runtime.Profile.phases fast)
-    (Runtime.Profile.phases slow);
-  Printf.printf "\ntranslate speedup (reference / fast): %.2fx\n" speedup;
-  let jt1_wall = match curve with (1, w, _) :: _ -> w | _ -> fast_wall in
   Printf.printf
     "\nparallel replay (wall clock, %d worker domains recommended here):\n"
     recommended;
   List.iter
-    (fun (jobs, wall, rps) ->
+    (fun (jobs, (p, wall, _)) ->
       Printf.printf "  jobs=%-2d %8.3fs wall %10.1f regions/s %6.2fx vs jobs=1\n"
-        jobs wall rps
+        jobs wall (regions_per_s p wall)
         (if wall > 0.0 then jt1_wall /. wall else 0.0))
     curve;
-  Printf.printf "artifacts %s across pipelines and job counts\n"
-    (if !identical then "bit-identical" else "DIVERGENT");
-  if not !identical then begin
+  Printf.printf "artifacts %s across job counts\n"
+    (if identical then "bit-identical" else "DIVERGENT");
+  if not identical then begin
     prerr_endline "translate: replay DIVERGED — aborting";
     exit 1
   end;
-  let side (p : Runtime.Profile.t) =
-    let fields =
-      List.map
-        (fun (name, v) -> Printf.sprintf "\"%s_s\":%.6f" name v)
-        (Runtime.Profile.phases p)
-    in
+  let phase_fields =
+    List.map
+      (fun (name, v) -> Printf.sprintf "\"%s_s\":%.6f" name v)
+      (Sched.Profile.phases seq)
+  in
+  let seq_json =
     Printf.sprintf
       "{%s,\"total_s\":%.6f,\"regions\":%d,\"instrs\":%d,\
        \"regions_per_s\":%.1f,\"instrs_per_s\":%.1f}"
-      (String.concat "," fields)
-      (Runtime.Profile.total p)
-      p.Sched.Profile.regions p.Sched.Profile.instrs
-      (Runtime.Profile.regions_per_second p)
-      (Runtime.Profile.instrs_per_second p)
+      (String.concat "," phase_fields)
+      (Sched.Profile.total seq)
+      seq.Sched.Profile.regions seq.Sched.Profile.instrs
+      (Sched.Profile.regions_per_second seq)
+      (Sched.Profile.instrs_per_second seq)
   in
   let parallel_json =
     List.map
-      (fun (jobs, wall, rps) ->
+      (fun (jobs, (p, wall, _)) ->
         Printf.sprintf
           "{\"jobs\":%d,\"wall_s\":%.6f,\"regions_per_s\":%.1f,\
            \"speedup_vs_jobs1\":%.3f}"
-          jobs wall rps
+          jobs wall (regions_per_s p wall)
           (if wall > 0.0 then jt1_wall /. wall else 0.0))
       curve
     |> String.concat ","
@@ -820,11 +801,10 @@ let translate_exp ~domains:_ =
   let json =
     Printf.sprintf
       "{\"experiment\":\"translate\",\"suite\":\"specfp-kernels\",\
-       \"scheme\":\"%s\",\"unroll\":%d,\"reps\":%d,\
-       \"fast\":%s,\"reference\":%s,\"speedup\":%.3f,\
+       \"scheme\":\"%s\",\"unroll\":%d,\"reps\":%d,\"sequential\":%s,\
        \"recommended_domains\":%d,\"identical\":%b,\"parallel\":[%s]}"
-      (Smarq.Scheme.name scheme) unroll reps (side fast) (side slow) speedup
-      recommended !identical parallel_json
+      (Smarq.Scheme.name scheme) unroll reps seq_json recommended identical
+      parallel_json
   in
   let oc = open_out translate_out_path in
   output_string oc json;
@@ -832,10 +812,9 @@ let translate_exp ~domains:_ =
   close_out oc;
   Printf.printf "wrote %s\n" translate_out_path;
   Printf.printf
-    "the arena-backed builders and heap scheduler replace the seed's\n\
-     quadratic, allocation-heavy passes; the parallel rows replay the\n\
-     same captured requests over the persistent domain pool (the curve\n\
-     is only as good as the cores this host offers).\n"
+    "the parallel rows replay the same captured requests over the\n\
+     persistent domain pool (the curve is only as good as the cores this\n\
+     host offers).\n"
 
 (* ---- Translation service: throughput and latency percentiles under
    load.  A closed loop measures each domain count's sustainable

@@ -670,149 +670,6 @@ let region_cmd =
        ~doc:"Show the annotated translation of a benchmark's hot region")
     Term.(const run $ bench_arg $ scheme_arg)
 
-let translate_cmd =
-  let unroll_arg =
-    let doc = "Unroll self-loop superblocks this many times (larger regions)." in
-    Arg.(value & opt positive_int_conv 8 & info [ "unroll" ] ~docv:"N" ~doc)
-  in
-  let reps_arg =
-    let doc = "Replay repetitions per pipeline (timing stability)." in
-    Arg.(value & opt positive_int_conv 1 & info [ "reps" ] ~docv:"N" ~doc)
-  in
-  let min_speedup_arg =
-    let doc =
-      "Exit non-zero unless the fast pipeline beats the seed reference \
-       pipeline by at least this factor (translate-phase seconds)."
-    in
-    Arg.(
-      value & opt (some float) None & info [ "min-speedup" ] ~docv:"X" ~doc)
-  in
-  let bench_opt_arg =
-    let doc = "Restrict to one benchmark (default: the whole suite)." in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc)
-  in
-  let report_arg =
-    let doc = "Write the JSON translate report to this file." in
-    Arg.(
-      value & opt (some string) None & info [ "report" ] ~docv:"PATH" ~doc)
-  in
-  let run scheme unroll reps jt min_speedup bench report =
-    let benches =
-      match bench with
-      | None -> Workload.Specfp.suite
-      | Some name -> [ find_bench name ]
-    in
-    (* capture once; every replay below reuses the same request lists *)
-    let captured =
-      List.map
-        (fun (b : Workload.Specfp.bench) ->
-          let _, cfg, reqs =
-            Exec.Translate.capture_program ~fuel:2_000_000_000 ~unroll
-              ~scheme (Workload.Specfp.program ~scale:1 b)
-          in
-          (cfg, reqs))
-        benches
-    in
-    let n_requests =
-      List.fold_left (fun acc (_, reqs) -> acc + List.length reqs) 0 captured
-    in
-    (* one persistent pool across every rep (and both pipelines) *)
-    let pool = if jt > 1 then Some (Exec.Pool.create ~domains:jt ()) else None in
-    let sweep ~pipeline ~jobs =
-      let profile = Sched.Profile.create () in
-      let wall = ref 0.0 in
-      let artifacts = ref [] in
-      for rep = 1 to reps do
-        List.iter
-          (fun (cfg, reqs) ->
-            let r =
-              Exec.Translate.replay ?pool ~jobs ~pipeline ~config:cfg reqs
-            in
-            Sched.Profile.accumulate ~into:profile r.Exec.Translate.profile;
-            wall := !wall +. r.Exec.Translate.wall_seconds;
-            if rep = 1 then
-              artifacts := List.rev_append r.Exec.Translate.artifacts !artifacts)
-          captured
-      done;
-      (profile, !wall, List.rev !artifacts)
-    in
-    let seq_p, seq_wall, seq_arts = sweep ~pipeline:Sched.Pipeline.Fast ~jobs:1 in
-    let par_p, par_wall, par_arts =
-      sweep ~pipeline:Sched.Pipeline.Fast ~jobs:jt
-    in
-    let ref_p, ref_wall, ref_arts =
-      sweep ~pipeline:Sched.Pipeline.Reference ~jobs:1
-    in
-    (match pool with Some p -> Exec.Pool.shutdown p | None -> ());
-    let identical =
-      List.for_all2 Exec.Translate.equal_artifact seq_arts par_arts
-      && List.for_all2 Exec.Translate.equal_artifact seq_arts ref_arts
-    in
-    (* the gate compares the canonical single-domain fast path against
-       the seed pipeline (same axis as BENCH_TRANSLATE.json); the
-       parallel row is reported on its own — on a single-core host its
-       summed per-domain seconds include contention and would make the
-       bar meaningless *)
-    let speedup =
-      let ft = Sched.Profile.total seq_p in
-      if ft > 0.0 then Sched.Profile.total ref_p /. ft else 0.0
-    in
-    Printf.printf "suite=%s scheme=%s unroll=%d reps=%d jt=%d\n"
-      (match bench with Some b -> b | None -> "specfp-kernels")
-      (Smarq.Scheme.name scheme) unroll reps jt;
-    let row name (p : Sched.Profile.t) wall =
-      Printf.printf "%-14s %8.3fs translate %8.3fs wall %6d regions\n" name
-        (Sched.Profile.total p) wall p.Sched.Profile.regions
-    in
-    row "fast -jt 1" seq_p seq_wall;
-    row (Printf.sprintf "fast -jt %d" jt) par_p par_wall;
-    row "reference" ref_p ref_wall;
-    Printf.printf "artifacts: %s\nspeedup (reference / fast -jt 1): %.2fx\n"
-      (if identical then "bit-identical across -jt and pipelines"
-       else "DIVERGENT")
-      speedup;
-    (match report with
-    | None -> ()
-    | Some path ->
-      let side (p : Sched.Profile.t) wall =
-        Printf.sprintf
-          "{\"translate_s\":%.6f,\"wall_s\":%.6f,\"regions\":%d}"
-          (Sched.Profile.total p) wall p.Sched.Profile.regions
-      in
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"experiment\":\"translate-cli\",\"scheme\":\"%s\",\"unroll\":%d,\
-         \"reps\":%d,\"jt\":%d,\"requests\":%d,\"identical\":%b,\
-         \"fast_jt1\":%s,\"fast_jtN\":%s,\"reference\":%s,\"speedup\":%.3f}\n"
-        (Smarq.Scheme.name scheme) unroll reps jt n_requests identical
-        (side seq_p seq_wall) (side par_p par_wall) (side ref_p ref_wall)
-        speedup;
-      close_out oc;
-      Printf.printf "report written to %s\n" path);
-    if not identical then begin
-      prerr_endline "translate: parallel replay DIVERGED from sequential";
-      exit 1
-    end;
-    match min_speedup with
-    | Some m when speedup < m ->
-      Printf.eprintf "translate: speedup %.2fx below the %.2fx bar\n" speedup m;
-      exit 1
-    | _ -> ()
-  in
-  Cmd.v
-    (Cmd.info "translate"
-       ~doc:
-         "Capture every optimize request of a suite run and replay the \
-          batch: fast pipeline sequentially and at --translate-jobs, \
-          plus the seed reference pipeline; exits non-zero if any \
-          artifact diverges or the speedup misses --min-speedup")
-    Term.(
-      const run $ scheme_arg $ unroll_arg $ reps_arg $ translate_jobs_arg
-      $ min_speedup_arg $ bench_opt_arg $ report_arg)
-
 let serve_cmd =
   let requests_arg =
     let doc = "Total requests to issue." in
@@ -1256,7 +1113,6 @@ let () =
             region_cmd;
             fuzz_cmd;
             verify_cmd;
-            translate_cmd;
             serve_cmd;
             soak_cmd;
           ]))

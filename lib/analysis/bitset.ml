@@ -1,12 +1,8 @@
-type t = {
-  n : int;
-  bits : Bytes.t;
-}
+type t = { bits : Bytes.t }
 
 let bytes_for n = (n + 7) lsr 3
 
-let create n = { n; bits = Bytes.make (bytes_for n) '\000' }
-let length t = t.n
+let create n = { bits = Bytes.make (bytes_for n) '\000' }
 
 let mem t i =
   Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -17,30 +13,13 @@ let add t i =
     (Char.unsafe_chr
        (Char.code (Bytes.unsafe_get t.bits byte) lor (1 lsl (i land 7))))
 
-let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
-
 let lease ~prev n =
   let need = bytes_for n in
   match prev with
   | Some p when Bytes.length p.bits >= need ->
     Bytes.fill p.bits 0 need '\000';
-    { n; bits = p.bits }
+    { bits = p.bits }
   | Some _ | None -> create n
-
-let union_into ~dst src =
-  if dst.n <> src.n then invalid_arg "Bitset.union_into: universe mismatch";
-  let len = Bytes.length dst.bits in
-  for b = 0 to len - 1 do
-    Bytes.unsafe_set dst.bits b
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst.bits b)
-         lor Char.code (Bytes.unsafe_get src.bits b)))
-  done
-
-let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
-  done
 
 module Matrix = struct
   type m = {

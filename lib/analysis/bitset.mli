@@ -8,18 +8,8 @@
 
 type t
 
-val create : int -> t
-(** [create n] is the empty set over the universe [0, n). *)
-
-val length : t -> int
 val mem : t -> int -> bool
 val add : t -> int -> unit
-val clear : t -> unit
-val union_into : dst:t -> t -> unit
-(** [union_into ~dst src] adds every element of [src] to [dst]; the two
-    must share a universe size. *)
-
-val iter : (int -> unit) -> t -> unit
 
 val lease : prev:t option -> int -> t
 (** [lease ~prev n] is an empty set over [0, n) that reuses [prev]'s
@@ -32,7 +22,6 @@ val lease : prev:t option -> int -> t
 module Matrix : sig
   type m
 
-  val create : rows:int -> cols:int -> m
   val mem : m -> row:int -> int -> bool
   val add : m -> row:int -> int -> unit
 

@@ -104,34 +104,11 @@ let of_edge_list all =
         (fun e -> set ~first:e.first ~second:e.second ~flags:(flag_of_edge e))
         all)
 
-let strength_of = function
-  | May_alias.Must_alias -> Some Hard
-  | May_alias.May_alias -> Some Speculative
-  | May_alias.No_alias -> None
-
 (* Real dependences: X before Y, may access same memory, >= 1 store.
 
-   The reference builder is the seed's O(n^2) pairwise loop with a full
-   may-alias verdict per pair; it is kept verbatim as the oracle the
-   swept builder is differentially tested against. *)
-let real_edges_reference ~body ~alias =
-  let mems = Array.of_list (List.filter Ir.Instr.is_memory body) in
-  let n = Array.length mems in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let x = mems.(i) and y = mems.(j) in
-      if Ir.Instr.is_store x || Ir.Instr.is_store y then
-        match strength_of (May_alias.verdict alias x y) with
-        | Some strength ->
-          acc := { first = x.id; second = y.id; kind = Real; strength } :: !acc
-        | None -> ()
-    done
-  done;
-  List.rev !acc
-
-(* The swept builder produces the same edge list (same pairs, same
-   strengths, same order) without calling the pairwise verdict:
+   The swept builder produces the edge list of the pairwise definition
+   (every store-carrying pair with a may/must verdict, in (i, j)
+   order) without calling the pairwise verdict:
 
    - Memory operations are bucketed by (base register, generation),
      where an operation's generation counts the definitions of its base
@@ -150,8 +127,8 @@ let real_edges_reference ~body ~alias =
      way a within-bucket disjoint pair becomes an edge.
 
    Edges are emitted as packed [(i * n + j) * 2 + hard?] keys into an
-   arena vector and sorted at the end, which restores the reference
-   builder's (i, j)-lexicographic order.  All node attributes live in
+   arena vector and sorted at the end, which restores the pairwise
+   (i, j)-lexicographic order.  All node attributes live in
    arena-leased struct-of-arrays buffers (bases as compact reg codes,
    absent constant bases as [min_int]); the maps are open-addressed
    arena intmaps.  Nothing here allocates once the arena is warm. *)
@@ -411,46 +388,42 @@ let dedup_edges all =
       end)
     all
 
-let build ~body ~alias ?(eliminated = []) ?(reference = false) ?arena () =
+let build ~body ~alias ?(eliminated = []) ?arena () =
   let ext = ext_edges ~body ~alias ~eliminated in
-  if reference then
-    of_edge_list (dedup_edges (real_edges_reference ~body ~alias @ ext))
-  else begin
-    let arena = match arena with Some a -> a | None -> Arena.create () in
-    (* the swept pass emits unique pairs, so only sorted-adjacent
-       duplicate keys (a pair recorded twice by pass 3) and ext-vs-ext
-       collisions need deduplication — real and extended edges can
-       never collide on (first, second, kind) *)
-    let ext = dedup_edges ext in
-    let n_ext = List.length ext in
-    let result = ref None in
-    real_edges_swept ~arena ~body ~alias ~emit_edges:(fun ~n ~id ~keys ->
-        let n_real = ref 0 in
-        for k = 0 to keys.Arena.len - 1 do
-          if k = 0 || keys.Arena.buf.(k) <> keys.Arena.buf.(k - 1) then
-            incr n_real
-        done;
-        let n_real = !n_real in
-        result :=
-          Some
-            (assemble ~n_edges:(n_real + n_ext) (fun set ->
-                 for k = 0 to keys.Arena.len - 1 do
-                   let key = keys.Arena.buf.(k) in
-                   if k = 0 || key <> keys.Arena.buf.(k - 1) then begin
-                     let pair = key lsr 1 in
-                     set ~first:id.(pair / n) ~second:id.(pair mod n)
-                       ~flags:(if key land 1 = 1 then 2 else 0)
-                   end
-                 done;
-                 List.iter
-                   (fun e ->
-                     set ~first:e.first ~second:e.second
-                       ~flags:(flag_of_edge e))
-                   ext)));
-    match !result with
-    | Some t -> t
-    | None -> of_edge_list ext (* no memory operations in the body *)
-  end
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  (* the swept pass emits unique pairs, so only sorted-adjacent
+     duplicate keys (a pair recorded twice by pass 3) and ext-vs-ext
+     collisions need deduplication — real and extended edges can
+     never collide on (first, second, kind) *)
+  let ext = dedup_edges ext in
+  let n_ext = List.length ext in
+  let result = ref None in
+  real_edges_swept ~arena ~body ~alias ~emit_edges:(fun ~n ~id ~keys ->
+      let n_real = ref 0 in
+      for k = 0 to keys.Arena.len - 1 do
+        if k = 0 || keys.Arena.buf.(k) <> keys.Arena.buf.(k - 1) then
+          incr n_real
+      done;
+      let n_real = !n_real in
+      result :=
+        Some
+          (assemble ~n_edges:(n_real + n_ext) (fun set ->
+               for k = 0 to keys.Arena.len - 1 do
+                 let key = keys.Arena.buf.(k) in
+                 if k = 0 || key <> keys.Arena.buf.(k - 1) then begin
+                   let pair = key lsr 1 in
+                   set ~first:id.(pair / n) ~second:id.(pair mod n)
+                     ~flags:(if key land 1 = 1 then 2 else 0)
+                 end
+               done;
+               List.iter
+                 (fun e ->
+                   set ~first:e.first ~second:e.second
+                     ~flags:(flag_of_edge e))
+                 ext)));
+  match !result with
+  | Some t -> t
+  | None -> of_edge_list ext (* no memory operations in the body *)
 
 let edges t =
   let acc = ref [] in

@@ -57,7 +57,6 @@ val build :
   body:Ir.Instr.t list ->
   alias:May_alias.t ->
   ?eliminated:(elimination * Ir.Instr.t list) list ->
-  ?reference:bool ->
   ?arena:Arena.t ->
   unit ->
   t
@@ -66,13 +65,12 @@ val build :
     between the two endpoints (needed because eliminated instructions
     are no longer in [body]).
 
-    By default real dependences are built by the near-linear swept
-    builder (bucket memory operations by base-register generation;
-    decide within-bucket pairs with a displacement-sorted interval
-    sweep; enumerate cross-bucket pairs output-sensitively).
-    [~reference:true] selects the seed O(n{^ 2}) pairwise builder
-    instead; both produce the same edge list in the same order, and the
-    test suite checks them against each other.
+    Real dependences are built by a near-linear swept builder (bucket
+    memory operations by base-register generation; decide within-bucket
+    pairs with a displacement-sorted interval sweep; enumerate
+    cross-bucket pairs output-sensitively).  It emits exactly the edge
+    list of the O(n{^ 2}) pairwise definition, in pairwise order; the
+    test suite holds it to an independent pairwise oracle.
 
     [?arena] lends the swept builder reusable scratch buffers (see
     {!Arena}); the resulting graph never aliases arena storage. *)

@@ -12,8 +12,9 @@
     logic.
 
     Certification is eager and deterministic: the certificate for a
-    given body and alias analysis is a pure function of both, so the
-    fast and reference pipelines produce bit-identical artifacts. *)
+    given body and alias analysis is a pure function of both, so a
+    translation's artifact never depends on the order its consumers
+    consult verdicts in. *)
 
 (** Abstract address of one endpoint, as claimed by the certifier. *)
 type fact = {

@@ -76,19 +76,19 @@ let config_for = function
   | Scheme.Alat | Scheme.Efficeon | Scheme.None_ | Scheme.None_static ->
     Vliw.Config.default
 
-let run_program ?config ?fuel ?unroll ?tcache_policy ?tcache_capacity
-    ?pipeline ?verify ?capture ?certify ~scheme program =
+let run_program ?config ?fuel ?unroll ?tcache_policy ?tcache_capacity ?verify
+    ?capture ?certify ~scheme program =
   let cfg = match config with Some c -> c | None -> config_for scheme in
   Runtime.Driver.run ~config:cfg ?fuel ?unroll ?tcache_policy ?tcache_capacity
-    ?pipeline ?verify ?capture ?certify
+    ?verify ?capture ?certify
     ~scheme:(Scheme.to_driver scheme)
     program
 
 let run_benchmark ?config ?fuel ?scale ?tcache_policy ?tcache_capacity
-    ?pipeline ?verify ?certify ~scheme name =
+    ?verify ?certify ~scheme name =
   let bench = Workload.Specfp.find name in
-  run_program ?config ?fuel ?tcache_policy ?tcache_capacity ?pipeline ?verify
-    ?certify ~scheme
+  run_program ?config ?fuel ?tcache_policy ?tcache_capacity ?verify ?certify
+    ~scheme
     (Workload.Specfp.program ?scale bench)
 
 (** [speedup ~baseline ~improved] is baseline-cycles / improved-cycles

@@ -42,20 +42,20 @@ type result = {
 }
 
 let capture_program ?config ?fuel ?unroll ?tcache_policy ?tcache_capacity
-    ?pipeline ?verify ~scheme program =
+    ?verify ~scheme program =
   let cfg =
     match config with Some c -> c | None -> Smarq.config_for scheme
   in
   let reqs = ref [] in
   let driver_result =
     Smarq.run_program ~config:cfg ?fuel ?unroll ?tcache_policy
-      ?tcache_capacity ?pipeline ?verify
+      ?tcache_capacity ?verify
       ~capture:(fun r -> reqs := r :: !reqs)
       ~scheme program
   in
   (driver_result, cfg, List.rev !reqs)
 
-let replay ?pool ?jobs ?(pipeline = Sched.Pipeline.Fast) ~config requests =
+let replay ?pool ?jobs ~config requests =
   let reqs = Array.of_list requests in
   let n = Array.length reqs in
   let t0 = Unix.gettimeofday () in
@@ -69,7 +69,7 @@ let replay ?pool ?jobs ?(pipeline = Sched.Pipeline.Fast) ~config requests =
   let artifacts = Array.make n None in
   let run_one ~arena i =
     let o =
-      Opt.Optimizer.run_request ~issue_width ~mem_ports ~latency ~pipeline
+      Opt.Optimizer.run_request ~issue_width ~mem_ports ~latency
         ~profile:profiles.(i) ~arena reqs.(i)
     in
     artifacts.(i) <- Some (artifact_of o)

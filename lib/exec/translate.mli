@@ -41,7 +41,6 @@ val capture_program :
   ?unroll:int ->
   ?tcache_policy:Tcache.Policy.t ->
   ?tcache_capacity:int ->
-  ?pipeline:Sched.Pipeline.t ->
   ?verify:Check.Verifier.mode ->
   scheme:Smarq.Scheme.t ->
   Ir.Program.t ->
@@ -54,7 +53,6 @@ val capture_program :
 val replay :
   ?pool:Pool.t ->
   ?jobs:int ->
-  ?pipeline:Sched.Pipeline.t ->
   config:Vliw.Config.t ->
   Opt.Optimizer.request list ->
   result

@@ -25,7 +25,7 @@ type request = {
 }
 
 let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
-    ~pipeline ~profile ~arena (sb : Ir.Superblock.t) =
+    ~profile ~arena (sb : Ir.Superblock.t) =
   let module P = Sched.Profile in
   let facts_for body =
     if policy.Sched.Policy.static_disambiguation then
@@ -33,8 +33,9 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
     else None
   in
   (* Eager certification keeps the artifact a pure function of the
-     superblock: both pipelines derive identical witnesses in one shot
-     instead of memoizing on verdict-consultation order. *)
+     superblock: witnesses are derived in one shot instead of memoized
+     on verdict-consultation order, so the depgraph builder's traversal
+     order can never change them. *)
   let certify_into alias body =
     if policy.Sched.Policy.certify then begin
       let cert = Analysis.Disamb.certify ~alias ~body in
@@ -65,19 +66,15 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
   let deps =
     P.time profile P.add_depgraph (fun () ->
         Analysis.Depgraph.build ~body:elim.Elim.body ~alias:alias'
-          ~eliminated:elim.Elim.eliminations
-          ~reference:(Sched.Pipeline.is_reference pipeline)
-          ?arena ())
+          ~eliminated:elim.Elim.eliminations ?arena ())
   in
-  let outcome =
-    Sched.List_sched.schedule ~sb:sb' ~deps ~policy ~issue_width ~mem_ports
-      ~latency ~fresh_id ~extra_assumed:elim.Elim.assumed_no_alias ~pipeline
-      ?profile ?arena ()
-  in
-  (outcome, elim, deps, cert)
+  Sched.List_sched.schedule ~sb:sb' ~deps ~policy ~issue_width ~mem_ports
+    ~latency ~fresh_id ~extra_assumed:elim.Elim.assumed_no_alias ?profile
+    ?arena ()
+  |> Result.map (fun outcome -> (outcome, elim, deps, cert))
 
 let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
-    ?(known_alias = []) ?(pipeline = Sched.Pipeline.Fast) ?profile ?arena sb =
+    ?(known_alias = []) ?profile ?arena sb =
   let work_units = 2 * Ir.Superblock.instr_count sb in
   let finish ~fell_back ~policy_used
       ( (outcome : Sched.List_sched.outcome),
@@ -118,46 +115,39 @@ let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
   in
   let attempt policy =
     build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
-      ~pipeline ~profile ~arena sb
+      ~profile ~arena sb
   in
+  (* The fallback ladder: the requested policy, then reordering only
+     (eliminations are the register hogs — their extended dependences
+     keep registers live across long spans — and without them
+     non-speculation mode usually fits), then no speculation at all.
+     The last tier needs no alias register, so its failure is a bug. *)
   let has_elims =
     policy.Sched.Policy.allow_load_load_forward
     || policy.Sched.Policy.allow_store_load_forward
     || policy.Sched.Policy.allow_store_elim
   in
-  try finish ~fell_back:false ~policy_used:policy (attempt policy) with
-  | Sched.Smarq_alloc.Overflow _
-  | Sched.Mask_alloc.Mask_overflow _
-  | Sched.Naive_alloc.Naive_overflow _
-  | Sched.Alat_annot.Alat_overflow _
-  | Sched.List_sched.Unschedulable _ ->
-    (* Middle tier: eliminations are the register hogs (their extended
-       dependences keep registers live across long spans); retry with
-       reordering only, where non-speculation mode can always fit.
-       Only if even that overflows, build without speculation. *)
-    let reorder_only =
-      {
-        policy with
-        Sched.Policy.allow_load_load_forward = false;
-        allow_store_load_forward = false;
-        allow_store_elim = false;
-      }
-    in
-    (try
-       if has_elims then
-         finish ~fell_back:true ~policy_used:reorder_only
-           (attempt reorder_only)
-       else
-         let none = Sched.Policy.none () in
-         finish ~fell_back:true ~policy_used:none (attempt none)
-     with
-    | Sched.Smarq_alloc.Overflow _
-    | Sched.Mask_alloc.Mask_overflow _
-    | Sched.Naive_alloc.Naive_overflow _
-    | Sched.Alat_annot.Alat_overflow _
-    | Sched.List_sched.Unschedulable _ ->
-      let none = Sched.Policy.none () in
-      finish ~fell_back:true ~policy_used:none (attempt none))
+  let reorder_only =
+    {
+      policy with
+      Sched.Policy.allow_load_load_forward = false;
+      allow_store_load_forward = false;
+      allow_store_elim = false;
+    }
+  in
+  let lower_tiers =
+    (if has_elims then [ reorder_only ] else []) @ [ Sched.Policy.none () ]
+  in
+  let rec climb ~fell_back policy_used lower =
+    match attempt policy_used, lower with
+    | Ok built, _ -> finish ~fell_back ~policy_used built
+    | Error _, next :: lower -> climb ~fell_back:true next lower
+    | Error failure, [] ->
+      failwith
+        ("Optimizer.optimize: non-speculative build failed: "
+        ^ Sched.List_sched.failure_to_string failure)
+  in
+  climb ~fell_back:false policy lower_tiers
 
 (* Replaying a captured request is bit-identical to the original run by
    construction: [fresh_base] restores the id counter the driver held
@@ -166,7 +156,7 @@ let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
    in the request).  The private ref also makes replay order-free —
    requests share no mutable state, which is what lets Exec.Translate
    fan them out across domains. *)
-let run_request ~issue_width ~mem_ports ~latency ?pipeline ?profile ?arena r =
+let run_request ~issue_width ~mem_ports ~latency ?profile ?arena r =
   optimize ~policy:r.policy ~issue_width ~mem_ports ~latency
-    ~fresh_id:(ref r.fresh_base) ~known_alias:r.known_alias ?pipeline ?profile
-    ?arena r.sb
+    ~fresh_id:(ref r.fresh_base) ~known_alias:r.known_alias ?profile ?arena
+    r.sb

@@ -10,8 +10,10 @@
     re-optimization.
 
     When the allocator overflows the physical alias registers (or the
-    mask encoding), the optimizer falls back to a fully
-    non-speculative build of the same superblock and reports it. *)
+    mask encoding), the optimizer climbs a fallback ladder — the
+    requested policy, then reordering without eliminations (only when
+    the policy eliminates), then no speculation — and reports the
+    policy that produced the region. *)
 
 type opt_stats = {
   sched_stats : Sched.List_sched.stats;
@@ -49,13 +51,12 @@ val optimize :
   latency:(Ir.Instr.t -> int) ->
   fresh_id:int ref ->
   ?known_alias:(int * int) list ->
-  ?pipeline:Sched.Pipeline.t ->
   ?profile:Sched.Profile.t ->
   ?arena:Analysis.Arena.t ->
   Ir.Superblock.t ->
   t
-(** [pipeline] selects the fast (default) or reference translation
-    pipeline — both produce bit-identical regions.  [profile], when
+(** Fails with [Failure] only if the no-speculation tier cannot be
+    built, an invariant violation.  [profile], when
     given, accumulates per-phase translation timers and per-region
     instruction counts across every attempt (including fallback
     rebuilds).  [arena] lends the depgraph and hazard builders reusable
@@ -77,7 +78,6 @@ val run_request :
   issue_width:int ->
   mem_ports:int ->
   latency:(Ir.Instr.t -> int) ->
-  ?pipeline:Sched.Pipeline.t ->
   ?profile:Sched.Profile.t ->
   ?arena:Analysis.Arena.t ->
   request ->

@@ -148,8 +148,8 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     ?(hot_threshold = 50) ?(max_reopts = 10) ?(fuel = 2_000_000)
     ?(unroll = 1) ?(tcache_policy = Tcache.Policy.Unbounded)
     ?tcache_capacity ?tcache ?watchdog ?(hooks = no_hooks)
-    ?(pipeline = Sched.Pipeline.Fast) ?(verify = Check.Verifier.Off) ?capture
-    ?(certify = false) ~scheme program =
+    ?(verify = Check.Verifier.Off) ?capture ?(certify = false) ~scheme program
+    =
   let watchdog =
     match watchdog with Some w -> max 1 w | None -> (2 * max_reopts) + 10
   in
@@ -243,7 +243,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     Opt.Optimizer.optimize ~policy
       ~issue_width:config.Vliw.Config.issue_width
       ~mem_ports:config.Vliw.Config.mem_ports ~latency ~fresh_id ~known_alias
-      ~pipeline ~profile:translate_profile ~arena sb
+      ~profile:translate_profile ~arena sb
   in
   let optimize_superblock ~known_alias sb =
     optimize_with ~policy ~known_alias sb

@@ -113,7 +113,6 @@ val run :
   ?tcache:cache ->
   ?watchdog:int ->
   ?hooks:hooks ->
-  ?pipeline:Sched.Pipeline.t ->
   ?verify:Check.Verifier.mode ->
   ?capture:(Opt.Optimizer.request -> unit) ->
   ?certify:bool ->
@@ -121,10 +120,6 @@ val run :
   Ir.Program.t ->
   result
 (** Runs the program to halt under the dynamic optimization system.
-    [pipeline] selects the fast (default) or seed reference translation
-    pipeline; regions, schedules, and every deterministic statistic are
-    bit-identical between the two — only [translate]/[wall_seconds]
-    differ.
 
     [fuel] bounds executed guest blocks (default 2,000,000); running
     out of fuel is not an exception but the [Fuel_exhausted] outcome,

@@ -51,7 +51,7 @@ type t = {
   mutable certified_alias_faults : int;
   mutable working_set : Sched.Working_set.t;
   mutable wall_seconds : float;
-  mutable translate : Profile.t;
+  mutable translate : Sched.Profile.t;
 }
 
 let create () =
@@ -104,7 +104,7 @@ let create () =
     certified_alias_faults = 0;
     working_set = Sched.Working_set.zero;
     wall_seconds = 0.0;
-    translate = Profile.create ();
+    translate = Sched.Profile.create ();
   }
 
 let note_region_built t (o : Opt.Optimizer.t) ~ws =
@@ -251,4 +251,4 @@ let pp ppf t =
     (mem_ops_per_superblock t);
   if t.wall_seconds > 0.0 then
     Format.fprintf ppf "  %-26s %.3f s@." "host wall clock" t.wall_seconds;
-  Profile.pp ppf t.translate
+  Sched.Profile.pp ppf t.translate

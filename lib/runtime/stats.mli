@@ -86,9 +86,11 @@ type t = {
       (** wall-clock host time of the driver run that produced these
           stats; non-deterministic (excluded from run-equality
           comparisons, together with [translate]) *)
-  mutable translate : Profile.t;
+  mutable translate : Sched.Profile.t;
       (** per-phase translation timers and per-region instruction
-          counts, accumulated across every optimize call of the run *)
+          counts, accumulated across every optimize call of the run;
+          host wall-clock seconds, so run-equality comparisons zero it
+          out like [wall_seconds] *)
 }
 
 val create : unit -> t

@@ -1,5 +1,3 @@
-exception Alat_overflow of string
-
 let annotate ~sb ~deps ~hazards ~issue_order ~ar_count =
   ignore sb;
   let issue_pos = Hashtbl.create 64 in
@@ -40,27 +38,36 @@ let annotate ~sb ~deps ~hazards ~issue_order ~ar_count =
      or more fit inside that window, FIFO eviction can drop the entry
      before the check and the optimizer must fall back. *)
   let flat = Array.of_list (List.map snd issue_order) in
-  let window_overflow ~ps ~pf =
+  let advanced_inside ~ps ~pf =
     let inserted = ref 0 in
     for p = ps + 1 to pf - 1 do
       let j = flat.(p) in
       if Ir.Instr.is_load j && Hashtbl.mem advanced j.id then incr inserted
     done;
-    if !inserted >= ar_count then
-      raise
-        (Alat_overflow
-           (Printf.sprintf
-              "%d advanced loads inside a protection window evict the \
-               entry before its check (%d-entry ALAT)"
-              !inserted ar_count))
+    !inserted
+  in
+  let windows = ref [] in
+  let note_window first second =
+    let pf = pos first and ps = pos second in
+    if ps < pf && pf <> max_int then windows := (ps, pf) :: !windows
   in
   List.iter
-    (fun (first, second) ->
-      let pf = pos first and ps = pos second in
-      if ps < pf && pf <> max_int then window_overflow ~ps ~pf)
+    (fun (first, second) -> note_window first second)
     Hazards.(hazards.dropped);
-  Analysis.Depgraph.iter_edges deps
-    (fun ~first ~second ~kind:_ ~strength:_ ->
-      let pf = pos first and ps = pos second in
-      if ps < pf && pf <> max_int then window_overflow ~ps ~pf);
-  annots
+  Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind:_ ~strength:_ ->
+      note_window first second);
+  let overflowing =
+    List.find_map
+      (fun (ps, pf) ->
+        let inserted = advanced_inside ~ps ~pf in
+        if inserted >= ar_count then Some inserted else None)
+      (List.rev !windows)
+  in
+  match overflowing with
+  | Some inserted ->
+    Error
+      (Printf.sprintf
+         "%d advanced loads inside a protection window evict the entry \
+          before its check (%d-entry ALAT)"
+         inserted ar_count)
+  | None -> Ok annots

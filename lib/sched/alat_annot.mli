@@ -8,20 +8,16 @@
     implicitly; they receive a plain [Alat] annotation for
     readability. *)
 
-exception Alat_overflow of string
-(** A protection window holds more advanced loads than the table.  The
-    modeled ALAT evicts its oldest entry silently on overflow, so when
-    [ar_count] or more advanced loads issue between a hoisted load and
-    the store it must be checked against, the entry can be gone before
-    the store snoops the table — the optimizer must fall back rather
-    than emit such a region. *)
-
 val annotate :
   sb:Ir.Superblock.t ->
   deps:Analysis.Depgraph.t ->
   hazards:Hazards.t ->
   issue_order:(int * Ir.Instr.t) list ->
   ar_count:int ->
-  (int * Ir.Annot.t) list
-(** @raise Alat_overflow when a protection window holds [ar_count] or
-    more advanced loads. *)
+  ((int * Ir.Annot.t) list, string) result
+(** [Error] when a protection window holds [ar_count] or more advanced
+    loads.  The modeled ALAT evicts its oldest entry silently on
+    overflow, so when that many advanced loads issue between a hoisted
+    load and the store it must be checked against, the entry can be
+    gone before the store snoops the table — the optimizer must fall
+    back rather than emit such a region. *)

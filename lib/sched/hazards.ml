@@ -6,40 +6,10 @@ type t = {
   dropped : (int * int) list;
 }
 
-(* RAW, WAR, WAW edges over the straight-line body (positions) — the
-   seed's hashtable walk, kept for the reference oracle. *)
-let register_edges ~arr ~add =
-  let last_def : (Ir.Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let uses_since_def : (Ir.Reg.t, int list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun pos (i : Ir.Instr.t) ->
-      List.iter
-        (fun r ->
-          (* RAW: reader depends on the last writer *)
-          (match Hashtbl.find_opt last_def r with
-          | Some d -> add d pos
-          | None -> ());
-          let l = Option.value (Hashtbl.find_opt uses_since_def r) ~default:[] in
-          Hashtbl.replace uses_since_def r (pos :: l))
-        (Ir.Instr.uses i);
-      List.iter
-        (fun r ->
-          (* WAW on the previous writer, WAR on readers since then *)
-          (match Hashtbl.find_opt last_def r with
-          | Some d -> add d pos
-          | None -> ());
-          List.iter
-            (fun u -> add u pos)
-            (Option.value (Hashtbl.find_opt uses_since_def r) ~default:[]);
-          Hashtbl.replace last_def r pos;
-          Hashtbl.replace uses_since_def r [])
-        (Ir.Instr.defs i))
-    arr
-
-(* The same walk on arena-leased flat arrays: registers as compact
-   codes, last-def as a direct array, uses-since-def as per-register
-   token chains (newest-first, matching the seed's prepend lists).
-   Identical edges in identical emission order, zero allocation. *)
+(* RAW, WAR, WAW edges over the straight-line body (positions), on
+   arena-leased flat arrays: registers as compact codes, last-def as a
+   direct array, uses-since-def as per-register token chains
+   (newest-first).  Zero allocation. *)
 let register_edges_flat ~arena ~arr ~nr ~n_uses ~add =
   let module A = Analysis.Arena in
   let last_def = A.filled_ints arena ~slot:16 nr (-1) in
@@ -88,10 +58,6 @@ let memory_edges ~arr ~pos_of ~deps ~policy ~add =
       | _ -> ());
   !dropped
 
-let crosses_exit_blocked (i : Ir.Instr.t) live =
-  Ir.Instr.is_store i
-  || List.exists (fun r -> Ir.Reg.Set.mem r live) (Ir.Instr.defs i)
-
 (* Branch-branch program order: consecutive side exits chain, which
    also carries exit-fence transitivity for the reduced builder. *)
 let branch_chain ~arr ~add =
@@ -106,31 +72,6 @@ let branch_chain ~arr ~add =
       end)
     arr
 
-(* Control edges around side exits, seed form: for every (instruction,
-   exit) pair whose crossing is blocked, an explicit edge — O(n^2). *)
-let control_edges_reference ~sb ~arr ~add =
-  branch_chain ~arr ~add;
-  let n = Array.length arr in
-  let exits = ref [] in
-  for idx = 0 to n - 1 do
-    let i = arr.(idx) in
-    if Ir.Instr.is_side_exit i then begin
-      let live = Ir.Superblock.exit_live_out sb i.Ir.Instr.id in
-      (* earlier instructions that must stay before this exit *)
-      for k = 0 to idx - 1 do
-        let j = arr.(k) in
-        if (not (Ir.Instr.is_side_exit j)) && crosses_exit_blocked j live then
-          add k idx
-      done;
-      exits := (idx, live) :: !exits
-    end
-    else
-      (* later instruction blocked from hoisting above earlier exits *)
-      List.iter
-        (fun (bpos, live) -> if crosses_exit_blocked i live then add bpos idx)
-        !exits
-  done
-
 (* Reduced control edges: one backward and one forward sweep.
 
    Per instruction only two exit edges are emitted — to the nearest
@@ -138,7 +79,8 @@ let control_edges_reference ~sb ~arr ~add =
    that blocks it.  The branch chain supplies transitivity: if j is
    blocked at exit e then it is blocked-by-order at every exit after e
    (forward) resp. before e (backward), so the chained graph has the
-   same transitive closure as the seed's all-pairs form.  Since every
+   same transitive closure as the all-pairs form (an edge for every
+   blocked (instruction, exit) pair).  Since every
    latency is >= 1, equal closure means the list scheduler makes
    identical decisions (see DESIGN.md, "Translation pipeline").
 
@@ -202,46 +144,13 @@ let skip_reduce ~n ~edge_count =
   let row_bytes = (n + 7) / 8 in
   n = 0 || n > 8192 || edge_count * row_bytes > 64_000_000
 
-(* Reference builder: the seed's list-and-hashtable construction,
-   verbatim — the oracle the flat builder is differentially tested
-   against. *)
-let build_reference ~sb ~arr ~n ~ids ~index ~deps ~policy =
-  let succs_pos = Array.make (max 1 n) [] in
-  let seen = Hashtbl.create 1024 in
-  let add a b =
-    if a <> b then begin
-      let key = (a * n) + b in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
-        succs_pos.(a) <- b :: succs_pos.(a)
-      end
-    end
-  in
-  register_edges ~arr ~add;
-  let dropped = memory_edges ~arr ~pos_of:index ~deps ~policy ~add in
-  control_edges_reference ~sb ~arr ~add;
-  let preds_of = Array.make (max 1 n) [] in
-  let succs_of = Array.make (max 1 n) [] in
-  for a = 0 to n - 1 do
-    List.iter
-      (fun b ->
-        preds_of.(b) <- ids.(a) :: preds_of.(b);
-        succs_of.(a) <- ids.(b) :: succs_of.(a))
-      succs_pos.(a)
-  done;
-  let dropped = List.sort_uniq compare dropped in
-  { ids; index; preds_of; succs_of; dropped }
-
 (* Flat builder: edges are packed [a * n + b] keys pushed into an arena
    vector, deduplicated by an arena bitset (hashtable fallback above
    the matrix gate), sorted once — which also puts every successor row
-   in ascending order, exactly what the seed's [sort_uniq] produced —
-   then transitively reduced on the CSR form with an arena-leased
-   reachability matrix.  Kept edges materialize into the same
-   descending [preds_of]/[succs_of] id lists the seed built.  When the
-   reduction is gated off, the rows are still sorted (the seed left
-   them in insertion order); every consumer folds or counts over the
-   lists, so only the order, never the set, differs. *)
+   in ascending order — then transitively reduced on the CSR form with
+   an arena-leased reachability matrix.  Kept edges materialize into
+   descending [preds_of]/[succs_of] id lists, whether or not the
+   reduction ran; every consumer folds or counts over the lists. *)
 let build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy =
   let module A = Analysis.Arena in
   (* one prescan: compact-code bound over defs, uses and exit live-out
@@ -333,19 +242,17 @@ let build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy =
   let dropped = List.sort_uniq compare dropped in
   { ids; index; preds_of; succs_of; dropped }
 
-let build ~sb ~deps ~policy ?(reference = false) ?arena () =
+let build ~sb ~deps ~policy ?arena () =
   let body = sb.Ir.Superblock.body in
   let arr = Array.of_list body in
   let n = Array.length arr in
   let ids = Array.map (fun (i : Ir.Instr.t) -> i.Ir.Instr.id) arr in
   let index = Hashtbl.create (2 * max 1 n) in
   Array.iteri (fun pos id -> Hashtbl.replace index id pos) ids;
-  if reference then build_reference ~sb ~arr ~n ~ids ~index ~deps ~policy
-  else
-    let arena =
-      match arena with Some a -> a | None -> Analysis.Arena.create ()
-    in
-    build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy
+  let arena =
+    match arena with Some a -> a | None -> Analysis.Arena.create ()
+  in
+  build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy
 
 let preds t id =
   match Hashtbl.find_opt t.index id with

@@ -14,15 +14,14 @@
     The list is normalized: ascending (first, second) order, no
     duplicates.
 
-    The default builder emits the {e reduced} graph: exit fences become
-    two edges per instruction (nearest blocking exit on each side, with
-    the branch chain carrying transitivity) instead of all blocked
+    The builder emits the {e reduced} graph: exit fences become two
+    edges per instruction (nearest blocking exit on each side, with the
+    branch chain carrying transitivity) instead of all blocked
     (instruction, exit) pairs, and a transitive reduction prunes
     redundant edges.  Because every latency is at least one cycle, any
-    edge set with the seed's transitive closure schedules identically
-    (see DESIGN.md); [~reference:true] requests the seed's explicit
-    all-pairs, unreduced graph, which the differential tests compare
-    against. *)
+    edge set with the all-pairs graph's transitive closure schedules
+    identically (see DESIGN.md); the test suite compares it against an
+    independent all-pairs, unreduced oracle. *)
 
 type t = {
   ids : int array;  (** instruction ids in body order *)
@@ -36,13 +35,11 @@ val build :
   sb:Ir.Superblock.t ->
   deps:Analysis.Depgraph.t ->
   policy:Policy.t ->
-  ?reference:bool ->
   ?arena:Analysis.Arena.t ->
   unit ->
   t
-(** [?arena] lends the default builder reusable scratch buffers (see
-    {!Analysis.Arena}); the result never aliases arena storage.  The
-    reference builder ignores it. *)
+(** [?arena] lends the builder reusable scratch buffers (see
+    {!Analysis.Arena}); the result never aliases arena storage. *)
 
 val preds : t -> int -> int list
 val succs : t -> int -> int list

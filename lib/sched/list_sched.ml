@@ -21,7 +21,31 @@ type outcome = {
   issue_seq : (int * Ir.Instr.t) list;
 }
 
-exception Unschedulable of string
+type failure =
+  | Out_of_alias_registers of {
+      scheme : Policy.annot_scheme;
+      detail : string;
+    }
+  | Stalled of {
+      cycle : int;
+      remaining : int;
+    }
+
+let failure_to_string = function
+  | Out_of_alias_registers { scheme; detail } ->
+    let component =
+      match scheme with
+      | Policy.Queue_scheme -> "Smarq_alloc"
+      | Policy.Naive_queue_scheme -> "Naive_alloc"
+      | Policy.Mask_scheme -> "Mask_alloc"
+      | Policy.Alat_scheme -> "Alat_annot"
+      | Policy.No_scheme -> "no alias scheme"
+    in
+    Printf.sprintf "%s: %s" component detail
+  | Stalled { cycle; remaining } ->
+    Printf.sprintf
+      "List_sched: no progress at cycle %d with %d instructions remaining"
+      cycle remaining
 
 (* The issue sequence: instruction ids in execution order, with the
    cycle each issued in. *)
@@ -29,134 +53,6 @@ type issued = {
   seq : (int * Ir.Instr.t) list;  (* reverse issue order: (cycle, instr) *)
   length : int;
 }
-
-(* The seed scheduler: rescan the whole body every cycle.  Kept as the
-   reference the heap core is differentially tested against. *)
-let schedule_core_reference ~sb ~hazards ~heights ~issue_width ~mem_ports
-    ~latency ~alloc =
-  let body = Array.of_list sb.Ir.Superblock.body in
-  let n = Array.length body in
-  let by_id = Hashtbl.create (n * 2) in
-  Array.iter (fun (i : Ir.Instr.t) -> Hashtbl.replace by_id i.id i) body;
-  let position = Hashtbl.create (n * 2) in
-  Array.iteri (fun idx (i : Ir.Instr.t) -> Hashtbl.replace position i.id idx)
-    body;
-  let scheduled_at = Hashtbl.create (n * 2) in
-  let is_scheduled id = Hashtbl.mem scheduled_at id in
-  (* memory ops in program order, for non-speculation mode *)
-  let mem_ids_in_order =
-    Array.to_list body
-    |> List.filter Ir.Instr.is_memory
-    |> List.map (fun (i : Ir.Instr.t) -> i.id)
-  in
-  let next_mem_index = ref 0 in
-  let mem_ids_arr = Array.of_list mem_ids_in_order in
-  let advance_next_mem () =
-    while
-      !next_mem_index < Array.length mem_ids_arr
-      && is_scheduled mem_ids_arr.(!next_mem_index)
-    do
-      incr next_mem_index
-    done
-  in
-  let earliest id =
-    List.fold_left
-      (fun acc p ->
-        match Hashtbl.find_opt scheduled_at p with
-        | Some c ->
-          let pi = Hashtbl.find by_id p in
-          max acc (c + latency pi)
-        | None -> max_int)
-      0
-      (Hazards.preds hazards id)
-  in
-  let height id = Option.value (Hashtbl.find_opt heights id) ~default:1 in
-  let used_nonspec = ref false in
-  let seq = ref [] in
-  let remaining = ref n in
-  let cycle = ref 0 in
-  let stall_guard = ref 0 in
-  while !remaining > 0 do
-    let c = !cycle in
-    (* non-speculation mode? *)
-    let nonspec =
-      match alloc with
-      | Some a -> Smarq_alloc.overflow_risk a ~lookahead_p:2
-      | None -> false
-    in
-    if nonspec then used_nonspec := true;
-    advance_next_mem ();
-    let mem_allowed id =
-      if not nonspec then true
-      else
-        !next_mem_index < Array.length mem_ids_arr
-        && mem_ids_arr.(!next_mem_index) = id
-    in
-    (* gather ready instructions *)
-    let ready = ref [] in
-    Array.iter
-      (fun (i : Ir.Instr.t) ->
-        if (not (is_scheduled i.id)) && earliest i.id <= c then
-          if Ir.Instr.is_memory i then begin
-            if mem_allowed i.id then ready := i :: !ready
-          end
-          else ready := i :: !ready)
-      body;
-    let ready =
-      List.sort
-        (fun (a : Ir.Instr.t) (b : Ir.Instr.t) ->
-          let c1 = Int.compare (height b.id) (height a.id) in
-          if c1 <> 0 then c1
-          else
-            Int.compare
-              (Hashtbl.find position a.id)
-              (Hashtbl.find position b.id))
-        !ready
-    in
-    let slots = ref issue_width and mslots = ref mem_ports in
-    let branch_used = ref false in
-    let issued_this_cycle = ref 0 in
-    List.iter
-      (fun (i : Ir.Instr.t) ->
-        let is_mem = Ir.Instr.is_memory i in
-        let is_br = Ir.Instr.is_branch i in
-        if
-          !slots > 0
-          && ((not is_mem) || !mslots > 0)
-          && ((not is_br) || not !branch_used)
-        then begin
-          (* issue *)
-          Hashtbl.replace scheduled_at i.id c;
-          decr slots;
-          if is_mem then begin
-            decr mslots;
-            match alloc with
-            | Some a -> Smarq_alloc.on_schedule a i
-            | None -> ()
-          end;
-          if is_br then branch_used := true;
-          seq := (c, i) :: !seq;
-          decr remaining;
-          incr issued_this_cycle;
-          if is_mem && nonspec then advance_next_mem ()
-        end)
-      ready;
-    if !issued_this_cycle = 0 then begin
-      incr stall_guard;
-      if !stall_guard > n + 1000 then
-        raise
-          (Unschedulable
-             (Printf.sprintf
-                "no progress at cycle %d with %d instructions remaining" c
-                !remaining))
-    end
-    else stall_guard := 0;
-    incr cycle
-  done;
-  let length =
-    1 + List.fold_left (fun acc (c, _) -> max acc c) 0 !seq
-  in
-  ({ seq = !seq; length }, !used_nonspec)
 
 (* Binary max-heap over packed int priorities, with a parallel payload
    array of body positions.  Entries are never removed eagerly: a
@@ -225,8 +121,11 @@ module Heap = struct
     top
 end
 
-(* Incremental ready-set scheduler.  Same per-cycle decisions as the
-   reference core, without the per-cycle body rescan:
+(* Incremental ready-set scheduler.  Each cycle makes the decisions of
+   the textbook per-cycle scan (gather every instruction whose
+   predecessors have issued and whose latencies have elapsed, sort by
+   (height desc, program position), issue greedily under the resource
+   limits) without rescanning the body:
 
    - indegree counters over the hazard graph replace the [earliest]
      recomputation: an instruction's release cycle is finalized when
@@ -237,19 +136,22 @@ end
      original position breaking ties, a total order because positions
      are unique;
    - issuing greedily from the merged heap tops under the slot /
-     memory-port / one-branch limits reproduces the reference walk of
-     the sorted ready list exactly, because resources only shrink
+     memory-port / one-branch limits reproduces the walk of the sorted
+     ready list exactly, because resources only shrink
      within a cycle: the next instruction the walk would accept is
      always the highest-priority top whose class still has capacity;
    - in non-speculation mode the memory heap is bypassed — the only
      admissible memory candidate is the next program-order memory op,
-     checked directly (and at most one issues per cycle, as in the
-     reference core, which gathers ready candidates before issuing). *)
-let schedule_core_fast ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
+     checked directly (and at most one issues per cycle, since the
+     scan gathers ready candidates before issuing).
+
+   Stops early once the SMARQ allocator has overflowed: the schedule
+   will be discarded. *)
+let schedule_core ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
     ~alloc =
   let body = Array.of_list sb.Ir.Superblock.body in
   let n = Array.length body in
-  if n = 0 then ({ seq = []; length = 1 }, false)
+  if n = 0 then Ok ({ seq = []; length = 1 }, false)
   else begin
     let lat = Array.map latency body in
     let height = Array.make n 1 in
@@ -311,7 +213,11 @@ let schedule_core_fast ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
     let remaining = ref n in
     let cycle = ref 0 in
     let stall_guard = ref 0 in
-    while !remaining > 0 do
+    let stalled = ref None in
+    let alloc_overflowed () =
+      match alloc with Some a -> Smarq_alloc.overflowed a | None -> false
+    in
+    while !remaining > 0 && !stalled = None && not (alloc_overflowed ()) do
       let c = !cycle in
       (match Hashtbl.find_opt buckets c with
       | Some l ->
@@ -334,7 +240,7 @@ let schedule_core_fast ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
       if nonspec then used_nonspec := true;
       advance_next_mem ();
       (* the single admissible memory candidate under non-speculation
-         mode, fixed at cycle start exactly like the reference gather *)
+         mode, fixed at cycle start exactly like the scan's gather *)
       let nonspec_mem =
         ref
           (if not nonspec then None
@@ -413,17 +319,16 @@ let schedule_core_fast ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
       if !issued_this_cycle = 0 then begin
         incr stall_guard;
         if !stall_guard > n + 1000 then
-          raise
-            (Unschedulable
-               (Printf.sprintf
-                  "no progress at cycle %d with %d instructions remaining" c
-                  !remaining))
+          stalled := Some (Stalled { cycle = c; remaining = !remaining })
       end
       else stall_guard := 0;
       incr cycle
     done;
-    let length = 1 + List.fold_left (fun acc (c, _) -> max acc c) 0 !seq in
-    ({ seq = !seq; length }, !used_nonspec)
+    match !stalled with
+    | Some f -> Error f
+    | None ->
+      let length = 1 + List.fold_left (fun acc (c, _) -> max acc c) 0 !seq in
+      Ok ({ seq = !seq; length }, !used_nonspec)
   end
 
 (* Materialize the issue sequence into bundles, splicing in AMOV and
@@ -479,11 +384,11 @@ let materialize ~issued ~annots ~rotations ~amovs ~fresh_id =
       List.rev (Option.value (Hashtbl.find_opt bundles_tbl c) ~default:[]))
 
 let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
-    ?(extra_assumed = []) ?(pipeline = Pipeline.Fast) ?profile ?arena () =
-  let reference = Pipeline.is_reference pipeline in
+    ?(extra_assumed = []) ?profile ?arena () =
+  let ( let* ) = Result.bind in
   let hazards, heights =
     Profile.time profile Profile.add_hazards (fun () ->
-        let hazards = Hazards.build ~sb ~deps ~policy ~reference ?arena () in
+        let hazards = Hazards.build ~sb ~deps ~policy ?arena () in
         let heights =
           Priority.heights ~body:sb.Ir.Superblock.body ~hazards ~latency
         in
@@ -500,16 +405,23 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
         | Policy.No_scheme ->
           None)
   in
-  let core =
-    if reference then schedule_core_reference else schedule_core_fast
-  in
-  let issued, used_nonspec =
+  let* issued, used_nonspec =
     Profile.time profile Profile.add_sched (fun () ->
-        core ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency ~alloc)
+        schedule_core ~sb ~hazards ~heights ~issue_width ~mem_ports ~latency
+          ~alloc)
   in
-  let alloc_result =
+  let out_of_registers r =
+    Result.map_error
+      (fun detail ->
+        Out_of_alias_registers { scheme = policy.Policy.scheme; detail })
+      r
+  in
+  let* alloc_result =
     Profile.time profile Profile.add_alloc (fun () ->
-        Option.map Smarq_alloc.finish alloc)
+        match alloc with
+        | Some a ->
+          out_of_registers (Result.map Option.some (Smarq_alloc.finish a))
+        | None -> Ok None)
   in
   Profile.time profile Profile.add_emit @@ fun () ->
   let issue_seq = List.rev issued.seq in
@@ -519,27 +431,27 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
     | None -> ([], [], [])
   in
   (* scheme-specific annotation post-passes *)
-  let annots, rotations, naive_max_offset =
-    match policy.Policy.scheme with
-    | Policy.Queue_scheme | Policy.No_scheme -> (annots, rotations, None)
-    | Policy.Alat_scheme ->
-      ( Alat_annot.annotate ~sb ~deps ~hazards ~issue_order:issue_seq
-          ~ar_count:policy.Policy.ar_count,
-        rotations,
-        None )
-    | Policy.Mask_scheme ->
-      ( Mask_alloc.annotate ~deps ~hazards ~issue_order:issue_seq
-          ~ar_count:policy.Policy.ar_count,
-        rotations,
-        None )
-    | Policy.Naive_queue_scheme ->
-      let r =
-        Naive_alloc.annotate ~body:sb.Ir.Superblock.body
-          ~issue_order:issue_seq
-          ~ar_count:policy.Policy.ar_count
-      in
-      (r.Naive_alloc.annots, r.Naive_alloc.rotations,
-       Some r.Naive_alloc.max_offset)
+  let* annots, rotations, naive_max_offset =
+    out_of_registers
+      (match policy.Policy.scheme with
+      | Policy.Queue_scheme | Policy.No_scheme -> Ok (annots, rotations, None)
+      | Policy.Alat_scheme ->
+        Result.map
+          (fun annots -> (annots, rotations, None))
+          (Alat_annot.annotate ~sb ~deps ~hazards ~issue_order:issue_seq
+             ~ar_count:policy.Policy.ar_count)
+      | Policy.Mask_scheme ->
+        Result.map
+          (fun annots -> (annots, rotations, None))
+          (Mask_alloc.annotate ~deps ~hazards ~issue_order:issue_seq
+             ~ar_count:policy.Policy.ar_count)
+      | Policy.Naive_queue_scheme ->
+        Result.map
+          (fun (r : Naive_alloc.result) ->
+            (r.Naive_alloc.annots, r.Naive_alloc.rotations,
+             Some r.Naive_alloc.max_offset))
+          (Naive_alloc.annotate ~body:sb.Ir.Superblock.body
+             ~issue_order:issue_seq ~ar_count:policy.Policy.ar_count))
   in
   let bundles = materialize ~issued ~annots ~rotations ~amovs ~fresh_id in
   let max_offset =
@@ -594,4 +506,4 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
       used_nonspec_mode = used_nonspec;
     }
   in
-  { region; alloc_result; stats; hazards; issue_seq }
+  Ok { region; alloc_result; stats; hazards; issue_seq }

@@ -44,7 +44,21 @@ type outcome = {
           materialization splices AMOV/ROTATE ops in *)
 }
 
-exception Unschedulable of string
+(** Why a region could not be built under the requested policy. *)
+type failure =
+  | Out_of_alias_registers of {
+      scheme : Policy.annot_scheme;
+          (** names the allocator or annotator that ran out:
+              {!Smarq_alloc}, {!Naive_alloc}, {!Mask_alloc} or
+              {!Alat_annot} *)
+      detail : string;
+    }
+  | Stalled of {
+      cycle : int;
+      remaining : int;
+    }  (** no instruction issued for too long — an invariant violation *)
+
+val failure_to_string : failure -> string
 
 val schedule :
   sb:Ir.Superblock.t ->
@@ -55,21 +69,18 @@ val schedule :
   latency:(Ir.Instr.t -> int) ->
   fresh_id:int ref ->
   ?extra_assumed:(int * int) list ->
-  ?pipeline:Pipeline.t ->
   ?profile:Profile.t ->
   ?arena:Analysis.Arena.t ->
   unit ->
-  outcome
+  (outcome, failure) result
 (** [extra_assumed] lists speculation assumptions made by earlier
     optimization passes (eliminations); they are recorded in the
-    region together with the dropped dependence pairs.  May raise
-    {!Smarq_alloc.Overflow} when even non-speculation mode cannot fit
-    the physical alias registers — callers fall back to a
-    non-speculative build of the region.
+    region together with the dropped dependence pairs.  [Error] when
+    even non-speculation mode cannot fit the scheme's alias registers —
+    callers fall back to a less speculative build of the region.
 
-    [pipeline] selects between the incremental ready-queue scheduler
-    over the reduced hazard graph ({!Pipeline.Fast}, default) and the
-    seed per-cycle rescan over the unreduced graph
-    ({!Pipeline.Reference}); both produce bit-identical regions.
+    The scheduler is an incremental ready-queue list scheduler over the
+    reduced hazard graph; the test suite holds its issue sequences to
+    an independent per-cycle-rescan oracle over the unreduced graph.
     [profile] accumulates per-phase translation timers when given;
     [arena] lends the hazard builder reusable scratch buffers. *)

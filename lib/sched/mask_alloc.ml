@@ -1,5 +1,3 @@
-exception Mask_overflow of string
-
 (* Which (protected, checker) pairs need a runtime check?  Exactly the
    pairs SMARQ would check: a dependence realized out of order, or an
    extended dependence in either order.  The protected op is whichever
@@ -49,38 +47,46 @@ let annotate ~deps ~hazards ~issue_order ~ar_count =
   (* greedy register assignment in issue order *)
   let reg_of = Hashtbl.create 16 in
   let free_at = Array.make ar_count (-1) in  (* issue pos after which free *)
-  List.iter
-    (fun (_, (i : Ir.Instr.t)) ->
+  let rec assign = function
+    | [] -> Ok ()
+    | (_, (i : Ir.Instr.t)) :: rest -> (
       match Hashtbl.find_opt last_checker i.id with
-      | None -> ()
-      | Some last ->
+      | None -> assign rest
+      | Some last -> (
         let here = pos i.id in
         let rec find k =
-          if k >= ar_count then
-            raise
-              (Mask_overflow
-                 (Printf.sprintf "no free mask register for instr %d" i.id))
-          else if free_at.(k) < here then k
+          if k >= ar_count then None
+          else if free_at.(k) < here then Some k
           else find (k + 1)
         in
-        let k = find 0 in
-        free_at.(k) <- last;
-        Hashtbl.replace reg_of i.id k)
-    issue_order;
-  (* build annotations *)
-  let masks = Hashtbl.create 16 in
-  List.iter
-    (fun (p, c) ->
-      match Hashtbl.find_opt reg_of p with
-      | Some k ->
-        let m = Option.value (Hashtbl.find_opt masks c) ~default:0 in
-        Hashtbl.replace masks c (m lor (1 lsl k))
-      | None -> ())
-    pairs;
-  List.filter_map
-    (fun (_, (i : Ir.Instr.t)) ->
-      let set_index = Hashtbl.find_opt reg_of i.id in
-      let check_mask = Option.value (Hashtbl.find_opt masks i.id) ~default:0 in
-      if set_index = None && check_mask = 0 then None
-      else Some (i.id, Ir.Annot.mask ~set_index ~check_mask))
-    issue_order
+        match find 0 with
+        | None ->
+          Error (Printf.sprintf "no free mask register for instr %d" i.id)
+        | Some k ->
+          free_at.(k) <- last;
+          Hashtbl.replace reg_of i.id k;
+          assign rest))
+  in
+  match assign issue_order with
+  | Error reason -> Error reason
+  | Ok () ->
+    (* build annotations *)
+    let masks = Hashtbl.create 16 in
+    List.iter
+      (fun (p, c) ->
+        match Hashtbl.find_opt reg_of p with
+        | Some k ->
+          let m = Option.value (Hashtbl.find_opt masks c) ~default:0 in
+          Hashtbl.replace masks c (m lor (1 lsl k))
+        | None -> ())
+      pairs;
+    Ok
+      (List.filter_map
+         (fun (_, (i : Ir.Instr.t)) ->
+           let set_index = Hashtbl.find_opt reg_of i.id in
+           let check_mask =
+             Option.value (Hashtbl.find_opt masks i.id) ~default:0
+           in
+           if set_index = None && check_mask = 0 then None
+           else Some (i.id, Ir.Annot.mask ~set_index ~check_mask))
+         issue_order)

@@ -7,13 +7,11 @@
     narrow encoding (at most 15 registers) is the scheme's documented
     scaling limit. *)
 
-exception Mask_overflow of string
-(** No free register (the encoding limit bites); the caller rebuilds
-    the region without speculation. *)
-
 val annotate :
   deps:Analysis.Depgraph.t ->
   hazards:Hazards.t ->
   issue_order:(int * Ir.Instr.t) list ->
   ar_count:int ->
-  (int * Ir.Annot.t) list
+  ((int * Ir.Annot.t) list, string) result
+(** [Error] when no register is free (the encoding limit bites); the
+    caller rebuilds the region with less speculation. *)

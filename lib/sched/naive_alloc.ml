@@ -1,5 +1,3 @@
-exception Naive_overflow of string
-
 type result = {
   annots : (int * Ir.Annot.t) list;
   rotations : (int * int) list;
@@ -27,31 +25,36 @@ let annotate ~body ~issue_order ~ar_count =
     done
   in
   let annots = ref [] and rotations = ref [] and max_offset = ref (-1) in
-  List.iter
-    (fun (_, (i : Ir.Instr.t)) ->
+  let rec walk = function
+    | [] ->
+      Ok
+        {
+          annots = List.rev !annots;
+          rotations = List.rev !rotations;
+          max_offset = !max_offset;
+        }
+    | (_, (i : Ir.Instr.t)) :: rest -> (
       match Hashtbl.find_opt order_of i.Ir.Instr.id with
-      | None -> ()
+      | None -> walk rest
       | Some order ->
         let offset = order - !base in
         if offset >= ar_count then
-          raise
-            (Naive_overflow
-               (Printf.sprintf
-                  "instr %d needs offset %d of %d registers under \
-                   program-order allocation"
-                  i.Ir.Instr.id offset ar_count));
-        (* every memory operation both protects and checks *)
-        annots :=
-          (i.Ir.Instr.id, Ir.Annot.queue ~offset ~p:true ~c:true) :: !annots;
-        if offset > !max_offset then max_offset := offset;
-        Hashtbl.replace issued order ();
-        let before = !base in
-        advance ();
-        if !base > before then
-          rotations := (i.Ir.Instr.id, !base - before) :: !rotations)
-    issue_order;
-  {
-    annots = List.rev !annots;
-    rotations = List.rev !rotations;
-    max_offset = !max_offset;
-  }
+          Error
+            (Printf.sprintf
+               "instr %d needs offset %d of %d registers under program-order \
+                allocation"
+               i.Ir.Instr.id offset ar_count)
+        else begin
+          (* every memory operation both protects and checks *)
+          annots :=
+            (i.Ir.Instr.id, Ir.Annot.queue ~offset ~p:true ~c:true) :: !annots;
+          if offset > !max_offset then max_offset := offset;
+          Hashtbl.replace issued order ();
+          let before = !base in
+          advance ();
+          if !base > before then
+            rotations := (i.Ir.Instr.id, !base - before) :: !rotations;
+          walk rest
+        end)
+  in
+  walk issue_order

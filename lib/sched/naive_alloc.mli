@@ -13,8 +13,6 @@
     detection between non-reordered operations needs constraints that
     program-order allocation cannot express (Section 2.4). *)
 
-exception Naive_overflow of string
-
 type result = {
   annots : (int * Ir.Annot.t) list;
   rotations : (int * int) list;  (** after instr id, rotate by n *)
@@ -25,7 +23,7 @@ val annotate :
   body:Ir.Instr.t list ->
   issue_order:(int * Ir.Instr.t) list ->
   ar_count:int ->
-  result
+  (result, string) Stdlib.result
 (** [body] in original program order defines register orders;
-    [issue_order] is the schedule.  Raises {!Naive_overflow} when an
-    offset would reach [ar_count]. *)
+    [issue_order] is the schedule.  [Error] when an offset would reach
+    [ar_count]. *)

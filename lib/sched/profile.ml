@@ -47,6 +47,37 @@ let total p =
   p.alias_s +. p.depgraph_s +. p.hazards_s +. p.alloc_s +. p.sched_s
   +. p.emit_s
 
+let regions_per_second p =
+  let s = total p in
+  if s <= 0.0 then 0.0 else float_of_int p.regions /. s
+
+let instrs_per_second p =
+  let s = total p in
+  if s <= 0.0 then 0.0 else float_of_int p.instrs /. s
+
+let phases p =
+  [
+    ("alias", p.alias_s);
+    ("depgraph", p.depgraph_s);
+    ("hazards", p.hazards_s);
+    ("alloc", p.alloc_s);
+    ("sched", p.sched_s);
+    ("emit", p.emit_s);
+  ]
+
+let pp ppf p =
+  if total p > 0.0 then begin
+    Format.fprintf ppf "  %-26s %.4f s (%d regions, %d instrs)@."
+      "translate time" (total p) p.regions p.instrs;
+    List.iter
+      (fun (name, s) ->
+        if s > 0.0 then
+          Format.fprintf ppf "    %-24s %.4f s@." (name ^ " phase") s)
+      (phases p);
+    Format.fprintf ppf "  %-26s %.1f@." "regions / second"
+      (regions_per_second p)
+  end
+
 let accumulate ~into p =
   into.alias_s <- into.alias_s +. p.alias_s;
   into.depgraph_s <- into.depgraph_s +. p.depgraph_s;

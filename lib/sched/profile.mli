@@ -38,5 +38,17 @@ val add_sched : t -> float -> unit
 val add_emit : t -> float -> unit
 val note_region : t -> instrs:int -> unit
 val total : t -> float
+(** Sum of all phase timers. *)
+
+val regions_per_second : t -> float
+val instrs_per_second : t -> float
+
+val phases : t -> (string * float) list
+(** [(phase name, seconds)] in pipeline order — the benchmark's JSON
+    fields. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints nothing when no time was recorded. *)
+
 val accumulate : into:t -> t -> unit
 val reset : t -> unit

@@ -20,8 +20,6 @@ type result = {
   allocation : C.allocation;
 }
 
-exception Overflow of string
-
 (* A pending AMOV whose offsets are backpatched once orders are known.
    [dst_instr = None] means a pure clear (src offset reused). *)
 type pending_amov = {
@@ -60,6 +58,9 @@ type t = {
      longer: holder maps each op to the pseudo-op currently holding its
      range (absent = itself) *)
   holder : (int, int) Hashtbl.t;
+  (* set once an offset would reach [ar_count]; the allocator then
+     ignores further operations and [finish] reports it *)
+  mutable overflow : string option;
 }
 
 let rec resolve_holder t id =
@@ -110,6 +111,7 @@ let create ~body ~deps ~ar_count ~fresh_id =
     amovs = [];
     ext_p_unscheduled;
     holder = Hashtbl.create 16;
+    overflow = None;
   }
 
 let add_graph_edge t f s =
@@ -132,28 +134,31 @@ let add_anti t f s =
 
 let has_check t f s = Hashtbl.mem t.check_pairs (f, s)
 
-(* Allocate every ready operation; each allocation may unblock more. *)
+(* Allocate every ready operation; each allocation may unblock more.
+   Stops at the first operation whose offset would overflow. *)
 let drain t =
-  while not (Queue.is_empty t.ready_queue) do
+  while t.overflow = None && not (Queue.is_empty t.ready_queue) do
     let x = Queue.pop t.ready_queue in
     let base_x = Hashtbl.find t.alloc.C.base x in
     let off = t.next_order - base_x in
     if off >= t.ar_count then
-      raise
-        (Overflow
-           (Printf.sprintf "instr %d would need offset %d of %d registers" x
-              off t.ar_count));
-    Hashtbl.replace t.alloc.C.order x t.next_order;
-    Hashtbl.replace t.allocated x ();
-    Hashtbl.remove t.in_delay x;
-    if has_p t x then t.next_order <- t.next_order + 1;
-    List.iter
-      (fun z ->
-        let d = indeg_of t z - 1 in
-        Hashtbl.replace t.indeg z d;
-        if d = 0 && Hashtbl.mem t.in_delay z then Queue.push z t.ready_queue)
-      (Option.value (Hashtbl.find_opt t.out_edges x) ~default:[]);
-    Hashtbl.remove t.out_edges x
+      t.overflow <-
+        Some
+          (Printf.sprintf "instr %d would need offset %d of %d registers" x
+             off t.ar_count)
+    else begin
+      Hashtbl.replace t.alloc.C.order x t.next_order;
+      Hashtbl.replace t.allocated x ();
+      Hashtbl.remove t.in_delay x;
+      if has_p t x then t.next_order <- t.next_order + 1;
+      List.iter
+        (fun z ->
+          let d = indeg_of t z - 1 in
+          Hashtbl.replace t.indeg z d;
+          if d = 0 && Hashtbl.mem t.in_delay z then Queue.push z t.ready_queue)
+        (Option.value (Hashtbl.find_opt t.out_edges x) ~default:[]);
+      Hashtbl.remove t.out_edges x
+    end
   done
 
 let allocate_reg t id =
@@ -254,7 +259,7 @@ let break_cycle t ~x ~y =
       :: t.amovs
   end
 
-let on_schedule t (instr : Ir.Instr.t) =
+let schedule_op t (instr : Ir.Instr.t) =
   let y = instr.id in
   Analysis.Depgraph.iter_into t.deps y
     (fun ~first:x ~second:_ ~kind:_ ~strength:_ ->
@@ -285,6 +290,10 @@ let on_schedule t (instr : Ir.Instr.t) =
   Hashtbl.remove t.ext_p_unscheduled y;
   if has_p t y || has_c t y then allocate_reg t y
 
+let on_schedule t instr = if t.overflow = None then schedule_op t instr
+
+let overflowed t = t.overflow <> None
+
 let unscheduled_ext_p t = Hashtbl.length t.ext_p_unscheduled
 
 let overflow_risk t ~lookahead_p =
@@ -310,75 +319,82 @@ let finish t =
   (* drain everything that can still be allocated; remaining delayed
      ops indicate a bug (their checkers never got scheduled) *)
   drain t;
-  if Hashtbl.length t.in_delay > 0 then begin
-    let stuck =
-      Hashtbl.fold (fun id () acc -> string_of_int id :: acc) t.in_delay []
+  match t.overflow with
+  | Some reason -> Error reason
+  | None ->
+    if Hashtbl.length t.in_delay > 0 then begin
+      let stuck =
+        Hashtbl.fold (fun id () acc -> string_of_int id :: acc) t.in_delay []
+      in
+      invalid_arg
+        ("Smarq_alloc.finish: unallocated operations remain: "
+        ^ String.concat "," stuck)
+    end;
+    let annots =
+      Hashtbl.fold
+        (fun id order acc ->
+          let p = has_p t id and c = has_c t id in
+          if p || c then begin
+            match Hashtbl.find_opt t.alloc.C.base id with
+            | Some base ->
+              (id, Ir.Annot.queue ~offset:(order - base) ~p ~c) :: acc
+            | None -> acc
+          end
+          else acc)
+        t.alloc.C.order []
     in
-    invalid_arg
-      ("Smarq_alloc.finish: unallocated operations remain: "
-      ^ String.concat "," stuck)
-  end;
-  let annots =
-    Hashtbl.fold
-      (fun id order acc ->
-        let p = has_p t id and c = has_c t id in
-        if p || c then begin
-          match Hashtbl.find_opt t.alloc.C.base id with
-          | Some base -> (id, Ir.Annot.queue ~offset:(order - base) ~p ~c) :: acc
-          | None -> acc
-        end
-        else acc)
-      t.alloc.C.order []
-  in
-  let amovs =
-    List.rev_map
-      (fun p ->
-        let src_order = Hashtbl.find t.alloc.C.order p.p_src in
-        let src_offset = src_order - p.p_base in
-        let dst_offset =
-          match p.p_dst with
-          | None -> src_offset
-          | Some d -> Hashtbl.find t.alloc.C.order d - p.p_base
+    let amovs =
+      List.rev_map
+        (fun p ->
+          let src_order = Hashtbl.find t.alloc.C.order p.p_src in
+          let src_offset = src_order - p.p_base in
+          let dst_offset =
+            match p.p_dst with
+            | None -> src_offset
+            | Some d -> Hashtbl.find t.alloc.C.order d - p.p_base
+          in
+          {
+            amov_id = p.p_amov_id;
+            before = p.p_before;
+            src_instr = p.p_src;
+            dst_is_fresh = Option.is_some p.p_dst;
+            src_offset;
+            dst_offset;
+          })
+        t.amovs
+    in
+    let outside a =
+      a.src_offset < 0 || a.dst_offset < 0
+      || a.src_offset >= t.ar_count
+      || a.dst_offset >= t.ar_count
+    in
+    match List.find_opt outside amovs with
+    | Some a ->
+      Error
+        (Printf.sprintf "amov %d offsets %d,%d outside window %d" a.amov_id
+           a.src_offset a.dst_offset t.ar_count)
+    | None ->
+      let max_offset =
+        let from_annots =
+          List.fold_left
+            (fun acc (_, a) ->
+              match a with
+              | Ir.Annot.Queue { offset; _ } -> max acc offset
+              | _ -> acc)
+            (-1) annots
         in
-        if
-          src_offset < 0 || dst_offset < 0
-          || src_offset >= t.ar_count
-          || dst_offset >= t.ar_count
-        then
-          raise
-            (Overflow
-               (Printf.sprintf "amov %d offsets %d,%d outside window %d"
-                  p.p_amov_id src_offset dst_offset t.ar_count));
+        List.fold_left
+          (fun acc (a : amov_insertion) ->
+            max acc (max a.src_offset a.dst_offset))
+          from_annots amovs
+      in
+      Ok
         {
-          amov_id = p.p_amov_id;
-          before = p.p_before;
-          src_instr = p.p_src;
-          dst_is_fresh = Option.is_some p.p_dst;
-          src_offset;
-          dst_offset;
-        })
-      t.amovs
-  in
-  let max_offset =
-    let from_annots =
-      List.fold_left
-        (fun acc (_, a) ->
-          match a with
-          | Ir.Annot.Queue { offset; _ } -> max acc offset
-          | _ -> acc)
-        (-1) annots
-    in
-    List.fold_left
-      (fun acc (a : amov_insertion) ->
-        max acc (max a.src_offset a.dst_offset))
-      from_annots amovs
-  in
-  {
-    annots;
-    rotations = List.rev t.rotations;
-    amovs;
-    max_offset;
-    check_edges = List.rev t.check_edges;
-    anti_edges = List.rev t.anti_edges;
-    allocation = t.alloc;
-  }
+          annots;
+          rotations = List.rev t.rotations;
+          amovs;
+          max_offset;
+          check_edges = List.rev t.check_edges;
+          anti_edges = List.rev t.anti_edges;
+          allocation = t.alloc;
+        }

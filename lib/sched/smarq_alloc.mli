@@ -38,11 +38,6 @@ type result = {
       (** final orders/bases/bits, for validation and statistics *)
 }
 
-exception Overflow of string
-(** Raised when an offset would reach the physical register count even
-    after rotation; the caller falls back to a non-speculative
-    schedule. *)
-
 type t
 
 val create :
@@ -55,8 +50,14 @@ val create :
     detector's partial order [T]); [fresh_id] supplies AMOV ids. *)
 
 val on_schedule : t -> Ir.Instr.t -> unit
-(** Must be called for every memory operation, in issue order.
-    May raise {!Overflow}. *)
+(** Must be called for every memory operation, in issue order.  Once an
+    offset would reach the physical register count even after rotation
+    the allocator has {e overflowed}: it ignores every later call and
+    {!finish} returns [Error]. *)
+
+val overflowed : t -> bool
+(** Whether an overflow has been recorded — the scheduler stops early
+    rather than finish a schedule that will be discarded. *)
 
 val overflow_risk : t -> lookahead_p:int -> bool
 (** Conservative estimate (paper lines 21-31): would scheduling
@@ -68,5 +69,8 @@ val unscheduled_ext_p : t -> int
 (** Number of not-yet-scheduled operations that extended dependences
     will force to take a register even without reordering. *)
 
-val finish : t -> result
-(** Call once after all memory operations are scheduled. *)
+val finish : t -> (result, string) Stdlib.result
+(** Call once after all memory operations are scheduled.  [Error]
+    describes the overflow — recorded while scheduling, or an AMOV
+    whose offsets fall outside the window; the caller falls back to a
+    less speculative build of the region. *)

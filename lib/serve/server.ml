@@ -428,7 +428,7 @@ let exec_one t ~worker (p : pending) =
   let translate_s =
     match resolution with
     | Done r | Timed_out r | Degraded r ->
-      Runtime.Profile.total r.Runtime.Driver.stats.Runtime.Stats.translate
+      Sched.Profile.total r.Runtime.Driver.stats.Runtime.Stats.translate
     | Failed _ -> 0.0
   in
   let reply =
@@ -569,12 +569,12 @@ let await ticket =
 (* Batch translation on the service's own pool: the server owns the
    long-running worker domains, so parallel replay rides them directly
    instead of nesting a second pool inside a pool worker. *)
-let translate t ?jobs ?pipeline ~config requests =
+let translate t ?jobs ~config requests =
   Mutex.lock t.m;
   let closed = t.closed in
   Mutex.unlock t.m;
   if closed then invalid_arg "Serve.Server.translate: server is shut down";
-  Exec.Translate.replay ~pool:t.pool ?jobs ?pipeline ~config requests
+  Exec.Translate.replay ~pool:t.pool ?jobs ~config requests
 
 let invalidate t label = Shards.invalidate t.shards label
 let shards_telemetry ?tenant t = Shards.telemetry ?tenant t.shards

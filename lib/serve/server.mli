@@ -144,7 +144,6 @@ val shutdown : t -> unit
 val translate :
   t ->
   ?jobs:int ->
-  ?pipeline:Sched.Pipeline.t ->
   config:Vliw.Config.t ->
   Opt.Optimizer.request list ->
   Exec.Translate.result

@@ -31,6 +31,12 @@ let sb_of body =
 
 let default_latency = Vliw.Config.latency Vliw.Config.default
 
+(* The outcome of a schedule the test expects to succeed. *)
+let scheduled = function
+  | Ok outcome -> outcome
+  | Error failure ->
+    Alcotest.fail (Sched.List_sched.failure_to_string failure)
+
 let optimize ?(policy = Sched.Policy.smarq ~ar_count:64) ?(known_alias = []) sb
     =
   let fresh_id = ref (Ir.Superblock.max_instr_id sb + 1_000) in

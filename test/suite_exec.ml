@@ -217,7 +217,7 @@ let strip_wall (st : Runtime.Stats.t) =
   {
     st with
     Runtime.Stats.wall_seconds = 0.0;
-    translate = Runtime.Profile.create ();
+    translate = Sched.Profile.create ();
   }
 
 let test_run_matrix_determinism () =

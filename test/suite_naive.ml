@@ -10,9 +10,10 @@ let build_naive ?(ar_count = 64) body =
   let alias = Analysis.May_alias.analyze ~body () in
   let deps = Analysis.Depgraph.build ~body ~alias () in
   let fresh_id = ref (Ir.Superblock.max_instr_id sb + 100) in
-  Sched.List_sched.schedule ~sb ~deps
-    ~policy:(Sched.Policy.naive_order ~ar_count)
-    ~issue_width:4 ~mem_ports:2 ~latency:default_latency ~fresh_id ()
+  scheduled
+    (Sched.List_sched.schedule ~sb ~deps
+       ~policy:(Sched.Policy.naive_order ~ar_count)
+       ~issue_width:4 ~mem_ports:2 ~latency:default_latency ~fresh_id ())
 
 let test_every_memop_annotated () =
   reset_ids ();

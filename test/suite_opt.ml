@@ -229,6 +229,46 @@ let test_optimizer_fallback () =
   Alcotest.(check bool) "window fits" true
     (o.Opt.Optimizer.region.Ir.Region.ar_window <= 1)
 
+(* The fallback ladder picks the first tier that builds.  Twenty
+   stores forwarded to twenty later loads across one may-alias store
+   leave twenty extended dependences the store must check in program
+   order: non-speculation mode cannot help, so smarq16 overflows, while
+   without the eliminations the hoisted loads throttle into program
+   order and fit (tier 2).  Twenty loads hoisted above a store that
+   waits on a long FP chain need twenty mask registers at once, past
+   Efficeon's fifteen with or without eliminations (tier 3). *)
+let test_fallback_tier_selection () =
+  reset_ids ();
+  let n = 20 in
+  let sources = List.init n (fun k -> st (I.Reg (f k)) (r 1) (k * 8)) in
+  let clobber = st (I.Imm 0) (r 2) 0 in
+  let sinks = List.init n (fun k -> ld (f (n + k)) (r 1) (k * 8)) in
+  let smarq16 = Sched.Policy.smarq ~ar_count:16 in
+  let o = optimize ~policy:smarq16 (sb_of (sources @ [ clobber ] @ sinks)) in
+  Alcotest.(check bool) "eliminations overflow: reorder-only tier" true
+    (o.Opt.Optimizer.policy_used
+    = {
+        smarq16 with
+        Sched.Policy.allow_load_load_forward = false;
+        allow_store_load_forward = false;
+        allow_store_elim = false;
+      });
+  Alcotest.(check bool) "tier 2 reported as a fallback" true
+    o.Opt.Optimizer.stats.Opt.Optimizer.fell_back;
+  reset_ids ();
+  let chain =
+    List.init 8 (fun k -> mk (I.Fbinop (I.Fmul, f 40, I.Reg (f 40), I.Reg (f k))))
+  in
+  let late_store = st (I.Reg (f 40)) (r 2) 0 in
+  let loads = List.init n (fun k -> ld (f (n + k)) (r (3 + k)) 0) in
+  let o =
+    optimize ~policy:(Sched.Policy.efficeon ())
+      (sb_of (chain @ [ late_store ] @ loads))
+  in
+  Alcotest.(check bool) "even reorder-only overflows: no-speculation tier"
+    true
+    (o.Opt.Optimizer.policy_used = Sched.Policy.none ())
+
 let test_optimizer_known_alias_conservative () =
   reset_ids ();
   let s1 = st (I.Imm 1) (r 1) 0 in
@@ -274,6 +314,8 @@ let suite =
       case "per-scheme policy gates" test_policy_gates;
       case "elimination preserves semantics" test_elim_semantics_preserved;
       case "optimizer falls back on overflow" test_optimizer_fallback;
+      case "fallback ladder picks the first tier that builds"
+        test_fallback_tier_selection;
       case "known aliases disable speculation"
         test_optimizer_known_alias_conservative;
     ] )

@@ -126,8 +126,9 @@ let prop_schedule_respects_hazards (seed, params) =
   let hazards = Sched.Hazards.build ~sb ~deps ~policy () in
   let fresh_id = ref 100_000 in
   let outcome =
-    Sched.List_sched.schedule ~sb ~deps ~policy ~issue_width:4 ~mem_ports:2
-      ~latency:default_latency ~fresh_id ()
+    scheduled
+      (Sched.List_sched.schedule ~sb ~deps ~policy ~issue_width:4
+         ~mem_ports:2 ~latency:default_latency ~fresh_id ())
   in
   let pos = Hashtbl.create 64 in
   List.iteri

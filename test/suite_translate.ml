@@ -1,9 +1,11 @@
 (* Differential tests for the O(n log n) translation pipeline: the
    swept dependence builder, the reduced hazard graph, and the heap
-   scheduler must be indistinguishable from the seed implementations —
-   identical edge lists for the depgraph, identical reachability for
-   hazards, and bit-identical schedules (hence guest state and cycle
-   counts) end to end. *)
+   scheduler must be indistinguishable from the seed implementations,
+   which live in this directory as independent oracles
+   ([Oracle_depgraph], [Oracle_hazards], [Oracle_sched]) — identical
+   edge lists for the depgraph, identical reachability for hazards,
+   and identical issue sequences for every region a driver run
+   builds. *)
 
 open Helpers
 module I = Ir.Instr
@@ -54,21 +56,23 @@ let depgraphs_of (seed, params) =
   let const_facts = Analysis.Const_prop.analyze ~body in
   let alias = Analysis.May_alias.analyze ~known_alias ~const_facts ~body () in
   let fast = Analysis.Depgraph.build ~body ~alias () in
-  let slow = Analysis.Depgraph.build ~body ~alias ~reference:true () in
+  let slow = Oracle_depgraph.real_edges ~body ~alias in
   (body, fast, slow)
 
 (* The swept builder must reproduce the pairwise builder's edge list
-   exactly — same pairs, same strengths, same order. *)
+   exactly — same pairs, same strengths, same order.  (No eliminations
+   here, so every edge is real.) *)
 let prop_depgraph_equal input =
   let _, fast, slow = depgraphs_of input in
   let pr d =
     Format.asprintf "%a" Analysis.Depgraph.pp d |> fun s ->
     if String.length s > 2000 then String.sub s 0 2000 else s
   in
-  if Analysis.Depgraph.edges fast = Analysis.Depgraph.edges slow then true
+  if Analysis.Depgraph.edges fast = slow then true
   else
-    QCheck.Test.fail_reportf "swept/reference mismatch@.fast:@.%s@.ref:@.%s"
-      (pr fast) (pr slow)
+    QCheck.Test.fail_reportf
+      "swept/pairwise mismatch@.fast:@.%s@.oracle: %d edges" (pr fast)
+      (List.length slow)
 
 (* edges_into must agree per target id as well (the allocator's view). *)
 let prop_edges_into_equal input =
@@ -76,7 +80,10 @@ let prop_edges_into_equal input =
   List.for_all
     (fun (i : I.t) ->
       Analysis.Depgraph.edges_into fast i.I.id
-      = Analysis.Depgraph.edges_into slow i.I.id)
+      = List.filter
+          (fun (e : Analysis.Depgraph.edge) ->
+            e.Analysis.Depgraph.second = i.I.id)
+          slow)
     body
 
 (* The reduced hazard graph (two-edge exit fences + transitive
@@ -88,7 +95,7 @@ let hazards_of ~policy (seed, params) =
   let alias = Analysis.May_alias.analyze ~body () in
   let deps = Analysis.Depgraph.build ~body ~alias () in
   let fast = Sched.Hazards.build ~sb ~deps ~policy () in
-  let slow = Sched.Hazards.build ~sb ~deps ~policy ~reference:true () in
+  let slow = Oracle_hazards.build ~sb ~deps ~policy in
   (body, fast, slow)
 
 let closure h body =
@@ -156,51 +163,21 @@ let prop_dropped_normalized (seed, params) =
   sorted_nodup
   && List.sort_uniq compare Sched.Hazards.(slow.dropped) = d
 
-(* End to end through the full dynamic system: for every scheme, the
-   fast and reference pipelines must agree on the final guest state AND
-   on every deterministic statistic — total cycles above all. *)
+(* End to end through the full dynamic system: run the driver once per
+   scheme, capturing every translation request, and hold each region it
+   built to the oracles.  The region's source is the post-elimination
+   superblock; its dependence graph's real edges must be the pairwise
+   oracle's, its reduced hazard graph must have the all-pairs oracle's
+   closure and dropped set, and the oracle scheduler — over the oracle
+   hazards, with its own SMARQ allocator — must reproduce the issue
+   sequence exactly.  Everything after the issue sequence is shared
+   single-path code, so equal sequences mean equal regions. *)
 let prog_arb =
   QCheck.make
     ~print:(fun (seed, loops, iters) ->
       Printf.sprintf "seed=%d loops=%d iters=%d" seed loops iters)
     QCheck.Gen.(triple (int_bound 1_000_000) (int_range 1 3) (int_range 60 200))
 
-let strip_timing (st : Runtime.Stats.t) =
-  {
-    st with
-    Runtime.Stats.wall_seconds = 0.0;
-    translate = Runtime.Profile.create ();
-  }
-
-let prop_pipelines_bit_identical (seed, loops, iters) =
-  let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
-  List.for_all
-    (fun scheme ->
-      let run pipeline =
-        Smarq.run_program ~fuel:50_000_000 ~pipeline ~scheme program
-      in
-      let fast = run Sched.Pipeline.Fast
-      and slow = run Sched.Pipeline.Reference in
-      Vliw.Machine.equal_guest_state fast.Runtime.Driver.machine
-        slow.Runtime.Driver.machine
-      && strip_timing fast.Runtime.Driver.stats
-         = strip_timing slow.Runtime.Driver.stats)
-    [
-      Smarq.Scheme.Smarq 64;
-      Smarq.Scheme.Smarq 16;
-      Smarq.Scheme.Naive_order 64;
-      Smarq.Scheme.Alat;
-      Smarq.Scheme.Efficeon;
-      Smarq.Scheme.None_;
-      Smarq.Scheme.None_static;
-    ]
-
-(* Parallel replay: for every scheme, capturing the driver's optimize
-   requests and replaying them at -jt 1, 2 and 4 over the domain pool
-   must yield bit-identical artifacts in submission order, and the
-   merged profile must count the same regions and instructions.  (The
-   timer fields are wall measurements and legitimately differ run to
-   run; the integers and the artifacts may not.) *)
 let all_schemes =
   [
     Smarq.Scheme.Smarq 64;
@@ -212,6 +189,94 @@ let all_schemes =
     Smarq.Scheme.None_static;
   ]
 
+(* [Ok ()] when the optimizer output [o] for request [r] matches every
+   oracle; otherwise the first disagreement. *)
+let check_region ~config (r : Opt.Optimizer.request) (o : Opt.Optimizer.t) =
+  let sb = o.Opt.Optimizer.region.Ir.Region.source in
+  let body = sb.Ir.Superblock.body in
+  let policy = o.Opt.Optimizer.policy_used in
+  let deps = o.Opt.Optimizer.deps in
+  let alias =
+    Analysis.May_alias.analyze ~known_alias:r.Opt.Optimizer.known_alias
+      ?const_facts:
+        (if policy.Sched.Policy.static_disambiguation then
+           Some (Analysis.Const_prop.analyze ~body)
+         else None)
+      ~body ()
+  in
+  Option.iter
+    (fun c -> Analysis.May_alias.set_certified alias (Analysis.Disamb.pairs c))
+    o.Opt.Optimizer.cert;
+  let real =
+    List.filter
+      (fun (e : Analysis.Depgraph.edge) ->
+        e.Analysis.Depgraph.kind = Analysis.Depgraph.Real)
+      (Analysis.Depgraph.edges deps)
+  in
+  let hazards = Oracle_hazards.build ~sb ~deps ~policy in
+  let fast_reaches = closure o.Opt.Optimizer.hazards body
+  and slow_reaches = closure hazards body in
+  let same_closure =
+    List.for_all
+      (fun (a : I.t) ->
+        List.for_all
+          (fun (b : I.t) ->
+            fast_reaches a.I.id b.I.id = slow_reaches a.I.id b.I.id)
+          body)
+      body
+  in
+  let issue_seq =
+    Oracle_sched.issue_seq ~sb ~deps ~hazards ~policy
+      ~issue_width:config.Vliw.Config.issue_width
+      ~mem_ports:config.Vliw.Config.mem_ports
+      ~latency:(Vliw.Config.latency config)
+  in
+  if real <> Oracle_depgraph.real_edges ~body ~alias then
+    Error "real dependence edges differ from the pairwise oracle"
+  else if not same_closure then
+    Error "hazard closure differs from the all-pairs oracle"
+  else if Sched.Hazards.(o.Opt.Optimizer.hazards.dropped) <> hazards.dropped
+  then Error "dropped pairs differ from the all-pairs oracle"
+  else if issue_seq <> o.Opt.Optimizer.issue_seq then
+    Error "issue sequence differs from the rescan scheduler oracle"
+  else Ok ()
+
+let check_requests ~scheme ~config requests outputs =
+  List.iteri
+    (fun k (r, o) ->
+      match check_region ~config r o with
+      | Ok () -> ()
+      | Error why ->
+        QCheck.Test.fail_reportf "%s, request %d (%s, policy %s): %s"
+          (Smarq.Scheme.name scheme) k
+          r.Opt.Optimizer.sb.Ir.Superblock.entry
+          o.Opt.Optimizer.policy_used.Sched.Policy.name why)
+    (List.combine requests outputs)
+
+let run_requests ~config requests =
+  List.map
+    (Opt.Optimizer.run_request ~issue_width:config.Vliw.Config.issue_width
+       ~mem_ports:config.Vliw.Config.mem_ports
+       ~latency:(Vliw.Config.latency config))
+    requests
+
+let prop_regions_match_oracles (seed, loops, iters) =
+  let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
+  List.for_all
+    (fun scheme ->
+      let _, config, requests =
+        Exec.Translate.capture_program ~fuel:50_000_000 ~scheme program
+      in
+      check_requests ~scheme ~config requests (run_requests ~config requests);
+      true)
+    all_schemes
+
+(* Parallel replay: for every scheme, capturing the driver's optimize
+   requests and replaying them at -jt 1, 2 and 4 over the domain pool
+   must yield bit-identical artifacts in submission order, and the
+   merged profile must count the same regions and instructions.  (The
+   timer fields are wall measurements and legitimately differ run to
+   run; the integers and the artifacts may not.) *)
 let prop_parallel_replay_identical (seed, loops, iters) =
   let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
   let pool = Exec.Pool.create ~domains:4 () in
@@ -239,25 +304,22 @@ let prop_parallel_replay_identical (seed, loops, iters) =
                [ 1; 2; 4 ])
         all_schemes)
 
-(* The captured batch replayed under the reference pipeline must also
-   match a reference driver run's artifacts — capture is a faithful
-   record, not a fast-path-only trick. *)
-let prop_replay_matches_either_pipeline (seed, loops, iters) =
+(* The captured batch replayed on one shared arena must match the
+   oracle-checked translations of the same requests on fresh arenas —
+   capture is a faithful record, and arena reuse across requests leaks
+   nothing into the artifacts. *)
+let prop_replay_matches_checked_requests (seed, loops, iters) =
   let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
   let scheme = Smarq.Scheme.Smarq 64 in
-  let _, cfg, reqs =
+  let _, config, requests =
     Exec.Translate.capture_program ~fuel:50_000_000 ~scheme program
   in
-  let fast =
-    Exec.Translate.replay ~jobs:1 ~pipeline:Sched.Pipeline.Fast ~config:cfg
-      reqs
-  in
-  let slow =
-    Exec.Translate.replay ~jobs:1 ~pipeline:Sched.Pipeline.Reference
-      ~config:cfg reqs
-  in
-  List.for_all2 Exec.Translate.equal_artifact fast.Exec.Translate.artifacts
-    slow.Exec.Translate.artifacts
+  let replayed = Exec.Translate.replay ~jobs:1 ~config requests in
+  let outputs = run_requests ~config requests in
+  check_requests ~scheme ~config requests outputs;
+  List.for_all2 Exec.Translate.equal_artifact
+    replayed.Exec.Translate.artifacts
+    (List.map Exec.Translate.artifact_of outputs)
 
 (* Deterministic spot check of the reduction itself: a WAW edge made
    redundant by a RAW/WAR path must be pruned yet stay enforced. *)
@@ -272,8 +334,8 @@ let test_reduction_prunes_redundant_waw () =
   let deps = Analysis.Depgraph.build ~body ~alias () in
   let policy = Sched.Policy.smarq ~ar_count:64 in
   let fast = Sched.Hazards.build ~sb ~deps ~policy () in
-  let slow = Sched.Hazards.build ~sb ~deps ~policy ~reference:true () in
-  Alcotest.(check bool) "reference keeps the direct WAW" true
+  let slow = Oracle_hazards.build ~sb ~deps ~policy in
+  Alcotest.(check bool) "oracle keeps the direct WAW" true
     (List.mem w1.I.id (Sched.Hazards.preds slow w2.I.id));
   Alcotest.(check bool) "fast prunes the redundant WAW" false
     (List.mem w1.I.id (Sched.Hazards.preds fast w2.I.id));
@@ -294,12 +356,12 @@ let suite =
         prop_reduced_edges_subset;
       qcase ~count:100 "dropped pairs normalized and equal" sb_arb
         prop_dropped_normalized;
-      qcase ~count:8 "fast and reference pipelines bit-identical" prog_arb
-        prop_pipelines_bit_identical;
+      qcase ~count:8 "fast and reference pipelines agree on every region"
+        prog_arb prop_regions_match_oracles;
       qcase ~count:5 "parallel replay bit-identical at -jt 1/2/4" prog_arb
         prop_parallel_replay_identical;
       qcase ~count:5 "replay identical under both pipelines" prog_arb
-        prop_replay_matches_either_pipeline;
+        prop_replay_matches_checked_requests;
       case "transitive reduction prunes redundant WAW"
         test_reduction_prunes_redundant_waw;
     ] )
