@@ -954,67 +954,6 @@ let serve_exp ~domains:_ =
   if !errors > 0 then
     Printf.printf "WARNING: %d requests failed with errors\n" !errors
 
-(* ---- Sustained soak: minutes of mixed plain/fault/verify/heavy
-   traffic with deadlines, retries, per-(tenant, scheme) breakers and
-   seeded service-level chaos.  First a small same-seed replay pair
-   proves the deterministic core reproduces bit-for-bit, then the long
-   run reports tail latency through p99.9, breaker/retry totals and the
-   GC memory ceiling.  Writes BENCH_SOAK.json at the repo root;
-   BENCH_SOAK / BENCH_SOAK_REQS override path and length. ---- *)
-
-let soak_out_path =
-  match Sys.getenv_opt "BENCH_SOAK" with
-  | Some p -> p
-  | None -> "BENCH_SOAK.json"
-
-let soak_exp ~domains:_ =
-  hr "Sustained soak: resilience under chaos (JSON)";
-  let requests =
-    match Sys.getenv_opt "BENCH_SOAK_REQS" with
-    | Some s -> (try max 8 (int_of_string (String.trim s)) with _ -> 480)
-    | None -> 480
-  in
-  let cfg requests =
-    { Serve.Soak.default_config with Serve.Soak.requests }
-  in
-  (* replay pair: the deterministic core must reproduce from the seed *)
-  let small = cfg (min requests 48) in
-  let a = Serve.Soak.run small in
-  let b = Serve.Soak.run small in
-  let replay_ok =
-    Serve.Soak.deterministic_json a = Serve.Soak.deterministic_json b
-  in
-  Printf.printf "same-seed replay (x2, %d requests): %s\n"
-    small.Serve.Soak.requests
-    (if replay_ok then "identical" else "DIVERGED");
-  let r = Serve.Soak.run (cfg requests) in
-  Format.printf "%a@." Serve.Soak.pp r;
-  Format.print_flush ();
-  let sr = r.Serve.Soak.server in
-  jobs_this_experiment :=
-    !jobs_this_experiment + sr.Serve.Server.completed
-    + sr.Serve.Server.timed_out + sr.Serve.Server.degraded;
-  sim_seconds_this_experiment :=
-    !sim_seconds_this_experiment +. sr.Serve.Server.sim_seconds;
-  injected_this_experiment :=
-    !injected_this_experiment + sr.Serve.Server.injected_faults;
-  let oc = open_out soak_out_path in
-  Printf.fprintf oc "{\"experiment\":\"soak\",\"replay_identical\":%b,%s\n"
-    replay_ok
-    (let j = Serve.Soak.report_json r in
-     String.sub j 1 (String.length j - 1));
-  close_out oc;
-  Printf.printf "wrote %s\n" soak_out_path;
-  if (not replay_ok) || sr.Serve.Server.errors > 0
-     || not (Serve.Soak.fully_resolved r)
-  then begin
-    Printf.printf
-      "WARNING: soak failed (replay %b, errors %d, resolved %b)\n" replay_ok
-      sr.Serve.Server.errors
-      (Serve.Soak.fully_resolved r);
-    exit 1
-  end
-
 (* ---- Fault campaign: seeded injection across schemes, every run
    checked against the interpreter oracle.  Emits the same JSON lines
    as `smarq_run fuzz`, so BENCH_* trajectories can track recovery
@@ -1266,7 +1205,6 @@ let experiments =
     ("tcache", tcache_exp);
     ("translate", translate_exp);
     ("serve", serve_exp);
-    ("soak", soak_exp);
     ("faults", faults_exp);
     ("disamb", disamb_exp);
     ("micro", micro);

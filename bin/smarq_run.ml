@@ -747,53 +747,6 @@ let serve_cmd =
       & opt (some positive_int_conv) None
       & info [ "deadline-blocks" ] ~docv:"N" ~doc)
   in
-  let retries_arg =
-    let doc =
-      "Max retries per request (jittered exponential backoff) for \
-       attempts that raise; 0 disables retries.  Exhausted requests fall \
-       back to the interpreter-only degraded path."
-    in
-    Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let retry_budget_arg =
-    let doc =
-      "Retry tokens per tenant (default: unlimited); a tenant out of \
-       tokens fails over to the degraded path instead of retrying."
-    in
-    Arg.(
-      value
-      & opt (some positive_int_conv) None
-      & info [ "retry-budget" ] ~docv:"N" ~doc)
-  in
-  let breaker_window_arg =
-    let doc =
-      "Enable per-(tenant, scheme) circuit breakers with this sliding \
-       outcome window; 0 disables breakers."
-    in
-    Arg.(value & opt int 0 & info [ "breaker-window" ] ~docv:"N" ~doc)
-  in
-  let breaker_cooldown_arg =
-    let doc = "Admissions an open breaker sheds before probing." in
-    Arg.(
-      value
-      & opt positive_int_conv 4
-      & info [ "breaker-cooldown" ] ~docv:"N" ~doc)
-  in
-  let chaos_seed_arg =
-    let doc =
-      "Enable the service-level chaos harness (worker stalls, poisoned \
-       requests, shard flush storms) with this seed."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "chaos-seed" ] ~docv:"SEED" ~doc)
-  in
-  let chaos_rate_arg =
-    let doc = "Rate of each chaos fault class (stall/poison/flush)." in
-    Arg.(
-      value & opt rate_conv 0.05 & info [ "chaos-rate" ] ~docv:"RATE" ~doc)
-  in
   let report_arg =
     let doc = "Write the JSON service report to this file." in
     Arg.(
@@ -812,8 +765,7 @@ let serve_cmd =
   in
   let run requests tenants domains queue_limit batch clients rate private_cache
       tenant_budget shard_policy scale bench scheme fault_seed fault_rate
-      deadline_s deadline_blocks retries retry_budget breaker_window
-      breaker_cooldown chaos_seed chaos_rate report =
+      deadline_s deadline_blocks report =
     let benches =
       match bench with
       | None -> Workload.Specfp.suite
@@ -833,38 +785,6 @@ let serve_cmd =
         batch;
         shard_policy;
         tenant_budget;
-        retry =
-          (if retries > 0 then
-             Some
-               {
-                 Serve.Retry.default_policy with
-                 Serve.Retry.max_attempts = retries + 1;
-               }
-           else None);
-        retry_budget;
-        retry_seed = Option.value chaos_seed ~default:0;
-        breaker =
-          (if breaker_window > 0 then
-             Some
-               {
-                 Serve.Breaker.default_config with
-                 Serve.Breaker.window = breaker_window;
-                 cooldown = breaker_cooldown;
-               }
-           else None);
-        chaos =
-          Option.map
-            (fun seed ->
-              Serve.Chaos.plan
-                ~config:
-                  {
-                    Serve.Chaos.default_config with
-                    Serve.Chaos.stall_rate = chaos_rate;
-                    poison_rate = chaos_rate;
-                    flush_rate = chaos_rate;
-                  }
-                ~seed ())
-            chaos_seed;
       }
     in
     let server = Serve.Server.create ~config () in
@@ -935,168 +855,7 @@ let serve_cmd =
       $ batch_arg $ clients_arg $ arrival_rate_arg $ private_cache_arg
       $ tenant_budget_arg $ shard_policy_arg $ scale_arg $ bench_opt_arg
       $ scheme_arg $ fault_seed_arg $ fault_rate_arg $ deadline_s_arg
-      $ deadline_blocks_arg $ retries_arg $ retry_budget_arg
-      $ breaker_window_arg $ breaker_cooldown_arg $ chaos_seed_arg
-      $ chaos_rate_arg $ report_arg)
-
-let soak_cmd =
-  let requests_arg =
-    let doc = "Total requests to issue across the mixed classes." in
-    Arg.(
-      value & opt positive_int_conv 240 & info [ "requests" ] ~docv:"N" ~doc)
-  in
-  let tenants_arg =
-    let doc = "Tenant count; each tenant keeps one request outstanding." in
-    Arg.(value & opt positive_int_conv 4 & info [ "tenants" ] ~docv:"N" ~doc)
-  in
-  let domains_arg =
-    let doc = "Worker domains in the service pool." in
-    Arg.(value & opt positive_int_conv 2 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-  in
-  let scale_soak_arg =
-    let doc = "Workload scale of the normal request classes." in
-    Arg.(value & opt positive_int_conv 1 & info [ "scale" ] ~docv:"N" ~doc)
-  in
-  let chaos_seed_arg =
-    let doc =
-      "Chaos seed: the whole soak (fault placement, retries, breaker \
-       transitions, every counted total) replays bit-for-bit from it."
-    in
-    Arg.(value & opt int 1 & info [ "chaos-seed" ] ~docv:"SEED" ~doc)
-  in
-  let poison_rate_arg =
-    let doc = "Chaos poisoned-request rate." in
-    Arg.(value & opt rate_conv 0.2 & info [ "poison-rate" ] ~docv:"RATE" ~doc)
-  in
-  let fault_rate_soak_arg =
-    let doc = "Guest-level alias-fault rate of the fault-injected class." in
-    Arg.(value & opt rate_conv 0.05 & info [ "fault-rate" ] ~docv:"RATE" ~doc)
-  in
-  let deadline_blocks_arg =
-    let doc = "Dispatched-block deadline budget of the normal classes." in
-    Arg.(
-      value
-      & opt positive_int_conv
-          Serve.Soak.default_config.Serve.Soak.deadline_blocks
-      & info [ "deadline-blocks" ] ~docv:"N" ~doc)
-  in
-  let heavy_blocks_arg =
-    let doc =
-      "Block budget of the heavy class (small by design: its requests \
-       deterministically time out)."
-    in
-    Arg.(
-      value
-      & opt positive_int_conv Serve.Soak.default_config.Serve.Soak.heavy_blocks
-      & info [ "heavy-blocks" ] ~docv:"N" ~doc)
-  in
-  let retries_arg =
-    let doc = "Max retries per request." in
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let retry_budget_arg =
-    let doc = "Retry tokens per tenant." in
-    Arg.(
-      value & opt positive_int_conv 64 & info [ "retry-budget" ] ~docv:"N" ~doc)
-  in
-  let duration_arg =
-    let doc =
-      "Stop submitting after this many seconds (the report is then \
-       wall-bounded and not seed-replayable)."
-    in
-    Arg.(
-      value & opt (some float) None & info [ "duration-s" ] ~docv:"S" ~doc)
-  in
-  let max_heap_mb_arg =
-    let doc =
-      "Fail (exit 3) if the GC heap ceiling exceeds this many MB — the \
-       unbounded-memory tripwire for CI."
-    in
-    Arg.(
-      value & opt (some float) None & info [ "max-heap-mb" ] ~docv:"MB" ~doc)
-  in
-  let report_arg =
-    let doc = "Write the JSON soak report to this file." in
-    Arg.(
-      value & opt (some string) None & info [ "report" ] ~docv:"PATH" ~doc)
-  in
-  let run requests tenants domains scale chaos_seed poison_rate fault_rate
-      deadline_blocks heavy_blocks retries retry_budget duration_s max_heap_mb
-      report =
-    if retries < 0 then begin
-      prerr_endline "soak: --retries must be >= 0";
-      exit 2
-    end;
-    let cfg =
-      {
-        Serve.Soak.default_config with
-        Serve.Soak.requests;
-        tenants;
-        domains;
-        scale;
-        chaos_seed;
-        chaos =
-          {
-            Serve.Chaos.default_config with
-            Serve.Chaos.poison_rate;
-          };
-        fault_seed = chaos_seed;
-        fault_rate;
-        deadline_blocks;
-        heavy_blocks;
-        retry =
-          {
-            Serve.Retry.default_policy with
-            Serve.Retry.max_attempts = retries + 1;
-          };
-        retry_budget;
-        duration_s;
-      }
-    in
-    let r = Serve.Soak.run cfg in
-    Format.printf "%a@." Serve.Soak.pp r;
-    Format.print_flush ();
-    (match report with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Serve.Soak.report_json r);
-      output_char oc '\n';
-      close_out oc;
-      Printf.printf "report written to %s\n" path);
-    let sr = r.Serve.Soak.server in
-    if sr.Serve.Server.errors > 0 || r.Serve.Soak.pool.Exec.Pool.failed > 0
-    then begin
-      prerr_endline "soak: unhandled request errors";
-      exit 1
-    end;
-    if not (Serve.Soak.fully_resolved r) then begin
-      prerr_endline
-        "soak: request accounting broken (not every request resolved \
-         exactly once)";
-      exit 1
-    end;
-    match max_heap_mb with
-    | Some cap when r.Serve.Soak.mem.Serve.Soak.top_heap_mb > cap ->
-      Printf.eprintf "soak: heap ceiling %.1f MB exceeds the %.1f MB bound\n"
-        r.Serve.Soak.mem.Serve.Soak.top_heap_mb cap;
-      exit 3
-    | _ -> ()
-  in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:
-         "Sustained soak: mixed plain/fault/verify/heavy traffic with \
-          deadlines, retries, per-tenant circuit breakers and seeded \
-          service-level chaos; reports p50/p95/p99/p99.9, breaker and \
-          retry totals and the GC memory ceiling.  Exits non-zero on any \
-          unhandled error, broken request accounting, or (with \
-          --max-heap-mb) a blown memory bound")
-    Term.(
-      const run $ requests_arg $ tenants_arg $ domains_arg $ scale_soak_arg
-      $ chaos_seed_arg $ poison_rate_arg $ fault_rate_soak_arg
-      $ deadline_blocks_arg $ heavy_blocks_arg $ retries_arg
-      $ retry_budget_arg $ duration_arg $ max_heap_mb_arg $ report_arg)
+      $ deadline_blocks_arg $ report_arg)
 
 let () =
   let info =
@@ -1114,5 +873,4 @@ let () =
             fuzz_cmd;
             verify_cmd;
             serve_cmd;
-            soak_cmd;
           ]))

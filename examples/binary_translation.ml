@@ -29,7 +29,11 @@ let () =
   done;
   print_newline ();
 
-  let decoded = Binary.Codec.disassemble image in
+  let decoded =
+    match Binary.Codec.disassemble image with
+    | Ok p -> p
+    | Error e -> failwith (Binary.Codec.error_to_string e)
+  in
   Printf.printf "disassembled into %d basic blocks (entry %s)\n"
     (List.length (Ir.Program.labels decoded))
     decoded.Ir.Program.entry;

@@ -27,17 +27,7 @@ let binop_ord = function
   | I.Shl -> 7
   | I.Shr -> 8
 
-let binop_of_ord = function
-  | 0 -> I.Add
-  | 1 -> I.Sub
-  | 2 -> I.Mul
-  | 3 -> I.Div
-  | 4 -> I.And
-  | 5 -> I.Or
-  | 6 -> I.Xor
-  | 7 -> I.Shl
-  | 8 -> I.Shr
-  | n -> invalid_arg (Printf.sprintf "Codec: bad binop ordinal %d" n)
+let binops = [| I.Add; I.Sub; I.Mul; I.Div; I.And; I.Or; I.Xor; I.Shl; I.Shr |]
 
 let fbinop_ord = function
   | I.Fadd -> 0
@@ -45,12 +35,7 @@ let fbinop_ord = function
   | I.Fmul -> 2
   | I.Fdiv -> 3
 
-let fbinop_of_ord = function
-  | 0 -> I.Fadd
-  | 1 -> I.Fsub
-  | 2 -> I.Fmul
-  | 3 -> I.Fdiv
-  | n -> invalid_arg (Printf.sprintf "Codec: bad fbinop ordinal %d" n)
+let fbinops = [| I.Fadd; I.Fsub; I.Fmul; I.Fdiv |]
 
 let cmp_ord = function
   | I.Eq -> 0
@@ -60,14 +45,7 @@ let cmp_ord = function
   | I.Gt -> 4
   | I.Ge -> 5
 
-let cmp_of_ord = function
-  | 0 -> I.Eq
-  | 1 -> I.Ne
-  | 2 -> I.Lt
-  | 3 -> I.Le
-  | 4 -> I.Gt
-  | 5 -> I.Ge
-  | n -> invalid_arg (Printf.sprintf "Codec: bad cmp ordinal %d" n)
+let cmps = [| I.Eq; I.Ne; I.Lt; I.Le; I.Gt; I.Ge |]
 
 (* ---- register and operand encoding ---- *)
 
@@ -80,10 +58,6 @@ let encode_reg = function
     raise (Unencodable "register index out of range")
   | Ir.Reg.T _ ->
     raise (Unencodable "optimizer temporaries have no binary encoding")
-
-let decode_reg b =
-  let idx = b land 0x3f in
-  if b land 0x40 <> 0 then Ir.Reg.F idx else Ir.Reg.R idx
 
 (* ---- record encoding ---- *)
 
@@ -119,14 +93,6 @@ let encode_operand_b rec_ = function
   | I.Imm n ->
     set_b rec_ imm_marker;
     set_imm_b rec_ n
-
-let decode_operand_a rec_ =
-  let a = get_a rec_ in
-  if a = imm_marker then I.Imm (get_imm_a rec_) else I.Reg (decode_reg a)
-
-let decode_operand_b rec_ =
-  let b = get_b rec_ in
-  if b = imm_marker then I.Imm (get_imm_b rec_) else I.Reg (decode_reg b)
 
 let encode_instr (i : I.t) =
   let r = blank () in
@@ -251,74 +217,106 @@ type raw =
   | Jmp of int
   | Halt_r
 
-let decode_record r =
+type error =
+  | Bad_image of Image.error
+  | Empty_image
+  | Unknown_opcode of { index : int; opcode : int }
+  | Bad_register of { index : int; byte : int }
+  | Bad_width of { index : int; width : int }
+  | Target_out_of_range of { index : int; target : int }
+  | Branch_at_end of { index : int }
+
+let error_to_string = function
+  | Bad_image e -> "bad image: " ^ Image.error_to_string e
+  | Empty_image -> "image has no instruction records"
+  | Unknown_opcode { index; opcode } ->
+    Printf.sprintf "record %d: unknown opcode %d" index opcode
+  | Bad_register { index; byte } ->
+    Printf.sprintf "record %d: bad register byte 0x%02x" index byte
+  | Bad_width { index; width } ->
+    Printf.sprintf "record %d: memory width %d (want 4 or 8)" index width
+  | Target_out_of_range { index; target } ->
+    Printf.sprintf "record %d: target %d out of range" index target
+  | Branch_at_end { index } ->
+    Printf.sprintf "record %d: branch at end of image" index
+
+(* raised by the decoder, caught by [disassemble] *)
+exception Malformed of error
+
+let decode_record index r =
+  let fail e = raise (Malformed e) in
+  (* a register byte is [kind lsl 6 lor index]: bit 7 is never set *)
+  let reg b =
+    if b land 0x80 <> 0 then fail (Bad_register { index; byte = b });
+    let idx = b land 0x3f in
+    if b land 0x40 <> 0 then Ir.Reg.F idx else Ir.Reg.R idx
+  in
+  let operand byte imm =
+    if byte = imm_marker then I.Imm (imm r) else I.Reg (reg byte)
+  in
+  let operand_a () = operand (get_a r) get_imm_a in
+  let operand_b () = operand (get_b r) get_imm_b in
+  let dst () = reg (get_dst r) in
+  let width () =
+    match get_width r with
+    | (4 | 8) as w -> w
+    | w -> fail (Bad_width { index; width = w })
+  in
   let op = get_op r in
+  let in_table base table = op >= base && op - base < Array.length table in
   if op = op_nop then Plain I.Nop
-  else if op = op_mov then Plain (I.Mov (decode_reg (get_dst r), decode_operand_b r))
-  else if op = op_neg then
-    Plain (I.Unop_neg (decode_reg (get_dst r), decode_operand_b r))
-  else if op >= op_binop_base && op < op_binop_base + 9 then
+  else if op = op_mov then Plain (I.Mov (dst (), operand_b ()))
+  else if op = op_neg then Plain (I.Unop_neg (dst (), operand_b ()))
+  else if in_table op_binop_base binops then
     Plain
       (I.Binop
-         ( binop_of_ord (op - op_binop_base),
-           decode_reg (get_dst r),
-           decode_operand_a r,
-           decode_operand_b r ))
-  else if op >= op_fbinop_base && op < op_fbinop_base + 4 then
+         (binops.(op - op_binop_base), dst (), operand_a (), operand_b ()))
+  else if in_table op_fbinop_base fbinops then
     Plain
       (I.Fbinop
-         ( fbinop_of_ord (op - op_fbinop_base),
-           decode_reg (get_dst r),
-           decode_operand_a r,
-           decode_operand_b r ))
-  else if op >= op_cmp_base && op < op_cmp_base + 6 then
-    Plain
-      (I.Cmp
-         ( cmp_of_ord (op - op_cmp_base),
-           decode_reg (get_dst r),
-           decode_operand_a r,
-           decode_operand_b r ))
+         (fbinops.(op - op_fbinop_base), dst (), operand_a (), operand_b ()))
+  else if in_table op_cmp_base cmps then
+    Plain (I.Cmp (cmps.(op - op_cmp_base), dst (), operand_a (), operand_b ()))
   else if op = op_load then
     Plain
       (I.Load
          {
-           dst = decode_reg (get_dst r);
-           addr = { I.base = decode_reg (get_a r); disp = get_imm_b r };
-           width = get_width r;
+           dst = dst ();
+           addr = { I.base = reg (get_a r); disp = get_imm_b r };
+           width = width ();
            annot = Ir.Annot.none;
          })
   else if op = op_store then
     Plain
       (I.Store
          {
-           src = decode_operand_a r;
-           addr = { I.base = decode_reg (get_dst r); disp = get_imm_b r };
-           width = get_width r;
+           src = operand_a ();
+           addr = { I.base = reg (get_dst r); disp = get_imm_b r };
+           width = width ();
            annot = Ir.Annot.none;
          })
-  else if op = op_br then Br (decode_operand_a r, get_imm_b r)
+  else if op = op_br then Br (operand_a (), get_imm_b r)
   else if op = op_jmp then Jmp (get_imm_b r)
   else if op = op_halt then Halt_r
-  else invalid_arg (Printf.sprintf "Codec: unknown opcode %d" op)
+  else fail (Unknown_opcode { index; opcode = op })
 
 let label_of idx = Printf.sprintf "L%d" idx
 
-let disassemble bytes_ =
-  let image = Image.of_bytes bytes_ in
+let build image =
   let n = Image.count image in
-  let raws = Array.init n (fun i -> decode_record (Image.get_record image i)) in
+  let raws = Array.init n (fun i -> decode_record i (Image.get_record image i)) in
+  let check_target i t =
+    if t < 0 || t >= n then
+      raise (Malformed (Target_out_of_range { index = i; target = t }))
+  in
   (* leaders: entry, branch targets, successors of control records *)
-  let is_leader = Array.make (max n 1) false in
-  if n > 0 then is_leader.(Image.entry_index image) <- true;
+  let is_leader = Array.make n false in
+  is_leader.(Image.entry_index image) <- true;
   Array.iteri
     (fun i raw ->
       match raw with
-      | Br (_, t) ->
-        if t < 0 || t >= n then invalid_arg "Codec: branch target out of range";
-        is_leader.(t) <- true;
-        if i + 1 < n then is_leader.(i + 1) <- true
-      | Jmp t ->
-        if t < 0 || t >= n then invalid_arg "Codec: jump target out of range";
+      | Br (_, t) | Jmp t ->
+        check_target i t;
         is_leader.(t) <- true;
         if i + 1 < n then is_leader.(i + 1) <- true
       | Halt_r -> if i + 1 < n then is_leader.(i + 1) <- true
@@ -350,7 +348,7 @@ let disassemble bytes_ =
         end
       | Br (cond, t) ->
         (* BR falls through to the next record *)
-        if !i + 1 >= n then invalid_arg "Codec: branch at end of image";
+        if !i + 1 >= n then raise (Malformed (Branch_at_end { index = !i }));
         terminator :=
           Some
             (Ir.Block.Cond
@@ -383,3 +381,9 @@ let disassemble bytes_ =
   Ir.Program.make
     ~entry:(label_of (Image.entry_index image))
     (List.rev !blocks)
+
+let disassemble bytes_ =
+  match Image.of_bytes bytes_ with
+  | Error e -> Error (Bad_image e)
+  | Ok image when Image.count image = 0 -> Error Empty_image
+  | Ok image -> ( try Ok (build image) with Malformed e -> Error e)

@@ -33,8 +33,23 @@ val assemble : Ir.Program.t -> bytes
     {!Unencodable} for region-only instructions, optimizer temporaries,
     or operand-a immediates outside 16 bits. *)
 
-val disassemble : bytes -> Ir.Program.t
+type error =
+  | Bad_image of Image.error  (** the header or record framing *)
+  | Empty_image  (** no instruction records *)
+  | Unknown_opcode of { index : int; opcode : int }
+  | Bad_register of { index : int; byte : int }
+      (** a register byte with bit 7 set, other than the [0xff]
+          immediate marker in an operand slot *)
+  | Bad_width of { index : int; width : int }
+      (** a memory access width other than 4 or 8 *)
+  | Target_out_of_range of { index : int; target : int }
+  | Branch_at_end of { index : int }
+      (** a [BR] in the last record has no fall-through *)
+(** Why an image does not decode; [index] is the record number. *)
+
+val error_to_string : error -> string
+
+val disassemble : bytes -> (Ir.Program.t, error) result
 (** Rebuild a CFG from an image: leaders are the entry, every branch
     target, and every successor of a control record; blocks are named
-    ["L<index>"].  Raises [Invalid_argument] on malformed images or
-    unknown opcodes. *)
+    ["L<index>"].  Never raises: a malformed image is an [Error]. *)

@@ -38,21 +38,35 @@ let to_bytes t =
     t.records;
   b
 
+type error =
+  | Truncated_header
+  | Bad_magic
+  | Truncated_records of { count : int }
+  | Entry_out_of_range of { entry : int; count : int }
+
+let error_to_string = function
+  | Truncated_header -> "truncated header"
+  | Bad_magic -> "bad magic"
+  | Truncated_records { count } ->
+    Printf.sprintf "truncated records (header claims %d)" count
+  | Entry_out_of_range { entry; count } ->
+    Printf.sprintf "entry index %d out of range (%d records)" entry count
+
 let of_bytes b =
-  if Bytes.length b < header_bytes then
-    invalid_arg "Image.of_bytes: truncated header";
-  if Bytes.get_int32_le b 0 <> magic then
-    invalid_arg "Image.of_bytes: bad magic";
-  let entry = Int32.to_int (Bytes.get_int32_le b 8) in
-  let n = Int32.to_int (Bytes.get_int32_le b 12) in
-  if n < 0 || Bytes.length b < header_bytes + (n * record_bytes) then
-    invalid_arg "Image.of_bytes: truncated records";
-  if entry < 0 || (n > 0 && entry >= n) then
-    invalid_arg "Image.of_bytes: entry index out of range";
-  let t = create ~entry_index:entry ~count:n in
-  for i = 0 to n - 1 do
-    let r = Bytes.make record_bytes '\000' in
-    Bytes.blit b (header_bytes + (i * record_bytes)) r 0 record_bytes;
-    t.records.(i) <- r
-  done;
-  t
+  if Bytes.length b < header_bytes then Error Truncated_header
+  else if Bytes.get_int32_le b 0 <> magic then Error Bad_magic
+  else
+    let entry = Int32.to_int (Bytes.get_int32_le b 8) in
+    let n = Int32.to_int (Bytes.get_int32_le b 12) in
+    if n < 0 || Bytes.length b < header_bytes + (n * record_bytes) then
+      Error (Truncated_records { count = n })
+    else if entry < 0 || (n > 0 && entry >= n) then
+      Error (Entry_out_of_range { entry; count = n })
+    else
+      Ok
+        {
+          entry_index = entry;
+          records =
+            Array.init n (fun i ->
+                Bytes.sub b (header_bytes + (i * record_bytes)) record_bytes);
+        }

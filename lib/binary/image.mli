@@ -18,9 +18,18 @@ val header_bytes : int
 val record_bytes : int
 
 val create : entry_index:int -> count:int -> t
-val of_bytes : bytes -> t
-(** Raises [Invalid_argument] on bad magic, truncated input, or an
-    entry index out of range. *)
+type error =
+  | Truncated_header  (** fewer than {!header_bytes} bytes *)
+  | Bad_magic
+  | Truncated_records of { count : int }
+      (** fewer than [count] records follow the header (or [count] is
+          negative) *)
+  | Entry_out_of_range of { entry : int; count : int }
+
+val error_to_string : error -> string
+
+val of_bytes : bytes -> (t, error) result
+(** Parse an image.  Never raises: malformed input is an [Error]. *)
 
 val to_bytes : t -> bytes
 val entry_index : t -> int

@@ -71,25 +71,6 @@ let create ?domains () =
 let size t = Array.length t.workers
 let failed_jobs t = Atomic.get t.failed_jobs
 
-type health = {
-  queue_depth : int;
-  failed : int;
-  shutting_down : bool;
-  domains : int;
-}
-
-let health t =
-  Mutex.lock t.m;
-  let queue_depth = Queue.length t.jobs in
-  let shutting_down = t.shutting_down in
-  Mutex.unlock t.m;
-  {
-    queue_depth;
-    failed = Atomic.get t.failed_jobs;
-    shutting_down;
-    domains = Array.length t.workers;
-  }
-
 let submit t job =
   Mutex.lock t.m;
   if t.shutting_down then begin

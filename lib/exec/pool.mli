@@ -51,17 +51,6 @@ val failed_jobs : t -> int
     callers).  Atomically counted; safe to read from any domain at any
     time. *)
 
-type health = {
-  queue_depth : int;  (** jobs accepted but not yet picked up *)
-  failed : int;  (** same counter as {!failed_jobs} *)
-  shutting_down : bool;
-  domains : int;
-}
-
-val health : t -> health
-(** A consistent point-in-time snapshot of the pool, safe to take from
-    any domain while workers run.  Used by the soak report. *)
-
 val shutdown : t -> unit
 (** Stop accepting submissions, drain every queued and in-flight job,
     and join all workers.  Idempotent: a second call (from any thread,

@@ -98,8 +98,7 @@ let replay ?pool ?jobs ~config requests =
     in
     (* Sliding window: at most [window] requests are in flight, so a
        shared pool larger than [jobs] still translates with exactly
-       [jobs]-way concurrency (the service's pool serves other work
-       with the remaining workers).  Each worker keeps its own arena,
+       [jobs]-way concurrency.  Each worker keeps its own arena,
        indexed by the worker id the pool hands every job. *)
     let arenas = Array.init (Pool.size p) (fun _ -> Analysis.Arena.create ()) in
     let m = Mutex.create () in

@@ -59,8 +59,8 @@ val replay :
 (** Translate every request.  [jobs = 1] (the default without a pool)
     replays sequentially on the calling domain with one shared arena —
     the fast single-domain path.  With [jobs > 1], requests fan out
-    over [pool] (reused, not shut down — the service hands its
-    long-running pool here rather than nesting pools) or, when no pool
+    over [pool] (reused, not shut down, so a caller replaying many
+    batches keeps one set of worker domains) or, when no pool
     is given, over a private pool of [jobs] domains that is shut down
     before returning.  A sliding window bounds in-flight requests to
     [jobs] even on a larger shared pool.  Each worker domain keeps its

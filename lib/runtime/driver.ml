@@ -68,10 +68,6 @@ let make_cache ?capacity ~policy () : cache =
   Tcache.Store.create ?capacity ~policy ()
 
 let cache_telemetry (c : cache) = Tcache.Store.telemetry c
-let cache_invalidate (c : cache) label = Tcache.Store.invalidate c label
-let cache_flush (c : cache) = Tcache.Store.flush c
-let cache_length (c : cache) = Tcache.Store.length c
-let cache_resident_instrs (c : cache) = Tcache.Store.resident_instrs c
 
 type outcome =
   | Completed

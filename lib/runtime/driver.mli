@@ -50,15 +50,6 @@ val cache_telemetry : cache -> Tcache.Telemetry.t
 (** Whole-life telemetry of the cache (a run's {!Stats.t} only folds in
     the delta accumulated during that run). *)
 
-val cache_invalidate : cache -> Ir.Instr.label -> unit
-(** Drop one label's translation, as cross-shard invalidation of
-    self-modifying guest code requires.  Must not race a run using this
-    cache. *)
-
-val cache_flush : cache -> unit
-val cache_length : cache -> int
-val cache_resident_instrs : cache -> int
-
 type outcome =
   | Completed  (** the guest program ran to halt *)
   | Fuel_exhausted

@@ -32,11 +32,6 @@ type config = {
   batch : int;
   shard_policy : Tcache.Policy.t;
   tenant_budget : int option;
-  retry : Retry.policy option;
-  retry_budget : int option;
-  retry_seed : int;
-  breaker : Breaker.config option;
-  chaos : Chaos.plan option;
 }
 
 let default_config =
@@ -46,11 +41,6 @@ let default_config =
     batch = 1;
     shard_policy = Tcache.Policy.Lru;
     tenant_budget = None;
-    retry = None;
-    retry_budget = None;
-    retry_seed = 0;
-    breaker = None;
-    chaos = None;
   }
 
 type request = {
@@ -76,12 +66,11 @@ type reply = {
   execute_s : float;
   worker : int;
   injected : int;
-  attempts : int;
 }
 
 (* [ticket] carries its server and tenant so [await] can flush the
    awaited request's partial batch instead of deadlocking against the
-   caller (the PR 6 footgun). *)
+   caller. *)
 type ticket = {
   tm : Mutex.t;
   tc : Condition.t;
@@ -105,8 +94,6 @@ and t = {
   inflight : int Atomic.t;  (* accepted and not yet finished *)
   m : Mutex.t;  (* guards everything below *)
   buffers : (string, pending Queue.t) Hashtbl.t;  (* per-tenant batches *)
-  breakers : (string, Breaker.t) Hashtbl.t;  (* key: tenant|scheme *)
-  retry_budgets : (string, Retry.budget) Hashtbl.t;  (* key: tenant *)
   mutable next_rid : int;
   mutable closed : bool;
   mutable submitted : int;
@@ -114,9 +101,6 @@ and t = {
   mutable rejected : int;
   mutable errors : int;
   mutable timed_out : int;
-  mutable degraded : int;
-  mutable retries : int;
-  mutable retry_budget_exhausted : int;
   mutable injected_faults : int;
   lat_queue : Runtime.Percentiles.t;
   lat_service : Runtime.Percentiles.t;
@@ -129,8 +113,6 @@ let create ?(config = default_config) () =
   if config.queue_limit < 1 then
     invalid_arg "Serve.Server.create: queue_limit < 1";
   if config.batch < 1 then invalid_arg "Serve.Server.create: batch < 1";
-  Option.iter (fun p -> ignore (Retry.check_policy p)) config.retry;
-  Option.iter (fun b -> ignore (Breaker.check_config b)) config.breaker;
   {
     cfg = config;
     pool = Exec.Pool.create ~domains:config.domains ();
@@ -142,16 +124,12 @@ let create ?(config = default_config) () =
               (fun ~capacity ->
                 Runtime.Driver.make_cache ?capacity
                   ~policy:config.shard_policy ());
-            invalidate = Runtime.Driver.cache_invalidate;
-            flush = Runtime.Driver.cache_flush;
             telemetry = Runtime.Driver.cache_telemetry;
           }
         ();
     inflight = Atomic.make 0;
     m = Mutex.create ();
     buffers = Hashtbl.create 8;
-    breakers = Hashtbl.create 8;
-    retry_budgets = Hashtbl.create 8;
     next_rid = 0;
     closed = false;
     submitted = 0;
@@ -159,9 +137,6 @@ let create ?(config = default_config) () =
     rejected = 0;
     errors = 0;
     timed_out = 0;
-    degraded = 0;
-    retries = 0;
-    retry_budget_exhausted = 0;
     injected_faults = 0;
     lat_queue = Runtime.Percentiles.create ();
     lat_service = Runtime.Percentiles.create ();
@@ -176,42 +151,10 @@ let create ?(config = default_config) () =
    label ("init") would hit each other's translations. *)
 let shard_key rq = rq.tenant ^ "|" ^ rq.job.Exec.Matrix.label
 
-(* The breaker partition key: one breaker per (tenant, scheme), so one
-   misbehaving scheme of one tenant degrades without touching the
-   tenant's other schemes, let alone other tenants. *)
-let breaker_key rq =
-  rq.tenant ^ "|" ^ Smarq.Scheme.name rq.job.Exec.Matrix.scheme
-
-(* callers hold t.m *)
-let breaker_for t rq =
-  match t.cfg.breaker with
-  | None -> None
-  | Some cfg -> (
-    let key = breaker_key rq in
-    match Hashtbl.find_opt t.breakers key with
-    | Some b -> Some b
-    | None ->
-      let b = Breaker.create ~config:cfg () in
-      Hashtbl.replace t.breakers key b;
-      Some b)
-
-(* callers hold t.m *)
-let retry_budget_for t tenant =
-  match Hashtbl.find_opt t.retry_budgets tenant with
-  | Some b -> b
-  | None ->
-    let b =
-      match t.cfg.retry_budget with
-      | Some n -> Retry.budget n
-      | None -> Retry.unlimited ()
-    in
-    Hashtbl.replace t.retry_budgets tenant b;
-    b
-
 (* Wrap [base] hooks with the request's deadline budget.  The block
-   budget is counted per driver run (deterministic — the soak harness
-   relies on it); the wall budget is end-to-end from submission, checked
-   every 64th dispatch to keep gettimeofday off the hot path. *)
+   budget is counted per driver run, so it is deterministic; the wall
+   budget is end-to-end from submission, checked every 64th dispatch to
+   keep gettimeofday off the hot path. *)
 let deadline_hooks (p : pending) (d : deadline) base =
   let blocks_seen = ref 0 in
   let calls = ref 0 in
@@ -234,32 +177,19 @@ let deadline_hooks (p : pending) (d : deadline) base =
   }
 
 (* One driver run, on worker [worker].  The plain path (no fault, no
-   shard, no deadline, no chaos) runs the exact batch-mode job function,
-   which is what makes the matrix client bit-identical to
+   shard, no deadline) runs the exact batch-mode job function, which is
+   what makes the matrix client bit-identical to
    [Exec.Matrix.run_matrix]; every other path builds the driver call
-   directly so it can thread the shard, the per-request fault plan, the
-   deadline hooks, and the chaos event.  [degraded] is the breaker /
-   retry-exhaustion fallback: interpreter-only (hot_threshold = max_int
-   builds no regions, so nothing can alias-fault), private cache, no
-   fault plan, no chaos. *)
-let run_one t ~worker ~degraded ~(event : Chaos.event) (p : pending) =
+   directly so it can thread the shard, the per-request fault plan and
+   the deadline hooks. *)
+let run_one t ~worker (p : pending) =
   let rq = p.p_request in
   let j = rq.job in
-  let inert = event.stall_s = 0.0 && (not event.poison) && not event.flush in
-  match (rq.fault, rq.shared_cache, rq.deadline, degraded, inert) with
-  | None, false, None, false, true ->
+  match (rq.fault, rq.shared_cache, rq.deadline) with
+  | None, false, None ->
     let o = Exec.Matrix.run_job j in
     (o.Exec.Matrix.result, o.Exec.Matrix.wall_seconds, 0)
-  | fault, shared, deadline, degraded, _ ->
-    (* chaos lands before the run: a stalled worker, a flushed shard (a
-       cold-start storm for this request only: the shard is owned by
-       the executing worker, so flushing here honors the Shards
-       quiescence contract), or a poisoned request that never runs *)
-    if event.stall_s > 0.0 then Unix.sleepf event.stall_s;
-    if event.flush && shared && not degraded then
-      Runtime.Driver.cache_flush
-        (Shards.shard t.shards ~tenant:(shard_key rq) ~worker);
-    if event.poison then raise (Chaos.poison_exn ~rid:p.p_rid);
+  | fault, shared, deadline ->
     let config =
       match j.Exec.Matrix.config with
       | Some c -> c
@@ -267,15 +197,13 @@ let run_one t ~worker ~degraded ~(event : Chaos.event) (p : pending) =
     in
     let scheme = Smarq.Scheme.to_driver j.Exec.Matrix.scheme in
     let plan =
-      if degraded then None
-      else
-        Option.map
-          (fun f ->
-            (* seed + rid: each request replays its own deterministic
-               campaign, fixed by the submission sequence *)
-            Verify.Fault.plan ~seed:(f.fault_seed + p.p_rid)
-              ~rate:f.fault_rate ())
-          fault
+      Option.map
+        (fun f ->
+          (* seed + rid: each request replays its own deterministic
+             campaign, fixed by the submission sequence *)
+          Verify.Fault.plan ~seed:(f.fault_seed + p.p_rid) ~rate:f.fault_rate
+            ())
+        fault
     in
     let scheme =
       match plan with
@@ -300,11 +228,7 @@ let run_one t ~worker ~degraded ~(event : Chaos.event) (p : pending) =
     let program = j.Exec.Matrix.program () in
     let t0 = Unix.gettimeofday () in
     let result =
-      if degraded then
-        Runtime.Driver.run ~config ~hot_threshold:max_int
-          ~fuel:j.Exec.Matrix.fuel ~unroll:j.Exec.Matrix.unroll ~hooks
-          ~verify:j.Exec.Matrix.verify ~scheme program
-      else if shared then
+      if shared then
         let tcache = Shards.shard t.shards ~tenant:(shard_key rq) ~worker in
         Runtime.Driver.run ~config ~fuel:j.Exec.Matrix.fuel
           ~unroll:j.Exec.Matrix.unroll ~tcache ~hooks
@@ -322,108 +246,20 @@ let run_one t ~worker ~degraded ~(event : Chaos.event) (p : pending) =
     in
     (result, wall, injected)
 
-(* One request: breaker admission, then up to [max_attempts] normal
-   runs with jittered backoff between failures (each retry paid from
-   the tenant's budget), then — if the breaker shed it or every attempt
-   raised — the interpreter-only degraded fallback.  The ladder
-   guarantees exactly one resolution per request:
-
-     Done       a normal attempt completed
-     Timed_out  a run outlived its deadline budget (terminal: a request
-                that was too slow once is not retried)
-     Degraded   breaker-shed, or retries exhausted and the conservative
-                fallback served it
-     Failed     the degraded fallback itself raised (a genuine bug)
-
-   Shed requests never feed the breaker; admitted (Run/Probe) requests
-   observe Success on completion and Failure on timeout or exhaustion,
-   which is what drives open -> half-open -> closed recovery. *)
+(* One request, one run, one resolution: [Timed_out] when the run
+   outlived its deadline budget, [Done] for any other outcome, [Failed]
+   when the run raised. *)
 let exec_one t ~worker (p : pending) =
   let started = Unix.gettimeofday () in
   let queue_wait_s = max 0.0 (started -. p.p_submitted) in
   let rq = p.p_request in
-  let decision, breaker =
-    match t.cfg.breaker with
-    | None -> (Breaker.Run, None)
-    | Some _ ->
-      Mutex.lock t.m;
-      let b = breaker_for t rq in
-      let d = match b with None -> Breaker.Run | Some b -> Breaker.admit b in
-      Mutex.unlock t.m;
-      (d, b)
-  in
-  let observe obs =
-    match breaker with
-    | None -> ()
-    | Some b ->
-      Mutex.lock t.m;
-      Breaker.observe b obs;
-      Mutex.unlock t.m
-  in
-  let take_retry_token () =
-    Mutex.lock t.m;
-    let budget = retry_budget_for t rq.tenant in
-    let got = Retry.try_take budget in
-    if got then t.retries <- t.retries + 1
-    else t.retry_budget_exhausted <- t.retry_budget_exhausted + 1;
-    Mutex.unlock t.m;
-    got
-  in
-  let run_degraded ~attempts =
-    match run_one t ~worker ~degraded:true ~event:Chaos.inert p with
-    | result, wall, _ -> (
+  let resolution, wall, injected =
+    match run_one t ~worker p with
+    | result, wall, injected -> (
       match result.Runtime.Driver.outcome with
-      | Runtime.Driver.Deadline_exceeded ->
-        (Timed_out result, wall, 0, attempts)
-      | _ -> (Degraded result, wall, 0, attempts))
-    | exception e -> (Failed e, Unix.gettimeofday () -. started, 0, attempts)
-  in
-  let run_normal () =
-    let prng = Verify.Prng.create ~seed:(t.cfg.retry_seed + p.p_rid) in
-    let rec attempt n =
-      let event =
-        match t.cfg.chaos with
-        | None -> Chaos.inert
-        | Some plan -> Chaos.draw plan ~rid:p.p_rid ~attempt:n
-      in
-      match run_one t ~worker ~degraded:false ~event p with
-      | result, wall, injected -> (
-        match result.Runtime.Driver.outcome with
-        | Runtime.Driver.Deadline_exceeded ->
-          `Settled (Timed_out result, wall, injected, n)
-        | _ -> `Settled (Done result, wall, injected, n))
-      | exception e ->
-        let policy_allows =
-          match t.cfg.retry with
-          | None -> false
-          | Some pol -> n < pol.Retry.max_attempts
-        in
-        if policy_allows && take_retry_token () then begin
-          let pol = Option.get t.cfg.retry in
-          let delay = Retry.backoff_s pol ~prng ~attempt:n in
-          if delay > 0.0 then Unix.sleepf delay;
-          attempt (n + 1)
-        end
-        else `Exhausted (e, n)
-    in
-    attempt 1
-  in
-  let fallback_enabled = t.cfg.retry <> None || t.cfg.breaker <> None in
-  let resolution, wall, injected, attempts =
-    match decision with
-    | Breaker.Shed -> run_degraded ~attempts:1
-    | Breaker.Run | Breaker.Probe -> (
-      match run_normal () with
-      | `Settled ((Done _, _, _, _) as s) ->
-        observe Breaker.Success;
-        s
-      | `Settled s ->
-        observe Breaker.Failure;
-        s
-      | `Exhausted (e, n) ->
-        observe Breaker.Failure;
-        if fallback_enabled then run_degraded ~attempts:(n + 1)
-        else (Failed e, Unix.gettimeofday () -. started, 0, n))
+      | Runtime.Driver.Deadline_exceeded -> (Timed_out result, wall, injected)
+      | _ -> (Done result, wall, injected))
+    | exception e -> (Failed e, Unix.gettimeofday () -. started, 0)
   in
   let translate_s =
     match resolution with
@@ -441,15 +277,14 @@ let exec_one t ~worker (p : pending) =
       execute_s = max 0.0 (wall -. translate_s);
       worker;
       injected;
-      attempts;
     }
   in
   Mutex.lock t.m;
   (match reply.resolution with
   | Done _ -> t.completed <- t.completed + 1
   | Timed_out _ -> t.timed_out <- t.timed_out + 1
-  | Degraded _ -> t.degraded <- t.degraded + 1
-  | Failed _ -> t.errors <- t.errors + 1);
+  | Failed _ -> t.errors <- t.errors + 1
+  | Degraded _ -> () (* never produced *));
   t.injected_faults <- t.injected_faults + reply.injected;
   Runtime.Percentiles.add t.lat_queue reply.queue_wait_s;
   Runtime.Percentiles.add t.lat_service reply.service_s;
@@ -566,21 +401,9 @@ let await ticket =
   in
   wait ()
 
-(* Batch translation on the service's own pool: the server owns the
-   long-running worker domains, so parallel replay rides them directly
-   instead of nesting a second pool inside a pool worker. *)
-let translate t ?jobs ~config requests =
-  Mutex.lock t.m;
-  let closed = t.closed in
-  Mutex.unlock t.m;
-  if closed then invalid_arg "Serve.Server.translate: server is shut down";
-  Exec.Translate.replay ~pool:t.pool ?jobs ~config requests
-
-let invalidate t label = Shards.invalidate t.shards label
 let shards_telemetry ?tenant t = Shards.telemetry ?tenant t.shards
 let shard_count t = Shards.shard_count t.shards
 let inflight t = Atomic.get t.inflight
-let pool_health t = Exec.Pool.health t.pool
 
 let shutdown t =
   Mutex.lock t.m;
@@ -650,8 +473,8 @@ let run_matrix ?domains jobs =
         }
       | Failed e -> raise e
       | Timed_out _ | Degraded _ ->
-        (* unreachable: matrix requests carry no deadline and the
-           private server configures no breaker *)
+        (* unreachable: matrix requests carry no deadline, and nothing
+           produces [Degraded] *)
         invalid_arg "Serve.Server.run_matrix: unexpected resolution")
     replies
 
@@ -661,15 +484,6 @@ type report = {
   rejected : int;
   errors : int;
   timed_out : int;
-  degraded : int;
-  retries : int;
-  retry_budget_exhausted : int;
-  breaker_transitions : int;
-  breaker_sheds : int;
-  breakers_open : int;
-  chaos_stalls : int;
-  chaos_poisons : int;
-  chaos_flushes : int;
   injected_faults : int;
   sim_seconds : float;  (* sum of per-request service time *)
   queue_wait : Runtime.Percentiles.summary;
@@ -682,16 +496,11 @@ type report = {
 let report_json (r : report) =
   Printf.sprintf
     "{\"submitted\":%d,\"completed\":%d,\"rejected\":%d,\"errors\":%d,\
-     \"timed_out\":%d,\"degraded\":%d,\"retries\":%d,\
-     \"retry_budget_exhausted\":%d,\"breaker_transitions\":%d,\
-     \"breaker_sheds\":%d,\"breakers_open\":%d,\"chaos_stalls\":%d,\
-     \"chaos_poisons\":%d,\"chaos_flushes\":%d,\
-     \"injected_faults\":%d,\"sim_seconds\":%.6f,\"queue_wait\":%s,\
-     \"service\":%s,\"translate\":%s,\"execute\":%s,\"total\":%s}"
-    r.submitted r.completed r.rejected r.errors r.timed_out r.degraded
-    r.retries r.retry_budget_exhausted r.breaker_transitions r.breaker_sheds
-    r.breakers_open r.chaos_stalls r.chaos_poisons r.chaos_flushes
-    r.injected_faults r.sim_seconds
+     \"timed_out\":%d,\"injected_faults\":%d,\"sim_seconds\":%.6f,\
+     \"queue_wait\":%s,\"service\":%s,\"translate\":%s,\"execute\":%s,\
+     \"total\":%s}"
+    r.submitted r.completed r.rejected r.errors r.timed_out r.injected_faults
+    r.sim_seconds
     (Runtime.Percentiles.summary_json ~unit:"s" r.queue_wait)
     (Runtime.Percentiles.summary_json ~unit:"s" r.service)
     (Runtime.Percentiles.summary_json ~unit:"s" r.translate)
@@ -705,17 +514,8 @@ let pp_report ppf (r : report) =
     (if r.injected_faults > 0 then
        Printf.sprintf " (%d faults injected)" r.injected_faults
      else "");
-  if r.timed_out > 0 || r.degraded > 0 || r.retries > 0 then
-    Format.fprintf ppf
-      "resilience: %d timed out, %d degraded, %d retries (%d budget-refused)@,"
-      r.timed_out r.degraded r.retries r.retry_budget_exhausted;
-  if r.breaker_transitions > 0 || r.breaker_sheds > 0 then
-    Format.fprintf ppf
-      "breakers: %d transitions, %d sheds, %d open now@,"
-      r.breaker_transitions r.breaker_sheds r.breakers_open;
-  if r.chaos_stalls > 0 || r.chaos_poisons > 0 || r.chaos_flushes > 0 then
-    Format.fprintf ppf "chaos: %d stalls, %d poisons, %d flushes@,"
-      r.chaos_stalls r.chaos_poisons r.chaos_flushes;
+  if r.timed_out > 0 then
+    Format.fprintf ppf "deadlines: %d timed out@," r.timed_out;
   Format.fprintf ppf "queue wait: %a@," Runtime.Percentiles.pp_summary
     r.queue_wait;
   Format.fprintf ppf "service:    %a@," Runtime.Percentiles.pp_summary
@@ -728,19 +528,6 @@ let pp_report ppf (r : report) =
 
 let report t =
   Mutex.lock t.m;
-  let breaker_transitions, breaker_sheds, breakers_open =
-    Hashtbl.fold
-      (fun _ b (tr, sh, op) ->
-        ( tr + Breaker.transitions b,
-          sh + Breaker.shed_total b,
-          op + if Breaker.state b = Breaker.Open then 1 else 0 ))
-      t.breakers (0, 0, 0)
-  in
-  let chaos =
-    match t.cfg.chaos with
-    | Some plan -> Chaos.counters plan
-    | None -> { Chaos.stalls = 0; poisons = 0; flushes = 0 }
-  in
   let r =
     {
       submitted = t.submitted;
@@ -748,15 +535,6 @@ let report t =
       rejected = t.rejected;
       errors = t.errors;
       timed_out = t.timed_out;
-      degraded = t.degraded;
-      retries = t.retries;
-      retry_budget_exhausted = t.retry_budget_exhausted;
-      breaker_transitions;
-      breaker_sheds;
-      breakers_open;
-      chaos_stalls = chaos.Chaos.stalls;
-      chaos_poisons = chaos.Chaos.poisons;
-      chaos_flushes = chaos.Chaos.flushes;
       injected_faults = t.injected_faults;
       sim_seconds = Runtime.Percentiles.total t.lat_service;
       queue_wait = Runtime.Percentiles.summary t.lat_queue;

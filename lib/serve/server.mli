@@ -16,10 +16,9 @@
 
     {b Batching}: accepted requests buffer per tenant and dispatch to
     the pool in groups of [batch] (default 1 = no batching); a partial
-    batch is dispatched by {!flush}, {!shutdown}, or — since the
-    resilience rework — by {!await} itself when the awaited request is
-    still buffered, so blocking on a ticket can no longer deadlock
-    against the caller's own undelivered batch.
+    batch is dispatched by {!flush}, {!shutdown}, or by {!await} itself
+    when the awaited request is still buffered, so blocking on a ticket
+    cannot deadlock against the caller's own undelivered batch.
 
     {b Caching}: a request with [shared_cache = true] runs against the
     tenant's per-worker shard ({!Shards}), so its hot regions stay
@@ -27,29 +26,21 @@
     run a private cache, reproducing batch-mode behavior exactly.
 
     {b Fault injection}: a request carrying a {!fault_spec} replays the
-    PR-3 fault campaign [(seed + rid, rate)] where [rid] is the
+    {!Verify.Fault} campaign [(seed + rid, rate)] where [rid] is the
     request's submission sequence number — per-request deterministic,
     and degradation stays local to that request's run (tenant-local by
     construction; see [Runtime.Driver.run]).
 
-    {b Resilience} (all off by default): a request may carry a
-    {!deadline} budget (wall clock and/or dispatched guest blocks)
-    enforced through the driver's deadline hook — an expired budget
-    resolves the request [Timed_out] with its partial stats.  A
-    configured {!Retry.policy} re-runs attempts that raised, with
-    jittered exponential backoff seeded per request by
-    [retry_seed + rid], each retry paid from the tenant's
-    [retry_budget].  A configured {!Breaker.config} keeps one
-    closed/open/half-open breaker per (tenant, scheme); an open breaker
-    sheds requests to the degraded path instead of rejecting them.  The
-    degraded path — also the fallback once retries are exhausted — runs
-    the request interpreter-only (no regions, so it cannot alias-fault)
-    on a private cache and resolves it [Degraded].  A configured
-    {!Chaos.plan} injects worker stalls, poisoned attempts, and shard
-    flushes, deterministically in (seed, rid, attempt).  Every request
-    therefore resolves as exactly one of
-    completed / timed-out / degraded / failed — or is rejected with no
-    ticket at all. *)
+    {b Deadlines}: a request may carry a {!deadline} budget (wall
+    clock and/or dispatched guest blocks), enforced through the
+    driver's deadline hook.  An expired budget resolves the request
+    [Timed_out] with its partial stats.
+
+    Each accepted request runs once and resolves as exactly one of
+    [Done], [Timed_out] or [Failed]; a rejected request gets no ticket
+    at all.  Recovery from a failed speculation happens inside the run,
+    in {!Runtime.Driver} (rollback, conservative re-optimization,
+    watchdog and verifier degradation to the interpreter). *)
 
 type fault_spec = {
   fault_seed : int;  (** base seed; each request adds its sequence number *)
@@ -62,7 +53,7 @@ type deadline = {
           checked every 64th dispatched block *)
   blocks : int option;
       (** guest blocks dispatched per driver run — a deterministic
-          budget, the one the soak harness replays *)
+          budget *)
 }
 
 type config = {
@@ -73,17 +64,10 @@ type config = {
   tenant_budget : int option;
       (** per-shard capacity (scheduled-region instructions): the
           per-tenant eviction budget.  [None] = unbounded. *)
-  retry : Retry.policy option;  (** [None] = no retries *)
-  retry_budget : int option;
-      (** retry tokens per tenant; [None] = unlimited *)
-  retry_seed : int;  (** backoff-jitter seed (plus request rid) *)
-  breaker : Breaker.config option;  (** [None] = no breakers *)
-  chaos : Chaos.plan option;  (** [None] = no service-level chaos *)
 }
 
 val default_config : config
-(** 2 domains, queue limit 64, batch 1, LRU shards, unbounded budget,
-    every resilience feature off. *)
+(** 2 domains, queue limit 64, batch 1, LRU shards, unbounded budget. *)
 
 type request = {
   tenant : string;
@@ -94,35 +78,33 @@ type request = {
 }
 
 type resolution =
-  | Done of Runtime.Driver.result  (** a normal attempt completed *)
+  | Done of Runtime.Driver.result
+      (** the run ended with any outcome other than
+          [Deadline_exceeded] *)
   | Timed_out of Runtime.Driver.result
       (** deadline budget expired; the result carries the partial stats
           and machine state accumulated up to the cutoff *)
   | Degraded of Runtime.Driver.result
-      (** served by the interpreter-only fallback (breaker shed, or
-          retries exhausted) *)
-  | Failed of exn
-      (** the degraded fallback itself raised, or — with retries and
-          breakers both off — the single attempt raised *)
+      (** Never produced.  Kept only for source compatibility with the
+          frozen repository benchmark, which still matches on it. *)
+  | Failed of exn  (** the run raised *)
 
 type reply = {
   request : request;
   resolution : resolution;
   queue_wait_s : float;  (** submit to worker pickup *)
-  service_s : float;  (** the terminal run itself *)
+  service_s : float;  (** the run itself *)
   translate_s : float;  (** translation share of service *)
   execute_s : float;  (** [service_s - translate_s] *)
   worker : int;  (** which worker domain ran it *)
   injected : int;  (** faults injected by this request's plan *)
-  attempts : int;  (** runs performed, degraded fallback included *)
 }
 
 type ticket
 type t
 
 val create : ?config:config -> unit -> t
-(** Raises [Invalid_argument] on [queue_limit < 1], [batch < 1], or
-    out-of-range retry/breaker settings. *)
+(** Raises [Invalid_argument] on [queue_limit < 1] or [batch < 1]. *)
 
 val submit : t -> request -> [ `Accepted of ticket | `Rejected ]
 (** Never blocks, never raises: a full queue and a shut-down server
@@ -141,22 +123,6 @@ val shutdown : t -> unit
     pool.  Idempotent; concurrent callers all block until the single
     drain completes. *)
 
-val translate :
-  t ->
-  ?jobs:int ->
-  config:Vliw.Config.t ->
-  Opt.Optimizer.request list ->
-  Exec.Translate.result
-(** {!Exec.Translate.replay} on the server's own pool: parallel
-    translation shares the long-running worker domains with request
-    service rather than nesting a second pool.  [jobs] bounds in-flight
-    requests (default: the pool size); artifacts come back in
-    submission order.  Raises [Invalid_argument] after {!shutdown}. *)
-
-val invalidate : t -> string -> unit
-(** Cross-shard invalidation of a guest label (self-modifying-code
-    shootdown).  Call while no request is running. *)
-
 val shards_telemetry : ?tenant:string -> t -> Tcache.Telemetry.t
 (** Aggregate shard telemetry, optionally for one shard key (note shard
     tenants are keyed ["tenant|job-label"]). *)
@@ -165,10 +131,6 @@ val shard_count : t -> int
 
 val inflight : t -> int
 (** Accepted-but-unfinished requests right now. *)
-
-val pool_health : t -> Exec.Pool.health
-(** Point-in-time worker-pool snapshot (queue depth, failed jobs,
-    shutting-down flag) for the soak report. *)
 
 val run_matrix : ?domains:int -> Exec.Matrix.job list -> Exec.Matrix.outcome list
 (** {!Exec.Matrix.run_matrix} as a service client: one fresh-cache
@@ -183,15 +145,6 @@ type report = {
   rejected : int;  (** admission rejections (not errors) *)
   errors : int;  (** resolved [Failed] *)
   timed_out : int;  (** resolved [Timed_out] *)
-  degraded : int;  (** resolved [Degraded] *)
-  retries : int;  (** extra attempts granted across all tenants *)
-  retry_budget_exhausted : int;  (** retries refused for lack of tokens *)
-  breaker_transitions : int;  (** state changes summed over breakers *)
-  breaker_sheds : int;  (** requests diverted to the degraded path *)
-  breakers_open : int;  (** breakers open at snapshot time *)
-  chaos_stalls : int;
-  chaos_poisons : int;
-  chaos_flushes : int;
   injected_faults : int;
   sim_seconds : float;  (** sum of per-request service time *)
   queue_wait : Runtime.Percentiles.summary;

@@ -9,25 +9,16 @@
    - per {b worker} domain, so a store is only ever touched by the one
      domain the scheduler routed that tenant's request to — shard
      lookups take the table mutex, but the store operations inside a
-     driver run are lock-free.
-
-   Cross-shard operations (invalidate a guest label everywhere, flush
-   everything) iterate the table under the mutex; they model
-   self-modifying-code shootdowns and must be called while no request
-   is mid-run (the server only issues them between dispatches). *)
+     driver run are lock-free. *)
 
 type 'c ops = {
   make : capacity:int option -> 'c;
-  invalidate : 'c -> string -> unit;
-  flush : 'c -> unit;
   telemetry : 'c -> Tcache.Telemetry.t;
 }
 
 let store_ops ~policy =
   {
     make = (fun ~capacity -> Tcache.Store.create ?capacity ~policy ());
-    invalidate = Tcache.Store.invalidate;
-    flush = Tcache.Store.flush;
     telemetry = Tcache.Store.telemetry;
   }
 
@@ -63,24 +54,6 @@ let shard_count t =
   let n = Hashtbl.length t.tbl in
   Mutex.unlock t.m;
   n
-
-let tenants t =
-  Mutex.lock t.m;
-  let names =
-    Hashtbl.fold (fun (tenant, _) _ acc -> tenant :: acc) t.tbl []
-  in
-  Mutex.unlock t.m;
-  List.sort_uniq String.compare names
-
-let invalidate t label =
-  Mutex.lock t.m;
-  Hashtbl.iter (fun _ s -> t.ops.invalidate s label) t.tbl;
-  Mutex.unlock t.m
-
-let flush t =
-  Mutex.lock t.m;
-  Hashtbl.iter (fun _ s -> t.ops.flush s) t.tbl;
-  Mutex.unlock t.m
 
 let telemetry ?tenant t =
   let acc = Tcache.Telemetry.create () in

@@ -8,7 +8,7 @@
     - the {b worker} axis gives lock-free steady-state operation — a
       shard is only ever used by the worker domain it is keyed under,
       so the driver's cache operations inside a run need no mutex (only
-      the shard {e lookup} and the cross-shard operations lock).
+      the shard {e lookup} and {!telemetry} lock).
 
     The container is generic over the store type through an {!ops}
     record, so the same sharding (and the same property tests) covers
@@ -17,8 +17,6 @@
 
 type 'c ops = {
   make : capacity:int option -> 'c;
-  invalidate : 'c -> string -> unit;
-  flush : 'c -> unit;
   telemetry : 'c -> Tcache.Telemetry.t;
 }
 
@@ -38,17 +36,6 @@ val shard : 'c t -> tenant:string -> worker:int -> 'c
     by worker [worker]. *)
 
 val shard_count : 'c t -> int
-val tenants : 'c t -> string list
-
-val invalidate : 'c t -> string -> unit
-(** Cross-shard invalidation: drop [label]'s translation from {e every}
-    shard, as a self-modifying-code shootdown requires.  Call only
-    while no request is mid-run (the server issues these between
-    dispatches). *)
-
-val flush : 'c t -> unit
-(** Cross-shard flush of every store.  Same quiescence requirement as
-    {!invalidate}. *)
 
 val telemetry : ?tenant:string -> 'c t -> Tcache.Telemetry.t
 (** Aggregate telemetry over all shards, or over one tenant's shards:

@@ -16,8 +16,6 @@ let create ~seed =
      low-entropy neighborhood of seed 1, etc. *)
   { state = mix (Int64.add (Int64.of_int seed) golden) }
 
-let copy t = { state = t.state }
-
 let next t =
   t.state <- Int64.add t.state golden;
   mix t.state
@@ -29,5 +27,3 @@ let int t bound =
 
 let float t =
   Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
-
-let bool t = Int64.shift_right_logical (next t) 63 = 1L

@@ -11,9 +11,6 @@ type t
 val create : seed:int -> t
 (** Any seed is fine, including 0 (the state is pre-scrambled). *)
 
-val copy : t -> t
-(** Independent generator continuing from the same point. *)
-
 val next : t -> int64
 (** The raw 64-bit stream. *)
 
@@ -23,5 +20,3 @@ val int : t -> int -> int
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val bool : t -> bool

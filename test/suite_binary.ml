@@ -4,7 +4,10 @@
 open Helpers
 module I = Ir.Instr
 
-let roundtrip p = Binary.Codec.disassemble (Binary.Codec.assemble p)
+let roundtrip p =
+  match Binary.Codec.disassemble (Binary.Codec.assemble p) with
+  | Ok p2 -> p2
+  | Error e -> Alcotest.fail (Binary.Codec.error_to_string e)
 
 let run_interp p =
   let m = Vliw.Machine.create () in
@@ -15,21 +18,22 @@ let test_image_header () =
   let img = Binary.Image.create ~entry_index:2 ~count:5 in
   let b = Binary.Image.to_bytes img in
   Alcotest.(check int) "size" (16 + (5 * 16)) (Bytes.length b);
-  let img2 = Binary.Image.of_bytes b in
-  Alcotest.(check int) "entry" 2 (Binary.Image.entry_index img2);
-  Alcotest.(check int) "count" 5 (Binary.Image.count img2);
+  (match Binary.Image.of_bytes b with
+  | Ok img2 ->
+    Alcotest.(check int) "entry" 2 (Binary.Image.entry_index img2);
+    Alcotest.(check int) "count" 5 (Binary.Image.count img2)
+  | Error e -> Alcotest.fail (Binary.Image.error_to_string e));
   Bytes.set b 0 'X';
-  Alcotest.check_raises "bad magic"
-    (Invalid_argument "Image.of_bytes: bad magic") (fun () ->
-      ignore (Binary.Image.of_bytes b))
+  Alcotest.(check bool) "bad magic" true
+    (Binary.Image.of_bytes b = Error Binary.Image.Bad_magic)
 
 let test_truncated_image () =
   let img = Binary.Image.create ~entry_index:0 ~count:3 in
   let b = Binary.Image.to_bytes img in
   let cut = Bytes.sub b 0 (Bytes.length b - 8) in
-  Alcotest.check_raises "truncated"
-    (Invalid_argument "Image.of_bytes: truncated records") (fun () ->
-      ignore (Binary.Image.of_bytes cut))
+  Alcotest.(check bool) "truncated" true
+    (Binary.Image.of_bytes cut
+    = Error (Binary.Image.Truncated_records { count = 3 }))
 
 let test_suite_roundtrip_state () =
   List.iter
@@ -134,6 +138,120 @@ let test_dbt_equivalence_all_schemes () =
           (Smarq.Scheme.name scheme))
     [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Alat; Smarq.Scheme.None_ ]
 
+(* ---- malformed images: typed errors, never an exception ---- *)
+
+(* record [i]'s byte [k] in an assembled image *)
+let record_byte i k = Binary.Image.header_bytes + (i * Binary.Image.record_bytes) + k
+
+(* [mov r1 <- r2; ld f1 <- [r3+8] (width 8); st r1 -> [r3+16] (width 4);
+   halt]: records 0..3 *)
+let small_image () =
+  reset_ids ();
+  let body =
+    [ mk (I.Mov (r 1, I.Reg (r 2))); ld ~width:8 (f 1) (r 3) 8;
+      st (I.Reg (r 1)) (r 3) 16 ]
+  in
+  Binary.Codec.assemble
+    (Ir.Program.make ~entry:"a" [ Ir.Block.make ~label:"a" ~body Ir.Block.Halt ])
+
+let decodes_to name want b =
+  Alcotest.(check string) name
+    (match want with
+    | None -> "ok"
+    | Some e -> Binary.Codec.error_to_string e)
+    (match Binary.Codec.disassemble b with
+    | Ok _ -> "ok"
+    | Error e -> Binary.Codec.error_to_string e)
+
+let test_register_bit7_rejected () =
+  decodes_to "unmutated image decodes" None (small_image ());
+  let with_byte i k v =
+    let b = small_image () in
+    Bytes.set_uint8 b (record_byte i k) v;
+    b
+  in
+  decodes_to "destination 0x81" (Some (Binary.Codec.Bad_register { index = 0; byte = 0x81 }))
+    (with_byte 0 1 0x81);
+  decodes_to "operand-b 0x82"
+    (Some (Binary.Codec.Bad_register { index = 0; byte = 0x82 }))
+    (with_byte 0 3 0x82);
+  (* 0xff marks an immediate only in an operand slot; a load's base
+     register has no immediate form *)
+  decodes_to "load base 0xff"
+    (Some (Binary.Codec.Bad_register { index = 1; byte = 0xff }))
+    (with_byte 1 2 0xff);
+  decodes_to "operand-b 0xff is an immediate" None (with_byte 0 3 0xff)
+
+let test_memory_width_rejected () =
+  let with_width i w =
+    let b = small_image () in
+    Bytes.set_uint8 b (record_byte i 5) w;
+    b
+  in
+  decodes_to "load width 4" None (with_width 1 4);
+  decodes_to "store width 8" None (with_width 2 8);
+  List.iter
+    (fun (i, w) ->
+      decodes_to
+        (Printf.sprintf "record %d width %d" i w)
+        (Some (Binary.Codec.Bad_width { index = i; width = w }))
+        (with_width i w))
+    [ (1, 0); (1, 2); (2, 1); (2, 16); (2, 255) ]
+
+(* Byte strings for the never-raises property: arbitrary bytes, an
+   image header over arbitrary records, and single-byte mutations of
+   every assembled suite program. *)
+let suite_images =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun b -> Binary.Codec.assemble (Workload.Specfp.program b))
+          Workload.Specfp.suite))
+
+let gen_image_bytes =
+  let open QCheck.Gen in
+  let raw = map Bytes.of_string (string_size (int_range 0 96)) in
+  let framed =
+    map
+      (fun (entry, count, records) ->
+        let b = Bytes.make Binary.Image.header_bytes '\000' in
+        Bytes.set_int32_le b 0 Binary.Image.magic;
+        Bytes.set_int32_le b 8 (Int32.of_int entry);
+        Bytes.set_int32_le b 12 (Int32.of_int count);
+        Bytes.cat b (Bytes.of_string records))
+      (triple (int_range (-1) 6) (int_range (-1) 6)
+         (string_size (map (fun n -> n * 16) (int_range 0 6))))
+  in
+  let mutated =
+    map
+      (fun (which, pos, v) ->
+        let images = Lazy.force suite_images in
+        let b = Bytes.copy images.(which mod Array.length images) in
+        Bytes.set_uint8 b (pos mod Bytes.length b) v;
+        b)
+      (triple nat nat (int_range 0 255))
+  in
+  frequency [ (1, raw); (2, framed); (4, mutated) ]
+
+let arb_image_bytes =
+  QCheck.make
+    ~print:(fun b ->
+      Printf.sprintf "%d bytes: %s" (Bytes.length b)
+        (String.concat " "
+           (List.init (min 48 (Bytes.length b)) (fun i ->
+                Printf.sprintf "%02x" (Bytes.get_uint8 b i)))))
+    gen_image_bytes
+
+let disassemble_never_raises b =
+  match Binary.Codec.disassemble b with
+  | Ok p -> (
+    match Ir.Program.validate p with
+    | Ok () -> true
+    | Error m -> QCheck.Test.fail_reportf "decoded program invalid: %s" m)
+  | Error _ -> true
+  | exception e ->
+    QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
 let suite =
   ( "binary",
     [
@@ -151,4 +269,9 @@ let suite =
       case "decoded binaries optimize at parity" test_dbt_performance_parity;
       case "decoded binaries stay equivalent, all schemes"
         test_dbt_equivalence_all_schemes;
+      case "register byte with bit 7 set rejected" test_register_bit7_rejected;
+      case "memory width other than 4 or 8 rejected"
+        test_memory_width_rejected;
+      qcase ~count:500 "disassemble never raises (random and mutated images)"
+        arb_image_bytes disassemble_never_raises;
     ] )

@@ -172,7 +172,11 @@ let prop_dynamic_system_equivalent (seed, loops, iters) =
    program preserves behaviour exactly. *)
 let prop_binary_roundtrip (seed, loops, iters) =
   let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
-  let decoded = Binary.Codec.disassemble (Binary.Codec.assemble program) in
+  let decoded =
+    match Binary.Codec.disassemble (Binary.Codec.assemble program) with
+    | Ok p -> p
+    | Error e -> QCheck.Test.fail_report (Binary.Codec.error_to_string e)
+  in
   (match Ir.Program.validate decoded with
   | Ok () -> ()
   | Error m -> QCheck.Test.fail_report m);

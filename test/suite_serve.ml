@@ -4,16 +4,17 @@
    - The long-running pool: every accepted job drains on shutdown,
      shutdown is idempotent (sequential and concurrent), submission
      after shutdown raises, worker indices are in range.
-   - Shards: a sharded cache with cross-shard invalidation observes the
-     same telemetry as the same operations on independent per-(tenant,
-     worker) stores (QCheck), and a tenant's eviction storm cannot
-     evict another tenant's translations (budget isolation).
+   - Shards: a sharded cache observes the same telemetry as the same
+     operations on independent per-(tenant, worker) stores (QCheck), and
+     a tenant's eviction storm cannot evict another tenant's
+     translations (budget isolation).
    - The server: matrix-via-service is bit-identical to the batch
      matrix (the fig15 seed matrix by cycle count, a small matrix by
      full stats and final guest state); admission control rejects
      deterministically and counts rejections apart from errors; tenant
      shards keep translations hot across requests; per-request fault
-     campaigns replay deterministically. *)
+     campaigns replay deterministically; deadlines resolve [Timed_out];
+     a raising run resolves [Failed] without harming the worker. *)
 
 open Helpers
 
@@ -116,14 +117,10 @@ let test_pool_failed_jobs_counted () =
 type shard_op =
   | Find of string * int * string  (* tenant, worker, label *)
   | Insert of string * int * string * int  (* + size *)
-  | Invalidate_all of string  (* cross-shard *)
-  | Flush_all
 
 let pp_shard_op = function
   | Find (t, w, l) -> Printf.sprintf "find %s/%d %s" t w l
   | Insert (t, w, l, s) -> Printf.sprintf "insert %s/%d %s size=%d" t w l s
-  | Invalidate_all l -> Printf.sprintf "invalidate* %s" l
-  | Flush_all -> "flush*"
 
 let gen_shard_op =
   let open QCheck.Gen in
@@ -136,8 +133,6 @@ let gen_shard_op =
       ( 4,
         map3 (fun t w (l, s) -> Insert (t, w, l, s)) tenant worker
           (pair label (int_range 1 10)) );
-      (1, map (fun l -> Invalidate_all l) label);
-      (1, return Flush_all);
     ]
 
 let arb_shard_ops =
@@ -182,15 +177,7 @@ let shards_match_independent_stores ops =
         Smarq.Tcache.Store.insert
           (Serve.Shards.shard sharded ~tenant ~worker)
           l ~size 0;
-        Smarq.Tcache.Store.insert (model ~tenant ~worker) l ~size 0
-      | Invalidate_all l ->
-        Serve.Shards.invalidate sharded l;
-        Hashtbl.iter
-          (fun _ s -> Smarq.Tcache.Store.invalidate s l)
-          independent
-      | Flush_all ->
-        Serve.Shards.flush sharded;
-        Hashtbl.iter (fun _ s -> Smarq.Tcache.Store.flush s) independent)
+        Smarq.Tcache.Store.insert (model ~tenant ~worker) l ~size 0)
     ops;
   let sum_independent ?tenant () =
     let acc = Smarq.Tcache.Telemetry.create () in
@@ -445,204 +432,6 @@ let test_loadgen_closed_loop () =
     (Serve.Server.shard_count server >= 2)
 
 
-(* ---- Serve.Retry: backoff shape and budgets ---- *)
-
-let test_retry_backoff_and_budget () =
-  let pol =
-    {
-      Serve.Retry.max_attempts = 4;
-      base_backoff_s = 0.001;
-      max_backoff_s = 0.004;
-      jitter = 0.0;
-    }
-  in
-  let prng = Verify.Prng.create ~seed:7 in
-  let d n = Serve.Retry.backoff_s pol ~prng ~attempt:n in
-  Alcotest.(check (float 1e-12)) "attempt 1: base" 0.001 (d 1);
-  Alcotest.(check (float 1e-12)) "attempt 2: doubled" 0.002 (d 2);
-  Alcotest.(check (float 1e-12)) "attempt 3: clamped" 0.004 (d 3);
-  Alcotest.(check (float 1e-12)) "attempt 9: still clamped" 0.004 (d 9);
-  (* full jitter stays in [0, delay] and actually varies *)
-  let jittered = { pol with Serve.Retry.jitter = 1.0 } in
-  let draws =
-    List.init 32 (fun _ -> Serve.Retry.backoff_s jittered ~prng ~attempt:2)
-  in
-  Alcotest.(check bool) "jitter in range" true
-    (List.for_all (fun v -> v >= 0.0 && v <= 0.002) draws);
-  Alcotest.(check bool) "jitter varies" true
-    (List.length (List.sort_uniq compare draws) > 1);
-  (* the same seed replays the same jitter sequence *)
-  let replay seed =
-    let prng = Verify.Prng.create ~seed in
-    List.init 8 (fun i -> Serve.Retry.backoff_s jittered ~prng ~attempt:(i + 1))
-  in
-  Alcotest.(check bool) "seeded backoff replays" true (replay 5 = replay 5);
-  (* budgets: n tokens then refusal; unlimited never refuses *)
-  let b = Serve.Retry.budget 2 in
-  Alcotest.(check bool) "token 1" true (Serve.Retry.try_take b);
-  Alcotest.(check bool) "token 2" true (Serve.Retry.try_take b);
-  Alcotest.(check bool) "token 3 refused" false (Serve.Retry.try_take b);
-  Alcotest.(check bool) "refusal repeats" false (Serve.Retry.try_take b);
-  Alcotest.(check int) "taken" 2 (Serve.Retry.taken b);
-  Alcotest.(check (option int)) "none remaining" (Some 0)
-    (Serve.Retry.remaining b);
-  let u = Serve.Retry.unlimited () in
-  for _ = 1 to 100 do
-    Alcotest.(check bool) "unlimited grants" true (Serve.Retry.try_take u)
-  done;
-  Alcotest.(check int) "unlimited counts" 100 (Serve.Retry.taken u);
-  Alcotest.(check (option int)) "unlimited remaining" None
-    (Serve.Retry.remaining u)
-
-(* ---- Serve.Breaker: recovery walk and QCheck legality ---- *)
-
-let breaker_test_config =
-  { Serve.Breaker.window = 4; failure_threshold = 0.5; cooldown = 2 }
-
-let test_breaker_recovery () =
-  let b = Serve.Breaker.create ~config:breaker_test_config () in
-  let expect_state msg want =
-    Alcotest.(check string) msg
-      (Serve.Breaker.state_name want)
-      (Serve.Breaker.state_name (Serve.Breaker.state b))
-  in
-  let expect_admit msg want =
-    let got = Serve.Breaker.admit b in
-    Alcotest.(check bool) msg true (got = want)
-  in
-  expect_state "starts closed" Serve.Breaker.Closed;
-  (* a full window of failures trips the breaker open *)
-  for i = 1 to 4 do
-    expect_admit (Printf.sprintf "closed runs (%d)" i) Serve.Breaker.Run;
-    Serve.Breaker.observe b Serve.Breaker.Failure
-  done;
-  expect_state "tripped open" Serve.Breaker.Open;
-  (* [cooldown] admissions shed to the degraded path... *)
-  expect_admit "open sheds (1)" Serve.Breaker.Shed;
-  expect_admit "open sheds (2)" Serve.Breaker.Shed;
-  (* ...then the next admission probes, half-open *)
-  expect_admit "then probes" Serve.Breaker.Probe;
-  expect_state "half-open during probe" Serve.Breaker.Half_open;
-  (* concurrent arrivals shed while the probe is outstanding *)
-  expect_admit "half-open sheds non-probe" Serve.Breaker.Shed;
-  (* a failed probe re-opens... *)
-  Serve.Breaker.observe b Serve.Breaker.Failure;
-  expect_state "failed probe re-opens" Serve.Breaker.Open;
-  expect_admit "re-open sheds again" Serve.Breaker.Shed;
-  expect_admit "re-open sheds again (2)" Serve.Breaker.Shed;
-  expect_admit "re-open probes again" Serve.Breaker.Probe;
-  (* ...and a successful probe closes with a clean window *)
-  Serve.Breaker.observe b Serve.Breaker.Success;
-  expect_state "successful probe closes" Serve.Breaker.Closed;
-  expect_admit "closed again runs" Serve.Breaker.Run;
-  Serve.Breaker.observe b Serve.Breaker.Failure;
-  expect_state "one failure after recovery stays closed" Serve.Breaker.Closed;
-  (* closed->open, open->half, half->open, open->half, half->closed *)
-  Alcotest.(check int) "transitions counted" 5 (Serve.Breaker.transitions b);
-  Alcotest.(check int) "sheds counted" 5 (Serve.Breaker.shed_total b)
-
-(* every state change a random admitted/observed outcome stream can
-   produce must be a legal edge of the closed/open/half-open machine,
-   with decisions consistent with the state that issued them *)
-let breaker_transitions_legal outcomes =
-  let b = Serve.Breaker.create ~config:breaker_test_config () in
-  let legal_admit s0 s1 =
-    match (s0, s1) with
-    | Serve.Breaker.Closed, Serve.Breaker.Closed
-    | Serve.Breaker.Open, Serve.Breaker.Open
-    | Serve.Breaker.Open, Serve.Breaker.Half_open
-    | Serve.Breaker.Half_open, Serve.Breaker.Half_open -> true
-    | _ -> false
-  in
-  let legal_observe s1 s2 =
-    match (s1, s2) with
-    | Serve.Breaker.Closed, Serve.Breaker.Closed
-    | Serve.Breaker.Closed, Serve.Breaker.Open
-    | Serve.Breaker.Half_open, Serve.Breaker.Closed
-    | Serve.Breaker.Half_open, Serve.Breaker.Open -> true
-    | _ -> false
-  in
-  let sheds = ref 0 and changes = ref 0 in
-  let ok = ref true in
-  List.iter
-    (fun success ->
-      let s0 = Serve.Breaker.state b in
-      let d = Serve.Breaker.admit b in
-      let s1 = Serve.Breaker.state b in
-      if not (legal_admit s0 s1) then ok := false;
-      if s0 <> s1 then incr changes;
-      (match (d, s0) with
-      | Serve.Breaker.Run, Serve.Breaker.Closed -> ()
-      | Serve.Breaker.Probe, Serve.Breaker.Open -> ()
-      | Serve.Breaker.Shed, (Serve.Breaker.Open | Serve.Breaker.Half_open) ->
-        incr sheds
-      | _ -> ok := false (* decision inconsistent with issuing state *));
-      match d with
-      | Serve.Breaker.Shed -> () (* shed outcomes are never observed *)
-      | Serve.Breaker.Run | Serve.Breaker.Probe ->
-        Serve.Breaker.observe b
-          (if success then Serve.Breaker.Success else Serve.Breaker.Failure);
-        let s2 = Serve.Breaker.state b in
-        if not (legal_observe s1 s2) then ok := false;
-        if s1 <> s2 then incr changes)
-    outcomes;
-  !ok
-  && Serve.Breaker.shed_total b = !sheds
-  && Serve.Breaker.transitions b = !changes
-
-let arb_outcomes =
-  QCheck.make
-    ~print:(fun l ->
-      String.concat "" (List.map (fun b -> if b then "S" else "F") l))
-    QCheck.Gen.(list_size (int_range 1 200) bool)
-
-(* ---- Serve.Chaos: seeded draws replay ---- *)
-
-let test_chaos_draw_deterministic () =
-  let config =
-    {
-      Serve.Chaos.stall_rate = 0.3;
-      stall_s = 0.001;
-      poison_rate = 0.3;
-      flush_rate = 0.3;
-    }
-  in
-  let draws plan =
-    List.init 48 (fun i ->
-        Serve.Chaos.draw plan ~rid:(i / 3) ~attempt:(i mod 3))
-  in
-  let p1 = Serve.Chaos.plan ~config ~seed:11 () in
-  let p2 = Serve.Chaos.plan ~config ~seed:11 () in
-  let d1 = draws p1 in
-  Alcotest.(check bool) "same seed, same events" true (d1 = draws p2);
-  Alcotest.(check bool) "same seed, same counters" true
-    (Serve.Chaos.counters p1 = Serve.Chaos.counters p2);
-  Alcotest.(check bool) "counters count fired draws" true
-    (let c = Serve.Chaos.counters p1 in
-     c.Serve.Chaos.poisons
-     = List.length (List.filter (fun e -> e.Serve.Chaos.poison) d1)
-     && c.Serve.Chaos.stalls
-        = List.length (List.filter (fun e -> e.Serve.Chaos.stall_s > 0.0) d1)
-     && c.Serve.Chaos.flushes
-        = List.length (List.filter (fun e -> e.Serve.Chaos.flush) d1));
-  Alcotest.(check bool) "at rate 0.3 something fires" true
-    (List.exists
-       (fun e -> e.Serve.Chaos.poison || e.Serve.Chaos.flush)
-       d1);
-  (* draw order must not matter: the event is a pure function of
-     (seed, rid, attempt), not of the call sequence *)
-  let p3 = Serve.Chaos.plan ~config ~seed:11 () in
-  let d3 =
-    (* applies the draws in reverse key order, yields them in forward
-       order (rev_map applies head-first and reverses the result) *)
-    List.rev_map
-      (fun i -> Serve.Chaos.draw p3 ~rid:(i / 3) ~attempt:(i mod 3))
-      (List.init 48 (fun i -> 47 - i))
-  in
-  Alcotest.(check bool) "order-independent" true (d1 = d3);
-  let p4 = Serve.Chaos.plan ~config ~seed:12 () in
-  Alcotest.(check bool) "different seed differs" true (d1 <> draws p4)
-
 (* ---- server: deadlines, shutdown rejection, await-flush ---- *)
 
 let test_serve_deadline_timeout () =
@@ -726,53 +515,44 @@ let test_serve_await_flushes_own_batch () =
   Alcotest.(check int) "completed without an explicit flush" 1
     r.Serve.Server.completed
 
-let test_pool_health_snapshot () =
-  let pool = Exec.Pool.create ~domains:2 () in
-  let h = Exec.Pool.health pool in
-  Alcotest.(check int) "domains" 2 h.Exec.Pool.domains;
-  Alcotest.(check bool) "running" false h.Exec.Pool.shutting_down;
-  Alcotest.(check int) "no failures yet" 0 h.Exec.Pool.failed;
-  Exec.Pool.submit pool (fun _ -> failwith "boom");
-  Exec.Pool.shutdown pool;
-  let h2 = Exec.Pool.health pool in
-  Alcotest.(check bool) "shut down" true h2.Exec.Pool.shutting_down;
-  Alcotest.(check int) "drained" 0 h2.Exec.Pool.queue_depth;
-  Alcotest.(check int) "failure visible" 1 h2.Exec.Pool.failed
-
-(* ---- soak: same seed, same report ---- *)
-
-let test_soak_replay_deterministic () =
-  let cfg =
-    { Serve.Soak.default_config with
-      Serve.Soak.requests = 32;
-      tenants = 2;
-      domains = 2;
-    }
+let test_serve_failed_then_done () =
+  (* one worker: the raising request must not take the worker down, so
+     the next request runs on the same worker and completes *)
+  let config = { Serve.Server.default_config with domains = 1 } in
+  let server = Serve.Server.create ~config () in
+  let boom =
+    { (one_job ()) with
+      Exec.Matrix.label = "boom";
+      program = (fun () -> failwith "boom") }
   in
-  let a = Serve.Soak.run cfg in
-  let b = Serve.Soak.run cfg in
-  Alcotest.(check string) "deterministic core replays"
-    (Serve.Soak.deterministic_json a)
-    (Serve.Soak.deterministic_json b);
-  Alcotest.(check bool) "every request resolved exactly once" true
-    (Serve.Soak.fully_resolved a);
-  Alcotest.(check int) "no unhandled errors" 0
-    a.Serve.Soak.server.Serve.Server.errors;
-  Alcotest.(check int) "no failed pool jobs" 0 a.Serve.Soak.pool.Exec.Pool.failed;
-  (* the mix must actually exercise the resilience machinery: the heavy
-     class (4 of 32 rids) deterministically exceeds its block budget *)
-  Alcotest.(check int) "heavy class times out" 4
-    a.Serve.Soak.server.Serve.Server.timed_out;
-  Alcotest.(check bool) "chaos fired" true
-    (a.Serve.Soak.server.Serve.Server.chaos_poisons > 0);
-  Alcotest.(check bool) "faults injected" true
-    (a.Serve.Soak.server.Serve.Server.injected_faults > 0);
-  (* a different seed is a different campaign *)
-  let c =
-    Serve.Soak.run { cfg with Serve.Soak.chaos_seed = cfg.Serve.Soak.chaos_seed + 1 }
+  let submit job =
+    let rq =
+      { Serve.Server.tenant = "t0"; job; shared_cache = false; fault = None;
+        deadline = None }
+    in
+    match Serve.Server.submit server rq with
+    | `Accepted t -> t
+    | `Rejected -> Alcotest.fail "rejected"
   in
-  Alcotest.(check bool) "another seed diverges" true
-    (Serve.Soak.deterministic_json a <> Serve.Soak.deterministic_json c)
+  let t_boom = submit boom in
+  let t_ok = submit (one_job ()) in
+  let failed = Serve.Server.await t_boom in
+  let ok = Serve.Server.await t_ok in
+  (match failed.Serve.Server.resolution with
+  | Serve.Server.Failed (Failure msg) ->
+    Alcotest.(check string) "the thunk's exception" "boom" msg
+  | _ -> Alcotest.fail "expected Failed");
+  (match ok.Serve.Server.resolution with
+  | Serve.Server.Done _ -> ()
+  | _ -> Alcotest.fail "expected Done");
+  Alcotest.(check int) "same worker" failed.Serve.Server.worker
+    ok.Serve.Server.worker;
+  Serve.Server.shutdown server;
+  let r = Serve.Server.report server in
+  Alcotest.(check int) "errors" 1 r.Serve.Server.errors;
+  Alcotest.(check int) "completed" 1 r.Serve.Server.completed;
+  Alcotest.(check int) "both latencies sampled" 2
+    r.Serve.Server.total.Runtime.Percentiles.n
 
 let suite =
   ( "serve",
@@ -795,17 +575,12 @@ let suite =
       case "server: per-request fault campaigns replay"
         test_serve_fault_passthrough_deterministic;
       case "loadgen: closed loop" test_loadgen_closed_loop;
-      case "retry: backoff shape and budgets" test_retry_backoff_and_budget;
-      case "breaker: trip, shed, probe, recover" test_breaker_recovery;
-      qcase ~count:300 "breaker: random outcomes walk legal edges"
-        arb_outcomes breaker_transitions_legal;
-      case "chaos: seeded draws replay" test_chaos_draw_deterministic;
       case "server: deadline resolves Timed_out with partial stats"
         test_serve_deadline_timeout;
-      case "server: submit after shutdown rejects" 
+      case "server: submit after shutdown rejects"
         test_serve_submit_after_shutdown_rejected;
       case "server: await dispatches its own partial batch"
         test_serve_await_flushes_own_batch;
-      case "pool: health snapshot" test_pool_health_snapshot;
-      case "soak: same seed, same report" test_soak_replay_deterministic;
+      case "server: a raising run resolves Failed, the worker serves on"
+        test_serve_failed_then_done;
     ] )
