@@ -25,18 +25,22 @@ let fig15_scale =
 let fig18_scale = 10 * fig15_scale
 let fig18_benchmarks = [ "wupwise"; "mesa"; "ammp" ]
 
-(* BENCH_VERIFY=off|sample|all runs the static region verifier inside
+(* The run configuration every experiment starts from.
+   BENCH_VERIFY=off|sample|all runs the static region verifier inside
    every matrix job — the CI verify-smoke configuration.  Rejections
    show up in the per-experiment JSON counters. *)
-let bench_verify =
-  match Sys.getenv_opt "BENCH_VERIFY" with
-  | Some s ->
-    (match Check.Verifier.mode_of_string (String.trim s) with
-    | Ok m -> m
-    | Error msg ->
-      Printf.eprintf "BENCH_VERIFY: %s\n" msg;
-      exit 1)
-  | None -> Check.Verifier.Off
+let bench_config =
+  let verify =
+    match Sys.getenv_opt "BENCH_VERIFY" with
+    | Some s ->
+      (match Check.Verifier.mode_of_string (String.trim s) with
+      | Ok m -> m
+      | Error msg ->
+        Printf.eprintf "BENCH_VERIFY: %s\n" msg;
+        exit 1)
+    | None -> Check.Verifier.Off
+  in
+  { Runtime.Config.default with verify }
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -96,13 +100,14 @@ let rec chunk n = function
     let group, rest = take n [] l in
     group :: chunk n rest
 
-let suite_matrix ~domains ?config ?(scale = fig15_scale) schemes =
+let suite_matrix ~domains ?(config = bench_config) ?(scale = fig15_scale)
+    schemes =
   let jobs =
     List.concat_map
       (fun (b : Workload.Specfp.bench) ->
         List.map
           (fun scheme ->
-            Exec.Matrix.of_bench ?config ~verify:bench_verify ~scale ~scheme b)
+            Exec.Matrix.of_bench ~config ~scale ~scheme b)
           schemes)
       Workload.Specfp.suite
   in
@@ -262,7 +267,7 @@ let fig18 ~domains =
     run_matrix ~domains
       (List.map
          (fun name ->
-           Exec.Matrix.of_bench ~verify:bench_verify ~scale:fig18_scale
+           Exec.Matrix.of_bench ~config:bench_config ~scale:fig18_scale
              ~scheme:(Smarq.Scheme.Smarq 64) (Workload.Specfp.find name))
          fig18_benchmarks)
   in
@@ -416,13 +421,13 @@ let ablation ~domains =
 
 let cache_exp ~domains =
   hr "Robustness: scheme ordering with the cache hierarchy enabled";
-  let config =
-    Vliw.Config.with_cache Vliw.Config.default
-      (Some Vliw.Cache.default_config)
+  let vliw =
+    Vliw.Config.with_cache Vliw.Config.default (Some Vliw.Cache.default_config)
   in
   Printf.printf "%-10s %9s %9s %9s\n" "benchmark" "SMARQ" "SMARQ16" "Itanium";
   let rows =
-    suite_matrix ~domains ~config ~scale:10
+    suite_matrix ~domains ~config:{ bench_config with vliw = Some vliw }
+      ~scale:10
       (Smarq.Scheme.None_ :: schemes_fig15)
   in
   let sums = Array.make 3 0.0 in
@@ -492,7 +497,7 @@ let static_exp ~domains =
     run_matrix ~domains
       (List.map
          (fun s ->
-           Exec.Matrix.job ~verify:bench_verify ~scheme:s
+           Exec.Matrix.job ~config:bench_config ~scheme:s
              ~label:(Printf.sprintf "static/%s" (Smarq.Scheme.name s))
              (make ~iters:8000))
          schemes)
@@ -531,7 +536,8 @@ let unroll_exp ~domains =
       (fun (name, unroll) ->
         List.map
           (fun scheme ->
-            Exec.Matrix.of_bench ~verify:bench_verify ~unroll ~scale:30 ~scheme
+            Exec.Matrix.of_bench ~config:{ bench_config with unroll }
+              ~scale:30 ~scheme
               (Workload.Specfp.find name))
           [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Smarq 16 ])
       cells
@@ -613,8 +619,10 @@ let tcache_exp ~domains =
   let loops = 8 and inner = 80 and outer = 40 in
   let program = tcache_pressure_program ~loops ~inner ~outer in
   let policy_job ~policy ?capacity () =
-    Exec.Matrix.job ~tcache_policy:policy ?tcache_capacity:capacity
-      ~verify:bench_verify ~scheme:(Smarq.Scheme.Smarq 64)
+    Exec.Matrix.job
+      ~config:
+        { bench_config with tcache_policy = policy; tcache_capacity = capacity }
+      ~scheme:(Smarq.Scheme.Smarq 64)
       ~label:(Printf.sprintf "tcache/%s" (Smarq.Tcache.Policy.to_string policy))
       program
   in
@@ -693,7 +701,8 @@ let translate_exp ~domains:_ =
     List.map
       (fun (b : Workload.Specfp.bench) ->
         let r, cfg, reqs =
-          Exec.Translate.capture_program ~unroll ~verify:bench_verify ~scheme
+          Exec.Translate.capture_program ~config:{ bench_config with unroll }
+            ~scheme
             (Workload.Specfp.program ~scale:1 b)
         in
         incr jobs_this_experiment;
@@ -841,7 +850,7 @@ let serve_exp ~domains:_ =
     Array.of_list
       (List.map
          (fun (b : Workload.Specfp.bench) ->
-           Exec.Matrix.of_bench ~verify:bench_verify
+           Exec.Matrix.of_bench ~config:bench_config
              ~scheme:(Smarq.Scheme.Smarq 64) b)
          Workload.Specfp.suite)
   in
@@ -1069,8 +1078,9 @@ let disamb_exp ~domains =
             ( b.Workload.Specfp.name,
               scheme,
               fun certify ->
-                Exec.Matrix.of_bench ~verify:bench_verify ~unroll
-                  ~scale:fig15_scale ~certify ~scheme b ))
+                Exec.Matrix.of_bench
+                  ~config:{ bench_config with unroll; certify }
+                  ~scale:fig15_scale ~scheme b ))
           schemes)
       Workload.Specfp.suite
   in
@@ -1080,7 +1090,8 @@ let disamb_exp ~domains =
         ( "probe",
           scheme,
           fun certify ->
-            Exec.Matrix.job ~verify:bench_verify ~unroll ~certify ~scheme
+            Exec.Matrix.job ~config:{ bench_config with unroll; certify }
+              ~scheme
               ~label:(Printf.sprintf "probe/%s" (Smarq.Scheme.name scheme))
               (disamb_probe_program ~iters:(200 * fig15_scale)) ))
       schemes

@@ -153,15 +153,9 @@ let translate_jobs_arg =
     & opt positive_int_conv 1
     & info [ "jt"; "translate-jobs" ] ~docv:"N" ~doc)
 
-let policy_of_scheme = function
-  | Smarq.Scheme.Smarq n -> Sched.Policy.smarq ~ar_count:n
-  | Smarq.Scheme.Smarq_no_store_reorder n ->
-    Sched.Policy.smarq_no_store_reorder ~ar_count:n
-  | Smarq.Scheme.Naive_order n -> Sched.Policy.naive_order ~ar_count:n
-  | Smarq.Scheme.Alat -> Sched.Policy.alat ()
-  | Smarq.Scheme.Efficeon -> Sched.Policy.efficeon ()
-  | Smarq.Scheme.None_ -> Sched.Policy.none ()
-  | Smarq.Scheme.None_static -> Sched.Policy.none_with_analysis ()
+(* The run configuration every subcommand starts from; each one sets
+   only the fields its own flags name. *)
+let cli_config = { Runtime.Config.default with fuel = 2_000_000_000 }
 
 let find_bench name =
   match Workload.Specfp.find name with
@@ -196,11 +190,10 @@ let run_cmd =
         (fun seed -> Verify.Fault.plan ~seed ~rate:fault_rate ())
         fault_seed
     in
-    let r =
-      fst
-        (Verify.Oracle.run_scheme ~fuel:2_000_000_000 ~tcache_policy
-           ?tcache_capacity ?fault ~verify ~certify ~scheme program)
+    let config =
+      { cli_config with tcache_policy; tcache_capacity; verify; certify }
     in
+    let r = fst (Verify.Oracle.run_scheme ~config ?fault ~scheme program) in
     Printf.printf "%s under %s (scale %d, tcache %s%s%s):\n" bench
       (Smarq.Scheme.name scheme) scale
       (Smarq.Tcache.Policy.to_string tcache_policy)
@@ -258,12 +251,12 @@ let run_cmd =
     end;
     if translate_jobs > 1 then begin
       (* Replay the run's translations over the pool and hold the
-         parallel path to the sequential one.  The capture run is
-         fault-free: faults perturb which re-optimizations happen, but
-         the replay invariant is per-request, not per-plan. *)
+         parallel path to the sequential one.  The capture run uses the
+         run's config but is fault-free: faults perturb which
+         re-optimizations happen, but the replay invariant is
+         per-request, not per-plan. *)
       let _, cfg, requests =
-        Exec.Translate.capture_program ~fuel:2_000_000_000 ~tcache_policy
-          ?tcache_capacity ~scheme program
+        Exec.Translate.capture_program ~config ~scheme program
       in
       let seq = Exec.Translate.replay ~jobs:1 ~config:cfg requests in
       let par =
@@ -311,12 +304,10 @@ let compare_cmd =
         Smarq.Scheme.Efficeon;
       ]
     in
+    let config = { cli_config with tcache_policy; tcache_capacity } in
     let outcomes =
       Exec.Matrix.run_matrix ~domains
-        (List.map
-           (fun s ->
-             Exec.Matrix.of_bench ~fuel:2_000_000_000 ~tcache_policy
-               ?tcache_capacity ~scale ~scheme:s b)
+        (List.map (fun s -> Exec.Matrix.of_bench ~config ~scale ~scheme:s b)
            schemes)
     in
     let baseline = ref 0 in
@@ -381,7 +372,7 @@ let fuzz_cmd =
           List.init seeds (fun i -> first_seed + i);
         rate;
         scale;
-        certify;
+        run = { cli_config with verify = Check.Verifier.All; certify };
       }
     in
     let benches =
@@ -421,7 +412,7 @@ let fuzz_cmd =
 (* Interpret until a block turns hot, then form its superblock — the
    artifact source for `region' and the mutation harness. *)
 let hot_superblock program =
-  let profiler = Frontend.Profiler.create ~hot_threshold:50 () in
+  let profiler = Frontend.Profiler.create () in
   let machine = Vliw.Machine.create () in
   let rec warm label steps =
     if steps > 5000 then ()
@@ -477,21 +468,22 @@ let verify_cmd =
   in
   let run scale domains report =
     (* phase 1: the full bench x scheme matrix under --verify-regions=all *)
+    let config = { cli_config with verify = Check.Verifier.All } in
     let jobs =
       List.concat_map
         (fun (b : Workload.Specfp.bench) ->
           List.map
             (fun s ->
-              Exec.Matrix.of_bench ~fuel:2_000_000_000
-                ~verify:Check.Verifier.All ~scale ~scheme:s b)
+              Exec.Matrix.of_bench ~config ~scale ~scheme:s b)
             schemes
           @ List.map
               (fun s ->
                 (* certification changes the dependence graphs the
                    verifier replays; every certified region must still
                    pass, witnesses included *)
-                Exec.Matrix.job ~fuel:2_000_000_000 ~verify:Check.Verifier.All
-                  ~certify:true ~scheme:s
+                Exec.Matrix.job
+                  ~config:{ config with certify = true }
+                  ~scheme:s
                   ~label:
                     (Printf.sprintf "%s/%s+cert" b.Workload.Specfp.name
                        (Smarq.Scheme.name s))
@@ -542,7 +534,9 @@ let verify_cmd =
             let cells =
               List.map
                 (fun scheme ->
-                  (Smarq.Scheme.name scheme, policy_of_scheme scheme, sb))
+                  ( Smarq.Scheme.name scheme,
+                    (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy,
+                    sb ))
                 schemes
               @
               (* certified cells on an unrolled body: unrolling creates
@@ -555,7 +549,8 @@ let verify_cmd =
                 List.map
                   (fun scheme ->
                     ( Smarq.Scheme.name scheme ^ "+cert",
-                      Sched.Policy.with_certify (policy_of_scheme scheme),
+                      Sched.Policy.with_certify
+                        (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy,
                       sb4 ))
                   certify_schemes
             in
@@ -648,7 +643,7 @@ let region_cmd =
         exit 1
     in
     Format.printf "--- superblock ---@.%a@." Ir.Superblock.pp sb;
-    let policy = policy_of_scheme scheme in
+    let policy = (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy in
     let o =
       Opt.Optimizer.optimize ~policy ~issue_width:4 ~mem_ports:2
         ~latency:(Vliw.Config.latency Vliw.Config.default)
@@ -775,7 +770,7 @@ let serve_cmd =
       Array.of_list
         (List.map
            (fun b ->
-             Exec.Matrix.of_bench ~fuel:2_000_000_000 ~scale ~scheme b)
+             Exec.Matrix.of_bench ~config:cli_config ~scale ~scheme b)
            benches)
     in
     let config =

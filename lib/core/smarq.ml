@@ -1,8 +1,8 @@
 (** SMARQ — the public facade.
 
     Re-exports the subsystem libraries under one roof and provides the
-    high-level entry points most users want: run a benchmark under an
-    alias-detection scheme, compare schemes, and compute speedups. *)
+    high-level entry points most users want: run a program or a
+    benchmark under an alias-detection scheme, and compute speedups. *)
 
 module Ir = Ir
 module Hw = Hw
@@ -76,20 +76,30 @@ let config_for = function
   | Scheme.Alat | Scheme.Efficeon | Scheme.None_ | Scheme.None_static ->
     Vliw.Config.default
 
-let run_program ?config ?fuel ?unroll ?tcache_policy ?tcache_capacity ?verify
-    ?capture ?certify ~scheme program =
-  let cfg = match config with Some c -> c | None -> config_for scheme in
-  Runtime.Driver.run ~config:cfg ?fuel ?unroll ?tcache_policy ?tcache_capacity
-    ?verify ?capture ?certify
+(** The VLIW configuration a run under [config] uses: [config.vliw]
+    when set, otherwise {!config_for} the scheme. *)
+let machine_config (config : Runtime.Config.t) scheme =
+  match config.Runtime.Config.vliw with
+  | Some c -> c
+  | None -> config_for scheme
+
+(** The one entry point for an optimized run above the driver: runs
+    [program] under [scheme] as configured by [config] (default
+    [Runtime.Config.default]), on the machine {!machine_config}
+    resolves.  [tcache], [hooks] and [capture] are passed to
+    [Runtime.Driver.run] unchanged. *)
+let run_program ?(config = Runtime.Config.default) ?tcache ?hooks ?capture
+    ~scheme program =
+  Runtime.Driver.run
+    ~config:
+      { config with Runtime.Config.vliw = Some (machine_config config scheme) }
+    ?tcache ?hooks ?capture
     ~scheme:(Scheme.to_driver scheme)
     program
 
-let run_benchmark ?config ?fuel ?scale ?tcache_policy ?tcache_capacity
-    ?verify ?certify ~scheme name =
+let run_benchmark ?config ?scale ~scheme name =
   let bench = Workload.Specfp.find name in
-  run_program ?config ?fuel ?tcache_policy ?tcache_capacity ?verify ?certify
-    ~scheme
-    (Workload.Specfp.program ?scale bench)
+  run_program ?config ~scheme (Workload.Specfp.program ?scale bench)
 
 (** [speedup ~baseline ~improved] is baseline-cycles / improved-cycles
     (> 1 means [improved] is faster). *)
@@ -98,12 +108,3 @@ let speedup ~(baseline : Runtime.Stats.t) ~(improved : Runtime.Stats.t) =
   else
     float_of_int baseline.Runtime.Stats.total_cycles
     /. float_of_int improved.Runtime.Stats.total_cycles
-
-(** Run one benchmark under several schemes and return
-    (scheme name, stats) in order. *)
-let compare_schemes ?config ?fuel ?scale ~schemes name =
-  List.map
-    (fun s ->
-      let r = run_benchmark ?config ?fuel ?scale ~scheme:s name in
-      (Scheme.name s, r.Runtime.Driver.stats))
-    schemes

@@ -1,13 +1,7 @@
 type job = {
   label : string;
   scheme : Smarq.Scheme.t;
-  config : Vliw.Config.t option;
-  fuel : int;
-  unroll : int;
-  tcache_policy : Tcache.Policy.t;
-  tcache_capacity : int option;
-  verify : Check.Verifier.mode;
-  certify : bool;
+  config : Runtime.Config.t;
   program : unit -> Ir.Program.t;
 }
 
@@ -17,26 +11,18 @@ type outcome = {
   wall_seconds : float;
 }
 
-let job ?config ?(fuel = 1_000_000_000) ?(unroll = 1)
-    ?(tcache_policy = Tcache.Policy.Unbounded) ?tcache_capacity
-    ?(verify = Check.Verifier.Off) ?(certify = false) ~scheme ~label program =
-  { label; scheme; config; fuel; unroll; tcache_policy; tcache_capacity;
-    verify; certify; program }
+let job ?(config = Runtime.Config.default) ~scheme ~label program =
+  { label; scheme; config; program }
 
-let of_bench ?config ?fuel ?unroll ?tcache_policy ?tcache_capacity ?verify
-    ?certify ?(scale = 1) ~scheme (b : Workload.Specfp.bench) =
-  job ?config ?fuel ?unroll ?tcache_policy ?tcache_capacity ?verify ?certify
-    ~scheme
+let of_bench ?config ?(scale = 1) ~scheme (b : Workload.Specfp.bench) =
+  job ?config ~scheme
     ~label:(Printf.sprintf "%s/%s" b.Workload.Specfp.name (Smarq.Scheme.name scheme))
     (fun () -> Workload.Specfp.program ~scale b)
 
 let run_job j =
   let t0 = Unix.gettimeofday () in
   let result =
-    Smarq.run_program ?config:j.config ~fuel:j.fuel ~unroll:j.unroll
-      ~tcache_policy:j.tcache_policy ?tcache_capacity:j.tcache_capacity
-      ~verify:j.verify ~certify:j.certify ~scheme:j.scheme
-      (j.program ())
+    Smarq.run_program ~config:j.config ~scheme:j.scheme (j.program ())
   in
   { job = j; result; wall_seconds = Unix.gettimeofday () -. t0 }
 

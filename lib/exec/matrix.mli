@@ -10,16 +10,8 @@
 type job = {
   label : string;  (** for reports, e.g. ["ammp/smarq64"] *)
   scheme : Smarq.Scheme.t;
-  config : Vliw.Config.t option;
-      (** [None] lets {!Smarq.run_program} derive the config from the
-          scheme (alias-register count), as the sequential paths did. *)
-  fuel : int;
-  unroll : int;
-  tcache_policy : Tcache.Policy.t;
-  tcache_capacity : int option;
-  verify : Check.Verifier.mode;
-      (** static translation validation mode for the job's driver run *)
-  certify : bool;  (** run the static alias certifier in each translation *)
+  config : Runtime.Config.t;
+      (** the whole run configuration, handed to {!Smarq.run_program} *)
   program : unit -> Ir.Program.t;  (** called in the worker domain *)
 }
 
@@ -30,28 +22,15 @@ type outcome = {
 }
 
 val job :
-  ?config:Vliw.Config.t ->
-  ?fuel:int ->
-  ?unroll:int ->
-  ?tcache_policy:Tcache.Policy.t ->
-  ?tcache_capacity:int ->
-  ?verify:Check.Verifier.mode ->
-  ?certify:bool ->
+  ?config:Runtime.Config.t ->
   scheme:Smarq.Scheme.t ->
   label:string ->
   (unit -> Ir.Program.t) ->
   job
-(** Defaults: fuel 1e9, no unrolling, unbounded translation cache,
-    verification and certification off. *)
+(** [config] defaults to [Runtime.Config.default]. *)
 
 val of_bench :
-  ?config:Vliw.Config.t ->
-  ?fuel:int ->
-  ?unroll:int ->
-  ?tcache_policy:Tcache.Policy.t ->
-  ?tcache_capacity:int ->
-  ?verify:Check.Verifier.mode ->
-  ?certify:bool ->
+  ?config:Runtime.Config.t ->
   ?scale:int ->
   scheme:Smarq.Scheme.t ->
   Workload.Specfp.bench ->

@@ -41,19 +41,20 @@ type result = {
   wall_seconds : float;
 }
 
-let capture_program ?config ?fuel ?unroll ?tcache_policy ?tcache_capacity
-    ?verify ~scheme program =
-  let cfg =
-    match config with Some c -> c | None -> Smarq.config_for scheme
+let capture_program ?(config = Runtime.Config.default) ?unroll ~scheme
+    program =
+  let config =
+    match unroll with
+    | Some unroll -> { config with Runtime.Config.unroll }
+    | None -> config
   in
   let reqs = ref [] in
   let driver_result =
-    Smarq.run_program ~config:cfg ?fuel ?unroll ?tcache_policy
-      ?tcache_capacity ?verify
+    Smarq.run_program ~config
       ~capture:(fun r -> reqs := r :: !reqs)
       ~scheme program
   in
-  (driver_result, cfg, List.rev !reqs)
+  (driver_result, Smarq.machine_config config scheme, List.rev !reqs)
 
 let replay ?pool ?jobs ~config requests =
   let reqs = Array.of_list requests in

@@ -36,19 +36,19 @@ type result = {
 }
 
 val capture_program :
-  ?config:Vliw.Config.t ->
-  ?fuel:int ->
+  ?config:Runtime.Config.t ->
   ?unroll:int ->
-  ?tcache_policy:Tcache.Policy.t ->
-  ?tcache_capacity:int ->
-  ?verify:Check.Verifier.mode ->
   scheme:Smarq.Scheme.t ->
   Ir.Program.t ->
   Runtime.Driver.result * Vliw.Config.t * Opt.Optimizer.request list
-(** Run the program under the driver, recording every translation
+(** Run the program through {!Smarq.run_program} under [config]
+    (default [Runtime.Config.default]), recording every translation
     request (initial builds, re-optimizations, gave-up rebuilds) in
     execution order.  Returns the driver result, the VLIW configuration
-    the run used (replay must use the same one), and the requests. *)
+    the run used (replay must use the same one), and the requests.
+    [unroll], when given, overrides [config.unroll]; it exists only so
+    the frozen repository benchmark, which passes [~unroll], keeps
+    compiling. *)
 
 val replay :
   ?pool:Pool.t ->

@@ -3,19 +3,19 @@ type scheme = {
   detector : Hw.Detector.t;
 }
 
-let scheme_smarq ?(ar_count = 64) () =
+let scheme_smarq ~ar_count () =
   {
     policy = Sched.Policy.smarq ~ar_count;
     detector = Hw.Queue.detector (Hw.Queue.create ~size:ar_count);
   }
 
-let scheme_smarq_no_store_reorder ?(ar_count = 64) () =
+let scheme_smarq_no_store_reorder ~ar_count () =
   {
     policy = Sched.Policy.smarq_no_store_reorder ~ar_count;
     detector = Hw.Queue.detector (Hw.Queue.create ~size:ar_count);
   }
 
-let scheme_naive_order ?(ar_count = 64) () =
+let scheme_naive_order ~ar_count () =
   {
     policy = Sched.Policy.naive_order ~ar_count;
     detector = Hw.Queue.detector (Hw.Queue.create ~size:ar_count);
@@ -86,6 +86,7 @@ type tcache_event =
   | Flush
 
 type hooks = {
+  detector : Hw.Detector.t -> Hw.Detector.t;
   before_dispatch : Ir.Instr.label -> tcache_event;
   is_injected : Hw.Detector.violation -> bool;
   injected_count : unit -> int;
@@ -94,6 +95,7 @@ type hooks = {
 
 let no_hooks =
   {
+    detector = Fun.id;
     before_dispatch = (fun _ -> Keep);
     is_injected = (fun _ -> false);
     injected_count = (fun () -> 0);
@@ -140,19 +142,21 @@ let known_with_pins entry =
    [sample_stride]-th built or re-optimized region is verified *)
 let sample_stride = 8
 
-let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
-    ?(hot_threshold = 50) ?(max_reopts = 10) ?(fuel = 2_000_000)
-    ?(unroll = 1) ?(tcache_policy = Tcache.Policy.Unbounded)
-    ?tcache_capacity ?tcache ?watchdog ?(hooks = no_hooks)
-    ?(verify = Check.Verifier.Off) ?capture ?(certify = false) ~scheme program
-    =
+let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
+    ~(scheme : scheme) program =
+  let { Config.fuel; unroll; tcache_policy; tcache_capacity; verify; certify;
+        max_reopts; watchdog; vliw } =
+    config
+  in
+  let config = Option.value vliw ~default:Vliw.Config.default in
   let watchdog =
     match watchdog with Some w -> max 1 w | None -> (2 * max_reopts) + 10
   in
+  let detector = hooks.detector scheme.detector in
   let stats = Stats.create () in
   let translate_profile = stats.Stats.translate in
   let machine = Vliw.Machine.create () in
-  let profiler = Frontend.Profiler.create ~hot_threshold () in
+  let profiler = Frontend.Profiler.create () in
   let liveness = Frontend.Liveness.analyze program in
   let fresh_id = ref (Ir.Program.max_instr_id program + 1) in
   let cache : cache_entry Tcache.Store.t =
@@ -246,13 +250,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
   in
   let build_region label =
     let sb =
-      Frontend.Region_form.form
-        ~params:
-          {
-            Frontend.Region_form.max_blocks;
-            min_bias = Frontend.Region_form.default_params.Frontend.Region_form.min_bias;
-          }
-        ~program ~liveness ~profiler ~fresh_id label
+      Frontend.Region_form.form ~program ~liveness ~profiler ~fresh_id label
     in
     let sb =
       if unroll > 1 then
@@ -369,7 +367,7 @@ let run ?(config = Vliw.Config.default) ?(max_blocks = 8)
     | Some entry ->
       stats.Stats.region_entries <- stats.Stats.region_entries + 1;
       let r =
-        Vliw.Region_exec.run ~config ~detector:scheme.detector ~machine
+        Vliw.Region_exec.run ~config ~detector ~machine
           ?cache:data_cache entry.region
       in
       stats.Stats.region_cycles <- stats.Stats.region_cycles + r.Vliw.Region_exec.cycles;

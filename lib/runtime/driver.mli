@@ -7,22 +7,21 @@
     Re-optimization policy: the violating pair is added to the region's
     known-alias set; if the same pair violates again (possible only for
     schemes with false positives), both operations are pinned —
-    excluded from speculation entirely; after [max_reopts] the region
-    is rebuilt without speculation for good. *)
+    excluded from speculation entirely; after [Config.max_reopts] the
+    region is rebuilt without speculation for good.  Every run option
+    lives in one {!Config.t}. *)
 
 type scheme = {
   policy : Sched.Policy.t;
   detector : Hw.Detector.t;
 }
 
-val scheme_smarq : ?ar_count:int -> unit -> scheme
-(** Defaults to 64 alias registers. *)
-
-val scheme_smarq_no_store_reorder : ?ar_count:int -> unit -> scheme
+val scheme_smarq : ar_count:int -> unit -> scheme
+val scheme_smarq_no_store_reorder : ar_count:int -> unit -> scheme
 
 (** Program-order allocation on the same ordered-queue hardware
     (the Section 2.4 baseline SMARQ improves on). *)
-val scheme_naive_order : ?ar_count:int -> unit -> scheme
+val scheme_naive_order : ar_count:int -> unit -> scheme
 
 val scheme_alat : unit -> scheme
 val scheme_efficeon : unit -> scheme
@@ -74,16 +73,19 @@ type tcache_event =
                     guest code would *)
   | Flush  (** drop every translation *)
 
-(** Harness hooks threaded through a run.  [before_dispatch] is
+(** Harness hooks threaded through a run.  [detector] is applied once,
+    at the start of the run, to the scheme's hardware model (a fault
+    plan layers its detector faults here).  [before_dispatch] is
     consulted once per dispatched block with its label;
     [is_injected v] classifies a violation as harness-made (counted as
     a spurious rollback); [injected_count] is read once at the end of
     the run into [Stats.injected_faults].  [deadline] is consulted once
     per dispatched block; returning [true] stops the run with the
     [Deadline_exceeded] outcome, preserving partial stats and machine
-    state.  See [Verify.Fault] for the standard fault implementation;
-    {!no_hooks} is the inert default. *)
+    state.  See [Verify.Fault.hooks] for the standard fault
+    implementation; {!no_hooks} is the inert default. *)
 type hooks = {
+  detector : Hw.Detector.t -> Hw.Detector.t;
   before_dispatch : Ir.Instr.label -> tcache_event;
   is_injected : Hw.Detector.violation -> bool;
   injected_count : unit -> int;
@@ -93,64 +95,29 @@ type hooks = {
 val no_hooks : hooks
 
 val run :
-  ?config:Vliw.Config.t ->
-  ?max_blocks:int ->
-  ?hot_threshold:int ->
-  ?max_reopts:int ->
-  ?fuel:int ->
-  ?unroll:int ->
-  ?tcache_policy:Tcache.Policy.t ->
-  ?tcache_capacity:int ->
+  ?config:Config.t ->
   ?tcache:cache ->
-  ?watchdog:int ->
   ?hooks:hooks ->
-  ?verify:Check.Verifier.mode ->
   ?capture:(Opt.Optimizer.request -> unit) ->
-  ?certify:bool ->
   scheme:scheme ->
   Ir.Program.t ->
   result
-(** Runs the program to halt under the dynamic optimization system.
+(** Runs the program to halt under the dynamic optimization system,
+    configured by [config] (default {!Config.default}; its [vliw =
+    None] means [Vliw.Config.default] here).  The fields' doc comments
+    give the semantics of fuel, unrolling, the code cache, validation,
+    certification and the watchdog.
 
-    [fuel] bounds executed guest blocks (default 2,000,000); running
-    out of fuel is not an exception but the [Fuel_exhausted] outcome,
-    carrying the statistics and machine state accumulated so far (with
-    [wall_seconds] set).  [unroll] (default 1)
-    unrolls self-loop superblocks that many times before optimization —
-    the larger-regions experiment of the paper's conclusion.
-
-    [watchdog] (default [2 * max_reopts + 10]) is the livelock bound:
-    a region that alias-faults more than [watchdog] times without a
-    single commit in between — possible only when violations keep
-    arriving after the re-optimization ladder has given speculation up,
-    i.e. under fault injection or a pathologically false-positive
-    detector — is degraded to interpreter-only execution (its
-    translation is invalidated, the label blacklisted, and
-    [Stats.degraded_regions] incremented).  Execution always makes
-    forward progress because the interpreter cannot alias-fault.
-
-    Translations live in a {!Tcache.Store.t}: [tcache_policy] (default
-    [Unbounded], which reproduces the unbounded-cache behavior cycle
-    for cycle) and [tcache_capacity] (scheduled-region instructions)
-    bound the code cache; evicted regions are re-translated when their
-    entry label turns hot again.  [tcache] substitutes a pre-existing
-    {!cache} (e.g. a tenant's shard) for the run-private store — the
-    policy/capacity arguments are then ignored, cached translations
-    and their re-optimization state survive across runs of the same
-    program, and the run's stats fold in only the telemetry delta
-    accumulated during this run.  Degradation (watchdog and verifier
-    blacklists) remains run-local even with a shared cache.  Committed region exits are chained to
-    resident translations so repeat dispatches skip the cache lookup;
-    the cache's telemetry is folded into the result's [stats].
-
-    [verify] (default [Off]) runs the {!Check.Verifier} translation
-    validator on freshly built and re-optimized regions before they are
-    installed: [All] checks every one, [Sample] every 8th (a
-    deterministic counter, so runs stay reproducible).  A region that
-    fails validation is never executed — its label is degraded to
-    interpreter-only execution exactly like a watchdog kill, and the
-    verdict is recorded in [Stats.verified_regions],
-    [Stats.rejected_regions] and the per-rule reject histogram.
+    [tcache] substitutes a pre-existing {!cache} (e.g. a tenant's
+    shard) for the run-private store — [config]'s cache policy and
+    capacity are then ignored, cached translations and their
+    re-optimization state survive across runs of the same program, and
+    the run's stats fold in only the telemetry delta accumulated during
+    this run.  Degradation (watchdog and verifier blacklists) remains
+    run-local even with a shared cache.  Committed region exits are
+    chained to resident translations so repeat dispatches skip the
+    cache lookup; the cache's telemetry is folded into the result's
+    [stats].
 
     [capture], when given, is called once per translation the run
     performs (initial builds, re-optimizations, gave-up rebuilds alike),

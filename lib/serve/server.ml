@@ -179,9 +179,9 @@ let deadline_hooks (p : pending) (d : deadline) base =
 (* One driver run, on worker [worker].  The plain path (no fault, no
    shard, no deadline) runs the exact batch-mode job function, which is
    what makes the matrix client bit-identical to
-   [Exec.Matrix.run_matrix]; every other path builds the driver call
-   directly so it can thread the shard, the per-request fault plan and
-   the deadline hooks. *)
+   [Exec.Matrix.run_matrix]; every other path adds the shard, the
+   per-request fault plan and the deadline hooks to the same
+   [Smarq.run_program] call, under the job's whole config. *)
 let run_one t ~worker (p : pending) =
   let rq = p.p_request in
   let j = rq.job in
@@ -190,12 +190,6 @@ let run_one t ~worker (p : pending) =
     let o = Exec.Matrix.run_job j in
     (o.Exec.Matrix.result, o.Exec.Matrix.wall_seconds, 0)
   | fault, shared, deadline ->
-    let config =
-      match j.Exec.Matrix.config with
-      | Some c -> c
-      | None -> Smarq.config_for j.Exec.Matrix.scheme
-    in
-    let scheme = Smarq.Scheme.to_driver j.Exec.Matrix.scheme in
     let plan =
       Option.map
         (fun f ->
@@ -204,16 +198,6 @@ let run_one t ~worker (p : pending) =
           Verify.Fault.plan ~seed:(f.fault_seed + p.p_rid) ~rate:f.fault_rate
             ())
         fault
-    in
-    let scheme =
-      match plan with
-      | None -> scheme
-      | Some plan ->
-        {
-          scheme with
-          Runtime.Driver.detector =
-            Verify.Fault.wrap plan scheme.Runtime.Driver.detector;
-        }
     in
     let base_hooks =
       match plan with
@@ -225,20 +209,15 @@ let run_one t ~worker (p : pending) =
       | None -> base_hooks
       | Some d -> deadline_hooks p d base_hooks
     in
+    let tcache =
+      if shared then Some (Shards.shard t.shards ~tenant:(shard_key rq) ~worker)
+      else None
+    in
     let program = j.Exec.Matrix.program () in
     let t0 = Unix.gettimeofday () in
     let result =
-      if shared then
-        let tcache = Shards.shard t.shards ~tenant:(shard_key rq) ~worker in
-        Runtime.Driver.run ~config ~fuel:j.Exec.Matrix.fuel
-          ~unroll:j.Exec.Matrix.unroll ~tcache ~hooks
-          ~verify:j.Exec.Matrix.verify ~scheme program
-      else
-        Runtime.Driver.run ~config ~fuel:j.Exec.Matrix.fuel
-          ~unroll:j.Exec.Matrix.unroll
-          ~tcache_policy:j.Exec.Matrix.tcache_policy
-          ?tcache_capacity:j.Exec.Matrix.tcache_capacity ~hooks
-          ~verify:j.Exec.Matrix.verify ~scheme program
+      Smarq.run_program ~config:j.Exec.Matrix.config ?tcache ~hooks
+        ~scheme:j.Exec.Matrix.scheme program
     in
     let wall = Unix.gettimeofday () -. t0 in
     let injected =

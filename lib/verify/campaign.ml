@@ -3,9 +3,7 @@ type config = {
   rate : float;
   schemes : Smarq.Scheme.t list;
   scale : int;
-  fuel : int;
-  verify : Check.Verifier.mode;
-  certify : bool;
+  run : Runtime.Config.t;
 }
 
 let default_config =
@@ -14,9 +12,7 @@ let default_config =
     rate = 0.05;
     schemes = Smarq.Scheme.all @ [ Smarq.Scheme.None_static ];
     scale = 1;
-    fuel = 1_000_000_000;
-    verify = Check.Verifier.All;
-    certify = false;
+    run = { Runtime.Config.default with verify = Check.Verifier.All };
   }
 
 type run = {
@@ -36,9 +32,8 @@ let run_program cfg ~name program =
   List.concat_map
     (fun seed ->
       let report =
-        Oracle.check ~fuel:cfg.fuel
-          ~fault:(fun ~seed ~rate () -> Fault.plan ~seed ~rate ())
-          ~verify:cfg.verify ~certify:cfg.certify ~seed ~rate:cfg.rate
+        Oracle.check ~config:cfg.run
+          ~fault:{ Fault.seed; rate = cfg.rate }
           ~name ~schemes:cfg.schemes (program ())
       in
       List.map (fun entry -> { bench = name; seed; entry }) report.Oracle.entries)
@@ -101,7 +96,7 @@ let json_line cfg r =
     st.Runtime.Stats.verified_regions st.Runtime.Stats.rejected_regions
     (Oracle.entry_static_ok r.entry)
     (cross_check_name (cross_check_of_entry r.entry))
-    cfg.certify st.Runtime.Stats.certified_pairs
+    cfg.run.Runtime.Config.certify st.Runtime.Stats.certified_pairs
     st.Runtime.Stats.certified_alias_faults
 
 let pp_summary ppf r =
@@ -133,7 +128,7 @@ let pp_summary ppf r =
     (List.length r.config.seeds)
     (List.length r.config.schemes)
     injected degraded (List.length failed);
-  if r.config.certify then begin
+  if r.config.run.Runtime.Config.certify then begin
     let cert_pairs =
       List.fold_left
         (fun acc c ->
@@ -151,7 +146,7 @@ let pp_summary ppf r =
       cert_pairs cert_faults
       (if cert_faults = 0 then "" else " (SOUNDNESS BUG)")
   end;
-  if r.config.verify <> Check.Verifier.Off then
+  if r.config.run.Runtime.Config.verify <> Check.Verifier.Off then
     Format.fprintf ppf
       "static cross-check: %d regions verified; runs: %d both ok, %d static \
        reject only, %d dynamic diverge only, %d both flag@."

@@ -11,20 +11,17 @@ type config = {
   rate : float;
   schemes : Smarq.Scheme.t list;
   scale : int;  (** workload scale for suite benchmarks *)
-  fuel : int;  (** guest blocks per optimized run *)
-  verify : Check.Verifier.mode;
-      (** static translation validation inside each driver run; a
-          rejected region fails its run's entry like a divergence *)
-  certify : bool;
-      (** run the static alias certifier inside every translation; a
-          non-injected alias fault on a certified pair fails its run's
-          entry like a divergence *)
+  run : Runtime.Config.t;
+      (** the configuration of every optimized run.  A region the
+          static verifier rejects ([run.verify]) fails its run's entry
+          like a divergence, and so does a non-injected alias fault on a
+          certified pair ([run.certify]). *)
 }
 
 val default_config : config
 (** Seeds [1; 2; 3], rate 0.05, every scheme in [Smarq.Scheme.all]
-    plus [None_static], scale 1, fuel 1e9, verification on ([All]),
-    certification off. *)
+    plus [None_static], scale 1, and [Runtime.Config.default] with
+    verification on ([All]). *)
 
 type run = {
   bench : string;

@@ -13,6 +13,11 @@ type counters = {
   mutable tcache_flush : int;
 }
 
+type spec = {
+  seed : int;
+  rate : float;
+}
+
 type mode =
   | Random
   | Forced_storm
@@ -181,6 +186,7 @@ let before_dispatch p _label =
 let hooks p =
   Runtime.Driver.
     {
+      detector = wrap p;
       before_dispatch = before_dispatch p;
       is_injected =
         (fun v -> match p.last_violation with Some w -> w == v | None -> false);

@@ -6,9 +6,9 @@
     replayable anywhere.  Faults come in two families:
 
     - {b detector faults}, delivered by wrapping the scheme's
-      {!Hw.Detector.t} ({!wrap}): spurious alias violations on
-      arbitrary (setter, checker) pairs drawn from the memory
-      operations the region actually executed; {e repeat-pair}
+      {!Hw.Detector.t} (the [detector] field of {!hooks}): spurious
+      alias violations on arbitrary (setter, checker) pairs drawn from
+      the memory operations the region actually executed; {e repeat-pair}
       violations that re-report one sticky pair (forcing the driver's
       pin path); and {e storms} — the same pair violated on many
       consecutive region executions, forcing the give-up rung and,
@@ -40,6 +40,12 @@ type counters = {
 
 type plan
 
+(** A random campaign by name: {!plan} [~seed ~rate ()]. *)
+type spec = {
+  seed : int;
+  rate : float;
+}
+
 val plan : ?storm_length:int -> seed:int -> rate:float -> unit -> plan
 (** A random campaign: each region execution injects a detector fault
     with probability [rate], choosing among {!Spurious},
@@ -62,13 +68,12 @@ val rate : plan -> float
 val total_injected : plan -> int
 val counters : plan -> counters
 
-val wrap : plan -> Hw.Detector.t -> Hw.Detector.t
-(** Layer the plan's detector faults over a hardware model.  The
-    wrapped detector shares the underlying state; genuine violations
-    pass through unperturbed and are never counted as injected. *)
-
 val hooks : plan -> Runtime.Driver.hooks
-(** The driver hooks of this plan: translation-cache events before
+(** The driver hooks of this plan, the whole of installing it in a
+    run: the detector wrapper that layers the plan's detector faults
+    over the scheme's hardware model (the wrapped detector shares the
+    underlying state; genuine violations pass through unperturbed and
+    are never counted as injected), translation-cache events before
     dispatch, injected-violation classification, and the final
     injected-fault count for [Stats]. *)
 

@@ -20,32 +20,18 @@ let entry_ok e =
 
 let ok r = List.for_all entry_ok r.entries
 
-let reference ?(fuel = 200_000_000) program =
+let reference program =
   let m = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel m program);
+  ignore (Frontend.Interp.run ~fuel:200_000_000 m program);
   m
 
-let run_scheme ?config ?(fuel = 1_000_000_000) ?tcache_policy
-    ?tcache_capacity ?watchdog ?fault ?verify ?certify ~scheme program =
-  let config =
-    match config with Some c -> c | None -> Smarq.config_for scheme
-  in
-  let driver_scheme = Smarq.Scheme.to_driver scheme in
-  let driver_scheme, hooks, injected_before =
-    match fault with
-    | None -> (driver_scheme, None, 0)
-    | Some plan ->
-      ( {
-          driver_scheme with
-          Runtime.Driver.detector =
-            Fault.wrap plan driver_scheme.Runtime.Driver.detector;
-        },
-        Some (Fault.hooks plan),
-        Fault.total_injected plan )
+let run_scheme ?config ?fault ~scheme program =
+  let injected_before =
+    match fault with Some plan -> Fault.total_injected plan | None -> 0
   in
   let r =
-    Runtime.Driver.run ~config ~fuel ?tcache_policy ?tcache_capacity
-      ?watchdog ?hooks ?verify ?certify ~scheme:driver_scheme program
+    Smarq.run_program ?config ?hooks:(Option.map Fault.hooks fault) ~scheme
+      program
   in
   let injected =
     match fault with
@@ -54,19 +40,17 @@ let run_scheme ?config ?(fuel = 1_000_000_000) ?tcache_policy
   in
   (r, injected)
 
-let check ?config ?fuel ?interp_fuel ?watchdog ?fault ?verify ?certify
-    ?(seed = 1) ?(rate = 0.05) ?(name = "program") ~schemes program =
-  let oracle = reference ?fuel:interp_fuel program in
+let check ?config ?fault ?(name = "program") ~schemes program =
+  let oracle = reference program in
   let entries =
     List.map
       (fun scheme ->
         let plan =
-          Option.map (fun mk -> mk ~seed ~rate ()) fault
+          Option.map
+            (fun { Fault.seed; rate } -> Fault.plan ~seed ~rate ())
+            fault
         in
-        let r, injected =
-          run_scheme ?config ?fuel ?watchdog ?fault:plan ?verify ?certify
-            ~scheme program
-        in
+        let r, injected = run_scheme ?config ?fault:plan ~scheme program in
         let divergence =
           match r.Runtime.Driver.outcome with
           | Runtime.Driver.Fuel_exhausted | Runtime.Driver.Deadline_exceeded

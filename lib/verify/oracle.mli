@@ -2,8 +2,8 @@
 
     Runs a guest program through [Frontend.Interp] and through the full
     dynamic-optimization driver under one or more schemes — optionally
-    with a fault-injection {!Fault.plan} layered over each scheme's
-    detector — and compares final guest state (registers and memory,
+    with a fault-injection {!Fault.plan} installed as the run's hooks —
+    and compares final guest state (registers and memory,
     via [Vliw.Machine.equal_guest_state]).  The first divergence is
     reported as a structured diff; fault and recovery counters ride
     along so campaigns can report recovery overhead. *)
@@ -39,48 +39,34 @@ val entry_ok : entry -> bool
 
 val ok : report -> bool
 
-val reference : ?fuel:int -> Ir.Program.t -> Vliw.Machine.t
-(** Final machine state of the pure interpreter ([fuel] in
-    instructions, default 200,000,000). *)
+val reference : Ir.Program.t -> Vliw.Machine.t
+(** Final machine state of the pure interpreter (at most 200,000,000
+    instructions). *)
 
 val run_scheme :
-  ?config:Vliw.Config.t ->
-  ?fuel:int ->
-  ?tcache_policy:Tcache.Policy.t ->
-  ?tcache_capacity:int ->
-  ?watchdog:int ->
+  ?config:Runtime.Config.t ->
   ?fault:Fault.plan ->
-  ?verify:Check.Verifier.mode ->
-  ?certify:bool ->
   scheme:Smarq.Scheme.t ->
   Ir.Program.t ->
   Runtime.Driver.result * int
-(** One optimized run, with [fault]'s detector wrapper and driver
-    hooks installed when given.  Returns the driver result and the
-    number of faults the plan injected {e during this run}.  [fuel]
-    (guest blocks, default 1e9) and [config] (default: derived from
-    the scheme) as in [Smarq.run_program]. *)
+(** One optimized run through [Smarq.run_program] under [config]
+    (default [Runtime.Config.default]), with [fault]'s hooks installed
+    when given.  Returns the driver result and the number of faults the
+    plan injected {e during this run}. *)
 
 val check :
-  ?config:Vliw.Config.t ->
-  ?fuel:int ->
-  ?interp_fuel:int ->
-  ?watchdog:int ->
-  ?fault:(seed:int -> rate:float -> unit -> Fault.plan) ->
-  ?verify:Check.Verifier.mode ->
-  ?certify:bool ->
-  ?seed:int ->
-  ?rate:float ->
+  ?config:Runtime.Config.t ->
+  ?fault:Fault.spec ->
   ?name:string ->
   schemes:Smarq.Scheme.t list ->
   Ir.Program.t ->
   report
-(** The differential check: interpret once, then run every scheme and
-    diff its final state against the oracle's.  When [fault] is given
-    (e.g. [Fault.plan]), a {e fresh} plan is built from [seed]
-    (default 1) and [rate] (default 0.05) for each scheme, so every
-    scheme faces the same campaign.  Schemes run sequentially in list
-    order; the whole report is deterministic. *)
+(** The differential check: interpret once, then run every scheme under
+    [config] and diff its final state against the oracle's.  When
+    [fault] is given, a {e fresh} [Fault.plan] is built from its seed
+    and rate for each scheme, so every scheme faces the same campaign.
+    Schemes run sequentially in list order; the whole report is
+    deterministic. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp_report : Format.formatter -> report -> unit

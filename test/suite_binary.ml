@@ -115,8 +115,9 @@ let test_dbt_performance_parity () =
   let p = Workload.Specfp.program ~scale:2 b in
   let p2 = roundtrip p in
   let cycles prog =
-    (Smarq.run_program ~fuel:200_000_000 ~scheme:(Smarq.Scheme.Smarq 64)
-       prog).Runtime.Driver.stats.Runtime.Stats.total_cycles
+    (Smarq.run_program
+       ~config:{ Runtime.Config.default with fuel = 200_000_000 }
+       ~scheme:(Smarq.Scheme.Smarq 64) prog).Runtime.Driver.stats.Runtime.Stats.total_cycles
   in
   let c1 = cycles p and c2 = cycles p2 in
   let ratio = float_of_int c2 /. float_of_int c1 in
@@ -131,7 +132,11 @@ let test_dbt_equivalence_all_schemes () =
   let ref_m = run_interp p2 in
   List.iter
     (fun scheme ->
-      let r = Smarq.run_program ~fuel:100_000_000 ~scheme p2 in
+      let r =
+        Smarq.run_program
+          ~config:{ Runtime.Config.default with fuel = 100_000_000 }
+          ~scheme p2
+      in
       if not (Vliw.Machine.equal_guest_state ref_m r.Runtime.Driver.machine)
       then
         Alcotest.failf "decoded art diverged under %s"

@@ -70,7 +70,8 @@ let test_equivalence_with_cache () =
   let ref_m = Vliw.Machine.create () in
   ignore (Frontend.Interp.run ~fuel:50_000_000 ref_m program);
   let r =
-    Smarq.run_program ~config ~fuel:50_000_000
+    Smarq.run_program
+      ~config:{ Runtime.Config.default with vliw = Some config; fuel = 50_000_000 }
       ~scheme:(Smarq.Scheme.Smarq 64) program
   in
   Alcotest.(check bool) "state unchanged by cache" true
@@ -80,16 +81,23 @@ let test_cache_slows_execution () =
   let b = Workload.Specfp.find "swim" in
   let program = Workload.Specfp.program b in
   let flat =
-    Smarq.run_program ~fuel:50_000_000 ~scheme:(Smarq.Scheme.Smarq 64) program
+    Smarq.run_program
+      ~config:{ Runtime.Config.default with fuel = 50_000_000 }
+      ~scheme:(Smarq.Scheme.Smarq 64) program
   in
   let cached =
     Smarq.run_program
       ~config:
-        (Vliw.Config.with_alias_registers
-           (Vliw.Config.with_cache Vliw.Config.default
-              (Some C.default_config))
-           64)
-      ~fuel:50_000_000
+        {
+          Runtime.Config.default with
+          vliw =
+            Some
+              (Vliw.Config.with_alias_registers
+                 (Vliw.Config.with_cache Vliw.Config.default
+                    (Some C.default_config))
+                 64);
+          fuel = 50_000_000;
+        }
       ~scheme:(Smarq.Scheme.Smarq 64) program
   in
   Alcotest.(check bool) "miss stalls cost cycles" true
@@ -103,7 +111,9 @@ let test_ordering_survives_cache () =
   let b = Workload.Specfp.find "wupwise" in
   let program = Workload.Specfp.program ~scale:3 b in
   let cycles scheme =
-    (Smarq.run_program ~config ~fuel:100_000_000 ~scheme program)
+    (Smarq.run_program
+       ~config:{ Runtime.Config.default with vliw = Some config; fuel = 100_000_000 }
+       ~scheme program)
       .Runtime.Driver.stats.Runtime.Stats.total_cycles
   in
   let smarq = cycles (Smarq.Scheme.Smarq 64) in

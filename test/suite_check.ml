@@ -211,7 +211,9 @@ let test_driver_verify_all () =
   let program = counting_program ~iters:400 in
   let off = Smarq.run_program ~scheme:(Smarq.Scheme.Smarq 64) program in
   let all =
-    Smarq.run_program ~verify:V.All ~scheme:(Smarq.Scheme.Smarq 64) program
+    Smarq.run_program
+      ~config:{ Runtime.Config.default with verify = V.All }
+      ~scheme:(Smarq.Scheme.Smarq 64) program
   in
   let off_st = off.Runtime.Driver.stats and all_st = all.Runtime.Driver.stats in
   Alcotest.(check int) "off mode verifies nothing" 0
@@ -233,7 +235,9 @@ let test_driver_verify_all () =
 let test_driver_verify_sample () =
   let program = counting_program ~iters:400 in
   let sample =
-    Smarq.run_program ~verify:V.Sample ~scheme:(Smarq.Scheme.Smarq 64) program
+    Smarq.run_program
+      ~config:{ Runtime.Config.default with verify = V.Sample }
+      ~scheme:(Smarq.Scheme.Smarq 64) program
   in
   let st = sample.Runtime.Driver.stats in
   Alcotest.(check bool) "sample mode verifies a subset" true

@@ -90,8 +90,9 @@ let test_static_still_sound () =
     let ref_m = Vliw.Machine.create () in
     ignore (Frontend.Interp.run ~fuel:50_000_000 ref_m program);
     let r =
-      Smarq.run_program ~fuel:50_000_000 ~scheme:Smarq.Scheme.None_static
-        program
+      Smarq.run_program
+        ~config:{ Runtime.Config.default with fuel = 50_000_000 }
+        ~scheme:Smarq.Scheme.None_static program
     in
     if not (Vliw.Machine.equal_guest_state ref_m r.Runtime.Driver.machine)
     then Alcotest.failf "seed %d diverged under none+static" seed

@@ -236,8 +236,10 @@ let certify_all_schemes_prop seed =
   List.for_all
     (fun scheme ->
       let r =
-        Smarq.run_program ~fuel:50_000_000 ~unroll:4 ~certify:true ~scheme
-          program
+        Smarq.run_program
+          ~config:
+            { Runtime.Config.default with fuel = 50_000_000; unroll = 4; certify = true }
+          ~scheme program
       in
       let st = r.Runtime.Driver.stats in
       if st.Runtime.Stats.certified_alias_faults > 0 then

@@ -132,8 +132,10 @@ let test_naive_more_checks_than_smarq () =
   let b = Workload.Specfp.find "apsi" in
   let program = Workload.Specfp.program b in
   let checks scheme =
-    (Smarq.run_program ~fuel:100_000_000 ~scheme program).Runtime.Driver.stats
-      .Runtime.Stats.alias_checks
+    (Smarq.run_program
+       ~config:{ Runtime.Config.default with fuel = 100_000_000 }
+       ~scheme program)
+      .Runtime.Driver.stats.Runtime.Stats.alias_checks
   in
   let s = checks (Smarq.Scheme.Smarq 64) in
   let n = checks (Smarq.Scheme.Naive_order 64) in
@@ -149,7 +151,8 @@ let test_naive_equivalent_on_suite () =
       let ref_m = Vliw.Machine.create () in
       ignore (Frontend.Interp.run ~fuel:50_000_000 ref_m program);
       let r =
-        Smarq.run_program ~fuel:100_000_000
+        Smarq.run_program
+          ~config:{ Runtime.Config.default with fuel = 100_000_000 }
           ~scheme:(Smarq.Scheme.Naive_order 64) program
       in
       if not (Vliw.Machine.equal_guest_state ref_m r.Runtime.Driver.machine)

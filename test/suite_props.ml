@@ -163,7 +163,11 @@ let prop_dynamic_system_equivalent (seed, loops, iters) =
   ignore (Frontend.Interp.run ~fuel:50_000_000 ref_machine program);
   List.for_all
     (fun scheme ->
-      let r = Smarq.run_program ~fuel:50_000_000 ~scheme program in
+      let r =
+        Smarq.run_program
+          ~config:{ Runtime.Config.default with fuel = 50_000_000 }
+          ~scheme program
+      in
       Vliw.Machine.equal_guest_state ref_machine r.Runtime.Driver.machine)
     [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Smarq 16; Smarq.Scheme.Alat;
       Smarq.Scheme.None_ ]

@@ -41,7 +41,7 @@ let colliding_loop ~iters =
   Workload.Builder.program bld ~entry:"init"
 
 let run_scheme ?(fuel = 10_000_000) scheme program =
-  Smarq.run_program ~fuel ~scheme program
+  Smarq.run_program ~config:{ Runtime.Config.default with fuel } ~scheme program
 
 let reference program =
   let m = Vliw.Machine.create () in
@@ -173,8 +173,13 @@ let test_max_reopts_gives_up () =
   let ref_m = reference program in
   let r =
     Runtime.Driver.run
-      ~config:(Vliw.Config.with_alias_registers Vliw.Config.default 64)
-      ~max_reopts:0 ~fuel:10_000_000
+      ~config:
+        {
+          Runtime.Config.default with
+          vliw = Some (Vliw.Config.with_alias_registers Vliw.Config.default 64);
+          max_reopts = 0;
+          fuel = 10_000_000;
+        }
       ~scheme:(Runtime.Driver.scheme_smarq ~ar_count:64 ())
       program
   in

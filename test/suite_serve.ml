@@ -554,6 +554,56 @@ let test_serve_failed_then_done () =
   Alcotest.(check int) "both latencies sampled" 2
     r.Serve.Server.total.Runtime.Percentiles.n
 
+(* A served run carries the job's whole config, whichever cache it
+   runs against: a certified job on a fresh shared shard reports the
+   same certification (and cycles) as the batch run of that job. *)
+let test_serve_certify_on_shared_shard () =
+  let job =
+    Exec.Matrix.of_bench
+      ~config:{ Runtime.Config.default with unroll = 4; certify = true }
+      ~scale:1 ~scheme:(Smarq.Scheme.Smarq 64)
+      (Workload.Specfp.find "ammp")
+  in
+  let batch = (Exec.Matrix.run_job job).Exec.Matrix.result.Runtime.Driver.stats in
+  Alcotest.(check bool) "batch run certifies pairs" true
+    (batch.Runtime.Stats.certified_pairs > 0);
+  let config =
+    {
+      Serve.Server.default_config with
+      domains = 1;
+      shard_policy = Smarq.Tcache.Policy.Unbounded;
+    }
+  in
+  let server = Serve.Server.create ~config () in
+  let serve ~shared_cache =
+    let rq =
+      { Serve.Server.tenant = "t0"; job; shared_cache; fault = None;
+        deadline = None }
+    in
+    match Serve.Server.submit server rq with
+    | `Rejected -> Alcotest.fail "rejected"
+    | `Accepted t ->
+      (match (Serve.Server.await t).Serve.Server.resolution with
+      | Serve.Server.Done r -> r.Runtime.Driver.stats
+      | Serve.Server.Failed e -> raise e
+      | _ -> Alcotest.fail "unexpected resolution")
+  in
+  let private_ = serve ~shared_cache:false in
+  let shared = serve ~shared_cache:true in
+  Serve.Server.shutdown server;
+  List.iter
+    (fun (path, (st : Runtime.Stats.t)) ->
+      let check field a b =
+        Alcotest.(check int) (Printf.sprintf "%s cache: %s" path field) a b
+      in
+      check "total_cycles" batch.Runtime.Stats.total_cycles
+        st.Runtime.Stats.total_cycles;
+      check "certified_pairs" batch.Runtime.Stats.certified_pairs
+        st.Runtime.Stats.certified_pairs;
+      check "verified_regions" batch.Runtime.Stats.verified_regions
+        st.Runtime.Stats.verified_regions)
+    [ ("private", private_); ("shared", shared) ]
+
 let suite =
   ( "serve",
     [
@@ -583,4 +633,6 @@ let suite =
         test_serve_await_flushes_own_batch;
       case "server: a raising run resolves Failed, the worker serves on"
         test_serve_failed_then_done;
+      case "server: a certified job stays certified on a shared shard"
+        test_serve_certify_on_shared_shard;
     ] )

@@ -3,7 +3,9 @@
 open Helpers
 
 let run name =
-  (Smarq.run_benchmark ~fuel:100_000_000 ~scheme:(Smarq.Scheme.Smarq 64) name)
+  (Smarq.run_benchmark
+     ~config:{ Runtime.Config.default with fuel = 100_000_000 }
+     ~scheme:(Smarq.Scheme.Smarq 64) name)
     .Runtime.Driver.stats
 
 let test_cycle_partition () =

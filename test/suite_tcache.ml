@@ -232,7 +232,11 @@ let test_unbounded_matches_seed () =
       let program =
         Workload.Specfp.program ~scale:1 (Workload.Specfp.find bench)
       in
-      let r = Smarq.run_program ~fuel:1_000_000_000 ~scheme program in
+      let r =
+        Smarq.run_program
+          ~config:{ Runtime.Config.default with fuel = 1_000_000_000 }
+          ~scheme program
+      in
       let st = r.Runtime.Driver.stats in
       let tag field =
         Printf.sprintf "%s/%s %s" bench (Smarq.Scheme.name scheme) field
@@ -297,7 +301,9 @@ let test_bounded_pressure_correct () =
   (* size the cache off the unbounded footprint: half of it forces
      evictions while any single region still fits *)
   let unbounded =
-    Smarq.run_program ~fuel:50_000_000 ~scheme:(Smarq.Scheme.Smarq 64) program
+    Smarq.run_program
+      ~config:{ Runtime.Config.default with fuel = 50_000_000 }
+      ~scheme:(Smarq.Scheme.Smarq 64) program
   in
   Alcotest.(check bool) "unbounded equivalent" true
     (Vliw.Machine.equal_guest_state reference unbounded.Runtime.Driver.machine);
@@ -306,8 +312,15 @@ let test_bounded_pressure_correct () =
   List.iter
     (fun policy ->
       let r =
-        Smarq.run_program ~fuel:50_000_000 ~tcache_policy:policy
-          ~tcache_capacity:capacity ~scheme:(Smarq.Scheme.Smarq 64) program
+        Smarq.run_program
+          ~config:
+            {
+              Runtime.Config.default with
+              fuel = 50_000_000;
+              tcache_policy = policy;
+              tcache_capacity = Some capacity;
+            }
+          ~scheme:(Smarq.Scheme.Smarq 64) program
       in
       let st = r.Runtime.Driver.stats in
       let tag field =
@@ -333,7 +346,9 @@ let test_chain_follows_on_hot_loop () =
      dispatch should follow the self-chain instead of looking up *)
   let program = pressure_program ~loops:1 ~inner:400 ~outer:1 in
   let r =
-    Smarq.run_program ~fuel:50_000_000 ~scheme:(Smarq.Scheme.Smarq 64) program
+    Smarq.run_program
+      ~config:{ Runtime.Config.default with fuel = 50_000_000 }
+      ~scheme:(Smarq.Scheme.Smarq 64) program
   in
   let st = r.Runtime.Driver.stats in
   Alcotest.(check bool) "most region dispatches chained" true

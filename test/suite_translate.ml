@@ -265,7 +265,9 @@ let prop_regions_match_oracles (seed, loops, iters) =
   List.for_all
     (fun scheme ->
       let _, config, requests =
-        Exec.Translate.capture_program ~fuel:50_000_000 ~scheme program
+        Exec.Translate.capture_program
+          ~config:{ Runtime.Config.default with fuel = 50_000_000 }
+          ~scheme program
       in
       check_requests ~scheme ~config requests (run_requests ~config requests);
       true)
@@ -286,7 +288,9 @@ let prop_parallel_replay_identical (seed, loops, iters) =
       List.for_all
         (fun scheme ->
           let _, cfg, reqs =
-            Exec.Translate.capture_program ~fuel:50_000_000 ~scheme program
+            Exec.Translate.capture_program
+              ~config:{ Runtime.Config.default with fuel = 50_000_000 }
+              ~scheme program
           in
           let seq = Exec.Translate.replay ~jobs:1 ~config:cfg reqs in
           List.length seq.Exec.Translate.artifacts = List.length reqs
@@ -312,7 +316,9 @@ let prop_replay_matches_checked_requests (seed, loops, iters) =
   let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
   let scheme = Smarq.Scheme.Smarq 64 in
   let _, config, requests =
-    Exec.Translate.capture_program ~fuel:50_000_000 ~scheme program
+    Exec.Translate.capture_program
+      ~config:{ Runtime.Config.default with fuel = 50_000_000 }
+      ~scheme program
   in
   let replayed = Exec.Translate.replay ~jobs:1 ~config requests in
   let outputs = run_requests ~config requests in

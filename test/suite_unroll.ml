@@ -80,7 +80,8 @@ let test_unrolled_system_equivalent () =
       List.iter
         (fun unroll ->
           let res =
-            Smarq.run_program ~fuel:100_000_000 ~unroll
+            Smarq.run_program
+              ~config:{ Runtime.Config.default with fuel = 100_000_000; unroll }
               ~scheme:(Smarq.Scheme.Smarq 64) program
           in
           if
@@ -96,7 +97,8 @@ let test_unrolled_amortizes_loop_overhead () =
   let b = Workload.Specfp.find "wupwise" in
   let program = Workload.Specfp.program ~scale:5 b in
   let region_cycles unroll =
-    (Smarq.run_program ~fuel:200_000_000 ~unroll
+    (Smarq.run_program
+       ~config:{ Runtime.Config.default with fuel = 200_000_000; unroll }
        ~scheme:(Smarq.Scheme.Smarq 64) program)
       .Runtime.Driver.stats.Runtime.Stats.region_cycles
   in

@@ -70,9 +70,8 @@ let test_prng_deterministic () =
 let check_campaign ~seed ~rate =
   let program = colliding_loop ~iters:120 in
   let report =
-    Verify.Oracle.check
-      ~fault:(fun ~seed ~rate () -> Verify.Fault.plan ~seed ~rate ())
-      ~seed ~rate ~name:"colliding_loop" ~schemes program
+    Verify.Oracle.check ~fault:{ Verify.Fault.seed; rate }
+      ~name:"colliding_loop" ~schemes program
   in
   if not (Verify.Oracle.ok report) then
     Alcotest.failf "campaign diverged (seed %d rate %.3f):@.%a" seed rate
@@ -141,19 +140,19 @@ let test_storm_walks_the_ladder () =
   let program = colliding_loop ~iters:300 in
   let oracle = Verify.Oracle.reference program in
   let plan = Verify.Fault.forced_storm ~seed:5 () in
-  let scheme = Runtime.Driver.scheme_smarq ~ar_count:64 () in
-  let scheme =
-    {
-      scheme with
-      Runtime.Driver.detector =
-        Verify.Fault.wrap plan scheme.Runtime.Driver.detector;
-    }
-  in
   let r =
     Runtime.Driver.run
-      ~config:(Vliw.Config.with_alias_registers Vliw.Config.default 64)
-      ~max_reopts:5 ~watchdog:9 ~fuel:10_000_000
-      ~hooks:(Verify.Fault.hooks plan) ~scheme program
+      ~config:
+        {
+          Runtime.Config.default with
+          vliw = Some (Vliw.Config.with_alias_registers Vliw.Config.default 64);
+          max_reopts = 5;
+          watchdog = Some 9;
+          fuel = 10_000_000;
+        }
+      ~hooks:(Verify.Fault.hooks plan)
+      ~scheme:(Runtime.Driver.scheme_smarq ~ar_count:64 ())
+      program
   in
   let st = r.Runtime.Driver.stats in
   Alcotest.(check bool) "completed" true
@@ -176,19 +175,19 @@ let test_storm_walks_the_ladder () =
 let test_degraded_region_stays_interpreted () =
   let program = colliding_loop ~iters:300 in
   let plan = Verify.Fault.forced_storm ~seed:5 () in
-  let scheme = Runtime.Driver.scheme_smarq ~ar_count:64 () in
-  let scheme =
-    {
-      scheme with
-      Runtime.Driver.detector =
-        Verify.Fault.wrap plan scheme.Runtime.Driver.detector;
-    }
-  in
   let r =
     Runtime.Driver.run
-      ~config:(Vliw.Config.with_alias_registers Vliw.Config.default 64)
-      ~max_reopts:5 ~watchdog:9 ~fuel:10_000_000
-      ~hooks:(Verify.Fault.hooks plan) ~scheme program
+      ~config:
+        {
+          Runtime.Config.default with
+          vliw = Some (Vliw.Config.with_alias_registers Vliw.Config.default 64);
+          max_reopts = 5;
+          watchdog = Some 9;
+          fuel = 10_000_000;
+        }
+      ~hooks:(Verify.Fault.hooks plan)
+      ~scheme:(Runtime.Driver.scheme_smarq ~ar_count:64 ())
+      program
   in
   let st = r.Runtime.Driver.stats in
   (* after degradation the loop runs interpreted: region entries stop
@@ -219,9 +218,14 @@ let test_tcache_faults_survivable () =
 let test_fuel_exhaustion_structured () =
   let program = colliding_loop ~iters:100_000 in
   let r =
-    Runtime.Driver.run ~fuel:500
+    Runtime.Driver.run
+      ~config:
+        {
+          Runtime.Config.default with
+          vliw = Some (Vliw.Config.with_alias_registers Vliw.Config.default 64);
+          fuel = 500;
+        }
       ~scheme:(Runtime.Driver.scheme_smarq ~ar_count:64 ())
-      ~config:(Vliw.Config.with_alias_registers Vliw.Config.default 64)
       program
   in
   Alcotest.(check bool) "fuel exhaustion is an outcome, not an exception"

@@ -56,8 +56,9 @@ let test_scale_parameter () =
 let test_ammp_has_biggest_superblocks () =
   let memops name =
     let r =
-      Smarq.run_benchmark ~fuel:100_000_000 ~scheme:(Smarq.Scheme.Smarq 64)
-        name
+      Smarq.run_benchmark
+        ~config:{ Runtime.Config.default with fuel = 100_000_000 }
+        ~scheme:(Smarq.Scheme.Smarq 64) name
     in
     Runtime.Stats.mem_ops_per_superblock r.Runtime.Driver.stats
   in
@@ -74,8 +75,9 @@ let test_alias_probe_produces_rollbacks () =
   (* art's probe makes genuine aliases; SMARQ must see at least one
      rollback and then converge via conservative re-optimization *)
   let r =
-    Smarq.run_benchmark ~fuel:100_000_000 ~scheme:(Smarq.Scheme.Smarq 64)
-      "art"
+    Smarq.run_benchmark
+      ~config:{ Runtime.Config.default with fuel = 100_000_000 }
+      ~scheme:(Smarq.Scheme.Smarq 64) "art"
   in
   let st = r.Runtime.Driver.stats in
   Alcotest.(check bool) "some rollbacks" true (st.Runtime.Stats.rollbacks >= 1);
@@ -86,8 +88,10 @@ let test_rmw_punishes_alat_only () =
   (* the rmw kernels create ALAT false positives; SMARQ stays clean on
      benchmarks without genuine collisions *)
   let rollbacks scheme name =
-    (Smarq.run_benchmark ~fuel:100_000_000 ~scheme name).Runtime.Driver.stats
-      .Runtime.Stats.rollbacks
+    (Smarq.run_benchmark
+       ~config:{ Runtime.Config.default with fuel = 100_000_000 }
+       ~scheme name)
+      .Runtime.Driver.stats.Runtime.Stats.rollbacks
   in
   Alcotest.(check int) "wupwise smarq clean" 0
     (rollbacks (Smarq.Scheme.Smarq 64) "wupwise");
