@@ -1,9 +1,9 @@
-(* Experiment harness: regenerates every table and figure of the
-   paper's evaluation (Section 6).  Run with no arguments for the full
-   set, or with a subset of: table1 table2 fig14 fig15 fig16 fig17
-   fig18 fig19 micro.  `-j N` bounds the worker domains used to fan the
-   benchmark × scheme matrix out in parallel (default: all cores);
-   simulated results are identical for every N.
+(* The paper's evaluation (Section 6) as named experiments, run by
+   `smarq_run bench [EXPERIMENT...]`: every table and figure, the
+   ablations, and the translate, serve and certifier experiments.  No
+   name runs them all.  `-j N` bounds the worker domains used to fan
+   the benchmark x scheme matrix out in parallel; simulated results are
+   identical for every N.
 
    Absolute numbers come from our synthetic workloads and VLIW timing
    model; the claims under test are the paper's *shapes*: which scheme
@@ -11,36 +11,128 @@
    reference values are printed beside every measured series; see
    EXPERIMENTS.md for the recorded comparison.
 
-   Every experiment's wall clock is appended to bench_timings.json (and
-   echoed as a JSON line) so runner/simulator speed regressions are
-   measurable run over run. *)
+   Every experiment's wall clock is written to bench_timings.json in the
+   working directory (and echoed as a JSON line), so runner and
+   simulator speed regressions are measurable run over run.
 
-(* BENCH_SCALE overrides the fig15-family workload scale — CI smoke
-   runs set it low; the figures themselves need the defaults. *)
-let fig15_scale =
-  match Sys.getenv_opt "BENCH_SCALE" with
-  | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 40)
-  | None -> 40
+   The module also holds what the other subcommands share with the
+   experiments: the base run configuration, one serve run, and one
+   replay comparison. *)
 
-let fig18_scale = 10 * fig15_scale
-let fig18_benchmarks = [ "wupwise"; "mesa"; "ammp" ]
+(* The run configuration every subcommand and experiment starts from;
+   each one sets only the fields it needs. *)
+let cli_config = { Runtime.Config.default with fuel = 2_000_000_000 }
 
-(* The run configuration every experiment starts from.
-   BENCH_VERIFY=off|sample|all runs the static region verifier inside
-   every matrix job — the CI verify-smoke configuration.  Rejections
-   show up in the per-experiment JSON counters. *)
-let bench_config =
-  let verify =
-    match Sys.getenv_opt "BENCH_VERIFY" with
-    | Some s ->
-      (match Check.Verifier.mode_of_string (String.trim s) with
-      | Ok m -> m
-      | Error msg ->
-        Printf.eprintf "BENCH_VERIFY: %s\n" msg;
-        exit 1)
-    | None -> Check.Verifier.Off
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
+(* ---- one serve run, one JSON encoding of its result ---- *)
+
+(* Run [spec] against a fresh server built from [config], and shut the
+   server down whatever happens. *)
+let serve ~config spec =
+  let server = Serve.Server.create ~config () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Server.shutdown server)
+    (fun () -> Serve.Loadgen.run server spec)
+
+let mode_name = function
+  | Serve.Loadgen.Closed _ -> "closed"
+  | Serve.Loadgen.Open _ -> "open"
+
+let serve_json ~(config : Serve.Server.config) ~(spec : Serve.Loadgen.spec)
+    (res : Serve.Loadgen.result) =
+  Printf.sprintf
+    "{\"mode\":\"%s\",\"domains\":%d,\"tenants\":%d,\"offered_rps\":%s,\
+     \"elapsed_s\":%.6f,\"throughput_rps\":%.3f,\"report\":%s}"
+    (mode_name spec.Serve.Loadgen.mode)
+    config.Serve.Server.domains spec.Serve.Loadgen.tenants
+    (match res.Serve.Loadgen.offered_rps with
+    | Some r -> Printf.sprintf "%.3f" r
+    | None -> "null")
+    res.Serve.Loadgen.elapsed_s res.Serve.Loadgen.throughput_rps
+    (Serve.Server.report_json res.Serve.Loadgen.report)
+
+(* ---- one replay comparison ---- *)
+
+(* Replay captured [requests] sequentially, then at every job count in
+   [jobs] (over [pool] when given), and hold each parallel replay's
+   artifacts to the sequential ones.  Returns the sequential replay,
+   the [(jobs, replay)] points, and whether every artifact matched. *)
+let replay_compare ?pool ~config ~jobs requests =
+  let seq = Exec.Translate.replay ~jobs:1 ~config requests in
+  let points =
+    List.map
+      (fun j -> (j, Exec.Translate.replay ?pool ~jobs:j ~config requests))
+      jobs
   in
-  { Runtime.Config.default with verify }
+  let identical =
+    List.for_all
+      (fun (_, (r : Exec.Translate.result)) ->
+        List.for_all2 Exec.Translate.equal_artifact
+          seq.Exec.Translate.artifacts r.Exec.Translate.artifacts)
+      points
+  in
+  (seq, points, identical)
+
+(* ---- experiments ---- *)
+
+type params = {
+  domains : int;  (** worker domains for the matrix *)
+  scale : int;  (** workload scale of the fig15 family *)
+  reps : int;  (** replays per translate point *)
+  requests : int;  (** requests per serve point *)
+}
+
+(* per-experiment accounting, folded into bench_timings.json *)
+type tally = {
+  jobs : int;
+  sim_s : float;
+  injected : int;
+  spurious : int;
+  degraded : int;
+  verified : int;
+  rejected : int;
+}
+
+let zero =
+  {
+    jobs = 0;
+    sim_s = 0.0;
+    injected = 0;
+    spurious = 0;
+    degraded = 0;
+    verified = 0;
+    rejected = 0;
+  }
+
+let tally = ref zero
+
+(* one driver run's share of the experiment's tally *)
+let note ~sim_s (st : Runtime.Stats.t) =
+  let t = !tally in
+  tally :=
+    {
+      jobs = t.jobs + 1;
+      sim_s = t.sim_s +. sim_s;
+      injected = t.injected + st.Runtime.Stats.injected_faults;
+      spurious = t.spurious + st.Runtime.Stats.spurious_rollbacks;
+      degraded = t.degraded + st.Runtime.Stats.degraded_regions;
+      verified = t.verified + st.Runtime.Stats.verified_regions;
+      rejected = t.rejected + st.Runtime.Stats.rejected_regions;
+    }
+
+let stats_of (o : Exec.Matrix.outcome) = o.Exec.Matrix.result.Runtime.Driver.stats
+
+let run_matrix p jobs =
+  let outcomes = Exec.Matrix.run_matrix ~domains:p.domains jobs in
+  List.iter
+    (fun (o : Exec.Matrix.outcome) ->
+      note ~sim_s:o.Exec.Matrix.wall_seconds (stats_of o))
+    outcomes;
+  outcomes
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -48,46 +140,7 @@ let hr title =
 let schemes_fig15 =
   [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Smarq 16; Smarq.Scheme.Alat ]
 
-(* per-experiment accounting, folded into bench_timings.json *)
-let jobs_this_experiment = ref 0
-let sim_seconds_this_experiment = ref 0.0
-
-(* fault/recovery counters summed over the experiment's runs, so
-   BENCH_* trajectories can track recovery overhead; all zero unless an
-   experiment injects faults *)
-let injected_this_experiment = ref 0
-let spurious_this_experiment = ref 0
-let degraded_this_experiment = ref 0
-
-(* translation-validation counters, nonzero only under BENCH_VERIFY
-   (or experiments that verify on their own, like the fault campaign) *)
-let verified_this_experiment = ref 0
-let rejected_this_experiment = ref 0
-
-let note_fault_stats (st : Runtime.Stats.t) =
-  injected_this_experiment :=
-    !injected_this_experiment + st.Runtime.Stats.injected_faults;
-  spurious_this_experiment :=
-    !spurious_this_experiment + st.Runtime.Stats.spurious_rollbacks;
-  degraded_this_experiment :=
-    !degraded_this_experiment + st.Runtime.Stats.degraded_regions;
-  verified_this_experiment :=
-    !verified_this_experiment + st.Runtime.Stats.verified_regions;
-  rejected_this_experiment :=
-    !rejected_this_experiment + st.Runtime.Stats.rejected_regions
-
-let run_matrix ~domains jobs =
-  jobs_this_experiment := !jobs_this_experiment + List.length jobs;
-  let outcomes = Exec.Matrix.run_matrix ~domains jobs in
-  sim_seconds_this_experiment :=
-    !sim_seconds_this_experiment +. Exec.Matrix.total_wall outcomes;
-  List.iter
-    (fun (o : Exec.Matrix.outcome) ->
-      note_fault_stats o.Exec.Matrix.result.Runtime.Driver.stats)
-    outcomes;
-  outcomes
-
-let stats_of (o : Exec.Matrix.outcome) = o.Exec.Matrix.result.Runtime.Driver.stats
+let fig18_benchmarks = [ "wupwise"; "mesa"; "ammp" ]
 
 let rec chunk n = function
   | [] -> []
@@ -100,8 +153,7 @@ let rec chunk n = function
     let group, rest = take n [] l in
     group :: chunk n rest
 
-let suite_matrix ~domains ?(config = bench_config) ?(scale = fig15_scale)
-    schemes =
+let suite_matrix p ?(config = cli_config) ?(scale = p.scale) schemes =
   let jobs =
     List.concat_map
       (fun (b : Workload.Specfp.bench) ->
@@ -111,12 +163,12 @@ let suite_matrix ~domains ?(config = bench_config) ?(scale = fig15_scale)
           schemes)
       Workload.Specfp.suite
   in
-  chunk (List.length schemes) (run_matrix ~domains jobs)
+  chunk (List.length schemes) (run_matrix p jobs)
   |> List.map2 (fun b row -> (b, row)) Workload.Specfp.suite
 
 (* ---- Table 1: qualitative comparison of HW alias detection ---- *)
 
-let table1 ~domains:_ =
+let table1 _ =
   hr "Table 1: comparison between HW alias detection schemes";
   let detectors =
     [
@@ -143,16 +195,16 @@ let table1 ~domains:_ =
 
 (* ---- Table 2: VLIW architecture parameters ---- *)
 
-let table2 ~domains:_ =
+let table2 _ =
   hr "Table 2: VLIW architecture parameters";
   Format.printf "%a@." Vliw.Config.pp Vliw.Config.default
 
 (* ---- Figure 14: memory operations per superblock ---- *)
 
-let fig14 ~domains =
+let fig14 p =
   hr "Figure 14: average memory operations per superblock";
   Printf.printf "%-10s %s\n" "benchmark" "mem ops / superblock";
-  let rows = suite_matrix ~domains ~scale:1 [ Smarq.Scheme.Smarq 64 ] in
+  let rows = suite_matrix p ~scale:1 [ Smarq.Scheme.Smarq 64 ] in
   let total = ref 0.0 and n = ref 0 in
   List.iter
     (fun ((b : Workload.Specfp.bench), row) ->
@@ -168,42 +220,55 @@ let fig14 ~domains =
 
 (* ---- Figure 15: speedups of the three schemes over no detection ---- *)
 
-let fig15 ~domains =
-  hr "Figure 15: speedup with different alias detection (vs none)";
+(* Every scheme of [schemes_fig15] as a speedup over no detection, per
+   benchmark and as a geometric mean: Figure 15's table, and the cache
+   experiment's. *)
+let speedup_table p ?config ?scale () =
   Printf.printf "%-10s %9s %9s %9s\n" "benchmark" "SMARQ" "SMARQ16" "Itanium";
-  let rows = suite_matrix ~domains (Smarq.Scheme.None_ :: schemes_fig15) in
-  let sums = Array.make 3 0.0 in
-  let n = ref 0 in
-  List.iter
-    (fun ((b : Workload.Specfp.bench), row) ->
-      match List.map (fun o -> (stats_of o).Runtime.Stats.total_cycles) row with
-      | base :: rest ->
-        let speedups =
-          List.map (fun c -> float_of_int base /. float_of_int c) rest
+  let rows =
+    suite_matrix p ?config ?scale (Smarq.Scheme.None_ :: schemes_fig15)
+  in
+  let line name speedups =
+    Printf.printf "%-10s" name;
+    List.iter (Printf.printf " %9.3f") speedups;
+    print_newline ()
+  in
+  let speedups =
+    List.map
+      (fun ((b : Workload.Specfp.bench), row) ->
+        let cycles =
+          List.map (fun o -> (stats_of o).Runtime.Stats.total_cycles) row
         in
-        incr n;
-        List.iteri (fun i v -> sums.(i) <- sums.(i) +. log v) speedups;
-        (match speedups with
-        | [ a; b16; c ] ->
-          Printf.printf "%-10s %9.3f %9.3f %9.3f\n" b.Workload.Specfp.name a
-            b16 c
-        | _ -> ())
-      | [] -> ())
-    rows;
-  let geo i = exp (sums.(i) /. float_of_int !n) in
-  Printf.printf "%-10s %9.3f %9.3f %9.3f\n" "average" (geo 0) (geo 1) (geo 2);
+        let base = float_of_int (List.hd cycles) in
+        let v = List.map (fun c -> base /. float_of_int c) (List.tl cycles) in
+        line b.Workload.Specfp.name v;
+        v)
+      rows
+  in
+  let n = float_of_int (List.length speedups) in
+  line "average"
+    (List.mapi
+       (fun i _ ->
+         exp
+           (List.fold_left (fun acc v -> acc +. log (List.nth v i)) 0.0 speedups
+           /. n))
+       schemes_fig15)
+
+let fig15 p =
+  hr "Figure 15: speedup with different alias detection (vs none)";
+  speedup_table p ();
   Printf.printf
     "paper: average 1.39 / 1.29 / 1.26; ammp gains ~30%% from 64-vs-16\n\
      registers and ~47%% over the Itanium-like scheme.\n"
 
 (* ---- Figure 16: impact of disabling store reordering ---- *)
 
-let fig16 ~domains =
+let fig16 p =
   hr "Figure 16: impact of disabling store reordering (SMARQ64)";
   Printf.printf "%-10s %10s %12s %9s\n" "benchmark" "with (cyc)"
     "without (cyc)" "impact";
   let rows =
-    suite_matrix ~domains
+    suite_matrix p
       [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Smarq_no_store_reorder 64 ]
   in
   let sum = ref 0.0 and n = ref 0 in
@@ -226,11 +291,11 @@ let fig16 ~domains =
 
 (* ---- Figure 17: alias register working set ---- *)
 
-let fig17 ~domains =
+let fig17 p =
   hr "Figure 17: alias register working set (normalized to #mem ops)";
   Printf.printf "%-10s %8s %8s %12s\n" "benchmark" "P-bits" "SMARQ"
     "lower bound";
-  let rows = suite_matrix ~domains ~scale:1 [ Smarq.Scheme.Smarq 64 ] in
+  let rows = suite_matrix p ~scale:1 [ Smarq.Scheme.Smarq 64 ] in
   let acc = ref Sched.Working_set.zero in
   List.iter
     (fun ((b : Workload.Specfp.bench), row) ->
@@ -260,14 +325,14 @@ let fig17 ~domains =
 
 (* ---- Figure 18: optimization overhead ---- *)
 
-let fig18 ~domains =
+let fig18 p =
   hr "Figure 18: optimization overhead (% of execution time)";
   Printf.printf "%-10s %14s %14s\n" "benchmark" "optimization" "scheduling";
   let outcomes =
-    run_matrix ~domains
+    run_matrix p
       (List.map
          (fun name ->
-           Exec.Matrix.of_bench ~config:bench_config ~scale:fig18_scale
+           Exec.Matrix.of_bench ~config:cli_config ~scale:(10 * p.scale)
              ~scheme:(Smarq.Scheme.Smarq 64) (Workload.Specfp.find name))
          fig18_benchmarks)
   in
@@ -292,11 +357,11 @@ let fig18 ~domains =
 
 (* ---- Figure 19: constraint and AMOV statistics ---- *)
 
-let fig19 ~domains =
+let fig19 p =
   hr "Figure 19: constraints per memory operation";
   Printf.printf "%-10s %8s %8s %9s %9s\n" "benchmark" "check" "anti"
     "amov(new)" "amov(clr)";
-  let rows = suite_matrix ~domains ~scale:1 [ Smarq.Scheme.Smarq 64 ] in
+  let rows = suite_matrix p ~scale:1 [ Smarq.Scheme.Smarq 64 ] in
   let tc = ref 0 and ta = ref 0 and tm = ref 0 and tf = ref 0 and tk = ref 0 in
   List.iter
     (fun ((b : Workload.Specfp.bench), row) ->
@@ -322,7 +387,7 @@ let fig19 ~domains =
 (* ---- Bechamel microbenchmarks: optimizer cost, supporting the
    "fast algorithm" claim behind Figure 18 ---- *)
 
-let micro ~domains:_ =
+let micro _ =
   hr "Microbenchmarks: scheduling + allocation cost (host time)";
   let make_superblock n_mem =
     let params =
@@ -389,12 +454,12 @@ let micro ~domains:_ =
 (* ---- Ablation: SMARQ vs program-order allocation (Section 2.4/2.5)
    on identical ordered-queue hardware ---- *)
 
-let ablation ~domains =
+let ablation p =
   hr "Ablation: SMARQ vs straightforward program-order allocation";
   Printf.printf "%-10s %12s %12s %10s %10s %8s %8s\n" "benchmark" "smarq cyc"
     "naive cyc" "smarq chk" "naive chk" "ws(s)" "ws(n)";
   let rows =
-    suite_matrix ~domains ~scale:4
+    suite_matrix p ~scale:4
       [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Naive_order 64 ]
   in
   List.iter
@@ -419,37 +484,12 @@ let ablation ~domains =
 (* ---- Robustness: the Figure 15 ordering with a real memory
    hierarchy instead of a flat load latency ---- *)
 
-let cache_exp ~domains =
+let cache_exp p =
   hr "Robustness: scheme ordering with the cache hierarchy enabled";
   let vliw =
     Vliw.Config.with_cache Vliw.Config.default (Some Vliw.Cache.default_config)
   in
-  Printf.printf "%-10s %9s %9s %9s\n" "benchmark" "SMARQ" "SMARQ16" "Itanium";
-  let rows =
-    suite_matrix ~domains ~config:{ bench_config with vliw = Some vliw }
-      ~scale:10
-      (Smarq.Scheme.None_ :: schemes_fig15)
-  in
-  let sums = Array.make 3 0.0 in
-  let n = ref 0 in
-  List.iter
-    (fun ((b : Workload.Specfp.bench), row) ->
-      match List.map (fun o -> (stats_of o).Runtime.Stats.total_cycles) row with
-      | base :: rest ->
-        incr n;
-        Printf.printf "%-10s" b.Workload.Specfp.name;
-        List.iteri
-          (fun i c ->
-            let sp = float_of_int base /. float_of_int c in
-            sums.(i) <- sums.(i) +. log sp;
-            Printf.printf " %9.3f" sp)
-          rest;
-        print_newline ()
-      | [] -> ())
-    rows;
-  Printf.printf "%-10s" "average";
-  Array.iter (fun s -> Printf.printf " %9.3f" (exp (s /. float_of_int !n))) sums;
-  print_newline ();
+  speedup_table p ~config:{ cli_config with vliw = Some vliw } ~scale:10 ();
   Printf.printf
     "miss stalls shrink every speedup (latency hiding matters less when\n\
     \     the machine stalls on misses anyway) but the ordering of the three\n\
@@ -459,7 +499,7 @@ let cache_exp ~domains =
 (* ---- Ablation: how far does static analysis get without hardware?
    (the related-work [13] question) ---- *)
 
-let static_exp ~domains =
+let static_exp p =
   hr "Ablation: static constant-base disambiguation without hardware";
   (* a direct-addressing-heavy workload where a fast static analysis
      has something to find *)
@@ -494,10 +534,10 @@ let static_exp ~domains =
     [ Smarq.Scheme.None_; Smarq.Scheme.None_static; Smarq.Scheme.Smarq 64 ]
   in
   let outcomes =
-    run_matrix ~domains
+    run_matrix p
       (List.map
          (fun s ->
-           Exec.Matrix.job ~config:bench_config ~scheme:s
+           Exec.Matrix.job ~config:cli_config ~scheme:s
              ~label:(Printf.sprintf "static/%s" (Smarq.Scheme.name s))
              (make ~iters:8000))
          schemes)
@@ -521,7 +561,7 @@ let static_exp ~domains =
    "SMARQ is even more promising for larger region and loop level
    optimizations") ---- *)
 
-let unroll_exp ~domains =
+let unroll_exp p =
   hr "Extension: loop unrolling widens the register-count gap";
   Printf.printf "%-10s %7s %12s %12s %9s %8s\n" "benchmark" "unroll"
     "smarq64 cyc" "smarq16 cyc" "gap" "nonspec16";
@@ -536,7 +576,7 @@ let unroll_exp ~domains =
       (fun (name, unroll) ->
         List.map
           (fun scheme ->
-            Exec.Matrix.of_bench ~config:{ bench_config with unroll }
+            Exec.Matrix.of_bench ~config:{ cli_config with unroll }
               ~scale:30 ~scheme
               (Workload.Specfp.find name))
           [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Smarq 16 ])
@@ -554,7 +594,7 @@ let unroll_exp ~domains =
           ns16
       | _ -> ())
     cells
-    (chunk 2 (run_matrix ~domains jobs));
+    (chunk 2 (run_matrix p jobs));
   Printf.printf
     "larger regions schedule slightly better under 64 registers and\n\
     \     force the 16-register queue into non-speculation mode: the\n\
@@ -614,14 +654,14 @@ let tcache_pressure_program ~loops ~inner ~outer () =
   Workload.Builder.add_block bld "done" [] Ir.Block.Halt;
   Workload.Builder.program bld ~entry:"init"
 
-let tcache_exp ~domains =
+let tcache_exp p =
   hr "Translation cache: eviction policies under region pressure (JSON)";
   let loops = 8 and inner = 80 and outer = 40 in
   let program = tcache_pressure_program ~loops ~inner ~outer in
   let policy_job ~policy ?capacity () =
     Exec.Matrix.job
       ~config:
-        { bench_config with tcache_policy = policy; tcache_capacity = capacity }
+        { cli_config with tcache_policy = policy; tcache_capacity = capacity }
       ~scheme:(Smarq.Scheme.Smarq 64)
       ~label:(Printf.sprintf "tcache/%s" (Smarq.Tcache.Policy.to_string policy))
       program
@@ -645,7 +685,7 @@ let tcache_exp ~domains =
   (* size the bounded runs off the unbounded footprint: half the full
      resident set forces evictions while any single region still fits *)
   let unbounded =
-    match run_matrix ~domains [ policy_job ~policy:Smarq.Tcache.Policy.Unbounded () ] with
+    match run_matrix p [ policy_job ~policy:Smarq.Tcache.Policy.Unbounded () ] with
     | [ o ] -> stats_of o
     | _ -> assert false
   in
@@ -656,7 +696,7 @@ let tcache_exp ~domains =
       Smarq.Tcache.Policy.Flush_all ]
   in
   let bounded =
-    run_matrix ~domains
+    run_matrix p
       (List.map (fun policy -> policy_job ~policy ~capacity ()) bounded_policies)
   in
   List.iter2
@@ -674,26 +714,12 @@ let tcache_exp ~domains =
    parallel replay path.  The suite is run once under the driver with
    request capture; every measurement below replays the same captured
    batch, so all points translate exactly the same regions and the
-   artifacts are asserted bit-identical across job counts.  Writes
-   BENCH_TRANSLATE.json at the repo root. ---- *)
+   artifacts are held bit-identical across job counts.  Writes
+   BENCH_TRANSLATE.json in the working directory. ---- *)
 
-let translate_out_path =
-  match Sys.getenv_opt "BENCH_TRANSLATE" with
-  | Some p -> p
-  | None -> "BENCH_TRANSLATE.json"
-
-let translate_exp ~domains:_ =
+let translate_exp p =
   hr "Translate throughput: per-phase time, parallel replay";
-  let unroll =
-    match Sys.getenv_opt "BENCH_TRANSLATE_UNROLL" with
-    | Some s -> (try max 8 (int_of_string (String.trim s)) with _ -> 8)
-    | None -> 8
-  in
-  let reps =
-    match Sys.getenv_opt "BENCH_TRANSLATE_REPS" with
-    | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 3)
-    | None -> 3
-  in
+  let unroll = 8 and reps = p.reps in
   let scheme = Smarq.Scheme.Smarq 64 in
   (* capture once: the driver runs (and executes) each benchmark while
      recording every optimize request it performs *)
@@ -701,58 +727,52 @@ let translate_exp ~domains:_ =
     List.map
       (fun (b : Workload.Specfp.bench) ->
         let r, cfg, reqs =
-          Exec.Translate.capture_program ~config:{ bench_config with unroll }
+          Exec.Translate.capture_program ~config:{ cli_config with unroll }
             ~scheme
             (Workload.Specfp.program ~scale:1 b)
         in
-        incr jobs_this_experiment;
-        sim_seconds_this_experiment :=
-          !sim_seconds_this_experiment
-          +. r.Runtime.Driver.stats.Runtime.Stats.wall_seconds;
-        note_fault_stats r.Runtime.Driver.stats;
+        let st = r.Runtime.Driver.stats in
+        note ~sim_s:st.Runtime.Stats.wall_seconds st;
         (cfg, reqs))
       Workload.Specfp.suite
   in
-  (* one persistent pool serves every parallel point and every rep *)
-  let recommended = Exec.Pool.default_domains () in
-  let curve_jobs =
-    List.sort_uniq Int.compare [ 1; 2; 4; recommended ]
-  in
-  let max_jobs = List.fold_left max 1 curve_jobs in
-  let pool =
-    if max_jobs > 1 then Some (Exec.Pool.create ~domains:max_jobs ()) else None
-  in
-  let replay_suite ~jobs =
-    let acc = Sched.Profile.create () in
-    let wall = ref 0.0 in
-    let artifacts = ref [] in
-    for rep = 1 to reps do
-      List.iter
-        (fun (cfg, reqs) ->
-          let r =
-            if jobs = 1 then Exec.Translate.replay ~jobs:1 ~config:cfg reqs
-            else Exec.Translate.replay ?pool ~jobs ~config:cfg reqs
-          in
-          Sched.Profile.accumulate ~into:acc r.Exec.Translate.profile;
-          wall := !wall +. r.Exec.Translate.wall_seconds;
-          if rep = 1 then
-            artifacts := List.rev_append r.Exec.Translate.artifacts !artifacts)
-        captured
-    done;
-    (acc, !wall, List.rev !artifacts)
-  in
-  (* cores-vs-throughput curve: same captured batch, same persistent
-     pool, only the job window changes; the jobs=1 point is the
+  (* one persistent pool serves every parallel point and every rep;
+     only the job window changes, and the jobs=1 point is the
      sequential single-arena path every other point must match *)
-  let curve = List.map (fun jobs -> (jobs, replay_suite ~jobs)) curve_jobs in
-  (match pool with Some p -> Exec.Pool.shutdown p | None -> ());
-  let seq, jt1_wall, seq_arts = List.assoc 1 curve in
-  let identical =
-    List.for_all
-      (fun (_, (_, _, arts)) ->
-        List.for_all2 Exec.Translate.equal_artifact seq_arts arts)
-      curve
+  let recommended = Exec.Pool.default_domains () in
+  let curve_jobs = List.sort_uniq Int.compare [ 1; 2; 4; recommended ] in
+  let parallel_jobs = List.filter (fun j -> j > 1) curve_jobs in
+  let pool =
+    if parallel_jobs = [] then None
+    else
+      Some (Exec.Pool.create ~domains:(List.fold_left max 1 curve_jobs) ())
   in
+  let seq = Sched.Profile.create () in
+  let walls = List.map (fun j -> (j, ref 0.0)) curve_jobs in
+  let add_wall j w =
+    let r = List.assoc j walls in
+    r := !r +. w
+  in
+  let identical = ref true in
+  for _ = 1 to reps do
+    List.iter
+      (fun (config, reqs) ->
+        let s, points, same =
+          replay_compare ?pool ~config ~jobs:parallel_jobs reqs
+        in
+        Sched.Profile.accumulate ~into:seq s.Exec.Translate.profile;
+        add_wall 1 s.Exec.Translate.wall_seconds;
+        List.iter
+          (fun (j, (r : Exec.Translate.result)) ->
+            add_wall j r.Exec.Translate.wall_seconds)
+          points;
+        identical := !identical && same)
+      captured
+  done;
+  Option.iter Exec.Pool.shutdown pool;
+  let identical = !identical in
+  let curve = List.map (fun (j, w) -> (j, !w)) walls in
+  let jt1_wall = List.assoc 1 curve in
   Printf.printf "suite=specfp-kernels unroll=%d reps=%d scheme=%s\n\n" unroll
     reps (Smarq.Scheme.name scheme);
   Printf.printf "%8.3fs %7d regions %8d instrs %10.0f regions/s\n"
@@ -763,17 +783,18 @@ let translate_exp ~domains:_ =
   List.iter
     (fun (name, f) -> Printf.printf "  %-9s %9.4f\n" name f)
     (Sched.Profile.phases seq);
-  let regions_per_s (p : Sched.Profile.t) wall =
-    if wall > 0.0 then float_of_int p.Sched.Profile.regions /. wall else 0.0
+  (* every point replays the same requests, so the same regions *)
+  let regions_per_s wall =
+    if wall > 0.0 then float_of_int seq.Sched.Profile.regions /. wall else 0.0
   in
+  let speedup wall = if wall > 0.0 then jt1_wall /. wall else 0.0 in
   Printf.printf
     "\nparallel replay (wall clock, %d worker domains recommended here):\n"
     recommended;
   List.iter
-    (fun (jobs, (p, wall, _)) ->
+    (fun (jobs, wall) ->
       Printf.printf "  jobs=%-2d %8.3fs wall %10.1f regions/s %6.2fx vs jobs=1\n"
-        jobs wall (regions_per_s p wall)
-        (if wall > 0.0 then jt1_wall /. wall else 0.0))
+        jobs wall (regions_per_s wall) (speedup wall))
     curve;
   Printf.printf "artifacts %s across job counts\n"
     (if identical then "bit-identical" else "DIVERGENT");
@@ -798,28 +819,23 @@ let translate_exp ~domains:_ =
   in
   let parallel_json =
     List.map
-      (fun (jobs, (p, wall, _)) ->
+      (fun (jobs, wall) ->
         Printf.sprintf
           "{\"jobs\":%d,\"wall_s\":%.6f,\"regions_per_s\":%.1f,\
            \"speedup_vs_jobs1\":%.3f}"
-          jobs wall (regions_per_s p wall)
-          (if wall > 0.0 then jt1_wall /. wall else 0.0))
+          jobs wall (regions_per_s wall) (speedup wall))
       curve
     |> String.concat ","
   in
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"translate\",\"suite\":\"specfp-kernels\",\
-       \"scheme\":\"%s\",\"unroll\":%d,\"reps\":%d,\"sequential\":%s,\
-       \"recommended_domains\":%d,\"identical\":%b,\"parallel\":[%s]}"
-      (Smarq.Scheme.name scheme) unroll reps seq_json recommended identical
-      parallel_json
-  in
-  let oc = open_out translate_out_path in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" translate_out_path;
+  let path = "BENCH_TRANSLATE.json" in
+  write_file path
+    (Printf.sprintf
+       "{\"experiment\":\"translate\",\"suite\":\"specfp-kernels\",\
+        \"scheme\":\"%s\",\"unroll\":%d,\"reps\":%d,\"sequential\":%s,\
+        \"recommended_domains\":%d,\"identical\":%b,\"parallel\":[%s]}\n"
+       (Smarq.Scheme.name scheme) unroll reps seq_json recommended identical
+       parallel_json);
+  Printf.printf "wrote %s\n" path;
   Printf.printf
     "the parallel rows replay the same captured requests over the\n\
      persistent domain pool (the curve is only as good as the cores this\n\
@@ -831,30 +847,24 @@ let translate_exp ~domains:_ =
    that capacity) drives the service below, at, and past saturation —
    the 2x point is where admission control must reject rather than
    queue without bound.  Rejections are counted separately from errors
-   throughout.  Writes BENCH_SERVE.json at the repo root. ---- *)
+   throughout, and any error fails the experiment.  Writes
+   BENCH_SERVE.json in the working directory. ---- *)
 
-let serve_out_path =
-  match Sys.getenv_opt "BENCH_SERVE" with
-  | Some p -> p
-  | None -> "BENCH_SERVE.json"
-
-let serve_exp ~domains:_ =
+let serve_exp p =
   hr "Translation service: throughput and latency under load (JSON)";
-  let requests =
-    match Sys.getenv_opt "BENCH_SERVE_REQS" with
-    | Some s -> (try max 4 (int_of_string (String.trim s)) with _ -> 48)
-    | None -> 48
-  in
   let tenants = 2 in
   let jobs =
     Array.of_list
       (List.map
          (fun (b : Workload.Specfp.bench) ->
-           Exec.Matrix.of_bench ~config:bench_config
+           Exec.Matrix.of_bench ~config:cli_config
              ~scheme:(Smarq.Scheme.Smarq 64) b)
          Workload.Specfp.suite)
   in
-  let run_point ~domains ~mode =
+  Printf.printf "%-6s %3s %9s %9s %5s %5s %4s %8s %8s %8s\n" "mode" "dom"
+    "offered" "rps" "done" "rej" "err" "p50(s)" "p95(s)" "p99(s)";
+  let points = ref [] and errors = ref 0 in
+  let point ~domains mode =
     let config =
       {
         Serve.Server.default_config with
@@ -862,11 +872,10 @@ let serve_exp ~domains:_ =
         queue_limit = 4 * domains;
       }
     in
-    let server = Serve.Server.create ~config () in
     let spec =
       {
         Serve.Loadgen.mode;
-        requests;
+        requests = p.requests;
         tenants;
         shared_cache = true;
         fault = None;
@@ -874,38 +883,17 @@ let serve_exp ~domains:_ =
         jobs;
       }
     in
-    let res = Serve.Loadgen.run server spec in
-    Serve.Server.shutdown server;
+    let res = serve ~config spec in
     let r = res.Serve.Loadgen.report in
-    jobs_this_experiment := !jobs_this_experiment + r.Serve.Server.completed;
-    sim_seconds_this_experiment :=
-      !sim_seconds_this_experiment +. r.Serve.Server.sim_seconds;
-    injected_this_experiment :=
-      !injected_this_experiment + r.Serve.Server.injected_faults;
-    res
-  in
-  let point_json ~domains (res : Serve.Loadgen.result) =
-    Printf.sprintf
-      "{\"mode\":\"%s\",\"domains\":%d,\"offered_rps\":%s,\
-       \"elapsed_s\":%.6f,\"throughput_rps\":%.3f,\"report\":%s}"
-      (match res.Serve.Loadgen.offered_rps with
-      | Some _ -> "open"
-      | None -> "closed")
-      domains
-      (match res.Serve.Loadgen.offered_rps with
-      | Some r -> Printf.sprintf "%.3f" r
-      | None -> "null")
-      res.Serve.Loadgen.elapsed_s res.Serve.Loadgen.throughput_rps
-      (Serve.Server.report_json res.Serve.Loadgen.report)
-  in
-  let row ~domains (res : Serve.Loadgen.result) =
-    let r = res.Serve.Loadgen.report in
-    Printf.printf
-      "%-6s %2dd %9s %9.2f %5d %5d %4d %8.4f %8.4f %8.4f\n"
-      (match res.Serve.Loadgen.offered_rps with
-      | Some _ -> "open"
-      | None -> "closed")
-      domains
+    tally :=
+      {
+        !tally with
+        jobs = !tally.jobs + r.Serve.Server.completed;
+        sim_s = !tally.sim_s +. r.Serve.Server.sim_seconds;
+        injected = !tally.injected + r.Serve.Server.injected_faults;
+      };
+    Printf.printf "%-6s %2dd %9s %9.2f %5d %5d %4d %8.4f %8.4f %8.4f\n"
+      (mode_name mode) domains
       (match res.Serve.Loadgen.offered_rps with
       | Some r -> Printf.sprintf "%.1f" r
       | None -> "-")
@@ -913,83 +901,40 @@ let serve_exp ~domains:_ =
       r.Serve.Server.rejected r.Serve.Server.errors
       r.Serve.Server.total.Runtime.Percentiles.p50
       r.Serve.Server.total.Runtime.Percentiles.p95
-      r.Serve.Server.total.Runtime.Percentiles.p99
+      r.Serve.Server.total.Runtime.Percentiles.p99;
+    points := serve_json ~config ~spec res :: !points;
+    errors := !errors + r.Serve.Server.errors;
+    res
   in
-  Printf.printf "%-6s %3s %9s %9s %5s %5s %4s %8s %8s %8s\n" "mode" "dom"
-    "offered" "rps" "done" "rej" "err" "p50(s)" "p95(s)" "p99(s)";
-  let points = ref [] in
-  let errors = ref 0 in
   List.iter
     (fun domains ->
       let closed =
-        run_point ~domains
-          ~mode:(Serve.Loadgen.Closed { clients = 2 * domains })
+        point ~domains (Serve.Loadgen.Closed { clients = 2 * domains })
       in
-      row ~domains closed;
-      points := point_json ~domains closed :: !points;
-      errors :=
-        !errors + closed.Serve.Loadgen.report.Serve.Server.errors;
       let capacity = max 1.0 closed.Serve.Loadgen.throughput_rps in
       List.iter
         (fun mult ->
-          let rate = capacity *. mult in
-          let opened =
-            run_point ~domains ~mode:(Serve.Loadgen.Open { rate })
-          in
-          row ~domains opened;
-          points := point_json ~domains opened :: !points;
-          errors :=
-            !errors + opened.Serve.Loadgen.report.Serve.Server.errors)
+          ignore (point ~domains (Serve.Loadgen.Open { rate = capacity *. mult })))
         [ 0.5; 1.0; 2.0 ])
     [ 1; 2 ];
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"serve\",\"requests_per_point\":%d,\"tenants\":%d,\
-       \"benchmarks\":%d,\"points\":[%s]}"
-      requests tenants (Array.length jobs)
-      (String.concat "," (List.rev !points))
-  in
-  let oc = open_out serve_out_path in
-  output_string oc json;
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" serve_out_path;
+  let path = "BENCH_SERVE.json" in
+  write_file path
+    (Printf.sprintf
+       "{\"experiment\":\"serve\",\"requests_per_point\":%d,\"tenants\":%d,\
+        \"benchmarks\":%d,\"points\":[%s]}\n"
+       p.requests tenants (Array.length jobs)
+       (String.concat "," (List.rev !points)));
+  Printf.printf "wrote %s\n" path;
   Printf.printf
     "closed loop measures sustainable throughput per domain count; the\n\
      open-loop sweep shows latency climbing toward saturation and the\n\
      2x point shedding load through admission control (rejections, not\n\
      errors).  Tenant shards keep hot regions translated across\n\
      requests.\n";
-  if !errors > 0 then
-    Printf.printf "WARNING: %d requests failed with errors\n" !errors
-
-(* ---- Fault campaign: seeded injection across schemes, every run
-   checked against the interpreter oracle.  Emits the same JSON lines
-   as `smarq_run fuzz`, so BENCH_* trajectories can track recovery
-   overhead next to the performance tables. ---- *)
-
-let faults_exp ~domains:_ =
-  hr "Fault injection: recovery ladder under a seeded campaign (JSON)";
-  let cfg =
-    { Verify.Campaign.default_config with Verify.Campaign.seeds = [ 1; 2 ] }
-  in
-  let benches =
-    List.map Workload.Specfp.find [ "wupwise"; "equake" ]
-  in
-  let result = Verify.Campaign.run_benches cfg benches in
-  List.iter
-    (fun (r : Verify.Campaign.run) ->
-      print_endline (Verify.Campaign.json_line cfg r);
-      note_fault_stats r.Verify.Campaign.entry.Verify.Oracle.stats;
-      incr jobs_this_experiment;
-      sim_seconds_this_experiment :=
-        !sim_seconds_this_experiment
-        +. r.Verify.Campaign.entry.Verify.Oracle.stats
-             .Runtime.Stats.wall_seconds)
-    result.Verify.Campaign.runs;
-  Format.printf "%a" Verify.Campaign.pp_summary result;
-  if not (Verify.Campaign.ok result) then
-    Printf.printf "WARNING: fault campaign diverged from the oracle\n"
+  if !errors > 0 then begin
+    Printf.printf "FAILED: %d requests failed with errors\n" !errors;
+    exit 1
+  end
 
 (* ---- Static alias certification: the abstract-interpretation
    disambiguator certifies may-alias pairs No_alias, so their
@@ -997,12 +942,8 @@ let faults_exp ~domains:_ =
    ALAT entries, and mask bits at the same guest state.  Every cell
    runs certify-off and certify-on over the same program at unroll 8
    and diffs the alias-resource statistics; guest state must be
-   bit-identical.  Writes BENCH_DISAMB.json at the repo root. ---- *)
-
-let disamb_json_path =
-  match Sys.getenv_opt "BENCH_DISAMB" with
-  | Some p -> p
-  | None -> "BENCH_DISAMB.json"
+   bit-identical.  Writes BENCH_DISAMB.json in the working
+   directory. ---- *)
 
 (* A workload whose speculation pressure is statically refutable: a
    slow store (FP-chained datum) to A[w], overtaken every iteration by
@@ -1059,7 +1000,7 @@ let disamb_probe_program ~iters () =
   Workload.Builder.add_block bld "done" [] Ir.Block.Halt;
   Workload.Builder.program bld ~entry:"init"
 
-let disamb_exp ~domains =
+let disamb_exp p =
   hr "Static alias certification: resource deltas at unroll 8 (JSON)";
   let unroll = 8 in
   let schemes =
@@ -1079,8 +1020,8 @@ let disamb_exp ~domains =
               scheme,
               fun certify ->
                 Exec.Matrix.of_bench
-                  ~config:{ bench_config with unroll; certify }
-                  ~scale:fig15_scale ~scheme b ))
+                  ~config:{ cli_config with unroll; certify }
+                  ~scale:p.scale ~scheme b ))
           schemes)
       Workload.Specfp.suite
   in
@@ -1090,17 +1031,17 @@ let disamb_exp ~domains =
         ( "probe",
           scheme,
           fun certify ->
-            Exec.Matrix.job ~config:{ bench_config with unroll; certify }
+            Exec.Matrix.job ~config:{ cli_config with unroll; certify }
               ~scheme
               ~label:(Printf.sprintf "probe/%s" (Smarq.Scheme.name scheme))
-              (disamb_probe_program ~iters:(200 * fig15_scale)) ))
+              (disamb_probe_program ~iters:(200 * p.scale)) ))
       schemes
   in
   let cells = suite_cells @ probe_cells in
   let jobs =
     List.concat_map (fun (_, _, mk) -> [ mk false; mk true ]) cells
   in
-  let rows = chunk 2 (run_matrix ~domains jobs) in
+  let rows = chunk 2 (run_matrix p jobs) in
   Printf.printf "%-10s %-10s %7s %7s %7s %7s %6s %6s %6s\n" "benchmark"
     "scheme" "ws off" "ws on" "ovf off" "ovf on" "cert" "saved" "fault";
   let lines = ref [] in
@@ -1182,11 +1123,8 @@ let disamb_exp ~domains =
      count: %s\n"
     !total_cert
     (String.concat ", " (List.map Smarq.Scheme.name improved));
-  let oc = open_out disamb_json_path in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.rev !lines));
-  output_string oc "\n]\n";
-  close_out oc;
+  write_file "BENCH_DISAMB.json"
+    ("[\n" ^ String.concat ",\n" (List.rev !lines) ^ "\n]\n");
   let fail msg =
     Printf.printf "FAILED: %s\n" msg;
     exit 1
@@ -1199,7 +1137,8 @@ let disamb_exp ~domains =
   if List.length improved < 2 then
     fail "expected a resource reduction on at least 2 schemes"
 
-let experiments =
+
+let all =
   [
     ("table1", table1);
     ("table2", table2);
@@ -1216,68 +1155,34 @@ let experiments =
     ("tcache", tcache_exp);
     ("translate", translate_exp);
     ("serve", serve_exp);
-    ("faults", faults_exp);
     ("disamb", disamb_exp);
     ("micro", micro);
   ]
 
-let timings_path =
-  match Sys.getenv_opt "BENCH_TIMINGS" with
-  | Some p -> p
-  | None -> "bench_timings.json"
-
-let () =
-  let rec parse names domains = function
-    | [] -> (List.rev names, domains)
-    | "-j" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some d when d >= 1 -> parse names d rest
-      | _ ->
-        Printf.eprintf "-j expects a positive integer, got %S\n" n;
-        exit 1)
-    | name :: rest -> parse (name :: names) domains rest
-  in
-  let names, domains =
-    match Array.to_list Sys.argv with
-    | _ :: args -> parse [] (Exec.Pool.default_domains ()) args
-    | [] -> ([], Exec.Pool.default_domains ())
-  in
-  let requested = if names = [] then List.map fst experiments else names in
-  let timings = ref [] in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some fn ->
-        jobs_this_experiment := 0;
-        sim_seconds_this_experiment := 0.0;
-        injected_this_experiment := 0;
-        spurious_this_experiment := 0;
-        degraded_this_experiment := 0;
-        verified_this_experiment := 0;
-        rejected_this_experiment := 0;
+(* Run [experiments] (every one when empty) in order, echo each one's
+   timing line and write them all to bench_timings.json. *)
+let run p experiments =
+  let experiments = match experiments with [] -> all | l -> l in
+  let timings =
+    List.map
+      (fun (name, fn) ->
+        tally := zero;
         let t0 = Unix.gettimeofday () in
-        fn ~domains;
+        fn p;
         let wall = Unix.gettimeofday () -. t0 in
+        let t = !tally in
         let line =
           Printf.sprintf
             "{\"experiment\":\"%s\",\"wall_s\":%.3f,\"sim_s\":%.3f,\
              \"jobs\":%d,\"domains\":%d,\"injected_faults\":%d,\
              \"spurious_rollbacks\":%d,\"degraded_regions\":%d,\
              \"verified_regions\":%d,\"rejected_regions\":%d}"
-            name wall !sim_seconds_this_experiment !jobs_this_experiment
-            domains !injected_this_experiment !spurious_this_experiment
-            !degraded_this_experiment !verified_this_experiment
-            !rejected_this_experiment
+            name wall t.sim_s t.jobs p.domains t.injected t.spurious
+            t.degraded t.verified t.rejected
         in
         print_endline line;
-        timings := line :: !timings
-      | None ->
-        Printf.eprintf "unknown experiment %s (have: %s)\n" name
-          (String.concat " " (List.map fst experiments));
-        exit 1)
-    requested;
-  let oc = open_out timings_path in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.rev !timings));
-  output_string oc "\n]\n";
-  close_out oc
+        line)
+      experiments
+  in
+  write_file "bench_timings.json"
+    ("[\n" ^ String.concat ",\n" timings ^ "\n]\n")

@@ -7,7 +7,9 @@
                                            -- fault-injected + checked
    smarq_run compare -b mesa --scale 5     -- all schemes side by side
    smarq_run region -b ammp -s smarq64     -- show an annotated region
-   smarq_run fuzz --seeds 3 --rate 0.05    -- fault campaign + report *)
+   smarq_run fuzz --seeds 3 --rate 0.05    -- fault campaign + report
+   smarq_run bench fig15 -j 2              -- regenerate a paper figure
+                                              (see Experiments) *)
 
 open Cmdliner
 
@@ -57,8 +59,8 @@ let positive_int_conv =
   let parse s =
     match int_of_string_opt s with
     | Some n when n > 0 -> Ok n
-    | Some _ -> Error (`Msg "capacity must be positive")
-    | None -> Error (`Msg (Printf.sprintf "invalid capacity %S" s))
+    | Some _ -> Error (`Msg "must be positive")
+    | None -> Error (`Msg (Printf.sprintf "invalid positive integer %S" s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
@@ -153,9 +155,7 @@ let translate_jobs_arg =
     & opt positive_int_conv 1
     & info [ "jt"; "translate-jobs" ] ~docv:"N" ~doc)
 
-(* The run configuration every subcommand starts from; each one sets
-   only the fields its own flags name. *)
-let cli_config = { Runtime.Config.default with fuel = 2_000_000_000 }
+let cli_config = Experiments.cli_config
 
 let find_bench name =
   match Workload.Specfp.find name with
@@ -163,6 +163,27 @@ let find_bench name =
   | exception Not_found ->
     Printf.eprintf "unknown benchmark %S; try `smarq_run list'\n" name;
     exit 1
+
+let bench_opt_arg =
+  let doc = "Restrict the run to one benchmark (default: the whole suite)." in
+  Arg.(
+    value & opt (some string) None & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc)
+
+let benches_of = function
+  | None -> Workload.Specfp.suite
+  | Some name -> [ find_bench name ]
+
+let report_arg what =
+  let doc = Printf.sprintf "Write the %s report to this file." what in
+  Arg.(value & opt (some string) None & info [ "report" ] ~docv:"PATH" ~doc)
+
+(* Write [contents] to the [--report] path, if one was given. *)
+let write_report report contents =
+  Option.iter
+    (fun path ->
+      Experiments.write_file path contents;
+      Printf.printf "report written to %s\n" path)
+    report
 
 let list_cmd =
   let run () =
@@ -258,14 +279,11 @@ let run_cmd =
       let _, cfg, requests =
         Exec.Translate.capture_program ~config ~scheme program
       in
-      let seq = Exec.Translate.replay ~jobs:1 ~config:cfg requests in
-      let par =
-        Exec.Translate.replay ~jobs:translate_jobs ~config:cfg requests
+      let seq, points, identical =
+        Experiments.replay_compare ~config:cfg ~jobs:[ translate_jobs ]
+          requests
       in
-      let identical =
-        List.for_all2 Exec.Translate.equal_artifact
-          seq.Exec.Translate.artifacts par.Exec.Translate.artifacts
-      in
+      let par = List.assoc translate_jobs points in
       Printf.printf
         "translate replay: %d requests, -jt 1 %.3fs, -jt %d %.3fs, \
          artifacts %s\n"
@@ -348,22 +366,6 @@ let fuzz_cmd =
     let doc = "Fault probability per region execution." in
     Arg.(value & opt rate_conv 0.05 & info [ "rate" ] ~docv:"RATE" ~doc)
   in
-  let bench_opt_arg =
-    let doc =
-      "Restrict the campaign to one benchmark (default: the whole suite)."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc)
-  in
-  let report_arg =
-    let doc = "Write the JSON-lines campaign report to this file." in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"PATH" ~doc)
-  in
   let run seeds first_seed rate bench scale certify report =
     let cfg =
       {
@@ -375,27 +377,12 @@ let fuzz_cmd =
         run = { cli_config with verify = Check.Verifier.All; certify };
       }
     in
-    let benches =
-      match bench with
-      | None -> Workload.Specfp.suite
-      | Some name -> [ find_bench name ]
-    in
-    let result = Verify.Campaign.run_benches cfg benches in
+    let result = Verify.Campaign.run_benches cfg (benches_of bench) in
     let lines =
       List.map (Verify.Campaign.json_line cfg) result.Verify.Campaign.runs
     in
     List.iter print_endline lines;
-    (match report with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        lines;
-      close_out oc;
-      Printf.printf "report written to %s\n" path);
+    write_report report (String.concat "" (List.map (fun l -> l ^ "\n") lines));
     Verify.Campaign.pp_summary Format.std_formatter result;
     Format.print_flush ();
     if not (Verify.Campaign.ok result) then exit 1
@@ -407,7 +394,7 @@ let fuzz_cmd =
           with every run checked against the interpreter oracle")
     Term.(
       const run $ seeds_arg $ first_seed_arg $ rate_arg $ bench_opt_arg
-      $ scale_arg $ certify_arg $ report_arg)
+      $ scale_arg $ certify_arg $ report_arg "JSON-lines campaign")
 
 (* Interpret until a block turns hot, then form its superblock — the
    artifact source for `region' and the mutation harness. *)
@@ -440,13 +427,6 @@ let hot_superblock program =
        fresh_id)
 
 let verify_cmd =
-  let report_arg =
-    let doc = "Write the JSON verification report to this file." in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"PATH" ~doc)
-  in
   let schemes =
     [
       Smarq.Scheme.Smarq 64;
@@ -594,28 +574,23 @@ let verify_cmd =
     List.iter
       (fun l -> Printf.printf "  BASELINE REJECTED %s\n" l)
       (List.rev !baseline_failures);
-    (match report with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      let hist_json =
-        Hashtbl.fold
-          (fun rule n acc ->
-            Printf.sprintf "{\"rule\":\"%s\",\"count\":%d}" rule n :: acc)
-          histogram []
-        |> List.sort compare
-      in
-      Printf.fprintf oc
-        "{\"verified_regions\":%d,\"rejected_regions\":%d,\
-         \"reject_histogram\":[%s],\"runs\":[%s],\"mutants\":%d,\
-         \"mutants_killed\":%d,\"mutation_runs\":[%s]}\n"
-        !verified !rejected
-        (String.concat "," hist_json)
-        (String.concat "," run_records)
-        !total_mutants !killed_mutants
-        (String.concat "," mutation_records);
-      close_out oc;
-      Printf.printf "report written to %s\n" path);
+    let hist_json =
+      Hashtbl.fold
+        (fun rule n acc ->
+          Printf.sprintf "{\"rule\":\"%s\",\"count\":%d}" rule n :: acc)
+        histogram []
+      |> List.sort compare
+    in
+    write_report report
+      (Printf.sprintf
+         "{\"verified_regions\":%d,\"rejected_regions\":%d,\
+          \"reject_histogram\":[%s],\"runs\":[%s],\"mutants\":%d,\
+          \"mutants_killed\":%d,\"mutation_runs\":[%s]}\n"
+         !verified !rejected
+         (String.concat "," hist_json)
+         (String.concat "," run_records)
+         !total_mutants !killed_mutants
+         (String.concat "," mutation_records));
     if
       !rejected > 0
       || !killed_mutants < !total_mutants
@@ -629,7 +604,7 @@ let verify_cmd =
           scheme with --verify-regions=all, then mutation-test the \
           verifier on hot-region artifacts; exit non-zero on any \
           rejected region or surviving mutant")
-    Term.(const run $ scale_arg $ jobs_arg $ report_arg)
+    Term.(const run $ scale_arg $ jobs_arg $ report_arg "JSON verification")
 
 let region_cmd =
   let run bench scheme =
@@ -681,10 +656,6 @@ let serve_cmd =
     in
     Arg.(
       value & opt positive_int_conv 64 & info [ "queue-limit" ] ~docv:"N" ~doc)
-  in
-  let batch_arg =
-    let doc = "Requests per pool dispatch, per tenant (1 = no batching)." in
-    Arg.(value & opt positive_int_conv 1 & info [ "batch" ] ~docv:"N" ~doc)
   in
   let clients_arg =
     let doc = "Closed-loop pipeline depth (ignored with $(b,--rate))." in
@@ -742,47 +713,24 @@ let serve_cmd =
       & opt (some positive_int_conv) None
       & info [ "deadline-blocks" ] ~docv:"N" ~doc)
   in
-  let report_arg =
-    let doc = "Write the JSON service report to this file." in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"PATH" ~doc)
-  in
-  let bench_opt_arg =
-    let doc =
-      "Restrict the workload to one benchmark (default: the whole suite)."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "b"; "benchmark" ] ~docv:"NAME" ~doc)
-  in
-  let run requests tenants domains queue_limit batch clients rate private_cache
+  let run requests tenants domains queue_limit clients rate private_cache
       tenant_budget shard_policy scale bench scheme fault_seed fault_rate
       deadline_s deadline_blocks report =
-    let benches =
-      match bench with
-      | None -> Workload.Specfp.suite
-      | Some name -> [ find_bench name ]
-    in
     let jobs =
       Array.of_list
         (List.map
-           (fun b ->
-             Exec.Matrix.of_bench ~config:cli_config ~scale ~scheme b)
-           benches)
+           (fun b -> Exec.Matrix.of_bench ~config:cli_config ~scale ~scheme b)
+           (benches_of bench))
     in
     let config =
       {
-        Serve.Server.domains;
+        Serve.Server.default_config with
+        domains;
         queue_limit;
-        batch;
         shard_policy;
         tenant_budget;
       }
     in
-    let server = Serve.Server.create ~config () in
     let mode =
       match rate with
       | Some rate -> Serve.Loadgen.Open { rate }
@@ -809,33 +757,15 @@ let serve_cmd =
         jobs;
       }
     in
-    let res = Serve.Loadgen.run server spec in
-    Serve.Server.shutdown server;
+    let res = Experiments.serve ~config spec in
     let r = res.Serve.Loadgen.report in
     Printf.printf
       "served %d requests on %d domains (%d tenants, %s loop): %.2f req/s\n"
-      r.Serve.Server.completed domains tenants
-      (match mode with
-      | Serve.Loadgen.Open _ -> "open"
-      | Serve.Loadgen.Closed _ -> "closed")
+      r.Serve.Server.completed domains tenants (Experiments.mode_name mode)
       res.Serve.Loadgen.throughput_rps;
     Format.printf "%a@." Serve.Server.pp_report r;
     Format.print_flush ();
-    (match report with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"domains\":%d,\"tenants\":%d,\"elapsed_s\":%.6f,\
-         \"throughput_rps\":%.3f,%s\"report\":%s}\n"
-        domains tenants res.Serve.Loadgen.elapsed_s
-        res.Serve.Loadgen.throughput_rps
-        (match res.Serve.Loadgen.offered_rps with
-        | Some r -> Printf.sprintf "\"offered_rps\":%.3f," r
-        | None -> "")
-        (Serve.Server.report_json r);
-      close_out oc;
-      Printf.printf "report written to %s\n" path);
+    write_report report (Experiments.serve_json ~config ~spec res ^ "\n");
     if r.Serve.Server.errors > 0 then exit 1
   in
   Cmd.v
@@ -847,10 +777,51 @@ let serve_cmd =
           (admission rejections are not errors)")
     Term.(
       const run $ requests_arg $ tenants_arg $ jobs_arg $ queue_limit_arg
-      $ batch_arg $ clients_arg $ arrival_rate_arg $ private_cache_arg
+      $ clients_arg $ arrival_rate_arg $ private_cache_arg
       $ tenant_budget_arg $ shard_policy_arg $ scale_arg $ bench_opt_arg
       $ scheme_arg $ fault_seed_arg $ fault_rate_arg $ deadline_s_arg
-      $ deadline_blocks_arg $ report_arg)
+      $ deadline_blocks_arg $ report_arg "JSON service")
+
+let bench_cmd =
+  let experiments_arg =
+    let doc =
+      Printf.sprintf "Experiments to run, in order (default: all of them): %s."
+        (String.concat ", " (List.map fst Experiments.all))
+    in
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun e -> (fst e, e)) Experiments.all)) []
+      & info [] ~docv:"EXPERIMENT" ~doc)
+  in
+  let scale_arg =
+    let doc =
+      "Workload scale of the Figure 15 family (fig15, fig16, disamb; \
+       fig18 runs at 10x).  The figures need the default."
+    in
+    Arg.(value & opt positive_int_conv 40 & info [ "scale" ] ~docv:"N" ~doc)
+  in
+  let reps_arg =
+    let doc = "Replays of the captured batch per $(b,translate) point." in
+    Arg.(value & opt positive_int_conv 3 & info [ "reps" ] ~docv:"N" ~doc)
+  in
+  let requests_arg =
+    let doc = "Requests per $(b,serve) load point." in
+    Arg.(
+      value & opt positive_int_conv 48 & info [ "requests" ] ~docv:"N" ~doc)
+  in
+  let run experiments domains scale reps requests =
+    Experiments.run { Experiments.domains; scale; reps; requests } experiments
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's evaluation (Section 6): run the named \
+          experiments, print their tables, write bench_timings.json (and \
+          BENCH_TRANSLATE.json, BENCH_SERVE.json, BENCH_DISAMB.json for \
+          those experiments) in the working directory")
+    Term.(
+      const run $ experiments_arg $ jobs_arg $ scale_arg $ reps_arg
+      $ requests_arg)
 
 let () =
   let info =
@@ -868,4 +839,5 @@ let () =
             fuzz_cmd;
             verify_cmd;
             serve_cmd;
+            bench_cmd;
           ]))

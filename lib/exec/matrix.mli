@@ -39,9 +39,11 @@ val of_bench :
     ["bench/scheme"]. *)
 
 val run_job : job -> outcome
-(** Run one job in the calling domain — the deterministic unit both
-    {!run_matrix} and the serve subsystem's matrix client fan out, so
-    the two paths are bit-identical by construction. *)
+(** Run one job in the calling domain: the deterministic unit
+    {!run_matrix} fans out.  The serve subsystem's matrix client makes
+    the same {!Smarq.run_program} call through its own request path;
+    the test suite checks that both give the same stats and final
+    guest state. *)
 
 val run_matrix : ?domains:int -> job list -> outcome list
 (** Run every job, using up to [domains] domains (default

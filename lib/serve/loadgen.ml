@@ -63,13 +63,9 @@ let run_closed server spec clients =
     | `Accepted ticket -> Queue.push ticket outstanding
     | `Rejected -> ()
     (* only when clients > queue_limit; the pipeline shrinks *));
-    if Queue.length outstanding >= clients then begin
-      (* flush before blocking, or a partial batch deadlocks us *)
-      Server.flush server;
+    if Queue.length outstanding >= clients then
       ignore (Server.await (Queue.pop outstanding))
-    end
   done;
-  Server.flush server;
   Queue.iter (fun ticket -> ignore (Server.await ticket)) outstanding
 
 let run_open server spec rate =
@@ -83,7 +79,6 @@ let run_open server spec rate =
     | `Accepted ticket -> accepted := ticket :: !accepted
     | `Rejected -> ()
   done;
-  Server.flush server;
   List.iter (fun ticket -> ignore (Server.await ticket)) !accepted
 
 let run server spec =

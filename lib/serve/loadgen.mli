@@ -32,7 +32,6 @@ type result = {
 
 val run : Server.t -> spec -> result
 (** Issue [spec.requests] requests and block until every accepted one
-    has replied.  Flushes partial batches before blocking, so any
-    [batch] setting is deadlock-free.  Raises [Invalid_argument] on a
-    non-positive pipeline/rate/tenant count or an empty job array.  The
+    has replied.  Raises [Invalid_argument] on a non-positive
+    pipeline/rate/tenant count or an empty job array.  The
     server is left running — callers shut it down. *)

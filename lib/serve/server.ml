@@ -1,15 +1,12 @@
-(* The translation service: accept requests, admit or reject, batch,
-   run on the domain pool, record latency.
+(* The translation service: accept requests, admit or reject, run on
+   the domain pool, record latency.
 
    One request = one full dynamic-optimization run (interpret, profile,
    translate, cache, execute) of one guest program under one scheme.
    Admission is a single bounded count of accepted-but-unfinished
    requests; everything past the bound is rejected at submit time with
-   no queue entry, which is the backpressure signal.  Accepted requests
-   buffer into per-tenant batches of [cfg.batch] and each full batch is
-   dispatched to the pool as one job, running its requests back to back
-   on one worker (amortizing dispatch overhead and giving consecutive
-   same-tenant requests shard affinity for free).
+   no queue entry, which is the backpressure signal.  Every accepted
+   request is dispatched to the pool as its own job.
 
    Latency is recorded per request in four slices, all through
    [Runtime.Percentiles]: queue wait (submit -> worker pickup), service
@@ -68,18 +65,13 @@ type reply = {
   injected : int;
 }
 
-(* [ticket] carries its server and tenant so [await] can flush the
-   awaited request's partial batch instead of deadlocking against the
-   caller. *)
 type ticket = {
   tm : Mutex.t;
   tc : Condition.t;
   mutable reply : reply option;
-  t_server : t;
-  t_tenant : string;
 }
 
-and pending = {
+type pending = {
   p_request : request;
   p_ticket : ticket;
   p_submitted : float;
@@ -87,13 +79,12 @@ and pending = {
                    fault-seed offset *)
 }
 
-and t = {
+type t = {
   cfg : config;
   pool : Exec.Pool.t;
   shards : Runtime.Driver.cache Shards.t;
   inflight : int Atomic.t;  (* accepted and not yet finished *)
   m : Mutex.t;  (* guards everything below *)
-  buffers : (string, pending Queue.t) Hashtbl.t;  (* per-tenant batches *)
   mutable next_rid : int;
   mutable closed : bool;
   mutable submitted : int;
@@ -112,7 +103,7 @@ and t = {
 let create ?(config = default_config) () =
   if config.queue_limit < 1 then
     invalid_arg "Serve.Server.create: queue_limit < 1";
-  if config.batch < 1 then invalid_arg "Serve.Server.create: batch < 1";
+  if config.batch <> 1 then invalid_arg "Serve.Server.create: batch <> 1";
   {
     cfg = config;
     pool = Exec.Pool.create ~domains:config.domains ();
@@ -129,7 +120,6 @@ let create ?(config = default_config) () =
         ();
     inflight = Atomic.make 0;
     m = Mutex.create ();
-    buffers = Hashtbl.create 8;
     next_rid = 0;
     closed = false;
     submitted = 0;
@@ -176,54 +166,48 @@ let deadline_hooks (p : pending) (d : deadline) base =
           !calls land 63 = 0 && Unix.gettimeofday () > abs);
   }
 
-(* One driver run, on worker [worker].  The plain path (no fault, no
-   shard, no deadline) runs the exact batch-mode job function, which is
-   what makes the matrix client bit-identical to
-   [Exec.Matrix.run_matrix]; every other path adds the shard, the
-   per-request fault plan and the deadline hooks to the same
-   [Smarq.run_program] call, under the job's whole config. *)
+(* One driver run, on worker [worker]: the shard (when shared), the
+   per-request fault plan and the deadline hooks all go into one
+   [Smarq.run_program] call under the job's whole config.  A plain
+   request (no fault, no shard, no deadline) is the same call
+   [Exec.Matrix.run_job] makes. *)
 let run_one t ~worker (p : pending) =
   let rq = p.p_request in
   let j = rq.job in
-  match (rq.fault, rq.shared_cache, rq.deadline) with
-  | None, false, None ->
-    let o = Exec.Matrix.run_job j in
-    (o.Exec.Matrix.result, o.Exec.Matrix.wall_seconds, 0)
-  | fault, shared, deadline ->
-    let plan =
-      Option.map
-        (fun f ->
-          (* seed + rid: each request replays its own deterministic
-             campaign, fixed by the submission sequence *)
-          Verify.Fault.plan ~seed:(f.fault_seed + p.p_rid) ~rate:f.fault_rate
-            ())
-        fault
-    in
-    let base_hooks =
-      match plan with
-      | Some plan -> Verify.Fault.hooks plan
-      | None -> Runtime.Driver.no_hooks
-    in
-    let hooks =
-      match deadline with
-      | None -> base_hooks
-      | Some d -> deadline_hooks p d base_hooks
-    in
-    let tcache =
-      if shared then Some (Shards.shard t.shards ~tenant:(shard_key rq) ~worker)
-      else None
-    in
-    let program = j.Exec.Matrix.program () in
-    let t0 = Unix.gettimeofday () in
-    let result =
-      Smarq.run_program ~config:j.Exec.Matrix.config ?tcache ~hooks
-        ~scheme:j.Exec.Matrix.scheme program
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let injected =
-      match plan with Some p -> Verify.Fault.total_injected p | None -> 0
-    in
-    (result, wall, injected)
+  let plan =
+    Option.map
+      (fun f ->
+        (* seed + rid: each request replays its own deterministic
+           campaign, fixed by the submission sequence *)
+        Verify.Fault.plan ~seed:(f.fault_seed + p.p_rid) ~rate:f.fault_rate ())
+      rq.fault
+  in
+  let base_hooks =
+    match plan with
+    | Some plan -> Verify.Fault.hooks plan
+    | None -> Runtime.Driver.no_hooks
+  in
+  let hooks =
+    match rq.deadline with
+    | None -> base_hooks
+    | Some d -> deadline_hooks p d base_hooks
+  in
+  let tcache =
+    if rq.shared_cache then
+      Some (Shards.shard t.shards ~tenant:(shard_key rq) ~worker)
+    else None
+  in
+  let program = j.Exec.Matrix.program () in
+  let t0 = Unix.gettimeofday () in
+  let result =
+    Smarq.run_program ~config:j.Exec.Matrix.config ?tcache ~hooks
+      ~scheme:j.Exec.Matrix.scheme program
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  let injected =
+    match plan with Some p -> Verify.Fault.total_injected p | None -> 0
+  in
+  (result, wall, injected)
 
 (* One request, one run, one resolution: [Timed_out] when the run
    outlived its deadline budget, [Done] for any other outcome, [Failed]
@@ -277,28 +261,6 @@ let exec_one t ~worker (p : pending) =
   Condition.broadcast p.p_ticket.tc;
   Mutex.unlock p.p_ticket.tm
 
-let dispatch t batch =
-  Exec.Pool.submit t.pool (fun worker ->
-      List.iter (exec_one t ~worker) batch)
-
-(* callers hold t.m *)
-let drain_buffer t tenant q =
-  if not (Queue.is_empty q) then begin
-    let batch = List.of_seq (Queue.to_seq q) in
-    Queue.clear q;
-    Hashtbl.remove t.buffers tenant;
-    dispatch t batch
-  end
-
-let flush t =
-  Mutex.lock t.m;
-  let tenants =
-    Hashtbl.fold (fun tenant q acc -> (tenant, q) :: acc) t.buffers []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter (fun (tenant, q) -> drain_buffer t tenant q) tenants;
-  Mutex.unlock t.m
-
 let submit t request =
   let n = Atomic.fetch_and_add t.inflight 1 in
   if n >= t.cfg.queue_limit then begin
@@ -321,53 +283,28 @@ let submit t request =
       `Rejected
     end
     else begin
-    let ticket =
-      {
-        tm = Mutex.create ();
-        tc = Condition.create ();
-        reply = None;
-        t_server = t;
-        t_tenant = request.tenant;
-      }
-    in
-    let p =
-      {
-        p_request = request;
-        p_ticket = ticket;
-        p_submitted = Unix.gettimeofday ();
-        p_rid = t.next_rid;
-      }
-    in
-    t.next_rid <- t.next_rid + 1;
-    t.submitted <- t.submitted + 1;
-    let q =
-      match Hashtbl.find_opt t.buffers request.tenant with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.replace t.buffers request.tenant q;
-        q
-    in
-    Queue.push p q;
-    if Queue.length q >= t.cfg.batch then drain_buffer t request.tenant q;
-    Mutex.unlock t.m;
-    `Accepted ticket
+      let ticket =
+        { tm = Mutex.create (); tc = Condition.create (); reply = None }
+      in
+      let p =
+        {
+          p_request = request;
+          p_ticket = ticket;
+          p_submitted = Unix.gettimeofday ();
+          p_rid = t.next_rid;
+        }
+      in
+      t.next_rid <- t.next_rid + 1;
+      t.submitted <- t.submitted + 1;
+      (* dispatched under [t.m], so a concurrent [shutdown] cannot close
+         the pool between the [closed] check and the submission *)
+      Exec.Pool.submit t.pool (fun worker -> exec_one t ~worker p);
+      Mutex.unlock t.m;
+      `Accepted ticket
     end
   end
 
 let await ticket =
-  (* If the awaited request is still sitting in its tenant's partial
-     batch, dispatch that batch now: blocking on a buffered request
-     would otherwise deadlock the caller against its own undelivered
-     work (the callers-must-remember-[flush] footgun). *)
-  let s = ticket.t_server in
-  Mutex.lock s.m;
-  (match Hashtbl.find_opt s.buffers ticket.t_tenant with
-  | Some q when Queue.fold (fun acc p -> acc || p.p_ticket == ticket) false q
-    ->
-    drain_buffer s ticket.t_tenant q
-  | _ -> ());
-  Mutex.unlock s.m;
   Mutex.lock ticket.tm;
   let rec wait () =
     match ticket.reply with
@@ -386,25 +323,15 @@ let inflight t = Atomic.get t.inflight
 
 let shutdown t =
   Mutex.lock t.m;
-  let already = t.closed in
   t.closed <- true;
-  if not already then begin
-    (* dispatch the partial batches so shutdown drains them too *)
-    let tenants =
-      Hashtbl.fold (fun tenant q acc -> (tenant, q) :: acc) t.buffers []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    List.iter (fun (tenant, q) -> drain_buffer t tenant q) tenants
-  end;
   Mutex.unlock t.m;
   (* idempotent and drains in-flight work; see Exec.Pool *)
   Exec.Pool.shutdown t.pool
 
 (* The matrix as a service client: every job becomes one fresh-cache
-   no-fault request (so the worker executes [Exec.Matrix.run_job]
-   verbatim), the queue bound admits all of them, and the outcomes are
-   awaited in job-list order — the same semantics as
-   [Exec.Matrix.run_matrix], bit-identical modulo wall clocks. *)
+   no-fault request, the queue bound admits all of them, and the
+   outcomes are awaited in job-list order — the same semantics as
+   [Exec.Matrix.run_matrix]. *)
 let run_matrix ?domains jobs =
   let domains =
     match domains with Some d -> d | None -> Exec.Pool.default_domains ()
@@ -414,7 +341,6 @@ let run_matrix ?domains jobs =
       default_config with
       domains;
       queue_limit = max 1 (List.length jobs);
-      batch = 1;
     }
   in
   let t = create ~config () in

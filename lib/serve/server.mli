@@ -14,12 +14,6 @@
     draining server degrades gracefully.  Rejections are counted
     separately from errors in the {!report}.
 
-    {b Batching}: accepted requests buffer per tenant and dispatch to
-    the pool in groups of [batch] (default 1 = no batching); a partial
-    batch is dispatched by {!flush}, {!shutdown}, or by {!await} itself
-    when the awaited request is still buffered, so blocking on a ticket
-    cannot deadlock against the caller's own undelivered batch.
-
     {b Caching}: a request with [shared_cache = true] runs against the
     tenant's per-worker shard ({!Shards}), so its hot regions stay
     translated across requests; [shared_cache = false] gives the
@@ -59,7 +53,11 @@ type deadline = {
 type config = {
   domains : int;  (** worker domains in the pool *)
   queue_limit : int;  (** max accepted-but-unfinished requests *)
-  batch : int;  (** requests per pool dispatch, per tenant *)
+  batch : int;
+      (** must be 1.  Requests are not batched; the field stays only
+          because the frozen repository benchmark builds this record
+          with [{ default_config with ... }] naming every other field,
+          which the compiler rejects once nothing is left for [with]. *)
   shard_policy : Tcache.Policy.t;  (** eviction policy of every shard *)
   tenant_budget : int option;
       (** per-shard capacity (scheduled-region instructions): the
@@ -104,24 +102,19 @@ type ticket
 type t
 
 val create : ?config:config -> unit -> t
-(** Raises [Invalid_argument] on [queue_limit < 1] or [batch < 1]. *)
+(** Raises [Invalid_argument] on [queue_limit < 1] or [batch <> 1]. *)
 
 val submit : t -> request -> [ `Accepted of ticket | `Rejected ]
 (** Never blocks, never raises: a full queue and a shut-down server
-    both reject (counted). *)
-
-val flush : t -> unit
-(** Dispatch every partial per-tenant batch now. *)
+    both reject (counted).  An accepted request is dispatched to the
+    pool at once. *)
 
 val await : ticket -> reply
-(** Block until the request finishes.  If the request is still sitting
-    in its tenant's partial batch, that batch is dispatched first — no
-    prior {!flush} required. *)
+(** Block until the request finishes. *)
 
 val shutdown : t -> unit
-(** Dispatch partial batches, drain every accepted request, join the
-    pool.  Idempotent; concurrent callers all block until the single
-    drain completes. *)
+(** Drain every accepted request and join the pool.  Idempotent;
+    concurrent callers all block until the single drain completes. *)
 
 val shards_telemetry : ?tenant:string -> t -> Tcache.Telemetry.t
 (** Aggregate shard telemetry, optionally for one shard key (note shard
@@ -135,9 +128,10 @@ val inflight : t -> int
 val run_matrix : ?domains:int -> Exec.Matrix.job list -> Exec.Matrix.outcome list
 (** {!Exec.Matrix.run_matrix} as a service client: one fresh-cache
     no-fault request per job on a private server, outcomes in job-list
-    order, first job exception re-raised.  Results are bit-identical to
-    the batch path because workers execute the same
-    {!Exec.Matrix.run_job} unit. *)
+    order, first job exception re-raised.  Each request is the same
+    {!Smarq.run_program} call {!Exec.Matrix.run_job} makes, so the
+    results match the batch path; the test suite checks stats and
+    final guest state. *)
 
 type report = {
   submitted : int;  (** accepted requests *)

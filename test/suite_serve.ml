@@ -268,26 +268,46 @@ let one_job () =
     (Workload.Specfp.find "wupwise")
 
 let test_serve_admission_control () =
-  (* batch=2 parks the first request in a partial batch, so the second
-     submission deterministically finds the queue full *)
+  (* the first request's program thunk blocks until the test releases
+     it, so the second submission deterministically finds the queue
+     full *)
   let config =
-    { Serve.Server.default_config with domains = 1; queue_limit = 1; batch = 2 }
+    { Serve.Server.default_config with domains = 1; queue_limit = 1 }
   in
   let server = Serve.Server.create ~config () in
-  let rq =
-    { Serve.Server.tenant = "t0"; job = one_job (); shared_cache = true;
-      fault = None; deadline = None }
+  let m = Mutex.create () and c = Condition.create () in
+  let released = ref false in
+  let job = one_job () in
+  let held =
+    {
+      job with
+      Exec.Matrix.program =
+        (fun () ->
+          Mutex.lock m;
+          while not !released do
+            Condition.wait c m
+          done;
+          Mutex.unlock m;
+          job.Exec.Matrix.program ());
+    }
+  in
+  let rq job =
+    { Serve.Server.tenant = "t0"; job; shared_cache = true; fault = None;
+      deadline = None }
   in
   let t1 =
-    match Serve.Server.submit server rq with
+    match Serve.Server.submit server (rq held) with
     | `Accepted t -> t
     | `Rejected -> Alcotest.fail "first submission rejected"
   in
-  (match Serve.Server.submit server rq with
+  (match Serve.Server.submit server (rq job) with
   | `Rejected -> ()
   | `Accepted _ -> Alcotest.fail "queue_limit not enforced");
   Alcotest.(check int) "inflight" 1 (Serve.Server.inflight server);
-  Serve.Server.flush server;
+  Mutex.lock m;
+  released := true;
+  Condition.broadcast c;
+  Mutex.unlock m;
   let reply = Serve.Server.await t1 in
   Alcotest.(check bool) "request succeeded" true
     (match reply.Serve.Server.resolution with
@@ -432,7 +452,7 @@ let test_loadgen_closed_loop () =
     (Serve.Server.shard_count server >= 2)
 
 
-(* ---- server: deadlines, shutdown rejection, await-flush ---- *)
+(* ---- server: deadlines, shutdown rejection ---- *)
 
 let test_serve_deadline_timeout () =
   let config = { Serve.Server.default_config with domains = 1 } in
@@ -491,29 +511,6 @@ let test_serve_submit_after_shutdown_rejected () =
   let r = Serve.Server.report server in
   Alcotest.(check int) "rejection counted" 1 r.Serve.Server.rejected;
   Alcotest.(check int) "nothing accepted" 0 r.Serve.Server.submitted
-
-let test_serve_await_flushes_own_batch () =
-  (* batch=4 parks the request in a partial batch; await alone must
-     dispatch it rather than deadlock on the undelivered batch *)
-  let config = { Serve.Server.default_config with domains = 1; batch = 4 } in
-  let server = Serve.Server.create ~config () in
-  let rq =
-    { Serve.Server.tenant = "t0"; job = one_job (); shared_cache = true;
-      fault = None; deadline = None }
-  in
-  let t =
-    match Serve.Server.submit server rq with
-    | `Accepted t -> t
-    | `Rejected -> Alcotest.fail "rejected"
-  in
-  let reply = Serve.Server.await t in
-  (match reply.Serve.Server.resolution with
-  | Serve.Server.Done _ -> ()
-  | _ -> Alcotest.fail "expected Done");
-  Serve.Server.shutdown server;
-  let r = Serve.Server.report server in
-  Alcotest.(check int) "completed without an explicit flush" 1
-    r.Serve.Server.completed
 
 let test_serve_failed_then_done () =
   (* one worker: the raising request must not take the worker down, so
@@ -629,8 +626,6 @@ let suite =
         test_serve_deadline_timeout;
       case "server: submit after shutdown rejects"
         test_serve_submit_after_shutdown_rejected;
-      case "server: await dispatches its own partial batch"
-        test_serve_await_flushes_own_batch;
       case "server: a raising run resolves Failed, the worker serves on"
         test_serve_failed_then_done;
       case "server: a certified job stays certified on a shared shard"
