@@ -7,7 +7,7 @@
                                            -- fault-injected + checked
    smarq_run compare -b mesa --scale 5     -- all schemes side by side
    smarq_run region -b ammp -s smarq64     -- show an annotated region
-   smarq_run fuzz --seeds 3 --rate 0.05    -- fault campaign + report
+   smarq_run verify -j 2 --report r.json   -- soundness campaign + report
    smarq_run bench fig15 -j 2              -- regenerate a paper figure
                                               (see Experiments) *)
 
@@ -122,8 +122,8 @@ let verify_mode_conv =
 
 let verify_regions_arg =
   let doc =
-    "Static translation validation: $(b,off), $(b,sample) (a deterministic \
-     subset of built regions), or $(b,all).  A region that fails \
+    "Static translation validation: $(b,off) or $(b,all) (every built \
+     region).  A region that fails \
      validation is never executed — its label degrades to \
      interpreter-only execution and the violated rules are counted in \
      the reject histogram; any rejection makes the command exit \
@@ -258,17 +258,14 @@ let run_cmd =
       | Runtime.Driver.Fuel_exhausted | Runtime.Driver.Deadline_exceeded ->
         prerr_endline "oracle: skipped (run did not complete)";
         exit 2
-      | Runtime.Driver.Completed ->
-        let oracle_m = Verify.Oracle.reference program in
-        if Vliw.Machine.equal_guest_state oracle_m r.Runtime.Driver.machine
-        then print_endline "oracle: final guest state matches the interpreter"
-        else begin
+      | Runtime.Driver.Completed -> (
+        match Verify.Oracle.divergence (Verify.Oracle.reference program) r with
+        | [] ->
+          print_endline "oracle: final guest state matches the interpreter"
+        | diffs ->
           prerr_endline "oracle: DIVERGENCE from the interpreter:";
-          List.iter
-            (fun d -> Printf.eprintf "  %s\n" d)
-            (Vliw.Machine.diff_guest_state oracle_m r.Runtime.Driver.machine);
-          exit 1
-        end
+          List.iter (fun d -> Printf.eprintf "  %s\n" d) diffs;
+          exit 1)
     end;
     if translate_jobs > 1 then begin
       (* Replay the run's translations over the pool and hold the
@@ -353,9 +350,11 @@ let compare_cmd =
       const run $ bench_arg $ scale_arg $ tcache_policy_arg
       $ tcache_capacity_arg $ jobs_arg)
 
-let fuzz_cmd =
+let verify_cmd =
   let seeds_arg =
-    let doc = "Number of fault seeds per (benchmark, scheme) cell." in
+    let doc =
+      "Number of fault seeds per (benchmark, scheme, certify) cell."
+    in
     Arg.(value & opt positive_int_conv 3 & info [ "seeds" ] ~docv:"N" ~doc)
   in
   let first_seed_arg =
@@ -366,20 +365,17 @@ let fuzz_cmd =
     let doc = "Fault probability per region execution." in
     Arg.(value & opt rate_conv 0.05 & info [ "rate" ] ~docv:"RATE" ~doc)
   in
-  let run seeds first_seed rate bench scale certify report =
+  let run bench scale seeds first_seed rate domains report =
     let cfg =
       {
-        Verify.Campaign.default_config with
-        Verify.Campaign.seeds =
-          List.init seeds (fun i -> first_seed + i);
+        Verify.Campaign.seeds = List.init seeds (fun i -> first_seed + i);
         rate;
         scale;
-        run = { cli_config with verify = Check.Verifier.All; certify };
       }
     in
-    let result = Verify.Campaign.run_benches cfg (benches_of bench) in
+    let result = Verify.Campaign.run ~domains cfg (benches_of bench) in
     let lines =
-      List.map (Verify.Campaign.json_line cfg) result.Verify.Campaign.runs
+      List.map Verify.Campaign.json_line result.Verify.Campaign.runs
     in
     List.iter print_endline lines;
     write_report report (String.concat "" (List.map (fun l -> l ^ "\n") lines));
@@ -388,241 +384,37 @@ let fuzz_cmd =
     if not (Verify.Campaign.ok result) then exit 1
   in
   Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Fault-injection campaign: a (benchmark x scheme x seed) matrix \
-          with every run checked against the interpreter oracle")
-    Term.(
-      const run $ seeds_arg $ first_seed_arg $ rate_arg $ bench_opt_arg
-      $ scale_arg $ certify_arg $ report_arg "JSON-lines campaign")
-
-(* Interpret until a block turns hot, then form its superblock — the
-   artifact source for `region' and the mutation harness. *)
-let hot_superblock program =
-  let profiler = Frontend.Profiler.create () in
-  let machine = Vliw.Machine.create () in
-  let rec warm label steps =
-    if steps > 5000 then ()
-    else begin
-      Frontend.Profiler.note_execution profiler label;
-      match
-        Frontend.Interp.exec_block machine (Ir.Program.block program label)
-      with
-      | Some next -> warm next (steps + 1)
-      | None -> ()
-    end
-  in
-  warm program.Ir.Program.entry 0;
-  match
-    List.find_opt
-      (fun l -> Frontend.Profiler.is_hot profiler l)
-      (Ir.Program.labels program)
-  with
-  | None -> None
-  | Some seed ->
-    let liveness = Frontend.Liveness.analyze program in
-    let fresh_id = ref (Ir.Program.max_instr_id program + 1) in
-    Some
-      (Frontend.Region_form.form ~program ~liveness ~profiler ~fresh_id seed,
-       fresh_id)
-
-let verify_cmd =
-  let schemes =
-    [
-      Smarq.Scheme.Smarq 64;
-      Smarq.Scheme.Smarq 16;
-      Smarq.Scheme.Smarq_no_store_reorder 64;
-      Smarq.Scheme.Naive_order 64;
-      Smarq.Scheme.Alat;
-      Smarq.Scheme.Efficeon;
-      Smarq.Scheme.None_;
-    ]
-  in
-  let certify_schemes =
-    [
-      Smarq.Scheme.Smarq 64;
-      Smarq.Scheme.Smarq 16;
-      Smarq.Scheme.Alat;
-      Smarq.Scheme.Efficeon;
-    ]
-  in
-  let run scale domains report =
-    (* phase 1: the full bench x scheme matrix under --verify-regions=all *)
-    let config = { cli_config with verify = Check.Verifier.All } in
-    let jobs =
-      List.concat_map
-        (fun (b : Workload.Specfp.bench) ->
-          List.map
-            (fun s ->
-              Exec.Matrix.of_bench ~config ~scale ~scheme:s b)
-            schemes
-          @ List.map
-              (fun s ->
-                (* certification changes the dependence graphs the
-                   verifier replays; every certified region must still
-                   pass, witnesses included *)
-                Exec.Matrix.job
-                  ~config:{ config with certify = true }
-                  ~scheme:s
-                  ~label:
-                    (Printf.sprintf "%s/%s+cert" b.Workload.Specfp.name
-                       (Smarq.Scheme.name s))
-                  (fun () -> Workload.Specfp.program ~scale b))
-              certify_schemes)
-        Workload.Specfp.suite
-    in
-    let outcomes = Exec.Matrix.run_matrix ~domains jobs in
-    let verified = ref 0 and rejected = ref 0 in
-    let histogram : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let run_records =
-      List.map
-        (fun (o : Exec.Matrix.outcome) ->
-          let st = o.Exec.Matrix.result.Runtime.Driver.stats in
-          verified := !verified + st.Runtime.Stats.verified_regions;
-          rejected := !rejected + st.Runtime.Stats.rejected_regions;
-          List.iter
-            (fun (rule, n) ->
-              Hashtbl.replace histogram rule
-                (n + Option.value (Hashtbl.find_opt histogram rule) ~default:0))
-            (Runtime.Stats.reject_histogram st);
-          Printf.sprintf
-            "{\"label\":\"%s\",\"verified_regions\":%d,\
-             \"rejected_regions\":%d}"
-            o.Exec.Matrix.job.Exec.Matrix.label
-            st.Runtime.Stats.verified_regions
-            st.Runtime.Stats.rejected_regions)
-        outcomes
-    in
-    Printf.printf "bench matrix: %d runs, %d regions verified, %d rejected\n"
-      (List.length outcomes) !verified !rejected;
-    Hashtbl.iter
-      (fun rule n -> Printf.printf "  %-24s %d\n" rule n)
-      histogram;
-    (* phase 2: mutation testing over one hot-region artifact per
-       (benchmark, scheme) cell *)
-    let latency = Vliw.Config.latency Vliw.Config.default in
-    let total_mutants = ref 0 and killed_mutants = ref 0 in
-    let baseline_failures = ref [] in
-    let survivors = ref [] in
-    let mutation_records =
-      List.concat_map
-        (fun (b : Workload.Specfp.bench) ->
-          let program = Workload.Specfp.program ~scale b in
-          match hot_superblock program with
-          | None -> []
-          | Some (sb, fresh_id) ->
-            let cells =
-              List.map
-                (fun scheme ->
-                  ( Smarq.Scheme.name scheme,
-                    (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy,
-                    sb ))
-                schemes
-              @
-              (* certified cells on an unrolled body: unrolling creates
-                 the cross-iteration may-alias pairs the certifier
-                 proves, so these artifacts carry witnesses and exercise
-                 the witness-corruption mutants *)
-              match Opt.Unroll.unroll ~factor:4 ~fresh_id sb with
-              | None -> []
-              | Some sb4 ->
-                List.map
-                  (fun scheme ->
-                    ( Smarq.Scheme.name scheme ^ "+cert",
-                      Sched.Policy.with_certify
-                        (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy,
-                      sb4 ))
-                  certify_schemes
-            in
-            List.map
-              (fun (scheme_label, policy, sb) ->
-                let label =
-                  Printf.sprintf "%s/%s" b.Workload.Specfp.name scheme_label
-                in
-                let o =
-                  Opt.Optimizer.optimize ~policy ~issue_width:4 ~mem_ports:2
-                    ~latency ~fresh_id sb
-                in
-                let s =
-                  Check.Mutate.run ~issue_width:4 ~mem_ports:2 ~latency o
-                in
-                total_mutants := !total_mutants + s.Check.Mutate.total;
-                killed_mutants := !killed_mutants + s.Check.Mutate.killed;
-                if not s.Check.Mutate.baseline_pass then
-                  baseline_failures := label :: !baseline_failures;
-                List.iter
-                  (fun (oc : Check.Mutate.outcome) ->
-                    if not oc.Check.Mutate.killed then
-                      survivors :=
-                        Printf.sprintf "%s/%s" label
-                          (Check.Mutate.mutation_name oc.Check.Mutate.mutation)
-                        :: !survivors)
-                  s.Check.Mutate.outcomes;
-                Printf.sprintf
-                  "{\"label\":\"%s\",\"baseline_pass\":%b,\"mutants\":%d,\
-                   \"killed\":%d}"
-                  label s.Check.Mutate.baseline_pass s.Check.Mutate.total
-                  s.Check.Mutate.killed)
-              cells)
-        Workload.Specfp.suite
-    in
-    Printf.printf "mutation harness: %d mutants, %d killed\n" !total_mutants
-      !killed_mutants;
-    List.iter
-      (fun l -> Printf.printf "  SURVIVED %s\n" l)
-      (List.rev !survivors);
-    List.iter
-      (fun l -> Printf.printf "  BASELINE REJECTED %s\n" l)
-      (List.rev !baseline_failures);
-    let hist_json =
-      Hashtbl.fold
-        (fun rule n acc ->
-          Printf.sprintf "{\"rule\":\"%s\",\"count\":%d}" rule n :: acc)
-        histogram []
-      |> List.sort compare
-    in
-    write_report report
-      (Printf.sprintf
-         "{\"verified_regions\":%d,\"rejected_regions\":%d,\
-          \"reject_histogram\":[%s],\"runs\":[%s],\"mutants\":%d,\
-          \"mutants_killed\":%d,\"mutation_runs\":[%s]}\n"
-         !verified !rejected
-         (String.concat "," hist_json)
-         (String.concat "," run_records)
-         !total_mutants !killed_mutants
-         (String.concat "," mutation_records));
-    if
-      !rejected > 0
-      || !killed_mutants < !total_mutants
-      || !baseline_failures <> []
-    then exit 1
-  in
-  Cmd.v
     (Cmd.info "verify"
        ~doc:
-         "Translation validation: run the benchmark suite under every \
-          scheme with --verify-regions=all, then mutation-test the \
-          verifier on hot-region artifacts; exit non-zero on any \
-          rejected region or surviving mutant")
-    Term.(const run $ scale_arg $ jobs_arg $ report_arg "JSON verification")
+         "Soundness campaign: every (benchmark, scheme, certify, fault \
+          plan) cell with --verify-regions=all, diffed against the \
+          interpreter oracle, and every translation of the fault-free \
+          cells mutation-tested; exit non-zero on any divergence, \
+          rejected region, certified-pair fault or surviving mutant")
+    Term.(
+      const run $ bench_opt_arg $ scale_arg $ seeds_arg $ first_seed_arg
+      $ rate_arg $ jobs_arg $ report_arg "JSON-lines campaign")
 
 let region_cmd =
   let run bench scheme =
     let b = find_bench bench in
-    let program = Workload.Specfp.program b in
-    let sb, fresh_id =
-      match hot_superblock program with
-      | Some x -> x
-      | None ->
-        Printf.eprintf "no hot block found in %s\n" bench;
+    let _, vliw, requests =
+      Exec.Translate.capture_program ~config:cli_config ~scheme
+        (Workload.Specfp.program b)
+    in
+    let request =
+      match requests with
+      | r :: _ -> r
+      | [] ->
+        Printf.eprintf "no region of %s turned hot\n" bench;
         exit 1
     in
-    Format.printf "--- superblock ---@.%a@." Ir.Superblock.pp sb;
-    let policy = (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy in
+    Format.printf "--- superblock ---@.%a@." Ir.Superblock.pp
+      request.Opt.Optimizer.sb;
     let o =
-      Opt.Optimizer.optimize ~policy ~issue_width:4 ~mem_ports:2
-        ~latency:(Vliw.Config.latency Vliw.Config.default)
-        ~fresh_id sb
+      Opt.Optimizer.run_request ~issue_width:vliw.Vliw.Config.issue_width
+        ~mem_ports:vliw.Vliw.Config.mem_ports
+        ~latency:(Vliw.Config.latency vliw) request
     in
     Format.printf "--- optimized region (%s) ---@.%a@."
       (Smarq.Scheme.name scheme) Ir.Region.pp o.Opt.Optimizer.region;
@@ -637,7 +429,9 @@ let region_cmd =
   in
   Cmd.v
     (Cmd.info "region"
-       ~doc:"Show the annotated translation of a benchmark's hot region")
+       ~doc:
+         "Show the annotated translation of the first region a \
+          benchmark's run translates")
     Term.(const run $ bench_arg $ scheme_arg)
 
 let serve_cmd =
@@ -836,7 +630,6 @@ let () =
             run_cmd;
             compare_cmd;
             region_cmd;
-            fuzz_cmd;
             verify_cmd;
             serve_cmd;
             bench_cmd;

@@ -69,19 +69,6 @@ let cset_scale k c =
     let rem = if stride = 0 then 0 else pos_mod (residue c * k) stride in
     guard (norm { lo; hi; stride; rem })
 
-let cset_mem c n =
-  n >= c.lo && n <= c.hi && (c.stride = 0 || pos_mod n c.stride = c.rem)
-
-(* Every member of [inner] lies in [outer]: range inclusion plus the
-   inner congruence class refining the outer one. *)
-let cset_subset inner outer =
-  outer.lo <= inner.lo && inner.hi <= outer.hi
-  &&
-  if outer.stride = 0 then inner.stride = 0 && inner.lo = outer.lo
-  else
-    pos_mod (residue inner) outer.stride = outer.rem
-    && (inner.stride = 0 || inner.stride mod outer.stride = 0)
-
 type sep = Ranges | Congruence of int
 
 let range_separated c1 w1 c2 w2 =

@@ -51,13 +51,6 @@ val point : int -> cset
 val cset_add : cset -> cset -> cset option
 (** [None] when a bound exceeds the magnitude guard. *)
 
-val cset_mem : cset -> int -> bool
-(** Set membership, range and congruence. *)
-
-val cset_subset : cset -> cset -> bool
-(** [cset_subset inner outer]: every member of [inner] is a member of
-    [outer] — the entailment check witness replay relies on. *)
-
 (** Why two abstract addresses cannot overlap. *)
 type sep =
   | Ranges  (** the offset intervals, width-extended, are disjoint *)

@@ -33,8 +33,6 @@ let remove_edge t x y =
     in
     Hashtbl.replace t.out x l'
 
-let remove_edges_from t x = Hashtbl.remove t.out x
-
 let reachable_from t start =
   let visited = Hashtbl.create 32 in
   let rec go id =

@@ -28,8 +28,6 @@ val add_edge : t -> int -> int -> unit
 val remove_edge : t -> int -> int -> unit
 (** Remove one occurrence of the edge [x -> y], if present. *)
 
-val remove_edges_from : t -> int -> unit
-
 (** Result of attempting to add an edge [x -> y] under the invariant. *)
 type verdict =
   | Ok_already  (** [T x < T y] held; edge added *)

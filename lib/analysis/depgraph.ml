@@ -458,15 +458,6 @@ let iter_into t id f =
     done
   | None -> ()
 
-let mem_dep_pairs t =
-  let acc = ref [] in
-  for k = t.n_edges - 1 downto 0 do
-    match kind_at t k with
-    | Real -> acc := (t.e_first.(k), t.e_second.(k), strength_at t k) :: !acc
-    | Extended -> ()
-  done;
-  !acc
-
 let iter_mem_deps t f =
   for k = 0 to t.n_edges - 1 do
     match kind_at t k with

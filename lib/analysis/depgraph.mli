@@ -81,10 +81,6 @@ val edges_into : t -> int -> edge list
 (** Edges whose [second] is the given instruction id — the set the
     allocator examines when that instruction is scheduled. *)
 
-val mem_dep_pairs : t -> (int * int * strength) list
-(** Real dependences as (earlier, later, strength) in original order,
-    for the scheduler. *)
-
 (** {2 Allocation-free traversal}
 
     The iterators walk the flat edge store directly, in the same order
@@ -106,6 +102,6 @@ val iter_into :
 
 val iter_mem_deps :
   t -> (first:int -> second:int -> strength:strength -> unit) -> unit
-(** Real dependences only, in [mem_dep_pairs] order. *)
+(** Real dependences only, in original order. *)
 
 val pp : Format.formatter -> t -> unit

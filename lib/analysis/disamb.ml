@@ -84,36 +84,3 @@ let of_witnesses ws =
 
 let count t = Hashtbl.length t.table
 
-let pp_reason ppf = function
-  | Ranges -> Format.pp_print_string ppf "ranges"
-  | Congruence g -> Format.fprintf ppf "congruence(mod %d)" g
-
-let pp_fact ppf f =
-  Format.fprintf ppf "#%d[%db] = %a" f.instr f.width Absint.pp_value
-    { Absint.origin = f.origin; scale = f.scale; off = f.off }
-
-let pp_witness ppf w =
-  Format.fprintf ppf "%a  ⟂  %a  by %a" pp_fact w.x pp_fact w.y pp_reason
-    w.reason
-
-let origin_json = function
-  | Absint.Const -> {|{"kind":"const"}|}
-  | Absint.Entry r ->
-    Printf.sprintf {|{"kind":"entry","reg":%S}|}
-      (Format.asprintf "%a" Ir.Reg.pp r)
-  | Absint.Opaque id -> Printf.sprintf {|{"kind":"opaque","def":%d}|} id
-
-let fact_json f =
-  Printf.sprintf
-    {|{"instr":%d,"width":%d,"origin":%s,"scale":%d,"lo":%d,"hi":%d,"stride":%d,"rem":%d}|}
-    f.instr f.width (origin_json f.origin) f.scale f.off.Absint.lo
-    f.off.Absint.hi f.off.Absint.stride f.off.Absint.rem
-
-let witness_to_json w =
-  let reason =
-    match w.reason with
-    | Ranges -> {|{"kind":"ranges"}|}
-    | Congruence g -> Printf.sprintf {|{"kind":"congruence","gcd":%d}|} g
-  in
-  Printf.sprintf {|{"x":%s,"y":%s,"reason":%s}|} (fact_json w.x)
-    (fact_json w.y) reason

@@ -57,6 +57,3 @@ val of_witnesses : witness list -> t
     by the mutation harness to forge corrupted certificates. *)
 
 val count : t -> int
-
-val pp_witness : Format.formatter -> witness -> unit
-val witness_to_json : witness -> string

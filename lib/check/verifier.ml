@@ -73,16 +73,14 @@ type verdict =
 
 type mode =
   | Off
-  | Sample
   | All
 
 let mode_of_string = function
   | "off" -> Ok Off
-  | "sample" -> Ok Sample
   | "all" -> Ok All
-  | s -> Error (Printf.sprintf "unknown verify mode %S (off|sample|all)" s)
+  | s -> Error (Printf.sprintf "unknown verify mode %S (off|all)" s)
 
-let mode_name = function Off -> "off" | Sample -> "sample" | All -> "all"
+let mode_name = function Off -> "off" | All -> "all"
 
 let pp_violation ppf v =
   Format.fprintf ppf "[%s] %s" (rule_name v.rule) v.detail

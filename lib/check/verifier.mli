@@ -74,11 +74,10 @@ type verdict =
 
 type mode =
   | Off  (** never verify *)
-  | Sample  (** verify a deterministic subset of built regions *)
   | All  (** verify every built region *)
 
 val mode_of_string : string -> (mode, string) result
-(** Parses ["off"], ["sample"], ["all"]. *)
+(** Parses ["off"], ["all"]. *)
 
 val mode_name : mode -> string
 

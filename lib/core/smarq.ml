@@ -26,17 +26,27 @@ module Scheme = struct
     | Alat
     | Efficeon
     | None_
-    | None_static  (** no hardware, constant-base static analysis only *)
+    | None_static
+        (** no hardware, constant-base static disambiguation only
+            (related work [13]): how far software-only analysis gets *)
 
-  let to_driver = function
-    | Smarq n -> Runtime.Driver.scheme_smarq ~ar_count:n ()
-    | Smarq_no_store_reorder n ->
-      Runtime.Driver.scheme_smarq_no_store_reorder ~ar_count:n ()
-    | Naive_order n -> Runtime.Driver.scheme_naive_order ~ar_count:n ()
-    | Alat -> Runtime.Driver.scheme_alat ()
-    | Efficeon -> Runtime.Driver.scheme_efficeon ()
-    | None_ -> Runtime.Driver.scheme_none ()
-    | None_static -> Runtime.Driver.scheme_none_with_analysis ()
+  (** A fresh policy and hardware model for one run. *)
+  let to_driver s =
+    let queue n = Hw.Queue.detector (Hw.Queue.create ~size:n) in
+    let policy, detector =
+      match s with
+      | Smarq n -> (Sched.Policy.smarq ~ar_count:n, queue n)
+      | Smarq_no_store_reorder n ->
+        (Sched.Policy.smarq_no_store_reorder ~ar_count:n, queue n)
+      | Naive_order n -> (Sched.Policy.naive_order ~ar_count:n, queue n)
+      | Alat -> (Sched.Policy.alat (), Hw.Alat.detector (Hw.Alat.create ()))
+      | Efficeon ->
+        (Sched.Policy.efficeon (), Hw.Efficeon.detector (Hw.Efficeon.create ()))
+      | None_ -> (Sched.Policy.none (), Hw.No_detect.detector ())
+      | None_static ->
+        (Sched.Policy.none_with_analysis (), Hw.No_detect.detector ())
+    in
+    { Runtime.Driver.policy; detector }
 
   let name = function
     | Smarq n -> Printf.sprintf "smarq%d" n

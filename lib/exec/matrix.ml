@@ -27,6 +27,3 @@ let run_job j =
   { job = j; result; wall_seconds = Unix.gettimeofday () -. t0 }
 
 let run_matrix ?domains jobs = Pool.map ?domains run_job jobs
-
-let total_wall outcomes =
-  List.fold_left (fun acc o -> acc +. o.wall_seconds) 0.0 outcomes

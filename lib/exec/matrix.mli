@@ -48,7 +48,3 @@ val run_job : job -> outcome
 val run_matrix : ?domains:int -> job list -> outcome list
 (** Run every job, using up to [domains] domains (default
     {!Pool.default_domains}); outcomes are in job-list order. *)
-
-val total_wall : outcome list -> float
-(** Sum of per-job wall clocks (CPU-seconds of simulation, not elapsed
-    time when jobs overlapped). *)

@@ -22,8 +22,6 @@ type t = {
   checks_performed : unit -> int;
 }
 
-let exceeds_window _ _ = false
-
 let wrap ?name ?(reset = fun () -> ()) ?on_mem (d : t) =
   let base_on_mem = d.on_mem in
   {

@@ -37,9 +37,6 @@ type t = {
       (** cumulative number of range comparisons, an energy proxy *)
 }
 
-val exceeds_window : t -> violation -> bool
-(** Always false; kept for interface stability. *)
-
 val wrap :
   ?name:string ->
   ?reset:(unit -> unit) ->

@@ -31,9 +31,8 @@ type t = {
           with a shared cache. *)
   verify : Check.Verifier.mode;
       (** run the {!Check.Verifier} translation validator on freshly
-          built and re-optimized regions before they are installed:
-          [All] checks every one, [Sample] every 8th (a deterministic
-          counter, so runs stay reproducible).  A region that fails is
+          built and re-optimized regions before they are installed
+          ([All]) or never ([Off]).  A region that fails is
           never executed — its label is degraded to interpreter-only
           execution exactly like a watchdog kill, and the verdict is
           recorded in [Stats.verified_regions], [Stats.rejected_regions]

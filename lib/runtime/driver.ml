@@ -3,45 +3,6 @@ type scheme = {
   detector : Hw.Detector.t;
 }
 
-let scheme_smarq ~ar_count () =
-  {
-    policy = Sched.Policy.smarq ~ar_count;
-    detector = Hw.Queue.detector (Hw.Queue.create ~size:ar_count);
-  }
-
-let scheme_smarq_no_store_reorder ~ar_count () =
-  {
-    policy = Sched.Policy.smarq_no_store_reorder ~ar_count;
-    detector = Hw.Queue.detector (Hw.Queue.create ~size:ar_count);
-  }
-
-let scheme_naive_order ~ar_count () =
-  {
-    policy = Sched.Policy.naive_order ~ar_count;
-    detector = Hw.Queue.detector (Hw.Queue.create ~size:ar_count);
-  }
-
-let scheme_alat () =
-  {
-    policy = Sched.Policy.alat ();
-    detector = Hw.Alat.detector (Hw.Alat.create ());
-  }
-
-let scheme_efficeon () =
-  {
-    policy = Sched.Policy.efficeon ();
-    detector = Hw.Efficeon.detector (Hw.Efficeon.create ());
-  }
-
-let scheme_none () =
-  { policy = Sched.Policy.none (); detector = Hw.No_detect.detector () }
-
-let scheme_none_with_analysis () =
-  {
-    policy = Sched.Policy.none_with_analysis ();
-    detector = Hw.No_detect.detector ();
-  }
-
 type cache_entry = {
   mutable region : Ir.Region.t;
   mutable known_alias : (int * int) list;
@@ -138,10 +99,6 @@ let known_with_pins entry =
           acc mems)
       entry.known_alias pins
 
-(* deterministic sampling stride for [--verify-regions=sample]: every
-   [sample_stride]-th built or re-optimized region is verified *)
-let sample_stride = 8
-
 let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
     ~(scheme : scheme) program =
   let { Config.fuel; unroll; tcache_policy; tcache_capacity; verify; certify;
@@ -181,21 +138,11 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
     Tcache.Store.invalidate cache label
   in
   (* Translation validation: returns [true] when the artifact may be
-     installed.  In [Sample] mode a deterministic counter picks every
-     [sample_stride]-th candidate; [All] verifies each one. *)
-  let verify_counter = ref 0 in
+     installed. *)
   let verify_artifact o =
-    let sampled =
-      match verify with
-      | Check.Verifier.Off -> false
-      | Check.Verifier.All -> true
-      | Check.Verifier.Sample ->
-        let n = !verify_counter in
-        incr verify_counter;
-        n mod sample_stride = 0
-    in
-    if not sampled then true
-    else begin
+    match verify with
+    | Check.Verifier.Off -> true
+    | Check.Verifier.All -> (
       stats.Stats.verified_regions <- stats.Stats.verified_regions + 1;
       match
         Check.Verifier.verify ~issue_width:config.Vliw.Config.issue_width
@@ -208,8 +155,7 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
              (fun (v : Check.Verifier.violation) ->
                Check.Verifier.rule_name v.Check.Verifier.rule)
              vs);
-        false
-    end
+        false)
   in
   (* the scheme's register count governs the allocator; the machine
      must expose at least that many (the region executor guards it) *)

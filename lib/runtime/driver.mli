@@ -11,25 +11,13 @@
     region is rebuilt without speculation for good.  Every run option
     lives in one {!Config.t}. *)
 
+(** What a run speculates with: the scheduler's policy and the
+    hardware model that checks it ([Smarq.Scheme.to_driver] builds one
+    per named scheme). *)
 type scheme = {
   policy : Sched.Policy.t;
   detector : Hw.Detector.t;
 }
-
-val scheme_smarq : ar_count:int -> unit -> scheme
-val scheme_smarq_no_store_reorder : ar_count:int -> unit -> scheme
-
-(** Program-order allocation on the same ordered-queue hardware
-    (the Section 2.4 baseline SMARQ improves on). *)
-val scheme_naive_order : ar_count:int -> unit -> scheme
-
-val scheme_alat : unit -> scheme
-val scheme_efficeon : unit -> scheme
-val scheme_none : unit -> scheme
-
-val scheme_none_with_analysis : unit -> scheme
-(** No hardware, but constant-base static disambiguation (related
-    work [13]): the measure of how far software-only analysis gets. *)
 
 type cache
 (** A translation cache that outlives one {!run}: the serve subsystem

@@ -263,5 +263,3 @@ let succs t id =
   match Hashtbl.find_opt t.index id with
   | Some pos -> t.succs_of.(pos)
   | None -> []
-
-let instr_ids t = t.ids

@@ -43,7 +43,3 @@ val build :
 
 val preds : t -> int -> int list
 val succs : t -> int -> int list
-
-val instr_ids : t -> int array
-(** Instruction ids in body order — the dense index shared with the
-    scheduler. *)

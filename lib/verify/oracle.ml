@@ -6,19 +6,12 @@ type entry = {
   divergence : string list;
 }
 
-type report = {
-  program : string;
-  entries : entry list;
-}
-
 let entry_static_ok e = e.stats.Runtime.Stats.rejected_regions = 0
 let entry_cert_ok e = e.stats.Runtime.Stats.certified_alias_faults = 0
 
 let entry_ok e =
   e.outcome = Runtime.Driver.Completed
   && e.divergence = [] && entry_static_ok e && entry_cert_ok e
-
-let ok r = List.for_all entry_ok r.entries
 
 let reference program =
   let m = Vliw.Machine.create () in
@@ -40,41 +33,13 @@ let run_scheme ?config ?fault ~scheme program =
   in
   (r, injected)
 
-let check ?config ?fault ?(name = "program") ~schemes program =
-  let oracle = reference program in
-  let entries =
-    List.map
-      (fun scheme ->
-        let plan =
-          Option.map
-            (fun { Fault.seed; rate } -> Fault.plan ~seed ~rate ())
-            fault
-        in
-        let r, injected = run_scheme ?config ?fault:plan ~scheme program in
-        let divergence =
-          match r.Runtime.Driver.outcome with
-          | Runtime.Driver.Fuel_exhausted | Runtime.Driver.Deadline_exceeded
-            ->
-            (* partial state cannot be compared against a completed
-               oracle; the non-Completed outcome already fails the
-               entry *)
-            []
-          | Runtime.Driver.Completed ->
-            if
-              Vliw.Machine.equal_guest_state oracle r.Runtime.Driver.machine
-            then []
-            else Vliw.Machine.diff_guest_state oracle r.Runtime.Driver.machine
-        in
-        {
-          scheme = Smarq.Scheme.name scheme;
-          outcome = r.Runtime.Driver.outcome;
-          stats = r.Runtime.Driver.stats;
-          injected;
-          divergence;
-        })
-      schemes
-  in
-  { program = name; entries }
+let divergence reference (r : Runtime.Driver.result) =
+  match r.Runtime.Driver.outcome with
+  | Runtime.Driver.Fuel_exhausted | Runtime.Driver.Deadline_exceeded -> []
+  | Runtime.Driver.Completed ->
+    if Vliw.Machine.equal_guest_state reference r.Runtime.Driver.machine
+    then []
+    else Vliw.Machine.diff_guest_state reference r.Runtime.Driver.machine
 
 let pp_entry ppf e =
   let st = e.stats in
@@ -99,8 +64,3 @@ let pp_entry ppf e =
     (match e.divergence with
     | [] -> ", state = oracle"
     | d :: _ -> Printf.sprintf ", DIVERGED: %s" d)
-
-let pp_report ppf r =
-  Format.fprintf ppf "oracle report for %s (%s):@." r.program
-    (if ok r then "ok" else "FAILED");
-  List.iter (fun e -> Format.fprintf ppf "  %a@." pp_entry e) r.entries

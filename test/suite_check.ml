@@ -9,7 +9,9 @@
    - Driver wiring: --verify-regions counts verified regions, leaves
      execution results untouched, and degrades rejected regions.
    - Campaign wiring: the JSON verdict stream carries the static
-     counters and the cross-check verdict. *)
+     counters and the cross-check verdict; the fault-free cells
+     mutate every class; the one gate fails on a surviving mutant or a
+     divergence. *)
 
 open Helpers
 module V = Check.Verifier
@@ -232,20 +234,6 @@ let test_driver_verify_all () =
     (Vliw.Machine.equal_guest_state off.Runtime.Driver.machine
        all.Runtime.Driver.machine)
 
-let test_driver_verify_sample () =
-  let program = counting_program ~iters:400 in
-  let sample =
-    Smarq.run_program
-      ~config:{ Runtime.Config.default with verify = V.Sample }
-      ~scheme:(Smarq.Scheme.Smarq 64) program
-  in
-  let st = sample.Runtime.Driver.stats in
-  Alcotest.(check bool) "sample mode verifies a subset" true
-    (st.Runtime.Stats.verified_regions >= 1
-    && st.Runtime.Stats.verified_regions
-       <= st.Runtime.Stats.regions_built + st.Runtime.Stats.reoptimizations);
-  Alcotest.(check int) "no rejects" 0 st.Runtime.Stats.rejected_regions
-
 let test_stats_note_reject () =
   let st = Runtime.Stats.create () in
   Runtime.Stats.note_reject st [ "b_rule"; "a_rule"; "b_rule" ];
@@ -259,19 +247,24 @@ let test_stats_note_reject () =
 
 (* ---- campaign verdict stream ---- *)
 
+let counting_bench =
+  {
+    Workload.Specfp.name = "counting";
+    default_iters = 300;
+    make = (fun ~iters -> counting_program ~iters);
+    description = "a streaming copy loop";
+  }
+
 let test_campaign_static_verdicts () =
-  let cfg =
-    {
-      Verify.Campaign.default_config with
-      Verify.Campaign.seeds = [ 1 ];
-      schemes = [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Alat ];
-    }
-  in
   let runs =
-    Verify.Campaign.run_program cfg ~name:"counting" (fun () ->
-        counting_program ~iters:300)
+    (Verify.Campaign.run ~domains:1
+       { Verify.Campaign.default_config with Verify.Campaign.seeds = [ 1 ] }
+       [ counting_bench ])
+      .Verify.Campaign.runs
   in
-  Alcotest.(check int) "one run per scheme" 2 (List.length runs);
+  Alcotest.(check int) "one run per (scheme, certify, fault plan)"
+    (2 * 2 * List.length Verify.Campaign.schemes)
+    (List.length runs);
   List.iter
     (fun (c : Verify.Campaign.run) ->
       let e = c.Verify.Campaign.entry in
@@ -281,7 +274,7 @@ let test_campaign_static_verdicts () =
         (Verify.Oracle.entry_static_ok e);
       Alcotest.(check bool) "cross-check agrees" true
         (Verify.Campaign.cross_check_of_entry e = Verify.Campaign.Both_ok);
-      let line = Verify.Campaign.json_line cfg c in
+      let line = Verify.Campaign.json_line c in
       let contains field =
         let n = String.length line and m = String.length field in
         let rec scan i =
@@ -302,6 +295,105 @@ let test_campaign_static_verdicts () =
         ])
     runs
 
+(* ---- the campaign's one gate ---- *)
+
+(* Every constructor, through an exhaustive match: a new mutation class
+   fails to compile here until the campaign test below covers it. *)
+let every_mutation =
+  let next : M.mutation -> M.mutation option = function
+    | M.Drop_check -> Some M.Swap_orders
+    | M.Swap_orders -> Some M.Widen_offset
+    | M.Widen_offset -> Some M.Delete_amov
+    | M.Delete_amov -> Some M.Drop_advanced
+    | M.Drop_advanced -> Some M.Clear_mask_bit
+    | M.Clear_mask_bit -> Some M.Hoist_across_hazard
+    | M.Hoist_across_hazard -> Some M.Delete_instr
+    | M.Delete_instr -> Some M.Over_rotate
+    | M.Over_rotate -> Some M.Shift_witness_range
+    | M.Shift_witness_range -> Some M.Widen_witness_range
+    | M.Widen_witness_range -> Some M.Swap_witness_origin
+    | M.Swap_witness_origin -> Some M.Drop_witness
+    | M.Drop_witness -> Some M.Forge_witness
+    | M.Forge_witness -> Some M.Desync_region_cert
+    | M.Desync_region_cert -> Some M.Bogus_witness_endpoint
+    | M.Bogus_witness_endpoint -> None
+  in
+  let rec from m = m :: Option.fold ~none:[] ~some:from (next m) in
+  from M.Drop_check
+
+let fault_free_campaign benches =
+  Verify.Campaign.run ~domains:1
+    { Verify.Campaign.default_config with Verify.Campaign.seeds = [] }
+    benches
+
+let test_campaign_every_mutation_class () =
+  let result = fault_free_campaign [ Workload.Specfp.find "ammp" ] in
+  Alcotest.(check bool) "campaign gate holds" true (Verify.Campaign.ok result);
+  let outcomes =
+    List.concat_map
+      (fun (c : Verify.Campaign.run) ->
+        List.concat_map
+          (fun (s : M.summary) -> s.M.outcomes)
+          c.Verify.Campaign.mutations)
+      result.Verify.Campaign.runs
+  in
+  List.iter
+    (fun m ->
+      let of_class =
+        List.filter (fun (o : M.outcome) -> o.M.mutation = m) outcomes
+      in
+      if of_class = [] then
+        Alcotest.failf "mutation class %s was never generated"
+          (M.mutation_name m);
+      List.iter
+        (fun (o : M.outcome) ->
+          if not o.M.killed then
+            Alcotest.failf "a %s mutant SURVIVED" (M.mutation_name m))
+        of_class)
+    every_mutation
+
+let test_campaign_gate () =
+  let result = fault_free_campaign [ counting_bench ] in
+  Alcotest.(check bool) "clean campaign passes" true
+    (Verify.Campaign.ok result);
+  (* [f] rewrites the first run it applies to *)
+  let with_first_run f =
+    let rec go = function
+      | [] -> Alcotest.fail "no run to corrupt"
+      | r :: rest -> (
+        match f r with Some r' -> r' :: rest | None -> r :: go rest)
+    in
+    { result with Verify.Campaign.runs = go result.Verify.Campaign.runs }
+  in
+  let survivor =
+    with_first_run (fun (r : Verify.Campaign.run) ->
+        match r.Verify.Campaign.mutations with
+        | ({ M.outcomes = o :: os; _ } as s) :: rest ->
+          let s =
+            {
+              s with
+              M.killed = s.M.killed - 1;
+              outcomes = { o with M.killed = false } :: os;
+            }
+          in
+          Some { r with Verify.Campaign.mutations = s :: rest }
+        | _ -> None)
+  in
+  Alcotest.(check bool) "a surviving mutant fails the gate" false
+    (Verify.Campaign.ok survivor);
+  let diverged =
+    with_first_run (fun (r : Verify.Campaign.run) ->
+        let e = r.Verify.Campaign.entry in
+        Some
+          {
+            r with
+            Verify.Campaign.entry =
+              { e with Verify.Oracle.divergence = [ "reg r1: 1 vs 2" ] };
+          })
+  in
+  Alcotest.(check bool) "a divergence fails the gate" false
+    (Verify.Campaign.ok diverged)
+
 let suite =
   ( "check",
     [
@@ -311,7 +403,10 @@ let suite =
       case "every mutation class generated and killed" test_mutants_killed;
       case "fast alloc reports a cycle witness" test_fast_alloc_cycle_witness;
       case "driver --verify-regions=all" test_driver_verify_all;
-      case "driver --verify-regions=sample" test_driver_verify_sample;
       case "stats reject histogram" test_stats_note_reject;
       case "campaign static verdict stream" test_campaign_static_verdicts;
+      case "campaign mutates every class on ammp"
+        test_campaign_every_mutation_class;
+      case "campaign gate fails on a survivor or a divergence"
+        test_campaign_gate;
     ] )

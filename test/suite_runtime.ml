@@ -180,7 +180,7 @@ let test_max_reopts_gives_up () =
           max_reopts = 0;
           fuel = 10_000_000;
         }
-      ~scheme:(Runtime.Driver.scheme_smarq ~ar_count:64 ())
+      ~scheme:(Smarq.Scheme.to_driver (Smarq.Scheme.Smarq 64))
       program
   in
   let st = r.Runtime.Driver.stats in

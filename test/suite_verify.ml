@@ -40,14 +40,23 @@ let colliding_loop ~iters =
   Workload.Builder.add_block bld "end" [] Ir.Block.Halt;
   Workload.Builder.program bld ~entry:"init"
 
-let schemes =
-  [
-    Smarq.Scheme.Smarq 64;
-    Smarq.Scheme.Smarq 16;
-    Smarq.Scheme.Alat;
-    Smarq.Scheme.Efficeon;
-    Smarq.Scheme.None_;
-  ]
+(* [colliding_loop] as a campaign benchmark *)
+let colliding_bench ~iters =
+  {
+    Workload.Specfp.name = "colliding_loop";
+    default_iters = iters;
+    make = (fun ~iters -> colliding_loop ~iters);
+    description = "a genuine periodic alias";
+  }
+
+let campaign ?(domains = 1) ~seeds ~rate ~iters () =
+  Verify.Campaign.run ~domains
+    { Verify.Campaign.seeds; rate; scale = 1 }
+    [ colliding_bench ~iters ]
+
+let entries (r : Verify.Campaign.result) =
+  List.map (fun (c : Verify.Campaign.run) -> c.Verify.Campaign.entry)
+    r.Verify.Campaign.runs
 
 let test_prng_deterministic () =
   let a = Verify.Prng.create ~seed:42 in
@@ -67,39 +76,35 @@ let test_prng_deterministic () =
 (* The acceptance property, as a fixed smoke here and as a QCheck
    property below: with fault injection at any seed, every scheme's
    final guest state equals the interpreter oracle's. *)
-let check_campaign ~seed ~rate =
-  let program = colliding_loop ~iters:120 in
-  let report =
-    Verify.Oracle.check ~fault:{ Verify.Fault.seed; rate }
-      ~name:"colliding_loop" ~schemes program
-  in
-  if not (Verify.Oracle.ok report) then
+let check_campaign ?domains ~seed ~rate () =
+  let result = campaign ?domains ~seeds:[ seed ] ~rate ~iters:120 () in
+  if not (Verify.Campaign.ok result) then
     Alcotest.failf "campaign diverged (seed %d rate %.3f):@.%a" seed rate
-      Verify.Oracle.pp_report report;
-  report
+      Verify.Campaign.pp_summary result;
+  result
 
 let test_oracle_no_faults () =
-  let report =
-    Verify.Oracle.check ~name:"colliding_loop" ~schemes
-      (colliding_loop ~iters:200)
-  in
+  let result = campaign ~seeds:[] ~rate:0.05 ~iters:200 () in
   Alcotest.(check bool) "all schemes match oracle" true
-    (Verify.Oracle.ok report);
+    (Verify.Campaign.ok result);
+  Alcotest.(check int) "every scheme, certify off and on"
+    (2 * List.length Verify.Campaign.schemes)
+    (List.length result.Verify.Campaign.runs);
   List.iter
     (fun (e : Verify.Oracle.entry) ->
       Alcotest.(check int) "nothing injected" 0 e.Verify.Oracle.injected;
       Alcotest.(check int) "no spurious rollbacks" 0
         e.Verify.Oracle.stats.Runtime.Stats.spurious_rollbacks)
-    report.Verify.Oracle.entries
+    (entries result)
 
 let test_campaign_injects () =
   (* at a meaty rate the campaign must actually perturb the run, and
      the stats plumbing must see it *)
-  let report = check_campaign ~seed:7 ~rate:0.4 in
+  let result = check_campaign ~seed:7 ~rate:0.4 () in
   let total_injected =
     List.fold_left
       (fun acc (e : Verify.Oracle.entry) -> acc + e.Verify.Oracle.injected)
-      0 report.Verify.Oracle.entries
+      0 (entries result)
   in
   Alcotest.(check bool) "faults were injected" true (total_injected > 0);
   List.iter
@@ -107,22 +112,27 @@ let test_campaign_injects () =
       Alcotest.(check int) "injected flows into stats"
         e.Verify.Oracle.injected
         e.Verify.Oracle.stats.Runtime.Stats.injected_faults)
-    report.Verify.Oracle.entries
+    (entries result)
 
 let test_campaign_deterministic () =
-  let stats_fingerprint (r : Verify.Oracle.report) =
+  let stats_fingerprint r =
     List.map
       (fun (e : Verify.Oracle.entry) ->
         ( e.Verify.Oracle.scheme,
           e.Verify.Oracle.injected,
           e.Verify.Oracle.stats.Runtime.Stats.total_cycles,
           e.Verify.Oracle.stats.Runtime.Stats.rollbacks ))
-      r.Verify.Oracle.entries
+      (entries r)
   in
-  let a = check_campaign ~seed:11 ~rate:0.2 in
-  let b = check_campaign ~seed:11 ~rate:0.2 in
+  let a = check_campaign ~seed:11 ~rate:0.2 () in
+  let b = check_campaign ~seed:11 ~rate:0.2 () in
   Alcotest.(check bool) "same seed, same campaign" true
-    (stats_fingerprint a = stats_fingerprint b)
+    (stats_fingerprint a = stats_fingerprint b);
+  let report r =
+    List.map Verify.Campaign.json_line r.Verify.Campaign.runs
+  in
+  Alcotest.(check (list string)) "same report on two domains" (report a)
+    (report (check_campaign ~domains:2 ~seed:11 ~rate:0.2 ()))
 
 let qtest_campaign_converges =
   qcase ~count:12 "any (seed, rate): optimized state = oracle state"
@@ -130,7 +140,7 @@ let qtest_campaign_converges =
        ~print:(fun (seed, rate) -> Printf.sprintf "seed=%d rate=%.3f" seed rate)
        QCheck.Gen.(pair (int_bound 1_000_000) (float_range 0.0 0.35)))
     (fun (seed, rate) ->
-      ignore (check_campaign ~seed ~rate);
+      ignore (check_campaign ~seed ~rate ());
       true)
 
 let test_storm_walks_the_ladder () =
@@ -151,7 +161,7 @@ let test_storm_walks_the_ladder () =
           fuel = 10_000_000;
         }
       ~hooks:(Verify.Fault.hooks plan)
-      ~scheme:(Runtime.Driver.scheme_smarq ~ar_count:64 ())
+      ~scheme:(Smarq.Scheme.to_driver (Smarq.Scheme.Smarq 64))
       program
   in
   let st = r.Runtime.Driver.stats in
@@ -186,7 +196,7 @@ let test_degraded_region_stays_interpreted () =
           fuel = 10_000_000;
         }
       ~hooks:(Verify.Fault.hooks plan)
-      ~scheme:(Runtime.Driver.scheme_smarq ~ar_count:64 ())
+      ~scheme:(Smarq.Scheme.to_driver (Smarq.Scheme.Smarq 64))
       program
   in
   let st = r.Runtime.Driver.stats in
@@ -225,7 +235,7 @@ let test_fuel_exhaustion_structured () =
           vliw = Some (Vliw.Config.with_alias_registers Vliw.Config.default 64);
           fuel = 500;
         }
-      ~scheme:(Runtime.Driver.scheme_smarq ~ar_count:64 ())
+      ~scheme:(Smarq.Scheme.to_driver (Smarq.Scheme.Smarq 64))
       program
   in
   Alcotest.(check bool) "fuel exhaustion is an outcome, not an exception"
@@ -240,25 +250,19 @@ let test_fuel_exhaustion_structured () =
     && st.Runtime.Stats.wall_seconds < 60.0)
 
 let test_campaign_runner () =
-  let cfg =
-    {
-      Verify.Campaign.default_config with
-      Verify.Campaign.seeds = [ 1; 2 ];
-      rate = 0.1;
-      schemes = [ Smarq.Scheme.Smarq 64; Smarq.Scheme.Alat ];
-    }
-  in
+  let seeds = [ 1; 2 ] in
   let runs =
-    Verify.Campaign.run_program cfg ~name:"colliding_loop" (fun () ->
-        colliding_loop ~iters:150)
+    (campaign ~seeds ~rate:0.1 ~iters:150 ()).Verify.Campaign.runs
   in
-  Alcotest.(check int) "seeds x schemes runs" 4 (List.length runs);
+  Alcotest.(check int) "(fault-free + seeds) x schemes x certify runs"
+    ((1 + List.length seeds) * List.length Verify.Campaign.schemes * 2)
+    (List.length runs);
   List.iter
     (fun (c : Verify.Campaign.run) ->
-      if not (Verify.Oracle.entry_ok c.Verify.Campaign.entry) then
+      if not (Verify.Campaign.run_ok c) then
         Alcotest.failf "campaign cell failed: %a" Verify.Oracle.pp_entry
           c.Verify.Campaign.entry;
-      let line = Verify.Campaign.json_line cfg c in
+      let line = Verify.Campaign.json_line c in
       Alcotest.(check bool) "json line shape" true
         (String.length line > 2
         && line.[0] = '{'
