@@ -59,12 +59,13 @@ let trace_superblock m (sb : Ir.Superblock.t) =
               executed_ids = List.rev !executed }
     | (i : Ir.Instr.t) :: rest ->
       executed := i.id :: !executed;
-      (match E.access_of m i with
-      | Some range ->
+      (match i.op with
+      | Ir.Instr.Load { addr; width; _ } | Ir.Instr.Store { addr; width; _ } ->
+        let range = Hw.Access.make ~addr:(E.addr_of m addr) ~width in
         events :=
           { instr_id = i.id; range; is_store = Ir.Instr.is_store i }
           :: !events
-      | None -> ());
+      | _ -> ());
       (match E.exec_control m i with
       | E.Leave_region l ->
         { taken_exit = Some l; events = List.rev !events;

@@ -35,14 +35,16 @@ let check_offset t offset ~what =
 
 let rotate t n =
   if n < 0 then invalid_arg "Queue.rotate: negative rotation";
-  t.qbase <- t.qbase + n;
-  (* entries whose order slid below the new BASE are freed *)
-  let stale =
-    Hashtbl.fold
-      (fun order _ acc -> if order < t.qbase then order :: acc else acc)
-      t.entries []
-  in
-  List.iter (Hashtbl.remove t.entries) stale
+  let old_base = t.qbase in
+  t.qbase <- old_base + n;
+  (* entries whose order slid below the new BASE are freed.  Every live
+     order lies in [old_base, old_base + qsize), so the stale ones are
+     found by key, without scanning the table or building a list;
+     removal keeps the survivors' bucket order, which [run_checks]
+     relies on. *)
+  for order = old_base to min t.qbase (old_base + t.qsize) - 1 do
+    Hashtbl.remove t.entries order
+  done
 
 let amov t ~src ~dst =
   check_offset t src ~what:"amov";

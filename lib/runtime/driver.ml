@@ -65,9 +65,10 @@ let no_hooks =
 
 let pair_key (a, b) = if a <= b then (a, b) else (b, a)
 
-let pair_mem pair pairs =
-  let k = pair_key pair in
-  List.exists (fun p -> pair_key p = k) pairs
+(* [pair_key] equality, tested in both orientations without building
+   keys: this runs on every rollback over thousands of assumed pairs *)
+let pair_mem (a, b) pairs =
+  List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) pairs
 
 let known_mem entry pair = Hashtbl.mem entry.known_alias_set (pair_key pair)
 

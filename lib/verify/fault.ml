@@ -38,7 +38,9 @@ type plan = {
   mutable pending : kind option;
   mutable target : int;
   mutable mem_index : int;
-  mutable seen : int list;
+  mutable seen : int array;
+      (* ids of this execution's memory ops that passed, oldest first *)
+  mutable seen_len : int;
   mutable last_violation : Hw.Detector.violation option;
 }
 
@@ -64,7 +66,8 @@ let make ~seed ~rate ~storm_length ~mode =
     pending = None;
     target = 0;
     mem_index = 0;
-    seen = [];
+    seen = [||];
+    seen_len = 0;
     last_violation = None;
   }
 
@@ -83,7 +86,7 @@ let counters p = p.counters
    inject during the coming region execution. *)
 let decide_region p =
   p.mem_index <- 0;
-  p.seen <- [];
+  p.seen_len <- 0;
   if p.storm_left > 0 then begin
     p.storm_left <- p.storm_left - 1;
     p.pending <- Some Storm;
@@ -122,10 +125,12 @@ let count p k =
 let inject p kind (i : Ir.Instr.t) =
   let fresh_pair () =
     let checker = i.Ir.Instr.id in
+    let n = p.seen_len in
     let setter =
-      match p.seen with
-      | [] -> checker
-      | l -> List.nth l (Prng.int p.prng (List.length l))
+      if n = 0 then checker
+      else
+        (* the draw indexes the ops newest first *)
+        p.seen.(n - 1 - Prng.int p.prng n)
     in
     (setter, checker)
   in
@@ -146,6 +151,16 @@ let inject p kind (i : Ir.Instr.t) =
   p.last_violation <- Some v;
   v
 
+let note_seen p id =
+  let n = p.seen_len in
+  if n = Array.length p.seen then begin
+    let grown = Array.make (max 64 (2 * n)) 0 in
+    Array.blit p.seen 0 grown 0 n;
+    p.seen <- grown
+  end;
+  p.seen.(n) <- id;
+  p.seen_len <- n + 1
+
 let wrap p (d : Hw.Detector.t) =
   Hw.Detector.wrap
     ~name:(d.Hw.Detector.name ^ "+faults")
@@ -164,7 +179,7 @@ let wrap p (d : Hw.Detector.t) =
           p.pending <- None;
           Error (inject p kind i)
         | _ ->
-          p.seen <- i.Ir.Instr.id :: p.seen;
+          note_seen p i.Ir.Instr.id;
           Ok ()))
     d
 

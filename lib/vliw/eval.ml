@@ -11,38 +11,35 @@ let operand_value m = function
 
 let addr_of m (a : I.addr) = Machine.get_reg m a.base + a.disp
 
-let access_of m (i : I.t) =
-  match i.op with
-  | I.Load { addr; width; _ } | I.Store { addr; width; _ } ->
-    Some (Hw.Access.make ~addr:(addr_of m addr) ~width)
-  | _ -> None
-
 let safe_div a b = if b = 0 then 0 else a / b
 
-let binop_fn = function
-  | I.Add -> ( + )
-  | I.Sub -> ( - )
-  | I.Mul -> ( * )
-  | I.Div -> safe_div
-  | I.And -> ( land )
-  | I.Or -> ( lor )
-  | I.Xor -> ( lxor )
-  | I.Shl -> fun a b -> a lsl (b land 31)
-  | I.Shr -> fun a b -> a asr (b land 31)
+let binop op a b =
+  match op with
+  | I.Add -> a + b
+  | I.Sub -> a - b
+  | I.Mul -> a * b
+  | I.Div -> safe_div a b
+  | I.And -> a land b
+  | I.Or -> a lor b
+  | I.Xor -> a lxor b
+  | I.Shl -> a lsl (b land 31)
+  | I.Shr -> a asr (b land 31)
 
-let fbinop_fn = function
-  | I.Fadd -> ( + )
-  | I.Fsub -> ( - )
-  | I.Fmul -> ( * )
-  | I.Fdiv -> safe_div
+let fbinop op a b =
+  match op with
+  | I.Fadd -> a + b
+  | I.Fsub -> a - b
+  | I.Fmul -> a * b
+  | I.Fdiv -> safe_div a b
 
-let cmp_fn = function
-  | I.Eq -> ( = )
-  | I.Ne -> ( <> )
-  | I.Lt -> ( < )
-  | I.Le -> ( <= )
-  | I.Gt -> ( > )
-  | I.Ge -> ( >= )
+let cmp c (a : int) b =
+  match c with
+  | I.Eq -> a = b
+  | I.Ne -> a <> b
+  | I.Lt -> a < b
+  | I.Le -> a <= b
+  | I.Gt -> a > b
+  | I.Ge -> a >= b
 
 let exec_data m (i : I.t) =
   match i.op with
@@ -50,12 +47,12 @@ let exec_data m (i : I.t) =
   | I.Mov (d, s) -> Machine.set_reg m d (operand_value m s)
   | I.Unop_neg (d, s) -> Machine.set_reg m d (-operand_value m s)
   | I.Binop (op, d, a, b) ->
-    Machine.set_reg m d (binop_fn op (operand_value m a) (operand_value m b))
+    Machine.set_reg m d (binop op (operand_value m a) (operand_value m b))
   | I.Fbinop (op, d, a, b) ->
-    Machine.set_reg m d (fbinop_fn op (operand_value m a) (operand_value m b))
+    Machine.set_reg m d (fbinop op (operand_value m a) (operand_value m b))
   | I.Cmp (c, d, a, b) ->
     Machine.set_reg m d
-      (if cmp_fn c (operand_value m a) (operand_value m b) then 1 else 0)
+      (if cmp c (operand_value m a) (operand_value m b) then 1 else 0)
   | I.Load { dst; addr; width; _ } ->
     Machine.set_reg m dst (Machine.load m ~addr:(addr_of m addr) ~width)
   | I.Store { src; addr; width; _ } ->

@@ -11,9 +11,6 @@
 val operand_value : Machine.t -> Ir.Instr.operand -> int
 val addr_of : Machine.t -> Ir.Instr.addr -> int
 
-val access_of : Machine.t -> Ir.Instr.t -> Hw.Access.t option
-(** Runtime access range of a load/store; [None] otherwise. *)
-
 val exec_data : Machine.t -> Ir.Instr.t -> unit
 (** Execute the data effect (register/memory updates) of a non-control
     instruction.  [Rotate], [Amov], branches, jumps and exits have no

@@ -10,15 +10,21 @@
 
    Atomic regions journal the previous value of every touched word and
    register, so checkpoint is O(1) and rollback is O(journal), never
-   O(whole state). *)
+   O(whole state).  The journal is a flat [int array] of 4-int records
+   [(tag, location, width, previous)]; it doubles when full and is
+   reused by every later region, so journaling allocates nothing once
+   the buffer has grown to the largest region's write footprint. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 
-type journal_entry =
-  | Mem of int * int * int  (* address, width, previous value *)
-  | Reg of Ir.Reg.t * int  (* register, previous value *)
+(* journal record tags: a memory word, or a register of one class *)
+let tag_mem = 0
+let tag_int = 1
+let tag_float = 2
+let tag_temp = 3
+let record_ints = 4
 
 type t = {
   mutable ints : int array;
@@ -27,8 +33,13 @@ type t = {
   pages : (int, Bytes.t) Hashtbl.t;
   mutable cached_idx : int;  (* page cache; [min_int] = empty *)
   mutable cached_page : Bytes.t;
-  mutable journal : journal_entry list option;  (* Some = region active *)
+  mutable active : bool;  (* a region is open and writes are journaled *)
+  mutable journal : int array;  (* [journal_len / record_ints] records *)
+  mutable journal_len : int;
 }
+
+(* [find_page]'s answer for a page that was never written *)
+let no_page = Bytes.empty
 
 let create () =
   {
@@ -37,8 +48,10 @@ let create () =
     temps = Array.make 64 0;
     pages = Hashtbl.create 16;
     cached_idx = min_int;
-    cached_page = Bytes.empty;
-    journal = None;
+    cached_page = no_page;
+    active = false;
+    journal = [||];
+    journal_len = 0;
   }
 
 let copy t =
@@ -50,9 +63,27 @@ let copy t =
     temps = Array.copy t.temps;
     pages;
     cached_idx = min_int;
-    cached_page = Bytes.empty;
-    journal = None;
+    cached_page = no_page;
+    active = false;
+    journal = [||];
+    journal_len = 0;
   }
+
+(* -- journal -- *)
+
+let journal_push t tag loc width prev =
+  let n = t.journal_len in
+  if n + record_ints > Array.length t.journal then begin
+    let grown = Array.make (max 256 (2 * Array.length t.journal)) 0 in
+    Array.blit t.journal 0 grown 0 n;
+    t.journal <- grown
+  end;
+  let j = t.journal in
+  Array.unsafe_set j n tag;
+  Array.unsafe_set j (n + 1) loc;
+  Array.unsafe_set j (n + 2) width;
+  Array.unsafe_set j (n + 3) prev;
+  t.journal_len <- n + record_ints
 
 (* -- registers -- *)
 
@@ -62,24 +93,26 @@ let grown a i =
   Array.blit a 0 a' 0 n;
   a'
 
+let slot a i = if i < Array.length a then a.(i) else 0
+
 let get_reg t r =
   match r with
-  | Ir.Reg.R i -> if i < Array.length t.ints then t.ints.(i) else 0
-  | Ir.Reg.F i -> if i < Array.length t.floats then t.floats.(i) else 0
-  | Ir.Reg.T i -> if i < Array.length t.temps then t.temps.(i) else 0
+  | Ir.Reg.R i -> slot t.ints i
+  | Ir.Reg.F i -> slot t.floats i
+  | Ir.Reg.T i -> slot t.temps i
 
 let set_reg t r v =
-  (match t.journal with
-  | Some entries -> t.journal <- Some (Reg (r, get_reg t r) :: entries)
-  | None -> ());
   match r with
   | Ir.Reg.R i ->
+    if t.active then journal_push t tag_int i 0 (slot t.ints i);
     if i >= Array.length t.ints then t.ints <- grown t.ints i;
     t.ints.(i) <- v
   | Ir.Reg.F i ->
+    if t.active then journal_push t tag_float i 0 (slot t.floats i);
     if i >= Array.length t.floats then t.floats <- grown t.floats i;
     t.floats.(i) <- v
   | Ir.Reg.T i ->
+    if t.active then journal_push t tag_temp i 0 (slot t.temps i);
     if i >= Array.length t.temps then t.temps <- grown t.temps i;
     t.temps.(i) <- v
 
@@ -93,47 +126,56 @@ let check_width width =
    page p covers [p * page_size, (p + 1) * page_size). *)
 let page_index addr = addr asr page_bits
 
+(* The cache remembers a missing page too, so reads of unwritten memory
+   skip the table; [ensure_page] replaces the entry when it creates the
+   page. *)
 let find_page t idx =
-  if idx = t.cached_idx then Some t.cached_page
-  else
-    match Hashtbl.find_opt t.pages idx with
-    | Some page ->
-      t.cached_idx <- idx;
-      t.cached_page <- page;
-      Some page
-    | None -> None
+  if idx = t.cached_idx then t.cached_page
+  else begin
+    let page =
+      match Hashtbl.find_opt t.pages idx with
+      | Some page -> page
+      | None -> no_page
+    in
+    t.cached_idx <- idx;
+    t.cached_page <- page;
+    page
+  end
 
 let ensure_page t idx =
-  match find_page t idx with
-  | Some page -> page
-  | None ->
+  let page = find_page t idx in
+  if page != no_page then page
+  else begin
     let page = Bytes.make page_size '\000' in
     Hashtbl.replace t.pages idx page;
     t.cached_idx <- idx;
     t.cached_page <- page;
     page
+  end
 
 let read_raw t addr width =
   let idx = page_index addr in
-  if page_index (addr + width - 1) = idx then
+  let acc = ref 0 in
+  if page_index (addr + width - 1) = idx then begin
     (* fast path: the access sits inside one page *)
-    match find_page t idx with
-    | None -> 0
-    | Some page ->
+    let page = find_page t idx in
+    if page != no_page then begin
       let off = addr land page_mask in
-      let rec go i acc =
-        if i < 0 then acc
-        else go (i - 1) ((acc lsl 8) lor Char.code (Bytes.unsafe_get page (off + i)))
-      in
-      go (width - 1) 0
+      for i = width - 1 downto 0 do
+        acc := (!acc lsl 8) lor Char.code (Bytes.unsafe_get page (off + i))
+      done
+    end
+  end
   else
-    let byte i =
-      match find_page t (page_index (addr + i)) with
-      | None -> 0
-      | Some page -> Char.code (Bytes.unsafe_get page ((addr + i) land page_mask))
-    in
-    let rec go i acc = if i < 0 then acc else go (i - 1) ((acc lsl 8) lor byte i) in
-    go (width - 1) 0
+    for i = width - 1 downto 0 do
+      let page = find_page t (page_index (addr + i)) in
+      let byte =
+        if page == no_page then 0
+        else Char.code (Bytes.unsafe_get page ((addr + i) land page_mask))
+      in
+      acc := (!acc lsl 8) lor byte
+    done;
+  !acc
 
 let write_raw t addr width v =
   let idx = page_index addr in
@@ -158,47 +200,48 @@ let load t ~addr ~width =
 
 let store t ~addr ~width v =
   check_width width;
-  (match t.journal with
-  | Some entries ->
-    (* an 8-byte word has 64 bits and does not round-trip through a
-       63-bit OCaml int, so journal it as two 4-byte halves *)
-    let entries =
-      if width = 8 then
-        Mem (addr + 4, 4, read_raw t (addr + 4) 4)
-        :: Mem (addr, 4, read_raw t addr 4)
-        :: entries
-      else Mem (addr, width, read_raw t addr width) :: entries
-    in
-    t.journal <- Some entries
-  | None -> ());
+  if t.active then
+    if width = 8 then begin
+      (* an 8-byte word has 64 bits and does not round-trip through a
+         63-bit OCaml int, so journal it as two 4-byte halves *)
+      journal_push t tag_mem addr 4 (read_raw t addr 4);
+      journal_push t tag_mem (addr + 4) 4 (read_raw t (addr + 4) 4)
+    end
+    else journal_push t tag_mem addr width (read_raw t addr width);
   write_raw t addr width v
 
 (* -- atomic regions -- *)
 
 let checkpoint t =
-  match t.journal with
-  | Some _ -> invalid_arg "Machine.checkpoint: region already active"
-  | None -> t.journal <- Some []
+  if t.active then invalid_arg "Machine.checkpoint: region already active";
+  t.active <- true;
+  t.journal_len <- 0
 
 let commit t =
-  match t.journal with
-  | None -> invalid_arg "Machine.commit: no active region"
-  | Some _ -> t.journal <- None
+  if not t.active then invalid_arg "Machine.commit: no active region";
+  t.active <- false;
+  t.journal_len <- 0
 
 let rollback t =
-  match t.journal with
-  | None -> invalid_arg "Machine.rollback: no active region"
-  | Some entries ->
-    (* newest-first: the oldest entry for an address or register is
-       applied last and wins, restoring the checkpointed value *)
-    t.journal <- None;
-    let undo = function
-      | Mem (addr, width, prev) -> write_raw t addr width prev
-      | Reg (r, prev) -> set_reg t r prev
-    in
-    List.iter undo entries
+  if not t.active then invalid_arg "Machine.rollback: no active region";
+  t.active <- false;
+  (* newest-first: the oldest record for an address or register is
+     applied last and wins, restoring the checkpointed value.  A
+     journaled register was written in the region, so its array already
+     covers the index. *)
+  let j = t.journal in
+  let k = ref (t.journal_len - record_ints) in
+  while !k >= 0 do
+    let tag = j.(!k) and loc = j.(!k + 1) and prev = j.(!k + 3) in
+    if tag = tag_mem then write_raw t loc j.(!k + 2) prev
+    else if tag = tag_int then t.ints.(loc) <- prev
+    else if tag = tag_float then t.floats.(loc) <- prev
+    else t.temps.(loc) <- prev;
+    k := !k - record_ints
+  done;
+  t.journal_len <- 0
 
-let in_region t = Option.is_some t.journal
+let in_region t = t.active
 
 (* -- observation (cold paths: tests, diffs, dumps) -- *)
 

@@ -3,9 +3,12 @@
     The executor creates a checkpoint, resets the alias-detection unit,
     then issues the region's bundles in order.  Memory operations feed
     their runtime access range to the detector; a reported violation
-    raises an alias exception: the machine rolls back to the checkpoint
-    and the outcome names the offending instruction pair so the runtime
-    can re-optimize.  A taken side exit commits (the scheduler
+    is the hardware's alias exception: the machine rolls back to the
+    checkpoint and the outcome names the offending instruction pair so
+    the runtime can re-optimize.  Exits and faults come back as
+    values, never as OCaml exceptions, and a run allocates per region
+    execution plus one access range per memory operation, nothing per
+    register write or journaled store.  A taken side exit commits (the scheduler
     guarantees committed state is exact at every side exit) and leaves
     towards the guest label.  Falling off the end commits and continues
     at the region's final exit.

@@ -136,10 +136,32 @@ let gen_op =
       (1, return Rollback);
     ]
 
+(* The 63-bit edge: an 8-byte word does not fit an OCaml int, so the
+   machine journals it as two 4-byte halves.  Store the extreme values
+   and values with bit 31, 32 or 62 set, at addresses straddling a page,
+   inside a region that then rolls back. *)
+let gen_edge_store =
+  let open QCheck.Gen in
+  let gen_value =
+    oneof
+      [
+        oneofl [ min_int; max_int; -1 ];
+        map2 (fun v bit -> v lor (1 lsl bit)) int (oneofl [ 31; 32; 62 ]);
+      ]
+  in
+  let gen_straddle =
+    map2 (fun page d -> (page * 4096) + d) (oneofl [ -1; 1 ]) (int_range (-7) (-1))
+  in
+  map2 (fun a v -> [ Checkpoint; Store (a, 8, v); Load (a, 8); Rollback ])
+    gen_straddle gen_value
+
 let arb_ops =
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-    QCheck.Gen.(list_size (int_range 1 200) gen_op)
+    QCheck.Gen.(
+      map List.concat
+        (list_size (int_range 1 200)
+           (frequency [ (15, map (fun op -> [ op ]) gen_op); (1, gen_edge_store) ])))
 
 let machine_against_model ops =
   let m = M.create () in
@@ -192,6 +214,26 @@ let test_rollback_restore_order () =
   Alcotest.(check int) "reg restored" 7 (M.get_reg m (r 1));
   Alcotest.(check int) "straddling store undone" 0x1122334455667788
     (M.load m ~addr:4090 ~width:8)
+
+(* a 63-bit edge value stored as 8 bytes across a page boundary and
+   rolled back leaves memory exactly as the checkpoint found it *)
+let test_rollback_63bit_store () =
+  let m = M.create () in
+  M.store m ~addr:4092 ~width:4 0x01020304;
+  M.store m ~addr:4097 ~width:2 0x0506;
+  (* the byte that holds bit 63 of the word: only a narrower store can
+     set its top bit *)
+  M.store m ~addr:4100 ~width:1 0xff;
+  let before = M.dump_mem m in
+  List.iter
+    (fun v ->
+      M.checkpoint m;
+      M.store m ~addr:4093 ~width:8 v;
+      M.rollback m;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "memory after rolling back %d" v)
+        before (M.dump_mem m))
+    [ min_int; max_int; -1; 1 lsl 31; 1 lsl 32; 1 lsl 62; (1 lsl 62) lor 0xff ]
 
 let test_negative_addresses () =
   let m = M.create () in
@@ -328,4 +370,5 @@ let suite =
       case "run_matrix: -j 1 and -j 8 identical" test_run_matrix_determinism;
       case "pool: order and exceptions" test_pool_order_and_exceptions;
       case "fig15 seed-cycle regression (scale 5)" test_fig15_seed_cycles;
+      case "rollback of a 63-bit 8-byte store" test_rollback_63bit_store;
     ] )

@@ -146,6 +146,25 @@ let test_queue_rotation_preserves_later () =
        (qop ~load:false ~id:8 ~offset:0 ~p:false ~c:true ())
        (access ~addr:16 ~width:4))
 
+let test_queue_rotation_frees_exactly_stale () =
+  (* a full window: rotating frees exactly the orders below the new
+     base, and a rotation past the whole window frees everything *)
+  let q = Hw.Queue.create ~size:4 in
+  Hw.Queue.rotate q 3;
+  for k = 0 to 3 do
+    ok_or_fail
+      (Hw.Queue.on_mem q
+         (qop ~id:(10 + k) ~offset:k ~p:true ~c:false ())
+         (access ~addr:(8 * k) ~width:4))
+  done;
+  Hw.Queue.rotate q 2;
+  Alcotest.(check (list int))
+    "orders at or above the new base survive" [ 5; 6 ]
+    (List.map (fun (order, _, _) -> order) (Hw.Queue.live_entries q));
+  Hw.Queue.rotate q 100;
+  Alcotest.(check int) "rotation past the window frees all" 0
+    (List.length (Hw.Queue.live_entries q))
+
 let test_queue_amov_move_and_clear () =
   let q = Hw.Queue.create ~size:4 in
   ok_or_fail
@@ -330,4 +349,6 @@ let suite =
       case "alat: capacity eviction" test_alat_capacity_eviction;
       case "table 1 capabilities" test_table1_capabilities;
       case "energy proxy counter" test_checks_counter;
+      case "queue: rotation frees exactly the stale orders"
+        test_queue_rotation_frees_exactly_stale;
     ] )

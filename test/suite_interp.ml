@@ -25,11 +25,8 @@ let test_eval_memory () =
   E.exec_data m (st ~width:8 (I.Imm 0xABCD) (r 1) 16);
   E.exec_data m (ld ~width:8 (f 1) (r 1) 16);
   Alcotest.(check int) "store/load roundtrip" 0xABCD (M.get_reg m (f 1));
-  match E.access_of m (ld ~width:4 (f 2) (r 1) 16) with
-  | Some a ->
-    Alcotest.(check bool) "access range" true
-      (Hw.Access.equal a (Hw.Access.make ~addr:1016 ~width:4))
-  | None -> Alcotest.fail "expected an access"
+  Alcotest.(check int) "effective address" 1016
+    (E.addr_of m { I.base = r 1; disp = 16 })
 
 let test_eval_control () =
   let m = M.create () in

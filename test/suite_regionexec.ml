@@ -177,6 +177,114 @@ let test_rotate_amov_are_free_slots () =
         (List.length real <= 4))
     region.Ir.Region.bundles
 
+(* ---- host allocation: the executor allocates per region execution,
+   not per executed instruction ---- *)
+
+(* words the minor heap saw while [f ()] ran *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+(* one instruction per bundle, no alias annotations *)
+let straight_region body =
+  Ir.Region.make ~entry:"t"
+    ~bundles:(Array.of_list (List.map (fun i -> [ i ]) body))
+    ~final_exit:None ~ar_window:0 ~assumed_no_alias:[] ~source:(sb_of body) ()
+
+let run_words machine region =
+  let detector = Hw.No_detect.detector () in
+  minor_words_of (fun () ->
+      ignore (RE.run ~config:Vliw.Config.default ~detector ~machine region))
+
+(* a machine whose journal and pages a first run has already grown *)
+let warm_words region =
+  let machine = Vliw.Machine.create () in
+  Vliw.Machine.set_reg machine (r 2) 4000;
+  ignore (run_words machine region);
+  run_words machine region
+
+(* writes r3..r10; r2 stays the store base *)
+let reg_ops n =
+  List.init n (fun k ->
+      mk (I.Binop (I.Add, r (3 + (k mod 8)), I.Reg (r 1), I.Imm k)))
+
+let store_ops n = List.init n (fun k -> st ~width:8 (I.Imm k) (r 2) (8 * k))
+
+(* the slack for the run's fixed allocations: the result record, the
+   outcome, the bundle iterator and the boxed float the counter returns *)
+let fixed_words = 48
+
+let test_register_ops_allocate_nothing () =
+  reset_ids ();
+  let n = 50 in
+  let small = warm_words (straight_region (reg_ops n)) in
+  let large = warm_words (straight_region (reg_ops (4 * n))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "4N register ops (%d words) within %d of N (%d words)"
+       large fixed_words small)
+    true
+    (large - small <= fixed_words)
+
+let test_store_ops_allocate_only_ranges () =
+  reset_ids ();
+  let n = 50 in
+  let small = warm_words (straight_region (store_ops n)) in
+  let large = warm_words (straight_region (store_ops (4 * n))) in
+  (* one [Hw.Access.t] (two fields and a header) per extra memory op *)
+  let budget = (3 * 3 * n) + fixed_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "4N stores (%d words) within %d of N (%d words)" large
+       budget small)
+    true
+    (large - small <= budget)
+
+let test_journal_reused_after_rollback () =
+  reset_ids ();
+  (* enough journaled writes to grow the buffer past its first size,
+     then a load the detector faults on *)
+  let body = reg_ops 200 @ store_ops 50 @ [ ld (f 1) (r 2) 0 ] in
+  let faulting = (List.nth body (List.length body - 1)).I.id in
+  let violation =
+    Hw.Detector.{ checker = faulting; setter = faulting; false_positive_prone = false }
+  in
+  let detector =
+    Hw.Detector.wrap
+      ~on_mem:(fun next (i : I.t) range ->
+        if i.I.id = faulting then Error violation else next i range)
+      (Hw.No_detect.detector ())
+  in
+  let region = straight_region body in
+  let machine = Vliw.Machine.create () in
+  Vliw.Machine.set_reg machine (r 2) 4000;
+  let run () =
+    let res = ref None in
+    let words =
+      minor_words_of (fun () ->
+          res :=
+            Some (RE.run ~config:Vliw.Config.default ~detector ~machine region))
+    in
+    (match !res with
+    | Some { RE.outcome = RE.Alias_fault _; _ } -> ()
+    | _ -> Alcotest.fail "expected the injected fault");
+    words
+  in
+  let first = run () in
+  let second = run () in
+  Alcotest.(check bool)
+    (Printf.sprintf "second run (%d words) allocates no more than the first (%d)"
+       second first)
+    true (second <= first);
+  let budget = (3 * 51) + fixed_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "second run (%d words) within %d: ranges only" second
+       budget)
+    true (second <= budget);
+  Alcotest.(check int) "rolled back: stores undone" 0
+    (Vliw.Machine.load machine ~addr:4008 ~width:8);
+  Alcotest.(check int) "rolled back: registers undone" 0
+    (Vliw.Machine.get_reg machine (r 3))
+
 let suite =
   ( "region-exec",
     [
@@ -188,4 +296,10 @@ let suite =
       case "cycles break via AMOV (Fig 12)" test_amov_cycle_breaking;
       case "AMOV regions execute correctly" test_amov_region_executes_correctly;
       case "rotate/amov cost no issue slots" test_rotate_amov_are_free_slots;
+      case "register ops allocate nothing per op"
+        test_register_ops_allocate_nothing;
+      case "store ops allocate only their ranges"
+        test_store_ops_allocate_only_ranges;
+      case "journal buffer reused after rollback"
+        test_journal_reused_after_rollback;
     ] )
