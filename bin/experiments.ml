@@ -501,35 +501,6 @@ let cache_exp p =
 
 let static_exp p =
   hr "Ablation: static constant-base disambiguation without hardware";
-  (* a direct-addressing-heavy workload where a fast static analysis
-     has something to find *)
-  let make ~iters () =
-    let bld = Workload.Builder.create () in
-    let regs =
-      Workload.Kernels.
-        { a = Ir.Reg.R 1; b = Ir.Reg.R 2; c = Ir.Reg.R 3; idx = Ir.Reg.R 4 }
-    in
-    Workload.Builder.straight bld "init"
-      (Workload.Builder.instrs bld
-         [
-           Ir.Instr.Mov (regs.Workload.Kernels.a, Ir.Instr.Imm 0x100000);
-           Ir.Instr.Mov (regs.Workload.Kernels.b, Ir.Instr.Imm 0x200000);
-           Ir.Instr.Mov (regs.Workload.Kernels.c, Ir.Instr.Imm 0x300000);
-           Ir.Instr.Mov (regs.Workload.Kernels.idx, Ir.Instr.Imm iters);
-         ])
-      ~next:"body0";
-    Workload.Builder.straight bld "body0"
-      (Workload.Kernels.direct bld regs ~region:0x500000 ~width:8 ~pairs:4 ())
-      ~next:"body1";
-    Workload.Builder.loop_back bld "body1"
-      (Workload.Kernels.stream bld regs ~width:8 ~lanes:2 ~depth:3 ()
-      @ Workload.Kernels.direct bld regs ~region:0x600000 ~width:8 ~pairs:3 ()
-      @ Workload.Kernels.bump_bases bld regs ~stride:256)
-      ~counter:regs.Workload.Kernels.idx ~back_to:"body0" ~exit_to:"done"
-      ~iters;
-    Workload.Builder.add_block bld "done" [] Ir.Block.Halt;
-    Workload.Builder.program bld ~entry:"init"
-  in
   let schemes =
     [ Smarq.Scheme.None_; Smarq.Scheme.None_static; Smarq.Scheme.Smarq 64 ]
   in
@@ -539,7 +510,7 @@ let static_exp p =
          (fun s ->
            Exec.Matrix.job ~config:cli_config ~scheme:s
              ~label:(Printf.sprintf "static/%s" (Smarq.Scheme.name s))
-             (make ~iters:8000))
+             (fun () -> Workload.Kernels.direct_heavy ~iters:8000))
          schemes)
   in
   Printf.printf "%-14s %12s %9s\n" "scheme" "cycles" "speedup";

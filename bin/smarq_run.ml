@@ -14,9 +14,7 @@
 open Cmdliner
 
 let scheme_conv =
-  let parse s =
-    try Ok (Smarq.Scheme.of_string s) with Invalid_argument m -> Error (`Msg m)
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (Smarq.Scheme.of_string s) in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Smarq.Scheme.name s))
 
 let bench_arg =
@@ -41,8 +39,7 @@ let scale_arg =
 
 let tcache_policy_conv =
   let parse s =
-    try Ok (Smarq.Tcache.Policy.of_string s)
-    with Invalid_argument m -> Error (`Msg m)
+    Result.map_error (fun m -> `Msg m) (Smarq.Tcache.Policy.of_string s)
   in
   Arg.conv (parse, Smarq.Tcache.Policy.pp)
 

@@ -48,7 +48,10 @@ let norm c =
   if c.lo = c.hi then point c.lo
   else { c with rem = pos_mod c.rem c.stride }
 
-let guard c = if abs c.lo > max_mag || abs c.hi > max_mag then None else Some c
+(* Explicit bounds rather than [abs]: [abs min_int] is negative. *)
+let in_guard n = n >= -max_mag && n <= max_mag
+
+let guard c = if in_guard c.lo && in_guard c.hi then Some c else None
 
 let cset_add c1 c2 =
   let stride = gcd0 c1.stride c2.stride in
@@ -59,8 +62,15 @@ let cset_neg c =
   let rem = if c.stride = 0 then 0 else pos_mod (-residue c) c.stride in
   norm { lo = -c.hi; hi = -c.lo; stride = c.stride; rem }
 
+(* [a * k] stays inside the guard, checked before multiplying so a
+   wrapped product can never pass for a small one. *)
+let mul_fits a k = a = 0 || (in_guard a && in_guard k && abs a <= max_mag / abs k)
+
+(* Non-singleton sets keep [stride <= hi - lo], so once both scaled
+   bounds fit, the scaled stride cannot wrap either. *)
 let cset_scale k c =
   if k = 0 then Some (point 0)
+  else if not (mul_fits c.lo k && mul_fits c.hi k) then None
   else
     let lo, hi =
       if k > 0 then (c.lo * k, c.hi * k) else (c.hi * k, c.lo * k)
@@ -174,8 +184,6 @@ let exact_binop (op : Ir.Instr.binop) a b =
   | Ir.Instr.Xor -> a lxor b
   | Ir.Instr.Shl -> a lsl (b land 31)
   | Ir.Instr.Shr -> a asr (b land 31)
-
-let in_guard n = abs n <= max_mag
 
 let vbinop (op : Ir.Instr.binop) v1 v2 =
   match (const_of v1, const_of v2) with

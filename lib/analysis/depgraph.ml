@@ -110,18 +110,14 @@ let of_edge_list all =
    (every store-carrying pair with a may/must verdict, in (i, j)
    order) without calling the pairwise verdict:
 
-   - Memory operations are bucketed by (base register, generation),
-     where an operation's generation counts the definitions of its base
-     at strictly earlier body positions.  Two same-base operations see
-     an intervening redefinition exactly when their generations differ
-     (a self-defining load bumps the generation of everything after it
-     but not its own, matching [May_alias.defined_in]'s half-open
-     interval).
+   - Memory operations are bucketed by (base register,
+     [May_alias.generation]): two same-base operations see an
+     intervening redefinition exactly when their generations differ.
    - Within a bucket the displacement intervals decide exactly, so a
      disp-sorted sweep emits only the overlapping (hard) pairs and
      never touches the provably disjoint ones.
    - Across buckets every store-carrying pair is an edge (speculative
-     unless a recorded alias or a constant-base proof upgrades or
+     unless a recorded alias or a constant-address proof upgrades or
      removes it), so enumerating them costs O(1) per emitted edge.
    - Recorded alias pairs are folded in out of band: they are the only
      way a within-bucket disjoint pair becomes an edge.
@@ -130,9 +126,9 @@ let of_edge_list all =
    arena vector and sorted at the end, which restores the pairwise
    (i, j)-lexicographic order.  All node attributes live in
    arena-leased struct-of-arrays buffers (bases as compact reg codes,
-   absent constant bases as [min_int]); the maps are open-addressed
+   absent constant addresses as [min_int]); the maps are open-addressed
    arena intmaps.  Nothing here allocates once the arena is warm. *)
-let no_cbase = min_int
+let no_caddr = min_int
 
 let real_edges_swept ~arena ~body ~alias ~emit_edges =
   let module A = Arena in
@@ -144,15 +140,14 @@ let real_edges_swept ~arena ~body ~alias ~emit_edges =
     let disp = A.ints arena ~slot:2 n in
     let width = A.ints arena ~slot:3 n in
     let store = A.ints arena ~slot:4 n in
-    let cbase = A.ints arena ~slot:5 n in
+    let caddr = A.ints arena ~slot:5 n in
     let gen = A.ints arena ~slot:6 n in
-    (* generations: one body walk, counting defs per register code *)
-    let def_count = A.map arena ~slot:0 in
     let slot_of_id = A.map arena ~slot:1 in
     let next = ref 0 in
+    let max_gen = ref 0 in
     List.iter
       (fun (ins : Ir.Instr.t) ->
-        (match Ir.Instr.mem_addr ins with
+        match Ir.Instr.mem_addr ins with
         | Some a ->
           let k = !next in
           incr next;
@@ -161,25 +156,22 @@ let real_edges_swept ~arena ~body ~alias ~emit_edges =
           disp.(k) <- a.Ir.Instr.disp;
           width.(k) <- Option.value (Ir.Instr.mem_width ins) ~default:1;
           store.(k) <- (if Ir.Instr.is_store ins then 1 else 0);
-          cbase.(k) <-
-            (match May_alias.const_base_value alias ins with
+          caddr.(k) <-
+            (match May_alias.const_address alias ins with
             | Some v -> v
-            | None -> no_cbase);
-          gen.(k) <- A.map_get def_count bcode.(k) ~default:0;
+            | None -> no_caddr);
+          gen.(k) <- May_alias.generation alias ins;
+          max_gen := max !max_gen gen.(k);
           A.map_set slot_of_id ins.id k
-        | None -> ());
-        List.iter
-          (fun r ->
-            let c = A.reg_code r in
-            A.map_set def_count c (1 + A.map_get def_count c ~default:0))
-          (Ir.Instr.defs ins))
+        | None -> ())
       body;
-    (* dense bucket ids per (base code, generation) *)
+    (* dense bucket ids per (base code, generation); a generation can
+       exceed the memory-op count, so the key spreads by the largest *)
     let bucket_ids = A.map arena ~slot:2 in
     let bucket = A.ints arena ~slot:7 n in
     let n_buckets = ref 0 in
     for k = 0 to n - 1 do
-      let key = (bcode.(k) * (n + 1)) + gen.(k) in
+      let key = (bcode.(k) * (!max_gen + 1)) + gen.(k) in
       bucket.(k) <-
         (match A.map_get bucket_ids key ~default:(-1) with
         | -1 ->
@@ -247,8 +239,8 @@ let real_edges_swept ~arena ~body ~alias ~emit_edges =
           (* same base, different generation: may-alias unless the
              certifier proved the pair disjoint *)
           if May_alias.certified alias id.(i) id.(j) then -1 else 0
-        else if cbase.(i) <> no_cbase && cbase.(j) <> no_cbase then begin
-          let d1 = cbase.(i) + disp.(i) and d2 = cbase.(j) + disp.(j) in
+        else if caddr.(i) <> no_caddr && caddr.(j) <> no_caddr then begin
+          let d1 = caddr.(i) and d2 = caddr.(j) in
           if d1 < d2 + width.(j) && d2 < d1 + width.(i) then 1 else -1
         end
         else if May_alias.certified alias id.(i) id.(j) then -1

@@ -4,39 +4,31 @@ type verdict =
   | May_alias
 
 type t = {
-  position : (int, int) Hashtbl.t;  (* instr id -> body index *)
-  instrs : Ir.Instr.t array;  (* body, original order *)
-  def_positions : (Ir.Reg.t, int list) Hashtbl.t;  (* sorted ascending *)
+  generation : (int, int) Hashtbl.t;  (* memory op id -> generation *)
   known : (int * int, unit) Hashtbl.t;  (* normalized id pairs *)
   certified : (int * int, unit) Hashtbl.t;  (* statically proven disjoint *)
-  const_facts : Const_prop.t option;
+  const_facts : Absint.t option;
 }
 
 let norm_pair a b = if a <= b then (a, b) else (b, a)
 
 let analyze ?(known_alias = []) ?const_facts ~body () =
-  let instrs = Array.of_list body in
-  let position = Hashtbl.create (Array.length instrs * 2) in
-  Array.iteri (fun idx (i : Ir.Instr.t) -> Hashtbl.replace position i.id idx)
-    instrs;
-  let def_positions = Hashtbl.create 64 in
-  Array.iteri
-    (fun idx (i : Ir.Instr.t) ->
-      List.iter
-        (fun r ->
-          let l = Option.value (Hashtbl.find_opt def_positions r) ~default:[] in
-          Hashtbl.replace def_positions r (idx :: l))
+  let generation = Hashtbl.create 64 in
+  let defs = Hashtbl.create 64 in
+  let defs_of r = Option.value (Hashtbl.find_opt defs r) ~default:0 in
+  List.iter
+    (fun (i : Ir.Instr.t) ->
+      (match Ir.Instr.mem_addr i with
+      | Some a -> Hashtbl.replace generation i.id (defs_of a.Ir.Instr.base)
+      | None -> ());
+      List.iter (fun r -> Hashtbl.replace defs r (defs_of r + 1))
         (Ir.Instr.defs i))
-    instrs;
-  Hashtbl.iter
-    (fun r l -> Hashtbl.replace def_positions r (List.rev l))
-    (Hashtbl.copy def_positions);
+    body;
   let known = Hashtbl.create 16 in
   List.iter
     (fun (a, b) -> Hashtbl.replace known (norm_pair a b) ())
     known_alias;
-  { position; instrs; def_positions; known;
-    certified = Hashtbl.create 16; const_facts }
+  { generation; known; certified = Hashtbl.create 16; const_facts }
 
 let add_known_alias t a b = Hashtbl.replace t.known (norm_pair a b) ()
 
@@ -47,33 +39,20 @@ let set_certified t pairs =
 
 let certified t a b = Hashtbl.mem t.certified (norm_pair a b)
 
-(* Is [r] (re)defined at any body index in [lo, hi)? *)
-let defined_in t r ~lo ~hi =
-  match Hashtbl.find_opt t.def_positions r with
-  | None -> false
-  | Some l -> List.exists (fun k -> k >= lo && k < hi) l
+let generation t (x : Ir.Instr.t) = Hashtbl.find t.generation x.id
 
-let ranges_overlap d1 w1 d2 w2 = d1 < d2 + w2 && d2 < d1 + w1
-
-(* Absolute-address verdict for direct accesses (both bases provably
-   constant at their instruction). *)
-let direct_verdict t (x : Ir.Instr.t) ax (y : Ir.Instr.t) ay =
+let const_address t (x : Ir.Instr.t) =
   match t.const_facts with
   | None -> None
-  | Some facts ->
-    (match
-       ( Const_prop.base_value_at facts ~instr_id:x.Ir.Instr.id
-           ax.Ir.Instr.base,
-         Const_prop.base_value_at facts ~instr_id:y.Ir.Instr.id
-           ay.Ir.Instr.base )
-     with
-    | Some bx, Some by ->
-      let wx = Option.value (Ir.Instr.mem_width x) ~default:1 in
-      let wy = Option.value (Ir.Instr.mem_width y) ~default:1 in
-      if ranges_overlap (bx + ax.Ir.Instr.disp) wx (by + ay.Ir.Instr.disp) wy
-      then Some Must_alias
-      else Some No_alias
+  | Some facts -> (
+    match Absint.address facts x.id with
+    | Some ({ Absint.origin = Absint.Const; off = { stride = 0; lo; _ }; _ }, _)
+      ->
+      Some lo
     | _ -> None)
+
+let width x = Option.value (Ir.Instr.mem_width x) ~default:1
+let ranges_overlap d1 w1 d2 w2 = d1 < d2 + w2 && d2 < d1 + w1
 
 (* Base verdict, before static certification is consulted. *)
 let base_verdict t (x : Ir.Instr.t) (y : Ir.Instr.t) =
@@ -82,22 +61,20 @@ let base_verdict t (x : Ir.Instr.t) (y : Ir.Instr.t) =
     match Ir.Instr.mem_addr x, Ir.Instr.mem_addr y with
     | Some ax, Some ay ->
       if not (Ir.Reg.equal ax.base ay.base) then begin
-        match direct_verdict t x ax y ay with
-        | Some v -> v
-        | None -> May_alias
+        (* direct accesses: both absolute addresses provably constant *)
+        match const_address t x, const_address t y with
+        | Some cx, Some cy ->
+          if ranges_overlap cx (width x) cy (width y) then Must_alias
+          else No_alias
+        | _ -> May_alias
       end
       else begin
-        match Hashtbl.find_opt t.position x.id, Hashtbl.find_opt t.position y.id
+        match
+          Hashtbl.find_opt t.generation x.id, Hashtbl.find_opt t.generation y.id
         with
-        | Some px, Some py ->
-          let lo = min px py and hi = max px py in
-          if defined_in t ax.base ~lo ~hi then May_alias
-          else begin
-            let wx = Option.value (Ir.Instr.mem_width x) ~default:1 in
-            let wy = Option.value (Ir.Instr.mem_width y) ~default:1 in
-            if ranges_overlap ax.disp wx ay.disp wy then Must_alias
-            else No_alias
-          end
+        | Some gx, Some gy when gx = gy ->
+          if ranges_overlap ax.disp (width x) ay.disp (width y) then Must_alias
+          else No_alias
         | _ -> May_alias
       end
     | _ -> No_alias
@@ -112,12 +89,6 @@ let verdict t (x : Ir.Instr.t) (y : Ir.Instr.t) =
 let is_known t a b = Hashtbl.mem t.known (norm_pair a b)
 
 let known_pairs t = Hashtbl.fold (fun p () acc -> p :: acc) t.known []
-
-let const_base_value t (x : Ir.Instr.t) =
-  match t.const_facts, Ir.Instr.mem_addr x with
-  | Some facts, Some ax ->
-    Const_prop.base_value_at facts ~instr_id:x.Ir.Instr.id ax.Ir.Instr.base
-  | _ -> None
 
 let pp_verdict ppf = function
   | No_alias -> Format.pp_print_string ppf "no-alias"

@@ -50,7 +50,7 @@ let expected_rules = function
   | Shift_witness_range -> [ Verifier.Cert_derivation ]
   | Widen_witness_range -> [ Verifier.Cert_separation ]
   | Swap_witness_origin -> [ Verifier.Cert_derivation ]
-  | Drop_witness -> [ Verifier.Cert_dep_missing ]
+  | Drop_witness -> [ Verifier.Dep_missing ]
   | Forge_witness -> [ Verifier.Cert_edge_kept ]
   | Desync_region_cert -> [ Verifier.Cert_region_sync ]
   | Bogus_witness_endpoint -> [ Verifier.Cert_endpoints ]

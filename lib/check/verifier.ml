@@ -28,7 +28,7 @@ type rule =
   | Cert_derivation
   | Cert_separation
   | Cert_edge_kept
-  | Cert_dep_missing
+  | Dep_missing
   | Cert_region_sync
 
 let rule_name = function
@@ -59,7 +59,7 @@ let rule_name = function
   | Cert_derivation -> "cert_derivation"
   | Cert_separation -> "cert_separation"
   | Cert_edge_kept -> "cert_edge_kept"
-  | Cert_dep_missing -> "cert_dep_missing"
+  | Dep_missing -> "dep_missing"
   | Cert_region_sync -> "cert_region_sync"
 
 type violation = {
@@ -699,27 +699,26 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
           e.second)
       required);
 
-  (* ---- alias-certification witnesses, replayed independently *)
-  (match o.Opt.Optimizer.cert with
-  | None ->
-    if region.Ir.Region.certified_no_alias <> [] then
-      flag Cert_region_sync
-        "region lists %d certified pairs but the artifact carries no \
-         certificate"
-        (List.length region.Ir.Region.certified_no_alias)
-  | Some cert ->
-    List.iter
-      (fun (v : Witness.violation) ->
-        match v with
-        | Witness.Endpoints d -> flag Cert_endpoints "%s" d
-        | Witness.Derivation d -> flag Cert_derivation "%s" d
-        | Witness.Separation d -> flag Cert_separation "%s" d
-        | Witness.Edge_kept d -> flag Cert_edge_kept "%s" d
-        | Witness.Dep_missing d -> flag Cert_dep_missing "%s" d
-        | Witness.Region_sync d -> flag Cert_region_sync "%s" d)
-      (Witness.check ~cert ~body
-         ~region_certified:region.Ir.Region.certified_no_alias
-         ~deps:o.Opt.Optimizer.deps));
+  (* ---- alias-certification witnesses, replayed independently, and
+     dependence completeness — on every region: without a certificate
+     the replay checks an empty one, so a lost edge is still caught *)
+  let cert =
+    match o.Opt.Optimizer.cert with
+    | Some cert -> cert
+    | None -> Analysis.Disamb.of_witnesses []
+  in
+  List.iter
+    (fun (v : Witness.violation) ->
+      match v with
+      | Witness.Endpoints d -> flag Cert_endpoints "%s" d
+      | Witness.Derivation d -> flag Cert_derivation "%s" d
+      | Witness.Separation d -> flag Cert_separation "%s" d
+      | Witness.Edge_kept d -> flag Cert_edge_kept "%s" d
+      | Witness.Dep_missing d -> flag Dep_missing "%s" d
+      | Witness.Region_sync d -> flag Cert_region_sync "%s" d)
+    (Witness.check ~cert ~body
+       ~region_certified:region.Ir.Region.certified_no_alias
+       ~deps:o.Opt.Optimizer.deps);
 
   match !violations with
   | [] -> Pass

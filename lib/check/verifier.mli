@@ -56,7 +56,9 @@ type rule =
   | Cert_derivation  (** claimed fact not entailed by independent replay *)
   | Cert_separation  (** claimed facts do not imply disjointness *)
   | Cert_edge_kept  (** certified pair still carries a dependence edge *)
-  | Cert_dep_missing  (** may-alias pair with neither edge nor witness *)
+  | Dep_missing
+      (** may-alias pair with neither edge nor witness (checked on every
+          region, with or without a certificate) *)
   | Cert_region_sync  (** region certified list diverges from certificate *)
 
 val rule_name : rule -> string

@@ -14,6 +14,11 @@
      edge-less and witness-less, and the region's certified list
      matches the certificate.
 
+   The verifier runs this on every region: one built without
+   certification is checked against the empty certificate, so the
+   completeness rule still asks whether the dependence graph lost an
+   edge, and a region listing certified pairs fails the sync check.
+
    Entailment (rather than equality) keeps an honest checker from
    rejecting artifacts over precision differences: any claim at least
    as weak as the replayed fact, that still implies disjointness, is a
@@ -57,7 +62,9 @@ let merge_step a b = if a = 0 then b else if b = 0 then a else gcd_pos a b
 let s_norm s =
   if s.rlo = s.rhi then sing s.rlo else { s with rres = wrap s.rres s.rstep }
 
-let s_guard s = if abs s.rlo > mag || abs s.rhi > mag then None else Some s
+(* bounds compared directly: [abs min_int] is negative *)
+let within n = -mag <= n && n <= mag
+let s_guard s = if within s.rlo && within s.rhi then Some s else None
 
 let s_add s1 s2 =
   let rstep = merge_step s1.rstep s2.rstep in
@@ -68,8 +75,12 @@ let s_neg s =
   let rres = if s.rstep = 0 then 0 else wrap (-res s) s.rstep in
   s_norm { rlo = -s.rhi; rhi = -s.rlo; rstep = s.rstep; rres }
 
+(* refuse before multiplying: a wrapped product could land in range *)
+let product_within n k = n = 0 || (within n && within k && abs n <= mag / abs k)
+
 let s_scale k s =
   if k = 0 then Some (sing 0)
+  else if not (product_within s.rlo k && product_within s.rhi k) then None
   else
     let rlo, rhi =
       if k > 0 then (s.rlo * k, s.rhi * k) else (s.rhi * k, s.rlo * k)
@@ -151,7 +162,7 @@ let r_binop op v1 v2 =
   match (r_const_of v1, r_const_of v2) with
   | Some a, Some b ->
     let n = exact op a b in
-    if abs n <= mag then Some (r_const n) else None
+    if within n then Some (r_const n) else None
   | _ -> (
     match op with
     | Ir.Instr.Add -> r_add v1 v2

@@ -57,23 +57,29 @@ module Scheme = struct
     | None_ -> "none"
     | None_static -> "none+static"
 
+  (** Parses a scheme name; [smarqN] and [naiveN] need [N > 0], and
+      bare [smarq] / [naive] mean 64 registers. *)
   let of_string s =
-    match String.lowercase_ascii s with
-    | "alat" | "itanium" -> Alat
-    | "efficeon" -> Efficeon
-    | "none" | "baseline" -> None_
-    | "none+static" | "static" -> None_static
-    | s when String.length s > 5 && String.sub s 0 5 = "smarq" ->
-      (match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some n -> Smarq n
-      | None -> invalid_arg (Printf.sprintf "unknown scheme %S" s))
-    | "smarq" -> Smarq 64
-    | s when String.length s > 5 && String.sub s 0 5 = "naive" ->
-      (match int_of_string_opt (String.sub s 5 (String.length s - 5)) with
-      | Some n -> Naive_order n
-      | None -> invalid_arg (Printf.sprintf "unknown scheme %S" s))
-    | "naive" -> Naive_order 64
-    | _ -> invalid_arg (Printf.sprintf "unknown scheme %S" s)
+    let l = String.lowercase_ascii s in
+    let counted make =
+      (* both prefixes are five characters long *)
+      match int_of_string_opt (String.sub l 5 (String.length l - 5)) with
+      | Some n when n > 0 -> Ok (make n)
+      | Some _ ->
+        Error (Printf.sprintf "scheme %S needs a positive register count" s)
+      | None -> Error (Printf.sprintf "unknown scheme %S" s)
+    in
+    match l with
+    | "alat" | "itanium" -> Ok Alat
+    | "efficeon" -> Ok Efficeon
+    | "none" | "baseline" -> Ok None_
+    | "none+static" | "static" -> Ok None_static
+    | "smarq" -> Ok (Smarq 64)
+    | "naive" -> Ok (Naive_order 64)
+    | _ when String.starts_with ~prefix:"smarq" l -> counted (fun n -> Smarq n)
+    | _ when String.starts_with ~prefix:"naive" l ->
+      counted (fun n -> Naive_order n)
+    | _ -> Error (Printf.sprintf "unknown scheme %S" s)
 
   let all = [ Smarq 64; Smarq 16; Alat; Efficeon; None_ ]
 end

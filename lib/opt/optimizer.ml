@@ -29,7 +29,7 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
   let module P = Sched.Profile in
   let facts_for body =
     if policy.Sched.Policy.static_disambiguation then
-      Some (Analysis.Const_prop.analyze ~body)
+      Some (Analysis.Absint.analyze ~body)
     else None
   in
   (* Eager certification keeps the artifact a pure function of the

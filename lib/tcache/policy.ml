@@ -8,11 +8,11 @@ let to_string = function
 
 let of_string s =
   match String.lowercase_ascii s with
-  | "lru" -> Lru
-  | "fifo" -> Fifo
-  | "flush" | "flush-all" | "flush_all" -> Flush_all
-  | "unbounded" | "none" -> Unbounded
-  | _ -> invalid_arg (Printf.sprintf "unknown tcache policy %S" s)
+  | "lru" -> Ok Lru
+  | "fifo" -> Ok Fifo
+  | "flush" | "flush-all" | "flush_all" -> Ok Flush_all
+  | "unbounded" | "none" -> Ok Unbounded
+  | _ -> Error (Printf.sprintf "unknown tcache policy %S" s)
 
 let all = [ Lru; Fifo; Flush_all; Unbounded ]
 let pp ppf t = Format.pp_print_string ppf (to_string t)

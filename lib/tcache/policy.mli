@@ -16,10 +16,10 @@ type t =
 
 val to_string : t -> string
 
-val of_string : string -> t
+val of_string : string -> (t, string) result
 (** Accepts "lru", "fifo", "flush" / "flush-all" / "flush_all",
-    "unbounded" / "none" (case-insensitive).  Raises
-    [Invalid_argument] otherwise. *)
+    "unbounded" / "none" (case-insensitive); [Error] names anything
+    else. *)
 
 val all : t list
 val pp : Format.formatter -> t -> unit

@@ -232,3 +232,28 @@ let bump_bases bld regs ~stride =
       I.Binop (I.Add, regs.b, I.Reg regs.b, I.Imm stride);
       I.Binop (I.Add, regs.c, I.Reg regs.c, I.Imm stride);
     ]
+
+let direct_heavy ~iters =
+  let bld = Builder.create () in
+  let regs =
+    { a = Ir.Reg.R 1; b = Ir.Reg.R 2; c = Ir.Reg.R 3; idx = Ir.Reg.R 4 }
+  in
+  Builder.straight bld "init"
+    (Builder.instrs bld
+       [
+         I.Mov (regs.a, I.Imm 0x100000);
+         I.Mov (regs.b, I.Imm 0x200000);
+         I.Mov (regs.c, I.Imm 0x300000);
+         I.Mov (regs.idx, I.Imm iters);
+       ])
+    ~next:"body0";
+  Builder.straight bld "body0"
+    (direct bld regs ~region:0x500000 ~width:8 ~pairs:4 ())
+    ~next:"body1";
+  Builder.loop_back bld "body1"
+    (stream bld regs ~width:8 ~lanes:2 ~depth:3 ()
+    @ direct bld regs ~region:0x600000 ~width:8 ~pairs:3 ()
+    @ bump_bases bld regs ~stride:256)
+    ~counter:regs.idx ~back_to:"body0" ~exit_to:"done" ~iters;
+  Builder.add_block bld "done" [] Ir.Block.Halt;
+  Builder.program bld ~entry:"init"

@@ -87,3 +87,9 @@ val filler : Builder.t -> regs -> chains:int -> depth:int -> Ir.Instr.t list
 
 val bump_bases : Builder.t -> regs -> stride:int -> Ir.Instr.t list
 (** Advance the three array bases by [stride] bytes. *)
+
+val direct_heavy : iters:int -> Ir.Program.t
+(** A whole program for the static-analysis ablation: a loop of
+    [iters] iterations mixing {!direct} pairs (which constant addresses
+    disambiguate) with a {!stream} kernel (which they cannot) — the one
+    workload on which [none+static] differs from [none]. *)

@@ -394,6 +394,40 @@ let test_campaign_gate () =
   Alcotest.(check bool) "a divergence fails the gate" false
     (Verify.Campaign.ok diverged)
 
+(* Dependence completeness runs without a certificate too: a
+   certify-off smarq64 artifact whose dependence graph lost one
+   may-alias edge (rebuilt here with that pair marked certified, but no
+   certificate in the artifact) is rejected with [dep_missing].  The
+   store consumes the load's value, so the schedule keeps the pair in
+   order, and the hazards are rebuilt from the lossy graph: no
+   scheduling rule can notice the missing edge. *)
+let test_lost_edge_rejected_without_cert () =
+  reset_ids ();
+  let l1 = ld (f 0) (r 2) 0 in
+  let use = fadd (f 1) (f 0) (f 0) in
+  let s1 = st (I.Reg (f 1)) (r 1) 0 in
+  let body = [ l1; use; s1 ] in
+  let o = optimize ~policy:(Sched.Policy.smarq ~ar_count:64) (sb_of body) in
+  Alcotest.(check bool) "certify off" true (o.Opt.Optimizer.cert = None);
+  (match verify o with
+  | V.Pass -> ()
+  | V.Reject vs -> Alcotest.failf "honest artifact rejected: %s" (pp_violations vs));
+  let alias = Analysis.May_alias.analyze ~body () in
+  Analysis.May_alias.set_certified alias [ (l1.I.id, s1.I.id) ];
+  let deps = Analysis.Depgraph.build ~body ~alias () in
+  Alcotest.(check int) "the may-alias edge is gone" 0
+    (List.length (Analysis.Depgraph.edges deps));
+  let hazards =
+    Sched.Hazards.build ~sb:o.Opt.Optimizer.region.Ir.Region.source ~deps
+      ~policy:o.Opt.Optimizer.policy_used ()
+  in
+  match verify { o with Opt.Optimizer.deps; hazards } with
+  | V.Pass -> Alcotest.fail "lost dependence edge passed"
+  | V.Reject vs ->
+    Alcotest.(check (list string)) "rejected for the missing edge only"
+      [ "dep_missing" ]
+      (List.map (fun (v : V.violation) -> V.rule_name v.V.rule) vs)
+
 let suite =
   ( "check",
     [
@@ -409,4 +443,6 @@ let suite =
         test_campaign_every_mutation_class;
       case "campaign gate fails on a survivor or a divergence"
         test_campaign_gate;
+      case "lost dependence edge rejected without a certificate"
+        test_lost_edge_rejected_without_cert;
     ] )

@@ -218,15 +218,39 @@ let test_suite_benchmarks_equivalent () =
     Workload.Specfp.suite
 
 let test_scheme_parsing () =
-  Alcotest.(check string) "smarq64" "smarq64"
-    (Smarq.Scheme.name (Smarq.Scheme.of_string "smarq64"));
-  Alcotest.(check string) "smarq default" "smarq64"
-    (Smarq.Scheme.name (Smarq.Scheme.of_string "smarq"));
-  Alcotest.(check string) "itanium alias" "alat"
-    (Smarq.Scheme.name (Smarq.Scheme.of_string "Itanium"));
-  Alcotest.check_raises "unknown scheme"
-    (Invalid_argument "unknown scheme \"bogus\"") (fun () ->
-      ignore (Smarq.Scheme.of_string "bogus"))
+  let name s = Result.map Smarq.Scheme.name (Smarq.Scheme.of_string s) in
+  let parsed = Alcotest.(result string string) in
+  Alcotest.check parsed "smarq64" (Ok "smarq64") (name "smarq64");
+  Alcotest.check parsed "smarq default" (Ok "smarq64") (name "smarq");
+  Alcotest.check parsed "itanium alias" (Ok "alat") (name "Itanium");
+  Alcotest.check parsed "naive16" (Ok "naive16") (name "naive16");
+  Alcotest.check parsed "unknown scheme" (Error "unknown scheme \"bogus\"")
+    (name "bogus");
+  List.iter
+    (fun s ->
+      match Smarq.Scheme.of_string s with
+      | Ok _ -> Alcotest.failf "%s accepted" s
+      | Error _ -> ())
+    [ "smarq0"; "smarq-4"; "naive0"; "naive-1"; "smarqx"; "" ]
+
+(* Parsing is total: arbitrary strings (and register counts of any
+   sign) give [Ok] or [Error], never an exception. *)
+let prop_scheme_parse_total s =
+  let total f = match f s with Ok _ | Error _ -> true in
+  total Smarq.Scheme.of_string && total Smarq.Tcache.Policy.of_string
+
+let scheme_string_arb =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      oneof
+        [
+          string_size ~gen:printable (int_range 0 12);
+          map2 (Printf.sprintf "%s%d")
+            (oneofl [ "smarq"; "SMARQ"; "naive"; "Naive" ])
+            int;
+          map2 ( ^ ) (oneofl [ "smarq"; "naive"; "none"; "lru" ])
+            (string_size ~gen:printable (int_range 0 4));
+        ])
 
 let suite =
   ( "runtime",
@@ -245,4 +269,6 @@ let suite =
       case "benchmark suite equivalence (smarq64)"
         test_suite_benchmarks_equivalent;
       case "scheme parsing" test_scheme_parsing;
+      qcase ~count:500 "scheme and cache-policy parsing never raise"
+        scheme_string_arb prop_scheme_parse_total;
     ] )

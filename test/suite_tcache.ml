@@ -178,12 +178,11 @@ let test_policy_parsing () =
   List.iter
     (fun p ->
       Alcotest.(check bool) (P.to_string p) true
-        (P.of_string (P.to_string p) = p))
+        (P.of_string (P.to_string p) = Ok p))
     P.all;
-  Alcotest.(check bool) "flush alias" true (P.of_string "flush" = P.Flush_all);
-  Alcotest.check_raises "unknown policy"
-    (Invalid_argument "unknown tcache policy \"bogus\"") (fun () ->
-      ignore (P.of_string "bogus"))
+  Alcotest.(check bool) "flush alias" true (P.of_string "flush" = Ok P.Flush_all);
+  Alcotest.(check bool) "unknown policy" true
+    (P.of_string "bogus" = Error "unknown tcache policy \"bogus\"")
 
 (* ---- driver-level: the Unbounded default is behavior-preserving ----
 

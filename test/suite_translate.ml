@@ -53,7 +53,7 @@ let depgraphs_of (seed, params) =
   let sb, _ = Workload.Genprog.superblock ~seed ~params in
   let body = sb.Ir.Superblock.body in
   let known_alias = known_pairs_of ~seed body in
-  let const_facts = Analysis.Const_prop.analyze ~body in
+  let const_facts = Analysis.Absint.analyze ~body in
   let alias = Analysis.May_alias.analyze ~known_alias ~const_facts ~body () in
   let fast = Analysis.Depgraph.build ~body ~alias () in
   let slow = Oracle_depgraph.real_edges ~body ~alias in
@@ -200,7 +200,7 @@ let check_region ~config (r : Opt.Optimizer.request) (o : Opt.Optimizer.t) =
     Analysis.May_alias.analyze ~known_alias:r.Opt.Optimizer.known_alias
       ?const_facts:
         (if policy.Sched.Policy.static_disambiguation then
-           Some (Analysis.Const_prop.analyze ~body)
+           Some (Analysis.Absint.analyze ~body)
          else None)
       ~body ()
   in
@@ -349,6 +349,25 @@ let test_reduction_prunes_redundant_waw () =
   Alcotest.(check bool) "but w1 still precedes w2 transitively" true
     (reaches w1.I.id w2.I.id)
 
+(* A base bumped more often than there are memory operations: its
+   generation outgrows the bucket key's spread, and (base, generation)
+   buckets of different registers must still stay apart — otherwise the
+   displacement sweep would call the cross-base pair disjoint. *)
+let test_deep_generation_keeps_cross_base_edge () =
+  reset_ids ();
+  let bumps =
+    List.init 9 (fun _ -> mk (I.Binop (I.Add, r 1, I.Reg (r 1), I.Imm 1)))
+  in
+  let s1 = st (I.Imm 1) (r 1) 0 in
+  let l1 = ld (f 0) (r 2) 8 in
+  let body = bumps @ [ s1; l1 ] in
+  let alias = Analysis.May_alias.analyze ~body () in
+  let fast = Analysis.Depgraph.build ~body ~alias () in
+  let slow = Oracle_depgraph.real_edges ~body ~alias in
+  Alcotest.(check int) "oracle keeps the may-alias edge" 1 (List.length slow);
+  Alcotest.(check bool) "swept = pairwise" true
+    (Analysis.Depgraph.edges fast = slow)
+
 let suite =
   ( "translate pipeline",
     [
@@ -370,4 +389,6 @@ let suite =
         prop_replay_matches_checked_requests;
       case "transitive reduction prunes redundant WAW"
         test_reduction_prunes_redundant_waw;
+      case "deep base generations keep cross-base edges"
+        test_deep_generation_keeps_cross_base_edge;
     ] )
