@@ -28,9 +28,16 @@ let offset a id =
   | Some o, Some b -> Some (o - b)
   | _ -> None
 
+type problem =
+  | Unsatisfied of string
+  | Window of string
+
 let validate a ~edges ~ar_count =
   let problems = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
+  let note kind fmt =
+    Printf.ksprintf (fun s -> problems := kind s :: !problems) fmt
+  in
+  let unsatisfied s = Unsatisfied s and window s = Window s in
   List.iter
     (fun e ->
       match Hashtbl.find_opt a.order e.first, Hashtbl.find_opt a.order e.second
@@ -39,24 +46,29 @@ let validate a ~edges ~ar_count =
         (match e.kind with
         | Check ->
           if not (o1 <= o2) then
-            note "check-constraint %d->%d violated: order %d > %d" e.first
-              e.second o1 o2
+            note unsatisfied "check-constraint %d->%d violated: order %d > %d"
+              e.first e.second o1 o2
         | Anti ->
           if not (o1 < o2) then
-            note "anti-constraint %d->%d violated: order %d >= %d" e.first
-              e.second o1 o2)
-      | None, _ -> note "constraint %d->%d: %d not allocated" e.first e.second e.first
-      | _, None -> note "constraint %d->%d: %d not allocated" e.first e.second e.second)
+            note unsatisfied "anti-constraint %d->%d violated: order %d >= %d"
+              e.first e.second o1 o2)
+      | None, _ ->
+        note unsatisfied "constraint %d->%d: %d not allocated" e.first e.second
+          e.first
+      | _, None ->
+        note unsatisfied "constraint %d->%d: %d not allocated" e.first e.second
+          e.second)
     edges;
   Hashtbl.iter
     (fun id order ->
       match Hashtbl.find_opt a.base id with
-      | None -> note "instr %d has order but no base" id
+      | None -> note window "instr %d has order but no base" id
       | Some base ->
         let off = order - base in
-        if off < 0 then note "instr %d has negative offset %d" id off;
+        if off < 0 then note window "instr %d has negative offset %d" id off;
         if off >= ar_count then
-          note "instr %d offset %d exceeds %d alias registers" id off ar_count)
+          note window "instr %d offset %d exceeds %d alias registers" id off
+            ar_count)
     a.order;
   match !problems with
   | [] -> Ok ()

@@ -30,11 +30,21 @@ val empty_allocation : unit -> allocation
 val offset : allocation -> int -> int option
 (** [order - base] for an allocated instruction. *)
 
+(** What {!validate} found wrong with an allocation. *)
+type problem =
+  | Unsatisfied of string
+      (** a check- or anti-constraint edge is violated, or one of its
+          endpoints has no register order *)
+  | Window of string
+      (** the [order = base + offset] window discipline is broken: an
+          order without a base, a negative offset, or an offset at or
+          beyond [ar_count] *)
+
 val validate :
-  allocation -> edges:edge list -> ar_count:int -> (unit, string list) result
+  allocation -> edges:edge list -> ar_count:int -> (unit, problem list) result
 (** Checks the REGISTER-ALLOCATION-RULE for every edge, the
     [order = base + offset >= base] window discipline, and that no
-    offset reaches [ar_count].  Returns all violations. *)
+    offset reaches [ar_count].  Returns all problems, edges first. *)
 
 val has_cycle : edge list -> bool
 (** True iff the constraint graph contains a directed cycle. *)

@@ -42,7 +42,12 @@ type t
 val certify : alias:May_alias.t -> body:Ir.Instr.t list -> t
 (** Attempt to certify every memory pair involving at least one store
     whose {!May_alias.verdict} is [May_alias].  Pairs already known to
-    alias (learned from rollbacks) are never candidates. *)
+    alias (learned from rollbacks) are never candidates.  [alias] must
+    be the analysis of the same [body]: when it carries {!Absint} facts
+    ({!May_alias.const_facts}) they are reused instead of analyzing the
+    body again.  Allocates per certified pair, not per examined pair;
+    the certificate is keyed by {!Pair_key.norm}, so ids must lie in
+    [[0, 2{^31})]. *)
 
 val no_alias : t -> int -> int -> bool
 val pairs : t -> (int * int) list

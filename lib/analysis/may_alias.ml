@@ -5,15 +5,15 @@ type verdict =
 
 type t = {
   generation : (int, int) Hashtbl.t;  (* memory op id -> generation *)
-  known : (int * int, unit) Hashtbl.t;  (* normalized id pairs *)
-  certified : (int * int, unit) Hashtbl.t;  (* statically proven disjoint *)
+  known : (int, unit) Hashtbl.t;  (* Pair_key.norm keys *)
+  certified : (int, unit) Hashtbl.t;  (* statically proven disjoint *)
   const_facts : Absint.t option;
+  const_addr : (int, int) Hashtbl.t;  (* memory op id -> constant address *)
 }
-
-let norm_pair a b = if a <= b then (a, b) else (b, a)
 
 let analyze ?(known_alias = []) ?const_facts ~body () =
   let generation = Hashtbl.create 64 in
+  let const_addr = Hashtbl.create 16 in
   let defs = Hashtbl.create 64 in
   let defs_of r = Option.value (Hashtbl.find_opt defs r) ~default:0 in
   List.iter
@@ -21,61 +21,69 @@ let analyze ?(known_alias = []) ?const_facts ~body () =
       (match Ir.Instr.mem_addr i with
       | Some a -> Hashtbl.replace generation i.id (defs_of a.Ir.Instr.base)
       | None -> ());
+      (match const_facts with
+      | Some facts -> (
+        match Absint.address facts i.id with
+        | Some
+            ({ Absint.origin = Absint.Const; off = { stride = 0; lo; _ }; _ }, _)
+          ->
+          Hashtbl.replace const_addr i.id lo
+        | _ -> ())
+      | None -> ());
       List.iter (fun r -> Hashtbl.replace defs r (defs_of r + 1))
         (Ir.Instr.defs i))
     body;
   let known = Hashtbl.create 16 in
   List.iter
-    (fun (a, b) -> Hashtbl.replace known (norm_pair a b) ())
+    (fun (a, b) -> Hashtbl.replace known (Pair_key.norm a b) ())
     known_alias;
-  { generation; known; certified = Hashtbl.create 16; const_facts }
+  { generation; known; certified = Hashtbl.create 16; const_facts; const_addr }
 
-let add_known_alias t a b = Hashtbl.replace t.known (norm_pair a b) ()
+let add_known_alias t a b = Hashtbl.replace t.known (Pair_key.norm a b) ()
 
 let set_certified t pairs =
   Hashtbl.reset t.certified;
-  List.iter (fun (a, b) -> Hashtbl.replace t.certified (norm_pair a b) ())
+  List.iter
+    (fun (a, b) -> Hashtbl.replace t.certified (Pair_key.norm a b) ())
     pairs
 
-let certified t a b = Hashtbl.mem t.certified (norm_pair a b)
+let certified t a b = Hashtbl.mem t.certified (Pair_key.norm a b)
 
 let generation t (x : Ir.Instr.t) = Hashtbl.find t.generation x.id
 
-let const_address t (x : Ir.Instr.t) =
-  match t.const_facts with
-  | None -> None
-  | Some facts -> (
-    match Absint.address facts x.id with
-    | Some ({ Absint.origin = Absint.Const; off = { stride = 0; lo; _ }; _ }, _)
-      ->
-      Some lo
-    | _ -> None)
+let const_facts t = t.const_facts
 
-let width x = Option.value (Ir.Instr.mem_width x) ~default:1
+let const_address t (x : Ir.Instr.t) = Hashtbl.find_opt t.const_addr x.id
+
 let ranges_overlap d1 w1 d2 w2 = d1 < d2 + w2 && d2 < d1 + w1
 
-(* Base verdict, before static certification is consulted. *)
+(* Base verdict, before static certification is consulted.  Matches
+   the operations and reads the tables with [Hashtbl.find]: a verdict
+   allocates nothing. *)
 let base_verdict t (x : Ir.Instr.t) (y : Ir.Instr.t) =
-  if Hashtbl.mem t.known (norm_pair x.id y.id) then Must_alias
+  if Hashtbl.mem t.known (Pair_key.norm x.id y.id) then Must_alias
   else
-    match Ir.Instr.mem_addr x, Ir.Instr.mem_addr y with
-    | Some ax, Some ay ->
+    match x.op, y.op with
+    | ( (Ir.Instr.Load { addr = ax; width = wx; _ }
+        | Ir.Instr.Store { addr = ax; width = wx; _ }),
+        (Ir.Instr.Load { addr = ay; width = wy; _ }
+        | Ir.Instr.Store { addr = ay; width = wy; _ }) ) ->
       if not (Ir.Reg.equal ax.base ay.base) then begin
         (* direct accesses: both absolute addresses provably constant *)
-        match const_address t x, const_address t y with
-        | Some cx, Some cy ->
-          if ranges_overlap cx (width x) cy (width y) then Must_alias
-          else No_alias
-        | _ -> May_alias
+        match
+          (Hashtbl.find t.const_addr x.id, Hashtbl.find t.const_addr y.id)
+        with
+        | cx, cy -> if ranges_overlap cx wx cy wy then Must_alias else No_alias
+        | exception Not_found -> May_alias
       end
       else begin
         match
-          Hashtbl.find_opt t.generation x.id, Hashtbl.find_opt t.generation y.id
+          Hashtbl.find t.generation x.id = Hashtbl.find t.generation y.id
         with
-        | Some gx, Some gy when gx = gy ->
-          if ranges_overlap ax.disp (width x) ay.disp (width y) then Must_alias
-          else No_alias
-        | _ -> May_alias
+        | true ->
+          if ranges_overlap ax.disp wx ay.disp wy then Must_alias else No_alias
+        | false -> May_alias
+        | exception Not_found -> May_alias
       end
     | _ -> No_alias
 
@@ -83,12 +91,15 @@ let base_verdict t (x : Ir.Instr.t) (y : Ir.Instr.t) =
    and pairs the base analysis decides exactly are never overridden. *)
 let verdict t (x : Ir.Instr.t) (y : Ir.Instr.t) =
   match base_verdict t x y with
-  | May_alias when Hashtbl.mem t.certified (norm_pair x.id y.id) -> No_alias
+  | May_alias when Hashtbl.mem t.certified (Pair_key.norm x.id y.id) ->
+    No_alias
   | v -> v
 
-let is_known t a b = Hashtbl.mem t.known (norm_pair a b)
+let is_known t a b = Hashtbl.mem t.known (Pair_key.norm a b)
 
-let known_pairs t = Hashtbl.fold (fun p () acc -> p :: acc) t.known []
+let known_pairs t =
+  Hashtbl.fold (fun k () acc -> (Pair_key.first k, Pair_key.second k) :: acc)
+    t.known []
 
 let pp_verdict ppf = function
   | No_alias -> Format.pp_print_string ppf "no-alias"

@@ -23,7 +23,10 @@
 
     [known_alias] pairs — learned from alias exceptions — override the
     verdict to must-alias so conservative re-optimization stops
-    speculating on them. *)
+    speculating on them.
+
+    Pair tables are keyed by {!Pair_key.norm}, so instruction ids must
+    lie in [[0, 2{^31})].  A {!verdict} allocates nothing. *)
 
 type verdict =
   | No_alias  (** provably disjoint; no dependence, no runtime check *)
@@ -76,6 +79,10 @@ val generation : t -> Ir.Instr.t -> int
     operation that redefines its own base bumps only later
     generations).  Raises [Not_found] for an instruction that is not a
     memory operation of the analyzed body. *)
+
+val const_facts : t -> Absint.t option
+(** The {!Absint} facts supplied to {!analyze}, so a certifier over the
+    same body can reuse them instead of running the pass again. *)
 
 val const_address : t -> Ir.Instr.t -> int option
 (** The provably constant absolute address ([base + disp]) of a memory

@@ -120,10 +120,29 @@ let make_view (region : Ir.Region.t) ~dup =
 let is_splice (i : Ir.Instr.t) =
   match i.op with Ir.Instr.Rotate _ | Ir.Instr.Amov _ -> true | _ -> false
 
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+let rec any_live live = function
+  | [] -> false
+  | r :: rest -> Ir.Reg.Set.mem r live || any_live live rest
+
+(* [k] in the ascending array [keys] *)
+let mem_sorted keys k =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let x = keys.(mid) in
+    x = k || if x < k then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length keys)
+
+(* A dependence edge the schedule reverses: [second] executes (at
+   flat position [ps]) before [first] (at [pf]). *)
+type reordered = {
+  first : int;
+  second : int;
+  pf : int;
+  ps : int;
+}
 
 let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   let region = o.Opt.Optimizer.region in
@@ -142,8 +161,10 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
     make_view region ~dup:(fun id ->
         flag Sched_complete "instruction %d appears more than once" id)
   in
-  let pos id = Hashtbl.find_opt view.pos id in
-  let cyc id = Hashtbl.find_opt view.cyc id in
+  (* -1 when absent: the rules read positions and cycles without
+     allocating an option per query *)
+  let pos_of id = try Hashtbl.find view.pos id with Not_found -> -1 in
+  let cyc_of id = try Hashtbl.find view.cyc id with Not_found -> -1 in
   let by_id = Hashtbl.create (2 * (List.length body + 1)) in
   List.iter (fun (i : Ir.Instr.t) -> Hashtbl.replace by_id i.id i) body;
 
@@ -165,92 +186,105 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
     flag Sched_complete "region and superblock final exits differ";
   List.iter
     (fun (c, (i : Ir.Instr.t)) ->
-      match cyc i.id with
-      | Some c' when c' = c -> ()
-      | Some c' ->
+      let c' = cyc_of i.id in
+      if c' >= 0 && c' <> c then
         flag Sched_complete "instruction %d issued at cycle %d but bundled at %d"
-          i.id c c'
-      | None -> ())
+          i.id c c')
     o.Opt.Optimizer.issue_seq;
 
   (* The cycle-precedence rule the scheduler enforces on every hazard
      edge: successor issues no earlier than predecessor issue plus the
      predecessor's full latency. *)
   let require rule a b what =
-    match cyc a, cyc b with
-    | Some ca, Some cb ->
-      (match Hashtbl.find_opt by_id a with
-      | Some ia ->
+    let ca = cyc_of a and cb = cyc_of b in
+    if ca >= 0 && cb >= 0 then
+      match Hashtbl.find by_id a with
+      | ia ->
         let l = latency ia in
         if cb < ca + l then
           flag rule "%s %d -> %d: cycle %d < %d + latency %d" what a b cb ca l
-      | None -> ())
-    | _ -> ()
+      | exception Not_found -> ()
   in
 
-  (* ---- register dependences, re-derived from the body *)
-  let last_def : (Ir.Reg.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let uses_since : (Ir.Reg.t, int list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (i : Ir.Instr.t) ->
-      List.iter
-        (fun r ->
-          (match Hashtbl.find_opt last_def r with
-          | Some d -> require Def_before_use d i.id "raw"
-          | None -> ());
-          Hashtbl.replace uses_since r
-            (i.id :: Option.value (Hashtbl.find_opt uses_since r) ~default:[]))
-        (Ir.Instr.uses i);
-      List.iter
-        (fun r ->
-          (match Hashtbl.find_opt last_def r with
-          | Some d -> require Def_before_use d i.id "waw"
-          | None -> ());
-          List.iter
-            (fun u -> if u <> i.id then require Def_before_use u i.id "war")
-            (Option.value (Hashtbl.find_opt uses_since r) ~default:[]);
-          Hashtbl.replace last_def r i.id;
-          Hashtbl.replace uses_since r [])
-        (Ir.Instr.defs i))
-    body;
+  (* ---- register dependences, re-derived from the body.  Per body
+     position: the instruction and its uses and defs; per register (a
+     dense slot): the last definition and the chain of uses since it,
+     newest first. *)
+  let arr = Array.of_list body in
+  let n = Array.length arr in
+  let uses_at = Array.map Ir.Instr.uses arr in
+  let defs_at = Array.map Ir.Instr.defs arr in
+  (* a register gets its slot when first mentioned, so there are at
+     most as many slots as mentions *)
+  let slots = Hashtbl.create 64 in
+  let slot r =
+    let c = Witness.reg_code r in
+    match Hashtbl.find slots c with
+    | s -> s
+    | exception Not_found ->
+      let s = Hashtbl.length slots in
+      Hashtbl.add slots c s;
+      s
+  in
+  let mentions lists = Array.fold_left (fun acc l -> acc + List.length l) 0 lists in
+  let n_uses = mentions uses_at in
+  let last_def = Array.make (n_uses + mentions defs_at) (-1) in
+  let use_head = Array.make (Array.length last_def) (-1) in
+  let use_id = Array.make n_uses 0 and use_next = Array.make n_uses (-1) in
+  let tok = ref 0 in
+  for p = 0 to n - 1 do
+    let id = arr.(p).Ir.Instr.id in
+    List.iter
+      (fun r ->
+        let s = slot r in
+        if last_def.(s) >= 0 then require Def_before_use last_def.(s) id "raw";
+        use_id.(!tok) <- id;
+        use_next.(!tok) <- use_head.(s);
+        use_head.(s) <- !tok;
+        incr tok)
+      uses_at.(p);
+    List.iter
+      (fun r ->
+        let s = slot r in
+        if last_def.(s) >= 0 then require Def_before_use last_def.(s) id "waw";
+        let u = ref use_head.(s) in
+        while !u >= 0 do
+          if use_id.(!u) <> id then require Def_before_use use_id.(!u) id "war";
+          u := use_next.(!u)
+        done;
+        last_def.(s) <- id;
+        use_head.(s) <- -1)
+      defs_at.(p)
+  done;
 
   (* ---- side exits: ordered, and never crossed by blocked work *)
   let exits = List.filter Ir.Instr.is_side_exit body in
   let rec check_exit_order = function
     | (a : Ir.Instr.t) :: (b : Ir.Instr.t) :: rest ->
-      (match cyc a.id, cyc b.id with
-      | Some ca, Some cb when cb <= ca ->
+      let ca = cyc_of a.id and cb = cyc_of b.id in
+      if ca >= 0 && cb >= 0 && cb <= ca then
         flag Branch_order "exits %d and %d issued at cycles %d >= %d" a.id b.id
-          ca cb
-      | _ -> ());
+          ca cb;
       check_exit_order (b :: rest)
     | _ -> ()
   in
   check_exit_order exits;
-  let blocked (i : Ir.Instr.t) live =
-    Ir.Instr.is_store i
-    || List.exists (fun r -> Ir.Reg.Set.mem r live) (Ir.Instr.defs i)
+  let blocked p live =
+    (not (Ir.Instr.is_side_exit arr.(p)))
+    && (Ir.Instr.is_store arr.(p) || any_live live defs_at.(p))
   in
-  let before = ref [] in
-  let after = ref body in
-  List.iter
-    (fun (i : Ir.Instr.t) ->
-      after := List.tl !after;
-      if Ir.Instr.is_side_exit i then begin
-        let live = Ir.Superblock.exit_live_out sb i.id in
-        List.iter
-          (fun (j : Ir.Instr.t) ->
-            if (not (Ir.Instr.is_side_exit j)) && blocked j live then
-              require Exit_crossed j.id i.id "pre-exit")
-          !before;
-        List.iter
-          (fun (j : Ir.Instr.t) ->
-            if (not (Ir.Instr.is_side_exit j)) && blocked j live then
-              require Exit_crossed i.id j.id "post-exit")
-          !after
-      end;
-      before := i :: !before)
-    body;
+  for e = 0 to n - 1 do
+    let x = arr.(e) in
+    if Ir.Instr.is_side_exit x then begin
+      let live = Ir.Superblock.exit_live_out sb x.id in
+      for p = e - 1 downto 0 do
+        if blocked p live then require Exit_crossed arr.(p).id x.id "pre-exit"
+      done;
+      for p = e + 1 to n - 1 do
+        if blocked p live then require Exit_crossed x.id arr.(p).id "post-exit"
+      done
+    end
+  done;
 
   (* ---- the recorded hazard graph itself *)
   Array.iteri
@@ -276,57 +310,54 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
     region.Ir.Region.bundles;
 
   (* ---- dropped pairs must be droppable speculative dependences *)
-  let real_spec = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Analysis.Depgraph.edge) ->
-      if e.kind = Analysis.Depgraph.Real && e.strength = Analysis.Depgraph.Speculative
-      then Hashtbl.replace real_spec (e.first, e.second) ())
-    (Analysis.Depgraph.edges o.Opt.Optimizer.deps);
+  let deps = o.Opt.Optimizer.deps in
+  let n_spec = ref 0 in
+  Analysis.Depgraph.iter_edges deps (fun ~first:_ ~second:_ ~kind ~strength ->
+      if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Speculative
+      then incr n_spec);
+  let real_spec = Array.make !n_spec 0 in
+  let k = ref 0 in
+  Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
+      if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Speculative
+      then begin
+        real_spec.(!k) <- Witness.ordered_key first second;
+        incr k
+      end);
+  Array.sort Int.compare real_spec;
   List.iter
     (fun (f, s) ->
-      if not (Hashtbl.mem real_spec (f, s)) then
+      if not (mem_sorted real_spec (Witness.ordered_key f s)) then
         flag Dropped_illegal "dropped pair %d,%d is not a speculative dep" f s
       else
-        match Hashtbl.find_opt by_id f, Hashtbl.find_opt by_id s with
-        | Some fi, Some si ->
+        match (Hashtbl.find by_id f, Hashtbl.find by_id s) with
+        | fi, si ->
           if not (Sched.Policy.may_drop_edge policy ~first:fi ~second:si) then
             flag Dropped_illegal "policy %s may not drop pair %d,%d"
               policy.Sched.Policy.name f s
-        | _ -> flag Dropped_illegal "dropped pair %d,%d not in the body" f s)
+        | exception Not_found ->
+          flag Dropped_illegal "dropped pair %d,%d not in the body" f s)
     hazards.Sched.Hazards.dropped;
 
   (* ---- speculation coverage.  A dependence edge needs a runtime
      check exactly when its [second] endpoint executes before its
      [first] (for Real edges that is a reordering; for Extended edges
-     it is the natural order, hence they are almost always live). *)
-  let required =
-    List.filter_map
-      (fun (e : Analysis.Depgraph.edge) ->
-        match pos e.first, pos e.second with
-        | Some pf, Some ps when ps < pf -> Some (e, pf, ps)
-        | _ -> None)
-      (Analysis.Depgraph.edges o.Opt.Optimizer.deps)
-  in
-  List.iter
-    (fun ((e : Analysis.Depgraph.edge), _, _) ->
-      if e.kind = Analysis.Depgraph.Real && e.strength = Analysis.Depgraph.Hard
-      then
-        flag Hard_reordered "must-alias pair %d,%d executes in reverse" e.first
-          e.second)
-    required;
-  let required =
-    List.filter
-      (fun ((e : Analysis.Depgraph.edge), _, _) ->
-        not
-          (e.kind = Analysis.Depgraph.Real
-          && e.strength = Analysis.Depgraph.Hard))
-      required
-  in
+     it is the natural order, hence they are almost always live).  A
+     reordered must-alias pair is an error outright; the others are
+     what the scheme must cover. *)
+  let required = ref [] in
+  Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
+      let pf = pos_of first and ps = pos_of second in
+      if pf >= 0 && ps >= 0 && ps < pf then
+        if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Hard
+        then
+          flag Hard_reordered "must-alias pair %d,%d executes in reverse" first
+            second
+        else required := { first; second; pf; ps } :: !required);
+  let required = List.rev !required in
 
   let annot_of id =
-    match pos id with
-    | Some p -> Ir.Instr.annot view.flat.(p)
-    | None -> Ir.Annot.No_annot
+    let p = pos_of id in
+    if p >= 0 then Ir.Instr.annot view.flat.(p) else Ir.Annot.No_annot
   in
   let splices =
     Array.to_list view.flat |> List.filter is_splice
@@ -355,16 +386,12 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
            ~ar_count
        with
       | Ok () -> ()
-      | Error msgs ->
+      | Error problems ->
         List.iter
-          (fun m ->
-            let rule =
-              if contains_substring m "offset" || contains_substring m "base"
-              then Alloc_window
-              else Alloc_constraint
-            in
-            flag rule "%s" m)
-          msgs);
+          (function
+            | C.Unsatisfied m -> flag Alloc_constraint "%s" m
+            | C.Window m -> flag Alloc_window "%s" m)
+          problems);
       (* annotation/allocation synchronization over the region *)
       Array.iter
         (fun (i : Ir.Instr.t) ->
@@ -410,25 +437,26 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
           if (not m.dst_is_fresh) && m.src_offset <> m.dst_offset then
             flag Annot_alloc_sync "clearing amov %d moves %d -> %d" m.amov_id
               m.src_offset m.dst_offset;
-          match pos m.amov_id, pos m.before with
-          | Some pa, Some pb ->
+          let pa = pos_of m.amov_id and pb = pos_of m.before in
+          if pa < 0 || pb < 0 then
+            flag Annot_alloc_sync "amov %d missing from the region" m.amov_id
+          else begin
             if pa >= pb then
               flag Annot_alloc_sync "amov %d does not precede its anchor %d"
                 m.amov_id m.before;
-            (match cyc m.amov_id, cyc m.before with
-            | Some ca, Some cb when ca <> cb ->
+            let ca = cyc_of m.amov_id and cb = cyc_of m.before in
+            if ca >= 0 && cb >= 0 && ca <> cb then
               flag Annot_alloc_sync "amov %d not bundled with its anchor %d"
-                m.amov_id m.before
-            | _ -> ());
-            (match view.flat.(pa).op with
+                m.amov_id m.before;
+            match view.flat.(pa).op with
             | Ir.Instr.Amov { src_offset; dst_offset } ->
               if src_offset <> m.src_offset || dst_offset <> m.dst_offset then
                 flag Annot_alloc_sync
                   "amov %d materialized as %d->%d, recorded %d->%d" m.amov_id
                   src_offset dst_offset m.src_offset m.dst_offset
             | _ ->
-              flag Annot_alloc_sync "instruction %d is not an AMOV" m.amov_id)
-          | _ -> flag Annot_alloc_sync "amov %d missing from the region" m.amov_id)
+              flag Annot_alloc_sync "instruction %d is not an AMOV" m.amov_id
+          end)
         res.Sched.Smarq_alloc.amovs;
       Array.iter
         (fun (i : Ir.Instr.t) ->
@@ -489,15 +517,14 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
       let rec holder_at id limit =
         match Hashtbl.find_opt moved_by id with
         | Some (m : Sched.Smarq_alloc.amov_insertion) -> (
-          match pos m.amov_id with
-          | Some pa when pa < limit ->
+          let pa = pos_of m.amov_id in
+          if pa >= 0 && pa < limit then
             if m.dst_is_fresh then holder_at m.amov_id limit else None
-          | _ -> Some id)
+          else Some id)
         | None -> Some id
       in
       List.iter
-        (fun ((e : Analysis.Depgraph.edge), pf, _) ->
-          let f = e.first and s = e.second in
+        (fun { first = f; second = s; pf; _ } ->
           if not (Hashtbl.mem a.C.p_bit s) then
             flag Queue_uncovered "reordered pair %d,%d: %d is not protected" f
               s s
@@ -608,8 +635,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
       | _ -> false
     in
     List.iter
-      (fun ((e : Analysis.Depgraph.edge), pf, ps) ->
-        let f = e.first and s = e.second in
+      (fun { first = f; second = s; pf; ps } ->
         let fi = Hashtbl.find_opt by_id f and si = Hashtbl.find_opt by_id s in
         (match fi, si with
         | Some fi, Some si
@@ -664,8 +690,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
       | _ -> 0
     in
     List.iter
-      (fun ((e : Analysis.Depgraph.edge), pf, ps) ->
-        let f = e.first and s = e.second in
+      (fun { first = f; second = s; pf; ps } ->
         match set_index_of s with
         | None ->
           flag Mask_uncovered
@@ -693,10 +718,10 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
           flag Annot_scheme "op %d annotated without a scheme" i.id)
       view.flat;
     List.iter
-      (fun ((e : Analysis.Depgraph.edge), _, _) ->
+      (fun r ->
         flag Nospec_reordered
-          "pair %d,%d executes in reverse without alias detection" e.first
-          e.second)
+          "pair %d,%d executes in reverse without alias detection" r.first
+          r.second)
       required);
 
   (* ---- alias-certification witnesses, replayed independently, and

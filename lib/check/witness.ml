@@ -19,6 +19,10 @@
    completeness rule still asks whether the dependence graph lost an
    edge, and a region listing certified pairs fails the sync check.
 
+   The certificate is read only through its raw witness list: pair
+   membership uses this module's own packed keys, never a [Disamb]
+   query.
+
    Entailment (rather than equality) keeps an honest checker from
    rejecting artifacts over precision differences: any claim at least
    as weak as the replayed fact, that still implies disjointness, is a
@@ -287,9 +291,46 @@ let claimed_disjoint (w : Analysis.Disamb.witness) =
       done;
       not !hit
 
+(* --- the checker's pair keys ----------------------------------------- *)
+
+(* The checker packs pairs itself rather than borrowing the product's
+   packer: an id pair [(a, b)], both ids in [0, 2^31), becomes
+   [a * 2^31 + b], whose order is the tuples' order; an unordered pair
+   is packed as [(min, max)]. *)
+let key_bits = 31
+
+let ordered_key a b =
+  if (a lor b) lsr key_bits <> 0 then
+    invalid_arg (Printf.sprintf "Witness.ordered_key: ids (%d, %d) out of range" a b);
+  (a lsl key_bits) lor b
+
+let pair_key a b = if a <= b then ordered_key a b else ordered_key b a
+
+let key_lo k = k lsr key_bits
+let key_hi k = k land ((1 lsl key_bits) - 1)
+
+(* ascending, duplicate-free keys of a pair list *)
+let sorted_keys pairs =
+  let keys = Array.of_list (List.map (fun (a, b) -> pair_key a b) pairs) in
+  Array.sort Int.compare keys;
+  let n = Array.length keys in
+  let len = ref 0 in
+  for x = 0 to n - 1 do
+    if x = 0 || keys.(x) <> keys.(x - 1) then begin
+      keys.(!len) <- keys.(x);
+      incr len
+    end
+  done;
+  Array.sub keys 0 !len
+
 (* --- the checker --------------------------------------------------- *)
 
-let norm_pair a b = if a <= b then (a, b) else (b, a)
+let no_const = min_int
+
+let reg_code = function
+  | Ir.Reg.R i -> 3 * i
+  | Ir.Reg.F i -> (3 * i) + 1
+  | Ir.Reg.T i -> (3 * i) + 2
 
 let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
     ~(region_certified : (int * int) list) ~(deps : Analysis.Depgraph.t) :
@@ -306,17 +347,18 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
     body;
   let addrs = replay_addresses body in
 
-  (* endpoints *)
-  let seen = Hashtbl.create 16 in
+  (* endpoints; [certified] is the witnessed pair set under the
+     checker's own keys *)
+  let certified = Hashtbl.create 16 in
   List.iter
     (fun (w : Analysis.Disamb.witness) ->
       let fx = w.Analysis.Disamb.x and fy = w.Analysis.Disamb.y in
       let xi = fx.Analysis.Disamb.instr and yi = fy.Analysis.Disamb.instr in
-      let p = norm_pair xi yi in
-      if Hashtbl.mem seen p then
+      let p = pair_key xi yi in
+      if Hashtbl.mem certified p then
         flag (Endpoints (Printf.sprintf "duplicate witness for pair (%d,%d)"
-                           (fst p) (snd p)));
-      Hashtbl.replace seen p ();
+                           (key_lo p) (key_hi p)));
+      Hashtbl.replace certified p ();
       match (Hashtbl.find_opt by_id xi, Hashtbl.find_opt by_id yi) with
       | Some ix, Some iy ->
         if xi = yi then
@@ -391,98 +433,116 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
                 fx.Analysis.Disamb.instr fy.Analysis.Disamb.instr)))
     ws;
 
-  (* no certified pair may keep a dependence edge *)
+  (* Per memory operation, in body order: id, store flag, base, disp,
+     width, the replayed constant address ([no_const] if none) and the
+     number of definitions of its base at earlier body positions — two
+     same-base operations see a redefinition between them exactly when
+     those counts differ. *)
+  let mems = List.filter Ir.Instr.is_memory body |> Array.of_list in
+  let m = Array.length mems in
+  let m_id = Array.make m 0 and m_store = Array.make m false in
+  let m_base = Array.make m 0 and m_disp = Array.make m 0 in
+  let m_width = Array.make m 1 and m_const = Array.make m no_const in
+  let m_defs = Array.make m 0 in
+  let mem_index = Hashtbl.create (2 * (m + 1)) in
+  let def_count = Hashtbl.create 64 in
+  let defs_of code = try Hashtbl.find def_count code with Not_found -> 0 in
+  let k = ref 0 in
+  List.iter
+    (fun (i : Ir.Instr.t) ->
+      (match i.Ir.Instr.op with
+      | Ir.Instr.Load { addr; width; _ } | Ir.Instr.Store { addr; width; _ } ->
+        let x = !k in
+        incr k;
+        m_id.(x) <- i.Ir.Instr.id;
+        m_store.(x) <- Ir.Instr.is_store i;
+        m_base.(x) <- reg_code addr.Ir.Instr.base;
+        m_disp.(x) <- addr.Ir.Instr.disp;
+        m_width.(x) <- width;
+        m_defs.(x) <- defs_of m_base.(x);
+        (match Hashtbl.find addrs i.Ir.Instr.id with
+        | v, _ -> (
+          match r_const_of v with Some a -> m_const.(x) <- a | None -> ())
+        | exception Not_found -> ());
+        Hashtbl.replace mem_index i.Ir.Instr.id x
+      | _ -> ());
+      List.iter
+        (fun r ->
+          let c = reg_code r in
+          Hashtbl.replace def_count c (defs_of c + 1))
+        (Ir.Instr.defs i))
+    body;
+
+  (* no certified pair may keep a dependence edge; the edge set itself
+     becomes a bit matrix over memory positions *)
+  let edge_bits = Bytes.make (((m * m) + 7) / 8) '\000' in
+  let bit x y = (x * m) + y in
+  let byte b = Char.code (Bytes.get edge_bits (b lsr 3)) in
+  let set_bit b =
+    Bytes.set edge_bits (b lsr 3) (Char.chr (byte b lor (1 lsl (b land 7))))
+  in
+  let has_bit b = byte b land (1 lsl (b land 7)) <> 0 in
   Analysis.Depgraph.iter_edges deps
     (fun ~first ~second ~kind:_ ~strength:_ ->
-      if Analysis.Disamb.no_alias cert first second then
+      if Hashtbl.mem certified (pair_key first second) then
         flag
           (Edge_kept
              (Printf.sprintf
                 "certified pair (%d,%d) still carries a dependence edge"
-                (min first second) (max first second))));
+                (min first second) (max first second)));
+      match (Hashtbl.find mem_index first, Hashtbl.find mem_index second) with
+      | x, y -> set_bit (bit (min x y) (max x y))
+      | exception Not_found -> ());
 
-  (* completeness: every replay-may pair needs an edge or a witness *)
-  let edge_pairs = Hashtbl.create 64 in
-  Analysis.Depgraph.iter_edges deps
-    (fun ~first ~second ~kind:_ ~strength:_ ->
-      Hashtbl.replace edge_pairs (norm_pair first second) ());
-  let def_pos = Hashtbl.create 64 in
-  List.iteri
-    (fun idx (i : Ir.Instr.t) ->
-      List.iter
-        (fun r ->
-          let l = Option.value (Hashtbl.find_opt def_pos r) ~default:[] in
-          Hashtbl.replace def_pos r (idx :: l))
-        (Ir.Instr.defs i))
-    body;
-  let defined_between r ~lo ~hi =
-    match Hashtbl.find_opt def_pos r with
-    | None -> false
-    | Some l -> List.exists (fun k -> k >= lo && k < hi) l
-  in
-  (* Mirrors the precision of the base may-alias analysis (same-base
+  (* completeness: every replay-may pair needs an edge or a witness.
+     Mirrors the precision of the base may-alias analysis (same-base
      displacement rule plus constant-address disambiguation), NOT the
      abstract-interpretation engine: a pair the base analysis can only
      call "may" must carry either a dependence edge or a witness, so a
      certificate that silently loses a witness is caught even though
      the engine could re-prove the pair. *)
-  let replay_may (x : Ir.Instr.t) (y : Ir.Instr.t) =
-    match (Ir.Instr.mem_addr x, Ir.Instr.mem_addr y) with
-    | Some ax, Some ay ->
-      let wx = Option.value (Ir.Instr.mem_width x) ~default:1 in
-      let wy = Option.value (Ir.Instr.mem_width y) ~default:1 in
-      if Ir.Reg.equal ax.Ir.Instr.base ay.Ir.Instr.base then
-        defined_between ax.Ir.Instr.base
-          ~lo:(Hashtbl.find pos x.Ir.Instr.id)
-          ~hi:(Hashtbl.find pos y.Ir.Instr.id)
-        || ax.Ir.Instr.disp < ay.Ir.Instr.disp + wy
-           && ay.Ir.Instr.disp < ax.Ir.Instr.disp + wx
-      else begin
-        (* different bases: only provably constant addresses decide *)
-        match
-          ( Hashtbl.find_opt addrs x.Ir.Instr.id,
-            Hashtbl.find_opt addrs y.Ir.Instr.id )
-        with
-        | Some (v1, _), Some (v2, _) -> (
-          match (r_const_of v1, r_const_of v2) with
-          | Some a1, Some a2 -> a1 < a2 + wy && a2 < a1 + wx
-          | _ -> true)
-        | _ -> true
-      end
-    | _ -> false
+  let overlap x y =
+    m_disp.(x) < m_disp.(y) + m_width.(y) && m_disp.(y) < m_disp.(x) + m_width.(x)
   in
-  let mems = List.filter Ir.Instr.is_memory body |> Array.of_list in
-  let n = Array.length mems in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let x = mems.(i) and y = mems.(j) in
-      if Ir.Instr.is_store x || Ir.Instr.is_store y then begin
-        let p = norm_pair x.Ir.Instr.id y.Ir.Instr.id in
-        if
-          (not (Hashtbl.mem edge_pairs p))
-          && (not (Analysis.Disamb.no_alias cert x.Ir.Instr.id y.Ir.Instr.id))
-          && replay_may x y
-        then
-          flag
-            (Dep_missing
-               (Printf.sprintf
-                  "may-alias pair (%d,%d) has neither an edge nor a witness"
-                  (fst p) (snd p)))
-      end
+  let replay_may x y =
+    if m_base.(x) = m_base.(y) then m_defs.(x) <> m_defs.(y) || overlap x y
+    else
+      (* different bases: only provably constant addresses decide *)
+      let a1 = m_const.(x) and a2 = m_const.(y) in
+      a1 = no_const || a2 = no_const
+      || (a1 < a2 + m_width.(y) && a2 < a1 + m_width.(x))
+  in
+  for x = 0 to m - 1 do
+    for y = x + 1 to m - 1 do
+      if
+        (m_store.(x) || m_store.(y))
+        && (not (has_bit (bit x y)))
+        && (not (Hashtbl.mem certified (pair_key m_id.(x) m_id.(y))))
+        && replay_may x y
+      then
+        flag
+          (Dep_missing
+             (Printf.sprintf
+                "may-alias pair (%d,%d) has neither an edge nor a witness"
+                (min m_id.(x) m_id.(y)) (max m_id.(x) m_id.(y))))
     done
   done;
 
   (* region list must be exactly the certificate's pair set *)
-  let cert_pairs = Analysis.Disamb.pairs cert in
-  let region_pairs =
-    List.map (fun (a, b) -> norm_pair a b) region_certified
-    |> List.sort_uniq compare
+  let cert_keys =
+    sorted_keys
+      (List.map
+         (fun (w : Analysis.Disamb.witness) ->
+           (w.Analysis.Disamb.x.Analysis.Disamb.instr,
+            w.Analysis.Disamb.y.Analysis.Disamb.instr))
+         ws)
   in
-  if cert_pairs <> region_pairs then
+  let region_keys = sorted_keys region_certified in
+  if cert_keys <> region_keys then
     flag
       (Region_sync
          (Printf.sprintf
             "region lists %d certified pairs, certificate has %d (or they differ)"
-            (List.length region_pairs) (List.length cert_pairs)));
+            (Array.length region_keys) (Array.length cert_keys)));
 
   List.rev !violations

@@ -7,8 +7,9 @@ type cache_entry = {
   mutable region : Ir.Region.t;
   mutable known_alias : (int * int) list;
       (* newest-first, the order handed to the optimizer *)
-  known_alias_set : (int * int, unit) Hashtbl.t;
-      (* normalized (min, max) membership mirror of [known_alias] *)
+  known_alias_set : (int, unit) Hashtbl.t;
+      (* membership mirror of [known_alias], keyed by
+         [Analysis.Pair_key.norm] *)
   mutable pinned : int list;
   pinned_set : (int, unit) Hashtbl.t;
   mutable reopts : int;
@@ -63,9 +64,9 @@ let no_hooks =
     deadline = (fun () -> false);
   }
 
-let pair_key (a, b) = if a <= b then (a, b) else (b, a)
+let pair_key (a, b) = Analysis.Pair_key.norm a b
 
-(* [pair_key] equality, tested in both orientations without building
+(* unordered pair equality, tested in both orientations without building
    keys: this runs on every rollback over thousands of assumed pairs *)
 let pair_mem (a, b) pairs =
   List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) pairs

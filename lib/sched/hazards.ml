@@ -43,20 +43,19 @@ let register_edges_flat ~arena ~arr ~nr ~n_uses ~add =
     arr
 
 (* Memory edges: hard dependences always; speculative ones unless the
-   policy may drop them. *)
-let memory_edges ~arr ~pos_of ~deps ~policy ~add =
-  let dropped = ref [] in
+   policy may drop them.  Dropped pairs go into [dropped] as
+   [Pair_key.pack first second] keys. *)
+let memory_edges ~arr ~pos_of ~deps ~policy ~dropped ~add =
   Analysis.Depgraph.iter_mem_deps deps (fun ~first ~second ~strength ->
-      match Hashtbl.find_opt pos_of first, Hashtbl.find_opt pos_of second with
-      | Some pf, Some ps ->
-        (match strength with
+      match (Hashtbl.find pos_of first, Hashtbl.find pos_of second) with
+      | pf, ps -> (
+        match strength with
         | Analysis.Depgraph.Hard -> add pf ps
         | Analysis.Depgraph.Speculative ->
           if Policy.may_drop_edge policy ~first:arr.(pf) ~second:arr.(ps) then
-            dropped := (first, second) :: !dropped
+            Analysis.Arena.vec_push dropped (Analysis.Pair_key.pack first second)
           else add pf ps)
-      | _ -> ());
-  !dropped
+      | exception Not_found -> ())
 
 (* Branch-branch program order: consecutive side exits chain, which
    also carries exit-fence transitivity for the reduced builder. *)
@@ -199,7 +198,8 @@ let build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy =
     end
   in
   register_edges_flat ~arena ~arr ~nr ~n_uses:!n_uses ~add;
-  let dropped = memory_edges ~arr ~pos_of:index ~deps ~policy ~add in
+  let dropped_keys = A.vec arena ~slot:18 in
+  memory_edges ~arr ~pos_of:index ~deps ~policy ~dropped:dropped_keys ~add;
   control_edges_reduced ~arena ~sb ~arr ~nr ~add;
   A.sort_ints edge_keys.A.buf ~lo:0 ~hi:edge_keys.A.len;
   let edge_count = edge_keys.A.len in
@@ -239,7 +239,12 @@ let build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy =
     preds_of.(b) <- ids.(a) :: preds_of.(b);
     succs_of.(a) <- ids.(b) :: succs_of.(a)
   done;
-  let dropped = List.sort_uniq compare dropped in
+  (* key order is pair order, so the sorted, deduplicated keys unpack
+     into the normalized list *)
+  A.sort_ints dropped_keys.A.buf ~lo:0 ~hi:dropped_keys.A.len;
+  let dropped =
+    Analysis.Pair_key.to_pairs dropped_keys.A.buf ~len:dropped_keys.A.len
+  in
   { ids; index; preds_of; succs_of; dropped }
 
 let build ~sb ~deps ~policy ?arena () =

@@ -39,7 +39,9 @@ val build :
   unit ->
   t
 (** [?arena] lends the builder reusable scratch buffers (see
-    {!Analysis.Arena}); the result never aliases arena storage. *)
+    {!Analysis.Arena}); the result never aliases arena storage.
+    Dropped pairs are collected as {!Analysis.Pair_key.pack} keys, so
+    instruction ids must lie in [[0, 2{^31})]. *)
 
 val preds : t -> int -> int list
 val succs : t -> int -> int list

@@ -3,7 +3,8 @@
    extended dependence in either order.  The protected op is whichever
    of the pair issues first; the checker issues second. *)
 let check_pairs ~deps ~hazards ~pos =
-  let pairs = ref [] in
+  let keys = ref [] in
+  let add a b = keys := Analysis.Pair_key.pack a b :: !keys in
   Analysis.Depgraph.iter_edges deps
     (fun ~first:a ~second:b ~kind ~strength ->
       match kind, strength with
@@ -12,7 +13,7 @@ let check_pairs ~deps ~hazards ~pos =
         ()
       | Analysis.Depgraph.Real, Analysis.Depgraph.Speculative ->
         (* checked only if actually reordered (b issued before a) *)
-        if pos b < pos a then pairs := (b, a) :: !pairs
+        if pos b < pos a then add b a
       | Analysis.Depgraph.Extended, _ ->
         (* always checked, in whichever issue order the pair landed.
            Hard extended edges are checked too: unlike real hard
@@ -22,13 +23,14 @@ let check_pairs ~deps ~hazards ~pos =
            verdicts are not transitive) still needs its runtime
            guard — the SMARQ and ALAT annotators already cover
            extended edges of either strength. *)
-        if pos a < pos b then pairs := (a, b) :: !pairs
-        else pairs := (b, a) :: !pairs);
+        if pos a < pos b then add a b else add b a);
   (* only pairs whose edge was really dropped need checking; realized
      reorderings of dropped edges are already covered above, but a
      non-dropped pair cannot be reordered, so the filter is implicit *)
   ignore hazards;
-  List.sort_uniq compare !pairs
+  let keys = Array.of_list !keys in
+  Array.sort Int.compare keys;
+  Analysis.Pair_key.to_pairs keys ~len:(Array.length keys)
 
 let annotate ~deps ~hazards ~issue_order ~ar_count =
   let issue_pos = Hashtbl.create 64 in

@@ -43,7 +43,7 @@ type t = {
   mutable anti_edges : C.edge list;
   out_edges : (int, int list) Hashtbl.t;  (* allocation-order successors *)
   indeg : (int, int) Hashtbl.t;
-  check_pairs : (int * int, unit) Hashtbl.t;  (* existing check (f,s) *)
+  check_pairs : (int, unit) Hashtbl.t;  (* existing checks, Pair_key.pack f s *)
   (* check edges into a not-yet-scheduled checkee, for AMOV retarget:
      checkee id -> checker ids that are not yet scheduled *)
   pending_checkers : (int, int list) Hashtbl.t;
@@ -120,8 +120,9 @@ let add_graph_edge t f s =
   Hashtbl.replace t.indeg s (indeg_of t s + 1)
 
 let add_check t f s =
-  if not (Hashtbl.mem t.check_pairs (f, s)) then begin
-    Hashtbl.replace t.check_pairs (f, s) ();
+  let key = Analysis.Pair_key.pack f s in
+  if not (Hashtbl.mem t.check_pairs key) then begin
+    Hashtbl.replace t.check_pairs key ();
     t.check_edges <- { C.first = f; second = s; kind = C.Check } :: t.check_edges;
     add_graph_edge t f s;
     let l = Option.value (Hashtbl.find_opt t.pending_checkers s) ~default:[] in
@@ -132,7 +133,7 @@ let add_anti t f s =
   t.anti_edges <- { C.first = f; second = s; kind = C.Anti } :: t.anti_edges;
   add_graph_edge t f s
 
-let has_check t f s = Hashtbl.mem t.check_pairs (f, s)
+let has_check t f s = Hashtbl.mem t.check_pairs (Analysis.Pair_key.pack f s)
 
 (* Allocate every ready operation; each allocation may unblock more.
    Stops at the first operation whose offset would overflow. *)
@@ -201,7 +202,7 @@ let break_cycle t ~x ~y =
     List.iter
       (fun z ->
         (* remove z->x *)
-        Hashtbl.remove t.check_pairs (z, x);
+        Hashtbl.remove t.check_pairs (Analysis.Pair_key.pack z x);
         t.check_edges <-
           List.filter
             (fun (e : C.edge) -> not (e.C.first = z && e.C.second = x))

@@ -176,12 +176,20 @@ let test_constraint_validation () =
   Hashtbl.replace a.C.order 2 0;
   Alcotest.(check bool) "check <= still ok alone" true
     (Result.is_ok (C.validate a ~edges:[ check ] ~ar_count:4));
-  Alcotest.(check bool) "anti < violated" false
-    (Result.is_ok (C.validate a ~edges:[ anti ] ~ar_count:4));
-  (* window discipline *)
+  (match C.validate a ~edges:[ anti ] ~ar_count:4 with
+  | Error [ C.Unsatisfied _ ] -> ()
+  | _ -> Alcotest.fail "anti < violated: expected one unsatisfied edge");
+  (* window discipline: an offset past the window, an order without a
+     base *)
   Hashtbl.replace a.C.order 2 9;
-  Alcotest.(check bool) "offset beyond window flagged" false
-    (Result.is_ok (C.validate a ~edges:[] ~ar_count:4))
+  Hashtbl.replace a.C.order 3 0;
+  (match C.validate a ~edges:[] ~ar_count:4 with
+  | Error [ C.Window _; C.Window _ ] -> ()
+  | _ -> Alcotest.fail "window breaches: expected two window problems");
+  let back = { C.first = 2; second = 1; kind = C.Check } in
+  match C.validate a ~edges:[ back ] ~ar_count:4 with
+  | Error [ C.Unsatisfied _; C.Window _; C.Window _ ] -> ()
+  | _ -> Alcotest.fail "expected the edge problem, then the two window problems"
 
 let test_topological_order () =
   let edges =

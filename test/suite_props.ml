@@ -103,7 +103,10 @@ let prop_allocation_valid (seed, params) =
          ~ar_count:64
      with
     | Ok () -> true
-    | Error msgs -> QCheck.Test.fail_report (String.concat "; " msgs))
+    | Error problems ->
+      QCheck.Test.fail_report
+        (String.concat "; "
+           (List.map (function C.Unsatisfied m | C.Window m -> m) problems)))
 
 (* The final constraint graph is acyclic (AMOVs broke every cycle). *)
 let prop_constraints_acyclic (seed, params) =

@@ -92,7 +92,10 @@ let test_constraints_validate () =
          ~ar_count:64
      with
     | Ok () -> ()
-    | Error msgs -> Alcotest.fail (String.concat "; " msgs))
+    | Error problems ->
+      Alcotest.fail
+        (String.concat "; "
+           (List.map (function C.Unsatisfied m | C.Window m -> m) problems)))
 
 let test_register_deps_respected () =
   reset_ids ();
