@@ -40,7 +40,9 @@ let () =
 
   (* ground truth *)
   let reference = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run reference decoded);
+  (match Frontend.Interp.run reference decoded with
+  | Ok _ -> ()
+  | Error Frontend.Interp.Out_of_fuel -> failwith "reference run ran out of fuel");
 
   List.iter
     (fun scheme ->

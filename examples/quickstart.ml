@@ -52,7 +52,9 @@ let () =
   let p = program () in
   (* ground truth from the reference interpreter *)
   let reference = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run reference p);
+  (match Frontend.Interp.run reference p with
+  | Ok _ -> ()
+  | Error Frontend.Interp.Out_of_fuel -> failwith "reference run ran out of fuel");
   List.iter
     (fun scheme ->
       let r = Smarq.run_program ~scheme p in

@@ -21,7 +21,9 @@ let () =
   Printf.printf "benchmark %s (scale %d): %s\n\n" bench scale
     b.Workload.Specfp.description;
   let reference = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel:1_000_000_000 reference program);
+  (match Frontend.Interp.run ~fuel:1_000_000_000 reference program with
+  | Ok _ -> ()
+  | Error Frontend.Interp.Out_of_fuel -> failwith "reference run ran out of fuel");
   let baseline =
     (Smarq.run_program ~scheme:Smarq.Scheme.None_ program).Runtime.Driver
       .stats

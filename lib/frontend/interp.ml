@@ -8,7 +8,7 @@ type stats = {
 
 let fresh_stats () = { instrs_executed = 0; block_counts = Hashtbl.create 64 }
 
-exception Out_of_fuel
+type error = Out_of_fuel
 
 let bump_block stats label =
   let n = Option.value (Hashtbl.find_opt stats.block_counts label) ~default:0 in
@@ -27,17 +27,16 @@ let exec_block ?stats m (b : Ir.Block.t) =
   | Ir.Block.Cond { cond; taken; fallthrough; _ } ->
     if E.operand_value m cond <> 0 then Some taken else Some fallthrough
 
+let rec run_from ~fuel ~stats m (p : Ir.Program.t) label =
+  if stats.instrs_executed > fuel then Error Out_of_fuel
+  else
+    match exec_block ~stats m (Ir.Program.block p label) with
+    | Some next -> run_from ~fuel ~stats m p next
+    | None -> Ok stats
+
 let run ?(fuel = 10_000_000) ?stats m (p : Ir.Program.t) =
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  let rec go label =
-    if stats.instrs_executed > fuel then raise Out_of_fuel;
-    let b = Ir.Program.block p label in
-    match exec_block ~stats m b with
-    | Some next -> go next
-    | None -> ()
-  in
-  go p.entry;
-  stats
+  run_from ~fuel ~stats m p p.entry
 
 type mem_event = {
   instr_id : int;

@@ -12,16 +12,22 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
-exception Out_of_fuel
+type error = Out_of_fuel  (** the instruction budget ran out before halt *)
 
 val exec_block :
   ?stats:stats -> Vliw.Machine.t -> Ir.Block.t -> Ir.Instr.label option
 (** Execute one basic block; return the next label ([None] = halt). *)
 
 val run :
-  ?fuel:int -> ?stats:stats -> Vliw.Machine.t -> Ir.Program.t -> stats
+  ?fuel:int ->
+  ?stats:stats ->
+  Vliw.Machine.t ->
+  Ir.Program.t ->
+  (stats, error) result
 (** Run from the entry to halt.  [fuel] bounds executed instructions
-    (default 10,000,000); raises [Out_of_fuel] beyond it. *)
+    (default 10,000,000); beyond it the run stops with
+    [Error Out_of_fuel], leaving the machine (and [stats], if given) as
+    far as it got. *)
 
 (** Ground-truth trace of one superblock execution, used as the alias
     oracle by tests and by precision experiments. *)

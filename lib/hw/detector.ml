@@ -16,7 +16,7 @@ type t = {
   name : string;
   caps : caps;
   reset : unit -> unit;
-  on_mem : Ir.Instr.t -> Access.t -> (unit, violation) result;
+  on_mem : Ir.Instr.t -> lo:int -> hi:int -> (unit, violation) result;
   on_rotate : int -> unit;
   on_amov : src:int -> dst:int -> unit;
   checks_performed : unit -> int;

@@ -28,9 +28,14 @@ type t = {
   name : string;
   caps : caps;
   reset : unit -> unit;  (** clear all state at region entry/exit *)
-  on_mem : Ir.Instr.t -> Access.t -> (unit, violation) result;
-      (** execute the alias side effects (checks then sets) of a load
-          or store with its runtime access range *)
+  on_mem : Ir.Instr.t -> lo:int -> hi:int -> (unit, violation) result;
+      (** [on_mem i ~lo ~hi] executes the alias side effects (checks
+          then sets) of load or store [i] whose runtime access range is
+          the closed byte interval [[lo, hi]].  The range is passed as
+          two ints so that the executor builds no value per memory
+          operation; the queue, Efficeon and ALAT models keep ranges in
+          flat int arrays and allocate only when they report a
+          violation. *)
   on_rotate : int -> unit;
   on_amov : src:int -> dst:int -> unit;
   checks_performed : unit -> int;
@@ -41,9 +46,10 @@ val wrap :
   ?name:string ->
   ?reset:(unit -> unit) ->
   ?on_mem:
-    ((Ir.Instr.t -> Access.t -> (unit, violation) result) ->
+    ((Ir.Instr.t -> lo:int -> hi:int -> (unit, violation) result) ->
     Ir.Instr.t ->
-    Access.t ->
+    lo:int ->
+    hi:int ->
     (unit, violation) result) ->
   t ->
   t

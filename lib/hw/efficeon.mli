@@ -20,5 +20,6 @@ val create : ?size:int -> unit -> t
 val size : t -> int
 val detector : t -> Detector.t
 val reset : t -> unit
-val on_mem : t -> Ir.Instr.t -> Access.t -> (unit, Detector.violation) result
+val on_mem :
+  t -> Ir.Instr.t -> lo:int -> hi:int -> (unit, Detector.violation) result
 val checks_performed : t -> int

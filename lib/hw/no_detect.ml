@@ -14,7 +14,7 @@ let detector () =
       name = "none";
       caps;
       reset = (fun () -> ());
-      on_mem = (fun _ _ -> Ok ());
+      on_mem = (fun _ ~lo:_ ~hi:_ -> Ok ());
       on_rotate = (fun _ -> ());
       on_amov = (fun ~src:_ ~dst:_ -> ());
       checks_performed = (fun () -> 0);

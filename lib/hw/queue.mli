@@ -20,7 +20,21 @@
 
     Internally the queue tracks the monotonically increasing {e order}
     [base + offset] of every live entry, which is exactly the paper's
-    [order(X) = base(X) + offset(X)] invariant. *)
+    [order(X) = base(X) + offset(X)] invariant.  The registers are a
+    flat ring of [size] slots, order [o] in slot [o mod size]; every
+    live order lies in [[base, base + size)], so no two share a slot,
+    and a memory operation allocates nothing unless it reports a
+    violation.
+
+    When a checking operation overlaps several registers, the reported
+    setter is the first overlapping register in {e conflict order}:
+    ranked by [Hashtbl.hash order land (b - 1)] with
+    [b = max 16 (the power of two >= 2 * size)], then newest insertion
+    first, where a register is inserted when it goes from free to set
+    (setting a set register, directly or by [amov], keeps its place).
+    [checks_performed] grows by the number of checked registers at or
+    before the reported one in that order, or by every checked register
+    when none overlaps. *)
 
 type t
 
@@ -36,8 +50,10 @@ val detector : t -> Detector.t
 
 val reset : t -> unit
 
-val on_mem : t -> Ir.Instr.t -> Access.t -> (unit, Detector.violation) result
-(** Performs the checks/sets implied by the instruction's annotation.
+val on_mem :
+  t -> Ir.Instr.t -> lo:int -> hi:int -> (unit, Detector.violation) result
+(** Performs the checks/sets implied by the instruction's annotation for
+    the access range [[lo, hi]].
     Instructions without a [Queue] annotation are ignored.  Raises
     [Invalid_argument] if an annotation offset falls outside the
     register window (software overflow bug). *)

@@ -281,17 +281,19 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
       degrade entry.region.Ir.Region.entry
   in
   let blocks_left = ref fuel in
-  let exception Fuel_done in
-  let exception Deadline_done in
   (* [chain_from] is the label of the region we just committed out of,
      if any: the dispatch first tries its chain link (skipping the
      cache lookup), and installs one after a successful lookup so the
-     next exit takes the fast path. *)
+     next exit takes the fast path.  Returns how the run ended. *)
   let rec step ~chain_from label =
-    if !blocks_left <= 0 then raise_notrace Fuel_done;
-    decr blocks_left;
-    stats.Stats.blocks_dispatched <- stats.Stats.blocks_dispatched + 1;
-    if hooks.deadline () then raise_notrace Deadline_done;
+    if !blocks_left <= 0 then Fuel_exhausted
+    else begin
+      decr blocks_left;
+      stats.Stats.blocks_dispatched <- stats.Stats.blocks_dispatched + 1;
+      if hooks.deadline () then Deadline_exceeded
+      else dispatch ~chain_from label
+    end
+  and dispatch ~chain_from label =
     (match hooks.before_dispatch label with
     | Keep -> ()
     | Invalidate -> Tcache.Store.invalidate cache label
@@ -331,7 +333,7 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
           if not (Some l = entry.region.Ir.Region.final_exit) then
             stats.Stats.side_exits_taken <- stats.Stats.side_exits_taken + 1;
           step ~chain_from:(Some label) l
-        | None -> ())
+        | None -> Completed)
       | Vliw.Region_exec.Alias_fault v ->
         stats.Stats.rollbacks <- stats.Stats.rollbacks + 1;
         if hooks.is_injected v then
@@ -375,15 +377,10 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
       then build_region label;
       (match next with
       | Some l -> step ~chain_from:None l
-      | None -> ())
+      | None -> Completed)
   in
   let t0 = Unix.gettimeofday () in
-  let outcome =
-    match step ~chain_from:None program.Ir.Program.entry with
-    | () -> Completed
-    | exception Fuel_done -> Fuel_exhausted
-    | exception Deadline_done -> Deadline_exceeded
-  in
+  let outcome = step ~chain_from:None program.Ir.Program.entry in
   Stats.note_tcache stats
     (Tcache.Telemetry.delta ~since:tcache_baseline
        (Tcache.Store.telemetry cache));

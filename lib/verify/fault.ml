@@ -26,6 +26,7 @@ type plan = {
   prng : Prng.t;
   seed : int;
   rate : float;
+  dispatch_rate : float;  (* [rate /. 8.0], the tcache event rate *)
   storm_length : int;
   mode : mode;
   counters : counters;
@@ -45,10 +46,12 @@ type plan = {
 }
 
 let make ~seed ~rate ~storm_length ~mode =
+  let rate = Float.max 0.0 (Float.min 1.0 rate) in
   {
     prng = Prng.create ~seed;
     seed;
-    rate = Float.max 0.0 (Float.min 1.0 rate);
+    rate;
+    dispatch_rate = rate /. 8.0;
     storm_length = max 2 storm_length;
     mode;
     counters =
@@ -99,7 +102,7 @@ let decide_region p =
     match p.mode with
     | Forced_storm -> p.pending <- None  (* the one storm has run dry *)
     | Random ->
-      if Prng.float p.prng < p.rate then begin
+      if Prng.below p.prng p.rate then begin
         let k =
           match Prng.int p.prng 10 with
           | 0 | 1 | 2 | 3 | 4 | 5 -> Spurious
@@ -165,8 +168,8 @@ let wrap p (d : Hw.Detector.t) =
   Hw.Detector.wrap
     ~name:(d.Hw.Detector.name ^ "+faults")
     ~reset:(fun () -> decide_region p)
-    ~on_mem:(fun next i range ->
-      match next i range with
+    ~on_mem:(fun next i ~lo ~hi ->
+      match next i ~lo ~hi with
       | Error _ as real ->
         (* a genuine violation: never claimed as injected *)
         p.last_violation <- None;
@@ -187,7 +190,7 @@ let before_dispatch p _label =
   match p.mode with
   | Forced_storm -> Runtime.Driver.Keep
   | Random ->
-    if p.rate > 0.0 && Prng.float p.prng < p.rate /. 8.0 then
+    if p.rate > 0.0 && Prng.below p.prng p.dispatch_rate then
       if Prng.int p.prng 4 = 0 then begin
         count p Tcache_flush;
         Runtime.Driver.Flush

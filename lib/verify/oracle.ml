@@ -15,8 +15,10 @@ let entry_ok e =
 
 let reference program =
   let m = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel:200_000_000 m program);
-  m
+  match Frontend.Interp.run ~fuel:200_000_000 m program with
+  | Ok _ -> m
+  | Error Frontend.Interp.Out_of_fuel ->
+    invalid_arg "Oracle.reference: the interpreter ran out of fuel"
 
 let run_scheme ?config ?fault ~scheme program =
   let injected_before =

@@ -30,8 +30,9 @@ val entry_ok : entry -> bool
     run was sound. *)
 
 val reference : Ir.Program.t -> Vliw.Machine.t
-(** Final machine state of the pure interpreter (at most 200,000,000
-    instructions). *)
+(** Final machine state of the pure interpreter.  Raises
+    [Invalid_argument] if the program does not halt within
+    200,000,000 instructions. *)
 
 val run_scheme :
   ?config:Runtime.Config.t ->

@@ -20,3 +20,8 @@ val int : t -> int -> int
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
+
+val below : t -> float -> bool
+(** [below t p] is [float t < p], drawing the same value, without
+    boxing the float.  A draw through [int] or [below] allocates
+    nothing. *)

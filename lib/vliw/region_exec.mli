@@ -6,9 +6,11 @@
     is the hardware's alias exception: the machine rolls back to the
     checkpoint and the outcome names the offending instruction pair so
     the runtime can re-optimize.  Exits and faults come back as
-    values, never as OCaml exceptions, and a run allocates per region
-    execution plus one access range per memory operation, nothing per
-    register write or journaled store.  A taken side exit commits (the scheduler
+    values, never as OCaml exceptions.  A run allocates its result once
+    per region execution and nothing per instruction: no closure or ref
+    per run, no access range per memory operation (the range goes to
+    the detector as two ints), nothing per register write or journaled
+    store.  A taken side exit commits (the scheduler
     guarantees committed state is exact at every side exit) and leaves
     towards the guest label.  Falling off the end commits and continues
     at the region's final exit.

@@ -113,3 +113,16 @@ let case name fn = Alcotest.test_case name `Quick fn
 let qcase ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name gen prop)
+
+(* Drive a detector model's [on_mem] with an access range; the models
+   take the range as two ints. *)
+let on_range on_mem t i (a : Hw.Access.t) =
+  on_mem t i ~lo:a.Hw.Access.lo ~hi:a.Hw.Access.hi
+
+(* Run the reference interpreter to halt, failing the test if it runs
+   out of fuel. *)
+let interp_run ?fuel m p =
+  match Frontend.Interp.run ?fuel m p with
+  | Ok stats -> stats
+  | Error Frontend.Interp.Out_of_fuel ->
+    Alcotest.fail "reference interpreter ran out of fuel"

@@ -11,7 +11,7 @@ let roundtrip p =
 
 let run_interp p =
   let m = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel:100_000_000 m p);
+  ignore (interp_run ~fuel:100_000_000 m p);
   m
 
 let test_image_header () =

@@ -68,7 +68,7 @@ let test_equivalence_with_cache () =
   let b = Workload.Specfp.find "wupwise" in
   let program = Workload.Specfp.program b in
   let ref_m = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel:50_000_000 ref_m program);
+  ignore (interp_run ~fuel:50_000_000 ref_m program);
   let r =
     Smarq.run_program
       ~config:{ Runtime.Config.default with vliw = Some config; fuel = 50_000_000 }

@@ -89,7 +89,7 @@ let test_static_still_sound () =
   for seed = 0 to 10 do
     let program = Workload.Genprog.program ~seed ~n_loops:2 ~iters:80 in
     let ref_m = Vliw.Machine.create () in
-    ignore (Frontend.Interp.run ~fuel:50_000_000 ref_m program);
+    ignore (interp_run ~fuel:50_000_000 ref_m program);
     let r =
       Smarq.run_program
         ~config:{ Runtime.Config.default with fuel = 50_000_000 }

@@ -232,7 +232,7 @@ let all_schemes =
 let certify_all_schemes_prop seed =
   let program = Workload.Genprog.program ~seed ~n_loops:2 ~iters:100 in
   let ref_m = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel:50_000_000 ref_m program);
+  ignore (interp_run ~fuel:50_000_000 ref_m program);
   List.for_all
     (fun scheme ->
       let r =

@@ -167,7 +167,7 @@ let test_region_formation_semantics_preserved () =
       "entry"
   in
   let m_ref = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run m_ref p);
+  ignore (interp_run m_ref p);
   let m_sb = Vliw.Machine.create () in
   let t = Frontend.Interp.trace_superblock m_sb sb in
   Alcotest.(check (option string)) "no exit taken" None
@@ -201,6 +201,66 @@ let test_region_max_blocks () =
   Alcotest.(check (option string)) "exits into the rest" (Some "b4")
     sb.Ir.Superblock.final_exit
 
+(* ---- differential: the bit-mask fixpoint against the Set one ---- *)
+
+let check_liveness_matches name program =
+  let lv = Frontend.Liveness.analyze program in
+  let oracle = Oracle_liveness.analyze program in
+  let same what l a b =
+    if not (Ir.Reg.Set.equal a b) then
+      Alcotest.failf "%s: %s %s differs" name what l
+  in
+  List.iter
+    (fun l ->
+      same "live_in" l
+        (Frontend.Liveness.live_in lv l)
+        (Oracle_liveness.live_in oracle l);
+      let b = Ir.Program.block program l in
+      same "live_out_of_block" l
+        (Frontend.Liveness.live_out_of_block lv b)
+        (Oracle_liveness.live_out_of_block oracle b))
+    (Ir.Program.labels program);
+  let unknown = Frontend.Liveness.live_in lv "no such label" in
+  same "live_in" "no such label" unknown
+    (Oracle_liveness.live_in oracle "no such label");
+  Alcotest.(check int)
+    (name ^ ": an unknown label is fully live")
+    (List.length Ir.Reg.all_guest)
+    (Ir.Reg.Set.cardinal unknown)
+
+let test_liveness_matches_oracle () =
+  List.iter
+    (fun (b : Workload.Specfp.bench) ->
+      check_liveness_matches b.Workload.Specfp.name (Workload.Specfp.program b))
+    Workload.Specfp.suite;
+  check_liveness_matches "direct_heavy"
+    (Workload.Kernels.direct_heavy ~iters:10);
+  for seed = 1 to 30 do
+    check_liveness_matches
+      (Printf.sprintf "genprog seed %d" seed)
+      (Workload.Genprog.program ~seed ~n_loops:(1 + (seed mod 4)) ~iters:5)
+  done
+
+(* [analyze] runs on every driver run: its allocation must be a small
+   constant per instruction, not a set rebuilt per fixpoint round. *)
+let liveness_words_per_instr = 16
+
+let test_liveness_allocation () =
+  List.iter
+    (fun (b : Workload.Specfp.bench) ->
+      let program = Workload.Specfp.program b in
+      ignore (Frontend.Liveness.analyze program);
+      let before = Gc.minor_words () in
+      ignore (Frontend.Liveness.analyze program);
+      let words = int_of_float (Gc.minor_words () -. before) in
+      let instrs = Ir.Program.instr_count program in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d words for %d instructions (bound %d per)"
+           b.Workload.Specfp.name words instrs liveness_words_per_instr)
+        true
+        (words <= liveness_words_per_instr * instrs))
+    Workload.Specfp.suite
+
 let suite =
   ( "frontend",
     [
@@ -213,4 +273,7 @@ let suite =
       case "region formation preserves semantics"
         test_region_formation_semantics_preserved;
       case "region formation respects max blocks" test_region_max_blocks;
+      case "liveness: bit masks == Set fixpoint oracle"
+        test_liveness_matches_oracle;
+      case "liveness: allocation per instruction" test_liveness_allocation;
     ] )

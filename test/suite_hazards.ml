@@ -94,7 +94,7 @@ let test_queue_wraparound () =
              annot = Ir.Annot.queue ~offset:0 ~p:true ~c:false;
            })
     in
-    (match Hw.Queue.on_mem q set (Hw.Access.make ~addr:(k * 100) ~width:4) with
+    (match on_range Hw.Queue.on_mem q set (Hw.Access.make ~addr:(k * 100) ~width:4) with
     | Ok () -> ()
     | Error _ -> Alcotest.fail "set cannot fault");
     (* a store checking at offset 0 sees exactly this entry *)
@@ -108,7 +108,7 @@ let test_queue_wraparound () =
              annot = Ir.Annot.queue ~offset:0 ~p:false ~c:true;
            })
     in
-    (match Hw.Queue.on_mem q chk (Hw.Access.make ~addr:(k * 100) ~width:4) with
+    (match on_range Hw.Queue.on_mem q chk (Hw.Access.make ~addr:(k * 100) ~width:4) with
     | Error v -> Alcotest.(check int) "hits the current setter" (100 + k)
                    v.Hw.Detector.setter
     | Ok () -> Alcotest.fail "expected a hit");

@@ -149,7 +149,7 @@ let test_naive_equivalent_on_suite () =
       let b = Workload.Specfp.find name in
       let program = Workload.Specfp.program b in
       let ref_m = Vliw.Machine.create () in
-      ignore (Frontend.Interp.run ~fuel:50_000_000 ref_m program);
+      ignore (interp_run ~fuel:50_000_000 ref_m program);
       let r =
         Smarq.run_program
           ~config:{ Runtime.Config.default with fuel = 100_000_000 }

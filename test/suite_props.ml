@@ -163,7 +163,7 @@ let prog_arb =
 let prop_dynamic_system_equivalent (seed, loops, iters) =
   let program = Workload.Genprog.program ~seed ~n_loops:loops ~iters in
   let ref_machine = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel:50_000_000 ref_machine program);
+  ignore (interp_run ~fuel:50_000_000 ref_machine program);
   List.for_all
     (fun scheme ->
       let r =
@@ -189,7 +189,7 @@ let prop_binary_roundtrip (seed, loops, iters) =
   | Error m -> QCheck.Test.fail_report m);
   let run p =
     let m = Vliw.Machine.create () in
-    ignore (Frontend.Interp.run ~fuel:50_000_000 m p);
+    ignore (interp_run ~fuel:50_000_000 m p);
     m
   in
   Vliw.Machine.equal_guest_state (run program) (run decoded)

@@ -231,8 +231,8 @@ let test_store_ops_allocate_only_ranges () =
   let n = 50 in
   let small = warm_words (straight_region (store_ops n)) in
   let large = warm_words (straight_region (store_ops (4 * n))) in
-  (* one [Hw.Access.t] (two fields and a header) per extra memory op *)
-  let budget = (3 * 3 * n) + fixed_words in
+  (* the range reaches the detector as two ints: nothing per op *)
+  let budget = fixed_words in
   Alcotest.(check bool)
     (Printf.sprintf "4N stores (%d words) within %d of N (%d words)" large
        budget small)
@@ -250,8 +250,8 @@ let test_journal_reused_after_rollback () =
   in
   let detector =
     Hw.Detector.wrap
-      ~on_mem:(fun next (i : I.t) range ->
-        if i.I.id = faulting then Error violation else next i range)
+      ~on_mem:(fun next (i : I.t) ~lo ~hi ->
+        if i.I.id = faulting then Error violation else next i ~lo ~hi)
       (Hw.No_detect.detector ())
   in
   let region = straight_region body in
@@ -275,15 +275,60 @@ let test_journal_reused_after_rollback () =
     (Printf.sprintf "second run (%d words) allocates no more than the first (%d)"
        second first)
     true (second <= first);
-  let budget = (3 * 51) + fixed_words in
+  let budget = fixed_words in
   Alcotest.(check bool)
-    (Printf.sprintf "second run (%d words) within %d: ranges only" second
+    (Printf.sprintf "second run (%d words) within %d: nothing per op" second
        budget)
     true (second <= budget);
   Alcotest.(check int) "rolled back: stores undone" 0
     (Vliw.Machine.load machine ~addr:4008 ~width:8);
   Alcotest.(check int) "rolled back: registers undone" 0
     (Vliw.Machine.get_reg machine (r 3))
+
+(* Alternating stores and loads, each checking and setting a queue
+   register at a falling offset, so each checks the registers the ops
+   before it set (offsets wrap around the 64-register window); the
+   addresses are disjoint, so nothing conflicts. *)
+let queue_ops n =
+  List.init n (fun k ->
+      let annot = Ir.Annot.queue ~offset:(63 - (k mod 64)) ~p:true ~c:true in
+      let i =
+        if k mod 2 = 0 then st ~width:8 (I.Imm k) (r 2) (8 * k)
+        else ld ~width:8 (f (k mod 8)) (r 2) (8 * k)
+      in
+      I.with_annot i annot)
+
+let queue_region body =
+  Ir.Region.make ~entry:"t"
+    ~bundles:(Array.of_list (List.map (fun i -> [ i ]) body))
+    ~final_exit:None ~ar_window:64 ~assumed_no_alias:[] ~source:(sb_of body) ()
+
+let test_queue_checks_allocate_nothing () =
+  reset_ids ();
+  let n = 50 in
+  let warm region =
+    let detector = Hw.Queue.detector (Hw.Queue.create ~size:64) in
+    let machine = Vliw.Machine.create () in
+    Vliw.Machine.set_reg machine (r 2) 4000;
+    let run () =
+      minor_words_of (fun () ->
+          match RE.run ~config:Vliw.Config.default ~detector ~machine region with
+          | { RE.outcome = RE.Committed _; alias_checks; _ } ->
+            if alias_checks = 0 then Alcotest.fail "expected alias checks"
+          | { RE.outcome = RE.Alias_fault _; _ } ->
+            Alcotest.fail "unexpected alias fault")
+    in
+    ignore (run ());
+    run ()
+  in
+  let small = warm (queue_region (queue_ops n)) in
+  let large = warm (queue_region (queue_ops (4 * n))) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "smarq64: 4N checking ops (%d words) within %d of N (%d words)" large
+       fixed_words small)
+    true
+    (large - small <= fixed_words)
 
 let suite =
   ( "region-exec",
@@ -302,4 +347,6 @@ let suite =
         test_store_ops_allocate_only_ranges;
       case "journal buffer reused after rollback"
         test_journal_reused_after_rollback;
+      case "smarq64 checks allocate nothing per op"
+        test_queue_checks_allocate_nothing;
     ] )

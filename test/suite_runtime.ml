@@ -45,7 +45,7 @@ let run_scheme ?(fuel = 10_000_000) scheme program =
 
 let reference program =
   let m = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel:50_000_000 m program);
+  ignore (interp_run ~fuel:50_000_000 m program);
   m
 
 let test_rollback_then_convergence () =

@@ -296,7 +296,7 @@ let pressure_program ~loops ~inner ~outer =
 let test_bounded_pressure_correct () =
   let program = pressure_program ~loops:6 ~inner:70 ~outer:12 in
   let reference = Vliw.Machine.create () in
-  ignore (Frontend.Interp.run ~fuel:50_000_000 reference program);
+  ignore (interp_run ~fuel:50_000_000 reference program);
   (* size the cache off the unbounded footprint: half of it forces
      evictions while any single region still fits *)
   let unbounded =

@@ -76,7 +76,7 @@ let test_unrolled_system_equivalent () =
       let b = Workload.Specfp.find name in
       let program = Workload.Specfp.program b in
       let ref_m = Vliw.Machine.create () in
-      ignore (Frontend.Interp.run ~fuel:50_000_000 ref_m program);
+      ignore (interp_run ~fuel:50_000_000 ref_m program);
       List.iter
         (fun unroll ->
           let res =

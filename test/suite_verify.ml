@@ -269,6 +269,20 @@ let test_campaign_runner () =
         && line.[String.length line - 1] = '}'))
     runs
 
+(* The fault plan draws at every region entry and dispatch: a warm draw
+   through [int] or [below] must not allocate. *)
+let test_prng_draws_allocate_nothing () =
+  let p = Verify.Prng.create ~seed:7 in
+  ignore (Verify.Prng.int p 10);
+  ignore (Verify.Prng.below p 0.5);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Verify.Prng.int p 10);
+    ignore (Verify.Prng.below p 0.5)
+  done;
+  Alcotest.(check int) "words for 1000 int and 1000 below draws" 0
+    (int_of_float (Gc.minor_words () -. before))
+
 let suite =
   ( "verify",
     [
@@ -287,4 +301,5 @@ let suite =
         test_fuel_exhaustion_structured;
       case "campaign runner emits one ok JSON line per cell"
         test_campaign_runner;
+      case "prng draws allocate nothing" test_prng_draws_allocate_nothing;
     ] )

@@ -17,7 +17,7 @@ let test_suite_deterministic () =
     (fun (b : Workload.Specfp.bench) ->
       let run () =
         let m = Vliw.Machine.create () in
-        ignore (Frontend.Interp.run ~fuel:50_000_000 m
+        ignore (interp_run ~fuel:50_000_000 m
                   (Workload.Specfp.program b));
         m
       in
@@ -30,7 +30,7 @@ let test_suite_terminates () =
   List.iter
     (fun (b : Workload.Specfp.bench) ->
       let m = Vliw.Machine.create () in
-      let stats = Frontend.Interp.run ~fuel:50_000_000 m
+      let stats = interp_run ~fuel:50_000_000 m
           (Workload.Specfp.program b)
       in
       Alcotest.(check bool)
@@ -44,7 +44,7 @@ let test_scale_parameter () =
   let count scale =
     let m = Vliw.Machine.create () in
     let stats =
-      Frontend.Interp.run ~fuel:100_000_000 m
+      interp_run ~fuel:100_000_000 m
         (Workload.Specfp.program ~scale b)
     in
     stats.Frontend.Interp.instrs_executed
