@@ -68,9 +68,8 @@ let execute ~r2 region =
   Vliw.Machine.set_reg machine (Ir.Reg.R 1) 5000;
   Vliw.Machine.set_reg machine (Ir.Reg.R 2) r2;
   let detector = Hw.Queue.detector (Hw.Queue.create ~size:64) in
-  let r =
-    Vliw.Region_exec.run ~config:Vliw.Config.default ~detector ~machine region
-  in
+  let r = Vliw.Region_exec.make_result () in
+  Vliw.Region_exec.run ~config:Vliw.Config.default ~detector ~machine region r;
   (r, machine)
 
 let () =
@@ -82,7 +81,7 @@ let () =
   (* case 1: no runtime alias *)
   let r, _ = execute ~r2:2000 o.Opt.Optimizer.region in
   (match r.Vliw.Region_exec.outcome with
-  | Vliw.Region_exec.Committed _ ->
+  | Vliw.Region_exec.Committed ->
     Printf.printf "r2 = 2000 (disjoint): committed in %d cycles\n"
       r.Vliw.Region_exec.cycles
   | Vliw.Region_exec.Alias_fault v ->
@@ -109,15 +108,14 @@ let () =
     Format.printf "conservative re-optimization:@.%a@." Ir.Region.pp
       o2.Opt.Optimizer.region;
     let detector = Hw.Queue.detector (Hw.Queue.create ~size:64) in
-    let r2 =
-      Vliw.Region_exec.run ~config:Vliw.Config.default ~detector ~machine
-        o2.Opt.Optimizer.region
-    in
+    let r2 = Vliw.Region_exec.make_result () in
+    Vliw.Region_exec.run ~config:Vliw.Config.default ~detector ~machine
+      o2.Opt.Optimizer.region r2;
     (match r2.Vliw.Region_exec.outcome with
-    | Vliw.Region_exec.Committed _ ->
+    | Vliw.Region_exec.Committed ->
       Printf.printf "re-execution committed; f3 = %d (the freshly stored value)\n"
         (Vliw.Machine.get_reg machine (Ir.Reg.F 3))
     | Vliw.Region_exec.Alias_fault _ ->
       print_endline "unexpected second fault")
-  | Vliw.Region_exec.Committed _ ->
+  | Vliw.Region_exec.Committed ->
     print_endline "unexpected commit despite the alias")

@@ -147,14 +147,15 @@ let real_edges_swept ~arena ~body ~alias ~emit_edges =
     let max_gen = ref 0 in
     List.iter
       (fun (ins : Ir.Instr.t) ->
-        match Ir.Instr.mem_addr ins with
-        | Some a ->
+        match ins.op with
+        | Ir.Instr.Load { addr = a; width = w; _ }
+        | Ir.Instr.Store { addr = a; width = w; _ } ->
           let k = !next in
           incr next;
           id.(k) <- ins.id;
           bcode.(k) <- A.reg_code a.Ir.Instr.base;
           disp.(k) <- a.Ir.Instr.disp;
-          width.(k) <- Option.value (Ir.Instr.mem_width ins) ~default:1;
+          width.(k) <- w;
           store.(k) <- (if Ir.Instr.is_store ins then 1 else 0);
           caddr.(k) <-
             (match May_alias.const_address alias ins with
@@ -163,7 +164,7 @@ let real_edges_swept ~arena ~body ~alias ~emit_edges =
           gen.(k) <- May_alias.generation alias ins;
           max_gen := max !max_gen gen.(k);
           A.map_set slot_of_id ins.id k
-        | None -> ())
+        | _ -> ())
       body;
     (* dense bucket ids per (base code, generation); a generation can
        exceed the memory-op count, so the key spreads by the largest *)

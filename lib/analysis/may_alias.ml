@@ -14,13 +14,24 @@ type t = {
 let analyze ?(known_alias = []) ?const_facts ~body () =
   let generation = Hashtbl.create 64 in
   let const_addr = Hashtbl.create 16 in
-  let defs = Hashtbl.create 64 in
-  let defs_of r = Option.value (Hashtbl.find_opt defs r) ~default:0 in
+  (* definitions so far per register, indexed by [Arena.reg_code]; a
+     register the body never defines has none *)
+  let top = ref (-1) in
+  let note r = top := Int.max !top (Arena.reg_code r) in
+  List.iter (Ir.Instr.iter_defs note) body;
+  let defs = Array.make (!top + 1) 0 in
+  let count r =
+    let c = Arena.reg_code r in
+    defs.(c) <- defs.(c) + 1
+  in
   List.iter
     (fun (i : Ir.Instr.t) ->
-      (match Ir.Instr.mem_addr i with
-      | Some a -> Hashtbl.replace generation i.id (defs_of a.Ir.Instr.base)
-      | None -> ());
+      (match i.op with
+      | Ir.Instr.Load { addr; _ } | Ir.Instr.Store { addr; _ } ->
+        let c = Arena.reg_code addr.Ir.Instr.base in
+        Hashtbl.replace generation i.id
+          (if c < Array.length defs then defs.(c) else 0)
+      | _ -> ());
       (match const_facts with
       | Some facts -> (
         match Absint.address facts i.id with
@@ -30,8 +41,7 @@ let analyze ?(known_alias = []) ?const_facts ~body () =
           Hashtbl.replace const_addr i.id lo
         | _ -> ())
       | None -> ());
-      List.iter (fun r -> Hashtbl.replace defs r (defs_of r + 1))
-        (Ir.Instr.defs i))
+      Ir.Instr.iter_defs count i)
     body;
   let known = Hashtbl.create 16 in
   List.iter

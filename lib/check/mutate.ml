@@ -292,18 +292,17 @@ let hoist_across_hazard (o : Opt.Optimizer.t) =
     region.Ir.Region.bundles;
   let hazards = o.Opt.Optimizer.hazards in
   let pick = ref None in
-  Array.iteri
-    (fun p preds ->
-      if !pick = None then
-        let id = hazards.Sched.Hazards.ids.(p) in
-        List.iter
-          (fun pd ->
-            if !pick = None then
-              match Hashtbl.find_opt cyc pd, Hashtbl.find_opt cyc id with
-              | Some cp, Some cs when cs > cp -> pick := Some (pd, id, cp)
-              | _ -> ())
-          preds)
-    hazards.Sched.Hazards.preds_of;
+  let ids = hazards.Sched.Hazards.ids in
+  for p = 0 to Array.length ids - 1 do
+    if !pick = None then
+      let id = ids.(p) in
+      Sched.Hazards.iter_preds hazards p (fun q ->
+          let pd = ids.(q) in
+          if !pick = None then
+            match Hashtbl.find_opt cyc pd, Hashtbl.find_opt cyc id with
+            | Some cp, Some cs when cs > cp -> pick := Some (pd, id, cp)
+            | _ -> ())
+  done;
   match !pick with
   | None -> None
   | Some (_, succ, pred_cycle) ->

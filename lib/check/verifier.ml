@@ -287,11 +287,11 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   done;
 
   (* ---- the recorded hazard graph itself *)
-  Array.iteri
-    (fun p preds ->
-      let id = hazards.Sched.Hazards.ids.(p) in
-      List.iter (fun pd -> require Sched_hazard pd id "hazard") preds)
-    hazards.Sched.Hazards.preds_of;
+  let hz_ids = hazards.Sched.Hazards.ids in
+  for p = 0 to Array.length hz_ids - 1 do
+    Sched.Hazards.iter_preds hazards p (fun pd ->
+        require Sched_hazard hz_ids.(pd) hz_ids.(p) "hazard")
+  done;
 
   (* ---- resource limits per bundle *)
   Array.iteri

@@ -46,25 +46,14 @@ let add_def s (r : Ir.Reg.t) =
     s.def_float <- s.def_float lor b
   | Ir.Reg.T _ -> not_guest r
 
-let rec add_uses s = function
-  | [] -> ()
-  | r :: rest ->
-    add_use s r;
-    add_uses s rest
-
-let rec add_defs s = function
-  | [] -> ()
-  | r :: rest ->
-    add_def s r;
-    add_defs s rest
-
-(* the body's transfer, applied last instruction first *)
-let rec summarize_body s = function
+(* the body's transfer, applied last instruction first; [on_def] and
+   [on_use] are the block's two callbacks, made once per block *)
+let rec summarize_body ~on_def ~on_use = function
   | [] -> ()
   | (i : Ir.Instr.t) :: rest ->
-    summarize_body s rest;
-    add_defs s (Ir.Instr.defs i);
-    add_uses s (Ir.Instr.uses i)
+    summarize_body ~on_def ~on_use rest;
+    Ir.Instr.iter_defs on_def i;
+    Ir.Instr.iter_uses on_use i
 
 let summarize (b : Ir.Block.t) =
   let s = { use_int = 0; use_float = 0; def_int = 0; def_float = 0 } in
@@ -72,7 +61,7 @@ let summarize (b : Ir.Block.t) =
   | Ir.Block.Cond { cond = Ir.Instr.Reg r; _ } -> add_use s r
   | Ir.Block.Cond { cond = Ir.Instr.Imm _; _ }
   | Ir.Block.Fallthrough _ | Ir.Block.Halt -> ());
-  summarize_body s b.body;
+  summarize_body ~on_def:(add_def s) ~on_use:(add_use s) b.body;
   s
 
 (* block number of a successor label; -1 (nothing live) for a label the

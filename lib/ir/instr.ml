@@ -142,6 +142,33 @@ let uses i =
   | Store { src; addr; _ } -> operand_reg src @ [ addr.base ]
   | Branch { cond; _ } -> operand_reg cond
 
+(* The iterators visit exactly the registers of [defs]/[uses], in the
+   same order, straight from the operation: no list, no closure. *)
+let iter_defs f i =
+  match i.op with
+  | Mov (d, _) | Unop_neg (d, _) | Binop (_, d, _, _) | Fbinop (_, d, _, _)
+  | Cmp (_, d, _, _) ->
+    f d
+  | Load { dst; _ } -> f dst
+  | Nop | Store _ | Branch _ | Jump _ | Exit _ | Rotate _ | Amov _ -> ()
+
+let iter_operand f = function
+  | Reg r -> f r
+  | Imm _ -> ()
+
+let iter_uses f i =
+  match i.op with
+  | Nop | Jump _ | Exit _ | Rotate _ | Amov _ -> ()
+  | Mov (_, s) | Unop_neg (_, s) -> iter_operand f s
+  | Binop (_, _, a, b) | Fbinop (_, _, a, b) | Cmp (_, _, a, b) ->
+    iter_operand f a;
+    iter_operand f b
+  | Load { addr; _ } -> f addr.base
+  | Store { src; addr; _ } ->
+    iter_operand f src;
+    f addr.base
+  | Branch { cond; _ } -> iter_operand f cond
+
 let latency i =
   match i.op with
   | Load _ -> 3

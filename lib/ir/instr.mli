@@ -112,6 +112,17 @@ val defs : t -> Reg.t list
 val uses : t -> Reg.t list
 (** Registers read (including address bases and store sources). *)
 
+val iter_defs : (Reg.t -> unit) -> t -> unit
+(** [iter_defs f i] applies [f] to exactly the registers of [defs i],
+    in the same order, and allocates nothing.  Hot loops create [f]
+    once and pass per-instruction state through mutable cells. *)
+
+val iter_uses : (Reg.t -> unit) -> t -> unit
+(** [iter_uses f i] applies [f] to exactly the registers of [uses i],
+    in the same order and with the same multiplicity (a store whose
+    source is its own base visits that register twice), and allocates
+    nothing. *)
+
 val latency : t -> int
 (** Default issue-to-result latency in cycles (loads 3, multiplies 3,
     divides 8, FP 4 except fdiv 12, everything else 1).  The VLIW

@@ -23,11 +23,14 @@ let is_may alias a b =
 (* Exact must-alias: same base, displacement and width, and the alias
    analysis agrees (which covers base redefinition between the two). *)
 let exact_same_location alias (a : Ir.Instr.t) (b : Ir.Instr.t) =
-  match Ir.Instr.mem_addr a, Ir.Instr.mem_addr b with
-  | Some aa, Some ab ->
+  match a.op, b.op with
+  | ( (Ir.Instr.Load { addr = aa; width = wa; _ }
+      | Ir.Instr.Store { addr = aa; width = wa; _ }),
+      (Ir.Instr.Load { addr = ab; width = wb; _ }
+      | Ir.Instr.Store { addr = ab; width = wb; _ }) ) ->
     Ir.Reg.equal aa.base ab.base
     && aa.disp = ab.disp
-    && Ir.Instr.mem_width a = Ir.Instr.mem_width b
+    && wa = wb
     && is_must alias a b
   | _ -> false
 
@@ -72,14 +75,14 @@ let next_id st =
    registers as the instructions they replace, so scanning the anchors
    is conservative and sufficient.) *)
 let redefined_between st reg ~lo ~hi =
-  let rec scan p =
-    if p >= hi then false
-    else if
-      List.exists (Ir.Reg.equal reg) (Ir.Instr.defs st.anchor.(p))
-    then true
-    else scan (p + 1)
-  in
-  scan (lo + 1)
+  let found = ref false in
+  let check r = if Ir.Reg.equal r reg then found := true in
+  let p = ref (lo + 1) in
+  while (not !found) && !p < hi do
+    Ir.Instr.iter_defs check st.anchor.(!p);
+    incr p
+  done;
+  !found
 
 (* ---- Store elimination ---- *)
 

@@ -131,6 +131,8 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
   in
   let latency = Vliw.Config.latency config in
   let data_cache = Option.map Vliw.Cache.create config.Vliw.Config.cache in
+  (* one outcome record per run, refilled by every region execution *)
+  let r = Vliw.Region_exec.make_result () in
   (* regions blacklisted to interpreter-only execution, either by the
      livelock watchdog or by a static-verifier rejection *)
   let degraded : (Ir.Instr.label, unit) Hashtbl.t = Hashtbl.create 4 in
@@ -316,24 +318,29 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
     match cached with
     | Some entry ->
       stats.Stats.region_entries <- stats.Stats.region_entries + 1;
-      let r =
-        Vliw.Region_exec.run ~config ~detector ~machine
-          ?cache:data_cache entry.region
-      in
+      Vliw.Region_exec.run ~config ~detector ~machine ?cache:data_cache
+        entry.region r;
       stats.Stats.region_cycles <- stats.Stats.region_cycles + r.Vliw.Region_exec.cycles;
       stats.Stats.total_cycles <- stats.Stats.total_cycles + r.Vliw.Region_exec.cycles;
       stats.Stats.alias_checks <-
         stats.Stats.alias_checks + r.Vliw.Region_exec.alias_checks;
       (match r.Vliw.Region_exec.outcome with
-      | Vliw.Region_exec.Committed next ->
+      | Vliw.Region_exec.Committed ->
         stats.Stats.region_commits <- stats.Stats.region_commits + 1;
         entry.faults_since_commit <- 0;
-        (match next with
-        | Some l ->
-          if not (Some l = entry.region.Ir.Region.final_exit) then
-            stats.Stats.side_exits_taken <- stats.Stats.side_exits_taken + 1;
+        if r.Vliw.Region_exec.side_exit then begin
+          let l = r.Vliw.Region_exec.exit_label in
+          (match entry.region.Ir.Region.final_exit with
+          | Some f when String.equal f l -> ()
+          | Some _ | None ->
+            stats.Stats.side_exits_taken <- stats.Stats.side_exits_taken + 1);
           step ~chain_from:(Some label) l
-        | None -> Completed)
+        end
+        else begin
+          match entry.region.Ir.Region.final_exit with
+          | Some l -> step ~chain_from:(Some label) l
+          | None -> Completed
+        end
       | Vliw.Region_exec.Alias_fault v ->
         stats.Stats.rollbacks <- stats.Stats.rollbacks + 1;
         if hooks.is_injected v then

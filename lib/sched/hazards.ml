@@ -1,46 +1,50 @@
 type t = {
   ids : int array;
   index : (int, int) Hashtbl.t;
-  preds_of : int list array;
-  succs_of : int list array;
+  succ_start : int array;
+  succ : int array;
+  pred_start : int array;
+  pred : int array;
   dropped : (int * int) list;
 }
 
 (* RAW, WAR, WAW edges over the straight-line body (positions), on
    arena-leased flat arrays: registers as compact codes, last-def as a
    direct array, uses-since-def as per-register token chains
-   (newest-first).  Zero allocation. *)
+   (newest-first).  Operands are read in place; the two callbacks are
+   made once per build and see the current position through [cur].
+   Zero allocation per instruction. *)
 let register_edges_flat ~arena ~arr ~nr ~n_uses ~add =
   let module A = Analysis.Arena in
   let last_def = A.filled_ints arena ~slot:16 nr (-1) in
   let use_head = A.filled_ints arena ~slot:17 nr (-1) in
   let use_pos = A.ints arena ~slot:18 (max 1 n_uses) in
   let use_next = A.ints arena ~slot:19 (max 1 n_uses) in
-  let tok = ref 0 in
-  Array.iteri
-    (fun pos (i : Ir.Instr.t) ->
-      List.iter
-        (fun r ->
-          let c = A.reg_code r in
-          if last_def.(c) >= 0 then add last_def.(c) pos;
-          use_pos.(!tok) <- pos;
-          use_next.(!tok) <- use_head.(c);
-          use_head.(c) <- !tok;
-          incr tok)
-        (Ir.Instr.uses i);
-      List.iter
-        (fun r ->
-          let c = A.reg_code r in
-          if last_def.(c) >= 0 then add last_def.(c) pos;
-          let u = ref use_head.(c) in
-          while !u >= 0 do
-            add use_pos.(!u) pos;
-            u := use_next.(!u)
-          done;
-          last_def.(c) <- pos;
-          use_head.(c) <- -1)
-        (Ir.Instr.defs i))
-    arr
+  let tok = ref 0 and cur = ref 0 in
+  let on_use r =
+    let c = A.reg_code r and pos = !cur in
+    if last_def.(c) >= 0 then add last_def.(c) pos;
+    use_pos.(!tok) <- pos;
+    use_next.(!tok) <- use_head.(c);
+    use_head.(c) <- !tok;
+    incr tok
+  in
+  let on_def r =
+    let c = A.reg_code r and pos = !cur in
+    if last_def.(c) >= 0 then add last_def.(c) pos;
+    let u = ref use_head.(c) in
+    while !u >= 0 do
+      add use_pos.(!u) pos;
+      u := use_next.(!u)
+    done;
+    last_def.(c) <- pos;
+    use_head.(c) <- -1
+  in
+  for pos = 0 to Array.length arr - 1 do
+    cur := pos;
+    Ir.Instr.iter_uses on_use arr.(pos);
+    Ir.Instr.iter_defs on_def arr.(pos)
+  done
 
 (* Memory edges: hard dependences always; speculative ones unless the
    policy may drop them.  Dropped pairs go into [dropped] as
@@ -60,14 +64,12 @@ let memory_edges ~arr ~pos_of ~deps ~policy ~dropped ~add =
 (* Branch-branch program order: consecutive side exits chain, which
    also carries exit-fence transitivity for the reduced builder. *)
 let branch_chain ~arr ~add =
-  let last_branch = ref None in
+  let last_branch = ref (-1) in
   Array.iteri
     (fun pos (i : Ir.Instr.t) ->
       if Ir.Instr.is_side_exit i then begin
-        (match !last_branch with
-        | Some b -> add b pos
-        | None -> ());
-        last_branch := Some pos
+        if !last_branch >= 0 then add !last_branch pos;
+        last_branch := pos
       end)
     arr
 
@@ -86,53 +88,57 @@ let branch_chain ~arr ~add =
    Blockedness is per-exit (it depends on the exit's live-out set), so
    the sweeps track, per register, the nearest exit at which that
    register is live; stores are blocked at every exit.  The per-register
-   trackers are arena arrays indexed by compact reg code. *)
+   trackers are arena arrays indexed by compact reg code; the callbacks
+   that read and mark them are made once per build and share the
+   current exit position and accumulator through refs. *)
 let control_edges_reduced ~arena ~sb ~arr ~nr ~add =
   let module A = Analysis.Arena in
   branch_chain ~arr ~add;
   let n = Array.length arr in
+  let exit_at = ref (-1) and acc = ref (-1) in
   (* forward sweep: latest preceding blocked exit per instruction *)
   let latest_exit = ref (-1) in
   let latest_live = A.filled_ints arena ~slot:20 nr (-1) in
+  let mark_latest r = latest_live.(A.reg_code r) <- !exit_at in
+  let latest_of r = acc := Int.max !acc latest_live.(A.reg_code r) in
   for idx = 0 to n - 1 do
     let i = arr.(idx) in
     if Ir.Instr.is_side_exit i then begin
-      let live = Ir.Superblock.exit_live_out sb i.Ir.Instr.id in
       latest_exit := idx;
-      Ir.Reg.Set.iter (fun r -> latest_live.(A.reg_code r) <- idx) live
+      exit_at := idx;
+      Ir.Reg.Set.iter mark_latest (Ir.Superblock.exit_live_out sb i.Ir.Instr.id)
     end
     else begin
-      let e =
-        if Ir.Instr.is_store i then !latest_exit
-        else
-          List.fold_left
-            (fun acc r -> max acc latest_live.(A.reg_code r))
-            (-1) (Ir.Instr.defs i)
-      in
-      if e >= 0 then add e idx
+      if Ir.Instr.is_store i then acc := !latest_exit
+      else begin
+        acc := -1;
+        Ir.Instr.iter_defs latest_of i
+      end;
+      if !acc >= 0 then add !acc idx
     end
   done;
   (* backward sweep: nearest following blocked exit per instruction *)
   let next_exit = ref (-1) in
   let next_live = A.filled_ints arena ~slot:21 nr (-1) in
+  let mark_next r = next_live.(A.reg_code r) <- !exit_at in
+  let next_of r =
+    let e = next_live.(A.reg_code r) in
+    if e >= 0 && (!acc < 0 || e < !acc) then acc := e
+  in
   for idx = n - 1 downto 0 do
     let i = arr.(idx) in
     if Ir.Instr.is_side_exit i then begin
-      let live = Ir.Superblock.exit_live_out sb i.Ir.Instr.id in
       next_exit := idx;
-      Ir.Reg.Set.iter (fun r -> next_live.(A.reg_code r) <- idx) live
+      exit_at := idx;
+      Ir.Reg.Set.iter mark_next (Ir.Superblock.exit_live_out sb i.Ir.Instr.id)
     end
     else begin
-      let e =
-        if Ir.Instr.is_store i then !next_exit
-        else
-          List.fold_left
-            (fun acc r ->
-              let e = next_live.(A.reg_code r) in
-              if e < 0 then acc else if acc < 0 then e else min acc e)
-            (-1) (Ir.Instr.defs i)
-      in
-      if e >= 0 then add idx e
+      if Ir.Instr.is_store i then acc := !next_exit
+      else begin
+        acc := -1;
+        Ir.Instr.iter_defs next_of i
+      end;
+      if !acc >= 0 then add idx !acc
     end
   done
 
@@ -145,28 +151,31 @@ let skip_reduce ~n ~edge_count =
 
 (* Flat builder: edges are packed [a * n + b] keys pushed into an arena
    vector, deduplicated by an arena bitset (hashtable fallback above
-   the matrix gate), sorted once — which also puts every successor row
-   in ascending order — then transitively reduced on the CSR form with
-   an arena-leased reachability matrix.  Kept edges materialize into
-   descending [preds_of]/[succs_of] id lists, whether or not the
-   reduction ran; every consumer folds or counts over the lists. *)
+   the matrix gate), sorted once — which also groups the keys by source
+   position, each row ascending — then transitively reduced on the CSR
+   form with an arena-leased reachability matrix.  The kept keys,
+   sorted again, become the result's CSR rows directly: a successor row
+   is its key run mirrored (descending), and the predecessor rows come
+   from one counting pass and a fill from each row's end, so they are
+   descending too.  Row order is observable: the mutation harness takes
+   the first hazard edge it finds, and the verifier reports violations
+   in walk order. *)
 let build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy =
   let module A = Analysis.Arena in
   (* one prescan: compact-code bound over defs, uses and exit live-out
      sets, plus the use-token count for the register-edge chains *)
   let max_code = ref (-1) and n_uses = ref 0 in
+  let note r = max_code := Int.max !max_code (A.reg_code r) in
+  let note_use r =
+    note r;
+    incr n_uses
+  in
   Array.iter
     (fun (i : Ir.Instr.t) ->
-      List.iter
-        (fun r ->
-          max_code := max !max_code (A.reg_code r);
-          incr n_uses)
-        (Ir.Instr.uses i);
-      List.iter (fun r -> max_code := max !max_code (A.reg_code r)) (Ir.Instr.defs i);
+      Ir.Instr.iter_uses note_use i;
+      Ir.Instr.iter_defs note i;
       if Ir.Instr.is_side_exit i then
-        Ir.Reg.Set.iter
-          (fun r -> max_code := max !max_code (A.reg_code r))
-          (Ir.Superblock.exit_live_out sb i.Ir.Instr.id))
+        Ir.Reg.Set.iter note (Ir.Superblock.exit_live_out sb i.Ir.Instr.id))
     arr;
   let nr = !max_code + 1 in
   let edge_keys = A.vec arena ~slot:16 in
@@ -231,13 +240,28 @@ let build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy =
       (kept.A.buf, kept.A.len)
     end
   in
-  let preds_of = Array.make (max 1 n) [] in
-  let succs_of = Array.make (max 1 n) [] in
+  let succ_start = Array.make (n + 1) 0 and pred_start = Array.make (n + 1) 0 in
   for x = 0 to final_len - 1 do
     let key = final_keys.(x) in
     let a = key / n and b = key mod n in
-    preds_of.(b) <- ids.(a) :: preds_of.(b);
-    succs_of.(a) <- ids.(b) :: succs_of.(a)
+    succ_start.(a + 1) <- succ_start.(a + 1) + 1;
+    pred_start.(b + 1) <- pred_start.(b + 1) + 1
+  done;
+  for p = 1 to n do
+    succ_start.(p) <- succ_start.(p) + succ_start.(p - 1);
+    pred_start.(p) <- pred_start.(p) + pred_start.(p - 1)
+  done;
+  let succ = Array.make final_len 0 and pred = Array.make final_len 0 in
+  (* next free predecessor slot per row, filled from the row's end *)
+  let pred_fill = A.ints arena ~slot:23 (n + 1) in
+  Array.blit pred_start 1 pred_fill 0 n;
+  for x = 0 to final_len - 1 do
+    let key = final_keys.(x) in
+    let a = key / n and b = key mod n in
+    (* row [a] is the key run [succ_start.(a), succ_start.(a + 1)) *)
+    succ.(succ_start.(a) + succ_start.(a + 1) - 1 - x) <- b;
+    pred_fill.(b) <- pred_fill.(b) - 1;
+    pred.(pred_fill.(b)) <- a
   done;
   (* key order is pair order, so the sorted, deduplicated keys unpack
      into the normalized list *)
@@ -245,7 +269,7 @@ let build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy =
   let dropped =
     Analysis.Pair_key.to_pairs dropped_keys.A.buf ~len:dropped_keys.A.len
   in
-  { ids; index; preds_of; succs_of; dropped }
+  { ids; index; succ_start; succ; pred_start; pred; dropped }
 
 let build ~sb ~deps ~policy ?arena () =
   let body = sb.Ir.Superblock.body in
@@ -259,12 +283,26 @@ let build ~sb ~deps ~policy ?arena () =
   in
   build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy
 
-let preds t id =
+let iter_succs t p f =
+  for x = t.succ_start.(p) to t.succ_start.(p + 1) - 1 do
+    f t.succ.(x)
+  done
+
+let iter_preds t p f =
+  for x = t.pred_start.(p) to t.pred_start.(p + 1) - 1 do
+    f t.pred.(x)
+  done
+
+(* a row as an id list, in row order *)
+let row_ids t start row id =
   match Hashtbl.find_opt t.index id with
-  | Some pos -> t.preds_of.(pos)
+  | Some p ->
+    let l = ref [] in
+    for x = start.(p + 1) - 1 downto start.(p) do
+      l := t.ids.(row.(x)) :: !l
+    done;
+    !l
   | None -> []
 
-let succs t id =
-  match Hashtbl.find_opt t.index id with
-  | Some pos -> t.succs_of.(pos)
-  | None -> []
+let preds t id = row_ids t t.pred_start t.pred id
+let succs t id = row_ids t t.succ_start t.succ id

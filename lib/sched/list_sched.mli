@@ -60,6 +60,18 @@ type failure =
 
 val failure_to_string : failure -> string
 
+val heights :
+  body:Ir.Instr.t list ->
+  hazards:Hazards.t ->
+  latency:(Ir.Instr.t -> int) ->
+  int array
+(** Critical-path height by body position: the longest latency-weighted
+    path from the instruction to any sink through the hazard edges (its
+    own latency included).  The scheduler prefers ready instructions of
+    greatest height.  One reverse sweep over body positions, relying on
+    every hazard edge pointing forward; raises [Invalid_argument] on an
+    edge that does not. *)
+
 val schedule :
   sb:Ir.Superblock.t ->
   deps:Analysis.Depgraph.t ->

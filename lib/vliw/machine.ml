@@ -132,10 +132,11 @@ let page_index addr = addr asr page_bits
 let find_page t idx =
   if idx = t.cached_idx then t.cached_page
   else begin
+    (* [find] with a handler, not [find_opt]: no option per lookup *)
     let page =
-      match Hashtbl.find_opt t.pages idx with
-      | Some page -> page
-      | None -> no_page
+      match Hashtbl.find t.pages idx with
+      | page -> page
+      | exception Not_found -> no_page
     in
     t.cached_idx <- idx;
     t.cached_page <- page;

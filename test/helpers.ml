@@ -37,6 +37,11 @@ let scheduled = function
   | Error failure ->
     Alcotest.fail (Sched.List_sched.failure_to_string failure)
 
+(* Where a committed run of [region] continues: the taken exit's label,
+   else the region's final exit. *)
+let next_label (r : Vliw.Region_exec.result) (region : Ir.Region.t) =
+  if r.side_exit then Some r.exit_label else region.final_exit
+
 let optimize ?(policy = Sched.Policy.smarq ~ar_count:64) ?(known_alias = []) sb
     =
   let fresh_id = ref (Ir.Superblock.max_instr_id sb + 1_000) in
@@ -78,9 +83,8 @@ let run_to_commit ?(policy = Sched.Policy.smarq ~ar_count:64)
       if faults >= 12 then Sched.Policy.none () else policy
     in
     let o = optimize ~policy ~known_alias:(expand known pinned) sb in
-    let r =
-      Vliw.Region_exec.run ~config ~detector ~machine o.Opt.Optimizer.region
-    in
+    let r = Vliw.Region_exec.make_result () in
+    Vliw.Region_exec.run ~config ~detector ~machine o.Opt.Optimizer.region r;
     match r.Vliw.Region_exec.outcome with
     | Vliw.Region_exec.Alias_fault v ->
       let pair = (v.Hw.Detector.setter, v.Hw.Detector.checker) in
@@ -89,7 +93,8 @@ let run_to_commit ?(policy = Sched.Policy.smarq ~ar_count:64)
           (v.Hw.Detector.setter :: v.Hw.Detector.checker :: pinned)
           (faults + 1)
       else go (pair :: known) pinned (faults + 1)
-    | Vliw.Region_exec.Committed exit_label ->
+    | Vliw.Region_exec.Committed ->
+      let exit_label = next_label r o.Opt.Optimizer.region in
       let expected_exit =
         match trace.Frontend.Interp.taken_exit with
         | Some l -> Some l

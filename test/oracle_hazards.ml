@@ -97,6 +97,30 @@ let control_edges ~sb ~arr ~add =
         !exits
   done
 
+(* The public record from successor position lists (any order, no
+   duplicates): rows descending, like the library's. *)
+let of_rows ~ids ~index ~dropped succs_pos =
+  let n = Array.length ids in
+  let preds_pos = Array.make (max 1 n) [] in
+  Array.iteri
+    (fun a l -> List.iter (fun b -> preds_pos.(b) <- a :: preds_pos.(b)) l)
+    succs_pos;
+  let csr rows =
+    let start = Array.make (n + 1) 0 in
+    for p = 0 to n - 1 do
+      start.(p + 1) <- start.(p) + List.length rows.(p)
+    done;
+    let flat = Array.make start.(n) 0 in
+    for p = 0 to n - 1 do
+      List.iteri
+        (fun k x -> flat.(start.(p) + k) <- x)
+        (List.sort (fun x y -> compare y x) rows.(p))
+    done;
+    (start, flat)
+  in
+  let succ_start, succ = csr succs_pos and pred_start, pred = csr preds_pos in
+  { Hazards.ids; index; succ_start; succ; pred_start; pred; dropped }
+
 let build_arrays ~sb ~arr ~n ~ids ~index ~deps ~policy =
   let succs_pos = Array.make (max 1 n) [] in
   let seen = Hashtbl.create 1024 in
@@ -112,17 +136,8 @@ let build_arrays ~sb ~arr ~n ~ids ~index ~deps ~policy =
   register_edges ~arr ~add;
   let dropped = memory_edges ~arr ~pos_of:index ~deps ~policy ~add in
   control_edges ~sb ~arr ~add;
-  let preds_of = Array.make (max 1 n) [] in
-  let succs_of = Array.make (max 1 n) [] in
-  for a = 0 to n - 1 do
-    List.iter
-      (fun b ->
-        preds_of.(b) <- ids.(a) :: preds_of.(b);
-        succs_of.(a) <- ids.(b) :: succs_of.(a))
-      succs_pos.(a)
-  done;
   let dropped = List.sort_uniq compare dropped in
-  { Hazards.ids; index; preds_of; succs_of; dropped }
+  of_rows ~ids ~index ~dropped succs_pos
 
 let build ~sb ~deps ~policy =
   let arr = Array.of_list sb.Ir.Superblock.body in
@@ -131,3 +146,38 @@ let build ~sb ~deps ~policy =
   let index = Hashtbl.create (2 * max 1 n) in
   Array.iteri (fun pos id -> Hashtbl.replace index id pos) ids;
   build_arrays ~sb ~arr ~n ~ids ~index ~deps ~policy
+
+(* The transitive reduction of [h] by its definition, as id lists per
+   body position: the successors of [a] that no other successor of [a]
+   reaches, and the matching predecessor lists, both in descending
+   position order.  Reachability is a boolean row per position, filled
+   in reverse body order (edges only run forward).  A reduced graph
+   with the same closure as [h] must have exactly these rows. *)
+let reduced_rows (h : Hazards.t) =
+  let n = Array.length h.Hazards.ids in
+  let succ_pos p =
+    List.init
+      (h.Hazards.succ_start.(p + 1) - h.Hazards.succ_start.(p))
+      (fun k -> h.Hazards.succ.(h.Hazards.succ_start.(p) + k))
+  in
+  let reach = Array.init n (fun _ -> Array.make n false) in
+  for p = n - 1 downto 0 do
+    List.iter
+      (fun s ->
+        reach.(p).(s) <- true;
+        Array.iteri (fun x r -> if r then reach.(p).(x) <- true) reach.(s))
+      (succ_pos p)
+  done;
+  let succs = Array.make n [] and preds = Array.make n [] in
+  for a = 0 to n - 1 do
+    let direct = succ_pos a in
+    let via = Array.make n false in
+    List.iter
+      (fun c -> Array.iteri (fun x r -> if r then via.(x) <- true) reach.(c))
+      direct;
+    List.iter (fun b -> if not via.(b) then succs.(a) <- b :: succs.(a)) direct
+  done;
+  let desc l = List.sort (fun x y -> compare y x) l in
+  Array.iteri (fun a l -> List.iter (fun b -> preds.(b) <- a :: preds.(b)) l) succs;
+  let to_ids l = List.map (fun p -> h.Hazards.ids.(p)) (desc l) in
+  (Array.map to_ids preds, Array.map to_ids succs)

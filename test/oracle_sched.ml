@@ -15,6 +15,44 @@ type issued = {
   length : int;
 }
 
+(* Critical-path heights, the seed's memoized version moved here
+   verbatim: map from instruction id to the longest latency-weighted
+   path from it to any sink through the hard precedence edges.  The
+   library computes the same heights by a reverse sweep over body
+   positions; this shares no code with it. *)
+let heights ~body ~hazards ~latency =
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun (i : Ir.Instr.t) -> Hashtbl.replace by_id i.id i) body;
+  let memo = Hashtbl.create 64 in
+  let rec height id =
+    match Hashtbl.find_opt memo id with
+    | Some h -> h
+    | None ->
+      (* mark to guard against accidental cycles (hard edges are acyclic
+         by construction; a cycle here is a bug worth failing loudly) *)
+      Hashtbl.replace memo id min_int;
+      let lat =
+        match Hashtbl.find_opt by_id id with
+        | Some i -> latency i
+        | None -> 1
+      in
+      let succ_best =
+        List.fold_left
+          (fun acc s ->
+            let h = height s in
+            if h = min_int then
+              invalid_arg "Priority.heights: cycle in hard precedence edges"
+            else max acc h)
+          0
+          (Sched.Hazards.succs hazards id)
+      in
+      let h = lat + succ_best in
+      Hashtbl.replace memo id h;
+      h
+  in
+  List.iter (fun (i : Ir.Instr.t) -> ignore (height i.id)) body;
+  memo
+
 (* The seed scheduler: rescan the whole body every cycle. *)
 let schedule_core ~sb ~hazards ~heights ~issue_width ~mem_ports
     ~latency ~alloc =
@@ -148,7 +186,7 @@ let schedule_core ~sb ~hazards ~heights ~issue_width ~mem_ports
    ids gives the same decisions. *)
 let issue_seq ~sb ~deps ~hazards ~policy ~issue_width ~mem_ports ~latency =
   let body = sb.Ir.Superblock.body in
-  let heights = Sched.Priority.heights ~body ~hazards ~latency in
+  let heights = heights ~body ~hazards ~latency in
   let alloc =
     match policy.Sched.Policy.scheme with
     | Sched.Policy.Queue_scheme ->

@@ -71,13 +71,37 @@ let test_priority_prefers_long_chains () =
   let body = [ l1; a1; a2; a3; lone ] in
   let h = build_hazards body in
   let heights =
-    Sched.Priority.heights ~body ~hazards:h ~latency:default_latency
+    Sched.List_sched.heights ~body ~hazards:h ~latency:default_latency
   in
-  let height id = Hashtbl.find heights id in
+  let height id = heights.(Hashtbl.find h.Sched.Hazards.index id) in
   Alcotest.(check bool) "chain head tallest" true
     (height l1.I.id > height lone.I.id);
   Alcotest.(check bool) "monotone along the chain" true
     (height l1.I.id > height a1.I.id && height a1.I.id > height a3.I.id)
+
+(* A body can carry one id twice (a superblock re-optimized from a
+   shared cache); every occurrence then takes the height the id-keyed
+   memo gives the id, which is its last occurrence's. *)
+let test_duplicate_id_heights () =
+  reset_ids ();
+  let l1 = ld (f 1) (r 1) 0 in
+  let a1 = fadd (f 2) (f 1) (f 1) in
+  let a2 = fadd (f 3) (f 2) (f 2) in
+  let dup = I.make ~id:a1.I.id (I.Mov (r 5, I.Imm 1)) in
+  let body = [ l1; a1; a2; dup ] in
+  let h = build_hazards body in
+  let heights =
+    Sched.List_sched.heights ~body ~hazards:h ~latency:default_latency
+  in
+  let memo = Oracle_sched.heights ~body ~hazards:h ~latency:default_latency in
+  List.iteri
+    (fun p (i : I.t) ->
+      Alcotest.(check int)
+        (Printf.sprintf "position %d" p)
+        (Hashtbl.find memo i.I.id) heights.(p))
+    body;
+  Alcotest.(check int) "the first occurrence takes the last one's height"
+    heights.(3) heights.(1)
 
 let test_queue_wraparound () =
   (* a 4-register queue serving 10 sequential lifetimes via rotation:
@@ -119,6 +143,119 @@ let test_queue_wraparound () =
   Alcotest.(check int) "queue drained" 0
     (List.length (Hw.Queue.live_entries q))
 
+(* ---- allocation budgets: the hazard builder and the scheduler
+   allocate per result, never per operand, per edge or per cycle ---- *)
+
+(* words allocated while [f ()] ran: the minor heap's exact count plus
+   the arrays too large for it, which go straight to the major heap
+   (major words not promoted from the minor heap) *)
+let words_of f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let deps_of body =
+  let alias = Analysis.May_alias.analyze ~body () in
+  Analysis.Depgraph.build ~body ~alias ()
+
+(* [n] instructions writing r3..r10 in turn, with a side exit every 16:
+   the same WAW chains and exit fences whatever [every] is.  Every
+   [every]-th instruction reads r1 twice; the body never defines r1, so
+   those reads add operands but no edge. *)
+let operand_body ~n ~every =
+  reset_ids ();
+  List.init n (fun k ->
+      if k mod 16 = 15 then
+        mk (I.Branch { cond = I.Imm 0; target = Printf.sprintf "x%d" k })
+      else
+        let a = if k mod every = 0 then I.Reg (r 1) else I.Imm 1 in
+        mk (I.Binop (I.Add, r (3 + (k mod 8)), a, a)))
+
+let count_uses body =
+  List.fold_left (fun acc i -> acc + List.length (I.uses i)) 0 body
+
+let test_hazards_alloc_independent_of_uses () =
+  let policy = Sched.Policy.smarq ~ar_count:64 in
+  let arena = Analysis.Arena.create () in
+  let prepare every =
+    let body = operand_body ~n:256 ~every in
+    (body, sb_of body, deps_of body)
+  in
+  let few_body, few_sb, few_deps = prepare 8 in
+  let many_body, many_sb, many_deps = prepare 1 in
+  let build sb deps = Sched.Hazards.build ~sb ~deps ~policy ~arena () in
+  let words sb deps =
+    words_of (fun () -> ignore (Sys.opaque_identity (build sb deps)))
+  in
+  (* warm the arena to both bodies' high-water marks *)
+  ignore (words few_sb few_deps);
+  ignore (words many_sb many_deps);
+  let few = words few_sb few_deps and many = words many_sb many_deps in
+  Alcotest.(check bool) "4x the register uses" true
+    (count_uses many_body >= 4 * count_uses few_body);
+  Alcotest.(check int) "same edges"
+    (Array.length (build few_sb few_deps).Sched.Hazards.succ)
+    (Array.length (build many_sb many_deps).Sched.Hazards.succ);
+  Alcotest.(check int)
+    (Printf.sprintf "4x the uses (%d words) = the same body with fewer (%d)"
+       many few)
+    few many
+
+(* loads, FP arithmetic on the loaded values and stores, over eight
+   registers and two bases: register, memory and exit edges together *)
+let sched_body n =
+  reset_ids ();
+  List.init n (fun k ->
+      match k mod 5 with
+      | 0 -> ld ~width:8 (f (k mod 8)) (r 2) (8 * k)
+      | 1 -> fadd (f ((k + 1) mod 8)) (f (k mod 8)) (f ((k + 3) mod 8))
+      | 2 -> st ~width:8 (I.Reg (f (k mod 8))) (r 3) (8 * k)
+      | 3 -> mk (I.Binop (I.Add, r (4 + (k mod 4)), I.Reg (r 2), I.Imm k))
+      | _ -> mk (I.Branch { cond = I.Reg (r (4 + (k mod 4))); target = "out" }))
+
+(* what a schedule returns: one hazard edge per endpoint in each
+   direction, the instructions of the region and the issue sequence, and
+   one bundle per cycle *)
+let result_size (o : Sched.List_sched.outcome) =
+  Array.length o.Sched.List_sched.hazards.Sched.Hazards.succ
+  + o.Sched.List_sched.stats.Sched.List_sched.instr_count
+  + o.Sched.List_sched.stats.Sched.List_sched.schedule_length
+
+(* words per unit of result size: the id, position, row and issue
+   arrays, the bundle lists and the region's own tables *)
+let per_unit = 32
+
+let test_schedule_alloc_per_result () =
+  let policy = Sched.Policy.none () in
+  let arena = Analysis.Arena.create () in
+  let measure n =
+    let body = sched_body n in
+    let sb = sb_of body and deps = deps_of body in
+    let run () =
+      scheduled
+        (Sched.List_sched.schedule ~sb ~deps ~policy ~issue_width:4
+           ~mem_ports:2 ~latency:default_latency
+           ~fresh_id:(ref 100_000) ~arena ())
+    in
+    ignore (run ());
+    let out = ref None in
+    let words = words_of (fun () -> out := Some (run ())) in
+    (words, result_size (Option.get !out))
+  in
+  let w1, s1 = measure 100 and w4, s4 = measure 400 in
+  List.iter
+    (fun (label, w, size) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s body: %d words within %d per unit of %d" label w
+           per_unit size)
+        true
+        (w <= per_unit * size))
+    [ ("1x", w1, s1); ("4x", w4, s4) ]
+
 let suite =
   ( "hazards",
     [
@@ -126,5 +263,10 @@ let suite =
       case "memory edge strengths and drops" test_memory_edge_strengths;
       case "branch ordering" test_branch_ordering;
       case "critical-path priority" test_priority_prefers_long_chains;
+      case "a duplicated id takes its last occurrence's height"
+        test_duplicate_id_heights;
       case "queue wraparound across rotations" test_queue_wraparound;
+      case "hazard build allocates nothing per register use"
+        test_hazards_alloc_independent_of_uses;
+      case "schedule allocates per result size" test_schedule_alloc_per_result;
     ] )

@@ -132,10 +132,74 @@ let test_annot_pp_roundtrip () =
   Alcotest.(check bool) "mask annot equal" true (Ir.Annot.equal m m);
   Alcotest.(check bool) "mask/queue differ" false (Ir.Annot.equal m a)
 
+(* ---- in-place operand iteration ---- *)
+
+(* every [Ir.Instr.op] constructor, over a handful of registers of all
+   three classes and both operand kinds; stores sometimes take their
+   own base as the source *)
+let op_gen =
+  let open QCheck.Gen in
+  let reg =
+    oneof
+      [
+        map (fun i -> Ir.Reg.R i) (int_bound 3);
+        map (fun i -> Ir.Reg.F i) (int_bound 3);
+        map (fun i -> Ir.Reg.T i) (int_bound 3);
+      ]
+  in
+  let operand =
+    oneof [ map (fun r -> I.Reg r) reg; map (fun n -> I.Imm n) (int_bound 9) ]
+  in
+  let addr = map2 (fun base disp -> { I.base; disp }) reg (int_bound 64) in
+  let width = oneofl [ 4; 8 ] in
+  let binop = oneofl I.[ Add; Sub; Mul; Div; And; Or; Xor; Shl; Shr ] in
+  let fbinop = oneofl I.[ Fadd; Fsub; Fmul; Fdiv ] in
+  let cmp = oneofl I.[ Eq; Ne; Lt; Le; Gt; Ge ] in
+  oneof
+    [
+      return I.Nop;
+      map2 (fun d s -> I.Mov (d, s)) reg operand;
+      map2 (fun d s -> I.Unop_neg (d, s)) reg operand;
+      map4 (fun b d x y -> I.Binop (b, d, x, y)) binop reg operand operand;
+      map4 (fun b d x y -> I.Fbinop (b, d, x, y)) fbinop reg operand operand;
+      map4 (fun c d x y -> I.Cmp (c, d, x, y)) cmp reg operand operand;
+      map3
+        (fun dst addr width -> I.Load { dst; addr; width; annot = Ir.Annot.none })
+        reg addr width;
+      map3
+        (fun src addr width -> I.Store { src; addr; width; annot = Ir.Annot.none })
+        operand addr width;
+      map2
+        (fun addr width ->
+          I.Store { src = I.Reg addr.I.base; addr; width; annot = Ir.Annot.none })
+        addr width;
+      map (fun cond -> I.Branch { cond; target = "t" }) operand;
+      return (I.Jump "j");
+      return (I.Exit "x");
+      map (fun n -> I.Rotate n) (int_bound 4);
+      map2
+        (fun src_offset dst_offset -> I.Amov { src_offset; dst_offset })
+        (int_bound 8) (int_bound 8);
+    ]
+
+let instr_arb =
+  QCheck.make ~print:I.to_string (QCheck.Gen.map (I.make ~id:1) op_gen)
+
+let visited iter i =
+  let seen = ref [] in
+  iter (fun r -> seen := r :: !seen) i;
+  List.rev !seen
+
+let prop_iterators_match_lists i =
+  List.equal Ir.Reg.equal (visited I.iter_uses i) (I.uses i)
+  && List.equal Ir.Reg.equal (visited I.iter_defs i) (I.defs i)
+
 let suite =
   ( "ir",
     [
       case "defs and uses" test_defs_uses;
+      qcase ~count:500 "iter_uses/iter_defs visit uses/defs in order"
+        instr_arb prop_iterators_match_lists;
       case "instruction classification" test_classification;
       case "with_annot" test_with_annot;
       case "registers" test_reg_basics;

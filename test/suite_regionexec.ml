@@ -10,9 +10,8 @@ let detector () = Hw.Queue.detector (Hw.Queue.create ~size:64)
 let run_region ?(init = []) region =
   let machine = Vliw.Machine.create () in
   List.iter (fun (reg, v) -> Vliw.Machine.set_reg machine reg v) init;
-  let r =
-    RE.run ~config:Vliw.Config.default ~detector:(detector ()) ~machine region
-  in
+  let r = RE.make_result () in
+  RE.run ~config:Vliw.Config.default ~detector:(detector ()) ~machine region r;
   (r, machine)
 
 let test_commit_full_region () =
@@ -21,8 +20,8 @@ let test_commit_full_region () =
   let sb = sb_of body in
   let o = optimize sb in
   let res, machine = run_region ~init:[ (r 2, 100) ] o.Opt.Optimizer.region in
-  (match res.RE.outcome with
-  | RE.Committed None -> ()
+  (match res.RE.outcome, next_label res o.Opt.Optimizer.region with
+  | RE.Committed, None -> ()
   | _ -> Alcotest.fail "expected final-exit commit");
   Alcotest.(check int) "store visible" 5
     (Vliw.Machine.load machine ~addr:100 ~width:4);
@@ -38,8 +37,8 @@ let test_side_exit_commits_prefix () =
   let res, machine =
     run_region ~init:[ (r 2, 200); (r 5, 1) ] o.Opt.Optimizer.region
   in
-  (match res.RE.outcome with
-  | RE.Committed (Some "elsewhere") -> ()
+  (match res.RE.outcome, next_label res o.Opt.Optimizer.region with
+  | RE.Committed, Some "elsewhere" -> ()
   | _ -> Alcotest.fail "expected the side exit");
   Alcotest.(check int) "pre-exit store committed" 1
     (Vliw.Machine.load machine ~addr:200 ~width:4);
@@ -62,7 +61,7 @@ let test_fault_rolls_everything_back () =
   | RE.Alias_fault v ->
     Alcotest.(check int) "setter is the load" l1.I.id v.Hw.Detector.setter;
     Alcotest.(check int) "checker is the store" s1.I.id v.Hw.Detector.checker
-  | RE.Committed _ -> Alcotest.fail "expected a fault");
+  | RE.Committed -> Alcotest.fail "expected a fault");
   Alcotest.(check int) "memory rolled back" 0
     (Vliw.Machine.load machine ~addr:300 ~width:4);
   Alcotest.(check int) "register rolled back" 0
@@ -93,9 +92,8 @@ let test_window_guard () =
     (Invalid_argument
        "Region_exec: region needs 100 alias registers, machine has 64")
     (fun () ->
-      ignore
-        (RE.run ~config:Vliw.Config.default ~detector:(detector ()) ~machine
-           region))
+      RE.run ~config:Vliw.Config.default ~detector:(detector ()) ~machine
+        region (RE.make_result ()))
 
 (* A deterministic generated superblock that forces AMOV insertion
    (found by search over Genprog seeds; kept as a regression anchor for
@@ -194,8 +192,9 @@ let straight_region body =
 
 let run_words machine region =
   let detector = Hw.No_detect.detector () in
+  let res = RE.make_result () in
   minor_words_of (fun () ->
-      ignore (RE.run ~config:Vliw.Config.default ~detector ~machine region))
+      RE.run ~config:Vliw.Config.default ~detector ~machine region res)
 
 (* a machine whose journal and pages a first run has already grown *)
 let warm_words region =
@@ -211,8 +210,9 @@ let reg_ops n =
 
 let store_ops n = List.init n (fun k -> st ~width:8 (I.Imm k) (r 2) (8 * k))
 
-(* the slack for the run's fixed allocations: the result record, the
-   outcome, the bundle iterator and the boxed float the counter returns *)
+(* slack for allocations that do not grow with the region: a committing
+   run makes none (see "a committing run allocates nothing"), a faulting
+   one reports its violation *)
 let fixed_words = 48
 
 let test_register_ops_allocate_nothing () =
@@ -257,16 +257,15 @@ let test_journal_reused_after_rollback () =
   let region = straight_region body in
   let machine = Vliw.Machine.create () in
   Vliw.Machine.set_reg machine (r 2) 4000;
+  let res = RE.make_result () in
   let run () =
-    let res = ref None in
     let words =
       minor_words_of (fun () ->
-          res :=
-            Some (RE.run ~config:Vliw.Config.default ~detector ~machine region))
+          RE.run ~config:Vliw.Config.default ~detector ~machine region res)
     in
-    (match !res with
-    | Some { RE.outcome = RE.Alias_fault _; _ } -> ()
-    | _ -> Alcotest.fail "expected the injected fault");
+    (match res.RE.outcome with
+    | RE.Alias_fault _ -> ()
+    | RE.Committed -> Alcotest.fail "expected the injected fault");
     words
   in
   let first = run () in
@@ -310,13 +309,15 @@ let test_queue_checks_allocate_nothing () =
     let detector = Hw.Queue.detector (Hw.Queue.create ~size:64) in
     let machine = Vliw.Machine.create () in
     Vliw.Machine.set_reg machine (r 2) 4000;
+    let res = RE.make_result () in
     let run () =
       minor_words_of (fun () ->
-          match RE.run ~config:Vliw.Config.default ~detector ~machine region with
-          | { RE.outcome = RE.Committed _; alias_checks; _ } ->
-            if alias_checks = 0 then Alcotest.fail "expected alias checks"
-          | { RE.outcome = RE.Alias_fault _; _ } ->
-            Alcotest.fail "unexpected alias fault")
+          RE.run ~config:Vliw.Config.default ~detector ~machine region res;
+          match res.RE.outcome with
+          | RE.Committed ->
+            if res.RE.alias_checks = 0 then
+              Alcotest.fail "expected alias checks"
+          | RE.Alias_fault _ -> Alcotest.fail "unexpected alias fault")
     in
     ignore (run ());
     run ()
@@ -329,6 +330,44 @@ let test_queue_checks_allocate_nothing () =
        fixed_words small)
     true
     (large - small <= fixed_words)
+
+(* A warm run that commits allocates nothing at all: the outcome goes
+   into the caller's record, and a taken side exit tests its condition
+   in place.  One region falls off its end under the smarq64 detector's
+   checks; the other leaves by a side exit after its stores. *)
+let test_commit_allocates_nothing () =
+  reset_ids ();
+  let exit_region =
+    straight_region
+      (reg_ops 20 @ store_ops 10
+      @ [ mk (I.Branch { cond = I.Reg (r 1); target = "out" }) ]
+      @ reg_ops 5)
+  in
+  let final_region = queue_region (queue_ops 50) in
+  List.iter
+    (fun (label, region, detector, side_exit) ->
+      let machine = Vliw.Machine.create () in
+      Vliw.Machine.set_reg machine (r 1) 1;
+      Vliw.Machine.set_reg machine (r 2) 4000;
+      let res = RE.make_result () in
+      let run () =
+        minor_words_of (fun () ->
+            RE.run ~config:Vliw.Config.default ~detector ~machine region res)
+      in
+      ignore (run ());
+      let words = run () in
+      (match res.RE.outcome with
+      | RE.Committed -> ()
+      | RE.Alias_fault _ -> Alcotest.fail "unexpected alias fault");
+      Alcotest.(check bool) (label ^ ": exit kind") side_exit res.RE.side_exit;
+      Alcotest.(check int) (label ^ ": words") 0 words)
+    [
+      ("side exit", exit_region, Hw.No_detect.detector (), true);
+      ( "final exit",
+        final_region,
+        Hw.Queue.detector (Hw.Queue.create ~size:64),
+        false );
+    ]
 
 let suite =
   ( "region-exec",
@@ -349,4 +388,5 @@ let suite =
         test_journal_reused_after_rollback;
       case "smarq64 checks allocate nothing per op"
         test_queue_checks_allocate_nothing;
+      case "a committing run allocates nothing" test_commit_allocates_nothing;
     ] )

@@ -225,6 +225,33 @@ let check_region ~config (r : Opt.Optimizer.request) (o : Opt.Optimizer.t) =
           body)
       body
   in
+  (* the CSR rows, content and order, against the oracle graph's
+     transitive reduction as descending id lists *)
+  let h = o.Opt.Optimizer.hazards in
+  let red_preds, red_succs = Oracle_hazards.reduced_rows hazards in
+  let row iter p =
+    let l = ref [] in
+    iter h p (fun q -> l := h.Sched.Hazards.ids.(q) :: !l);
+    List.rev !l
+  in
+  let n = Array.length h.Sched.Hazards.ids in
+  let same_rows =
+    Array.length red_preds = n
+    && List.for_all
+         (fun p ->
+           row Sched.Hazards.iter_preds p = red_preds.(p)
+           && row Sched.Hazards.iter_succs p = red_succs.(p))
+         (List.init n Fun.id)
+  in
+  let latency = Vliw.Config.latency config in
+  let heights = Sched.List_sched.heights ~body ~hazards:h ~latency in
+  let oracle_heights = Oracle_sched.heights ~body ~hazards ~latency in
+  let same_heights =
+    List.for_all
+      (fun p ->
+        heights.(p) = Hashtbl.find oracle_heights h.Sched.Hazards.ids.(p))
+      (List.init n Fun.id)
+  in
   let issue_seq =
     Oracle_sched.issue_seq ~sb ~deps ~hazards ~policy
       ~issue_width:config.Vliw.Config.issue_width
@@ -235,6 +262,10 @@ let check_region ~config (r : Opt.Optimizer.request) (o : Opt.Optimizer.t) =
     Error "real dependence edges differ from the pairwise oracle"
   else if not same_closure then
     Error "hazard closure differs from the all-pairs oracle"
+  else if not same_rows then
+    Error "hazard rows differ from the oracle graph's transitive reduction"
+  else if not same_heights then
+    Error "heights differ from the oracle's memoized heights"
   else if Sched.Hazards.(o.Opt.Optimizer.hazards.dropped) <> hazards.dropped
   then Error "dropped pairs differ from the all-pairs oracle"
   else if issue_seq <> o.Opt.Optimizer.issue_seq then
