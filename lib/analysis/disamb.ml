@@ -14,8 +14,45 @@ type witness = {
   reason : reason;
 }
 
-(* certified pairs keyed by [Pair_key.norm] *)
-type t = { table : (int, witness) Hashtbl.t }
+(* [keys] ascending and duplicate-free [Pair_key.norm] keys;
+   [ws.(x)] is the witness of [keys.(x)] *)
+type t = {
+  keys : int array;
+  ws : witness array;
+}
+
+let key_of w = Pair_key.norm w.x.instr w.y.instr
+
+(* The certificate of [m] witnesses given newest first.  Positions are
+   sorted by (key, age), so each run of equal keys ends with the newest
+   witness: a pair certified twice (a body with a duplicated id) keeps
+   its last witness. *)
+let of_rev_list rev m =
+  match rev with
+  | [] -> { keys = [||]; ws = [||] }
+  | newest :: _ ->
+    let ws = Array.make m newest in
+    List.iteri (fun x w -> ws.(m - 1 - x) <- w) rev;
+    let keys = Array.map key_of ws in
+    let order = Array.init m Fun.id in
+    Arena.sort_by order ~lo:0 ~hi:m ~cmp:(fun a b ->
+        let c = Int.compare keys.(a) keys.(b) in
+        if c <> 0 then c else Int.compare a b);
+    let last x = x = m - 1 || keys.(order.(x)) <> keys.(order.(x + 1)) in
+    let distinct = ref 0 in
+    for x = 0 to m - 1 do
+      if last x then incr distinct
+    done;
+    let out_keys = Array.make !distinct 0 and out_ws = Array.make !distinct newest in
+    let k = ref 0 in
+    for x = 0 to m - 1 do
+      if last x then begin
+        out_keys.(!k) <- keys.(order.(x));
+        out_ws.(!k) <- ws.(order.(x));
+        incr k
+      end
+    done;
+    { keys = out_keys; ws = out_ws }
 
 let fact_of_value instr width (v : Absint.value) =
   {
@@ -29,7 +66,7 @@ let fact_of_value instr width (v : Absint.value) =
 (* Addresses are looked up once per memory operation; the pair loop
    then allocates only for the pairs it certifies. *)
 let certify ~alias ~body =
-  let table = Hashtbl.create 32 in
+  let found = ref [] and count = ref 0 in
   let facts =
     match May_alias.const_facts alias with
     | Some facts -> facts
@@ -59,47 +96,23 @@ let certify ~alias ~body =
                 | Absint.Ranges -> Ranges
                 | Absint.Congruence g -> Congruence g
               in
-              Hashtbl.replace table
-                (Pair_key.norm x.Ir.Instr.id y.Ir.Instr.id)
+              found :=
                 {
                   x = fact_of_value x.Ir.Instr.id wx vx;
                   y = fact_of_value y.Ir.Instr.id wy vy;
                   reason;
                 }
+                :: !found;
+              incr count
             | None -> ()
           end
       done
   done;
-  { table }
+  of_rev_list !found !count
 
-let no_alias t a b = Hashtbl.mem t.table (Pair_key.norm a b)
-
-(* the certified keys, ascending — pair order, by the packing *)
-let sorted_keys t =
-  let keys = Array.make (Hashtbl.length t.table) 0 in
-  let k = ref 0 in
-  Hashtbl.iter
-    (fun key _ ->
-      keys.(!k) <- key;
-      incr k)
-    t.table;
-  Array.sort Int.compare keys;
-  keys
-
-let pairs t =
-  let keys = sorted_keys t in
-  Pair_key.to_pairs keys ~len:(Array.length keys)
-
-let witnesses t =
-  Array.fold_right
-    (fun key acc -> Hashtbl.find t.table key :: acc)
-    (sorted_keys t) []
-
-let of_witnesses ws =
-  let table = Hashtbl.create (List.length ws * 2) in
-  List.iter
-    (fun w -> Hashtbl.replace table (Pair_key.norm w.x.instr w.y.instr) w)
-    ws;
-  { table }
-
-let count t = Hashtbl.length t.table
+let no_alias t a b = Pair_key.mem t.keys (Pair_key.norm a b)
+let keys t = t.keys
+let pairs t = Pair_key.to_pairs t.keys ~len:(Array.length t.keys)
+let witnesses t = t.ws
+let of_witnesses ws = of_rev_list (List.rev ws) (List.length ws)
+let count t = Array.length t.keys

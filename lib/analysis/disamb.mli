@@ -47,18 +47,33 @@ val certify : alias:May_alias.t -> body:Ir.Instr.t list -> t
     ({!May_alias.const_facts}) they are reused instead of analyzing the
     body again.  Allocates per certified pair, not per examined pair;
     the certificate is keyed by {!Pair_key.norm}, so ids must lie in
-    [[0, 2{^31})]. *)
+    [[0, 2{^31})].
+
+    The certificate is two parallel arrays: the certified pairs as
+    ascending, duplicate-free {!Pair_key.norm} keys ([min * 2{^31} +
+    max], which is normalized-tuple order) and one witness per key.
+    When a body repeats an id, so that one key is certified more than
+    once, the witness found last wins. *)
 
 val no_alias : t -> int -> int -> bool
+(** Is the unordered pair certified?  A binary search over {!keys}. *)
+
+val keys : t -> int array
+(** The certified pairs as ascending {!Pair_key.norm} keys — the form
+    {!May_alias.set_certified} takes.  The certificate's own array: do
+    not mutate it. *)
+
 val pairs : t -> (int * int) list
 (** Certified pairs, normalized [(min, max)] and sorted — the order is
     deterministic and used for region attachment. *)
 
-val witnesses : t -> witness list
-(** Sorted by normalized pair. *)
+val witnesses : t -> witness array
+(** One witness per key of {!keys}, in the same (ascending normalized
+    pair) order.  The certificate's own array: do not mutate it. *)
 
 val of_witnesses : witness list -> t
 (** Rebuild a certificate from raw witnesses (no re-validation) — used
-    by the mutation harness to forge corrupted certificates. *)
+    by the mutation harness to forge corrupted certificates.  A pair
+    listed twice keeps its later witness. *)
 
 val count : t -> int

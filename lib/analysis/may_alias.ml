@@ -6,7 +6,7 @@ type verdict =
 type t = {
   generation : (int, int) Hashtbl.t;  (* memory op id -> generation *)
   known : (int, unit) Hashtbl.t;  (* Pair_key.norm keys *)
-  certified : (int, unit) Hashtbl.t;  (* statically proven disjoint *)
+  mutable certified : int array;  (* ascending [Pair_key.norm] keys *)
   const_facts : Absint.t option;
   const_addr : (int, int) Hashtbl.t;  (* memory op id -> constant address *)
 }
@@ -47,17 +47,13 @@ let analyze ?(known_alias = []) ?const_facts ~body () =
   List.iter
     (fun (a, b) -> Hashtbl.replace known (Pair_key.norm a b) ())
     known_alias;
-  { generation; known; certified = Hashtbl.create 16; const_facts; const_addr }
+  { generation; known; certified = [||]; const_facts; const_addr }
 
 let add_known_alias t a b = Hashtbl.replace t.known (Pair_key.norm a b) ()
 
-let set_certified t pairs =
-  Hashtbl.reset t.certified;
-  List.iter
-    (fun (a, b) -> Hashtbl.replace t.certified (Pair_key.norm a b) ())
-    pairs
+let set_certified t keys = t.certified <- keys
 
-let certified t a b = Hashtbl.mem t.certified (Pair_key.norm a b)
+let certified t a b = Pair_key.mem t.certified (Pair_key.norm a b)
 
 let generation t (x : Ir.Instr.t) = Hashtbl.find t.generation x.id
 
@@ -101,7 +97,7 @@ let base_verdict t (x : Ir.Instr.t) (y : Ir.Instr.t) =
    and pairs the base analysis decides exactly are never overridden. *)
 let verdict t (x : Ir.Instr.t) (y : Ir.Instr.t) =
   match base_verdict t x y with
-  | May_alias when Hashtbl.mem t.certified (Pair_key.norm x.id y.id) ->
+  | May_alias when Pair_key.mem t.certified (Pair_key.norm x.id y.id) ->
     No_alias
   | v -> v
 

@@ -56,11 +56,13 @@ val verdict : t -> Ir.Instr.t -> Ir.Instr.t -> verdict
 val add_known_alias : t -> int -> int -> unit
 (** Record a runtime-detected alias pair. *)
 
-val set_certified : t -> (int * int) list -> unit
-(** Install statically certified no-alias pairs (from [Disamb]);
-    replaces any previously installed set.  A certified pair upgrades a
-    {!May_alias} verdict to {!No_alias}; it never overrides known-alias
-    pairs or pairs the base analysis decides exactly. *)
+val set_certified : t -> int array -> unit
+(** Install statically certified no-alias pairs ({!Disamb.keys}):
+    ascending, duplicate-free {!Pair_key.norm} keys, one per unordered
+    pair.  The array is kept, not copied, and replaces any previously
+    installed set.  A certified pair upgrades a {!May_alias} verdict to
+    {!No_alias}; it never overrides known-alias pairs or pairs the base
+    analysis decides exactly. *)
 
 val certified : t -> int -> int -> bool
 (** Is the (unordered) instruction-id pair statically certified? *)

@@ -7,6 +7,9 @@
     sorts pairs.  Tables keyed by pairs hash an immediate int instead of
     a boxed tuple, and a verdict lookup allocates nothing.
 
+    Pair {e sets} travel as key arrays: ascending and duplicate-free,
+    so membership is a binary search and two sets merge in one walk.
+
     This is the product's packer ({!May_alias}, {!Disamb}, the hazard
     builder).  The static checker keeps its own, so the checker shares
     no code with the certifier it checks. *)
@@ -27,6 +30,22 @@ val first : int -> int
 val second : int -> int
 (** The two ids of a key: [first (pack a b) = a], [second (pack a b) =
     b]. *)
+
+val sorted_unique : int array -> len:int -> int array
+(** [sorted_unique keys ~len] is a fresh array of the distinct keys of
+    the ascending range [keys.(0 .. len - 1)]. *)
+
+val of_pairs : (int * int) list -> int array
+(** The ascending, duplicate-free {!pack} keys of ordered pairs. *)
+
+val union : int array -> int array -> int array
+(** The sorted merge of two ascending, duplicate-free key arrays,
+    without duplicates.  Returns an argument itself when the other is
+    empty. *)
+
+val mem : int array -> int -> bool
+(** [mem keys k]: is [k] in the ascending array [keys]?  A binary
+    search; allocates nothing. *)
 
 val to_pairs : int array -> len:int -> (int * int) list
 (** The pairs of the ascending keys [keys.(0 .. len - 1)], duplicates

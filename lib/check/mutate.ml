@@ -378,7 +378,7 @@ let with_cert (o : Opt.Optimizer.t) ws =
 let witnesses_of (o : Opt.Optimizer.t) =
   match o.Opt.Optimizer.cert with
   | None -> []
-  | Some c -> Analysis.Disamb.witnesses c
+  | Some c -> Array.to_list (Analysis.Disamb.witnesses c)
 
 (* Shift one endpoint's offset set by +1: the claim stops being
    entailed by the replayed derivation. *)

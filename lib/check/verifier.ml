@@ -91,94 +91,88 @@ let pp_verdict ppf = function
     Format.fprintf ppf "reject (%d):" (List.length vs);
     List.iter (fun v -> Format.fprintf ppf "@ %a" pp_violation v) vs
 
-(* The view of the region every rule works from: execution position
-   (flat, bundle by bundle) and issue cycle per instruction id. *)
-type view = {
-  flat : Ir.Instr.t array;  (** all region instructions, execution order *)
-  pos : (int, int) Hashtbl.t;  (** id -> index in [flat] *)
-  cyc : (int, int) Hashtbl.t;  (** id -> bundle (cycle) index *)
-}
-
-let make_view (region : Ir.Region.t) ~dup =
-  let flat = Array.of_list (Ir.Region.instrs region) in
-  let pos = Hashtbl.create (2 * (Array.length flat + 1)) in
-  let cyc = Hashtbl.create (2 * (Array.length flat + 1)) in
-  Array.iteri
-    (fun idx (i : Ir.Instr.t) ->
-      if Hashtbl.mem pos i.id then dup i.id
-      else Hashtbl.replace pos i.id idx)
-    flat;
-  Array.iteri
-    (fun cycle bundle ->
-      List.iter
-        (fun (i : Ir.Instr.t) ->
-          if not (Hashtbl.mem cyc i.id) then Hashtbl.replace cyc i.id cycle)
-        bundle)
-    region.Ir.Region.bundles;
-  { flat; pos; cyc }
-
 let is_splice (i : Ir.Instr.t) =
   match i.op with Ir.Instr.Rotate _ | Ir.Instr.Amov _ -> true | _ -> false
 
-let rec any_live live = function
-  | [] -> false
-  | r :: rest -> Ir.Reg.Set.mem r live || any_live live rest
+let filler = Ir.Instr.make ~id:0 Ir.Instr.Nop
 
-(* [k] in the ascending array [keys] *)
-let mem_sorted keys k =
-  let rec go lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) / 2 in
-    let x = keys.(mid) in
-    x = k || if x < k then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length keys)
+(* Lay a bundle into the flat arrays from index [k]; returns the next
+   free index. *)
+let rec lay_bundle flat cyc_at cycle k = function
+  | [] -> k
+  | (i : Ir.Instr.t) :: rest ->
+    flat.(k) <- i;
+    cyc_at.(k) <- cycle;
+    lay_bundle flat cyc_at cycle (k + 1) rest
 
-(* A dependence edge the schedule reverses: [second] executes (at
-   flat position [ps]) before [first] (at [pf]). *)
-type reordered = {
-  first : int;
-  second : int;
-  pf : int;
-  ps : int;
-}
+(* an id missing from a table, or an order the allocation lacks *)
+let absent = min_int
+
+let find_or_absent tbl id =
+  match Hashtbl.find tbl id with v -> v | exception Not_found -> absent
+
+(* A bit matrix over memory positions, [m * m] bits. *)
+let bits_create m = Bytes.make (((m * m) + 7) / 8) '\000'
+
+let bits_set bits m x y =
+  let b = (x * m) + y in
+  Bytes.set bits (b lsr 3)
+    (Char.chr (Char.code (Bytes.get bits (b lsr 3)) lor (1 lsl (b land 7))))
+
+let bits_mem bits m x y =
+  let b = (x * m) + y in
+  Char.code (Bytes.get bits (b lsr 3)) land (1 lsl (b land 7)) <> 0
 
 let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   let region = o.Opt.Optimizer.region in
   let sb = region.Ir.Region.source in
-  let body = sb.Ir.Superblock.body in
   let policy = o.Opt.Optimizer.policy_used in
   let ar_count = policy.Sched.Policy.ar_count in
   let hazards = o.Opt.Optimizer.hazards in
+  let deps = o.Opt.Optimizer.deps in
   let violations = ref [] in
   let flag rule fmt =
     Printf.ksprintf
       (fun detail -> violations := { rule; detail } :: !violations)
       fmt
   in
-  let view =
-    make_view region ~dup:(fun id ->
-        flag Sched_complete "instruction %d appears more than once" id)
+  (* Every rule works from two position-indexed views: the body in
+     program order, and the region flattened bundle by bundle
+     (execution order) with each instruction's issue cycle.  An id
+     resolves to its last body position and to its first flat
+     position. *)
+  let body = Witness.index (Array.of_list sb.Ir.Superblock.body) in
+  let arr = body.Witness.instrs in
+  let n = Array.length arr in
+  let bundles = region.Ir.Region.bundles in
+  let n_flat = Array.fold_left (fun acc b -> acc + List.length b) 0 bundles in
+  let flat_arr = Array.make n_flat filler and cyc_at = Array.make n_flat 0 in
+  let k = ref 0 in
+  Array.iteri (fun cycle bundle -> k := lay_bundle flat_arr cyc_at cycle !k bundle) bundles;
+  let flat = Witness.index flat_arr in
+  let pos_of id = Witness.first_pos flat id in
+  let cyc_of id =
+    let p = pos_of id in
+    if p >= 0 then cyc_at.(p) else -1
   in
-  (* -1 when absent: the rules read positions and cycles without
-     allocating an option per query *)
-  let pos_of id = try Hashtbl.find view.pos id with Not_found -> -1 in
-  let cyc_of id = try Hashtbl.find view.cyc id with Not_found -> -1 in
-  let by_id = Hashtbl.create (2 * (List.length body + 1)) in
-  List.iter (fun (i : Ir.Instr.t) -> Hashtbl.replace by_id i.id i) body;
+  let body_pos id = Witness.last_pos body id in
+  Array.iteri
+    (fun idx (i : Ir.Instr.t) ->
+      if pos_of i.id <> idx then
+        flag Sched_complete "instruction %d appears more than once" i.id)
+    flat_arr;
 
   (* ---- completeness: the region is the superblock body plus splices *)
-  List.iter
-    (fun (i : Ir.Instr.t) ->
-      if not (Hashtbl.mem view.pos i.id) then
-        flag Sched_complete "body instruction %d missing from the region" i.id)
-    body;
   Array.iter
     (fun (i : Ir.Instr.t) ->
-      if (not (is_splice i)) && not (Hashtbl.mem by_id i.id) then
+      if pos_of i.id < 0 then
+        flag Sched_complete "body instruction %d missing from the region" i.id)
+    arr;
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      if (not (is_splice i)) && body_pos i.id < 0 then
         flag Sched_complete "region instruction %d is not in the body" i.id)
-    view.flat;
+    flat_arr;
   if region.Ir.Region.entry <> sb.Ir.Superblock.entry then
     flag Sched_complete "region entry %s differs from superblock entry %s"
       region.Ir.Region.entry sb.Ir.Superblock.entry;
@@ -194,173 +188,208 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
 
   (* The cycle-precedence rule the scheduler enforces on every hazard
      edge: successor issues no earlier than predecessor issue plus the
-     predecessor's full latency. *)
-  let require rule a b what =
-    let ca = cyc_of a and cb = cyc_of b in
-    if ca >= 0 && cb >= 0 then
-      match Hashtbl.find by_id a with
-      | ia ->
-        let l = latency ia in
-        if cb < ca + l then
-          flag rule "%s %d -> %d: cycle %d < %d + latency %d" what a b cb ca l
-      | exception Not_found -> ()
+     predecessor's full latency.  Per body position: the issue cycle of
+     its id and the latency of the instruction that id resolves to. *)
+  let bcyc = Array.map (fun (i : Ir.Instr.t) -> cyc_of i.id) arr in
+  let blat = Array.map (fun (i : Ir.Instr.t) -> latency arr.(body_pos i.id)) arr in
+  let require_at rule pa cb b what =
+    let ca = bcyc.(pa) in
+    if ca >= 0 && cb >= 0 then begin
+      let l = blat.(pa) in
+      if cb < ca + l then
+        flag rule "%s %d -> %d: cycle %d < %d + latency %d" what arr.(pa).id b
+          cb ca l
+    end
   in
+  let require rule pa pb what = require_at rule pa bcyc.(pb) arr.(pb).id what in
 
-  (* ---- register dependences, re-derived from the body.  Per body
-     position: the instruction and its uses and defs; per register (a
-     dense slot): the last definition and the chain of uses since it,
-     newest first. *)
-  let arr = Array.of_list body in
-  let n = Array.length arr in
-  let uses_at = Array.map Ir.Instr.uses arr in
-  let defs_at = Array.map Ir.Instr.defs arr in
-  (* a register gets its slot when first mentioned, so there are at
-     most as many slots as mentions *)
-  let slots = Hashtbl.create 64 in
-  let slot r =
-    let c = Witness.reg_code r in
-    match Hashtbl.find slots c with
-    | s -> s
-    | exception Not_found ->
-      let s = Hashtbl.length slots in
-      Hashtbl.add slots c s;
-      s
+  (* ---- register dependences, re-derived from the body.  Per register
+     (indexed by its code): the last defining position and the chain
+     of use positions since it, newest first.  Operands are read in
+     place. *)
+  let top = ref (-1) and n_uses = ref 0 in
+  let note r = top := Int.max !top (Witness.reg_code r) in
+  let note_use r =
+    note r;
+    incr n_uses
   in
-  let mentions lists = Array.fold_left (fun acc l -> acc + List.length l) 0 lists in
-  let n_uses = mentions uses_at in
-  let last_def = Array.make (n_uses + mentions defs_at) (-1) in
-  let use_head = Array.make (Array.length last_def) (-1) in
-  let use_id = Array.make n_uses 0 and use_next = Array.make n_uses (-1) in
-  let tok = ref 0 in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      Ir.Instr.iter_uses note_use i;
+      Ir.Instr.iter_defs note i;
+      if Ir.Instr.is_side_exit i then
+        Ir.Reg.Set.iter note (Ir.Superblock.exit_live_out sb i.id))
+    arr;
+  let nr = !top + 1 in
+  let last_def = Array.make nr (-1) and use_head = Array.make nr (-1) in
+  let use_pos = Array.make !n_uses 0 and use_next = Array.make !n_uses (-1) in
+  let def_code = Array.make n (-1) in
+  let tok = ref 0 and cur = ref 0 in
+  let on_use r =
+    let s = Witness.reg_code r and p = !cur in
+    if last_def.(s) >= 0 then require Def_before_use last_def.(s) p "raw";
+    use_pos.(!tok) <- p;
+    use_next.(!tok) <- use_head.(s);
+    use_head.(s) <- !tok;
+    incr tok
+  in
+  let on_def r =
+    let s = Witness.reg_code r and p = !cur in
+    def_code.(p) <- s;
+    if last_def.(s) >= 0 then require Def_before_use last_def.(s) p "waw";
+    let u = ref use_head.(s) in
+    while !u >= 0 do
+      let pu = use_pos.(!u) in
+      if arr.(pu).id <> arr.(p).id then require Def_before_use pu p "war";
+      u := use_next.(!u)
+    done;
+    last_def.(s) <- p;
+    use_head.(s) <- -1
+  in
   for p = 0 to n - 1 do
-    let id = arr.(p).Ir.Instr.id in
-    List.iter
-      (fun r ->
-        let s = slot r in
-        if last_def.(s) >= 0 then require Def_before_use last_def.(s) id "raw";
-        use_id.(!tok) <- id;
-        use_next.(!tok) <- use_head.(s);
-        use_head.(s) <- !tok;
-        incr tok)
-      uses_at.(p);
-    List.iter
-      (fun r ->
-        let s = slot r in
-        if last_def.(s) >= 0 then require Def_before_use last_def.(s) id "waw";
-        let u = ref use_head.(s) in
-        while !u >= 0 do
-          if use_id.(!u) <> id then require Def_before_use use_id.(!u) id "war";
-          u := use_next.(!u)
-        done;
-        last_def.(s) <- id;
-        use_head.(s) <- -1)
-      defs_at.(p)
+    cur := p;
+    Ir.Instr.iter_uses on_use arr.(p);
+    Ir.Instr.iter_defs on_def arr.(p)
   done;
 
   (* ---- side exits: ordered, and never crossed by blocked work *)
-  let exits = List.filter Ir.Instr.is_side_exit body in
-  let rec check_exit_order = function
-    | (a : Ir.Instr.t) :: (b : Ir.Instr.t) :: rest ->
-      let ca = cyc_of a.id and cb = cyc_of b.id in
-      if ca >= 0 && cb >= 0 && cb <= ca then
-        flag Branch_order "exits %d and %d issued at cycles %d >= %d" a.id b.id
-          ca cb;
-      check_exit_order (b :: rest)
-    | _ -> ()
-  in
-  check_exit_order exits;
-  let blocked p live =
+  let prev_exit = ref (-1) in
+  for e = 0 to n - 1 do
+    if Ir.Instr.is_side_exit arr.(e) then begin
+      let pa = !prev_exit in
+      if pa >= 0 then begin
+        let ca = bcyc.(pa) and cb = bcyc.(e) in
+        if ca >= 0 && cb >= 0 && cb <= ca then
+          flag Branch_order "exits %d and %d issued at cycles %d >= %d"
+            arr.(pa).id arr.(e).id ca cb
+      end;
+      prev_exit := e
+    end
+  done;
+  (* [live_at.(code) = e] marks a register live out of the exit at [e] *)
+  let live_at = Array.make nr (-1) in
+  let exit_at = ref (-1) in
+  let mark_live r = live_at.(Witness.reg_code r) <- !exit_at in
+  let blocked p e =
     (not (Ir.Instr.is_side_exit arr.(p)))
-    && (Ir.Instr.is_store arr.(p) || any_live live defs_at.(p))
+    && (Ir.Instr.is_store arr.(p)
+       || (def_code.(p) >= 0 && live_at.(def_code.(p)) = e))
   in
   for e = 0 to n - 1 do
     let x = arr.(e) in
     if Ir.Instr.is_side_exit x then begin
-      let live = Ir.Superblock.exit_live_out sb x.id in
+      exit_at := e;
+      Ir.Reg.Set.iter mark_live (Ir.Superblock.exit_live_out sb x.id);
       for p = e - 1 downto 0 do
-        if blocked p live then require Exit_crossed arr.(p).id x.id "pre-exit"
+        if blocked p e then require Exit_crossed p e "pre-exit"
       done;
       for p = e + 1 to n - 1 do
-        if blocked p live then require Exit_crossed x.id arr.(p).id "post-exit"
+        if blocked p e then require Exit_crossed e p "post-exit"
       done
     end
   done;
 
-  (* ---- the recorded hazard graph itself *)
+  (* ---- the recorded hazard graph itself, read from its CSR rows *)
   let hz_ids = hazards.Sched.Hazards.ids in
   for p = 0 to Array.length hz_ids - 1 do
-    Sched.Hazards.iter_preds hazards p (fun pd ->
-        require Sched_hazard hz_ids.(pd) hz_ids.(p) "hazard")
+    for x = hazards.Sched.Hazards.pred_start.(p)
+        to hazards.Sched.Hazards.pred_start.(p + 1) - 1 do
+      let a = hz_ids.(hazards.Sched.Hazards.pred.(x)) and b = hz_ids.(p) in
+      let pa = body_pos a in
+      if pa >= 0 then require_at Sched_hazard pa (cyc_of b) b "hazard"
+    done
   done;
 
   (* ---- resource limits per bundle *)
+  let n_ops = ref 0 and n_mem = ref 0 and n_br = ref 0 in
+  let count_op (i : Ir.Instr.t) =
+    if not (is_splice i) then begin
+      incr n_ops;
+      if Ir.Instr.is_memory i then incr n_mem;
+      if Ir.Instr.is_branch i then incr n_br
+    end
+  in
   Array.iteri
     (fun cycle bundle ->
-      let ops = List.filter (fun i -> not (is_splice i)) bundle in
-      let mem = List.filter Ir.Instr.is_memory ops in
-      let br = List.filter Ir.Instr.is_branch ops in
-      if List.length ops > issue_width then
-        flag Sched_width "cycle %d issues %d ops over width %d" cycle
-          (List.length ops) issue_width;
-      if List.length mem > mem_ports then
+      n_ops := 0;
+      n_mem := 0;
+      n_br := 0;
+      List.iter count_op bundle;
+      if !n_ops > issue_width then
+        flag Sched_width "cycle %d issues %d ops over width %d" cycle !n_ops
+          issue_width;
+      if !n_mem > mem_ports then
         flag Sched_width "cycle %d issues %d memory ops over %d ports" cycle
-          (List.length mem) mem_ports;
-      if List.length br > 1 then
-        flag Sched_width "cycle %d issues %d branches" cycle (List.length br))
-    region.Ir.Region.bundles;
+          !n_mem mem_ports;
+      if !n_br > 1 then flag Sched_width "cycle %d issues %d branches" cycle !n_br)
+    bundles;
 
-  (* ---- dropped pairs must be droppable speculative dependences *)
-  let deps = o.Opt.Optimizer.deps in
-  let n_spec = ref 0 in
-  Analysis.Depgraph.iter_edges deps (fun ~first:_ ~second:_ ~kind ~strength ->
-      if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Speculative
-      then incr n_spec);
-  let real_spec = Array.make !n_spec 0 in
-  let k = ref 0 in
+  (* ---- dropped pairs must be droppable speculative dependences.  The
+     real speculative dependences become a directed bit matrix over
+     memory positions; each dropped key (ascending, as the hazard graph
+     records them) is then two binary searches and one bit test. *)
+  let mems = Witness.memory_ops arr in
+  let mem_index = Witness.index mems in
+  let m = Array.length mems in
+  let spec_bits = bits_create m in
   Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
       if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Speculative
       then begin
-        real_spec.(!k) <- Witness.ordered_key first second;
-        incr k
+        let x = Witness.last_pos mem_index first
+        and y = Witness.last_pos mem_index second in
+        if x >= 0 && y >= 0 then bits_set spec_bits m x y
       end);
-  Array.sort Int.compare real_spec;
-  List.iter
-    (fun (f, s) ->
-      if not (mem_sorted real_spec (Witness.ordered_key f s)) then
+  let dropped = hazards.Sched.Hazards.dropped in
+  Array.iteri
+    (fun k key ->
+      let f = Witness.key_lo key and s = Witness.key_hi key in
+      if k > 0 && key <= dropped.(k - 1) then
+        flag Dropped_illegal "dropped pair %d,%d repeats or is out of key order"
+          f s;
+      let x = Witness.last_pos mem_index f and y = Witness.last_pos mem_index s in
+      if x < 0 || y < 0 then
+        flag Dropped_illegal "dropped pair %d,%d not in the body" f s
+      else if not (bits_mem spec_bits m x y) then
         flag Dropped_illegal "dropped pair %d,%d is not a speculative dep" f s
-      else
-        match (Hashtbl.find by_id f, Hashtbl.find by_id s) with
-        | fi, si ->
-          if not (Sched.Policy.may_drop_edge policy ~first:fi ~second:si) then
-            flag Dropped_illegal "policy %s may not drop pair %d,%d"
-              policy.Sched.Policy.name f s
-        | exception Not_found ->
-          flag Dropped_illegal "dropped pair %d,%d not in the body" f s)
-    hazards.Sched.Hazards.dropped;
+      else if not (Sched.Policy.may_drop_edge policy ~first:mems.(x) ~second:mems.(y))
+      then
+        flag Dropped_illegal "policy %s may not drop pair %d,%d"
+          policy.Sched.Policy.name f s)
+    dropped;
 
   (* ---- speculation coverage.  A dependence edge needs a runtime
      check exactly when its [second] endpoint executes before its
      [first] (for Real edges that is a reordering; for Extended edges
      it is the natural order, hence they are almost always live).  A
      reordered must-alias pair is an error outright; the others are
-     what the scheme must cover. *)
-  let required = ref [] in
+     what the scheme must cover, visited in edge order by
+     [iter_required] — a walk of the dependence graph, so no per-edge
+     record is kept. *)
   Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
-      let pf = pos_of first and ps = pos_of second in
-      if pf >= 0 && ps >= 0 && ps < pf then
-        if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Hard
-        then
+      if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Hard then begin
+        let pf = pos_of first and ps = pos_of second in
+        if pf >= 0 && ps >= 0 && ps < pf then
           flag Hard_reordered "must-alias pair %d,%d executes in reverse" first
             second
-        else required := { first; second; pf; ps } :: !required);
-  let required = List.rev !required in
+      end);
+  let iter_required f =
+    Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
+        if not (kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Hard)
+        then begin
+          let pf = pos_of first and ps = pos_of second in
+          if pf >= 0 && ps >= 0 && ps < pf then f first second pf ps
+        end)
+  in
 
   let annot_of id =
     let p = pos_of id in
-    if p >= 0 then Ir.Instr.annot view.flat.(p) else Ir.Annot.No_annot
+    if p >= 0 then Ir.Instr.annot flat_arr.(p) else Ir.Annot.No_annot
   in
-  let splices =
-    Array.to_list view.flat |> List.filter is_splice
+  let no_splices what =
+    Array.iter
+      (fun (i : Ir.Instr.t) ->
+        if is_splice i then flag Annot_scheme "queue instruction %d %s" i.id what)
+      flat_arr
   in
 
   (* ---- scheme-specific checks *)
@@ -371,20 +400,15 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
       flag Annot_scheme "queue scheme artifact carries no allocation result"
     | Some res ->
       let a = res.Sched.Smarq_alloc.allocation in
-      let order id = Hashtbl.find_opt a.C.order id in
+      let order id = find_or_absent a.C.order id in
       let amov_ids = Hashtbl.create 16 in
       List.iter
         (fun (m : Sched.Smarq_alloc.amov_insertion) ->
           Hashtbl.replace amov_ids m.amov_id m)
         res.Sched.Smarq_alloc.amovs;
+      let edges = res.Sched.Smarq_alloc.check_edges @ res.Sched.Smarq_alloc.anti_edges in
       (* constraint edges against the final orders and bases *)
-      (match
-         C.validate a
-           ~edges:
-             (res.Sched.Smarq_alloc.check_edges
-             @ res.Sched.Smarq_alloc.anti_edges)
-           ~ar_count
-       with
+      (match C.validate a ~edges ~ar_count with
       | Ok () -> ()
       | Error problems ->
         List.iter
@@ -404,14 +428,14 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
                 flag Annot_alloc_sync
                   "op %d annotated p=%b c=%b but allocated p=%b c=%b" i.id p c
                   pa ca;
-              (match order i.id, Hashtbl.find_opt a.C.base i.id with
-              | Some o, Some b ->
+              let o = order i.id and b = find_or_absent a.C.base i.id in
+              if o <> absent && b <> absent then begin
                 if offset <> o - b then
                   flag Annot_alloc_sync
                     "op %d annotated offset %d but allocated %d - %d" i.id
                     offset o b
-              | _ ->
-                flag Annot_alloc_sync "annotated op %d has no allocation" i.id);
+              end
+              else flag Annot_alloc_sync "annotated op %d has no allocation" i.id;
               if offset < 0 || offset >= ar_count then
                 flag Alloc_window "op %d offset %d outside [0,%d)" i.id offset
                   ar_count
@@ -423,7 +447,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
             | Ir.Annot.Mask _ | Ir.Annot.Alat _ ->
               flag Annot_scheme "op %d carries a non-queue annotation" i.id
           end)
-        view.flat;
+        flat_arr;
       (* AMOV splices against the allocator's insertion records *)
       List.iter
         (fun (m : Sched.Smarq_alloc.amov_insertion) ->
@@ -444,11 +468,11 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
             if pa >= pb then
               flag Annot_alloc_sync "amov %d does not precede its anchor %d"
                 m.amov_id m.before;
-            let ca = cyc_of m.amov_id and cb = cyc_of m.before in
-            if ca >= 0 && cb >= 0 && ca <> cb then
+            let ca = cyc_at.(pa) and cb = cyc_at.(pb) in
+            if ca <> cb then
               flag Annot_alloc_sync "amov %d not bundled with its anchor %d"
                 m.amov_id m.before;
-            match view.flat.(pa).op with
+            match flat_arr.(pa).op with
             | Ir.Instr.Amov { src_offset; dst_offset } ->
               if src_offset <> m.src_offset || dst_offset <> m.dst_offset then
                 flag Annot_alloc_sync
@@ -465,7 +489,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
             if not (Hashtbl.mem amov_ids i.id) then
               flag Annot_alloc_sync "AMOV %d has no insertion record" i.id
           | _ -> ())
-        view.flat;
+        flat_arr;
       (* BASE replay: walking the region in execution order, the queue
          base implied by ROTATE instructions must place every
          annotation and AMOV at its allocated order *)
@@ -477,54 +501,51 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
             if n <= 0 then flag Queue_rotate "rotate %d by %d" i.id n;
             qbase := !qbase + n
           | Ir.Instr.Amov _ -> (
-            match Hashtbl.find_opt amov_ids i.id with
-            | None -> ()
-            | Some m ->
-              (match order m.src_instr with
-              | Some os when !qbase + m.src_offset <> os ->
+            match Hashtbl.find amov_ids i.id with
+            | exception Not_found -> ()
+            | m ->
+              let os = order m.src_instr in
+              if os <> absent && !qbase + m.src_offset <> os then
                 flag Queue_base_sync
                   "amov %d src at base %d + %d, but order(%d) = %d" i.id !qbase
-                  m.src_offset m.src_instr os
-              | _ -> ());
-              if m.dst_is_fresh then (
-                match order m.amov_id with
-                | Some od when !qbase + m.dst_offset <> od ->
+                  m.src_offset m.src_instr os;
+              if m.dst_is_fresh then begin
+                let od = order m.amov_id in
+                if od = absent then
+                  flag Queue_base_sync "fresh amov %d has no order" i.id
+                else if !qbase + m.dst_offset <> od then
                   flag Queue_base_sync
                     "amov %d dst at base %d + %d, but its order is %d" i.id
                     !qbase m.dst_offset od
-                | Some _ -> ()
-                | None ->
-                  flag Queue_base_sync "fresh amov %d has no order" i.id))
+              end)
           | _ -> (
             match Ir.Instr.annot i with
-            | Ir.Annot.Queue { offset; _ } -> (
-              match order i.id with
-              | Some od when !qbase + offset <> od ->
+            | Ir.Annot.Queue { offset; _ } ->
+              let od = order i.id in
+              if od <> absent && !qbase + offset <> od then
                 flag Queue_base_sync
                   "op %d at base %d + offset %d, but order is %d" i.id !qbase
                   offset od
-              | _ -> ())
             | _ -> ()))
-        view.flat;
+        flat_arr;
       (* coverage under the ordered-detection rule, tracking each
          protected range through the AMOVs that execute before the
-         checker *)
+         checker; [holder_at] is -1 when the range was cleared *)
       let moved_by = Hashtbl.create 16 in
       List.iter
         (fun (m : Sched.Smarq_alloc.amov_insertion) ->
           Hashtbl.replace moved_by m.src_instr m)
         res.Sched.Smarq_alloc.amovs;
       let rec holder_at id limit =
-        match Hashtbl.find_opt moved_by id with
-        | Some (m : Sched.Smarq_alloc.amov_insertion) -> (
+        match Hashtbl.find moved_by id with
+        | exception Not_found -> id
+        | (m : Sched.Smarq_alloc.amov_insertion) ->
           let pa = pos_of m.amov_id in
           if pa >= 0 && pa < limit then
-            if m.dst_is_fresh then holder_at m.amov_id limit else None
-          else Some id)
-        | None -> Some id
+            if m.dst_is_fresh then holder_at m.amov_id limit else -1
+          else id
       in
-      List.iter
-        (fun { first = f; second = s; pf; _ } ->
+      iter_required (fun f s pf _ ->
           if not (Hashtbl.mem a.C.p_bit s) then
             flag Queue_uncovered "reordered pair %d,%d: %d is not protected" f
               s s
@@ -532,37 +553,32 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
             flag Queue_uncovered "reordered pair %d,%d: %d does not check" f s
               f
           else
-            match holder_at s pf with
-            | None ->
+            let h = holder_at s pf in
+            if h < 0 then
               flag Queue_uncovered
                 "reordered pair %d,%d: %d's range cleared before the check" f s
                 s
-            | Some h -> (
-              match order f, order h with
-              | Some of_, Some oh ->
-                if of_ > oh then
-                  flag Queue_uncovered
-                    "reordered pair %d,%d: order(%d)=%d > order(holder %d)=%d"
-                    f s f of_ h oh
-              | _ ->
+            else
+              let of_ = order f and oh = order h in
+              if of_ = absent || oh = absent then
                 flag Queue_uncovered "reordered pair %d,%d: missing orders" f s
-              ))
-        required;
+              else if of_ > oh then
+                flag Queue_uncovered
+                  "reordered pair %d,%d: order(%d)=%d > order(holder %d)=%d"
+                  f s f of_ h oh);
       (* on AMOV-free regions the standalone FAST ALGORITHM certifies
          the constraint graph acyclic *)
       if res.Sched.Smarq_alloc.amovs = [] then begin
         let issue_order =
-          Array.to_list view.flat
-          |> List.filter Ir.Instr.is_memory
-          |> List.map (fun (i : Ir.Instr.t) -> i.id)
+          Array.fold_right
+            (fun (i : Ir.Instr.t) acc -> if Ir.Instr.is_memory i then i.id :: acc else acc)
+            flat_arr []
         in
         match
           Sched.Fast_alloc.allocate ~issue_order
             ~p_bit:(Hashtbl.mem a.C.p_bit)
             ~c_bit:(Hashtbl.mem a.C.c_bit)
-            ~edges:
-              (res.Sched.Smarq_alloc.check_edges
-              @ res.Sched.Smarq_alloc.anti_edges)
+            ~edges
         with
         | Ok _ -> ()
         | Error { Sched.Fast_alloc.cycle } ->
@@ -571,16 +587,8 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
                (List.map (Format.asprintf "%a" C.pp_edge) cycle))
       end)
   | Sched.Policy.Naive_queue_scheme ->
-    (* one register per memory op, program order, always set + check *)
-    let ordinal = Hashtbl.create 64 in
-    let n = ref 0 in
-    List.iter
-      (fun (i : Ir.Instr.t) ->
-        if Ir.Instr.is_memory i then begin
-          Hashtbl.replace ordinal i.id !n;
-          incr n
-        end)
-      body;
+    (* one register per memory op, program order, always set + check:
+       an op's register is its memory position *)
     let qbase = ref 0 in
     Array.iter
       (fun (i : Ir.Instr.t) ->
@@ -593,25 +601,22 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
         | _ ->
           if Ir.Instr.is_memory i then (
             match Ir.Instr.annot i with
-            | Ir.Annot.Queue { offset; p = true; c = true } -> (
+            | Ir.Annot.Queue { offset; p = true; c = true } ->
               if offset < 0 || offset >= ar_count then
                 flag Alloc_window "op %d offset %d outside [0,%d)" i.id offset
                   ar_count;
-              match Hashtbl.find_opt ordinal i.id with
-              | Some o when !qbase + offset <> o ->
+              let o = Witness.last_pos mem_index i.id in
+              if o >= 0 && !qbase + offset <> o then
                 flag Queue_base_sync
                   "op %d at base %d + offset %d, but program order %d" i.id
                   !qbase offset o
-              | _ -> ())
             | _ ->
               flag Annot_scheme
                 "op %d must set and check under the naive scheme" i.id))
-      view.flat
+      flat_arr
   | Sched.Policy.Alat_scheme ->
-    List.iter
-      (fun (i : Ir.Instr.t) ->
-        flag Annot_scheme "queue instruction %d under the ALAT scheme" i.id)
-      splices;
+    no_splices "under the ALAT scheme";
+    let check_mark = Ir.Annot.alat ~advanced:false in
     Array.iter
       (fun (i : Ir.Instr.t) ->
         match Ir.Instr.annot i with
@@ -623,46 +628,41 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
             flag Annot_scheme "load %d carries a non-advanced ALAT mark" i.id
         | Ir.Annot.Queue _ | Ir.Annot.Mask _ ->
           flag Annot_scheme "op %d carries a non-ALAT annotation" i.id)
-      view.flat;
+      flat_arr;
     if not (Array.for_all (fun (i : Ir.Instr.t) ->
                 (not (Ir.Instr.is_store i))
-                || Ir.Instr.annot i = Ir.Annot.alat ~advanced:false)
-              view.flat)
+                || Ir.Instr.annot i = check_mark)
+              flat_arr)
     then flag Annot_scheme "a store is missing its ALAT check annotation";
     let advanced id =
       match annot_of id with
       | Ir.Annot.Alat { advanced } -> advanced
       | _ -> false
     in
-    List.iter
-      (fun { first = f; second = s; pf; ps } ->
-        let fi = Hashtbl.find_opt by_id f and si = Hashtbl.find_opt by_id s in
-        (match fi, si with
-        | Some fi, Some si
-          when Ir.Instr.is_store fi && Ir.Instr.is_load si ->
+    iter_required (fun f s pf ps ->
+        let fi = body_pos f and si = body_pos s in
+        if fi >= 0 && si >= 0 && Ir.Instr.is_store arr.(fi) && Ir.Instr.is_load arr.(si)
+        then begin
           if not (advanced s) then
             flag Alat_unmarked
               "reordered pair %d,%d: load %d is not marked advanced" f s s
-        | _ ->
+        end
+        else
           flag Annot_scheme
-            "reordered pair %d,%d cannot be protected by the ALAT" f s);
+            "reordered pair %d,%d cannot be protected by the ALAT" f s;
         (* FIFO eviction: the entry survives only while fewer than
            [ar_count] advanced loads execute inside the window *)
         let inserted = ref 0 in
         for p = ps + 1 to pf - 1 do
-          let j = view.flat.(p) in
+          let j = flat_arr.(p) in
           if Ir.Instr.is_load j && advanced j.id then incr inserted
         done;
         if !inserted >= ar_count then
           flag Alat_capacity
             "pair %d,%d: %d advanced loads inside the window evict the entry"
             f s !inserted)
-      required
   | Sched.Policy.Mask_scheme ->
-    List.iter
-      (fun (i : Ir.Instr.t) ->
-        flag Annot_scheme "queue instruction %d under the mask scheme" i.id)
-      splices;
+    no_splices "under the mask scheme";
     let full_mask = (1 lsl ar_count) - 1 in
     Array.iter
       (fun (i : Ir.Instr.t) ->
@@ -678,51 +678,43 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
               check_mask ar_count
         | Ir.Annot.Queue _ | Ir.Annot.Alat _ ->
           flag Annot_scheme "op %d carries a non-mask annotation" i.id)
-      view.flat;
-    let set_index_of id =
+      flat_arr;
+    let sets id k =
       match annot_of id with
-      | Ir.Annot.Mask { set_index; _ } -> set_index
-      | _ -> None
+      | Ir.Annot.Mask { set_index = Some k'; _ } -> k' = k
+      | _ -> false
     in
     let check_mask_of id =
       match annot_of id with
       | Ir.Annot.Mask { check_mask; _ } -> check_mask
       | _ -> 0
     in
-    List.iter
-      (fun { first = f; second = s; pf; ps } ->
-        match set_index_of s with
-        | None ->
-          flag Mask_uncovered
-            "reordered pair %d,%d: %d sets no alias register" f s s
-        | Some k ->
+    iter_required (fun f s pf ps ->
+        match annot_of s with
+        | Ir.Annot.Mask { set_index = Some k; _ } ->
           if check_mask_of f land (1 lsl k) = 0 then
             flag Mask_uncovered
               "reordered pair %d,%d: %d does not check register %d" f s f k;
           for p = ps + 1 to pf - 1 do
-            let j = view.flat.(p) in
-            if j.id <> s && set_index_of j.id = Some k then
+            let j = flat_arr.(p) in
+            if j.id <> s && sets j.id k then
               flag Mask_clobbered
                 "pair %d,%d: op %d reuses register %d inside the window" f s
                 j.id k
-          done)
-      required
+          done
+        | _ ->
+          flag Mask_uncovered
+            "reordered pair %d,%d: %d sets no alias register" f s s)
   | Sched.Policy.No_scheme ->
-    List.iter
-      (fun (i : Ir.Instr.t) ->
-        flag Annot_scheme "queue instruction %d without a scheme" i.id)
-      splices;
+    no_splices "without a scheme";
     Array.iter
       (fun (i : Ir.Instr.t) ->
         if Ir.Instr.annot i <> Ir.Annot.No_annot then
           flag Annot_scheme "op %d annotated without a scheme" i.id)
-      view.flat;
-    List.iter
-      (fun r ->
+      flat_arr;
+    iter_required (fun f s _ _ ->
         flag Nospec_reordered
-          "pair %d,%d executes in reverse without alias detection" r.first
-          r.second)
-      required);
+          "pair %d,%d executes in reverse without alias detection" f s));
 
   (* ---- alias-certification witnesses, replayed independently, and
      dependence completeness — on every region: without a certificate
@@ -742,8 +734,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
       | Witness.Dep_missing d -> flag Dep_missing "%s" d
       | Witness.Region_sync d -> flag Cert_region_sync "%s" d)
     (Witness.check ~cert ~body
-       ~region_certified:region.Ir.Region.certified_no_alias
-       ~deps:o.Opt.Optimizer.deps);
+       ~region_certified:region.Ir.Region.certified_no_alias ~deps);
 
   match !violations with
   | [] -> Pass

@@ -12,16 +12,19 @@
    - the certificate is complete and consistent with the artifact: no
      certified pair kept a dependence edge, no may-alias pair is both
      edge-less and witness-less, and the region's certified list
-     matches the certificate.
+     lists the certificate's pairs, in the same ascending order.
 
    The verifier runs this on every region: one built without
    certification is checked against the empty certificate, so the
    completeness rule still asks whether the dependence graph lost an
    edge, and a region listing certified pairs fails the sync check.
 
-   The certificate is read only through its raw witness list: pair
-   membership uses this module's own packed keys, never a [Disamb]
-   query.
+   The certificate is read only through its raw witness array, which
+   must be strictly ascending in this module's own packed keys: pair
+   membership is a binary search over it, never a [Disamb] query.
+   Instructions are found by position (see [index]), not through
+   id-keyed tables, and nothing is allocated per witness or per pair
+   unless a violation is reported.
 
    Entailment (rather than equality) keeps an honest checker from
    rejecting artifacts over precision differences: any claim at least
@@ -187,7 +190,8 @@ let r_binop op v1 v2 =
       | _ -> None)
     | _ -> None)
 
-(* Forward pass: abstract address (and width) per memory instruction. *)
+(* Forward pass over the body array: abstract address (and width) per
+   memory instruction. *)
 let replay_addresses body =
   let env : (Ir.Reg.t, rvalue) Hashtbl.t = Hashtbl.create 64 in
   let lookup r =
@@ -203,7 +207,7 @@ let replay_addresses body =
     | Some v -> Hashtbl.replace addrs id (v, width)
     | None -> ()
   in
-  List.iter
+  Array.iter
     (fun (i : Ir.Instr.t) ->
       let opaque () = r_opaque i.Ir.Instr.id in
       match i.Ir.Instr.op with
@@ -309,19 +313,65 @@ let pair_key a b = if a <= b then ordered_key a b else ordered_key b a
 let key_lo k = k lsr key_bits
 let key_hi k = k land ((1 lsl key_bits) - 1)
 
-(* ascending, duplicate-free keys of a pair list *)
-let sorted_keys pairs =
-  let keys = Array.of_list (List.map (fun (a, b) -> pair_key a b) pairs) in
-  Array.sort Int.compare keys;
-  let n = Array.length keys in
-  let len = ref 0 in
-  for x = 0 to n - 1 do
-    if x = 0 || keys.(x) <> keys.(x - 1) then begin
-      keys.(!len) <- keys.(x);
-      incr len
-    end
+(* --- position indexes --------------------------------------------- *)
+
+(* An instruction sequence (a body, or a region flattened bundle by
+   bundle) with its ids packed as [ordered_key id position] and sorted:
+   an id's first or last position is a binary search, and no table is
+   keyed by id.  One int per instruction. *)
+type indexed = {
+  instrs : Ir.Instr.t array;
+  ids : int array;
+}
+
+let index instrs =
+  let ids = Array.mapi (fun p (i : Ir.Instr.t) -> ordered_key i.Ir.Instr.id p) instrs in
+  Array.sort Int.compare ids;
+  { instrs; ids }
+
+(* the first x with keys.(x) >= k *)
+let lower_bound keys k =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if keys.(mid) < k then lo := mid + 1 else hi := mid
   done;
-  Array.sub keys 0 !len
+  !lo
+
+let in_range id = id lsr key_bits = 0
+
+(* the first / last position of [id], -1 when absent *)
+let first_pos t id =
+  if not (in_range id) then -1
+  else
+    let x = lower_bound t.ids (id lsl key_bits) in
+    if x < Array.length t.ids && key_lo t.ids.(x) = id then key_hi t.ids.(x) else -1
+
+let last_pos t id =
+  if not (in_range id) then -1
+  else
+    let next = id + 1 in
+    let x =
+      (if in_range next then lower_bound t.ids (next lsl key_bits)
+       else Array.length t.ids)
+      - 1
+    in
+    if x >= 0 && key_lo t.ids.(x) = id then key_hi t.ids.(x) else -1
+
+(* the memory operations of a body, in body order *)
+let memory_ops arr =
+  let m = Array.fold_left (fun acc i -> if Ir.Instr.is_memory i then acc + 1 else acc) 0 arr in
+  let mems = Array.make m (Ir.Instr.make ~id:0 Ir.Instr.Nop) in
+  ignore
+    (Array.fold_left
+       (fun k i ->
+         if Ir.Instr.is_memory i then begin
+           mems.(k) <- i;
+           k + 1
+         end
+         else k)
+       0 arr);
+  mems
 
 (* --- the checker --------------------------------------------------- *)
 
@@ -332,35 +382,78 @@ let reg_code = function
   | Ir.Reg.F i -> (3 * i) + 1
   | Ir.Reg.T i -> (3 * i) + 2
 
-let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
+(* the replayed address of a memory op; [no_value] when replay derives
+   none *)
+let no_value = r_opaque (-1)
+
+let replayed addrs id =
+  match Hashtbl.find addrs id with (v, _) -> v | exception Not_found -> no_value
+
+let witness_key (w : Analysis.Disamb.witness) =
+  pair_key w.Analysis.Disamb.x.Analysis.Disamb.instr
+    w.Analysis.Disamb.y.Analysis.Disamb.instr
+
+(* [k] among the witnesses' keys, which [check] first holds to be
+   strictly ascending *)
+let witnessed (ws : Analysis.Disamb.witness array) k =
+  let lo = ref 0 and hi = ref (Array.length ws) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if witness_key ws.(mid) < k then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length ws && witness_key ws.(!lo) = k
+
+let check_width flag (f : Analysis.Disamb.fact) (i : Ir.Instr.t) =
+  match i.Ir.Instr.op with
+  | Ir.Instr.Load { width; _ } | Ir.Instr.Store { width; _ }
+    when width = f.Analysis.Disamb.width ->
+    ()
+  | _ ->
+    flag
+      (Endpoints
+         (Printf.sprintf "witness width %d of #%d mismatches body"
+            f.Analysis.Disamb.width i.Ir.Instr.id))
+
+(* the region's certified list against the witness keys, in order *)
+let rec same_pairs ws x = function
+  | [] -> x = Array.length ws
+  | (a, b) :: rest ->
+    x < Array.length ws && pair_key a b = witness_key ws.(x) && same_pairs ws (x + 1) rest
+
+let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
     ~(region_certified : (int * int) list) ~(deps : Analysis.Depgraph.t) :
     violation list =
   let violations = ref [] in
   let flag v = violations := v :: !violations in
   let ws = Analysis.Disamb.witnesses cert in
-  let by_id = Hashtbl.create 64 in
-  let pos = Hashtbl.create 64 in
-  List.iteri
-    (fun idx (i : Ir.Instr.t) ->
-      Hashtbl.replace by_id i.Ir.Instr.id i;
-      Hashtbl.replace pos i.Ir.Instr.id idx)
-    body;
-  let addrs = replay_addresses body in
+  let arr = body.instrs in
+  let addrs = replay_addresses arr in
 
-  (* endpoints; [certified] is the witnessed pair set under the
-     checker's own keys *)
-  let certified = Hashtbl.create 16 in
-  List.iter
-    (fun (w : Analysis.Disamb.witness) ->
+  (* endpoints.  The witnesses must be strictly ascending in this
+     module's own keys — the certified pair set is then the witness
+     array itself, searched in place. *)
+  Array.iteri
+    (fun x (w : Analysis.Disamb.witness) ->
       let fx = w.Analysis.Disamb.x and fy = w.Analysis.Disamb.y in
       let xi = fx.Analysis.Disamb.instr and yi = fy.Analysis.Disamb.instr in
       let p = pair_key xi yi in
-      if Hashtbl.mem certified p then
-        flag (Endpoints (Printf.sprintf "duplicate witness for pair (%d,%d)"
-                           (key_lo p) (key_hi p)));
-      Hashtbl.replace certified p ();
-      match (Hashtbl.find_opt by_id xi, Hashtbl.find_opt by_id yi) with
-      | Some ix, Some iy ->
+      if x > 0 then begin
+        let prev = witness_key ws.(x - 1) in
+        if p = prev then
+          flag (Endpoints (Printf.sprintf "duplicate witness for pair (%d,%d)"
+                             (key_lo p) (key_hi p)))
+        else if p < prev then
+          flag (Endpoints (Printf.sprintf "witness for pair (%d,%d) out of pair order"
+                             (key_lo p) (key_hi p)))
+      end;
+      let px = last_pos body xi and py = last_pos body yi in
+      if px < 0 || py < 0 then
+        flag
+          (Endpoints
+             (Printf.sprintf "witness endpoints #%d/#%d not in region body" xi
+                yi))
+      else
+        let ix = arr.(px) and iy = arr.(py) in
         if xi = yi then
           flag (Endpoints (Printf.sprintf "witness relates #%d to itself" xi))
         else if not (Ir.Instr.is_memory ix && Ir.Instr.is_memory iy) then
@@ -374,39 +467,29 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
                (Printf.sprintf
                   "witness pair (%d,%d) is load-load: nothing to certify" xi yi))
         else begin
-          if Hashtbl.find pos xi >= Hashtbl.find pos yi then
+          if px >= py then
             flag
               (Endpoints
                  (Printf.sprintf "witness pair (%d,%d) is not in program order"
                     xi yi));
-          let check_width f (i : Ir.Instr.t) =
-            match Ir.Instr.mem_width i with
-            | Some wd when wd = f.Analysis.Disamb.width -> ()
-            | _ ->
-              flag
-                (Endpoints
-                   (Printf.sprintf "witness width %d of #%d mismatches body"
-                      f.Analysis.Disamb.width i.Ir.Instr.id))
-          in
-          check_width fx ix;
-          check_width fy iy
-        end
-      | _ ->
-        flag
-          (Endpoints
-             (Printf.sprintf "witness endpoints #%d/#%d not in region body" xi
-                yi)))
+          check_width flag fx ix;
+          check_width flag fy iy
+        end)
     ws;
 
   (* derivation: replay and entailment, then separation arithmetic *)
-  List.iter
+  Array.iter
     (fun (w : Analysis.Disamb.witness) ->
       let fx = w.Analysis.Disamb.x and fy = w.Analysis.Disamb.y in
-      (match
-         ( Hashtbl.find_opt addrs fx.Analysis.Disamb.instr,
-           Hashtbl.find_opt addrs fy.Analysis.Disamb.instr )
-       with
-      | Some (vx, _), Some (vy, _) ->
+      let vx = replayed addrs fx.Analysis.Disamb.instr
+      and vy = replayed addrs fy.Analysis.Disamb.instr in
+      if vx == no_value || vy == no_value then
+        flag
+          (Derivation
+             (Printf.sprintf
+                "replay derives no address for pair (%d,%d)"
+                fx.Analysis.Disamb.instr fy.Analysis.Disamb.instr))
+      else begin
         if not (entails fx vx) then
           flag
             (Derivation
@@ -419,12 +502,7 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
                (Printf.sprintf
                   "claimed fact for #%d is not entailed by replay"
                   fy.Analysis.Disamb.instr))
-      | _ ->
-        flag
-          (Derivation
-             (Printf.sprintf
-                "replay derives no address for pair (%d,%d)"
-                fx.Analysis.Disamb.instr fy.Analysis.Disamb.instr)));
+      end;
       if not (claimed_disjoint w) then
         flag
           (Separation
@@ -437,18 +515,30 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
      width, the replayed constant address ([no_const] if none) and the
      number of definitions of its base at earlier body positions — two
      same-base operations see a redefinition between them exactly when
-     those counts differ. *)
-  let mems = List.filter Ir.Instr.is_memory body |> Array.of_list in
+     those counts differ.  Definition counts live in an array indexed
+     by register code. *)
+  let mems = memory_ops arr in
   let m = Array.length mems in
+  let top = ref (-1) in
+  let note_def r = top := Int.max !top (reg_code r) in
+  Array.iter
+    (fun (i : Ir.Instr.t) ->
+      (match i.Ir.Instr.op with
+      | Ir.Instr.Load { addr; _ } | Ir.Instr.Store { addr; _ } -> note_def addr.Ir.Instr.base
+      | _ -> ());
+      Ir.Instr.iter_defs note_def i)
+    arr;
+  let def_count = Array.make (!top + 1) 0 in
+  let count_def r =
+    let c = reg_code r in
+    def_count.(c) <- def_count.(c) + 1
+  in
   let m_id = Array.make m 0 and m_store = Array.make m false in
   let m_base = Array.make m 0 and m_disp = Array.make m 0 in
   let m_width = Array.make m 1 and m_const = Array.make m no_const in
   let m_defs = Array.make m 0 in
-  let mem_index = Hashtbl.create (2 * (m + 1)) in
-  let def_count = Hashtbl.create 64 in
-  let defs_of code = try Hashtbl.find def_count code with Not_found -> 0 in
   let k = ref 0 in
-  List.iter
+  Array.iter
     (fun (i : Ir.Instr.t) ->
       (match i.Ir.Instr.op with
       | Ir.Instr.Load { addr; width; _ } | Ir.Instr.Store { addr; width; _ } ->
@@ -459,19 +549,15 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
         m_base.(x) <- reg_code addr.Ir.Instr.base;
         m_disp.(x) <- addr.Ir.Instr.disp;
         m_width.(x) <- width;
-        m_defs.(x) <- defs_of m_base.(x);
-        (match Hashtbl.find addrs i.Ir.Instr.id with
-        | v, _ -> (
-          match r_const_of v with Some a -> m_const.(x) <- a | None -> ())
-        | exception Not_found -> ());
-        Hashtbl.replace mem_index i.Ir.Instr.id x
+        m_defs.(x) <- def_count.(m_base.(x));
+        let v = replayed addrs i.Ir.Instr.id in
+        (match v.anchor with
+        | A_const when v.k.rstep = 0 -> m_const.(x) <- v.k.rlo
+        | _ -> ())
       | _ -> ());
-      List.iter
-        (fun r ->
-          let c = reg_code r in
-          Hashtbl.replace def_count c (defs_of c + 1))
-        (Ir.Instr.defs i))
-    body;
+      Ir.Instr.iter_defs count_def i)
+    arr;
+  let mem_index = index mems in
 
   (* no certified pair may keep a dependence edge; the edge set itself
      becomes a bit matrix over memory positions *)
@@ -484,15 +570,14 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
   let has_bit b = byte b land (1 lsl (b land 7)) <> 0 in
   Analysis.Depgraph.iter_edges deps
     (fun ~first ~second ~kind:_ ~strength:_ ->
-      if Hashtbl.mem certified (pair_key first second) then
+      if witnessed ws (pair_key first second) then
         flag
           (Edge_kept
              (Printf.sprintf
                 "certified pair (%d,%d) still carries a dependence edge"
                 (min first second) (max first second)));
-      match (Hashtbl.find mem_index first, Hashtbl.find mem_index second) with
-      | x, y -> set_bit (bit (min x y) (max x y))
-      | exception Not_found -> ());
+      let x = last_pos mem_index first and y = last_pos mem_index second in
+      if x >= 0 && y >= 0 then set_bit (bit (min x y) (max x y)));
 
   (* completeness: every replay-may pair needs an edge or a witness.
      Mirrors the precision of the base may-alias analysis (same-base
@@ -517,7 +602,7 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
       if
         (m_store.(x) || m_store.(y))
         && (not (has_bit (bit x y)))
-        && (not (Hashtbl.mem certified (pair_key m_id.(x) m_id.(y))))
+        && (not (witnessed ws (pair_key m_id.(x) m_id.(y))))
         && replay_may x y
       then
         flag
@@ -528,21 +613,12 @@ let check ~(cert : Analysis.Disamb.t) ~(body : Ir.Instr.t list)
     done
   done;
 
-  (* region list must be exactly the certificate's pair set *)
-  let cert_keys =
-    sorted_keys
-      (List.map
-         (fun (w : Analysis.Disamb.witness) ->
-           (w.Analysis.Disamb.x.Analysis.Disamb.instr,
-            w.Analysis.Disamb.y.Analysis.Disamb.instr))
-         ws)
-  in
-  let region_keys = sorted_keys region_certified in
-  if cert_keys <> region_keys then
+  (* the region lists exactly the certificate's pairs, in its order *)
+  if not (same_pairs ws 0 region_certified) then
     flag
       (Region_sync
          (Printf.sprintf
             "region lists %d certified pairs, certificate has %d (or they differ)"
-            (Array.length region_keys) (Array.length cert_keys)));
+            (List.length region_certified) (Array.length ws)));
 
   List.rev !violations

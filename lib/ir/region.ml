@@ -3,7 +3,7 @@ type t = {
   bundles : Instr.t list array;
   final_exit : Instr.label option;
   ar_window : int;
-  assumed_no_alias : (int * int) list;
+  assumed_no_alias : int array;
   certified_no_alias : (int * int) list;
   source : Superblock.t;
 }

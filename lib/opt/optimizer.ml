@@ -39,7 +39,7 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
   let certify_into alias body =
     if policy.Sched.Policy.certify then begin
       let cert = Analysis.Disamb.certify ~alias ~body in
-      Analysis.May_alias.set_certified alias (Analysis.Disamb.pairs cert);
+      Analysis.May_alias.set_certified alias (Analysis.Disamb.keys cert);
       Some cert
     end
     else None

@@ -66,10 +66,12 @@ let no_hooks =
 
 let pair_key (a, b) = Analysis.Pair_key.norm a b
 
-(* unordered pair equality, tested in both orientations without building
-   keys: this runs on every rollback over thousands of assumed pairs *)
-let pair_mem (a, b) pairs =
-  List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) pairs
+(* the faulting pair among a region's assumed keys, in either
+   orientation: a binary search per orientation, on every rollback *)
+let assumed_mem (region : Ir.Region.t) a b =
+  let keys = region.Ir.Region.assumed_no_alias in
+  Analysis.Pair_key.mem keys (Analysis.Pair_key.pack a b)
+  || Analysis.Pair_key.mem keys (Analysis.Pair_key.pack b a)
 
 let known_mem entry pair = Hashtbl.mem entry.known_alias_set (pair_key pair)
 
@@ -345,13 +347,15 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
         stats.Stats.rollbacks <- stats.Stats.rollbacks + 1;
         if hooks.is_injected v then
           stats.Stats.spurious_rollbacks <- stats.Stats.spurious_rollbacks + 1;
-        let pair = (v.Hw.Detector.setter, v.Hw.Detector.checker) in
-        if not (pair_mem pair entry.region.Ir.Region.assumed_no_alias) then
+        let setter = v.Hw.Detector.setter and checker = v.Hw.Detector.checker in
+        if not (assumed_mem entry.region setter checker) then
           stats.Stats.rollbacks_not_assumed <-
             stats.Stats.rollbacks_not_assumed + 1;
         if
           (not (hooks.is_injected v))
-          && pair_mem pair entry.region.Ir.Region.certified_no_alias
+          && List.mem
+               (min setter checker, max setter checker)
+               entry.region.Ir.Region.certified_no_alias
         then
           (* a genuine dynamic conflict on a statically certified pair:
              the rollback recovers the guest, but the certificate was

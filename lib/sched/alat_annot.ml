@@ -7,10 +7,12 @@ let annotate ~sb ~deps ~hazards ~issue_order ~ar_count =
   let pos id = Option.value (Hashtbl.find_opt issue_pos id) ~default:max_int in
   let advanced = Hashtbl.create 16 in
   (* dropped (store, load) pairs where the load really moved above *)
-  List.iter
-    (fun (first, second) ->
+  Array.iter
+    (fun key ->
+      let first = Analysis.Pair_key.first key
+      and second = Analysis.Pair_key.second key in
       if pos second < pos first then Hashtbl.replace advanced second ())
-    Hazards.(hazards.dropped);
+    hazards.Hazards.dropped;
   (* forwarding sources: the [second] of an extended dependence *)
   Analysis.Depgraph.iter_edges deps
     (fun ~first:_ ~second ~kind ~strength:_ ->
@@ -51,9 +53,10 @@ let annotate ~sb ~deps ~hazards ~issue_order ~ar_count =
     let pf = pos first and ps = pos second in
     if ps < pf && pf <> max_int then windows := (ps, pf) :: !windows
   in
-  List.iter
-    (fun (first, second) -> note_window first second)
-    Hazards.(hazards.dropped);
+  Array.iter
+    (fun key ->
+      note_window (Analysis.Pair_key.first key) (Analysis.Pair_key.second key))
+    hazards.Hazards.dropped;
   Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind:_ ~strength:_ ->
       note_window first second);
   let overflowing =

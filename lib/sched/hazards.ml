@@ -5,7 +5,7 @@ type t = {
   succ : int array;
   pred_start : int array;
   pred : int array;
-  dropped : (int * int) list;
+  dropped : int array;
 }
 
 (* RAW, WAR, WAW edges over the straight-line body (positions), on
@@ -263,11 +263,9 @@ let build_flat ~arena ~sb ~arr ~n ~ids ~index ~deps ~policy =
     pred_fill.(b) <- pred_fill.(b) - 1;
     pred.(pred_fill.(b)) <- a
   done;
-  (* key order is pair order, so the sorted, deduplicated keys unpack
-     into the normalized list *)
   A.sort_ints dropped_keys.A.buf ~lo:0 ~hi:dropped_keys.A.len;
   let dropped =
-    Analysis.Pair_key.to_pairs dropped_keys.A.buf ~len:dropped_keys.A.len
+    Analysis.Pair_key.sorted_unique dropped_keys.A.buf ~len:dropped_keys.A.len
   in
   { ids; index; succ_start; succ; pred_start; pred; dropped }
 

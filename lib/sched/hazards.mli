@@ -11,8 +11,6 @@
 
     Dropped may-alias edges are returned separately — they are the
     speculation assumptions the region records for re-optimization.
-    The list is normalized: ascending (first, second) order, no
-    duplicates.
 
     The builder emits the {e reduced} graph: exit fences become two
     edges per instruction (nearest blocking exit on each side, with the
@@ -32,7 +30,12 @@ type t = {
   succ : int array;  (** successor body positions, each row descending *)
   pred_start : int array;  (** [n + 1] row offsets into [pred] *)
   pred : int array;  (** predecessor body positions, each row descending *)
-  dropped : (int * int) list;  (** speculated-away may-alias pairs *)
+  dropped : int array;
+      (** speculated-away may-alias pairs as packed keys: the pair
+          [(first, second)] of a dropped dependence ([first] earlier in
+          the body) is [Analysis.Pair_key.pack first second], that is
+          [first * 2{^31} + second].  Ascending, which is
+          [(first, second)] tuple order, and duplicate-free. *)
 }
 (** The graph is stored once, position-indexed, in compressed sparse
     row form: one flat array of edge endpoints per direction plus row
@@ -53,8 +56,8 @@ val build :
 (** [?arena] lends the builder reusable scratch buffers (see
     {!Analysis.Arena}); the result never aliases arena storage.  Once
     the arena is warm a build allocates per result — the id, position
-    and row arrays and the dropped list — and nothing per operand or
-    per candidate edge.  Dropped pairs are collected as
+    and row arrays and the dropped key array — and nothing per operand,
+    per candidate edge or per dropped pair.  Dropped pairs are collected as
     {!Analysis.Pair_key.pack} keys, so instruction ids must lie in
     [[0, 2{^31})]. *)
 

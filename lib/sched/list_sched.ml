@@ -599,11 +599,9 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
           | _ -> acc)
         (-1) annots
   in
-  (* [@] would copy the dropped list even onto an empty tail *)
   let assumed =
-    match extra_assumed with
-    | [] -> hazards.Hazards.dropped
-    | _ -> hazards.Hazards.dropped @ extra_assumed
+    Analysis.Pair_key.union hazards.Hazards.dropped
+      (Analysis.Pair_key.of_pairs extra_assumed)
   in
   let region =
     Ir.Region.make ~entry:sb.Ir.Superblock.entry ~bundles
@@ -640,7 +638,7 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
       amov_fresh;
       amov_clear;
       ar_working_set = max_offset + 1;
-      dropped_pairs = List.length Hazards.(hazards.dropped);
+      dropped_pairs = Array.length hazards.Hazards.dropped;
       used_nonspec_mode = used_nonspec;
     }
   in

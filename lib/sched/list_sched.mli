@@ -86,8 +86,10 @@ val schedule :
   unit ->
   (outcome, failure) result
 (** [extra_assumed] lists speculation assumptions made by earlier
-    optimization passes (eliminations); they are recorded in the
-    region together with the dropped dependence pairs.  [Error] when
+    optimization passes (eliminations); the region's
+    [assumed_no_alias] keys are their sorted merge with the hazard
+    graph's dropped keys (the dropped array itself when there are
+    none).  [Error] when
     even non-speculation mode cannot fit the scheme's alias registers —
     callers fall back to a less speculative build of the region.
 

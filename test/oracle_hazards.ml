@@ -3,7 +3,7 @@
    all-pairs, unreduced graph — every register dependence, every
    non-dropped memory dependence and one edge per blocked
    (instruction, exit) pair — which the reduced builder must match in
-   transitive closure and dropped set.  It shares no code with the
+   transitive closure and dropped set (as packed keys).  It shares no code with the
    library builder: only the public [Hazards.t] record, the dependence
    graph's iterator and the policy's drop rule. *)
 
@@ -136,7 +136,13 @@ let build_arrays ~sb ~arr ~n ~ids ~index ~deps ~policy =
   register_edges ~arr ~add;
   let dropped = memory_edges ~arr ~pos_of:index ~deps ~policy ~add in
   control_edges ~sb ~arr ~add;
-  let dropped = List.sort_uniq compare dropped in
+  (* the record's key layout, packed here rather than through the
+     library's packer: (first, second) is first * 2^31 + second, so
+     the sorted tuples pack into ascending keys *)
+  let dropped =
+    Array.of_list
+      (List.map (fun (a, b) -> (a lsl 31) lor b) (List.sort_uniq compare dropped))
+  in
   of_rows ~ids ~index ~dropped succs_pos
 
 let build ~sb ~deps ~policy =

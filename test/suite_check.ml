@@ -413,7 +413,8 @@ let test_lost_edge_rejected_without_cert () =
   | V.Pass -> ()
   | V.Reject vs -> Alcotest.failf "honest artifact rejected: %s" (pp_violations vs));
   let alias = Analysis.May_alias.analyze ~body () in
-  Analysis.May_alias.set_certified alias [ (l1.I.id, s1.I.id) ];
+  Analysis.May_alias.set_certified alias
+    [| Analysis.Pair_key.norm l1.I.id s1.I.id |];
   let deps = Analysis.Depgraph.build ~body ~alias () in
   Alcotest.(check int) "the may-alias edge is gone" 0
     (List.length (Analysis.Depgraph.edges deps));
@@ -427,6 +428,64 @@ let test_lost_edge_rejected_without_cert () =
     Alcotest.(check (list string)) "rejected for the missing edge only"
       [ "dep_missing" ]
       (List.map (fun (v : V.violation) -> V.rule_name v.V.rule) vs)
+
+(* ---- the dropped-pair rule: each way a dropped key can be illegal *)
+
+(* [o] with its hazard graph's dropped keys replaced by [keys] (sorted:
+   the record's keys are ascending) *)
+let with_dropped (o : Opt.Optimizer.t) keys =
+  let keys = Array.of_list (List.sort_uniq compare keys) in
+  { o with Opt.Optimizer.hazards = { o.Opt.Optimizer.hazards with Sched.Hazards.dropped = keys } }
+
+let expect_dropped_illegal what o =
+  match verify o with
+  | V.Pass -> Alcotest.failf "%s passed" what
+  | V.Reject vs ->
+    Alcotest.(check (list string))
+      (what ^ ": rejected by the dropped-pair rule only")
+      [ "dropped_illegal" ]
+      (List.sort_uniq compare
+         (List.map (fun (v : V.violation) -> V.rule_name v.V.rule) vs))
+
+(* a store and two loads through other bases: two droppable
+   speculative store->load dependences, and no dependence between the
+   loads *)
+let store_two_loads () =
+  reset_ids ();
+  let s = st (I.Imm 1) (r 1) 0 in
+  let l1 = ld (f 0) (r 2) 0 in
+  let l2 = ld (f 1) (r 3) 0 in
+  (s, l1, l2, sb_of [ s; l1; l2 ])
+
+let honest what o =
+  match verify o with
+  | V.Pass -> ()
+  | V.Reject vs -> Alcotest.failf "%s: honest artifact rejected: %s" what (pp_violations vs)
+
+let test_dropped_not_speculative () =
+  let _, l1, l2, sb = store_two_loads () in
+  let o = optimize ~policy:(Sched.Policy.smarq ~ar_count:64) sb in
+  honest "smarq64" o;
+  let genuine = Array.to_list o.Opt.Optimizer.hazards.Sched.Hazards.dropped in
+  Alcotest.(check int) "both store->load pairs dropped" 2 (List.length genuine);
+  expect_dropped_illegal "load-load key"
+    (with_dropped o (Analysis.Pair_key.pack l1.I.id l2.I.id :: genuine))
+
+let test_dropped_endpoint_missing () =
+  let s, _, _, sb = store_two_loads () in
+  let o = optimize ~policy:(Sched.Policy.smarq ~ar_count:64) sb in
+  let genuine = Array.to_list o.Opt.Optimizer.hazards.Sched.Hazards.dropped in
+  expect_dropped_illegal "key to an id outside the body"
+    (with_dropped o (Analysis.Pair_key.pack s.I.id 9_999 :: genuine))
+
+let test_dropped_policy_forbids () =
+  let s, l1, _, sb = store_two_loads () in
+  let o = optimize ~policy:(Sched.Policy.none ()) sb in
+  honest "none" o;
+  Alcotest.(check int) "nothing dropped under none" 0
+    (Array.length o.Opt.Optimizer.hazards.Sched.Hazards.dropped);
+  expect_dropped_illegal "speculative pair dropped under none"
+    (with_dropped o [ Analysis.Pair_key.pack s.I.id l1.I.id ])
 
 let suite =
   ( "check",
@@ -445,4 +504,10 @@ let suite =
         test_campaign_gate;
       case "lost dependence edge rejected without a certificate"
         test_lost_edge_rejected_without_cert;
+      case "dropped key that is no speculative dependence rejected"
+        test_dropped_not_speculative;
+      case "dropped key with an endpoint outside the body rejected"
+        test_dropped_endpoint_missing;
+      case "dropped pair the policy may not drop rejected"
+        test_dropped_policy_forbids;
     ] )

@@ -160,14 +160,16 @@ let test_certified_set_upgrades_only_may () =
   let body = [ m1; m2; s1; l1; l2 ] in
   let precise = with_consts body in
   MA.set_certified precise
-    [ (s1.I.id, l1.I.id); (s1.I.id, l2.I.id) ];
+    (Analysis.Pair_key.of_pairs
+       [ (min s1.I.id l1.I.id, max s1.I.id l1.I.id);
+         (min s1.I.id l2.I.id, max s1.I.id l2.I.id) ]);
   Alcotest.check check_verdict "must-alias immune to certification"
     MA.Must_alias (MA.verdict precise s1 l1);
   Alcotest.check check_verdict "may-alias upgraded by certification"
     MA.No_alias (MA.verdict precise s1 l2);
   Alcotest.(check bool) "certified pair queryable both ways" true
     (MA.certified precise l2.I.id s1.I.id);
-  MA.set_certified precise [];
+  MA.set_certified precise [||];
   Alcotest.check check_verdict "reset clears the certified set"
     MA.May_alias (MA.verdict precise s1 l2)
 

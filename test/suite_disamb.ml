@@ -115,7 +115,7 @@ let test_certify_bump_pairs () =
   Alcotest.(check bool) "same-iteration pair not certified" false
     (D.no_alias cert l1.I.id s1.I.id);
   (* witnesses carry range separation anchored on the same origin *)
-  List.iter
+  Array.iter
     (fun (w : D.witness) ->
       Alcotest.(check bool) "witness origins match" true
         (AI.origin_equal w.D.x.D.origin w.D.y.D.origin);
@@ -124,7 +124,7 @@ let test_certify_bump_pairs () =
       | D.Congruence _ -> Alcotest.fail "bump pairs separate by range")
     (D.witnesses cert);
   (* installing the certificate upgrades the verdicts *)
-  MA.set_certified alias (D.pairs cert);
+  MA.set_certified alias (D.keys cert);
   Alcotest.check check_verdict "verdict upgraded to no-alias" MA.No_alias
     (MA.verdict alias s1 l2)
 
@@ -144,13 +144,13 @@ let test_certify_congruence_probe () =
   Alcotest.(check bool) "probe certified" true
     (D.no_alias cert s1.I.id l1.I.id);
   match D.witnesses cert with
-  | [ w ] ->
+  | [| w |] ->
     (match w.D.reason with
     | D.Congruence g ->
       Alcotest.(check bool) "gcd divides the probe stride" true
         (g > 1 && 16 mod g = 0)
     | D.Ranges -> Alcotest.fail "expected a congruence witness")
-  | ws -> Alcotest.failf "expected one witness, got %d" (List.length ws)
+  | ws -> Alcotest.failf "expected one witness, got %d" (Array.length ws)
 
 let test_cross_base_not_certified () =
   reset_ids ();

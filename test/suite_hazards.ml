@@ -41,7 +41,8 @@ let test_memory_edge_strengths () =
   Alcotest.(check bool) "may-alias edge dropped under smarq" false
     (has_edge h s_must.I.id l_may.I.id);
   Alcotest.(check bool) "dropped pair recorded" true
-    (List.mem (s_must.I.id, l_may.I.id) Sched.Hazards.(h.dropped));
+    (Analysis.Pair_key.mem Sched.Hazards.(h.dropped)
+       (Analysis.Pair_key.pack s_must.I.id l_may.I.id));
   (* under the none policy the same edge is a hard fence *)
   reset_ids ();
   let s2 = st ~width:8 (I.Imm 1) (r 1) 0 in
@@ -50,7 +51,7 @@ let test_memory_edge_strengths () =
   let h2 = build_hazards ~policy:(Sched.Policy.none ()) [ s2; l2m; l2 ] in
   Alcotest.(check bool) "kept under none" true (has_edge h2 s2.I.id l2.I.id);
   Alcotest.(check int) "nothing dropped" 0
-    (List.length Sched.Hazards.(h2.dropped))
+    (Array.length Sched.Hazards.(h2.dropped))
 
 let test_branch_ordering () =
   reset_ids ();

@@ -118,7 +118,7 @@ let test_region_utils () =
   let sb = sb_of [ l1 ] in
   let region =
     Ir.Region.make ~entry:"e" ~bundles:[| [ l1 ]; []; [ mk I.Nop ] |]
-      ~final_exit:None ~ar_window:0 ~assumed_no_alias:[] ~source:sb ()
+      ~final_exit:None ~ar_window:0 ~assumed_no_alias:[||] ~source:sb ()
   in
   Alcotest.(check int) "schedule length" 3 (Ir.Region.schedule_length region);
   Alcotest.(check int) "instr count" 2 (Ir.Region.instr_count region);

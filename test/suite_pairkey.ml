@@ -75,8 +75,27 @@ let sb_arb =
     ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
     QCheck.Gen.(pair (int_bound 1_000_000) (int_range 10 120))
 
-(* [Hazards.dropped] equals the droppable speculative real dependences,
-   recomputed as tuples and normalized with [List.sort_uniq compare] *)
+let strictly_ascending keys =
+  let ok = ref true in
+  Array.iteri (fun k key -> if k > 0 && key <= keys.(k - 1) then ok := false) keys;
+  !ok
+
+let decode keys = Array.to_list (Array.map (fun k -> (PK.first k, PK.second k)) keys)
+
+(* every scheme, plus the non-speculative and store-fenced variants *)
+let all_policies =
+  [
+    Sched.Policy.smarq ~ar_count:64;
+    Sched.Policy.naive_order ~ar_count:64;
+    Sched.Policy.alat ();
+    Sched.Policy.efficeon ();
+    Sched.Policy.smarq_no_store_reorder ~ar_count:64;
+    Sched.Policy.none ();
+  ]
+
+(* [Hazards.dropped] is strictly ascending and decodes to the droppable
+   speculative real dependences, recomputed as tuples and normalized
+   with [List.sort_uniq compare] *)
 let prop_dropped_recomputed (seed, n_instrs) =
   let params =
     { Workload.Genprog.default_params with n_instrs; side_exit_every = Some 12 }
@@ -97,24 +116,50 @@ let prop_dropped_recomputed (seed, n_instrs) =
                  ~second:(Hashtbl.find by_id second)
           then expected := (first, second) :: !expected);
       let hazards = Sched.Hazards.build ~sb ~deps ~policy () in
-      Sched.Hazards.(hazards.dropped) = List.sort_uniq compare !expected)
-    [
-      Sched.Policy.smarq ~ar_count:64;
-      Sched.Policy.alat ();
-      Sched.Policy.smarq_no_store_reorder ~ar_count:64;
-      Sched.Policy.none ();
-    ]
+      let d = Sched.Hazards.(hazards.dropped) in
+      strictly_ascending d && decode d = List.sort_uniq compare !expected)
+    all_policies
 
-(* ---- allocation budgets ---- *)
+(* ---- region assumed keys: dropped keys merged with Elim's pairs ---- *)
 
-(* words the minor heap saw while [f ()] ran *)
-let minor_words_of f =
-  let before = Gc.minor_words () in
-  f ();
-  int_of_float (Gc.minor_words () -. before)
+(* The optimizer's build, by hand: elimination, the analysis over the
+   final body, the dependence graph, then the scheduler with Elim's
+   assumed pairs plus every other dropped pair again (so the merge
+   meets duplicates).  The region's keys are strictly ascending and
+   decode to the sorted-unique union of the dropped pairs and the extra
+   pairs. *)
+let prop_assumed_union (seed, n_instrs) =
+  let params =
+    { Workload.Genprog.default_params with n_instrs; side_exit_every = Some 12 }
+  in
+  let sb, _ = Workload.Genprog.superblock ~seed ~params in
+  List.for_all
+    (fun policy ->
+      let body = sb.Ir.Superblock.body in
+      let fresh_id = ref (Ir.Superblock.max_instr_id sb + 1_000) in
+      let elim = Opt.Elim.run ~policy ~alias:(MA.analyze ~body ()) ~body ~fresh_id in
+      let body' = elim.Opt.Elim.body in
+      let sb' = { sb with Ir.Superblock.body = body' } in
+      let deps =
+        Analysis.Depgraph.build ~body:body' ~alias:(MA.analyze ~body:body' ())
+          ~eliminated:elim.Opt.Elim.eliminations ()
+      in
+      let dropped = decode Sched.Hazards.((build ~sb:sb' ~deps ~policy ()).dropped) in
+      let again = List.filteri (fun k _ -> k mod 2 = 0) dropped in
+      let extra = elim.Opt.Elim.assumed_no_alias @ again in
+      match
+        Sched.List_sched.schedule ~sb:sb' ~deps ~policy ~issue_width:4 ~mem_ports:2
+          ~latency:default_latency ~fresh_id ~extra_assumed:extra ()
+      with
+      | Error _ -> true  (* out of alias registers: the optimizer falls back *)
+      | Ok out ->
+        let a = out.Sched.List_sched.region.Ir.Region.assumed_no_alias in
+        strictly_ascending a
+        && decode out.Sched.List_sched.hazards.Sched.Hazards.dropped = dropped
+        && decode a = List.sort_uniq compare (dropped @ extra))
+    all_policies
 
-(* the measurement's own boxed floats and closures *)
-let slack = 64
+(* ---- the certificate against a hashtable recomputation ---- *)
 
 (* [units] iterations of: a store through a temporary base, a bump of
    that base, a second store through it, and a load through a shared
@@ -133,6 +178,109 @@ let unit_body units =
            ld ~width:8 (f 0) (r 2) (8 * u);
          ]))
 
+
+module AI = Analysis.Absint
+
+(* The certifier as a table keyed by normalized id tuples, replaced in
+   discovery order (a pair found twice keeps its last witness), then
+   read back in key order. *)
+let certify_oracle ~alias ~body =
+  let facts =
+    match MA.const_facts alias with Some f -> f | None -> AI.analyze ~body
+  in
+  let table = Hashtbl.create 32 in
+  let mems = Array.of_list (List.filter I.is_memory body) in
+  let fact (i : I.t) (v : AI.value) width =
+    { D.instr = i.I.id; width; origin = v.AI.origin; scale = v.AI.scale; off = v.AI.off }
+  in
+  Array.iteri
+    (fun a (x : I.t) ->
+      for b = a + 1 to Array.length mems - 1 do
+        let y = mems.(b) in
+        match (AI.address facts x.I.id, AI.address facts y.I.id) with
+        | Some (vx, wx), Some (vy, wy)
+          when (I.is_store x || I.is_store y) && MA.verdict alias x y = MA.May_alias -> (
+          match AI.separated vx wx vy wy with
+          | Some sep ->
+            let reason =
+              match sep with AI.Ranges -> D.Ranges | AI.Congruence g -> D.Congruence g
+            in
+            Hashtbl.replace table (norm (x.I.id, y.I.id))
+              { D.x = fact x vx wx; y = fact y vy wy; reason }
+          | None -> ())
+        | _ -> ()
+      done)
+    mems;
+  let pairs = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) table []) in
+  ( Array.of_list (List.map (fun (a, b) -> PK.norm a b) pairs),
+    Array.of_list (List.map (Hashtbl.find table) pairs) )
+
+(* a random superblock followed by bump units (whose pairs the
+   certifier proves), with some memory ops re-numbered onto an earlier
+   memory op's id *)
+let cert_body_arb =
+  QCheck.make
+    ~print:(fun (seed, n, dups) -> Printf.sprintf "seed=%d n=%d dups=%d" seed n dups)
+    QCheck.Gen.(triple (int_bound 1_000_000) (int_range 10 60) (int_bound 4))
+
+let cert_body (seed, n_instrs, dups) =
+  let params =
+    { Workload.Genprog.default_params with n_instrs; side_exit_every = Some 12 }
+  in
+  let sb, _ = Workload.Genprog.superblock ~seed ~params in
+  let units = unit_body (1 + (seed mod 6)) in
+  let base = Ir.Superblock.max_instr_id sb + 1 in
+  let body =
+    sb.Ir.Superblock.body
+    @ List.map (fun (i : I.t) -> I.make ~id:(base + i.I.id) i.I.op) units
+  in
+  let arr = Array.of_list body in
+  let mem_pos =
+    Array.of_list
+      (List.filter_map (fun p -> if I.is_memory arr.(p) then Some p else None)
+         (List.init (Array.length arr) Fun.id))
+  in
+  let prng = Random.State.make [| seed |] in
+  let m = Array.length mem_pos in
+  for _ = 1 to dups do
+    if m >= 2 then begin
+      let a = Random.State.int prng m and b = Random.State.int prng m in
+      let p = mem_pos.(max a b) and q = mem_pos.(min a b) in
+      arr.(p) <- I.make ~id:arr.(q).I.id arr.(p).I.op
+    end
+  done;
+  Array.to_list arr
+
+let prop_certificate_recomputed arb =
+  let body = cert_body arb in
+  let alias = MA.analyze ~const_facts:(AI.analyze ~body) ~body () in
+  let cert = D.certify ~alias ~body in
+  let keys, ws = certify_oracle ~alias ~body in
+  (* [of_witnesses]: the witnesses, then some again with another
+     reason — the later copy wins *)
+  let listed = Array.to_list ws in
+  let again = List.filteri (fun k _ -> k mod 3 = 0) listed in
+  let relisted = listed @ List.map (fun w -> { w with D.reason = D.Congruence 7 }) again in
+  let table = Hashtbl.create 16 in
+  List.iter (fun (w : D.witness) -> Hashtbl.replace table (PK.norm w.D.x.D.instr w.D.y.D.instr) w) relisted;
+  let forged = D.of_witnesses relisted in
+  D.keys cert = keys
+  && D.witnesses cert = ws
+  && D.pairs cert = decode keys
+  && D.keys forged = keys
+  && D.witnesses forged = Array.map (Hashtbl.find table) keys
+
+(* ---- allocation budgets ---- *)
+
+(* words the minor heap saw while [f ()] ran *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
+(* the measurement's own boxed floats and closures *)
+let slack = 64
+
 let mem_pairs body =
   let mems = Array.of_list (List.filter I.is_memory body) in
   let n = Array.length mems in
@@ -147,7 +295,7 @@ let test_verdict_allocates_nothing () =
   let known_alias = [ (mems.(0).I.id, mems.(5).I.id) ] in
   let alias = MA.analyze ~known_alias ~const_facts ~body () in
   let cert = D.certify ~alias ~body in
-  MA.set_certified alias (D.pairs cert);
+  MA.set_certified alias (D.keys cert);
   let pairs = mem_pairs body in
   let calls n =
     minor_words_of (fun () ->
@@ -194,6 +342,110 @@ let test_certify_budget () =
     true
     (w4 - w1 <= budget)
 
+(* ---- the checker allocates per instruction, not per pair ---- *)
+
+(* words allocated while [f ()] runs, minor heap and directly in the
+   major heap (arrays too large for the minor heap go there).  The
+   fewest of three runs: a minor collection inside the span can skew
+   one reading of the counters by up to a minor heap. *)
+let words_of f =
+  let once () =
+    let m0, p0, j0 = Gc.counters () in
+    f ();
+    let m1, p1, j1 = Gc.counters () in
+    int_of_float (m1 -. m0 +. (j1 -. p1) -. (j0 -. p0))
+  in
+  min (once ()) (min (once ()) (once ()))
+
+(* Equal bodies up to base registers: one ALU op, [k] loads, then [k]
+   stores through [r1].  The first [far] loads go through another base,
+   the rest through [r1] at displacements no store touches, so only the
+   [far] loads pair with stores: [far * k] store/load pairs.  With
+   [~computed:false] the other base is the entry register [r2], each
+   pair a speculative dependence the policy drops; the loads carry the
+   larger latency and issue first, so no pair is reordered and no alias
+   register is needed.  With [~computed:true] it is [t3 = r1 + 4096],
+   and the certifier proves every pair disjoint. *)
+let paired_body ~k ~far ~computed =
+  reset_ids ();
+  let t3 = Ir.Reg.T 3 in
+  let alu, other =
+    if computed then (mk (I.Binop (I.Add, t3, I.Reg (r 1), I.Imm 4096)), t3)
+    else (mk (I.Binop (I.Mul, t3, I.Reg (r 9), I.Reg (r 9))), r 2)
+  in
+  let loads =
+    List.init k (fun j ->
+        if j < far then ld ~width:8 (f j) other (8 * j)
+        else ld ~width:8 (f j) (r 1) (2048 + (8 * j)))
+  in
+  let stores = List.init k (fun j -> st ~width:8 (I.Imm j) (r 1) (8 * j)) in
+  sb_of ((alu :: loads) @ stores)
+
+(* the pair counts differ 4x; the words may differ by this ratio *)
+let pair_ratio_bound = 1.05
+
+let check_ratio what ~few ~many =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d words with 4x the pairs, %d without (ratio %.3f, bound %.2f)"
+       what many few (float_of_int many /. float_of_int few) pair_ratio_bound)
+    true
+    (float_of_int many <= pair_ratio_bound *. float_of_int few)
+
+let verify_words o =
+  let run () =
+    match Check.Verifier.verify ~issue_width:4 ~mem_ports:2 ~latency:default_latency o with
+    | Check.Verifier.Pass -> ()
+    | Check.Verifier.Reject _ -> Alcotest.fail "honest artifact rejected"
+  in
+  run ();
+  words_of run
+
+(* loads and stores per paired body *)
+let side = 32
+
+let test_verify_per_instruction () =
+  List.iter
+    (fun policy ->
+      let build far =
+        let o = optimize ~policy (paired_body ~k:side ~far ~computed:false) in
+        Alcotest.(check bool) "no fallback" false o.Opt.Optimizer.stats.Opt.Optimizer.fell_back;
+        Alcotest.(check int)
+          (policy.Sched.Policy.name ^ ": dropped pairs")
+          (far * side)
+          (Array.length o.Opt.Optimizer.hazards.Sched.Hazards.dropped);
+        verify_words o
+      in
+      let few = build (side / 4) and many = build side in
+      check_ratio (policy.Sched.Policy.name ^ " verify") ~few ~many)
+    [ Sched.Policy.smarq ~ar_count:64; Sched.Policy.naive_order ~ar_count:64; Sched.Policy.efficeon () ]
+
+let test_witness_check_per_instruction () =
+  let policy = Sched.Policy.with_certify (Sched.Policy.smarq ~ar_count:64) in
+  let build far =
+    let o = optimize ~policy (paired_body ~k:side ~far ~computed:true) in
+    let cert = Option.get o.Opt.Optimizer.cert in
+    Alcotest.(check int) "certified pairs" (far * side) (D.count cert);
+    Alcotest.(check int) "nothing dropped" 0
+      (Array.length o.Opt.Optimizer.hazards.Sched.Hazards.dropped);
+    let body =
+      Check.Witness.index (Array.of_list o.Opt.Optimizer.region.Ir.Region.source.Ir.Superblock.body)
+    in
+    let check () =
+      match
+        Check.Witness.check ~cert ~body
+          ~region_certified:o.Opt.Optimizer.region.Ir.Region.certified_no_alias
+          ~deps:o.Opt.Optimizer.deps
+      with
+      | [] -> ()
+      | _ -> Alcotest.fail "honest certificate rejected"
+    in
+    check ();
+    (words_of check, verify_words o)
+  in
+  let few_check, few_verify = build (side / 4) and many_check, many_verify = build side in
+  check_ratio "witness check" ~few:few_check ~many:many_check;
+  check_ratio "verify with a certificate" ~few:few_verify ~many:many_verify
+
 let suite =
   ( "pair keys",
     [
@@ -207,6 +459,14 @@ let suite =
         test_out_of_range_rejected;
       qcase ~count:100 "dropped keys = tuple recomputation" sb_arb
         prop_dropped_recomputed;
+      qcase ~count:100 "region assumed keys = dropped and Elim pairs merged" sb_arb
+        prop_assumed_union;
+      qcase ~count:100 "certificate keys and witnesses = table recomputation"
+        cert_body_arb prop_certificate_recomputed;
       case "verdict and no_alias allocate nothing" test_verdict_allocates_nothing;
       case "certify allocates per certified pair" test_certify_budget;
+      case "verify allocates per instruction, not per dropped pair"
+        test_verify_per_instruction;
+      case "witness check allocates per instruction, not per certified pair"
+        test_witness_check_per_instruction;
     ] )

@@ -85,7 +85,7 @@ let test_window_guard () =
   let sb = sb_of [ l1 ] in
   let region =
     Ir.Region.make ~entry:"t" ~bundles:[| [ l1 ] |] ~final_exit:None
-      ~ar_window:100 ~assumed_no_alias:[] ~source:sb ()
+      ~ar_window:100 ~assumed_no_alias:[||] ~source:sb ()
   in
   let machine = Vliw.Machine.create () in
   Alcotest.check_raises "window too large"
@@ -188,7 +188,7 @@ let minor_words_of f =
 let straight_region body =
   Ir.Region.make ~entry:"t"
     ~bundles:(Array.of_list (List.map (fun i -> [ i ]) body))
-    ~final_exit:None ~ar_window:0 ~assumed_no_alias:[] ~source:(sb_of body) ()
+    ~final_exit:None ~ar_window:0 ~assumed_no_alias:[||] ~source:(sb_of body) ()
 
 let run_words machine region =
   let detector = Hw.No_detect.detector () in
@@ -300,7 +300,7 @@ let queue_ops n =
 let queue_region body =
   Ir.Region.make ~entry:"t"
     ~bundles:(Array.of_list (List.map (fun i -> [ i ]) body))
-    ~final_exit:None ~ar_window:64 ~assumed_no_alias:[] ~source:(sb_of body) ()
+    ~final_exit:None ~ar_window:64 ~assumed_no_alias:[||] ~source:(sb_of body) ()
 
 let test_queue_checks_allocate_nothing () =
   reset_ids ();
