@@ -211,7 +211,10 @@ let run_cmd =
     let config =
       { cli_config with tcache_policy; tcache_capacity; verify; certify }
     in
-    let r = fst (Verify.Oracle.run_scheme ~config ?fault ~scheme program) in
+    let r =
+      Smarq.run_program ~config ?hooks:(Option.map Verify.Fault.hooks fault)
+        ~scheme program
+    in
     Printf.printf "%s under %s (scale %d, tcache %s%s%s):\n" bench
       (Smarq.Scheme.name scheme) scale
       (Smarq.Tcache.Policy.to_string tcache_policy)

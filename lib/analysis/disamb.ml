@@ -25,8 +25,8 @@ let key_of w = Pair_key.norm w.x.instr w.y.instr
 
 (* The certificate of [m] witnesses given newest first.  Positions are
    sorted by (key, age), so each run of equal keys ends with the newest
-   witness: a pair certified twice (a body with a duplicated id) keeps
-   its last witness. *)
+   witness, the one kept.  Only a forged list ([of_witnesses]) can name
+   a pair twice: [certify] visits each pair of a body once. *)
 let of_rev_list rev m =
   match rev with
   | [] -> { keys = [||]; ws = [||] }

@@ -51,9 +51,7 @@ val certify : alias:May_alias.t -> body:Ir.Instr.t list -> t
 
     The certificate is two parallel arrays: the certified pairs as
     ascending, duplicate-free {!Pair_key.norm} keys ([min * 2{^31} +
-    max], which is normalized-tuple order) and one witness per key.
-    When a body repeats an id, so that one key is certified more than
-    once, the witness found last wins. *)
+    max], which is normalized-tuple order) and one witness per key. *)
 
 val no_alias : t -> int -> int -> bool
 (** Is the unordered pair certified?  A binary search over {!keys}. *)

@@ -138,9 +138,8 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   in
   (* Every rule works from two position-indexed views: the body in
      program order, and the region flattened bundle by bundle
-     (execution order) with each instruction's issue cycle.  An id
-     resolves to its last body position and to its first flat
-     position. *)
+     (execution order) with each instruction's issue cycle.  Both must
+     name each instruction by a unique id; that is checked first. *)
   let body = Witness.index (Array.of_list sb.Ir.Superblock.body) in
   let arr = body.Witness.instrs in
   let n = Array.length arr in
@@ -150,17 +149,21 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   let k = ref 0 in
   Array.iteri (fun cycle bundle -> k := lay_bundle flat_arr cyc_at cycle !k bundle) bundles;
   let flat = Witness.index flat_arr in
-  let pos_of id = Witness.first_pos flat id in
+  let pos_of id = Witness.pos flat id in
   let cyc_of id =
     let p = pos_of id in
     if p >= 0 then cyc_at.(p) else -1
   in
-  let body_pos id = Witness.last_pos body id in
-  Array.iteri
-    (fun idx (i : Ir.Instr.t) ->
-      if pos_of i.id <> idx then
-        flag Sched_complete "instruction %d appears more than once" i.id)
-    flat_arr;
+  let body_pos id = Witness.pos body id in
+  let unique view (v : Witness.indexed) =
+    Array.iteri
+      (fun p (i : Ir.Instr.t) ->
+        if Witness.pos v i.id <> p then
+          flag Sched_complete "%s id %d names more than one instruction" view i.id)
+      v.Witness.instrs
+  in
+  unique "body" body;
+  unique "region" flat;
 
   (* ---- completeness: the region is the superblock body plus splices *)
   Array.iter
@@ -188,10 +191,10 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
 
   (* The cycle-precedence rule the scheduler enforces on every hazard
      edge: successor issues no earlier than predecessor issue plus the
-     predecessor's full latency.  Per body position: the issue cycle of
-     its id and the latency of the instruction that id resolves to. *)
+     predecessor's full latency.  Per body position: its issue cycle and
+     its latency. *)
   let bcyc = Array.map (fun (i : Ir.Instr.t) -> cyc_of i.id) arr in
-  let blat = Array.map (fun (i : Ir.Instr.t) -> latency arr.(body_pos i.id)) arr in
+  let blat = Array.map latency arr in
   let require_at rule pa cb b what =
     let ca = bcyc.(pa) in
     if ca >= 0 && cb >= 0 then begin
@@ -240,7 +243,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
     let u = ref use_head.(s) in
     while !u >= 0 do
       let pu = use_pos.(!u) in
-      if arr.(pu).id <> arr.(p).id then require Def_before_use pu p "war";
+      if pu <> p then require Def_before_use pu p "war";
       u := use_next.(!u)
     done;
     last_def.(s) <- p;
@@ -335,8 +338,8 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
       if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Speculative
       then begin
-        let x = Witness.last_pos mem_index first
-        and y = Witness.last_pos mem_index second in
+        let x = Witness.pos mem_index first
+        and y = Witness.pos mem_index second in
         if x >= 0 && y >= 0 then bits_set spec_bits m x y
       end);
   let dropped = hazards.Sched.Hazards.dropped in
@@ -346,7 +349,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
       if k > 0 && key <= dropped.(k - 1) then
         flag Dropped_illegal "dropped pair %d,%d repeats or is out of key order"
           f s;
-      let x = Witness.last_pos mem_index f and y = Witness.last_pos mem_index s in
+      let x = Witness.pos mem_index f and y = Witness.pos mem_index s in
       if x < 0 || y < 0 then
         flag Dropped_illegal "dropped pair %d,%d not in the body" f s
       else if not (bits_mem spec_bits m x y) then
@@ -605,7 +608,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
               if offset < 0 || offset >= ar_count then
                 flag Alloc_window "op %d offset %d outside [0,%d)" i.id offset
                   ar_count;
-              let o = Witness.last_pos mem_index i.id in
+              let o = Witness.pos mem_index i.id in
               if o >= 0 && !qbase + offset <> o then
                 flag Queue_base_sync
                   "op %d at base %d + offset %d, but program order %d" i.id

@@ -317,8 +317,8 @@ let key_hi k = k land ((1 lsl key_bits) - 1)
 
 (* An instruction sequence (a body, or a region flattened bundle by
    bundle) with its ids packed as [ordered_key id position] and sorted:
-   an id's first or last position is a binary search, and no table is
-   keyed by id.  One int per instruction. *)
+   an id's position is a binary search, and no table is keyed by id.
+   One int per instruction. *)
 type indexed = {
   instrs : Ir.Instr.t array;
   ids : int array;
@@ -340,23 +340,12 @@ let lower_bound keys k =
 
 let in_range id = id lsr key_bits = 0
 
-(* the first / last position of [id], -1 when absent *)
-let first_pos t id =
+(* the position of [id] (its first, should it repeat), -1 when absent *)
+let pos t id =
   if not (in_range id) then -1
   else
     let x = lower_bound t.ids (id lsl key_bits) in
     if x < Array.length t.ids && key_lo t.ids.(x) = id then key_hi t.ids.(x) else -1
-
-let last_pos t id =
-  if not (in_range id) then -1
-  else
-    let next = id + 1 in
-    let x =
-      (if in_range next then lower_bound t.ids (next lsl key_bits)
-       else Array.length t.ids)
-      - 1
-    in
-    if x >= 0 && key_lo t.ids.(x) = id then key_hi t.ids.(x) else -1
 
 (* the memory operations of a body, in body order *)
 let memory_ops arr =
@@ -446,7 +435,7 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
           flag (Endpoints (Printf.sprintf "witness for pair (%d,%d) out of pair order"
                              (key_lo p) (key_hi p)))
       end;
-      let px = last_pos body xi and py = last_pos body yi in
+      let px = pos body xi and py = pos body yi in
       if px < 0 || py < 0 then
         flag
           (Endpoints
@@ -576,7 +565,7 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
              (Printf.sprintf
                 "certified pair (%d,%d) still carries a dependence edge"
                 (min first second) (max first second)));
-      let x = last_pos mem_index first and y = last_pos mem_index second in
+      let x = pos mem_index first and y = pos mem_index second in
       if x >= 0 && y >= 0 then set_bit (bit (min x y) (max x y)));
 
   (* completeness: every replay-may pair needs an edge or a witness.

@@ -21,11 +21,6 @@ let exit_live_out t id =
 let memory_ops t = List.filter Instr.is_memory t.body
 let side_exits t = List.filter Instr.is_side_exit t.body
 
-let program_position t =
-  let tbl = Hashtbl.create (List.length t.body * 2) in
-  List.iteri (fun idx (i : Instr.t) -> Hashtbl.replace tbl i.id idx) t.body;
-  tbl
-
 let instr_count t = List.length t.body
 
 let max_instr_id t =

@@ -44,10 +44,6 @@ val memory_ops : t -> Instr.t list
 
 val side_exits : t -> Instr.t list
 
-val program_position : t -> (int, int) Hashtbl.t
-(** Map from instruction id to its 0-based index in [body] — the
-    original program execution order used by dependence analysis. *)
-
 val instr_count : t -> int
 val max_instr_id : t -> int
 val pp : Format.formatter -> t -> unit

@@ -75,6 +75,9 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
 
 let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
     ?(known_alias = []) ?profile ?arena sb =
+  (* ids stay unique in the region: every id this call hands out lies
+     above the superblock's, whatever counter it was issued from *)
+  fresh_id := max !fresh_id (Ir.Superblock.max_instr_id sb + 1);
   let work_units = 2 * Ir.Superblock.instr_count sb in
   let finish ~fell_back ~policy_used
       ( (outcome : Sched.List_sched.outcome),

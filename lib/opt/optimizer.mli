@@ -55,7 +55,13 @@ val optimize :
   ?arena:Analysis.Arena.t ->
   Ir.Superblock.t ->
   t
-(** Fails with [Failure] only if the no-speculation tier cannot be
+(** Ids: given a superblock with unique ids, the region's ids are
+    unique whatever [fresh_id] holds.  Every id the translation adds
+    (temporaries, AMOVs, ROTATEs) is drawn from [fresh_id] after it is
+    raised above {!Ir.Superblock.max_instr_id}: a superblock cached by
+    an earlier run may carry ids above the caller's counter.
+
+    Fails with [Failure] only if the no-speculation tier cannot be
     built, an invariant violation.  [profile], when
     given, accumulates per-phase translation timers and per-region
     instruction counts across every attempt (including fallback
@@ -71,7 +77,9 @@ type request = {
   sb : Ir.Superblock.t;
   policy : Sched.Policy.t;
   known_alias : (int * int) list;
-  fresh_base : int;  (** driver id counter at capture time *)
+  fresh_base : int;
+      (** driver id counter at capture time; the translation's ids are
+          a pure function of [sb] and this base (see {!optimize}) *)
 }
 
 val run_request :

@@ -275,7 +275,12 @@ let build ~sb ~deps ~policy ?arena () =
   let n = Array.length arr in
   let ids = Array.map (fun (i : Ir.Instr.t) -> i.Ir.Instr.id) arr in
   let index = Hashtbl.create (2 * max 1 n) in
-  Array.iteri (fun pos id -> Hashtbl.replace index id pos) ids;
+  Array.iteri
+    (fun pos id ->
+      if Hashtbl.mem index id then
+        invalid_arg (Printf.sprintf "Hazards.build: id %d repeats in the body" id);
+      Hashtbl.add index id pos)
+    ids;
   let arena =
     match arena with Some a -> a | None -> Analysis.Arena.create ()
   in

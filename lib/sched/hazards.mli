@@ -23,7 +23,8 @@
 
 type t = {
   ids : int array;  (** instruction ids in body order *)
-  index : (int, int) Hashtbl.t;  (** instr id -> body position *)
+  index : (int, int) Hashtbl.t;
+      (** instr id -> body position; ids are unique in the body *)
   succ_start : int array;
       (** [n + 1] row offsets into [succ]: the successors of position
           [p] are [succ.(succ_start.(p)) .. succ.(succ_start.(p+1) - 1)] *)
@@ -59,7 +60,9 @@ val build :
     and row arrays and the dropped key array — and nothing per operand,
     per candidate edge or per dropped pair.  Dropped pairs are collected as
     {!Analysis.Pair_key.pack} keys, so instruction ids must lie in
-    [[0, 2{^31})]. *)
+    [[0, 2{^31})].  Raises [Invalid_argument] when the body repeats an
+    id: every later pass names instructions by id, so a repeat is a
+    bug upstream (see [Opt.Optimizer.optimize]). *)
 
 val iter_succs : t -> int -> (int -> unit) -> unit
 (** [iter_succs t p f] applies [f] to the successor positions of body

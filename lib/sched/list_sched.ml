@@ -124,44 +124,30 @@ module Heap = struct
     top
 end
 
-(* Ids are meant to be unique within a body, but a body can carry one
-   id twice.  Every occurrence of an id then stands for its last
-   position — its height, the releases of edges into it and its
-   annotations — the rule of the id-keyed tables that fixed the
-   existing schedules.  [canon.(p)] is the last position holding [p]'s
-   id, so [canon.(p) >= p]; without duplicates it is the identity. *)
-let canonical (hazards : Hazards.t) =
-  Array.map (fun id -> Hashtbl.find hazards.index id) hazards.ids
-
 (* Critical-path heights by body position: the longest
    latency-weighted path from an instruction to any sink through the
    hazard edges; the list scheduler picks ready instructions of
    greatest height first, the classic heuristic for in-order VLIW
    scheduling.  Every hazard edge points forward in body position, so
    one reverse sweep sees each successor's height before it is needed;
-   a backward edge would be a builder bug and fails loudly.  An earlier
-   occurrence of a duplicated id takes its last occurrence's height. *)
-let heights_of ~(hazards : Hazards.t) ~canon lat =
+   a backward edge would be a builder bug and fails loudly. *)
+let heights_of ~(hazards : Hazards.t) lat =
   let n = Array.length lat in
   let h = Array.make n 0 in
   for p = n - 1 downto 0 do
-    if canon.(p) <> p then h.(p) <- h.(canon.(p))
-    else begin
-      let best = ref 0 in
-      for x = hazards.succ_start.(p) to hazards.succ_start.(p + 1) - 1 do
-        let s = hazards.succ.(x) in
-        if s <= p then
-          invalid_arg "List_sched.heights: hazard edge does not point forward";
-        if h.(s) > !best then best := h.(s)
-      done;
-      h.(p) <- lat.(p) + !best
-    end
+    let best = ref 0 in
+    for x = hazards.succ_start.(p) to hazards.succ_start.(p + 1) - 1 do
+      let s = hazards.succ.(x) in
+      if s <= p then
+        invalid_arg "List_sched.heights: hazard edge does not point forward";
+      if h.(s) > !best then best := h.(s)
+    done;
+    h.(p) <- lat.(p) + !best
   done;
   h
 
 let heights ~body ~hazards ~latency =
-  heights_of ~hazards ~canon:(canonical hazards)
-    (Array.of_list (List.map latency body))
+  heights_of ~hazards (Array.of_list (List.map latency body))
 
 (* Scheduler state, made once per region.  Release buckets are int
    linked lists indexed by cycle ([bucket_head], grown on demand, and
@@ -175,7 +161,6 @@ type state = {
   is_mem : bool array;
   is_br : bool array;
   hz : Hazards.t;
-  canon : int array;
   indeg : int array;
   scheduled : bool array;
   ready_at : int array;
@@ -240,7 +225,7 @@ let issue st c p =
   st.count <- st.count + 1;
   let hz = st.hz in
   for x = hz.Hazards.succ_start.(p) to hz.Hazards.succ_start.(p + 1) - 1 do
-    let s = st.canon.(hz.Hazards.succ.(x)) in
+    let s = hz.Hazards.succ.(x) in
     st.relmax.(s) <- Int.max st.relmax.(s) (c + st.lat.(p));
     st.indeg.(s) <- st.indeg.(s) - 1;
     if st.indeg.(s) = 0 then begin
@@ -305,13 +290,13 @@ let best_candidate st =
    Reads the hazard rows in place and allocates per region, not per
    edge or per cycle.  Stops early once the SMARQ allocator has
    overflowed: the schedule will be discarded. *)
-let schedule_core ~body ~hazards ~canon ~issue_width ~mem_ports ~latency
+let schedule_core ~body ~hazards ~issue_width ~mem_ports ~latency
     ~alloc =
   let n = Array.length body in
   if n = 0 then Ok ({ cycle = [||]; pos = [||]; count = 0; length = 1 }, false)
   else begin
     let lat = Array.map latency body in
-    let height = heights_of ~hazards ~canon lat in
+    let height = heights_of ~hazards lat in
     let is_mem = Array.map Ir.Instr.is_memory body in
     let mem_pos =
       Array.make (Array.fold_left (fun k m -> if m then k + 1 else k) 0 is_mem) 0
@@ -332,7 +317,6 @@ let schedule_core ~body ~hazards ~canon ~issue_width ~mem_ports ~latency
         is_mem;
         is_br = Array.map Ir.Instr.is_branch body;
         hz = hazards;
-        canon;
         indeg =
           Array.init n (fun p ->
               hazards.Hazards.pred_start.(p + 1) - hazards.Hazards.pred_start.(p));
@@ -452,7 +436,7 @@ let issue_seq_of ~body (issued : issued) =
    anchor are an int linked list over the insertion array, newest
    first, and Rotate ids are numbered up front so they still count up
    in issue order. *)
-let materialize ~body ~index ~canon ~(issued : issued) ~annots ~rotations
+let materialize ~body ~index ~(issued : issued) ~annots ~rotations
     ~amovs ~fresh_id =
   let n = Array.length body in
   let pos_of id =
@@ -484,10 +468,9 @@ let materialize ~body ~index ~canon ~(issued : issued) ~annots ~rotations
         amov_head.(p) <- x
       end)
     amov_arr;
-  (* the tables are by id: every occurrence reads its last position *)
   let rotates = ref 0 in
   for k = 0 to issued.count - 1 do
-    if rot.(canon.(issued.pos.(k))) > 0 then incr rotates
+    if rot.(issued.pos.(k)) > 0 then incr rotates
   done;
   let first_rotate_id = !fresh_id in
   fresh_id := first_rotate_id + !rotates;
@@ -495,16 +478,15 @@ let materialize ~body ~index ~canon ~(issued : issued) ~annots ~rotations
   let push cycle instr = bundles.(cycle) <- instr :: bundles.(cycle) in
   for k = issued.count - 1 downto 0 do
     let cycle = issued.cycle.(k) and p = issued.pos.(k) in
-    let c = canon.(p) in
-    if rot.(c) > 0 then begin
+    if rot.(p) > 0 then begin
       decr rotates;
       push cycle
-        (Ir.Instr.make ~id:(first_rotate_id + !rotates) (Ir.Instr.Rotate rot.(c)))
+        (Ir.Instr.make ~id:(first_rotate_id + !rotates) (Ir.Instr.Rotate rot.(p)))
     end;
     let i = body.(p) in
-    push cycle (if annot_set.(c) then Ir.Instr.with_annot i annot_of.(c) else i);
+    push cycle (if annot_set.(p) then Ir.Instr.with_annot i annot_of.(p) else i);
     (* AMOVs go just before their anchor, same cycle *)
-    let x = ref amov_head.(c) in
+    let x = ref amov_head.(p) in
     while !x >= 0 do
       let a = amov_arr.(!x) in
       push cycle
@@ -523,7 +505,6 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
         Hazards.build ~sb ~deps ~policy ?arena ())
   in
   let body = Array.of_list sb.Ir.Superblock.body in
-  let canon = canonical hazards in
   let alloc =
     Profile.time profile Profile.add_alloc (fun () ->
         match policy.Policy.scheme with
@@ -537,7 +518,7 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
   in
   let* issued, used_nonspec =
     Profile.time profile Profile.add_sched (fun () ->
-        schedule_core ~body ~hazards ~canon ~issue_width ~mem_ports ~latency
+        schedule_core ~body ~hazards ~issue_width ~mem_ports ~latency
           ~alloc)
   in
   let out_of_registers r =
@@ -584,7 +565,7 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
              ~issue_order:issue_seq ~ar_count:policy.Policy.ar_count))
   in
   let bundles =
-    materialize ~body ~index:hazards.Hazards.index ~canon ~issued ~annots
+    materialize ~body ~index:hazards.Hazards.index ~issued ~annots
       ~rotations ~amovs ~fresh_id
   in
   let max_offset =

@@ -24,6 +24,7 @@ type cell = {
   scheme : Smarq.Scheme.t;
   certify : bool;
   fault : Fault.spec option;
+  tenant : int option;
 }
 
 type run = {
@@ -50,7 +51,16 @@ let mutate vliw requests =
         (Opt.Optimizer.run_request ~issue_width ~mem_ports ~latency request))
     requests
 
-let run_cell ~reference program cell =
+(* Fault-free cells are mutation-tested whole; a shared-shard run on the
+   translations a private cache never makes: superblocks an earlier
+   tenant formed, with ids at or above this run's id counter. *)
+let mutation_tested cell = cell.fault = None || cell.tenant <> None
+
+let tested cell (q : Opt.Optimizer.request) =
+  if cell.tenant = None then cell.fault = None
+  else q.Opt.Optimizer.fresh_base <= Ir.Superblock.max_instr_id q.Opt.Optimizer.sb
+
+let run_cell ?tcache ~reference program cell =
   let config =
     {
       Runtime.Config.default with
@@ -58,20 +68,18 @@ let run_cell ~reference program cell =
       certify = cell.certify;
     }
   in
-  let r, injected, mutations =
-    match cell.fault with
-    | None ->
-      let r, vliw, requests =
-        Exec.Translate.capture_program ~config ~scheme:cell.scheme program
-      in
-      (r, 0, mutate vliw requests)
-    | Some { Fault.seed; rate } ->
-      let r, injected =
-        Oracle.run_scheme ~config
-          ~fault:(Fault.plan ~seed ~rate ())
-          ~scheme:cell.scheme program
-      in
-      (r, injected, [])
+  let plan =
+    Option.map (fun { Fault.seed; rate } -> Fault.plan ~seed ~rate ()) cell.fault
+  in
+  let requests = ref [] in
+  let capture q = if tested cell q then requests := q :: !requests in
+  let r =
+    Smarq.run_program ~config ?tcache ?hooks:(Option.map Fault.hooks plan)
+      ~capture ~scheme:cell.scheme program
+  in
+  let injected = Option.fold ~none:0 ~some:Fault.total_injected plan in
+  let mutations =
+    mutate (Smarq.machine_config config cell.scheme) (List.rev !requests)
   in
   let entry =
     {
@@ -93,26 +101,48 @@ let run ?domains cfg benches =
     None
     :: List.map (fun seed -> Some { Fault.seed; rate = cfg.rate }) cfg.seeds
   in
-  let cells =
+  let benches = List.combine benches references in
+  let cell (b : Workload.Specfp.bench) ?tenant scheme certify fault =
+    { bench = b.Workload.Specfp.name; scheme; certify; fault; tenant }
+  in
+  (* a group's cells run in order on one program, a shared-shard
+     group's on one translation cache *)
+  let private_groups =
     List.concat_map
-      (fun ((b : Workload.Specfp.bench), reference) ->
+      (fun (b, reference) ->
         List.concat_map
           (fun certify ->
             List.concat_map
               (fun fault ->
                 List.map
-                  (fun scheme ->
-                    let bench = b.Workload.Specfp.name in
-                    (b, reference, { bench; scheme; certify; fault }))
+                  (fun scheme -> (b, reference, [ cell b scheme certify fault ]))
                   schemes)
               faults)
           [ false; true ])
-      (List.combine benches references)
+      benches
+  in
+  let shard_groups =
+    if cfg.seeds = [] then []
+    else
+      List.concat_map
+        (fun (b, reference) ->
+          List.map
+            (fun scheme ->
+              (b, reference, List.mapi (fun t -> cell b ~tenant:t scheme false) faults))
+            schemes)
+        benches
+  in
+  let run_group (b, reference, cells) =
+    let tcache =
+      match cells with
+      | { tenant = Some _; _ } :: _ ->
+        Some (Runtime.Driver.make_cache ~policy:Tcache.Policy.Unbounded ())
+      | _ -> None
+    in
+    List.map (run_cell ?tcache ~reference (program b)) cells
   in
   let runs =
-    Exec.Pool.map ?domains
-      (fun (b, reference, cell) -> run_cell ~reference (program b) cell)
-      cells
+    List.concat (Exec.Pool.map ?domains run_group (private_groups @ shard_groups))
   in
   { config = cfg; runs }
 
@@ -175,7 +205,7 @@ let json_line r =
      \"reoptimizations\":%d,\"pinned_ops\":%d,\"gave_up_regions\":%d,\
      \"total_cycles\":%d,\"verified_regions\":%d,\"rejected_regions\":%d,\
      \"static_ok\":%b,\"cross_check\":\"%s\",\"certify\":%b,\
-     \"certified_pairs\":%d,\"certified_alias_faults\":%d%s}"
+     \"certified_pairs\":%d,\"certified_alias_faults\":%d%s%s}"
     r.cell.bench r.entry.Oracle.scheme seed rate
     (match r.entry.Oracle.outcome with
     | Runtime.Driver.Completed -> "completed"
@@ -191,20 +221,22 @@ let json_line r =
     (cross_check_name (cross_check_of_entry r.entry))
     r.cell.certify st.Runtime.Stats.certified_pairs
     st.Runtime.Stats.certified_alias_faults
-    (match r.cell.fault with
-    | Some _ -> ""
-    | None ->
-      Printf.sprintf
-        ",\"mutants\":%d,\"mutants_killed\":%d,\"reject_histogram\":[%s]"
-        (mutants r) (mutants_killed r)
-        (histogram_json (Runtime.Stats.reject_histogram st)))
+    (Option.fold ~none:"" ~some:(Printf.sprintf ",\"tenant\":%d") r.cell.tenant)
+    (if mutation_tested r.cell then
+       Printf.sprintf
+         ",\"mutants\":%d,\"mutants_killed\":%d,\"reject_histogram\":[%s]"
+         (mutants r) (mutants_killed r)
+         (histogram_json (Runtime.Stats.reject_histogram st))
+     else "")
 
 let label r =
-  Printf.sprintf "%s/%s%s %s" r.cell.bench r.entry.Oracle.scheme
+  Printf.sprintf "%s/%s%s %s%s" r.cell.bench r.entry.Oracle.scheme
     (if r.cell.certify then "+cert" else "")
     (match r.cell.fault with
     | None -> "fault-free"
     | Some { Fault.seed; _ } -> Printf.sprintf "seed %d" seed)
+    (Option.fold ~none:"" ~some:(Printf.sprintf " (shared shard, tenant %d)")
+       r.cell.tenant)
 
 let pp_summary ppf res =
   let runs = res.runs in
@@ -232,10 +264,11 @@ let pp_summary ppf res =
     runs;
   Format.fprintf ppf
     "soundness campaign: %d cells (%d schemes x certify off/on x fault-free \
-     + %d seeds at rate %.4f)@."
+     + %d seeds at rate %.4f; %d of them shared-shard tenant runs)@."
     (List.length runs) (List.length schemes)
     (List.length res.config.seeds)
-    res.config.rate;
+    res.config.rate
+    (count (fun r -> r.cell.tenant <> None));
   Format.fprintf ppf
     "oracle: %d divergences, %d runs incomplete; %d faults injected, %d \
      regions degraded@."

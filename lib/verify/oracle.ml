@@ -20,21 +20,6 @@ let reference program =
   | Error Frontend.Interp.Out_of_fuel ->
     invalid_arg "Oracle.reference: the interpreter ran out of fuel"
 
-let run_scheme ?config ?fault ~scheme program =
-  let injected_before =
-    match fault with Some plan -> Fault.total_injected plan | None -> 0
-  in
-  let r =
-    Smarq.run_program ?config ?hooks:(Option.map Fault.hooks fault) ~scheme
-      program
-  in
-  let injected =
-    match fault with
-    | None -> 0
-    | Some plan -> Fault.total_injected plan - injected_before
-  in
-  (r, injected)
-
 let divergence reference (r : Runtime.Driver.result) =
   match r.Runtime.Driver.outcome with
   | Runtime.Driver.Fuel_exhausted | Runtime.Driver.Deadline_exceeded -> []

@@ -1,12 +1,10 @@
 (** Differential oracle: the pure interpreter is ground truth.
 
-    Runs a guest program through [Frontend.Interp] and through the full
-    dynamic-optimization driver — optionally with a fault-injection
-    {!Fault.plan} installed as the run's hooks — and compares final
-    guest state (registers and memory, via
-    [Vliw.Machine.equal_guest_state]).  A divergence is reported as a
-    structured diff; fault and recovery counters ride along in the
-    {!entry} so {!Campaign} can report recovery overhead. *)
+    A driver run's final guest state (registers and memory, via
+    [Vliw.Machine.equal_guest_state]) is compared with the state
+    [Frontend.Interp] reaches on the same program.  A divergence is
+    reported as a structured diff; fault and recovery counters ride
+    along in the {!entry} so {!Campaign} can report recovery overhead. *)
 
 type entry = {
   scheme : string;
@@ -33,17 +31,6 @@ val reference : Ir.Program.t -> Vliw.Machine.t
 (** Final machine state of the pure interpreter.  Raises
     [Invalid_argument] if the program does not halt within
     200,000,000 instructions. *)
-
-val run_scheme :
-  ?config:Runtime.Config.t ->
-  ?fault:Fault.plan ->
-  scheme:Smarq.Scheme.t ->
-  Ir.Program.t ->
-  Runtime.Driver.result * int
-(** One optimized run through [Smarq.run_program] under [config]
-    (default [Runtime.Config.default]), with [fault]'s hooks installed
-    when given.  Returns the driver result and the number of faults the
-    plan injected {e during this run}. *)
 
 val divergence : Vliw.Machine.t -> Runtime.Driver.result -> string list
 (** [divergence reference r]: empty when [r]'s final guest state

@@ -262,8 +262,10 @@ let test_campaign_static_verdicts () =
        [ counting_bench ])
       .Verify.Campaign.runs
   in
-  Alcotest.(check int) "one run per (scheme, certify, fault plan)"
-    (2 * 2 * List.length Verify.Campaign.schemes)
+  Alcotest.(check int)
+    "one run per (scheme, certify, fault plan), then per (scheme, fault \
+     plan) on a shared shard"
+    (3 * 2 * List.length Verify.Campaign.schemes)
     (List.length runs);
   List.iter
     (fun (c : Verify.Campaign.run) ->
@@ -487,6 +489,32 @@ let test_dropped_policy_forbids () =
   expect_dropped_illegal "speculative pair dropped under none"
     (with_dropped o [ Analysis.Pair_key.pack s.I.id l1.I.id ])
 
+(* A body that names two instructions by one id is rejected by the
+   verifier's own uniqueness rule: the honest artifact of a two-load
+   body, with a [Nop] that reuses the first load's id appended to the
+   region's source.  Nothing is rebuilt, so the hazard builder (which
+   refuses such a body) never sees it. *)
+let test_repeated_body_id_rejected () =
+  reset_ids ();
+  let l1 = ld (f 0) (r 1) 0 in
+  let l2 = ld (f 1) (r 2) 0 in
+  let sb = sb_of [ l1; l2 ] in
+  let o = optimize ~policy:(Sched.Policy.smarq ~ar_count:64) sb in
+  honest "two loads" o;
+  let dup = I.make ~id:l1.I.id I.Nop in
+  let region =
+    {
+      o.Opt.Optimizer.region with
+      Ir.Region.source = { sb with Ir.Superblock.body = [ l1; l2; dup ] };
+    }
+  in
+  match verify { o with Opt.Optimizer.region } with
+  | V.Pass -> Alcotest.fail "a body with a repeated id passed"
+  | V.Reject vs ->
+    Alcotest.(check (list string)) "rejected as incomplete only"
+      [ "sched_complete" ]
+      (List.map (fun (v : V.violation) -> V.rule_name v.V.rule) vs)
+
 let suite =
   ( "check",
     [
@@ -510,4 +538,6 @@ let suite =
         test_dropped_endpoint_missing;
       case "dropped pair the policy may not drop rejected"
         test_dropped_policy_forbids;
+      case "a body that repeats an id rejected"
+        test_repeated_body_id_rejected;
     ] )

@@ -80,29 +80,17 @@ let test_priority_prefers_long_chains () =
   Alcotest.(check bool) "monotone along the chain" true
     (height l1.I.id > height a1.I.id && height a1.I.id > height a3.I.id)
 
-(* A body can carry one id twice (a superblock re-optimized from a
-   shared cache); every occurrence then takes the height the id-keyed
-   memo gives the id, which is its last occurrence's. *)
-let test_duplicate_id_heights () =
+(* Every pass after the hazard builder names instructions by id, so a
+   body that repeats one is an upstream bug, refused outright. *)
+let test_repeated_id_rejected () =
   reset_ids ();
   let l1 = ld (f 1) (r 1) 0 in
   let a1 = fadd (f 2) (f 1) (f 1) in
-  let a2 = fadd (f 3) (f 2) (f 2) in
   let dup = I.make ~id:a1.I.id (I.Mov (r 5, I.Imm 1)) in
-  let body = [ l1; a1; a2; dup ] in
-  let h = build_hazards body in
-  let heights =
-    Sched.List_sched.heights ~body ~hazards:h ~latency:default_latency
-  in
-  let memo = Oracle_sched.heights ~body ~hazards:h ~latency:default_latency in
-  List.iteri
-    (fun p (i : I.t) ->
-      Alcotest.(check int)
-        (Printf.sprintf "position %d" p)
-        (Hashtbl.find memo i.I.id) heights.(p))
-    body;
-  Alcotest.(check int) "the first occurrence takes the last one's height"
-    heights.(3) heights.(1)
+  Alcotest.check_raises "repeated id"
+    (Invalid_argument
+       (Printf.sprintf "Hazards.build: id %d repeats in the body" a1.I.id))
+    (fun () -> ignore (build_hazards [ l1; a1; dup ] : Sched.Hazards.t))
 
 let test_queue_wraparound () =
   (* a 4-register queue serving 10 sequential lifetimes via rotation:
@@ -264,8 +252,7 @@ let suite =
       case "memory edge strengths and drops" test_memory_edge_strengths;
       case "branch ordering" test_branch_ordering;
       case "critical-path priority" test_priority_prefers_long_chains;
-      case "a duplicated id takes its last occurrence's height"
-        test_duplicate_id_heights;
+      case "Hazards.build rejects a repeated id" test_repeated_id_rejected;
       case "queue wraparound across rotations" test_queue_wraparound;
       case "hazard build allocates nothing per register use"
         test_hazards_alloc_independent_of_uses;

@@ -105,8 +105,6 @@ let test_superblock_utils () =
   in
   Alcotest.(check int) "memory ops" 2 (List.length (Ir.Superblock.memory_ops sb));
   Alcotest.(check int) "side exits" 1 (List.length (Ir.Superblock.side_exits sb));
-  let pos = Ir.Superblock.program_position sb in
-  Alcotest.(check int) "position of store" 2 (Hashtbl.find pos s1.I.id);
   (* default liveness is conservative: every guest register live *)
   let live = Ir.Superblock.exit_live_out sb br.I.id in
   Alcotest.(check bool) "conservative live" true

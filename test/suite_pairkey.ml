@@ -181,9 +181,8 @@ let unit_body units =
 
 module AI = Analysis.Absint
 
-(* The certifier as a table keyed by normalized id tuples, replaced in
-   discovery order (a pair found twice keeps its last witness), then
-   read back in key order. *)
+(* The certifier as a table keyed by normalized id tuples, read back in
+   key order. *)
 let certify_oracle ~alias ~body =
   let facts =
     match MA.const_facts alias with Some f -> f | None -> AI.analyze ~body
@@ -216,40 +215,21 @@ let certify_oracle ~alias ~body =
     Array.of_list (List.map (Hashtbl.find table) pairs) )
 
 (* a random superblock followed by bump units (whose pairs the
-   certifier proves), with some memory ops re-numbered onto an earlier
-   memory op's id *)
+   certifier proves), ids unique *)
 let cert_body_arb =
   QCheck.make
-    ~print:(fun (seed, n, dups) -> Printf.sprintf "seed=%d n=%d dups=%d" seed n dups)
-    QCheck.Gen.(triple (int_bound 1_000_000) (int_range 10 60) (int_bound 4))
+    ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+    QCheck.Gen.(pair (int_bound 1_000_000) (int_range 10 60))
 
-let cert_body (seed, n_instrs, dups) =
+let cert_body (seed, n_instrs) =
   let params =
     { Workload.Genprog.default_params with n_instrs; side_exit_every = Some 12 }
   in
   let sb, _ = Workload.Genprog.superblock ~seed ~params in
   let units = unit_body (1 + (seed mod 6)) in
   let base = Ir.Superblock.max_instr_id sb + 1 in
-  let body =
-    sb.Ir.Superblock.body
-    @ List.map (fun (i : I.t) -> I.make ~id:(base + i.I.id) i.I.op) units
-  in
-  let arr = Array.of_list body in
-  let mem_pos =
-    Array.of_list
-      (List.filter_map (fun p -> if I.is_memory arr.(p) then Some p else None)
-         (List.init (Array.length arr) Fun.id))
-  in
-  let prng = Random.State.make [| seed |] in
-  let m = Array.length mem_pos in
-  for _ = 1 to dups do
-    if m >= 2 then begin
-      let a = Random.State.int prng m and b = Random.State.int prng m in
-      let p = mem_pos.(max a b) and q = mem_pos.(min a b) in
-      arr.(p) <- I.make ~id:arr.(q).I.id arr.(p).I.op
-    end
-  done;
-  Array.to_list arr
+  sb.Ir.Superblock.body
+  @ List.map (fun (i : I.t) -> I.make ~id:(base + i.I.id) i.I.op) units
 
 let prop_certificate_recomputed arb =
   let body = cert_body arb in

@@ -252,6 +252,60 @@ let scheme_string_arb =
             (string_size ~gen:printable (int_range 0 4));
         ])
 
+(* The served path: a second run on a shard an earlier run filled
+   re-optimizes superblocks that carry the earlier run's ids, while its
+   own id counter restarts at the program's max id + 1.  Translation
+   must still name every instruction uniquely (the verifier checks
+   each region it builds), and no build may stall: a stalled build
+   falls back to a lower tier, so each captured translation must reach
+   the tier that a replay from a counter above all of the superblock's
+   ids reaches. *)
+let test_shared_shard_reoptimization () =
+  let program =
+    Workload.Specfp.program ~scale:1 (Workload.Specfp.find "wupwise")
+  in
+  let oracle = Verify.Oracle.reference program in
+  let scheme = Smarq.Scheme.to_driver (Smarq.Scheme.Smarq 64) in
+  let config = { Runtime.Config.default with verify = Check.Verifier.All } in
+  let cache = Runtime.Driver.make_cache ~policy:Tcache.Policy.Unbounded () in
+  ignore (Runtime.Driver.run ~config ~tcache:cache ~scheme program);
+  let requests = ref [] in
+  let plan = Verify.Fault.plan ~seed:2 ~rate:0.002 () in
+  let r =
+    Runtime.Driver.run ~config ~tcache:cache ~hooks:(Verify.Fault.hooks plan)
+      ~capture:(fun q -> requests := q :: !requests)
+      ~scheme program
+  in
+  let st = r.Runtime.Driver.stats in
+  Alcotest.(check bool) "completed" true
+    (r.Runtime.Driver.outcome = Runtime.Driver.Completed);
+  Alcotest.(check (list string)) "equals the oracle" []
+    (Verify.Oracle.divergence oracle r);
+  Alcotest.(check bool) "re-optimized cached superblocks" true
+    (st.Runtime.Stats.reoptimizations > 0);
+  Alcotest.(check int) "no region rejected" 0 st.Runtime.Stats.rejected_regions;
+  let replay (q : Opt.Optimizer.request) =
+    let o =
+      Opt.Optimizer.run_request ~issue_width:Vliw.Config.default.issue_width
+        ~mem_ports:Vliw.Config.default.mem_ports ~latency:default_latency q
+    in
+    ( o.Opt.Optimizer.policy_used.Sched.Policy.name,
+      o.Opt.Optimizer.stats.Opt.Optimizer.fell_back )
+  in
+  List.iter
+    (fun (q : Opt.Optimizer.request) ->
+      let above =
+        {
+          q with
+          Opt.Optimizer.fresh_base =
+            Ir.Superblock.max_instr_id q.Opt.Optimizer.sb + 1;
+        }
+      in
+      Alcotest.(check (pair string bool))
+        (q.Opt.Optimizer.sb.Ir.Superblock.entry ^ ": no stalled tier")
+        (replay above) (replay q))
+    !requests
+
 let suite =
   ( "runtime",
     [
@@ -268,6 +322,8 @@ let suite =
       case "statistics accounting" test_stats_accounting;
       case "benchmark suite equivalence (smarq64)"
         test_suite_benchmarks_equivalent;
+      case "shared-shard re-optimization keeps ids unique"
+        test_shared_shard_reoptimization;
       case "scheme parsing" test_scheme_parsing;
       qcase ~count:500 "scheme and cache-policy parsing never raise"
         scheme_string_arb prop_scheme_parse_total;

@@ -213,9 +213,9 @@ let test_tcache_faults_survivable () =
   let program = colliding_loop ~iters:250 in
   let oracle = Verify.Oracle.reference program in
   let plan = Verify.Fault.plan ~seed:3 ~rate:0.6 () in
-  let r, _injected =
-    Verify.Oracle.run_scheme ~fault:plan ~scheme:(Smarq.Scheme.Smarq 64)
-      program
+  let r =
+    Smarq.run_program ~hooks:(Verify.Fault.hooks plan)
+      ~scheme:(Smarq.Scheme.Smarq 64) program
   in
   let c = Verify.Fault.counters plan in
   Alcotest.(check bool) "tcache faults delivered" true
@@ -254,8 +254,10 @@ let test_campaign_runner () =
   let runs =
     (campaign ~seeds ~rate:0.1 ~iters:150 ()).Verify.Campaign.runs
   in
-  Alcotest.(check int) "(fault-free + seeds) x schemes x certify runs"
-    ((1 + List.length seeds) * List.length Verify.Campaign.schemes * 2)
+  Alcotest.(check int)
+    "(fault-free + seeds) x schemes x certify runs, then a shared-shard \
+     tenant per plan and scheme"
+    ((1 + List.length seeds) * List.length Verify.Campaign.schemes * 3)
     (List.length runs);
   List.iter
     (fun (c : Verify.Campaign.run) ->
