@@ -3,7 +3,13 @@
    [k].  The transfer functions mirror Vliw.Eval's integer semantics
    exactly (safe division, shift counts masked to 5 bits); anything
    they cannot model becomes the opaque-but-fixed result of its
-   defining instruction, never "top". *)
+   defining instruction, never "top".
+
+   The pass runs over flat int storage: a value is seven ints in one
+   slot of a struct-of-arrays [store], registers map to slots through
+   an arena intmap, and the transfer functions read their operands'
+   slots and write a result slot.  Nothing is allocated per
+   instruction. *)
 
 type origin = Const | Entry of Ir.Reg.t | Opaque of int
 
@@ -41,134 +47,244 @@ let rec gcd a b = if b = 0 then a else gcd b (a mod b)
    other side's. *)
 let gcd0 a b = if a = 0 then b else if b = 0 then a else gcd a b
 
-let residue c = if c.stride = 0 then c.lo else c.rem
 let pos_mod a m = ((a mod m) + m) mod m
-
-let norm c =
-  if c.lo = c.hi then point c.lo
-  else { c with rem = pos_mod c.rem c.stride }
 
 (* Explicit bounds rather than [abs]: [abs min_int] is negative. *)
 let in_guard n = n >= -max_mag && n <= max_mag
-
-let guard c = if in_guard c.lo && in_guard c.hi then Some c else None
-
-let cset_add c1 c2 =
-  let stride = gcd0 c1.stride c2.stride in
-  let rem = if stride = 0 then 0 else pos_mod (residue c1 + residue c2) stride in
-  guard (norm { lo = c1.lo + c2.lo; hi = c1.hi + c2.hi; stride; rem })
-
-let cset_neg c =
-  let rem = if c.stride = 0 then 0 else pos_mod (-residue c) c.stride in
-  norm { lo = -c.hi; hi = -c.lo; stride = c.stride; rem }
 
 (* [a * k] stays inside the guard, checked before multiplying so a
    wrapped product can never pass for a small one. *)
 let mul_fits a k = a = 0 || (in_guard a && in_guard k && abs a <= max_mag / abs k)
 
-(* Non-singleton sets keep [stride <= hi - lo], so once both scaled
-   bounds fit, the scaled stride cannot wrap either. *)
-let cset_scale k c =
-  if k = 0 then Some (point 0)
-  else if not (mul_fits c.lo k && mul_fits c.hi k) then None
-  else
-    let lo, hi =
-      if k > 0 then (c.lo * k, c.hi * k) else (c.hi * k, c.lo * k)
-    in
-    let stride = c.stride * abs k in
-    let rem = if stride = 0 then 0 else pos_mod (residue c * k) stride in
-    guard (norm { lo; hi; stride; rem })
+(* --- separation --------------------------------------------------- *)
 
 type sep = Ranges | Congruence of int
 
-let range_separated c1 w1 c2 w2 =
-  c2.lo > c1.hi + (w1 - 1) || c1.lo > c2.hi + (w2 - 1)
-
 (* With equal origins and scales, the address difference a2 - a1 equals
    the offset difference d = k2 - k1.  The ranges [a1, a1+w1) and
-   [a2, a2+w2) overlap exactly when d lies in (-w2, w1); the window is
-   at most w1 + w2 - 1 values, so the congruence check just walks it. *)
-let congruence_separated c1 w1 c2 w2 =
-  let g = gcd0 c1.stride c2.stride in
-  if g = 0 then None
+   [a2, a2+w2) overlap exactly when d lies in (-w2, w1): disjoint
+   intervals decide first, else the window (at most w1 + w2 - 1
+   values) is walked for a difference in the residue class.  [res] is
+   a set's residue: its [rem], or [lo] for a singleton.  The result is
+   a code, so the pair loop allocates nothing: [-1] unproved, [0]
+   [Ranges], [g > 0] [Congruence g]. *)
+let sep_code ~lo1 ~hi1 ~stride1 ~res1 w1 ~lo2 ~hi2 ~stride2 ~res2 w2 =
+  if lo2 > hi1 + (w1 - 1) || lo1 > hi2 + (w2 - 1) then 0
   else
-    let d0 = pos_mod (residue c2 - residue c1) g in
-    let hit = ref false in
-    for d = -(w2 - 1) to w1 - 1 do
-      if pos_mod d g = d0 then hit := true
-    done;
-    if !hit then None else Some (Congruence g)
+    let g = gcd0 stride1 stride2 in
+    if g = 0 then -1
+    else
+      let d0 = pos_mod (res2 - res1) g in
+      let hit = ref false in
+      for d = -(w2 - 1) to w1 - 1 do
+        if pos_mod d g = d0 then hit := true
+      done;
+      if !hit then -1 else g
+
+let residue c = if c.stride = 0 then c.lo else c.rem
 
 let separated v1 w1 v2 w2 =
   if not (origin_equal v1.origin v2.origin && v1.scale = v2.scale) then None
-  else if range_separated v1.off w1 v2.off w2 then Some Ranges
-  else congruence_separated v1.off w1 v2.off w2
+  else
+    match
+      sep_code ~lo1:v1.off.lo ~hi1:v1.off.hi ~stride1:v1.off.stride
+        ~res1:(residue v1.off) w1 ~lo2:v2.off.lo ~hi2:v2.off.hi
+        ~stride2:v2.off.stride ~res2:(residue v2.off) w2
+    with
+    | -1 -> None
+    | 0 -> Some Ranges
+    | g -> Some (Congruence g)
 
-(* --- transfer functions ------------------------------------------- *)
+(* --- flat values -------------------------------------------------- *)
 
-let vconst n = { origin = Const; scale = 0; off = point n }
-let ventry r = { origin = Entry r; scale = 1; off = point 0 }
-let vopaque id = { origin = Opaque id; scale = 1; off = point 0 }
+(* Origin kinds; [arg] is the register code of an [Entry] (see
+   [Arena.reg_code]), the instruction id of an [Opaque] and 0 for a
+   [Const].  [k_none] marks a memory operation whose address overflowed
+   the guard. *)
+let k_none = -1
+let k_const = 0
+let k_entry = 1
+let k_opaque = 2
 
-let const_of v =
-  match v.origin with
-  | Const when v.off.stride = 0 -> Some v.off.lo
-  | _ -> None
+(* Slot [s] of a store holds one value: [kind.(s)], [arg.(s)],
+   [scale.(s)] and the offset set [lo.(s)], [hi.(s)], [stride.(s)],
+   [rem.(s)]. *)
+type store = {
+  kind : int array;
+  arg : int array;
+  scale : int array;
+  lo : int array;
+  hi : int array;
+  stride : int array;
+  rem : int array;
+}
 
-let with_off v off =
-  match off with None -> None | Some off -> Some { v with off }
+let store_make n =
+  {
+    kind = Array.make n k_none;
+    arg = Array.make n 0;
+    scale = Array.make n 0;
+    lo = Array.make n 0;
+    hi = Array.make n 0;
+    stride = Array.make n 0;
+    rem = Array.make n 0;
+  }
+
+(* Environment slots 0-3 are scratch: the two operands, the result and
+   a negated offset set; registers get slots from [first_reg] on. *)
+let s_a = 0
+let s_b = 1
+let s_res = 2
+let s_neg = 3
+let first_reg = 4
+
+let store_lease arena n =
+  let module A = Arena in
+  {
+    kind = A.ints arena ~slot:32 n;
+    arg = A.ints arena ~slot:33 n;
+    scale = A.ints arena ~slot:34 n;
+    lo = A.ints arena ~slot:35 n;
+    hi = A.ints arena ~slot:36 n;
+    stride = A.ints arena ~slot:37 n;
+    rem = A.ints arena ~slot:38 n;
+  }
+
+let blit src s dst d =
+  dst.kind.(d) <- src.kind.(s);
+  dst.arg.(d) <- src.arg.(s);
+  dst.scale.(d) <- src.scale.(s);
+  dst.lo.(d) <- src.lo.(s);
+  dst.hi.(d) <- src.hi.(s);
+  dst.stride.(d) <- src.stride.(s);
+  dst.rem.(d) <- src.rem.(s)
+
+let set_origin e d ~kind ~arg ~scale =
+  e.kind.(d) <- kind;
+  e.arg.(d) <- arg;
+  e.scale.(d) <- scale
+
+(* the origin and scale of slot [s], copied to [d] *)
+let origin_of e d s = set_origin e d ~kind:e.kind.(s) ~arg:e.arg.(s) ~scale:e.scale.(s)
+
+(* Write a normalized offset set; true when it passes the guard. *)
+let write_off e d ~lo ~hi ~stride ~rem =
+  e.lo.(d) <- lo;
+  e.hi.(d) <- hi;
+  if lo = hi then begin
+    e.stride.(d) <- 0;
+    e.rem.(d) <- 0
+  end
+  else begin
+    e.stride.(d) <- stride;
+    e.rem.(d) <- pos_mod rem stride
+  end;
+  in_guard lo && in_guard hi
+
+let vconst e d n =
+  set_origin e d ~kind:k_const ~arg:0 ~scale:0;
+  ignore (write_off e d ~lo:n ~hi:n ~stride:0 ~rem:0)
+
+let vanchor e d ~kind ~arg =
+  set_origin e d ~kind ~arg ~scale:1;
+  ignore (write_off e d ~lo:0 ~hi:0 ~stride:0 ~rem:0)
+
+let is_const e s = e.kind.(s) = k_const && e.stride.(s) = 0
+
+let same_origin e a b = e.kind.(a) = e.kind.(b) && e.arg.(a) = e.arg.(b)
+
+let res_of e s = if e.stride.(s) = 0 then e.lo.(s) else e.rem.(s)
+
+(* The transfer functions below write slot [d], never one of their
+   operand slots, and return false where the record domain's functions
+   return [None]. *)
+
+let off_add e d a b =
+  let stride = gcd0 e.stride.(a) e.stride.(b) in
+  let rem = if stride = 0 then 0 else pos_mod (res_of e a + res_of e b) stride in
+  write_off e d ~lo:(e.lo.(a) + e.lo.(b)) ~hi:(e.hi.(a) + e.hi.(b)) ~stride ~rem
+
+let off_neg e d s =
+  let stride = e.stride.(s) in
+  let rem = if stride = 0 then 0 else pos_mod (-res_of e s) stride in
+  ignore (write_off e d ~lo:(-e.hi.(s)) ~hi:(-e.lo.(s)) ~stride ~rem)
 
 (* Re-anchor a value whose symbolic part cancelled to zero. *)
-let norm_scale v = if v.scale = 0 then { v with origin = Const } else v
+let norm_scale e d = if e.scale.(d) = 0 then set_origin e d ~kind:k_const ~arg:0 ~scale:0
 
-let vadd v1 v2 =
-  match (v1.origin, v2.origin) with
-  | Const, _ -> with_off v2 (cset_add v2.off v1.off)
-  | _, Const -> with_off v1 (cset_add v1.off v2.off)
-  | o1, o2 when origin_equal o1 o2 ->
-    Option.map
-      (fun off -> norm_scale { v1 with scale = v1.scale + v2.scale; off })
-      (cset_add v1.off v2.off)
-  | _ -> None
+let vadd e d a b =
+  if e.kind.(a) = k_const then begin
+    origin_of e d b;
+    off_add e d b a
+  end
+  else if e.kind.(b) = k_const then begin
+    origin_of e d a;
+    off_add e d a b
+  end
+  else if same_origin e a b then begin
+    set_origin e d ~kind:e.kind.(a) ~arg:e.arg.(a) ~scale:(e.scale.(a) + e.scale.(b));
+    let ok = off_add e d a b in
+    norm_scale e d;
+    ok
+  end
+  else false
 
-let vsub v1 v2 =
-  match (v1.origin, v2.origin) with
-  | _, Const -> with_off v1 (cset_add v1.off (cset_neg v2.off))
-  | o1, o2 when origin_equal o1 o2 ->
-    Option.map
-      (fun off -> norm_scale { v1 with scale = v1.scale - v2.scale; off })
-      (cset_add v1.off (cset_neg v2.off))
-  | _ -> None
+let vsub e d a b =
+  if e.kind.(b) = k_const then begin
+    off_neg e s_neg b;
+    origin_of e d a;
+    off_add e d a s_neg
+  end
+  else if same_origin e a b then begin
+    off_neg e s_neg b;
+    set_origin e d ~kind:e.kind.(a) ~arg:e.arg.(a) ~scale:(e.scale.(a) - e.scale.(b));
+    let ok = off_add e d a s_neg in
+    norm_scale e d;
+    ok
+  end
+  else false
 
-let scale_by k v =
-  if k = 0 then Some (vconst 0)
-  else
-    Option.map
-      (fun off -> { v with scale = v.scale * k; off })
-      (cset_scale k v.off)
+(* Non-singleton sets keep [stride <= hi - lo], so once both scaled
+   bounds fit, the scaled stride cannot wrap either. *)
+let scale_by e d k s =
+  if k = 0 then begin
+    vconst e d 0;
+    true
+  end
+  else if not (mul_fits e.lo.(s) k && mul_fits e.hi.(s) k) then false
+  else begin
+    let lo = if k > 0 then e.lo.(s) * k else e.hi.(s) * k in
+    let hi = if k > 0 then e.hi.(s) * k else e.lo.(s) * k in
+    let stride = e.stride.(s) * abs k in
+    let rem = if stride = 0 then 0 else pos_mod (res_of e s * k) stride in
+    set_origin e d ~kind:e.kind.(s) ~arg:e.arg.(s) ~scale:(e.scale.(s) * k);
+    write_off e d ~lo ~hi ~stride ~rem
+  end
 
-let vmul v1 v2 =
-  match (const_of v1, const_of v2) with
-  | Some k, _ -> scale_by k v2
-  | _, Some k -> scale_by k v1
-  | _ -> None
+let vmul e d a b =
+  if is_const e a then scale_by e d e.lo.(a) b
+  else if is_const e b then scale_by e d e.lo.(b) a
+  else false
 
 (* x land m with a non-negative mask gives [0, m] with all bits below
    the mask's lowest set bit forced to zero — sound for any x, even
    negative, because land with m >= 0 clears the sign bit too. *)
-let vand_mask m =
-  if m = 0 then Some (vconst 0)
-  else
-    let tz =
-      let rec go k = if m land (1 lsl k) <> 0 then k else go (k + 1) in
-      go 0
-    in
-    Some
-      {
-        origin = Const;
-        scale = 0;
-        off = { lo = 0; hi = m; stride = 1 lsl tz; rem = 0 };
-      }
+let vand_mask e d m =
+  if m = 0 then vconst e d 0
+  else begin
+    let tz = ref 0 in
+    while m land (1 lsl !tz) = 0 do
+      incr tz
+    done;
+    set_origin e d ~kind:k_const ~arg:0 ~scale:0;
+    e.lo.(d) <- 0;
+    e.hi.(d) <- m;
+    e.stride.(d) <- 1 lsl !tz;
+    e.rem.(d) <- 0
+  end;
+  true
+
+let mask_operand e s = is_const e s && e.lo.(s) >= 0 && in_guard e.lo.(s)
 
 let safe_div a b = if b = 0 then 0 else a / b
 
@@ -185,90 +301,194 @@ let exact_binop (op : Ir.Instr.binop) a b =
   | Ir.Instr.Shl -> a lsl (b land 31)
   | Ir.Instr.Shr -> a asr (b land 31)
 
-let vbinop (op : Ir.Instr.binop) v1 v2 =
-  match (const_of v1, const_of v2) with
-  | Some a, Some b ->
-    let n = exact_binop op a b in
-    if in_guard n then Some (vconst n) else None
-  | _ -> (
+let vbinop e d (op : Ir.Instr.binop) a b =
+  if is_const e a && is_const e b then begin
+    let n = exact_binop op e.lo.(a) e.lo.(b) in
+    if in_guard n then begin
+      vconst e d n;
+      true
+    end
+    else false
+  end
+  else
     match op with
-    | Ir.Instr.Add -> vadd v1 v2
-    | Ir.Instr.Sub -> vsub v1 v2
-    | Ir.Instr.Mul -> vmul v1 v2
-    | Ir.Instr.Shl -> (
-      match const_of v2 with
-      | Some k when k land 31 < 50 -> scale_by (1 lsl (k land 31)) v1
-      | _ -> None)
-    | Ir.Instr.And -> (
-      match (const_of v1, const_of v2) with
-      | Some m, _ when m >= 0 && in_guard m -> vand_mask m
-      | _, Some m when m >= 0 && in_guard m -> vand_mask m
-      | _ -> None)
-    | _ -> None)
+    | Ir.Instr.Add -> vadd e d a b
+    | Ir.Instr.Sub -> vsub e d a b
+    | Ir.Instr.Mul -> vmul e d a b
+    | Ir.Instr.Shl ->
+      is_const e b
+      && e.lo.(b) land 31 < 50
+      && scale_by e d (1 lsl (e.lo.(b) land 31)) a
+    | Ir.Instr.And ->
+      if mask_operand e a then vand_mask e d e.lo.(a)
+      else if mask_operand e b then vand_mask e d e.lo.(b)
+      else false
+    | _ -> false
 
 (* --- the forward pass --------------------------------------------- *)
 
-type t = { addr : (int, value * int) Hashtbl.t }
+(* Per memory operation, in body order: the operation, its access width
+   and its address in row [k] of [addr] ([k_none] when it overflowed).
+   Owned by the result, not leased: it outlives the call. *)
+type t = {
+  mems : Ir.Instr.t array;
+  width : int array;
+  addr : store;
+}
 
-let analyze ~body =
-  let env : (Ir.Reg.t, value) Hashtbl.t = Hashtbl.create 64 in
-  let lookup r =
-    match Hashtbl.find_opt env r with Some v -> v | None -> ventry r
+(* The register environment: leased slots, and register code -> slot
+   in a leased intmap.  A register without a slot still holds its
+   entry value. *)
+type env = {
+  vals : store;
+  slot_of : Arena.intmap;
+  mutable next : int;
+}
+
+let read_reg env r ~into =
+  let code = Arena.reg_code r in
+  let s = Arena.map_get env.slot_of code ~default:(-1) in
+  if s >= 0 then s
+  else begin
+    vanchor env.vals into ~kind:k_entry ~arg:code;
+    into
+  end
+
+let read_operand env (o : Ir.Instr.operand) ~into =
+  match o with
+  | Ir.Instr.Reg r -> read_reg env r ~into
+  | Ir.Instr.Imm n ->
+    vconst env.vals into n;
+    into
+
+let define env r s =
+  let code = Arena.reg_code r in
+  let d =
+    match Arena.map_get env.slot_of code ~default:(-1) with
+    | -1 ->
+      let d = env.next in
+      env.next <- d + 1;
+      Arena.map_set env.slot_of code d;
+      d
+    | d -> d
   in
-  let operand = function
-    | Ir.Instr.Reg r -> lookup r
-    | Ir.Instr.Imm n -> vconst n
+  blit env.vals s env.vals d
+
+let no_instr = Ir.Instr.make ~id:(-1) Ir.Instr.Nop
+
+let analyze ?arena ~body () =
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  let n = ref 0 and m = ref 0 in
+  List.iter
+    (fun i ->
+      incr n;
+      if Ir.Instr.is_memory i then incr m)
+    body;
+  (* each instruction defines at most one register *)
+  let env =
+    { vals = store_lease arena (first_reg + !n); slot_of = Arena.map arena ~slot:3; next = first_reg }
   in
-  let set r v = Hashtbl.replace env r v in
-  let addr = Hashtbl.create 32 in
-  let record_addr id (a : Ir.Instr.addr) width =
-    match vadd (lookup a.Ir.Instr.base) (vconst a.Ir.Instr.disp) with
-    | Some v -> Hashtbl.replace addr id (v, width)
-    | None -> ()
+  let e = env.vals in
+  let t = { mems = Array.make !m no_instr; width = Array.make !m 0; addr = store_make !m } in
+  let k = ref 0 in
+  let record (i : Ir.Instr.t) (a : Ir.Instr.addr) width =
+    let x = !k in
+    incr k;
+    t.mems.(x) <- i;
+    t.width.(x) <- width;
+    let base = read_reg env a.Ir.Instr.base ~into:s_a in
+    vconst e s_b a.Ir.Instr.disp;
+    if vadd e s_res base s_b then blit e s_res t.addr x else t.addr.kind.(x) <- k_none
   in
+  let opaque (i : Ir.Instr.t) = vanchor e s_res ~kind:k_opaque ~arg:i.Ir.Instr.id in
   List.iter
     (fun (i : Ir.Instr.t) ->
       match i.Ir.Instr.op with
-      | Ir.Instr.Mov (d, src) -> set d (operand src)
-      | Ir.Instr.Unop_neg (d, src) -> (
-        match scale_by (-1) (operand src) with
-        | Some v -> set d v
-        | None -> set d (vopaque i.Ir.Instr.id))
-      | Ir.Instr.Binop (op, d, a, b) -> (
-        match vbinop op (operand a) (operand b) with
-        | Some v -> set d v
-        | None -> set d (vopaque i.Ir.Instr.id))
+      | Ir.Instr.Mov (d, src) -> define env d (read_operand env src ~into:s_a)
+      | Ir.Instr.Unop_neg (d, src) ->
+        if not (scale_by e s_res (-1) (read_operand env src ~into:s_a)) then opaque i;
+        define env d s_res
+      | Ir.Instr.Binop (op, d, a, b) ->
+        let sa = read_operand env a ~into:s_a in
+        let sb = read_operand env b ~into:s_b in
+        if not (vbinop e s_res op sa sb) then opaque i;
+        define env d s_res
       | Ir.Instr.Cmp (_, d, _, _) ->
         (* comparison results are exactly 0 or 1 *)
-        set d
-          {
-            origin = Const;
-            scale = 0;
-            off = { lo = 0; hi = 1; stride = 1; rem = 0 };
-          }
+        set_origin e s_res ~kind:k_const ~arg:0 ~scale:0;
+        e.lo.(s_res) <- 0;
+        e.hi.(s_res) <- 1;
+        e.stride.(s_res) <- 1;
+        e.rem.(s_res) <- 0;
+        define env d s_res
       | Ir.Instr.Fbinop (_, d, _, _) ->
         (* float ops share integer carriers in this simulator but are
            never address material; keep them opaque *)
-        set d (vopaque i.Ir.Instr.id)
+        opaque i;
+        define env d s_res
       | Ir.Instr.Load { dst; addr = a; width; _ } ->
-        record_addr i.Ir.Instr.id a width;
-        set dst (vopaque i.Ir.Instr.id)
-      | Ir.Instr.Store { addr = a; width; _ } ->
-        record_addr i.Ir.Instr.id a width
+        record i a width;
+        opaque i;
+        define env dst s_res
+      | Ir.Instr.Store { addr = a; width; _ } -> record i a width
       | Ir.Instr.Branch _ | Ir.Instr.Jump _ | Ir.Instr.Exit _ | Ir.Instr.Nop
       | Ir.Instr.Rotate _ | Ir.Instr.Amov _ ->
         ())
     body;
-  { addr }
+  t
 
-let address t id = Hashtbl.find_opt t.addr id
+(* --- reading the result by memory-op position --------------------- *)
+
+let mem_count t = Array.length t.mems
+let mem t k = t.mems.(k)
+let width t k = t.width.(k)
+let has_address t k = t.addr.kind.(k) <> k_none
+
+let reg_of_code c =
+  match c mod 3 with 0 -> Ir.Reg.R (c / 3) | 1 -> Ir.Reg.F (c / 3) | _ -> Ir.Reg.T (c / 3)
+
+let value_at t k =
+  let a = t.addr in
+  let origin =
+    if a.kind.(k) = k_entry then Entry (reg_of_code a.arg.(k))
+    else if a.kind.(k) = k_opaque then Opaque a.arg.(k)
+    else Const
+  in
+  {
+    origin;
+    scale = a.scale.(k);
+    off = { lo = a.lo.(k); hi = a.hi.(k); stride = a.stride.(k); rem = a.rem.(k) };
+  }
+
+let constant_address t k =
+  if is_const t.addr k then Some t.addr.lo.(k) else None
+
+let separation t i j =
+  let a = t.addr in
+  if a.kind.(i) = k_none || a.kind.(j) = k_none then -1
+  else if not (same_origin a i j && a.scale.(i) = a.scale.(j)) then -1
+  else
+    sep_code ~lo1:a.lo.(i) ~hi1:a.hi.(i) ~stride1:a.stride.(i) ~res1:(res_of a i)
+      t.width.(i) ~lo2:a.lo.(j) ~hi2:a.hi.(j) ~stride2:a.stride.(j)
+      ~res2:(res_of a j) t.width.(j)
+
+(* The last recorded operation with this id, as a table keyed by id
+   kept it. *)
+let address t id =
+  let rec find k =
+    if k < 0 then None
+    else if t.mems.(k).Ir.Instr.id = id && has_address t k then
+      Some (value_at t k, t.width.(k))
+    else find (k - 1)
+  in
+  find (mem_count t - 1)
 
 let pp_origin ppf = function
   | Const -> Format.fprintf ppf "const"
   | Entry r -> Format.fprintf ppf "entry(%a)" Ir.Reg.pp r
   | Opaque id -> Format.fprintf ppf "opaque(#%d)" id
 
-let pp_cset ppf c =
+let pp_cset ppf (c : cset) =
   if c.stride = 0 then Format.fprintf ppf "{%d}" c.lo
   else Format.fprintf ppf "[%d..%d]/%d+%d" c.lo c.hi c.stride c.rem
 

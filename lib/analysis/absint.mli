@@ -21,7 +21,13 @@
     defining instruction, which still supports equality-based
     reasoning (same base register, not redefined in between).  Only
     addresses whose offsets overflow the magnitude guard are dropped
-    ({!address} returns [None]). *)
+    ({!address} returns [None]).
+
+    The pass itself runs over flat int storage and allocates nothing
+    per instruction: the register environment is leased from an
+    {!Arena}, and the result holds one row of ints per memory
+    operation, read by its position among the body's memory operations
+    ({!mem_count}, {!has_address}, {!separation}, ...). *)
 
 (** Execution-point-independent anchor of an abstract value. *)
 type origin =
@@ -48,9 +54,6 @@ type value = {
 val origin_equal : origin -> origin -> bool
 val point : int -> cset
 
-val cset_add : cset -> cset -> cset option
-(** [None] when a bound exceeds the magnitude guard. *)
-
 (** Why two abstract addresses cannot overlap. *)
 type sep =
   | Ranges  (** the offset intervals, width-extended, are disjoint *)
@@ -66,13 +69,45 @@ val separated : value -> int -> value -> int -> sep option
 
 type t
 
-val analyze : body:Ir.Instr.t list -> t
-(** One forward pass over the body in original program order. *)
+val analyze : ?arena:Arena.t -> body:Ir.Instr.t list -> unit -> t
+(** One forward pass over the body in original program order.
+    [arena] lends the register environment (slots 32–38 and intmap
+    slot 3; a fresh arena when absent); with a warm arena the pass
+    allocates only the result, per memory operation.  The result never
+    aliases arena storage. *)
+
+(** {2 Results by position}
+
+    Memory operation [k] is the [k]-th load or store of the analyzed
+    body, in body order. *)
+
+val mem_count : t -> int
+val mem : t -> int -> Ir.Instr.t
+val width : t -> int -> int
+(** Access width in bytes. *)
+
+val has_address : t -> int -> bool
+(** [false] when the address overflowed the magnitude guard. *)
+
+val value_at : t -> int -> value
+(** The abstract address of an operation with {!has_address}; builds
+    the value. *)
+
+val constant_address : t -> int -> int option
+(** The address when it is a provable constant. *)
+
+val separation : t -> int -> int -> int
+(** [separation t i j] is {!separated} on operations [i] and [j] at
+    their widths, as a code that needs no allocation: [-1] when not
+    proved (or either has no address), [0] for [Ranges], [g > 0] for
+    [Congruence g]. *)
 
 val address : t -> int -> (value * int) option
 (** Abstract address and access width of the memory operation with the
-    given instruction id; [None] for non-memory instructions and for
-    addresses whose offsets overflowed the magnitude guard. *)
+    given instruction id (the last one, should the id repeat); [None]
+    for non-memory instructions and for addresses whose offsets
+    overflowed the magnitude guard.  A linear search for tests and
+    printing: the hot paths read by position. *)
 
 val pp_origin : Format.formatter -> origin -> unit
 val pp_cset : Format.formatter -> cset -> unit

@@ -23,96 +23,115 @@ type t = {
 
 let key_of w = Pair_key.norm w.x.instr w.y.instr
 
-(* The certificate of [m] witnesses given newest first.  Positions are
-   sorted by (key, age), so each run of equal keys ends with the newest
-   witness, the one kept.  Only a forged list ([of_witnesses]) can name
-   a pair twice: [certify] visits each pair of a body once. *)
-let of_rev_list rev m =
-  match rev with
-  | [] -> { keys = [||]; ws = [||] }
-  | newest :: _ ->
-    let ws = Array.make m newest in
-    List.iteri (fun x w -> ws.(m - 1 - x) <- w) rev;
-    let keys = Array.map key_of ws in
-    let order = Array.init m Fun.id in
-    Arena.sort_by order ~lo:0 ~hi:m ~cmp:(fun a b ->
-        let c = Int.compare keys.(a) keys.(b) in
-        if c <> 0 then c else Int.compare a b);
-    let last x = x = m - 1 || keys.(order.(x)) <> keys.(order.(x + 1)) in
-    let distinct = ref 0 in
-    for x = 0 to m - 1 do
-      if last x then incr distinct
-    done;
-    let out_keys = Array.make !distinct 0 and out_ws = Array.make !distinct newest in
-    let k = ref 0 in
-    for x = 0 to m - 1 do
-      if last x then begin
-        out_keys.(!k) <- keys.(order.(x));
-        out_ws.(!k) <- ws.(order.(x));
-        incr k
-      end
-    done;
-    { keys = out_keys; ws = out_ws }
-
-let fact_of_value instr width (v : Absint.value) =
+(* The certificate of [m] witnesses, [key x] and [witness x] for
+   [x < m] in the order they were found.  [order] (capacity [m]) is
+   sorted by (key, x), so each run of equal keys ends with the latest
+   witness, the one kept; the kept entries are compacted to the front
+   and [witness] is called for them only.  Only a forged list
+   ([of_witnesses]) or a body that repeats an id can name a pair
+   twice. *)
+let assemble ~order m ~key ~witness =
+  for x = 0 to m - 1 do
+    order.(x) <- x
+  done;
+  Arena.sort_by order ~lo:0 ~hi:m ~cmp:(fun a b ->
+      let c = Int.compare (key a) (key b) in
+      if c <> 0 then c else Int.compare a b);
+  let kept = ref 0 in
+  for x = 0 to m - 1 do
+    if x = m - 1 || key order.(x) <> key order.(x + 1) then begin
+      order.(!kept) <- order.(x);
+      incr kept
+    end
+  done;
   {
-    instr;
-    width;
-    origin = v.Absint.origin;
-    scale = v.Absint.scale;
-    off = v.Absint.off;
+    keys = Array.init !kept (fun k -> key order.(k));
+    ws = Array.init !kept (fun k -> witness order.(k));
   }
 
-(* Addresses are looked up once per memory operation; the pair loop
-   then allocates only for the pairs it certifies. *)
-let certify ~alias ~body =
-  let found = ref [] and count = ref 0 in
+(* A fact placeholder, told apart by physical equality. *)
+let no_fact =
+  { instr = -1; width = 0; origin = Absint.Const; scale = 0; off = Absint.point 0 }
+
+(* Addresses are read by memory-op position, and the pair loop records
+   each certified pair as three ints (both positions and the
+   separation code) in a leased vector: nothing is allocated per
+   examined pair.  The certificate then makes one witness per
+   certified pair and one fact per memory op it names, shared by every
+   witness naming that op. *)
+let certify ?arena ~alias ~body () =
+  let arena = match arena with Some a -> a | None -> Arena.create () in
   let facts =
     match May_alias.const_facts alias with
     | Some facts -> facts
-    | None -> Absint.analyze ~body
+    | None -> Absint.analyze ~arena ~body ()
   in
-  let mems = List.filter Ir.Instr.is_memory body |> Array.of_list in
-  let addrs = Array.map (fun (x : Ir.Instr.t) -> Absint.address facts x.id) mems in
-  let n = Array.length mems in
-  for i = 0 to n - 1 do
-    match addrs.(i) with
-    | None -> ()
-    | Some (vx, wx) ->
-      let x = mems.(i) in
-      for j = i + 1 to n - 1 do
-        match addrs.(j) with
-        | None -> ()
-        | Some (vy, wy) ->
-          let y = mems.(j) in
-          if
-            (Ir.Instr.is_store x || Ir.Instr.is_store y)
-            && May_alias.verdict alias x y = May_alias.May_alias
-          then begin
-            match Absint.separated vx wx vy wy with
-            | Some sep ->
-              let reason =
-                match sep with
-                | Absint.Ranges -> Ranges
-                | Absint.Congruence g -> Congruence g
-              in
-              found :=
-                {
-                  x = fact_of_value x.Ir.Instr.id wx vx;
-                  y = fact_of_value y.Ir.Instr.id wy vy;
-                  reason;
-                }
-                :: !found;
-              incr count
-            | None -> ()
+  let m = Absint.mem_count facts in
+  let found = Arena.vec arena ~slot:3 in
+  for i = 0 to m - 1 do
+    if Absint.has_address facts i then begin
+      let x = Absint.mem facts i in
+      for j = i + 1 to m - 1 do
+        let y = Absint.mem facts j in
+        if
+          Absint.has_address facts j
+          && (Ir.Instr.is_store x || Ir.Instr.is_store y)
+          && May_alias.verdict alias x y = May_alias.May_alias
+        then begin
+          let sep = Absint.separation facts i j in
+          if sep >= 0 then begin
+            Arena.vec_push found i;
+            Arena.vec_push found j;
+            Arena.vec_push found sep
           end
+        end
       done
+    end
   done;
-  of_rev_list !found !count
+  let c = found.Arena.len / 3 in
+  if c = 0 then { keys = [||]; ws = [||] }
+  else begin
+    let f = found.Arena.buf in
+    let keys = Arena.ints arena ~slot:40 c in
+    for x = 0 to c - 1 do
+      keys.(x) <-
+        Pair_key.norm (Absint.mem facts f.(3 * x)).Ir.Instr.id
+          (Absint.mem facts f.((3 * x) + 1)).Ir.Instr.id
+    done;
+    let shared = Array.make m no_fact in
+    let fact k =
+      if shared.(k) == no_fact then begin
+        let v = Absint.value_at facts k in
+        shared.(k) <-
+          {
+            instr = (Absint.mem facts k).Ir.Instr.id;
+            width = Absint.width facts k;
+            origin = v.Absint.origin;
+            scale = v.Absint.scale;
+            off = v.Absint.off;
+          }
+      end;
+      shared.(k)
+    in
+    assemble ~order:(Arena.ints arena ~slot:41 c) c
+      ~key:(fun x -> keys.(x))
+      ~witness:(fun x ->
+        let sep = f.((3 * x) + 2) in
+        {
+          x = fact f.(3 * x);
+          y = fact f.((3 * x) + 1);
+          reason = (if sep = 0 then Ranges else Congruence sep);
+        })
+  end
 
 let no_alias t a b = Pair_key.mem t.keys (Pair_key.norm a b)
 let keys t = t.keys
 let pairs t = Pair_key.to_pairs t.keys ~len:(Array.length t.keys)
 let witnesses t = t.ws
-let of_witnesses ws = of_rev_list (List.rev ws) (List.length ws)
+let of_witnesses ws =
+  let ws = Array.of_list ws in
+  let m = Array.length ws in
+  assemble ~order:(Array.make m 0) m
+    ~key:(fun x -> key_of ws.(x))
+    ~witness:(fun x -> ws.(x))
 let count t = Array.length t.keys

@@ -39,15 +39,19 @@ type witness = {
 
 type t
 
-val certify : alias:May_alias.t -> body:Ir.Instr.t list -> t
+val certify :
+  ?arena:Arena.t -> alias:May_alias.t -> body:Ir.Instr.t list -> unit -> t
 (** Attempt to certify every memory pair involving at least one store
     whose {!May_alias.verdict} is [May_alias].  Pairs already known to
     alias (learned from rollbacks) are never candidates.  [alias] must
     be the analysis of the same [body]: when it carries {!Absint} facts
     ({!May_alias.const_facts}) they are reused instead of analyzing the
-    body again.  Allocates per certified pair, not per examined pair;
-    the certificate is keyed by {!Pair_key.norm}, so ids must lie in
-    [[0, 2{^31})].
+    body again.  [arena] lends the scratch (vector slot 3, int slots
+    40–41, and {!Absint.analyze}'s when the facts are computed here).
+    Allocates one witness per certified pair and one {!fact} per memory
+    operation a witness names — the witnesses naming an operation share
+    its fact — and nothing per examined pair; the certificate is keyed
+    by {!Pair_key.norm}, so ids must lie in [[0, 2{^31})].
 
     The certificate is two parallel arrays: the certified pairs as
     ascending, duplicate-free {!Pair_key.norm} keys ([min * 2{^31} +

@@ -24,23 +24,25 @@ let analyze ?(known_alias = []) ?const_facts ~body () =
     let c = Arena.reg_code r in
     defs.(c) <- defs.(c) + 1
   in
+  (* memory operation [k] of the body is operation [k] of the facts *)
+  let k = ref 0 in
   List.iter
     (fun (i : Ir.Instr.t) ->
       (match i.op with
       | Ir.Instr.Load { addr; _ } | Ir.Instr.Store { addr; _ } ->
         let c = Arena.reg_code addr.Ir.Instr.base in
         Hashtbl.replace generation i.id
-          (if c < Array.length defs then defs.(c) else 0)
+          (if c < Array.length defs then defs.(c) else 0);
+        (match const_facts with
+        | Some facts -> (
+          if !k >= Absint.mem_count facts || (Absint.mem facts !k).id <> i.id then
+            invalid_arg "May_alias.analyze: const_facts analyzed another body";
+          match Absint.constant_address facts !k with
+          | Some a -> Hashtbl.replace const_addr i.id a
+          | None -> ())
+        | None -> ());
+        incr k
       | _ -> ());
-      (match const_facts with
-      | Some facts -> (
-        match Absint.address facts i.id with
-        | Some
-            ({ Absint.origin = Absint.Const; off = { stride = 0; lo; _ }; _ }, _)
-          ->
-          Hashtbl.replace const_addr i.id lo
-        | _ -> ())
-      | None -> ());
       Ir.Instr.iter_defs count i)
     body;
   let known = Hashtbl.create 16 in

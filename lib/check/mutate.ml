@@ -489,7 +489,7 @@ let forge_witness (o : Opt.Optimizer.t) =
           width = width instr;
           origin = Analysis.Absint.Const;
           scale = 0;
-          off = Analysis.Absint.point k;
+          off = { Analysis.Absint.lo = k; hi = k; stride = 0; rem = 0 };
         }
       in
       let w =

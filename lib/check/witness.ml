@@ -41,116 +41,161 @@ type violation =
 
 (* --- replay evaluator --------------------------------------------- *)
 
-type anchor = A_const | A_entry of Ir.Reg.t | A_opaque of int
-
-(* members: rlo <= n <= rhi, and n = rres (mod rstep) when rstep > 0;
+(* A replayed value is [cell_size] consecutive ints of a flat array,
+   from [base = cell * cell_size]: the anchor kind and its argument (a
+   register code for an entry anchor, an instruction id for an opaque
+   one, 0 for a constant), the multiplier, and the strided offset set —
+   members rlo <= n <= rhi with n = rres (mod rstep) when rstep > 0;
    rstep = 0 marks the singleton {rlo}. *)
-type strided = {
-  rlo : int;
-  rhi : int;
-  rstep : int;
-  rres : int;
-}
+let cell_size = 7
+let f_anchor = 0
+let f_arg = 1
+let f_mul = 2
+let f_rlo = 3
+let f_rhi = 4
+let f_rstep = 5
+let f_rres = 6
 
-type rvalue = {
-  anchor : anchor;
-  mul : int;
-  k : strided;
-}
+let a_none = -1 (* a memory op replay derives no address for *)
+let a_const = 0
+let a_entry = 1
+let a_opaque = 2
 
 let mag = 1 lsl 50
-let sing n = { rlo = n; rhi = n; rstep = 0; rres = 0 }
 let wrap a m = ((a mod m) + m) mod m
-let res s = if s.rstep = 0 then s.rlo else s.rres
 
 let rec gcd_pos a b = if b = 0 then a else gcd_pos b (a mod b)
 let merge_step a b = if a = 0 then b else if b = 0 then a else gcd_pos a b
 
-let s_norm s =
-  if s.rlo = s.rhi then sing s.rlo else { s with rres = wrap s.rres s.rstep }
-
 (* bounds compared directly: [abs min_int] is negative *)
 let within n = -mag <= n && n <= mag
-let s_guard s = if within s.rlo && within s.rhi then Some s else None
-
-let s_add s1 s2 =
-  let rstep = merge_step s1.rstep s2.rstep in
-  let rres = if rstep = 0 then 0 else wrap (res s1 + res s2) rstep in
-  s_guard (s_norm { rlo = s1.rlo + s2.rlo; rhi = s1.rhi + s2.rhi; rstep; rres })
-
-let s_neg s =
-  let rres = if s.rstep = 0 then 0 else wrap (-res s) s.rstep in
-  s_norm { rlo = -s.rhi; rhi = -s.rlo; rstep = s.rstep; rres }
 
 (* refuse before multiplying: a wrapped product could land in range *)
 let product_within n k = n = 0 || (within n && within k && abs n <= mag / abs k)
 
-let s_scale k s =
-  if k = 0 then Some (sing 0)
-  else if not (product_within s.rlo k && product_within s.rhi k) then None
-  else
-    let rlo, rhi =
-      if k > 0 then (s.rlo * k, s.rhi * k) else (s.rhi * k, s.rlo * k)
-    in
-    let rstep = s.rstep * abs k in
-    let rres = if rstep = 0 then 0 else wrap (res s * k) rstep in
-    s_guard (s_norm { rlo; rhi; rstep; rres })
+let reg_code = function
+  | Ir.Reg.R i -> 3 * i
+  | Ir.Reg.F i -> (3 * i) + 1
+  | Ir.Reg.T i -> (3 * i) + 2
 
-let r_const n = { anchor = A_const; mul = 0; k = sing n }
-let r_entry r = { anchor = A_entry r; mul = 1; k = sing 0 }
-let r_opaque id = { anchor = A_opaque id; mul = 1; k = sing 0 }
+(* the residue of the set at [b] *)
+let res v b = if v.(b + f_rstep) = 0 then v.(b + f_rlo) else v.(b + f_rres)
 
-let anchors_equal a b =
-  match (a, b) with
-  | A_const, A_const -> true
-  | A_entry r1, A_entry r2 -> Ir.Reg.equal r1 r2
-  | A_opaque i, A_opaque j -> i = j
-  | _ -> false
+(* Store a strided set at [o], normalized; true when it is within the
+   guard. *)
+let put_set v o ~rlo ~rhi ~rstep ~rres =
+  v.(o + f_rlo) <- rlo;
+  v.(o + f_rhi) <- rhi;
+  if rlo = rhi then begin
+    v.(o + f_rstep) <- 0;
+    v.(o + f_rres) <- 0
+  end
+  else begin
+    v.(o + f_rstep) <- rstep;
+    v.(o + f_rres) <- wrap rres rstep
+  end;
+  within rlo && within rhi
 
-let r_const_of v =
-  match v.anchor with
-  | A_const when v.k.rstep = 0 -> Some v.k.rlo
-  | _ -> None
+let put_anchor v o ~anchor ~arg ~mul =
+  v.(o + f_anchor) <- anchor;
+  v.(o + f_arg) <- arg;
+  v.(o + f_mul) <- mul
 
-let refit v = if v.mul = 0 then { v with anchor = A_const } else v
+let keep_anchor v o b = put_anchor v o ~anchor:v.(b + f_anchor) ~arg:v.(b + f_arg) ~mul:v.(b + f_mul)
 
-let r_add v1 v2 =
-  if v1.anchor = A_const then
-    Option.map (fun k -> { v2 with k }) (s_add v2.k v1.k)
-  else if v2.anchor = A_const then
-    Option.map (fun k -> { v1 with k }) (s_add v1.k v2.k)
-  else if anchors_equal v1.anchor v2.anchor then
-    Option.map
-      (fun k -> refit { v1 with mul = v1.mul + v2.mul; k })
-      (s_add v1.k v2.k)
-  else None
+let r_const v o n =
+  put_anchor v o ~anchor:a_const ~arg:0 ~mul:0;
+  ignore (put_set v o ~rlo:n ~rhi:n ~rstep:0 ~rres:0)
 
-let r_sub v1 v2 =
-  if v2.anchor = A_const then
-    Option.map (fun k -> { v1 with k }) (s_add v1.k (s_neg v2.k))
-  else if anchors_equal v1.anchor v2.anchor then
-    Option.map
-      (fun k -> refit { v1 with mul = v1.mul - v2.mul; k })
-      (s_add v1.k (s_neg v2.k))
-  else None
+let r_anchored v o ~anchor ~arg =
+  put_anchor v o ~anchor ~arg ~mul:1;
+  ignore (put_set v o ~rlo:0 ~rhi:0 ~rstep:0 ~rres:0)
 
-let r_scale k v =
-  if k = 0 then Some (r_const 0)
-  else Option.map (fun k' -> { v with mul = v.mul * k; k = k' }) (s_scale k v.k)
+let r_is_const v b = v.(b + f_anchor) = a_const && v.(b + f_rstep) = 0
+let anchors_equal v b1 b2 = v.(b1 + f_anchor) = v.(b2 + f_anchor) && v.(b1 + f_arg) = v.(b2 + f_arg)
 
-let r_mask m =
-  if m = 0 then Some (r_const 0)
-  else
-    let tz =
-      let rec go i = if m land (1 lsl i) <> 0 then i else go (i + 1) in
-      go 0
-    in
-    Some
-      {
-        anchor = A_const;
-        mul = 0;
-        k = { rlo = 0; rhi = m; rstep = 1 lsl tz; rres = 0 };
-      }
+(* The operations below write the value at [o] from the values at [b1]
+   and [b2], which are never [o], and return false where no value
+   results. *)
+
+let s_add v o b1 b2 =
+  let rstep = merge_step v.(b1 + f_rstep) v.(b2 + f_rstep) in
+  let rres = if rstep = 0 then 0 else wrap (res v b1 + res v b2) rstep in
+  put_set v o ~rlo:(v.(b1 + f_rlo) + v.(b2 + f_rlo)) ~rhi:(v.(b1 + f_rhi) + v.(b2 + f_rhi))
+    ~rstep ~rres
+
+let s_neg v o b =
+  let rstep = v.(b + f_rstep) in
+  let rres = if rstep = 0 then 0 else wrap (-res v b) rstep in
+  ignore (put_set v o ~rlo:(-v.(b + f_rhi)) ~rhi:(-v.(b + f_rlo)) ~rstep ~rres)
+
+(* a multiplier that cancelled to zero leaves a constant *)
+let refit v o = if v.(o + f_mul) = 0 then put_anchor v o ~anchor:a_const ~arg:0 ~mul:0
+
+let r_add v o b1 b2 =
+  if v.(b1 + f_anchor) = a_const then begin
+    keep_anchor v o b2;
+    s_add v o b2 b1
+  end
+  else if v.(b2 + f_anchor) = a_const then begin
+    keep_anchor v o b1;
+    s_add v o b1 b2
+  end
+  else if anchors_equal v b1 b2 then begin
+    put_anchor v o ~anchor:v.(b1 + f_anchor) ~arg:v.(b1 + f_arg)
+      ~mul:(v.(b1 + f_mul) + v.(b2 + f_mul));
+    let ok = s_add v o b1 b2 in
+    refit v o;
+    ok
+  end
+  else false
+
+(* [neg] is a scratch cell for the negated subtrahend *)
+let r_sub v o b1 b2 ~neg =
+  if v.(b2 + f_anchor) = a_const then begin
+    s_neg v neg b2;
+    keep_anchor v o b1;
+    s_add v o b1 neg
+  end
+  else if anchors_equal v b1 b2 then begin
+    s_neg v neg b2;
+    put_anchor v o ~anchor:v.(b1 + f_anchor) ~arg:v.(b1 + f_arg)
+      ~mul:(v.(b1 + f_mul) - v.(b2 + f_mul));
+    let ok = s_add v o b1 neg in
+    refit v o;
+    ok
+  end
+  else false
+
+let r_scale v o k b =
+  if k = 0 then begin
+    r_const v o 0;
+    true
+  end
+  else if not (product_within v.(b + f_rlo) k && product_within v.(b + f_rhi) k) then false
+  else begin
+    let rlo = if k > 0 then v.(b + f_rlo) * k else v.(b + f_rhi) * k in
+    let rhi = if k > 0 then v.(b + f_rhi) * k else v.(b + f_rlo) * k in
+    let rstep = v.(b + f_rstep) * abs k in
+    let rres = if rstep = 0 then 0 else wrap (res v b * k) rstep in
+    put_anchor v o ~anchor:v.(b + f_anchor) ~arg:v.(b + f_arg) ~mul:(v.(b + f_mul) * k);
+    put_set v o ~rlo ~rhi ~rstep ~rres
+  end
+
+let r_mask v o m =
+  if m = 0 then r_const v o 0
+  else begin
+    let tz = ref 0 in
+    while m land (1 lsl !tz) = 0 do
+      incr tz
+    done;
+    put_anchor v o ~anchor:a_const ~arg:0 ~mul:0;
+    v.(o + f_rlo) <- 0;
+    v.(o + f_rhi) <- m;
+    v.(o + f_rstep) <- 1 lsl !tz;
+    v.(o + f_rres) <- 0
+  end;
+  true
 
 (* exact integer semantics, identical to the VLIW evaluator's *)
 let exact (op : Ir.Instr.binop) a b =
@@ -165,97 +210,144 @@ let exact (op : Ir.Instr.binop) a b =
   | Ir.Instr.Shl -> a lsl (b land 31)
   | Ir.Instr.Shr -> a asr (b land 31)
 
-let r_binop op v1 v2 =
-  match (r_const_of v1, r_const_of v2) with
-  | Some a, Some b ->
-    let n = exact op a b in
-    if within n then Some (r_const n) else None
-  | _ -> (
-    match op with
-    | Ir.Instr.Add -> r_add v1 v2
-    | Ir.Instr.Sub -> r_sub v1 v2
-    | Ir.Instr.Mul -> (
-      match (r_const_of v1, r_const_of v2) with
-      | Some c, _ -> r_scale c v2
-      | _, Some c -> r_scale c v1
-      | _ -> None)
-    | Ir.Instr.Shl -> (
-      match r_const_of v2 with
-      | Some c when c land 31 < 50 -> r_scale (1 lsl (c land 31)) v1
-      | _ -> None)
-    | Ir.Instr.And -> (
-      match (r_const_of v1, r_const_of v2) with
-      | Some m, _ when m >= 0 && m <= mag -> r_mask m
-      | _, Some m when m >= 0 && m <= mag -> r_mask m
-      | _ -> None)
-    | _ -> None)
+let maskable v b = r_is_const v b && v.(b + f_rlo) >= 0 && v.(b + f_rlo) <= mag
 
-(* Forward pass over the body array: abstract address (and width) per
-   memory instruction. *)
-let replay_addresses body =
-  let env : (Ir.Reg.t, rvalue) Hashtbl.t = Hashtbl.create 64 in
-  let lookup r =
-    match Hashtbl.find_opt env r with Some v -> v | None -> r_entry r
-  in
-  let operand = function
-    | Ir.Instr.Reg r -> lookup r
-    | Ir.Instr.Imm n -> r_const n
-  in
-  let addrs = Hashtbl.create 32 in
-  let record id (a : Ir.Instr.addr) width =
-    match r_add (lookup a.Ir.Instr.base) (r_const a.Ir.Instr.disp) with
-    | Some v -> Hashtbl.replace addrs id (v, width)
-    | None -> ()
+let r_binop v o op b1 b2 ~neg =
+  if r_is_const v b1 && r_is_const v b2 then begin
+    let n = exact op v.(b1 + f_rlo) v.(b2 + f_rlo) in
+    within n
+    && begin
+         r_const v o n;
+         true
+       end
+  end
+  else
+    match op with
+    | Ir.Instr.Add -> r_add v o b1 b2
+    | Ir.Instr.Sub -> r_sub v o b1 b2 ~neg
+    | Ir.Instr.Mul ->
+      if r_is_const v b1 then r_scale v o v.(b1 + f_rlo) b2
+      else if r_is_const v b2 then r_scale v o v.(b2 + f_rlo) b1
+      else false
+    | Ir.Instr.Shl ->
+      r_is_const v b2
+      && v.(b2 + f_rlo) land 31 < 50
+      && r_scale v o (1 lsl (v.(b2 + f_rlo) land 31)) b1
+    | Ir.Instr.And ->
+      if maskable v b1 then r_mask v o v.(b1 + f_rlo)
+      else if maskable v b2 then r_mask v o v.(b2 + f_rlo)
+      else false
+    | _ -> false
+
+(* the four scratch cells that come first: two operands, the result
+   and a negated subtrahend *)
+let scratch_x = 0
+let scratch_y = cell_size
+let scratch_out = 2 * cell_size
+let scratch_neg = 3 * cell_size
+
+(* Forward pass over the body array.  Every register the body reads or
+   writes gets a cell after the scratch cells, holding its entry value
+   until the body defines it.  The result holds one value per memory
+   operation, in body order ([a_none] where replay derives no
+   address).  Allocates per distinct register and per memory
+   operation, nothing per instruction. *)
+let replay_addresses (body : Ir.Instr.t array) =
+  let cell_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let cells = ref 4 and m = ref 0 in
+  let note r =
+    let c = reg_code r in
+    if not (Hashtbl.mem cell_of c) then begin
+      Hashtbl.add cell_of c (!cells * cell_size);
+      incr cells
+    end
   in
   Array.iter
-    (fun (i : Ir.Instr.t) ->
-      let opaque () = r_opaque i.Ir.Instr.id in
-      match i.Ir.Instr.op with
-      | Ir.Instr.Mov (d, src) -> Hashtbl.replace env d (operand src)
-      | Ir.Instr.Unop_neg (d, src) ->
-        Hashtbl.replace env d
-          (Option.value (r_scale (-1) (operand src)) ~default:(opaque ()))
-      | Ir.Instr.Binop (op, d, a, b) ->
-        Hashtbl.replace env d
-          (Option.value (r_binop op (operand a) (operand b))
-             ~default:(opaque ()))
-      | Ir.Instr.Cmp (_, d, _, _) ->
-        Hashtbl.replace env d
-          { anchor = A_const; mul = 0;
-            k = { rlo = 0; rhi = 1; rstep = 1; rres = 0 } }
-      | Ir.Instr.Fbinop (_, d, _, _) -> Hashtbl.replace env d (opaque ())
-      | Ir.Instr.Load { dst; addr = a; width; _ } ->
-        record i.Ir.Instr.id a width;
-        Hashtbl.replace env dst (opaque ())
-      | Ir.Instr.Store { addr = a; width; _ } -> record i.Ir.Instr.id a width
-      | Ir.Instr.Branch _ | Ir.Instr.Jump _ | Ir.Instr.Exit _
-      | Ir.Instr.Nop | Ir.Instr.Rotate _ | Ir.Instr.Amov _ ->
-        ())
+    (fun i ->
+      Ir.Instr.iter_uses note i;
+      Ir.Instr.iter_defs note i;
+      if Ir.Instr.is_memory i then incr m)
     body;
-  addrs
+  let env = Array.make (!cells * cell_size) 0 in
+  Hashtbl.iter (fun code b -> r_anchored env b ~anchor:a_entry ~arg:code) cell_of;
+  let out = Array.make (!m * cell_size) a_none in
+  let at r = Hashtbl.find cell_of (reg_code r) in
+  let operand (o : Ir.Instr.operand) scratch =
+    match o with
+    | Ir.Instr.Reg r -> at r
+    | Ir.Instr.Imm n ->
+      r_const env scratch n;
+      scratch
+  in
+  let assign d b = Array.blit env b env (at d) cell_size in
+  let opaque id = r_anchored env scratch_out ~anchor:a_opaque ~arg:id in
+  let k = ref 0 in
+  let record (a : Ir.Instr.addr) =
+    r_const env scratch_y a.Ir.Instr.disp;
+    if r_add env scratch_out (at a.Ir.Instr.base) scratch_y then
+      Array.blit env scratch_out out (!k * cell_size) cell_size;
+    incr k
+  in
+  for p = 0 to Array.length body - 1 do
+    let i = body.(p) in
+    let id = i.Ir.Instr.id in
+    match i.Ir.Instr.op with
+    | Ir.Instr.Mov (d, src) -> assign d (operand src scratch_x)
+    | Ir.Instr.Unop_neg (d, src) ->
+      if not (r_scale env scratch_out (-1) (operand src scratch_x)) then opaque id;
+      assign d scratch_out
+    | Ir.Instr.Binop (op, d, a, b) ->
+      let b1 = operand a scratch_x in
+      let b2 = operand b scratch_y in
+      if not (r_binop env scratch_out op b1 b2 ~neg:scratch_neg) then opaque id;
+      assign d scratch_out
+    | Ir.Instr.Cmp (_, d, _, _) ->
+      put_anchor env scratch_out ~anchor:a_const ~arg:0 ~mul:0;
+      env.(scratch_out + f_rlo) <- 0;
+      env.(scratch_out + f_rhi) <- 1;
+      env.(scratch_out + f_rstep) <- 1;
+      env.(scratch_out + f_rres) <- 0;
+      assign d scratch_out
+    | Ir.Instr.Fbinop (_, d, _, _) ->
+      opaque id;
+      assign d scratch_out
+    | Ir.Instr.Load { dst; addr = a; _ } ->
+      record a;
+      opaque id;
+      assign dst scratch_out
+    | Ir.Instr.Store { addr = a; _ } -> record a
+    | Ir.Instr.Branch _ | Ir.Instr.Jump _ | Ir.Instr.Exit _
+    | Ir.Instr.Nop | Ir.Instr.Rotate _ | Ir.Instr.Amov _ ->
+      ()
+  done;
+  out
 
 (* --- entailment: replayed value ⊆ claimed fact -------------------- *)
 
-let anchor_matches (o : Analysis.Absint.origin) a =
-  match (o, a) with
-  | Analysis.Absint.Const, A_const -> true
-  | Analysis.Absint.Entry r, A_entry r' -> Ir.Reg.equal r r'
-  | Analysis.Absint.Opaque i, A_opaque j -> i = j
-  | _ -> false
+(* does replay derive an address for memory op [k]? *)
+let derived out k = out.((k * cell_size) + f_anchor) <> a_none
 
-let claimed_covers_set (c : Analysis.Absint.cset) (s : strided) =
-  c.Analysis.Absint.lo <= s.rlo
-  && s.rhi <= c.Analysis.Absint.hi
+let anchor_matches (o : Analysis.Absint.origin) out b =
+  match o with
+  | Analysis.Absint.Const -> out.(b + f_anchor) = a_const
+  | Analysis.Absint.Entry r -> out.(b + f_anchor) = a_entry && out.(b + f_arg) = reg_code r
+  | Analysis.Absint.Opaque i -> out.(b + f_anchor) = a_opaque && out.(b + f_arg) = i
+
+let claimed_covers_set (c : Analysis.Absint.cset) out b =
+  c.Analysis.Absint.lo <= out.(b + f_rlo)
+  && out.(b + f_rhi) <= c.Analysis.Absint.hi
   &&
-  if c.Analysis.Absint.stride = 0 then s.rstep = 0 && s.rlo = c.Analysis.Absint.lo
+  if c.Analysis.Absint.stride = 0 then
+    out.(b + f_rstep) = 0 && out.(b + f_rlo) = c.Analysis.Absint.lo
   else
-    wrap (res s) c.Analysis.Absint.stride = c.Analysis.Absint.rem
-    && (s.rstep = 0 || s.rstep mod c.Analysis.Absint.stride = 0)
+    wrap (res out b) c.Analysis.Absint.stride = c.Analysis.Absint.rem
+    && (out.(b + f_rstep) = 0 || out.(b + f_rstep) mod c.Analysis.Absint.stride = 0)
 
-let entails (f : Analysis.Disamb.fact) (v : rvalue) =
-  anchor_matches f.Analysis.Disamb.origin v.anchor
-  && f.Analysis.Disamb.scale = v.mul
-  && claimed_covers_set f.Analysis.Disamb.off v.k
+let entails (f : Analysis.Disamb.fact) out k =
+  let b = k * cell_size in
+  anchor_matches f.Analysis.Disamb.origin out b
+  && f.Analysis.Disamb.scale = out.(b + f_mul)
+  && claimed_covers_set f.Analysis.Disamb.off out b
 
 (* --- disjointness from the claimed facts alone -------------------- *)
 
@@ -366,18 +458,6 @@ let memory_ops arr =
 
 let no_const = min_int
 
-let reg_code = function
-  | Ir.Reg.R i -> 3 * i
-  | Ir.Reg.F i -> (3 * i) + 1
-  | Ir.Reg.T i -> (3 * i) + 2
-
-(* the replayed address of a memory op; [no_value] when replay derives
-   none *)
-let no_value = r_opaque (-1)
-
-let replayed addrs id =
-  match Hashtbl.find addrs id with (v, _) -> v | exception Not_found -> no_value
-
 let witness_key (w : Analysis.Disamb.witness) =
   pair_key w.Analysis.Disamb.x.Analysis.Disamb.instr
     w.Analysis.Disamb.y.Analysis.Disamb.instr
@@ -416,7 +496,9 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
   let flag v = violations := v :: !violations in
   let ws = Analysis.Disamb.witnesses cert in
   let arr = body.instrs in
-  let addrs = replay_addresses arr in
+  let mems = memory_ops arr in
+  let mem_index = index mems in
+  let out = replay_addresses arr in
 
   (* endpoints.  The witnesses must be strictly ascending in this
      module's own keys — the certified pair set is then the witness
@@ -470,22 +552,22 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
   Array.iter
     (fun (w : Analysis.Disamb.witness) ->
       let fx = w.Analysis.Disamb.x and fy = w.Analysis.Disamb.y in
-      let vx = replayed addrs fx.Analysis.Disamb.instr
-      and vy = replayed addrs fy.Analysis.Disamb.instr in
-      if vx == no_value || vy == no_value then
+      let kx = pos mem_index fx.Analysis.Disamb.instr
+      and ky = pos mem_index fy.Analysis.Disamb.instr in
+      if kx < 0 || ky < 0 || not (derived out kx && derived out ky) then
         flag
           (Derivation
              (Printf.sprintf
                 "replay derives no address for pair (%d,%d)"
                 fx.Analysis.Disamb.instr fy.Analysis.Disamb.instr))
       else begin
-        if not (entails fx vx) then
+        if not (entails fx out kx) then
           flag
             (Derivation
                (Printf.sprintf
                   "claimed fact for #%d is not entailed by replay"
                   fx.Analysis.Disamb.instr));
-        if not (entails fy vy) then
+        if not (entails fy out ky) then
           flag
             (Derivation
                (Printf.sprintf
@@ -506,7 +588,6 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
      same-base operations see a redefinition between them exactly when
      those counts differ.  Definition counts live in an array indexed
      by register code. *)
-  let mems = memory_ops arr in
   let m = Array.length mems in
   let top = ref (-1) in
   let note_def r = top := Int.max !top (reg_code r) in
@@ -539,14 +620,12 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
         m_disp.(x) <- addr.Ir.Instr.disp;
         m_width.(x) <- width;
         m_defs.(x) <- def_count.(m_base.(x));
-        let v = replayed addrs i.Ir.Instr.id in
-        (match v.anchor with
-        | A_const when v.k.rstep = 0 -> m_const.(x) <- v.k.rlo
-        | _ -> ())
+        let b = x * cell_size in
+        if out.(b + f_anchor) = a_const && out.(b + f_rstep) = 0 then
+          m_const.(x) <- out.(b + f_rlo)
       | _ -> ());
       Ir.Instr.iter_defs count_def i)
     arr;
-  let mem_index = index mems in
 
   (* no certified pair may keep a dependence edge; the edge set itself
      becomes a bit matrix over memory positions *)

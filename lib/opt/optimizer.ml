@@ -29,7 +29,7 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
   let module P = Sched.Profile in
   let facts_for body =
     if policy.Sched.Policy.static_disambiguation then
-      Some (Analysis.Absint.analyze ~body)
+      Some (Analysis.Absint.analyze ?arena ~body ())
     else None
   in
   (* Eager certification keeps the artifact a pure function of the
@@ -38,7 +38,7 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
      order can never change them. *)
   let certify_into alias body =
     if policy.Sched.Policy.certify then begin
-      let cert = Analysis.Disamb.certify ~alias ~body in
+      let cert = Analysis.Disamb.certify ?arena ~alias ~body () in
       Analysis.May_alias.set_certified alias (Analysis.Disamb.keys cert);
       Some cert
     end
@@ -124,7 +124,9 @@ let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
      (eliminations are the register hogs — their extended dependences
      keep registers live across long spans — and without them
      non-speculation mode usually fits), then no speculation at all.
-     The last tier needs no alias register, so its failure is a bug. *)
+     The last tier needs no alias register, so its failure is a bug.
+     Only running out of alias registers climbs the ladder: a scheduler
+     stall raises instead of falling back. *)
   let has_elims =
     policy.Sched.Policy.allow_load_load_forward
     || policy.Sched.Policy.allow_store_load_forward
@@ -144,7 +146,8 @@ let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
   let rec climb ~fell_back policy_used lower =
     match attempt policy_used, lower with
     | Ok built, _ -> finish ~fell_back ~policy_used built
-    | Error _, next :: lower -> climb ~fell_back:true next lower
+    | Error (Sched.List_sched.Out_of_alias_registers _), next :: lower ->
+      climb ~fell_back:true next lower
     | Error failure, [] ->
       failwith
         ("Optimizer.optimize: non-speculative build failed: "

@@ -26,10 +26,6 @@ type failure =
       scheme : Policy.annot_scheme;
       detail : string;
     }
-  | Stalled of {
-      cycle : int;
-      remaining : int;
-    }
 
 let failure_to_string = function
   | Out_of_alias_registers { scheme; detail } ->
@@ -42,10 +38,6 @@ let failure_to_string = function
       | Policy.No_scheme -> "no alias scheme"
     in
     Printf.sprintf "%s: %s" component detail
-  | Stalled { cycle; remaining } ->
-    Printf.sprintf
-      "List_sched: no progress at cycle %d with %d instructions remaining"
-      cycle remaining
 
 (* The issue sequence in issue order: the [k]-th issued instruction is
    body position [pos.(k)], issued in cycle [cycle.(k)], for
@@ -289,11 +281,14 @@ let best_candidate st =
 
    Reads the hazard rows in place and allocates per region, not per
    edge or per cycle.  Stops early once the SMARQ allocator has
-   overflowed: the schedule will be discarded. *)
+   overflowed: the schedule will be discarded.  Raises
+   [Invalid_argument] when no instruction issues for [n + 1000]
+   cycles: every hazard edge points forward, so a stall is a bug, not
+   a reason to fall back. *)
 let schedule_core ~body ~hazards ~issue_width ~mem_ports ~latency
     ~alloc =
   let n = Array.length body in
-  if n = 0 then Ok ({ cycle = [||]; pos = [||]; count = 0; length = 1 }, false)
+  if n = 0 then ({ cycle = [||]; pos = [||]; count = 0; length = 1 }, false)
   else begin
     let lat = Array.map latency body in
     let height = heights_of ~hazards lat in
@@ -350,11 +345,10 @@ let schedule_core ~body ~hazards ~issue_width ~mem_ports ~latency
     let used_nonspec = ref false in
     let cycle = ref 0 in
     let stall_guard = ref 0 in
-    let stalled = ref false in
     let overflowed () =
       match alloc with Some a -> Smarq_alloc.overflowed a | None -> false
     in
-    while st.count < n && (not !stalled) && not (overflowed ()) do
+    while st.count < n && not (overflowed ()) do
       let c = !cycle in
       if c < Array.length st.bucket_head then begin
         let p = ref st.bucket_head.(c) in
@@ -403,20 +397,20 @@ let schedule_core ~body ~hazards ~issue_width ~mem_ports ~latency
       done;
       if st.count = issued_before then begin
         incr stall_guard;
-        if !stall_guard > n + 1000 then stalled := true
+        if !stall_guard > n + 1000 then
+          invalid_arg
+            (Printf.sprintf
+               "List_sched: no progress at cycle %d with %d instructions remaining"
+               c (n - st.count))
       end
       else stall_guard := 0;
       incr cycle
     done;
-    if !stalled then
-      Error (Stalled { cycle = !cycle - 1; remaining = n - st.count })
-    else
-      let length =
-        if st.count = 0 then 1 else 1 + st.out_cycle.(st.count - 1)
-      in
-      Ok
-        ( { cycle = st.out_cycle; pos = st.out_pos; count = st.count; length },
-          !used_nonspec )
+    let length =
+      if st.count = 0 then 1 else 1 + st.out_cycle.(st.count - 1)
+    in
+    ( { cycle = st.out_cycle; pos = st.out_pos; count = st.count; length },
+      !used_nonspec )
   end
 
 (* The issue sequence as the (cycle, instruction) list the optimizer
@@ -516,7 +510,7 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
         | Policy.No_scheme ->
           None)
   in
-  let* issued, used_nonspec =
+  let issued, used_nonspec =
     Profile.time profile Profile.add_sched (fun () ->
         schedule_core ~body ~hazards ~issue_width ~mem_ports ~latency
           ~alloc)

@@ -53,10 +53,6 @@ type failure =
               {!Alat_annot} *)
       detail : string;
     }
-  | Stalled of {
-      cycle : int;
-      remaining : int;
-    }  (** no instruction issued for too long — an invariant violation *)
 
 val failure_to_string : failure -> string
 
@@ -91,7 +87,10 @@ val schedule :
     graph's dropped keys (the dropped array itself when there are
     none).  [Error] when
     even non-speculation mode cannot fit the scheme's alias registers —
-    callers fall back to a less speculative build of the region.
+    callers fall back to a less speculative build of the region.  A
+    schedule that makes no progress is an invariant violation, not a
+    failure: it raises [Invalid_argument], as {!Hazards.build} does on a
+    repeated id and {!heights} on a backward edge.
 
     The scheduler is an incremental ready-queue list scheduler over the
     reduced hazard graph; the test suite holds its issue sequences to

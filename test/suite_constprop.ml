@@ -8,7 +8,7 @@ module MA = Analysis.May_alias
 let check_verdict = Alcotest.of_pp MA.pp_verdict
 
 let with_consts body =
-  MA.analyze ~const_facts:(Analysis.Absint.analyze ~body) ~body ()
+  MA.analyze ~const_facts:(Analysis.Absint.analyze ~body ()) ~body ()
 
 let test_propagation_through_arith () =
   reset_ids ();
@@ -266,7 +266,7 @@ let concrete_addresses body entry =
 
 let prop_guard_bounds_constants (ops, entry1, entry2) =
   let body = List.mapi (fun id op -> I.make ~id op) ops in
-  let facts = Analysis.Absint.analyze ~body in
+  let facts = Analysis.Absint.analyze ~body () in
   let a1 = concrete_addresses body entry1 in
   let a2 = concrete_addresses body entry2 in
   let in_guard n = n >= -guard && n <= guard in
@@ -306,7 +306,7 @@ let test_wrapped_product_dropped () =
   let s2 = st ~width:8 (I.Imm 1) (r 4) 0 in
   let l1 = ld ~width:8 (f 0) (r 5) 0 in
   let body = [ mask; wrap; const; m5; s1; s2; l1 ] in
-  let facts = Analysis.Absint.analyze ~body in
+  let facts = Analysis.Absint.analyze ~body () in
   let opaque (i : I.t) =
     match Analysis.Absint.address facts i.I.id with
     | Some ({ Analysis.Absint.origin = Analysis.Absint.Opaque _; _ }, _) ->
@@ -315,7 +315,7 @@ let test_wrapped_product_dropped () =
   in
   Alcotest.(check bool) "wrapped range is opaque" true (opaque s1);
   Alcotest.(check bool) "wrapped constant is opaque" true (opaque s2);
-  let cert = Analysis.Disamb.certify ~alias:(MA.analyze ~body ()) ~body in
+  let cert = Analysis.Disamb.certify ~alias:(MA.analyze ~body ()) ~body () in
   Alcotest.(check bool) "no certificate for the wrapped store" false
     (Analysis.Disamb.no_alias cert s1.I.id l1.I.id)
 

@@ -17,7 +17,7 @@ let test_absint_const_folding () =
   let m1 = movi (r 1) 100 in
   let a1 = mk (I.Binop (I.Add, r 2, I.Reg (r 1), I.Imm 28)) in
   let l1 = ld (f 0) (r 2) 0 in
-  let t = AI.analyze ~body:[ m1; a1; l1 ] in
+  let t = AI.analyze ~body:[ m1; a1; l1 ] () in
   match AI.address t l1.I.id with
   | None -> Alcotest.fail "address not computed"
   | Some (v, w) ->
@@ -33,7 +33,7 @@ let test_absint_entry_bump () =
   let l1 = ld (f 0) (r 1) 8 in
   let b1 = mk (I.Binop (I.Add, r 1, I.Reg (r 1), I.Imm 64)) in
   let l2 = ld (f 1) (r 1) 8 in
-  let t = AI.analyze ~body:[ l1; b1; l2 ] in
+  let t = AI.analyze ~body:[ l1; b1; l2 ] () in
   (match AI.address t l1.I.id, AI.address t l2.I.id with
   | Some (v1, _), Some (v2, _) ->
     Alcotest.(check bool) "same entry origin" true
@@ -48,7 +48,7 @@ let test_absint_mask_stride () =
   let a1 = mk (I.Binop (I.And, r 2, I.Reg (r 4), I.Imm 0xf8)) in
   let a2 = mk (I.Binop (I.Add, r 3, I.Reg (r 1), I.Reg (r 2))) in
   let l1 = ld (f 0) (r 3) 0 in
-  let t = AI.analyze ~body:[ a1; a2; l1 ] in
+  let t = AI.analyze ~body:[ a1; a2; l1 ] () in
   match AI.address t l1.I.id with
   | None -> Alcotest.fail "address not computed"
   | Some (v, _) ->
@@ -104,7 +104,7 @@ let test_certify_bump_pairs () =
   let alias = MA.analyze ~body () in
   Alcotest.check check_verdict "cross-iteration pair starts may"
     MA.May_alias (MA.verdict alias s1 l2);
-  let cert = D.certify ~alias ~body in
+  let cert = D.certify ~alias ~body () in
   Alcotest.(check bool) "store1/load2 certified" true
     (D.no_alias cert s1.I.id l2.I.id);
   Alcotest.(check bool) "store1/store2 certified" true
@@ -140,7 +140,7 @@ let test_certify_congruence_probe () =
   let alias = MA.analyze ~body () in
   Alcotest.check check_verdict "probe pair starts may" MA.May_alias
     (MA.verdict alias s1 l1);
-  let cert = D.certify ~alias ~body in
+  let cert = D.certify ~alias ~body () in
   Alcotest.(check bool) "probe certified" true
     (D.no_alias cert s1.I.id l1.I.id);
   match D.witnesses cert with
@@ -159,7 +159,7 @@ let test_cross_base_not_certified () =
   let l1 = ld ~width:8 (f 0) (r 2) 4096 in
   let body = [ s1; l1 ] in
   let alias = MA.analyze ~body () in
-  let cert = D.certify ~alias ~body in
+  let cert = D.certify ~alias ~body () in
   Alcotest.(check int) "no pair certified" 0 (D.count cert);
   Alcotest.check check_verdict "verdict still may" MA.May_alias
     (MA.verdict alias s1 l1)
@@ -171,7 +171,7 @@ let test_known_alias_never_certified () =
      genuinely never overlaps — but the point is precedence), known
      pairs are excluded from certification *)
   let alias = MA.analyze ~known_alias:[ (s1.I.id, l2.I.id) ] ~body () in
-  let cert = D.certify ~alias ~body in
+  let cert = D.certify ~alias ~body () in
   Alcotest.(check bool) "known pair not certified" false
     (D.no_alias cert s1.I.id l2.I.id)
 
@@ -205,7 +205,7 @@ let certify_soundness_prop seed =
   let sb, bases = Workload.Genprog.superblock ~seed ~params in
   let body = sb.Ir.Superblock.body in
   let alias = MA.analyze ~body () in
-  let cert = D.certify ~alias ~body in
+  let cert = D.certify ~alias ~body () in
   let machine = Vliw.Machine.create () in
   List.iter
     (fun (reg, v) -> Vliw.Machine.set_reg machine reg v)
@@ -256,6 +256,184 @@ let certify_all_schemes_prop seed =
       else true)
     all_schemes
 
+
+(* ---- the flat evaluator against the record-and-table oracle ---- *)
+
+module O = Oracle_absint
+module W = Check.Witness
+
+(* the checker's replayed address of memory op [k], decoded *)
+let replayed out k : AI.value option =
+  let b = k * W.cell_size in
+  let anchor = out.(b + W.f_anchor) in
+  if anchor = W.a_none then None
+  else
+    let code = out.(b + W.f_arg) in
+    let origin =
+      if anchor = W.a_const then AI.Const
+      else if anchor = W.a_opaque then AI.Opaque code
+      else
+        AI.Entry
+          (match code mod 3 with
+          | 0 -> Ir.Reg.R (code / 3)
+          | 1 -> Ir.Reg.F (code / 3)
+          | _ -> Ir.Reg.T (code / 3))
+    in
+    Some
+      {
+        AI.origin;
+        scale = out.(b + W.f_mul);
+        off =
+          {
+            AI.lo = out.(b + W.f_rlo);
+            hi = out.(b + W.f_rhi);
+            stride = out.(b + W.f_rstep);
+            rem = out.(b + W.f_rres);
+          };
+      }
+
+(* [None] when the body agrees everywhere, else what differs *)
+let absint_mismatch ?(known_alias = []) body =
+  let flat = AI.analyze ~body () and slow = O.analyze ~body in
+  let out = W.replay_addresses (Array.of_list body) in
+  let k = ref 0 in
+  let bad =
+    List.find_map
+      (fun (i : I.t) ->
+        let a = AI.address flat i.I.id and b = O.address slow i.I.id in
+        let mem = I.is_memory i in
+        let replay_ok =
+          (not mem)
+          ||
+          let x = !k in
+          incr k;
+          replayed out x = Option.map fst b
+        in
+        if a <> b then Some (Printf.sprintf "address of #%d differs from the oracle's" i.I.id)
+        else if not replay_ok then
+          Some (Printf.sprintf "checker replay of #%d differs from the oracle's" i.I.id)
+        else None)
+      body
+  in
+  match bad with
+  | Some _ -> bad
+  | None ->
+    (* the certificate, with the facts reused and computed afresh *)
+    let cert_differs alias =
+      let cert = D.certify ~alias ~body () in
+      let o = O.certify ~alias ~body in
+      D.keys cert <> o.O.keys || D.witnesses cert <> o.O.ws
+    in
+    if cert_differs (MA.analyze ~known_alias ~const_facts:flat ~body ()) then
+      Some "certificate (shared facts) differs from the oracle's"
+    else if cert_differs (MA.analyze ~known_alias ~body ()) then
+      Some "certificate differs from the oracle's"
+    else None
+
+let report = function
+  | None -> true
+  | Some why -> QCheck.Test.fail_report why
+
+(* Straight-line bodies built to reach every transfer rule: ALU ops of
+   every kind over a few registers, with immediates near the masks,
+   shift counts and magnitude guard the rules test, and loads and
+   stores through those registers. *)
+let arith_body_gen =
+  let open QCheck.Gen in
+  let reg = oneofl [ r 1; r 2; r 3; Ir.Reg.T 0; Ir.Reg.T 1; f 0 ] in
+  let imm =
+    oneofl
+      [ 0; 1; 2; 3; 4; 8; 16; 24; 31; 33; 49; 50; 63; -8; -1; 0xf8; 0xff0; 127;
+        1 lsl 49; (1 lsl 50) + 1; -(1 lsl 50); max_int; min_int ]
+  in
+  let operand = frequency [ (3, map (fun r -> I.Reg r) reg); (2, map (fun n -> I.Imm n) imm) ] in
+  let binop = oneofl I.[ Add; Sub; Mul; Div; And; Or; Xor; Shl; Shr ] in
+  let width = oneofl [ 4; 8 ] in
+  let disp = oneofl [ 0; 4; 8; 16; 64; -8; 1 lsl 49 ] in
+  let op =
+    frequency
+      [
+        (2, map2 (fun d s -> I.Mov (d, s)) reg operand);
+        (1, map2 (fun d s -> I.Unop_neg (d, s)) reg operand);
+        (8, map4 (fun o d a b -> I.Binop (o, d, a, b)) binop reg operand operand);
+        (1, map3 (fun d a b -> I.Cmp (I.Lt, d, a, b)) reg operand operand);
+        (1, map3 (fun d a b -> I.Fbinop (I.Fadd, d, a, b)) reg operand operand);
+        ( 3,
+          map4
+            (fun dst base disp width ->
+              I.Load { dst; addr = { I.base; disp }; width; annot = Ir.Annot.none })
+            reg reg disp width );
+        ( 3,
+          map4
+            (fun src base disp width ->
+              I.Store { src; addr = { I.base; disp }; width; annot = Ir.Annot.none })
+            operand reg disp width );
+      ]
+  in
+  map (List.mapi (fun id op -> I.make ~id op)) (list_size (int_range 5 60) op)
+
+let arith_body_arb =
+  QCheck.make ~print:(fun body -> String.concat "\n" (List.map I.to_string body)) arith_body_gen
+
+let prop_arith_matches_oracle body = report (absint_mismatch body)
+
+let prop_genprog_matches_oracle (seed, n_instrs) =
+  let params =
+    { Workload.Genprog.default_params with n_instrs; mem_fraction = 0.45; n_bases = 3 }
+  in
+  let sb, _ = Workload.Genprog.superblock ~seed ~params in
+  report (absint_mismatch sb.Ir.Superblock.body)
+
+(* Every region the suite translates under the eight campaign schemes,
+   with the campaign's configuration and certification on: the
+   superblock body and the final (post-
+   elimination) body agree with the oracle, and the artifact's own
+   certificate is the oracle's for its final body. *)
+let test_captured_regions_match_oracle () =
+  let bodies = ref 0 in
+  List.iter
+    (fun (b : Workload.Specfp.bench) ->
+      List.iter
+        (fun scheme ->
+          let _, config, requests =
+            Exec.Translate.capture_program
+              ~config:{ Runtime.Config.default with certify = true }
+              ~scheme (Workload.Specfp.program b)
+          in
+          List.iter
+            (fun (req : Opt.Optimizer.request) ->
+              let o =
+                Opt.Optimizer.run_request ~issue_width:config.Vliw.Config.issue_width
+                  ~mem_ports:config.Vliw.Config.mem_ports
+                  ~latency:(Vliw.Config.latency config) req
+              in
+              let final = o.Opt.Optimizer.region.Ir.Region.source.Ir.Superblock.body in
+              let known_alias = req.Opt.Optimizer.known_alias in
+              let where = Printf.sprintf "%s under %s" b.Workload.Specfp.name (Smarq.Scheme.name scheme) in
+              List.iter
+                (fun body ->
+                  incr bodies;
+                  match absint_mismatch ~known_alias body with
+                  | None -> ()
+                  | Some why -> Alcotest.failf "%s: %s" where why)
+                [ req.Opt.Optimizer.sb.Ir.Superblock.body; final ];
+              match o.Opt.Optimizer.cert with
+              | None -> ()
+              | Some cert ->
+                let policy = o.Opt.Optimizer.policy_used in
+                let const_facts =
+                  if policy.Sched.Policy.static_disambiguation then Some (AI.analyze ~body:final ())
+                  else None
+                in
+                let alias = MA.analyze ~known_alias ?const_facts ~body:final () in
+                let oracle = O.certify ~alias ~body:final in
+                if D.keys cert <> oracle.O.keys || D.witnesses cert <> oracle.O.ws then
+                  Alcotest.failf "%s: the artifact's certificate differs from the oracle's" where)
+            requests)
+        Verify.Campaign.schemes)
+    Workload.Specfp.suite;
+  Alcotest.(check bool) "regions compared" true (!bodies > 0)
+
 let suite =
   ( "disamb",
     [
@@ -274,4 +452,11 @@ let suite =
       qcase ~count:6 "all schemes sound under certification"
         QCheck.(int_bound 1_000)
         certify_all_schemes_prop;
+      qcase ~count:300 "flat absint = oracle on arithmetic bodies" arith_body_arb
+        prop_arith_matches_oracle;
+      qcase ~count:100 "flat absint = oracle on generated superblocks"
+        QCheck.(pair (int_bound 1_000_000) (int_range 10 150))
+        prop_genprog_matches_oracle;
+      case "flat absint = oracle on captured regions, all schemes"
+        test_captured_regions_match_oracle;
     ] )

@@ -185,7 +185,7 @@ module AI = Analysis.Absint
    key order. *)
 let certify_oracle ~alias ~body =
   let facts =
-    match MA.const_facts alias with Some f -> f | None -> AI.analyze ~body
+    match MA.const_facts alias with Some f -> f | None -> AI.analyze ~body ()
   in
   let table = Hashtbl.create 32 in
   let mems = Array.of_list (List.filter I.is_memory body) in
@@ -233,8 +233,8 @@ let cert_body (seed, n_instrs) =
 
 let prop_certificate_recomputed arb =
   let body = cert_body arb in
-  let alias = MA.analyze ~const_facts:(AI.analyze ~body) ~body () in
-  let cert = D.certify ~alias ~body in
+  let alias = MA.analyze ~const_facts:(AI.analyze ~body ()) ~body () in
+  let cert = D.certify ~alias ~body () in
   let keys, ws = certify_oracle ~alias ~body in
   (* [of_witnesses]: the witnesses, then some again with another
      reason — the later copy wins *)
@@ -270,11 +270,11 @@ let mem_pairs body =
 
 let test_verdict_allocates_nothing () =
   let body = unit_body 8 in
-  let const_facts = Analysis.Absint.analyze ~body in
+  let const_facts = Analysis.Absint.analyze ~body () in
   let mems = List.filter I.is_memory body |> Array.of_list in
   let known_alias = [ (mems.(0).I.id, mems.(5).I.id) ] in
   let alias = MA.analyze ~known_alias ~const_facts ~body () in
-  let cert = D.certify ~alias ~body in
+  let cert = D.certify ~alias ~body () in
   MA.set_certified alias (D.keys cert);
   let pairs = mem_pairs body in
   let calls n =
@@ -301,11 +301,11 @@ let per_certified = 128
 let test_certify_budget () =
   let measure units =
     let body = unit_body units in
-    let const_facts = Analysis.Absint.analyze ~body in
+    let const_facts = Analysis.Absint.analyze ~body () in
     let alias = MA.analyze ~const_facts ~body () in
-    ignore (D.certify ~alias ~body);
+    ignore (D.certify ~alias ~body ());
     let cert = ref None in
-    let words = minor_words_of (fun () -> cert := Some (D.certify ~alias ~body)) in
+    let words = minor_words_of (fun () -> cert := Some (D.certify ~alias ~body ())) in
     let n_mem = List.length (List.filter I.is_memory body) in
     (words, n_mem, D.count (Option.get !cert))
   in
@@ -325,14 +325,17 @@ let test_certify_budget () =
 (* ---- the checker allocates per instruction, not per pair ---- *)
 
 (* words allocated while [f ()] runs, minor heap and directly in the
-   major heap (arrays too large for the minor heap go there).  The
-   fewest of three runs: a minor collection inside the span can skew
-   one reading of the counters by up to a minor heap. *)
+   major heap (arrays too large for the minor heap go there).  Minor
+   words come from [Gc.minor_words], which counts the live minor heap
+   too ([Gc.counters]'s minor count can lag by hundreds of words), and
+   direct major words from [Gc.counters].  The fewest of three runs. *)
 let words_of f =
   let once () =
-    let m0, p0, j0 = Gc.counters () in
+    let _, p0, j0 = Gc.counters () in
+    let m0 = Gc.minor_words () in
     f ();
-    let m1, p1, j1 = Gc.counters () in
+    let m1 = Gc.minor_words () in
+    let _, p1, j1 = Gc.counters () in
     int_of_float (m1 -. m0 +. (j1 -. p1) -. (j0 -. p0))
   in
   min (once ()) (min (once ()) (once ()))
@@ -426,6 +429,111 @@ let test_witness_check_per_instruction () =
   check_ratio "witness check" ~few:few_check ~many:many_check;
   check_ratio "verify with a certificate" ~few:few_verify ~many:many_verify
 
+
+(* ---- the abstract evaluators allocate per memory op, not per instruction ---- *)
+
+(* [units] bump units (two stores through a bumped temporary base and a
+   load through a guest base), then [pad] rounds of address arithmetic
+   that redefine the same four registers and touch no memory: the
+   memory operations and the registers are the same at every [pad]. *)
+let padded_body ~units ~pad =
+  let mems = unit_body units in
+  let t = Ir.Reg.T 0 in
+  let arith =
+    List.concat
+      (List.init pad (fun j ->
+           [
+             mk (I.Binop (I.Shl, r 5, I.Reg (r 4), I.Imm 3));
+             mk (I.Binop (I.And, r 6, I.Reg (r 5), I.Imm 0xf8));
+             mk (I.Binop (I.Add, t, I.Reg (r 6), I.Reg (r 1)));
+             mk (I.Binop (I.Mul, t, I.Reg t, I.Imm (j + 1)));
+             mk (I.Binop (I.Sub, r 4, I.Reg (r 4), I.Imm 8));
+             mk (I.Unop_neg (r 5, I.Reg t));
+             mk (I.Mov (r 6, I.Reg (r 5)));
+             mk (I.Cmp (I.Lt, r 7, I.Reg t, I.Imm 0));
+           ]))
+  in
+  mems @ arith
+
+(* the padding is this many times the rest of the body *)
+let pad_small = 16
+let pad_large = 4 * pad_small
+
+let check_flat what ~small ~large =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d words with 4x the instructions, %d without (slack %d)" what
+       large small slack)
+    true
+    (large <= small + slack)
+
+let test_absint_per_memory_op () =
+  let arena = Analysis.Arena.create () in
+  let small = padded_body ~units:8 ~pad:pad_small in
+  let large = padded_body ~units:8 ~pad:pad_large in
+  let run body () = ignore (Sys.opaque_identity (AI.analyze ~arena ~body ())) in
+  run large ();
+  check_flat "Absint.analyze" ~small:(words_of (run small)) ~large:(words_of (run large))
+
+let test_replay_per_memory_op () =
+  let small = Array.of_list (padded_body ~units:8 ~pad:pad_small) in
+  let large = Array.of_list (padded_body ~units:8 ~pad:pad_large) in
+  let run body () = ignore (Sys.opaque_identity (W.replay_addresses body)) in
+  check_flat "Witness.replay_addresses" ~small:(words_of (run small))
+    ~large:(words_of (run large))
+
+(* [k] stores through one base bumped between them: every pair of them
+   is certified, so the pairs grow quadratically and the memory ops
+   linearly. *)
+let bump_chain k =
+  reset_ids ();
+  List.concat
+    (List.init k (fun j ->
+         [
+           st ~width:8 (I.Imm j) (r 1) 0;
+           mk (I.Binop (I.Add, r 1, I.Reg (r 1), I.Imm 64));
+         ]))
+
+(* A witness record is four words (header and three fields) plus its
+   key and its array slot; a fact, its origin and offset set, the value
+   they are read from and its slot in the shared-facts array stay
+   under [per_fact]. *)
+let per_witness = 6
+let per_fact = 24
+
+let test_certify_shares_facts () =
+  let arena = Analysis.Arena.create () in
+  let measure k =
+    let body = bump_chain k in
+    let alias = MA.analyze ~const_facts:(AI.analyze ~body ()) ~body () in
+    let run () = ignore (Sys.opaque_identity (D.certify ~arena ~alias ~body ())) in
+    run ();
+    let cert = D.certify ~arena ~alias ~body () in
+    let shared =
+      Array.for_all
+        (fun (w : D.witness) ->
+          Array.for_all
+            (fun (v : D.witness) ->
+              (w.D.x.D.instr <> v.D.x.D.instr || w.D.x == v.D.x)
+              && (w.D.y.D.instr <> v.D.y.D.instr || w.D.y == v.D.y)
+              && (w.D.x.D.instr <> v.D.y.D.instr || w.D.x == v.D.y))
+            (D.witnesses cert))
+        (D.witnesses cert)
+    in
+    Alcotest.(check bool) "one fact per memory op, shared" true shared;
+    (words_of run, k, D.count cert)
+  in
+  ignore (measure 32);
+  let w1, m1, c1 = measure 8 and w4, m4, c4 = measure 32 in
+  Alcotest.(check int) "every pair certified (small)" (8 * 7 / 2) c1;
+  Alcotest.(check int) "every pair certified (large)" (32 * 31 / 2) c4;
+  let budget = (per_witness * (c4 - c1)) + (per_fact * (m4 - m1)) + slack in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "4x body grows by %d words: within %d (%d more certified pairs, %d more ops)"
+       (w4 - w1) budget (c4 - c1) (m4 - m1))
+    true
+    (w4 - w1 <= budget)
+
 let suite =
   ( "pair keys",
     [
@@ -449,4 +557,9 @@ let suite =
         test_verify_per_instruction;
       case "witness check allocates per instruction, not per certified pair"
         test_witness_check_per_instruction;
+      case "Absint.analyze allocates nothing per instruction (warm arena)"
+        test_absint_per_memory_op;
+      case "witness replay allocates nothing per instruction" test_replay_per_memory_op;
+      case "certify allocates one witness per pair and one shared fact per op"
+        test_certify_shares_facts;
     ] )

@@ -53,7 +53,7 @@ let depgraphs_of (seed, params) =
   let sb, _ = Workload.Genprog.superblock ~seed ~params in
   let body = sb.Ir.Superblock.body in
   let known_alias = known_pairs_of ~seed body in
-  let const_facts = Analysis.Absint.analyze ~body in
+  let const_facts = Analysis.Absint.analyze ~body () in
   let alias = Analysis.May_alias.analyze ~known_alias ~const_facts ~body () in
   let fast = Analysis.Depgraph.build ~body ~alias () in
   let slow = Oracle_depgraph.real_edges ~body ~alias in
@@ -201,7 +201,7 @@ let check_region ~config (r : Opt.Optimizer.request) (o : Opt.Optimizer.t) =
     Analysis.May_alias.analyze ~known_alias:r.Opt.Optimizer.known_alias
       ?const_facts:
         (if policy.Sched.Policy.static_disambiguation then
-           Some (Analysis.Absint.analyze ~body)
+           Some (Analysis.Absint.analyze ~body ())
          else None)
       ~body ()
   in
