@@ -138,9 +138,10 @@ let vec t ~slot =
 
 let map t ~slot =
   if slot >= Array.length t.maps then begin
-    let bigger = Array.init (next_pow2 (slot + 1) 1) (fun _ -> map_make ()) in
-    Array.blit t.maps 0 bigger 0 (Array.length t.maps);
-    t.maps <- bigger
+    let old = t.maps in
+    t.maps <-
+      Array.init (next_pow2 (slot + 1) 1) (fun i ->
+          if i < Array.length old then old.(i) else map_make ())
   end;
   let m = t.maps.(slot) in
   map_reset m;

@@ -10,9 +10,10 @@
     Arenas are single-owner: nothing leased may escape the build that
     leased it, and an arena must never be shared between domains.
     Slot numbers namespace concurrent leases within one build; the
-    depgraph builder uses slots 0–15, the hazard builder 16–31,
+    depgraph builder uses slots 0–15 (and intmap slots 1–2), the
+    hazard builder 16–31,
     {!Absint} 32–38 (and intmap slot 3), {!Disamb} 40–41 (and vector
-    slot 3). *)
+    slot 3), {!May_alias} intmap slot 0. *)
 
 type t
 

@@ -11,18 +11,18 @@ type t = {
   const_addr : (int, int) Hashtbl.t;  (* memory op id -> constant address *)
 }
 
-let analyze ?(known_alias = []) ?const_facts ~body () =
+let analyze ?(known_alias = []) ?const_facts ?arena ~body () =
   let generation = Hashtbl.create 64 in
   let const_addr = Hashtbl.create 16 in
-  (* definitions so far per register, indexed by [Arena.reg_code]; a
-     register the body never defines has none *)
-  let top = ref (-1) in
-  let note r = top := Int.max !top (Arena.reg_code r) in
-  List.iter (Ir.Instr.iter_defs note) body;
-  let defs = Array.make (!top + 1) 0 in
+  (* definitions so far per register, keyed by [Arena.reg_code] in an
+     open-addressed map, so its size follows the registers the body
+     defines, not the largest code; a register the body never defines
+     has none *)
+  let arena = match arena with Some a -> a | None -> Arena.create () in
+  let defs = Arena.map arena ~slot:0 in
   let count r =
     let c = Arena.reg_code r in
-    defs.(c) <- defs.(c) + 1
+    Arena.map_set defs c (Arena.map_get defs c ~default:0 + 1)
   in
   (* memory operation [k] of the body is operation [k] of the facts *)
   let k = ref 0 in
@@ -30,9 +30,8 @@ let analyze ?(known_alias = []) ?const_facts ~body () =
     (fun (i : Ir.Instr.t) ->
       (match i.op with
       | Ir.Instr.Load { addr; _ } | Ir.Instr.Store { addr; _ } ->
-        let c = Arena.reg_code addr.Ir.Instr.base in
         Hashtbl.replace generation i.id
-          (if c < Array.length defs then defs.(c) else 0);
+          (Arena.map_get defs (Arena.reg_code addr.Ir.Instr.base) ~default:0);
         (match const_facts with
         | Some facts -> (
           if !k >= Absint.mem_count facts || (Absint.mem facts !k).id <> i.id then

@@ -38,6 +38,7 @@ type t
 val analyze :
   ?known_alias:(int * int) list ->
   ?const_facts:Absint.t ->
+  ?arena:Arena.t ->
   body:Ir.Instr.t list ->
   unit ->
   t
@@ -46,7 +47,9 @@ val analyze :
     {!Must_alias}.  [const_facts], the {!Absint} pass over the same
     [body], lets direct (constant-address) accesses be disambiguated
     across different base registers — the small win static binary
-    analysis can deliver (related work [13]). *)
+    analysis can deliver (related work [13]).  [?arena] lends the
+    per-register definition counts their map (see {!Arena}); without
+    one they get a fresh map. *)
 
 val verdict : t -> Ir.Instr.t -> Ir.Instr.t -> verdict
 (** Verdict for two memory operations of the analyzed body (order of

@@ -39,14 +39,14 @@ let mutation_name = function
 let expected_rules = function
   | Drop_check -> [ Verifier.Queue_uncovered ]
   | Swap_orders ->
-    [ Verifier.Alloc_constraint; Verifier.Alloc_window; Verifier.Queue_uncovered ]
+    [ Verifier.Alloc_window; Verifier.Queue_uncovered; Verifier.Queue_spurious ]
   | Widen_offset -> [ Verifier.Alloc_window ]
-  | Delete_amov -> [ Verifier.Annot_alloc_sync ]
+  | Delete_amov -> [ Verifier.Queue_uncovered; Verifier.Queue_spurious ]
   | Drop_advanced -> [ Verifier.Alat_unmarked ]
   | Clear_mask_bit -> [ Verifier.Mask_uncovered ]
   | Hoist_across_hazard -> [ Verifier.Sched_hazard ]
   | Delete_instr -> [ Verifier.Sched_complete ]
-  | Over_rotate -> [ Verifier.Queue_base_sync ]
+  | Over_rotate -> [ Verifier.Queue_uncovered; Verifier.Queue_base_sync ]
   | Shift_witness_range -> [ Verifier.Cert_derivation ]
   | Widen_witness_range -> [ Verifier.Cert_separation ]
   | Swap_witness_origin -> [ Verifier.Cert_derivation ]
@@ -55,17 +55,8 @@ let expected_rules = function
   | Desync_region_cert -> [ Verifier.Cert_region_sync ]
   | Bogus_witness_endpoint -> [ Verifier.Cert_endpoints ]
 
-(* ---- deep copies: only the parts mutations touch need to be fresh
-   (bundles array, allocation hash tables); instructions and edge
-   lists are immutable and can be shared *)
-
-let copy_allocation (a : C.allocation) =
-  {
-    C.order = Hashtbl.copy a.C.order;
-    base = Hashtbl.copy a.C.base;
-    p_bit = Hashtbl.copy a.C.p_bit;
-    c_bit = Hashtbl.copy a.C.c_bit;
-  }
+(* ---- copies: a mutant gets a fresh bundles array; instructions and
+   edge lists are immutable and shared *)
 
 let with_region (o : Opt.Optimizer.t) region = { o with Opt.Optimizer.region }
 
@@ -119,43 +110,36 @@ let ar_count (o : Opt.Optimizer.t) =
    offers no viable target *)
 
 let drop_check (o : Opt.Optimizer.t) =
-  match scheme o, o.Opt.Optimizer.alloc_result with
-  | Sched.Policy.Queue_scheme, Some res -> (
-    let a = res.Sched.Smarq_alloc.allocation in
+  match scheme o with
+  | Sched.Policy.Queue_scheme -> (
+    let checks = Hashtbl.create 64 in
+    List.iter
+      (fun (i : Ir.Instr.t) ->
+        match Ir.Instr.annot i with
+        | Ir.Annot.Queue { c = true; _ } -> Hashtbl.replace checks i.id ()
+        | _ -> ())
+      (Ir.Region.instrs o.Opt.Optimizer.region);
     match
       List.find_opt
-        (fun (e : Analysis.Depgraph.edge) -> Hashtbl.mem a.C.c_bit e.first)
+        (fun (e : Analysis.Depgraph.edge) -> Hashtbl.mem checks e.first)
         (required_pairs o)
     with
     | None -> None
     | Some e ->
-      let f = e.first in
-      let a' = copy_allocation a in
-      Hashtbl.remove a'.C.c_bit f;
-      let res' =
-        {
-          res with
-          Sched.Smarq_alloc.allocation = a';
-          check_edges =
-            List.filter
-              (fun (ce : C.edge) -> ce.C.first <> f)
-              res.Sched.Smarq_alloc.check_edges;
-        }
-      in
-      let o' =
-        map_bundles o (fun (i : Ir.Instr.t) ->
-            if i.id <> f then i
-            else
-              match Ir.Instr.annot i with
-              | Ir.Annot.Queue { offset; p; _ } ->
-                Ir.Instr.with_annot i
-                  (if p then Ir.Annot.queue ~offset ~p:true ~c:false
-                   else Ir.Annot.none)
-              | _ -> i)
-      in
-      Some { o' with Opt.Optimizer.alloc_result = Some res' })
+      Some
+        (map_bundles o (fun (i : Ir.Instr.t) ->
+             if i.id <> e.first then i
+             else
+               match Ir.Instr.annot i with
+               | Ir.Annot.Queue { offset; p; _ } ->
+                 Ir.Instr.with_annot i
+                   (if p then Ir.Annot.queue ~offset ~p:true ~c:false
+                    else Ir.Annot.none)
+               | _ -> i)))
   | _ -> None
 
+(* The offsets of a check edge's two ends, re-annotated as if the
+   allocator had swapped their orders. *)
 let swap_orders (o : Opt.Optimizer.t) =
   match scheme o, o.Opt.Optimizer.alloc_result with
   | Sched.Policy.Queue_scheme, Some res
@@ -173,25 +157,14 @@ let swap_orders (o : Opt.Optimizer.t) =
     | None -> None
     | Some e ->
       let f = e.C.first and s = e.C.second in
-      let a' = copy_allocation a in
-      let of_ = Hashtbl.find a'.C.order f and os = Hashtbl.find a'.C.order s in
-      Hashtbl.replace a'.C.order f os;
-      Hashtbl.replace a'.C.order s of_;
-      let res' = { res with Sched.Smarq_alloc.allocation = a' } in
-      let o' =
-        map_bundles o (fun (i : Ir.Instr.t) ->
-            match Ir.Instr.annot i with
-            | Ir.Annot.Queue { p; c; _ } -> (
-              match
-                Hashtbl.find_opt a'.C.order i.id,
-                Hashtbl.find_opt a'.C.base i.id
-              with
-              | Some od, Some b ->
-                Ir.Instr.with_annot i (Ir.Annot.queue ~offset:(od - b) ~p ~c)
-              | _ -> i)
-            | _ -> i)
-      in
-      Some { o' with Opt.Optimizer.alloc_result = Some res' })
+      let swapped id = Hashtbl.find a.C.order (if id = f then s else f) in
+      Some
+        (map_bundles o (fun (i : Ir.Instr.t) ->
+             match Ir.Instr.annot i, Hashtbl.find_opt a.C.base i.id with
+             | Ir.Annot.Queue { p; c; _ }, Some b when i.id = f || i.id = s ->
+               Ir.Instr.with_annot i
+                 (Ir.Annot.queue ~offset:(swapped i.id - b) ~p ~c)
+             | _ -> i)))
   | _ -> None
 
 let widen_offset (o : Opt.Optimizer.t) =
@@ -329,37 +302,57 @@ let delete_instr (o : Opt.Optimizer.t) =
   | [] -> None
   | i :: _ -> Some (remove_from_bundles o i.Ir.Instr.id)
 
+(* Under the naive scheme, +1 at the first ROTATE an annotated op
+   follows: every later op's replayed BASE is off by one.  Under SMARQ,
+   a flush of the whole window (+[ar_count]) at the first ROTATE a
+   reordered pair spans, so the earlier-executing op's range is freed
+   before the later one checks it.  A smaller bump, or a ROTATE no
+   reordered pair spans, can leave every comparison a dependence needs
+   unchanged — an equivalent mutant — so none is generated then. *)
 let over_rotate (o : Opt.Optimizer.t) =
-  match scheme o with
-  | Sched.Policy.Queue_scheme | Sched.Policy.Naive_queue_scheme ->
-    (* a ROTATE matters only if an annotated op executes after it *)
-    let instrs = Ir.Region.instrs o.Opt.Optimizer.region in
-    let rec find_rot = function
-      | [] -> None
-      | (i : Ir.Instr.t) :: rest -> (
-        match i.op with
-        | Ir.Instr.Rotate _
-          when List.exists
-                 (fun (j : Ir.Instr.t) ->
-                   match Ir.Instr.annot j with
-                   | Ir.Annot.Queue _ -> true
-                   | _ -> false)
-                 rest ->
-          Some i.id
-        | _ -> find_rot rest)
-    in
-    (match find_rot instrs with
-    | None -> None
-    | Some rid ->
-      Some
-        (map_bundles o (fun (i : Ir.Instr.t) ->
-             if i.id <> rid then i
-             else
-               match i.op with
-               | Ir.Instr.Rotate k ->
-                 Ir.Instr.make ~id:i.id (Ir.Instr.Rotate (k + 1))
-               | _ -> i)))
-  | _ -> None
+  let region = o.Opt.Optimizer.region in
+  let instrs = Array.of_list (Ir.Region.instrs region) in
+  let n = Array.length instrs in
+  let is_rotate p =
+    match instrs.(p).Ir.Instr.op with Ir.Instr.Rotate _ -> true | _ -> false
+  in
+  let rec first_rotate p ok =
+    if p >= n then None
+    else if is_rotate p && ok p then Some instrs.(p).Ir.Instr.id
+    else first_rotate (p + 1) ok
+  in
+  let target =
+    match scheme o with
+    | Sched.Policy.Naive_queue_scheme ->
+      let annotated p =
+        match Ir.Instr.annot instrs.(p) with
+        | Ir.Annot.Queue _ -> true
+        | _ -> false
+      in
+      let rec followed p = p < n && (annotated p || followed (p + 1)) in
+      Option.map (fun rid -> (rid, 1)) (first_rotate 0 (fun p -> followed (p + 1)))
+    | Sched.Policy.Queue_scheme ->
+      let pos = exec_positions region in
+      let spans =
+        List.map
+          (fun (e : Analysis.Depgraph.edge) ->
+            (Hashtbl.find pos e.second, Hashtbl.find pos e.first))
+          (required_pairs o)
+      in
+      Option.map
+        (fun rid -> (rid, ar_count o))
+        (first_rotate 0 (fun p -> List.exists (fun (ps, pf) -> ps < p && p < pf) spans))
+    | _ -> None
+  in
+  Option.map
+    (fun (rid, bump) ->
+      map_bundles o (fun (i : Ir.Instr.t) ->
+          if i.id <> rid then i
+          else
+            match i.op with
+            | Ir.Instr.Rotate k -> Ir.Instr.make ~id:i.id (Ir.Instr.Rotate (k + bump))
+            | _ -> i))
+    target
 
 (* ---- witness-corruption mutations: rebuild the certificate from a
    tampered witness list, keeping the region's certified list in sync

@@ -10,15 +10,19 @@
     the expected rule.  A surviving mutant is a verifier blind spot. *)
 
 type mutation =
-  | Drop_check  (** strip a checker's C bit and check edges *)
-  | Swap_orders  (** swap allocated orders across a check edge *)
+  | Drop_check  (** strip the C bit of a checker a reordered pair needs *)
+  | Swap_orders
+      (** re-annotate a check edge's ends as if their orders were swapped *)
   | Widen_offset  (** set an annotation offset to [ar_count] *)
-  | Delete_amov  (** remove an AMOV instruction, keep its record *)
+  | Delete_amov  (** remove an AMOV instruction *)
   | Drop_advanced  (** un-mark a protected advanced load *)
   | Clear_mask_bit  (** clear the covering bit of a mask checker *)
   | Hoist_across_hazard  (** move a successor into its predecessor's cycle *)
   | Delete_instr  (** drop a body instruction from the region *)
-  | Over_rotate  (** increment a ROTATE amount *)
+  | Over_rotate
+      (** grow a ROTATE amount: by the register count at the first
+          ROTATE a reordered pair spans (SMARQ), by one at the first
+          ROTATE an annotated op follows (naive queue) *)
   | Shift_witness_range  (** shift a claimed offset set off the derivation *)
   | Widen_witness_range  (** weaken a claim until disjointness fails *)
   | Swap_witness_origin  (** re-anchor a claimed fact on a bogus origin *)
@@ -34,8 +38,8 @@ val expected_rules : mutation -> Verifier.rule list
     verdict for the mutant to count as killed. *)
 
 val mutants : Opt.Optimizer.t -> (mutation * Opt.Optimizer.t) list
-(** Every mutation applicable to this artifact, each applied to an
-    independent deep copy.  Scheme-specific mutations are generated
+(** Every mutation applicable to this artifact, each applied to its
+    own copy (the artifact itself is left untouched).  Scheme-specific mutations are generated
     only for artifacts of that scheme; mutations with no viable target
     (e.g. [Delete_amov] on an AMOV-free region) are skipped. *)
 

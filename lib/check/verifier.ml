@@ -1,5 +1,3 @@
-module C = Analysis.Constraints
-
 type rule =
   | Def_before_use
   | Branch_order
@@ -11,11 +9,9 @@ type rule =
   | Hard_reordered
   | Nospec_reordered
   | Annot_scheme
-  | Annot_alloc_sync
-  | Alloc_constraint
   | Alloc_window
-  | Alloc_cycle
   | Queue_uncovered
+  | Queue_spurious
   | Queue_base_sync
   | Queue_rotate
   | Amov_bounds
@@ -42,11 +38,9 @@ let rule_name = function
   | Hard_reordered -> "hard_reordered"
   | Nospec_reordered -> "nospec_reordered"
   | Annot_scheme -> "annot_scheme"
-  | Annot_alloc_sync -> "annot_alloc_sync"
-  | Alloc_constraint -> "alloc_constraint"
   | Alloc_window -> "alloc_window"
-  | Alloc_cycle -> "alloc_cycle"
   | Queue_uncovered -> "queue_uncovered"
+  | Queue_spurious -> "queue_spurious"
   | Queue_base_sync -> "queue_base_sync"
   | Queue_rotate -> "queue_rotate"
   | Amov_bounds -> "amov_bounds"
@@ -105,12 +99,6 @@ let rec lay_bundle flat cyc_at cycle k = function
     cyc_at.(k) <- cycle;
     lay_bundle flat cyc_at cycle (k + 1) rest
 
-(* an id missing from a table, or an order the allocation lacks *)
-let absent = min_int
-
-let find_or_absent tbl id =
-  match Hashtbl.find tbl id with v -> v | exception Not_found -> absent
-
 (* A bit matrix over memory positions, [m * m] bits. *)
 let bits_create m = Bytes.make (((m * m) + 7) / 8) '\000'
 
@@ -118,6 +106,11 @@ let bits_set bits m x y =
   let b = (x * m) + y in
   Bytes.set bits (b lsr 3)
     (Char.chr (Char.code (Bytes.get bits (b lsr 3)) lor (1 lsl (b land 7))))
+
+let bits_clear bits m x y =
+  let b = (x * m) + y in
+  Bytes.set bits (b lsr 3)
+    (Char.chr (Char.code (Bytes.get bits (b lsr 3)) land lnot (1 lsl (b land 7))))
 
 let bits_mem bits m x y =
   let b = (x * m) + y in
@@ -207,29 +200,29 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   let require rule pa pb what = require_at rule pa bcyc.(pb) arr.(pb).id what in
 
   (* ---- register dependences, re-derived from the body.  Per register
-     (indexed by its code): the last defining position and the chain
-     of use positions since it, newest first.  Operands are read in
-     place. *)
-  let top = ref (-1) and n_uses = ref 0 in
-  let note r = top := Int.max !top (Witness.reg_code r) in
-  let note_use r =
-    note r;
-    incr n_uses
+     (indexed by [Witness.reg_slot], one slot per register the body
+     names): the last defining position and the chain of use positions
+     since it, newest first.  Operands are read in place. *)
+  let codes =
+    Witness.reg_codes (fun note ->
+        Array.iter
+          (fun (i : Ir.Instr.t) ->
+            Ir.Instr.iter_uses note i;
+            Ir.Instr.iter_defs note i;
+            if Ir.Instr.is_side_exit i then
+              Ir.Reg.Set.iter note (Ir.Superblock.exit_live_out sb i.id))
+          arr)
   in
-  Array.iter
-    (fun (i : Ir.Instr.t) ->
-      Ir.Instr.iter_uses note_use i;
-      Ir.Instr.iter_defs note i;
-      if Ir.Instr.is_side_exit i then
-        Ir.Reg.Set.iter note (Ir.Superblock.exit_live_out sb i.id))
-    arr;
-  let nr = !top + 1 in
+  let slot r = Witness.reg_slot codes r in
+  let n_uses = ref 0 in
+  Array.iter (Ir.Instr.iter_uses (fun _ -> incr n_uses)) arr;
+  let nr = Array.length codes in
   let last_def = Array.make nr (-1) and use_head = Array.make nr (-1) in
   let use_pos = Array.make !n_uses 0 and use_next = Array.make !n_uses (-1) in
   let def_code = Array.make n (-1) in
   let tok = ref 0 and cur = ref 0 in
   let on_use r =
-    let s = Witness.reg_code r and p = !cur in
+    let s = slot r and p = !cur in
     if last_def.(s) >= 0 then require Def_before_use last_def.(s) p "raw";
     use_pos.(!tok) <- p;
     use_next.(!tok) <- use_head.(s);
@@ -237,7 +230,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
     incr tok
   in
   let on_def r =
-    let s = Witness.reg_code r and p = !cur in
+    let s = slot r and p = !cur in
     def_code.(p) <- s;
     if last_def.(s) >= 0 then require Def_before_use last_def.(s) p "waw";
     let u = ref use_head.(s) in
@@ -272,7 +265,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   (* [live_at.(code) = e] marks a register live out of the exit at [e] *)
   let live_at = Array.make nr (-1) in
   let exit_at = ref (-1) in
-  let mark_live r = live_at.(Witness.reg_code r) <- !exit_at in
+  let mark_live r = live_at.(slot r) <- !exit_at in
   let blocked p e =
     (not (Ir.Instr.is_side_exit arr.(p)))
     && (Ir.Instr.is_store arr.(p)
@@ -327,21 +320,33 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
       if !n_br > 1 then flag Sched_width "cycle %d issues %d branches" cycle !n_br)
     bundles;
 
-  (* ---- dropped pairs must be droppable speculative dependences.  The
-     real speculative dependences become a directed bit matrix over
-     memory positions; each dropped key (ascending, as the hazard graph
-     records them) is then two binary searches and one bit test. *)
+  (* ---- the real dependences, over memory positions.  [mem_flat]
+     maps a memory position to its execution-order position.  A
+     reordered must-alias pair is an error outright; the others become
+     directed bit matrices, (first, second), one per strength. *)
   let mems = Witness.memory_ops arr in
   let mem_index = Witness.index mems in
   let m = Array.length mems in
-  let spec_bits = bits_create m in
+  let mem_flat = Array.map (fun (i : Ir.Instr.t) -> pos_of i.id) mems in
+  let spec_bits = bits_create m and hard_bits = bits_create m in
   Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
-      if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Speculative
-      then begin
+      if kind = Analysis.Depgraph.Real then begin
         let x = Witness.pos mem_index first
         and y = Witness.pos mem_index second in
-        if x >= 0 && y >= 0 then bits_set spec_bits m x y
+        if x >= 0 && y >= 0 then
+          if strength = Analysis.Depgraph.Speculative then bits_set spec_bits m x y
+          else begin
+            bits_set hard_bits m x y;
+            if mem_flat.(x) >= 0 && mem_flat.(y) >= 0 && mem_flat.(y) < mem_flat.(x)
+            then
+              flag Hard_reordered "must-alias pair %d,%d executes in reverse"
+                first second
+          end
       end);
+
+  (* ---- dropped pairs must be droppable speculative dependences: per
+     dropped key (ascending, as the hazard graph records them), two
+     binary searches and one bit test *)
   let dropped = hazards.Sched.Hazards.dropped in
   Array.iteri
     (fun k key ->
@@ -360,34 +365,26 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
           policy.Sched.Policy.name f s)
     dropped;
 
-  (* ---- speculation coverage.  A dependence edge needs a runtime
-     check exactly when its [second] endpoint executes before its
-     [first] (for Real edges that is a reordering; for Extended edges
-     it is the natural order, hence they are almost always live).  A
-     reordered must-alias pair is an error outright; the others are
-     what the scheme must cover, visited in edge order by
-     [iter_required] — a walk of the dependence graph, so no per-edge
-     record is kept. *)
-  Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
-      if kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Hard then begin
-        let pf = pos_of first and ps = pos_of second in
-        if pf >= 0 && ps >= 0 && ps < pf then
-          flag Hard_reordered "must-alias pair %d,%d executes in reverse" first
-            second
-      end);
+  (* ---- speculation coverage.  A dependence edge other than a real
+     must-alias one needs a runtime check exactly when its [second]
+     endpoint executes before its [first] (for Real edges that is a
+     reordering; for Extended edges it is the natural order, hence
+     they are almost always live).  [iter_required] visits those in
+     edge order, with the memory positions [x] of [first] and [y] of
+     [second] — a walk of the dependence graph, so no per-edge record
+     is kept. *)
   let iter_required f =
     Analysis.Depgraph.iter_edges deps (fun ~first ~second ~kind ~strength ->
         if not (kind = Analysis.Depgraph.Real && strength = Analysis.Depgraph.Hard)
         then begin
-          let pf = pos_of first and ps = pos_of second in
-          if pf >= 0 && ps >= 0 && ps < pf then f first second pf ps
+          let x = Witness.pos mem_index first and y = Witness.pos mem_index second in
+          if x >= 0 && y >= 0 then begin
+            let pf = mem_flat.(x) and ps = mem_flat.(y) in
+            if pf >= 0 && ps >= 0 && ps < pf then f x y
+          end
         end)
   in
-
-  let annot_of id =
-    let p = pos_of id in
-    if p >= 0 then Ir.Instr.annot flat_arr.(p) else Ir.Annot.No_annot
-  in
+  let annot_at x = Ir.Instr.annot flat_arr.(mem_flat.(x)) in
   let no_splices what =
     Array.iter
       (fun (i : Ir.Instr.t) ->
@@ -397,198 +394,96 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
 
   (* ---- scheme-specific checks *)
   (match policy.Sched.Policy.scheme with
-  | Sched.Policy.Queue_scheme -> (
-    match o.Opt.Optimizer.alloc_result with
-    | None ->
-      flag Annot_scheme "queue scheme artifact carries no allocation result"
-    | Some res ->
-      let a = res.Sched.Smarq_alloc.allocation in
-      let order id = find_or_absent a.C.order id in
-      let amov_ids = Hashtbl.create 16 in
-      List.iter
-        (fun (m : Sched.Smarq_alloc.amov_insertion) ->
-          Hashtbl.replace amov_ids m.amov_id m)
-        res.Sched.Smarq_alloc.amovs;
-      let edges = res.Sched.Smarq_alloc.check_edges @ res.Sched.Smarq_alloc.anti_edges in
-      (* constraint edges against the final orders and bases *)
-      (match C.validate a ~edges ~ar_count with
-      | Ok () -> ()
-      | Error problems ->
-        List.iter
-          (function
-            | C.Unsatisfied m -> flag Alloc_constraint "%s" m
-            | C.Window m -> flag Alloc_window "%s" m)
-          problems);
-      (* annotation/allocation synchronization over the region *)
-      Array.iter
-        (fun (i : Ir.Instr.t) ->
-          if Ir.Instr.is_memory i then begin
-            let pa = Hashtbl.mem a.C.p_bit i.id
-            and ca = Hashtbl.mem a.C.c_bit i.id in
-            match Ir.Instr.annot i with
-            | Ir.Annot.Queue { offset; p; c } ->
-              if p <> pa || c <> ca then
-                flag Annot_alloc_sync
-                  "op %d annotated p=%b c=%b but allocated p=%b c=%b" i.id p c
-                  pa ca;
-              let o = order i.id and b = find_or_absent a.C.base i.id in
-              if o <> absent && b <> absent then begin
-                if offset <> o - b then
-                  flag Annot_alloc_sync
-                    "op %d annotated offset %d but allocated %d - %d" i.id
-                    offset o b
-              end
-              else flag Annot_alloc_sync "annotated op %d has no allocation" i.id;
-              if offset < 0 || offset >= ar_count then
-                flag Alloc_window "op %d offset %d outside [0,%d)" i.id offset
-                  ar_count
-            | Ir.Annot.No_annot ->
-              if pa || ca then
-                flag Annot_alloc_sync
-                  "op %d allocated p=%b c=%b but carries no annotation" i.id pa
-                  ca
-            | Ir.Annot.Mask _ | Ir.Annot.Alat _ ->
-              flag Annot_scheme "op %d carries a non-queue annotation" i.id
-          end)
-        flat_arr;
-      (* AMOV splices against the allocator's insertion records *)
-      List.iter
-        (fun (m : Sched.Smarq_alloc.amov_insertion) ->
-          if
-            m.src_offset < 0 || m.dst_offset < 0
-            || m.src_offset >= ar_count
-            || m.dst_offset >= ar_count
-          then
-            flag Amov_bounds "amov %d offsets %d,%d outside [0,%d)" m.amov_id
-              m.src_offset m.dst_offset ar_count;
-          if (not m.dst_is_fresh) && m.src_offset <> m.dst_offset then
-            flag Annot_alloc_sync "clearing amov %d moves %d -> %d" m.amov_id
-              m.src_offset m.dst_offset;
-          let pa = pos_of m.amov_id and pb = pos_of m.before in
-          if pa < 0 || pb < 0 then
-            flag Annot_alloc_sync "amov %d missing from the region" m.amov_id
+  | Sched.Policy.Queue_scheme ->
+    (* Section 3's detection rule, replayed over the region in
+       execution order from the region alone.  The register of order
+       [o] lives in ring slot [o mod ar_count] with the memory position
+       of the op whose range it holds and whether a load set it; a slot
+       is live while it holds the order being read, so registers that
+       [ROTATE] slides below [BASE] are free, and [AMOV] moves or clears
+       a range as the hardware does.  A C-bit op compares every live
+       register at or above its own order, except that a load skips
+       registers a load set: [compared] marks (setter, checker) over
+       memory positions, the orientation of a dependence that executes
+       in order. *)
+    let slot_order = Array.make ar_count (-1) in
+    let slot_setter = Array.make ar_count 0 in
+    let slot_load = Array.make ar_count false in
+    let compared = bits_create m in
+    let qbase = ref 0 in
+    let in_window k = k >= 0 && k < ar_count in
+    let set o ~setter ~is_load =
+      let s = o mod ar_count in
+      slot_order.(s) <- o;
+      slot_setter.(s) <- setter;
+      slot_load.(s) <- is_load
+    in
+    Array.iter
+      (fun (i : Ir.Instr.t) ->
+        match i.op with
+        | Ir.Instr.Rotate k ->
+          if k <= 0 then flag Queue_rotate "rotate %d by %d" i.id k
+          else qbase := !qbase + k
+        | Ir.Instr.Amov { src_offset; dst_offset } ->
+          if not (in_window src_offset && in_window dst_offset) then
+            flag Amov_bounds "amov %d offsets %d,%d outside [0,%d)" i.id
+              src_offset dst_offset ar_count
           else begin
-            if pa >= pb then
-              flag Annot_alloc_sync "amov %d does not precede its anchor %d"
-                m.amov_id m.before;
-            let ca = cyc_at.(pa) and cb = cyc_at.(pb) in
-            if ca <> cb then
-              flag Annot_alloc_sync "amov %d not bundled with its anchor %d"
-                m.amov_id m.before;
-            match flat_arr.(pa).op with
-            | Ir.Instr.Amov { src_offset; dst_offset } ->
-              if src_offset <> m.src_offset || dst_offset <> m.dst_offset then
-                flag Annot_alloc_sync
-                  "amov %d materialized as %d->%d, recorded %d->%d" m.amov_id
-                  src_offset dst_offset m.src_offset m.dst_offset
-            | _ ->
-              flag Annot_alloc_sync "instruction %d is not an AMOV" m.amov_id
-          end)
-        res.Sched.Smarq_alloc.amovs;
-      Array.iter
-        (fun (i : Ir.Instr.t) ->
-          match i.op with
-          | Ir.Instr.Amov _ ->
-            if not (Hashtbl.mem amov_ids i.id) then
-              flag Annot_alloc_sync "AMOV %d has no insertion record" i.id
-          | _ -> ())
-        flat_arr;
-      (* BASE replay: walking the region in execution order, the queue
-         base implied by ROTATE instructions must place every
-         annotation and AMOV at its allocated order *)
-      let qbase = ref 0 in
-      Array.iter
-        (fun (i : Ir.Instr.t) ->
-          match i.op with
-          | Ir.Instr.Rotate n ->
-            if n <= 0 then flag Queue_rotate "rotate %d by %d" i.id n;
-            qbase := !qbase + n
-          | Ir.Instr.Amov _ -> (
-            match Hashtbl.find amov_ids i.id with
-            | exception Not_found -> ()
-            | m ->
-              let os = order m.src_instr in
-              if os <> absent && !qbase + m.src_offset <> os then
-                flag Queue_base_sync
-                  "amov %d src at base %d + %d, but order(%d) = %d" i.id !qbase
-                  m.src_offset m.src_instr os;
-              if m.dst_is_fresh then begin
-                let od = order m.amov_id in
-                if od = absent then
-                  flag Queue_base_sync "fresh amov %d has no order" i.id
-                else if !qbase + m.dst_offset <> od then
-                  flag Queue_base_sync
-                    "amov %d dst at base %d + %d, but its order is %d" i.id
-                    !qbase m.dst_offset od
-              end)
-          | _ -> (
-            match Ir.Instr.annot i with
-            | Ir.Annot.Queue { offset; _ } ->
-              let od = order i.id in
-              if od <> absent && !qbase + offset <> od then
-                flag Queue_base_sync
-                  "op %d at base %d + offset %d, but order is %d" i.id !qbase
-                  offset od
-            | _ -> ()))
-        flat_arr;
-      (* coverage under the ordered-detection rule, tracking each
-         protected range through the AMOVs that execute before the
-         checker; [holder_at] is -1 when the range was cleared *)
-      let moved_by = Hashtbl.create 16 in
-      List.iter
-        (fun (m : Sched.Smarq_alloc.amov_insertion) ->
-          Hashtbl.replace moved_by m.src_instr m)
-        res.Sched.Smarq_alloc.amovs;
-      let rec holder_at id limit =
-        match Hashtbl.find moved_by id with
-        | exception Not_found -> id
-        | (m : Sched.Smarq_alloc.amov_insertion) ->
-          let pa = pos_of m.amov_id in
-          if pa >= 0 && pa < limit then
-            if m.dst_is_fresh then holder_at m.amov_id limit else -1
-          else id
-      in
-      iter_required (fun f s pf _ ->
-          if not (Hashtbl.mem a.C.p_bit s) then
-            flag Queue_uncovered "reordered pair %d,%d: %d is not protected" f
-              s s
-          else if not (Hashtbl.mem a.C.c_bit f) then
-            flag Queue_uncovered "reordered pair %d,%d: %d does not check" f s
-              f
-          else
-            let h = holder_at s pf in
-            if h < 0 then
-              flag Queue_uncovered
-                "reordered pair %d,%d: %d's range cleared before the check" f s
-                s
-            else
-              let of_ = order f and oh = order h in
-              if of_ = absent || oh = absent then
-                flag Queue_uncovered "reordered pair %d,%d: missing orders" f s
-              else if of_ > oh then
-                flag Queue_uncovered
-                  "reordered pair %d,%d: order(%d)=%d > order(holder %d)=%d"
-                  f s f of_ h oh);
-      (* on AMOV-free regions the standalone FAST ALGORITHM certifies
-         the constraint graph acyclic *)
-      if res.Sched.Smarq_alloc.amovs = [] then begin
-        let issue_order =
-          Array.fold_right
-            (fun (i : Ir.Instr.t) acc -> if Ir.Instr.is_memory i then i.id :: acc else acc)
-            flat_arr []
+            let so = !qbase + src_offset and d = !qbase + dst_offset in
+            let s = so mod ar_count in
+            if slot_order.(s) <> so then slot_order.(d mod ar_count) <- -1
+            else begin
+              slot_order.(s) <- -1;
+              if d <> so then
+                set d ~setter:slot_setter.(s) ~is_load:slot_load.(s)
+            end
+          end
+        | _ when not (Ir.Instr.is_memory i) -> ()
+        | _ -> (
+          match Ir.Instr.annot i with
+          | Ir.Annot.No_annot -> ()
+          | Ir.Annot.Mask _ | Ir.Annot.Alat _ ->
+            flag Annot_scheme "op %d carries a non-queue annotation" i.id
+          | Ir.Annot.Queue { offset; p; c } ->
+            let x = Witness.pos mem_index i.id in
+            if not (in_window offset) then
+              flag Alloc_window "op %d offset %d outside [0,%d)" i.id offset
+                ar_count
+            else if x >= 0 then begin
+              let mine = !qbase + offset and is_load = Ir.Instr.is_load i in
+              if c then
+                for o = mine to !qbase + ar_count - 1 do
+                  let s = o mod ar_count in
+                  if slot_order.(s) = o && not (is_load && slot_load.(s)) then
+                    bits_set compared m slot_setter.(s) x
+                done;
+              if p then set mine ~setter:x ~is_load
+            end))
+      flat_arr;
+    (* Soundness: each reordered pair is compared.  A compared pair some
+       edge requires is then accounted for, and what is still compared
+       on a real dependence is a false positive, which the allocator's
+       anti-constraints exist to prevent. *)
+    iter_required (fun x y ->
+        if bits_mem compared m y x then bits_clear compared m y x
+        else
+          flag Queue_uncovered "reordered pair %d,%d: %d does not compare %d"
+            mems.(x).id mems.(y).id mems.(x).id mems.(y).id);
+    Bytes.iteri
+      (fun b c ->
+        let real =
+          Char.code (Bytes.get spec_bits b) lor Char.code (Bytes.get hard_bits b)
         in
-        match
-          Sched.Fast_alloc.allocate ~issue_order
-            ~p_bit:(Hashtbl.mem a.C.p_bit)
-            ~c_bit:(Hashtbl.mem a.C.c_bit)
-            ~edges
-        with
-        | Ok _ -> ()
-        | Error { Sched.Fast_alloc.cycle } ->
-          flag Alloc_cycle "constraint cycle without an AMOV: %s"
-            (String.concat ", "
-               (List.map (Format.asprintf "%a" C.pp_edge) cycle))
-      end)
+        let hit = Char.code c land real in
+        if hit <> 0 then
+          for k = 0 to 7 do
+            if hit land (1 lsl k) <> 0 then begin
+              let y = ((8 * b) + k) / m and x = ((8 * b) + k) mod m in
+              flag Queue_spurious "in-order pair %d,%d: %d compares %d"
+                mems.(y).id mems.(x).id mems.(x).id mems.(y).id
+            end
+          done)
+      compared
   | Sched.Policy.Naive_queue_scheme ->
     (* one register per memory op, program order, always set + check:
        an op's register is its memory position *)
@@ -637,16 +532,14 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
                 || Ir.Instr.annot i = check_mark)
               flat_arr)
     then flag Annot_scheme "a store is missing its ALAT check annotation";
-    let advanced id =
-      match annot_of id with
+    let advanced = function
       | Ir.Annot.Alat { advanced } -> advanced
       | _ -> false
     in
-    iter_required (fun f s pf ps ->
-        let fi = body_pos f and si = body_pos s in
-        if fi >= 0 && si >= 0 && Ir.Instr.is_store arr.(fi) && Ir.Instr.is_load arr.(si)
-        then begin
-          if not (advanced s) then
+    iter_required (fun x y ->
+        let f = mems.(x).id and s = mems.(y).id in
+        if Ir.Instr.is_store mems.(x) && Ir.Instr.is_load mems.(y) then begin
+          if not (advanced (annot_at y)) then
             flag Alat_unmarked
               "reordered pair %d,%d: load %d is not marked advanced" f s s
         end
@@ -656,9 +549,9 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
         (* FIFO eviction: the entry survives only while fewer than
            [ar_count] advanced loads execute inside the window *)
         let inserted = ref 0 in
-        for p = ps + 1 to pf - 1 do
+        for p = mem_flat.(y) + 1 to mem_flat.(x) - 1 do
           let j = flat_arr.(p) in
-          if Ir.Instr.is_load j && advanced j.id then incr inserted
+          if Ir.Instr.is_load j && advanced (Ir.Instr.annot j) then incr inserted
         done;
         if !inserted >= ar_count then
           flag Alat_capacity
@@ -682,25 +575,25 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
         | Ir.Annot.Queue _ | Ir.Annot.Alat _ ->
           flag Annot_scheme "op %d carries a non-mask annotation" i.id)
       flat_arr;
-    let sets id k =
-      match annot_of id with
+    let sets (i : Ir.Instr.t) k =
+      match Ir.Instr.annot i with
       | Ir.Annot.Mask { set_index = Some k'; _ } -> k' = k
       | _ -> false
     in
-    let check_mask_of id =
-      match annot_of id with
+    let check_mask_of = function
       | Ir.Annot.Mask { check_mask; _ } -> check_mask
       | _ -> 0
     in
-    iter_required (fun f s pf ps ->
-        match annot_of s with
+    iter_required (fun x y ->
+        let f = mems.(x).id and s = mems.(y).id in
+        match annot_at y with
         | Ir.Annot.Mask { set_index = Some k; _ } ->
-          if check_mask_of f land (1 lsl k) = 0 then
+          if check_mask_of (annot_at x) land (1 lsl k) = 0 then
             flag Mask_uncovered
               "reordered pair %d,%d: %d does not check register %d" f s f k;
-          for p = ps + 1 to pf - 1 do
+          for p = mem_flat.(y) + 1 to mem_flat.(x) - 1 do
             let j = flat_arr.(p) in
-            if j.id <> s && sets j.id k then
+            if j.id <> s && sets j k then
               flag Mask_clobbered
                 "pair %d,%d: op %d reuses register %d inside the window" f s
                 j.id k
@@ -715,9 +608,10 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
         if Ir.Instr.annot i <> Ir.Annot.No_annot then
           flag Annot_scheme "op %d annotated without a scheme" i.id)
       flat_arr;
-    iter_required (fun f s _ _ ->
+    iter_required (fun x y ->
         flag Nospec_reordered
-          "pair %d,%d executes in reverse without alias detection" f s));
+          "pair %d,%d executes in reverse without alias detection" mems.(x).id
+          mems.(y).id));
 
   (* ---- alias-certification witnesses, replayed independently, and
      dependence completeness — on every region: without a certificate

@@ -2,10 +2,11 @@
     translated regions.
 
     Given a completed optimizer artifact (region, dependence graph,
-    hazard graph, issue order, allocation), [verify] re-derives the
+    hazard graph, issue order, certificate), [verify] re-derives the
     paper's statically checkable invariants from first principles —
     without executing the region and without trusting the scheduler or
-    allocator internals — and reports every violation it finds:
+    allocator internals: the allocator's own records are never read —
+    and reports every violation it finds:
 
     - {b IR well-formedness}: the region holds exactly the superblock
       body (plus AMOV/ROTATE splices), definitions reach their uses
@@ -15,14 +16,17 @@
     - {b schedule legality}: every recorded hazard edge and the
       issue-width / memory-port / one-branch-per-cycle resource limits
       are respected;
-    - {b speculation-coverage soundness}: every dependence edge whose
-      endpoints execute in reversed order is protected by a runtime
-      check under the active scheme — the SMARQ order window
-      ([order(checker) <= order(holder)] with AMOV holder tracking and
-      BASE replay against ROTATE instructions), ALAT advanced-load
-      marking with capacity-window eviction analysis, or Efficeon mask
-      set/check bit matching with clobber analysis — and dropped
-      may-alias edges were legal to drop under the policy.
+    - {b speculation coverage}: every dependence edge whose endpoints
+      execute in reversed order is protected by a runtime check under
+      the active scheme, and dropped may-alias edges were legal to
+      drop under the policy.  For the SMARQ queue the check is one
+      replay of Section 3's detection rule over the region's P/C bits,
+      offsets, [ROTATE]s and [AMOV]s, which yields the pairs each
+      checking op compares: every reordered pair must be compared, and
+      no in-order dependence pair may be (a false positive).  ALAT
+      regions get advanced-load marking with capacity-window eviction
+      analysis, Efficeon regions set/check bit matching with clobber
+      analysis.
 
     The verifier collects all violations rather than stopping at the
     first, so mutation testing and reject histograms see the full
@@ -39,14 +43,19 @@ type rule =
   | Hard_reordered  (** must-alias dependence executed in reverse *)
   | Nospec_reordered  (** reordering under the no-speculation scheme *)
   | Annot_scheme  (** annotation kind inconsistent with the scheme *)
-  | Annot_alloc_sync  (** annotations diverge from the allocation *)
-  | Alloc_constraint  (** check/anti constraint violated by orders *)
-  | Alloc_window  (** offset outside the [0, ar_count) window *)
-  | Alloc_cycle  (** constraint graph cyclic without an AMOV *)
-  | Queue_uncovered  (** reordered pair not covered by a queue check *)
-  | Queue_base_sync  (** replayed BASE diverges from the allocation *)
+  | Alloc_window  (** annotation offset outside the [0, ar_count) window *)
+  | Queue_uncovered
+      (** reordered dependence pair: under the replayed detection rule
+          the op executing later does not compare the register of the
+          one executing earlier *)
+  | Queue_spurious
+      (** in-order dependence pair compared although no edge requires
+          it: a false positive *)
+  | Queue_base_sync
+      (** naive queue: replayed BASE plus offset is not the op's
+          memory position *)
   | Queue_rotate  (** non-positive rotation *)
-  | Amov_bounds  (** AMOV offsets outside the window *)
+  | Amov_bounds  (** AMOV instruction offsets outside the window *)
   | Alat_unmarked  (** protected load not marked advanced *)
   | Alat_capacity  (** protection window outlives the ALAT capacity *)
   | Mask_uncovered  (** reordered pair not covered by set/check bits *)

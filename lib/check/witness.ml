@@ -407,6 +407,33 @@ let key_hi k = k land ((1 lsl key_bits) - 1)
 
 (* --- position indexes --------------------------------------------- *)
 
+(* Ascending in-place heap sort.  It allocates nothing: the stdlib's
+   [Array.sort] raises (and so allocates) an exception per element. *)
+let sort_ints (a : int array) =
+  let swap i j =
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  in
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        swap i c;
+        sift c len
+      end
+    end
+  in
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    swap 0 last;
+    sift 0 last
+  done
+
 (* An instruction sequence (a body, or a region flattened bundle by
    bundle) with its ids packed as [ordered_key id position] and sorted:
    an id's position is a binary search, and no table is keyed by id.
@@ -418,7 +445,7 @@ type indexed = {
 
 let index instrs =
   let ids = Array.mapi (fun p (i : Ir.Instr.t) -> ordered_key i.Ir.Instr.id p) instrs in
-  Array.sort Int.compare ids;
+  sort_ints ids;
   { instrs; ids }
 
 (* the first x with keys.(x) >= k *)
@@ -438,6 +465,34 @@ let pos t id =
   else
     let x = lower_bound t.ids (id lsl key_bits) in
     if x < Array.length t.ids && key_lo t.ids.(x) = id then key_hi t.ids.(x) else -1
+
+(* The distinct register codes [iter] visits, ascending.  A
+   per-register table indexed by [reg_slot] has one cell per register
+   the body names, whatever their codes ([T id] temporaries have codes
+   near [3 * id]). *)
+let reg_codes iter =
+  let n = ref 0 in
+  iter (fun _ -> incr n);
+  let codes = Array.make !n 0 and k = ref 0 in
+  iter (fun r ->
+      codes.(!k) <- reg_code r;
+      incr k);
+  sort_ints codes;
+  let d = ref 0 in
+  Array.iter
+    (fun c ->
+      if !d = 0 || codes.(!d - 1) <> c then begin
+        codes.(!d) <- c;
+        incr d
+      end)
+    codes;
+  Array.sub codes 0 !d
+
+(* the rank of [r]'s code in [codes], -1 when absent *)
+let reg_slot codes r =
+  let c = reg_code r in
+  let x = lower_bound codes c in
+  if x < Array.length codes && codes.(x) = c then x else -1
 
 (* the memory operations of a body, in body order *)
 let memory_ops arr =
@@ -587,20 +642,21 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
      number of definitions of its base at earlier body positions — two
      same-base operations see a redefinition between them exactly when
      those counts differ.  Definition counts live in an array indexed
-     by register code. *)
+     by [reg_slot], one cell per register the body names. *)
   let m = Array.length mems in
-  let top = ref (-1) in
-  let note_def r = top := Int.max !top (reg_code r) in
-  Array.iter
-    (fun (i : Ir.Instr.t) ->
-      (match i.Ir.Instr.op with
-      | Ir.Instr.Load { addr; _ } | Ir.Instr.Store { addr; _ } -> note_def addr.Ir.Instr.base
-      | _ -> ());
-      Ir.Instr.iter_defs note_def i)
-    arr;
-  let def_count = Array.make (!top + 1) 0 in
+  let codes =
+    reg_codes (fun note ->
+        Array.iter
+          (fun (i : Ir.Instr.t) ->
+            (match i.Ir.Instr.op with
+            | Ir.Instr.Load { addr; _ } | Ir.Instr.Store { addr; _ } -> note addr.Ir.Instr.base
+            | _ -> ());
+            Ir.Instr.iter_defs note i)
+          arr)
+  in
+  let def_count = Array.make (Array.length codes) 0 in
   let count_def r =
-    let c = reg_code r in
+    let c = reg_slot codes r in
     def_count.(c) <- def_count.(c) + 1
   in
   let m_id = Array.make m 0 and m_store = Array.make m false in
@@ -616,7 +672,7 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
         incr k;
         m_id.(x) <- i.Ir.Instr.id;
         m_store.(x) <- Ir.Instr.is_store i;
-        m_base.(x) <- reg_code addr.Ir.Instr.base;
+        m_base.(x) <- reg_slot codes addr.Ir.Instr.base;
         m_disp.(x) <- addr.Ir.Instr.disp;
         m_width.(x) <- width;
         m_defs.(x) <- def_count.(m_base.(x));

@@ -169,18 +169,6 @@ let iter_uses f i =
     f addr.base
   | Branch { cond; _ } -> iter_operand f cond
 
-let latency i =
-  match i.op with
-  | Load _ -> 3
-  | Binop ((Mul | Shl | Shr), _, _, _) -> 3
-  | Binop (Div, _, _, _) -> 8
-  | Fbinop (Fdiv, _, _, _) -> 12
-  | Fbinop ((Fadd | Fsub | Fmul), _, _, _) -> 4
-  | Nop | Mov _ | Unop_neg _
-  | Binop ((Add | Sub | And | Or | Xor), _, _, _)
-  | Cmp _ | Store _ | Branch _ | Jump _ | Exit _ | Rotate _ | Amov _ ->
-    1
-
 let binop_name = function
   | Add -> "add"
   | Sub -> "sub"

@@ -123,11 +123,6 @@ val iter_uses : (Reg.t -> unit) -> t -> unit
     source is its own base visits that register twice), and allocates
     nothing. *)
 
-val latency : t -> int
-(** Default issue-to-result latency in cycles (loads 3, multiplies 3,
-    divides 8, FP 4 except fdiv 12, everything else 1).  The VLIW
-    configuration may override these. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val pp_operand : Format.formatter -> operand -> unit

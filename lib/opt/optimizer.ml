@@ -48,7 +48,7 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
     P.time profile P.add_alias (fun () ->
         Analysis.May_alias.analyze ~known_alias
           ?const_facts:(facts_for sb.Ir.Superblock.body)
-          ~body:sb.Ir.Superblock.body ())
+          ?arena ~body:sb.Ir.Superblock.body ())
   in
   ignore (certify_into alias sb.Ir.Superblock.body : Analysis.Disamb.t option);
   let elim =
@@ -60,7 +60,7 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
     P.time profile P.add_alias (fun () ->
         Analysis.May_alias.analyze ~known_alias
           ?const_facts:(facts_for elim.Elim.body)
-          ~body:elim.Elim.body ())
+          ?arena ~body:elim.Elim.body ())
   in
   let cert = certify_into alias' elim.Elim.body in
   let deps =

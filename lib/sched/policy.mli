@@ -32,9 +32,10 @@ type t = {
   allow_store_load_forward : bool;
   allow_store_elim : bool;
   static_disambiguation : bool;
-      (** run constant propagation before alias analysis, letting
-          direct (constant-base) accesses be disambiguated statically —
-          the related-work [13] capability *)
+      (** run [Analysis.Absint] before alias analysis and hand its
+          facts to [Analysis.May_alias], so two accesses whose addresses
+          are provable constants are disambiguated statically — the
+          related-work [13] capability *)
   certify : bool;
       (** run the abstract-interpretation alias certifier
           ([Analysis.Disamb]) and attach proof witnesses to the

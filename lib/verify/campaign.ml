@@ -244,14 +244,14 @@ let pp_summary ppf res =
   let count p = List.length (List.filter p runs) in
   let cross x = count (fun r -> cross_check_of_entry r.entry = x) in
   let summaries = List.concat_map (fun r -> r.mutations) runs in
+  let outcomes =
+    List.concat_map
+      (fun (s : Check.Mutate.summary) -> s.Check.Mutate.outcomes)
+      summaries
+  in
   let classes =
     List.sort_uniq compare
-      (List.concat_map
-         (fun (s : Check.Mutate.summary) ->
-           List.map
-             (fun (o : Check.Mutate.outcome) -> o.Check.Mutate.mutation)
-             s.Check.Mutate.outcomes)
-         summaries)
+      (List.map (fun (o : Check.Mutate.outcome) -> o.Check.Mutate.mutation) outcomes)
   in
   let histogram = Hashtbl.create 8 in
   List.iter
@@ -302,6 +302,20 @@ let pp_summary ppf res =
           (fun (s : Check.Mutate.summary) -> not s.Check.Mutate.baseline_pass)
           summaries))
     (sum mutants runs) (sum mutants_killed runs) (List.length classes);
+  (* per class: how many mutants each makes and how many are killed *)
+  List.iter
+    (fun m ->
+      let of_class =
+        List.filter
+          (fun (o : Check.Mutate.outcome) -> o.Check.Mutate.mutation = m)
+          outcomes
+      in
+      Format.fprintf ppf "  %-24s %d mutants, %d killed@."
+        (Check.Mutate.mutation_name m)
+        (List.length of_class)
+        (List.length
+           (List.filter (fun (o : Check.Mutate.outcome) -> o.Check.Mutate.killed) of_class)))
+    classes;
   List.iter
     (fun r ->
       if not (Oracle.entry_ok r.entry) then

@@ -145,38 +145,6 @@ let test_mutants_killed () =
         Alcotest.failf "mutation class %s was never generated" (M.mutation_name m))
     mutation_classes
 
-(* ---- Fast_alloc structured cycle witness ---- *)
-
-let test_fast_alloc_cycle_witness () =
-  (* two memory ops with a check edge each way: unschedulable without
-     an AMOV, so the topological pass must fail and name the cycle *)
-  reset_ids ();
-  let a = ld (f 1) (r 1) 0 in
-  let b = st (I.Reg (f 1)) (r 2) 0 in
-  let edges =
-    [
-      { Analysis.Constraints.first = a.I.id; second = b.I.id;
-        kind = Analysis.Constraints.Anti };
-      { Analysis.Constraints.first = b.I.id; second = a.I.id;
-        kind = Analysis.Constraints.Anti };
-    ]
-  in
-  match
-    Sched.Fast_alloc.allocate ~issue_order:[ a.I.id; b.I.id ]
-      ~p_bit:(fun _ -> true)
-      ~c_bit:(fun _ -> true)
-      ~edges
-  with
-  | Ok _ -> Alcotest.fail "cyclic constraint graph allocated"
-  | Error { Sched.Fast_alloc.cycle } ->
-    Alcotest.(check bool) "witness is non-empty" true (cycle <> []);
-    List.iter
-      (fun (e : Analysis.Constraints.edge) ->
-        Alcotest.(check bool) "witness edges are on the cycle" true
-          (List.mem e.Analysis.Constraints.first [ a.I.id; b.I.id ]
-          && List.mem e.Analysis.Constraints.second [ a.I.id; b.I.id ]))
-      cycle
-
 (* ---- driver wiring: --verify-regions ---- *)
 
 let counting_program ~iters =
@@ -515,6 +483,98 @@ let test_repeated_body_id_rejected () =
       [ "sched_complete" ]
       (List.map (fun (v : V.violation) -> V.rule_name v.V.rule) vs)
 
+(* [add_anti] as a no-op, in unit form.  An honest smarq64 artifact
+   in which an anti-constrained op [y] takes the order of its in-order
+   dependence predecessor [x]: in [y]'s annotation and in the
+   allocation record, with the anti edge deleted from the record.  The
+   first such edge is used whose [x] is still in [y]'s window, keeps
+   its range in place (no AMOV moves it) and whose deletion leaves
+   every other recorded constraint satisfied: every record still
+   agrees with the region, but [y] now compares [x]'s register, a
+   false positive on a may-alias pair the region itself shows. *)
+let test_spurious_compare_rejected () =
+  let params =
+    Workload.Genprog.
+      {
+        n_instrs = 60;
+        mem_fraction = 0.6;
+        store_fraction = 0.5;
+        n_bases = 3;
+        collide_fraction = 0.3;
+        side_exit_every = Some 12;
+      }
+  in
+  let module C = Analysis.Constraints in
+  let real_edge (o : Opt.Optimizer.t) x y =
+    List.exists
+      (fun (e : Analysis.Depgraph.edge) ->
+        e.kind = Analysis.Depgraph.Real && e.first = x && e.second = y)
+      (Analysis.Depgraph.edges o.Opt.Optimizer.deps)
+  in
+  (* the artifact with anti edge [e] dropped and [y] at order [ox] *)
+  let without_anti (o : Opt.Optimizer.t) (res : Sched.Smarq_alloc.result) e ox by =
+    let y = e.C.second in
+    let a = res.Sched.Smarq_alloc.allocation in
+    let order = Hashtbl.copy a.C.order in
+    Hashtbl.replace order y ox;
+    let res =
+      {
+        res with
+        Sched.Smarq_alloc.allocation = { a with C.order };
+        anti_edges = List.filter (fun e' -> e' <> e) res.Sched.Smarq_alloc.anti_edges;
+      }
+    in
+    let retarget (i : I.t) =
+      match Ir.Instr.annot i with
+      | Ir.Annot.Queue { p; c; _ } when i.I.id = y ->
+        Ir.Instr.with_annot i (Ir.Annot.queue ~offset:(ox - by) ~p ~c)
+      | _ -> i
+    in
+    let region = o.Opt.Optimizer.region in
+    let region =
+      { region with Ir.Region.bundles = Array.map (List.map retarget) region.Ir.Region.bundles }
+    in
+    let consistent =
+      C.validate res.Sched.Smarq_alloc.allocation
+        ~edges:(res.Sched.Smarq_alloc.check_edges @ res.Sched.Smarq_alloc.anti_edges)
+        ~ar_count:64
+      = Ok ()
+    in
+    if consistent then Some { o with Opt.Optimizer.region; alloc_result = Some res } else None
+  in
+  let candidate seed =
+    let sb, _ = Workload.Genprog.superblock ~seed ~params in
+    let o = optimize ~policy:(Sched.Policy.smarq ~ar_count:64) sb in
+    match o.Opt.Optimizer.alloc_result with
+    | None -> None
+    | Some res ->
+      let a = res.Sched.Smarq_alloc.allocation in
+      let moved x =
+        List.exists
+          (fun (m : Sched.Smarq_alloc.amov_insertion) -> m.src_instr = x)
+          res.Sched.Smarq_alloc.amovs
+      in
+      List.find_map
+        (fun (e : C.edge) ->
+          match Hashtbl.find_opt a.C.order e.C.first, Hashtbl.find_opt a.C.base e.C.second with
+          | Some ox, Some by
+            when by <= ox && real_edge o e.C.first e.C.second && not (moved e.C.first) ->
+            Option.map (fun o' -> (o, o')) (without_anti o res e ox by)
+          | _ -> None)
+        res.Sched.Smarq_alloc.anti_edges
+  in
+  match List.find_map candidate (List.init 25 succ) with
+  | None -> Alcotest.fail "no smarq64 artifact has a usable anti edge"
+  | Some (o, o') ->
+    honest "smarq64" o;
+    match verify o' with
+    | V.Pass -> Alcotest.fail "a region comparing an in-order may-alias pair passed"
+    | V.Reject vs ->
+      Alcotest.(check (list string)) "rejected as a spurious comparison only"
+        [ "queue_spurious" ]
+        (List.sort_uniq compare
+           (List.map (fun (v : V.violation) -> V.rule_name v.V.rule) vs))
+
 let suite =
   ( "check",
     [
@@ -522,7 +582,6 @@ let suite =
         Suite_props.sb_arb prop_verifies_clean;
       case "fixed-seed clean sweep over 7 schemes" test_clean_fixed_seeds;
       case "every mutation class generated and killed" test_mutants_killed;
-      case "fast alloc reports a cycle witness" test_fast_alloc_cycle_witness;
       case "driver --verify-regions=all" test_driver_verify_all;
       case "stats reject histogram" test_stats_note_reject;
       case "campaign static verdict stream" test_campaign_static_verdicts;
@@ -540,4 +599,6 @@ let suite =
         test_dropped_policy_forbids;
       case "a body that repeats an id rejected"
         test_repeated_body_id_rejected;
+      case "queue region comparing an in-order may-alias pair rejected"
+        test_spurious_compare_rejected;
     ] )

@@ -42,6 +42,12 @@ let prop_ordered_packers ((a, b), _) =
   && (a = b || PK.pack b a <> k)
   && W.ordered_key a b = k
 
+(* the checker's own sort agrees with the stdlib's, repeats included *)
+let prop_checker_sort xs =
+  let a = Array.of_list xs in
+  W.sort_ints a;
+  Array.to_list a = List.sort Int.compare xs
+
 let out_of_range = [ -1; min_int; PK.bound; PK.bound + 1; max_int ]
 
 let test_out_of_range_rejected () =
@@ -534,6 +540,48 @@ let test_certify_shares_facts () =
     true
     (w4 - w1 <= budget)
 
+(* ---- per-register tables follow the registers a body names ---- *)
+
+(* [units] bases [T (temp + u)], each set from [r1], stored through,
+   bumped and stored through again, then a load through [r2]: the same
+   body for every [temp] but for the temporaries' register codes. *)
+let temp_body ~temp units =
+  reset_ids ();
+  List.concat
+    (List.init units (fun u ->
+         let b = Ir.Reg.T (temp + u) in
+         [
+           mk (I.Binop (I.Add, b, I.Reg (r 1), I.Imm (256 * u)));
+           st ~width:8 (I.Imm u) b 0;
+           mk (I.Binop (I.Add, b, I.Reg b, I.Imm 64));
+           st ~width:8 (I.Imm u) b 0;
+           ld ~width:8 (f 0) (r 2) (8 * u);
+         ]))
+
+let test_tables_follow_registers () =
+  let near = temp_body ~temp:10 8 and far = temp_body ~temp:1_000_000 8 in
+  let same what measure =
+    Alcotest.(check int)
+      (what ^ ": words with T 1_000_000 as with T 10")
+      (measure near) (measure far)
+  in
+  same "May_alias.analyze" (fun body ->
+      words_of (fun () -> ignore (Sys.opaque_identity (MA.analyze ~body ()))));
+  let policy = Sched.Policy.with_certify (Sched.Policy.smarq ~ar_count:64) in
+  let artifact body = optimize ~policy (sb_of body) in
+  same "Witness.check" (fun body ->
+      let o = artifact body in
+      let indexed = W.index (Array.of_list body) in
+      words_of (fun () ->
+          match
+            W.check ~cert:(Option.get o.Opt.Optimizer.cert) ~body:indexed
+              ~region_certified:o.Opt.Optimizer.region.Ir.Region.certified_no_alias
+              ~deps:o.Opt.Optimizer.deps
+          with
+          | [] -> ()
+          | _ -> Alcotest.fail "honest certificate rejected"));
+  same "Verifier.verify" (fun body -> verify_words (artifact body))
+
 let suite =
   ( "pair keys",
     [
@@ -543,6 +591,9 @@ let suite =
         two_pairs_arb prop_checker_packer;
       qcase ~count:200 "ordered packers keep direction" two_pairs_arb
         prop_ordered_packers;
+      qcase ~count:300 "checker sort agrees with the stdlib sort"
+        QCheck.(list_of_size Gen.(0 -- 80) (int_range (-50) 50))
+        prop_checker_sort;
       case "out-of-range ids rejected, extreme ids distinct"
         test_out_of_range_rejected;
       qcase ~count:100 "dropped keys = tuple recomputation" sb_arb
@@ -562,4 +613,6 @@ let suite =
       case "witness replay allocates nothing per instruction" test_replay_per_memory_op;
       case "certify allocates one witness per pair and one shared fact per op"
         test_certify_shares_facts;
+      case "per-register tables are sized by the registers a body names"
+        test_tables_follow_registers;
     ] )

@@ -409,6 +409,35 @@ let test_working_set_measures () =
   Alcotest.(check bool) "smarq <= p-bit count" true
     (ws.Sched.Working_set.smarq <= max 1 ws.Sched.Working_set.p_bit_order)
 
+let test_fast_alloc_cycle_witness () =
+  (* two memory ops with a constraint edge each way: unschedulable
+     without an AMOV, so the topological pass must fail and name the
+     cycle *)
+  reset_ids ();
+  let a = ld (f 1) (r 1) 0 in
+  let b = st (I.Reg (f 1)) (r 2) 0 in
+  let edges =
+    [
+      { C.first = a.I.id; second = b.I.id; kind = C.Anti };
+      { C.first = b.I.id; second = a.I.id; kind = C.Anti };
+    ]
+  in
+  match
+    Sched.Fast_alloc.allocate ~issue_order:[ a.I.id; b.I.id ]
+      ~p_bit:(fun _ -> true)
+      ~c_bit:(fun _ -> true)
+      ~edges
+  with
+  | Ok _ -> Alcotest.fail "cyclic constraint graph allocated"
+  | Error { Sched.Fast_alloc.cycle } ->
+    Alcotest.(check bool) "witness is non-empty" true (cycle <> []);
+    List.iter
+      (fun (e : C.edge) ->
+        Alcotest.(check bool) "witness edges are on the cycle" true
+          (List.mem e.C.first [ a.I.id; b.I.id ]
+          && List.mem e.C.second [ a.I.id; b.I.id ]))
+      cycle
+
 let suite =
   ( "sched",
     [
@@ -432,4 +461,5 @@ let suite =
       case "efficeon mask annotations" test_mask_annotations;
       case "ALAT advanced-load annotations" test_alat_annotations;
       case "working-set measurement sanity" test_working_set_measures;
+      case "fast alloc reports a cycle witness" test_fast_alloc_cycle_witness;
     ] )
