@@ -94,6 +94,7 @@ let map_get m k ~default =
 
 type t = {
   mutable slots : int array array;
+  mutable instrs : Ir.Instr.t array;
   mutable seen : Bitset.t option;
   mutable reach : Bitset.Matrix.m option;
   mutable vecs : vec array;
@@ -101,7 +102,14 @@ type t = {
 }
 
 let create () =
-  { slots = Array.make 24 [||]; seen = None; reach = None; vecs = [||]; maps = [||] }
+  {
+    slots = Array.make 24 [||];
+    instrs = [||];
+    seen = None;
+    reach = None;
+    vecs = [||];
+    maps = [||];
+  }
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 
@@ -125,6 +133,21 @@ let filled_ints t ~slot n x =
   let a = ints t ~slot n in
   Array.fill a 0 n x;
   a
+
+let rec blit_list a k = function
+  | [] -> ()
+  | x :: rest ->
+    a.(k) <- x;
+    blit_list a (k + 1) rest
+
+let instrs t ~of_list =
+  let n = List.length of_list in
+  (match of_list with
+  | i :: _ when Array.length t.instrs < n ->
+    t.instrs <- Array.make (next_pow2 (max 64 n) 64) i
+  | _ -> ());
+  blit_list t.instrs 0 of_list;
+  t.instrs
 
 let vec t ~slot =
   if slot >= Array.length t.vecs then begin

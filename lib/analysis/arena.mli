@@ -10,10 +10,13 @@
     Arenas are single-owner: nothing leased may escape the build that
     leased it, and an arena must never be shared between domains.
     Slot numbers namespace concurrent leases within one build; the
-    depgraph builder uses slots 0–15 (and intmap slots 1–2), the
-    hazard builder 16–31,
+    depgraph builder uses slots 0–15 (and intmap slots 1–2, vector
+    slots 0–2), the
+    hazard builder 16–31 (and vector slots 16–18),
     {!Absint} 32–38 (and intmap slot 3), {!Disamb} 40–41 (and vector
-    slot 3), {!May_alias} intmap slot 0. *)
+    slot 3), {!May_alias} intmap slot 0, [Opt.Elim] 44 (and the
+    instruction array), [Sched.Smarq_alloc] vector slots 4–11 and
+    {!Cycle_detect} 45–46 (and vector slots 12–13). *)
 
 type t
 
@@ -26,6 +29,12 @@ val ints : t -> slot:int -> int -> int array
 val filled_ints : t -> slot:int -> int -> int -> int array
 (** [filled_ints t ~slot n x] is [ints] with the first [n] cells set
     to [x]. *)
+
+val instrs : t -> of_list:Ir.Instr.t list -> Ir.Instr.t array
+(** [instrs t ~of_list:l] is the arena's one scratch instruction array,
+    of capacity >= [List.length l], holding [l] in its first cells;
+    cells past them are stale.  The cells keep their instructions
+    reachable until a later lease overwrites them. *)
 
 (** {2 Growable int vector} *)
 

@@ -442,14 +442,14 @@ let edges_into t id =
   | None -> []
 
 let iter_into t id f =
-  match Hashtbl.find_opt t.into_slot id with
-  | Some s ->
+  match Hashtbl.find t.into_slot id with
+  | s ->
     for x = t.into_start.(s) to t.into_start.(s + 1) - 1 do
       let k = t.into_edge.(x) in
       f ~first:t.e_first.(k) ~second:t.e_second.(k) ~kind:(kind_at t k)
         ~strength:(strength_at t k)
     done
-  | None -> ()
+  | exception Not_found -> ()
 
 let iter_mem_deps t f =
   for k = 0 to t.n_edges - 1 do

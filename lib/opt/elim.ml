@@ -6,8 +6,10 @@ type result = {
   stores_eliminated : int;
 }
 
-(* Each original body slot holds the surviving instructions for that
-   slot: captures movs around an op, a replacement mov, or nothing. *)
+(* An edited body slot holds the surviving instructions for that slot:
+   capture movs around an op, or a replacement mov.  A slot no edit
+   touched holds its original instruction (its anchor), or nothing once
+   eliminated. *)
 type cell = Ir.Instr.t list
 
 let is_must alias a b =
@@ -34,36 +36,76 @@ let exact_same_location alias (a : Ir.Instr.t) (b : Ir.Instr.t) =
     && is_must alias a b
   | _ -> false
 
+(* Per original position: three flags, and above them the number of
+   the slot's cell, 0 while the anchor stands alone *)
+let dead_bit = 1  (* eliminated *)
+let locked_bit = 2  (* must stay intact *)
+let checking_bit = 4  (* a store that owes a runtime check *)
+let cell_shift = 3
+
+(* An elimination with the original positions [lo < hi] of its pair *)
+type span = {
+  elim : Analysis.Depgraph.elimination;
+  lo : int;
+  hi : int;
+}
+
+(* The pass's state, by original body position.  The anchors and the
+   flags are leased from the translation arena, so a body the pass
+   leaves unchanged costs the state and result records alone. *)
 type state = {
-  cells : cell array;  (* indexed by original position *)
+  n : int;  (* body length *)
   anchor : Ir.Instr.t array;  (* the original instruction per slot *)
-  mutable dead : (int, unit) Hashtbl.t;  (* positions eliminated *)
-  mutable elims : (Analysis.Depgraph.elimination * (int * int)) list;
-      (* elimination + (lo, hi) original positions of the pair *)
+  flags : int array;  (* per slot *)
+  mutable cells : cell array;  (* one per edited slot, in edit order *)
+  mutable n_cells : int;
+  mutable elims : span list;  (* newest first *)
   mutable assumed : (int * int) list;
   mutable loads_eliminated : int;
   mutable stores_eliminated : int;
-  locked : (int, unit) Hashtbl.t;  (* instr ids that must stay intact *)
   fresh_id : int ref;
 }
 
-let make_state ~body ~fresh_id =
-  let anchor = Array.of_list body in
+let make_state ~arena ~body ~fresh_id =
+  let n = List.length body in
   {
-    cells = Array.map (fun i -> [ i ]) anchor;
-    anchor;
-    dead = Hashtbl.create 16;
+    n;
+    anchor = Analysis.Arena.instrs arena ~of_list:body;
+    flags = Analysis.Arena.filled_ints arena ~slot:44 n 0;
+    cells = [||];
+    n_cells = 0;
     elims = [];
     assumed = [];
     loads_eliminated = 0;
     stores_eliminated = 0;
-    locked = Hashtbl.create 16;
     fresh_id;
   }
 
-let alive st pos = not (Hashtbl.mem st.dead pos)
-let lock st (i : Ir.Instr.t) = Hashtbl.replace st.locked i.id ()
-let is_locked st (i : Ir.Instr.t) = Hashtbl.mem st.locked i.id
+let has st p bit = st.flags.(p) land bit <> 0
+let mark st p bit = st.flags.(p) <- st.flags.(p) lor bit
+
+let alive st p = not (has st p dead_bit)
+
+let edited st p = st.flags.(p) lsr cell_shift > 0
+
+(* The instructions slot [p] holds now. *)
+let cell st p =
+  if edited st p then st.cells.((st.flags.(p) lsr cell_shift) - 1)
+  else [ st.anchor.(p) ]
+
+let set_cell st p l =
+  if edited st p then st.cells.((st.flags.(p) lsr cell_shift) - 1) <- l
+  else begin
+    let c = st.n_cells in
+    if c = Array.length st.cells then begin
+      let bigger = Array.make (Int.max 8 (2 * c)) [] in
+      Array.blit st.cells 0 bigger 0 c;
+      st.cells <- bigger
+    end;
+    st.cells.(c) <- l;
+    st.n_cells <- c + 1;
+    st.flags.(p) <- st.flags.(p) lor ((c + 1) lsl cell_shift)
+  end
 
 let next_id st =
   let id = !(st.fresh_id) in
@@ -86,87 +128,98 @@ let redefined_between st reg ~lo ~hi =
 
 (* ---- Store elimination ---- *)
 
-let store_elim st ~alias ~checking_stores =
-  let n = Array.length st.anchor in
-  for p = 0 to n - 1 do
+(* The exact overwriter of the store at [p]: the first live store to
+   the same location after it, giving up at a side exit or a
+   must-alias load; -1 for none. *)
+let overwriter st ~alias p =
+  let n = st.n and x = st.anchor.(p) in
+  let found = ref (-1) and q = ref (p + 1) in
+  while !found = -1 && !q < n do
+    if alive st !q then begin
+      let w = st.anchor.(!q) in
+      if Ir.Instr.is_side_exit w then found := -2
+      else if Ir.Instr.is_store w && exact_same_location alias x w then
+        found := !q
+      else if Ir.Instr.is_load w && is_must alias x w then found := -2
+    end;
+    incr q
+  done;
+  Int.max !found (-1)
+
+let store_elim st ~alias =
+  for p = 0 to st.n - 1 do
     let x = st.anchor.(p) in
     if
       Ir.Instr.is_store x && alive st p
-      && (not (is_locked st x))
-      && not (Hashtbl.mem checking_stores x.id)
+      && (not (has st p locked_bit))
+      && not (has st p checking_bit)
     then begin
-      (* scan forward for an exact overwriter, giving up at a side
-         exit or a must-alias load *)
-      let rec scan q =
-        if q >= n then None
-        else
-          let w = st.anchor.(q) in
-          if not (alive st q) then scan (q + 1)
-          else if Ir.Instr.is_side_exit w then None
-          else if Ir.Instr.is_store w && exact_same_location alias x w then
-            Some (q, w)
-          else if Ir.Instr.is_load w && is_must alias x w then None
-          else scan (q + 1)
-      in
-      match scan (p + 1) with
-      | None -> ()
-      | Some (q, z) ->
+      let q = overwriter st ~alias p in
+      if q >= 0 then begin
+        let z = st.anchor.(q) in
         (* speculate: intervening may-alias loads are checked by z *)
-        let intervening = ref [] in
         for k = p + 1 to q - 1 do
           if alive st k then begin
             let y = st.anchor.(k) in
             if Ir.Instr.is_load y && is_may alias z y then begin
-              intervening := y :: !intervening;
               st.assumed <- (z.id, y.id) :: st.assumed;
               (* y must stay a load so its P bit can protect it *)
-              lock st y
+              mark st k locked_bit
             end
           end
         done;
-        lock st z;
-        Hashtbl.replace st.dead p ();
-        st.cells.(p) <- [];
+        mark st q locked_bit;
+        mark st p dead_bit;
         st.stores_eliminated <- st.stores_eliminated + 1;
         st.elims <-
-          ( Analysis.Depgraph.Store_overwritten
-              { eliminated = x.id; overwriter = z.id },
-            (p, q) )
+          {
+            elim =
+              Analysis.Depgraph.Store_overwritten
+                { eliminated = x.id; overwriter = z.id };
+            lo = p;
+            hi = q;
+          }
           :: st.elims
+      end
     end
   done
 
 (* ---- Load elimination ---- *)
 
-let load_elim st ~alias ~policy ~checking_stores =
+(* The forwarding source of the load at [q]: the nearest live earlier
+   access to exactly its location, if the policy lets it forward; -1
+   when there is none or a must-alias store that only partially
+   overlaps comes first.  May-alias stores are crossed: they are the
+   speculation, gathered once the scan has succeeded. *)
+let source st ~alias ~allow_ll ~allow_sl q =
+  let z = st.anchor.(q) in
+  let found = ref (-1) and p = ref (q - 1) in
+  while !found = -1 && !p >= 0 do
+    if alive st !p then begin
+      let w = st.anchor.(!p) in
+      if Ir.Instr.is_memory w && exact_same_location alias w z then
+        found :=
+          if Ir.Instr.is_store w then if allow_sl then !p else -2
+          else if allow_ll then !p
+          else -2
+      else if Ir.Instr.is_store w && is_must alias w z then
+        (* partially overlapping known store: unsafe to cross *)
+        found := -2
+    end;
+    decr p
+  done;
+  Int.max !found (-1)
+
+let load_elim st ~alias ~policy =
   let allow_ll = policy.Sched.Policy.allow_load_load_forward in
   let allow_sl = policy.Sched.Policy.allow_store_load_forward in
-  if allow_ll || allow_sl then begin
-    let n = Array.length st.anchor in
-    for q = 0 to n - 1 do
+  if allow_ll || allow_sl then
+    for q = 0 to st.n - 1 do
       let z = st.anchor.(q) in
-      if Ir.Instr.is_load z && alive st q && not (is_locked st z) then begin
-        (* scan backward for the nearest live exact-location source *)
-        let rec scan p intervening =
-          if p < 0 then None
-          else
-            let w = st.anchor.(p) in
-            if not (alive st p) then scan (p - 1) intervening
-            else if Ir.Instr.is_memory w && exact_same_location alias w z then
-              if Ir.Instr.is_store w then
-                if allow_sl then Some (p, w, intervening) else None
-              else if allow_ll then Some (p, w, intervening)
-              else None
-            else if Ir.Instr.is_store w && is_must alias w z then
-              (* partially overlapping known store: unsafe to cross *)
-              None
-            else if Ir.Instr.is_store w && is_may alias w z then
-              scan (p - 1) (w :: intervening)
-            else scan (p - 1) intervening
-        in
-        match scan (q - 1) [] with
-        | None -> ()
-        | Some (p, src_op, intervening_stores) ->
+      if Ir.Instr.is_load z && alive st q && not (has st q locked_bit) then begin
+        let p = source st ~alias ~allow_ll ~allow_sl q in
+        if p >= 0 then begin
+          let src_op = st.anchor.(p) in
           let dst =
             match z.op with
             | Ir.Instr.Load { dst; _ } -> dst
@@ -200,55 +253,72 @@ let load_elim st ~alias ~policy ~checking_stores =
                 let capture =
                   Ir.Instr.make ~id:(next_id st) (Ir.Instr.Mov (tmp, src))
                 in
-                st.cells.(p) <- capture :: st.cells.(p)
+                set_cell st p (capture :: cell st p)
               | Ir.Instr.Load { dst = src_dst; _ } ->
                 let capture =
                   Ir.Instr.make ~id:(next_id st)
                     (Ir.Instr.Mov (tmp, Ir.Instr.Reg src_dst))
                 in
-                st.cells.(p) <- st.cells.(p) @ [ capture ]
+                set_cell st p (cell st p @ [ capture ])
               | _ -> assert false);
               Ir.Instr.Mov (dst, Ir.Instr.Reg tmp)
           in
           let mov = Ir.Instr.make ~id:(next_id st) replacement in
-          Hashtbl.replace st.dead q ();
-          st.cells.(q) <- [ mov ];
+          mark st q dead_bit;
+          set_cell st q [ mov ];
           st.loads_eliminated <- st.loads_eliminated + 1;
           (* the source must stay so its register can be protected *)
-          lock st src_op;
-          List.iter
-            (fun (w : Ir.Instr.t) ->
+          mark st p locked_bit;
+          for k = p + 1 to q - 1 do
+            let w = st.anchor.(k) in
+            if alive st k && Ir.Instr.is_store w && is_may alias w z then begin
               (* w owes a runtime check against the source; it must not
                  be eliminated by the later store-elimination pass *)
-              Hashtbl.replace checking_stores w.id ();
-              st.assumed <- (src_op.id, w.id) :: st.assumed)
-            intervening_stores;
+              mark st k checking_bit;
+              st.assumed <- (src_op.id, w.id) :: st.assumed
+            end
+          done;
           st.elims <-
-            ( Analysis.Depgraph.Load_forwarded
-                { source = src_op.id; eliminated = z.id },
-              (p, q) )
+            {
+              elim =
+                Analysis.Depgraph.Load_forwarded
+                  { source = src_op.id; eliminated = z.id };
+              lo = p;
+              hi = q;
+            }
             :: st.elims
+        end
       end
     done
-  end
 
-let finish st =
-  let body = Array.to_list st.cells |> List.concat in
-  let surviving = Hashtbl.create 64 in
-  List.iter (fun (i : Ir.Instr.t) -> Hashtbl.replace surviving i.id i) body;
-  let between (lo, hi) =
+(* The transformed body, one cons per surviving instruction; the input
+   body itself when nothing was eliminated.  An elimination's
+   intervening instructions are the anchors still live strictly
+   between its pair. *)
+let finish st ~body =
+  let n = st.n in
+  let body =
+    if st.elims = [] then body
+    else begin
+      let rec prepend l acc =
+        match l with [] -> acc | i :: rest -> i :: prepend rest acc
+      in
+      let acc = ref [] in
+      for k = n - 1 downto 0 do
+        if edited st k then acc := prepend (cell st k) !acc
+        else if alive st k then acc := st.anchor.(k) :: !acc
+      done;
+      !acc
+    end
+  in
+  let between { lo; hi; _ } =
     let acc = ref [] in
     for k = hi - 1 downto lo + 1 do
-      let a = st.anchor.(k) in
-      match Hashtbl.find_opt surviving a.id with
-      | Some i -> acc := i :: !acc
-      | None -> ()
+      if alive st k then acc := st.anchor.(k) :: !acc
     done;
     !acc
   in
-  let eliminations =
-    List.rev_map (fun (e, span) -> (e, between span)) st.elims
-  in
+  let eliminations = List.rev_map (fun s -> (s.elim, between s)) st.elims in
   {
     body;
     eliminations;
@@ -257,13 +327,14 @@ let finish st =
     stores_eliminated = st.stores_eliminated;
   }
 
-let run ~policy ~alias ~body ~fresh_id =
-  let st = make_state ~body ~fresh_id in
+let run ~policy ~alias ?arena ~body ~fresh_id () =
+  let arena =
+    match arena with Some a -> a | None -> Analysis.Arena.create ()
+  in
+  let st = make_state ~arena ~body ~fresh_id in
   (* Load elimination first: it is the more profitable pass (it hides
      load latency) and it marks the stores that owe runtime checks so
      store elimination cannot remove them. *)
-  let checking_stores = Hashtbl.create 16 in
-  load_elim st ~alias ~policy ~checking_stores;
-  if policy.Sched.Policy.allow_store_elim then
-    store_elim st ~alias ~checking_stores;
-  finish st
+  load_elim st ~alias ~policy;
+  if policy.Sched.Policy.allow_store_elim then store_elim st ~alias;
+  finish st ~body

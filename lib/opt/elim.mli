@@ -32,8 +32,20 @@ type result = {
 val run :
   policy:Sched.Policy.t ->
   alias:Analysis.May_alias.t ->
+  ?arena:Analysis.Arena.t ->
   body:Ir.Instr.t list ->
   fresh_id:int ref ->
+  unit ->
   result
 (** [alias] must have been built over [body].  With a policy that
-    forbids both eliminations this is the identity. *)
+    forbids both eliminations this is the identity.
+
+    The pass works on body positions: the instructions and one flag
+    word per position (eliminated, locked, owing a check, edited) are
+    leased from [arena] (a fresh one when absent), each slot an edit
+    touches gets its own instruction list, and the scans allocate
+    nothing.  When nothing is eliminated the result's [body] is [body]
+    itself, and with a warm arena the pass allocates only its state and
+    result records; otherwise the new body takes one cons per surviving
+    instruction and each elimination one per intervening
+    instruction. *)

@@ -52,7 +52,7 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
   in
   ignore (certify_into alias sb.Ir.Superblock.body : Analysis.Disamb.t option);
   let elim =
-    Elim.run ~policy ~alias ~body:sb.Ir.Superblock.body ~fresh_id
+    Elim.run ~policy ~alias ?arena ~body:sb.Ir.Superblock.body ~fresh_id ()
   in
   let sb' = { sb with Ir.Superblock.body = elim.Elim.body } in
   (* positions changed: rebuild the analysis over the final body *)

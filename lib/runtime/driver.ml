@@ -272,6 +272,8 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
       else optimize_superblock ~known_alias:(known_with_pins entry) entry.sb
     in
     charge_optimize o.Opt.Optimizer.stats.Opt.Optimizer.work_units;
+    if o.Opt.Optimizer.stats.Opt.Optimizer.fell_back then
+      stats.Stats.reopt_fallbacks <- stats.Stats.reopt_fallbacks + 1;
     if verify_artifact o then begin
       entry.region <- o.Opt.Optimizer.region;
       (* the translation changed in place: chains into it stay valid,

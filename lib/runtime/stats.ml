@@ -43,6 +43,7 @@ type t = {
   mutable loads_eliminated : int;
   mutable stores_eliminated : int;
   mutable overflow_fallbacks : int;
+  mutable reopt_fallbacks : int;
   mutable nonspec_mode_regions : int;
   mutable dropped_edges : int;
   (* static alias certification *)
@@ -97,6 +98,7 @@ let create () =
     loads_eliminated = 0;
     stores_eliminated = 0;
     overflow_fallbacks = 0;
+    reopt_fallbacks = 0;
     nonspec_mode_regions = 0;
     dropped_edges = 0;
     certified_pairs = 0;
@@ -240,6 +242,8 @@ let pp ppf t =
   f "check constraints" t.check_constraints;
   f "anti constraints" t.anti_constraints;
   f "AMOVs (fresh/clear)" (t.amov_fresh + t.amov_clear);
+  f "overflow fallbacks (build)" t.overflow_fallbacks;
+  f "overflow fallbacks (reopt)" t.reopt_fallbacks;
   f "dropped edges" t.dropped_edges;
   if t.certified_pairs > 0 || t.certified_alias_faults > 0 then begin
     f "certified no-alias pairs" t.certified_pairs;

@@ -65,6 +65,15 @@ type t = {
   mutable loads_eliminated : int;
   mutable stores_eliminated : int;
   mutable overflow_fallbacks : int;
+      (** initial region builds that ran out of alias registers and
+          fell back to a less speculative tier ({!note_region_built});
+          re-optimizations are not counted here, so the certify off/on
+          comparison of the disamb experiment compares first builds
+          only *)
+  mutable reopt_fallbacks : int;
+      (** re-optimizations after an alias fault whose rebuild fell back
+          to a less speculative tier; disjoint from
+          [overflow_fallbacks], so all fallbacks are the sum *)
   mutable nonspec_mode_regions : int;
   mutable dropped_edges : int;
       (** speculated-away may-alias dependence pairs, summed over all

@@ -9,15 +9,18 @@
     readability. *)
 
 val annotate :
-  sb:Ir.Superblock.t ->
+  body:Ir.Instr.t array ->
   deps:Analysis.Depgraph.t ->
   hazards:Hazards.t ->
-  issue_order:(int * Ir.Instr.t) list ->
+  issue:int array ->
   ar_count:int ->
-  ((int * Ir.Annot.t) list, string) result
-(** [Error] when a protection window holds [ar_count] or more advanced
-    loads.  The modeled ALAT evicts its oldest entry silently on
-    overflow, so when that many advanced loads issue between a hoisted
-    load and the store it must be checked against, the entry can be
-    gone before the store snoops the table — the optimizer must fall
-    back rather than emit such a region. *)
+  (Ir.Annot.t array, string) result
+(** [body] is the hazard graph's body; [issue] lists every body
+    position in issue order.  The annotations are by body position,
+    [Ir.Annot.No_annot] for an operation that is neither an advanced
+    load nor a store.  [Error] when a protection window holds [ar_count]
+    or more advanced loads.  The modeled ALAT evicts its oldest entry
+    silently on overflow, so when that many advanced loads issue
+    between a hoisted load and the store it must be checked against,
+    the entry can be gone before the store snoops the table — the
+    optimizer must fall back rather than emit such a region. *)

@@ -296,6 +296,9 @@ let iter_preds t p f =
     f t.pred.(x)
   done
 
+let position t id =
+  match Hashtbl.find t.index id with p -> p | exception Not_found -> -1
+
 (* a row as an id list, in row order *)
 let row_ids t start row id =
   match Hashtbl.find_opt t.index id with

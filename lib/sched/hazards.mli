@@ -64,6 +64,10 @@ val build :
     id: every later pass names instructions by id, so a repeat is a
     bug upstream (see [Opt.Optimizer.optimize]). *)
 
+val position : t -> int -> int
+(** The body position of an instruction id, or [-1] for an id outside
+    the body.  Allocates nothing. *)
+
 val iter_succs : t -> int -> (int -> unit) -> unit
 (** [iter_succs t p f] applies [f] to the successor positions of body
     position [p], in row order.  Allocates nothing. *)

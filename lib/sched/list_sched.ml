@@ -204,7 +204,7 @@ let issue st c p =
   if st.is_mem.(p) then begin
     st.mslots <- st.mslots - 1;
     (match st.alloc with
-    | Some a -> Smarq_alloc.on_schedule a st.body.(p)
+    | Some a -> Smarq_alloc.on_schedule a p
     | None -> ());
     if st.nonspec then begin
       advance_next_mem st;
@@ -423,48 +423,29 @@ let issue_seq_of ~body (issued : issued) =
   !l
 
 (* Materialize the issue sequence into bundles, splicing in AMOV and
-   Rotate instructions and applying annotations.  Annotations, rotation
-   totals and AMOV anchors are looked up by body position; ids outside
-   the body are ignored, as the issue walk never meets them.  The walk
-   goes back to front, consing each bundle's list once: AMOVs per
-   anchor are an int linked list over the insertion array, newest
-   first, and Rotate ids are numbered up front so they still count up
-   in issue order. *)
-let materialize ~body ~index ~(issued : issued) ~annots ~rotations
-    ~amovs ~fresh_id =
+   Rotate instructions and applying annotations.  Annotations and
+   rotation amounts come by body position ([No_annot] and 0 leave an
+   instruction alone; an empty array stands for all of them), AMOVs with
+   the body position of their anchor.  The walk goes back to front,
+   consing each bundle's list once: AMOVs per anchor are an int linked
+   list over the insertion array, newest first, and Rotate ids are
+   numbered up front so they still count up in issue order. *)
+let materialize ~body ~(issued : issued) ~annots ~rotations ~amovs ~fresh_id =
   let n = Array.length body in
-  let pos_of id =
-    match Hashtbl.find index id with p -> p | exception Not_found -> -1
-  in
-  let annot_set = Array.make n false and annot_of = Array.make n Ir.Annot.none in
-  List.iter
-    (fun (id, a) ->
-      let p = pos_of id in
-      if p >= 0 then begin
-        annot_set.(p) <- true;
-        annot_of.(p) <- a
-      end)
-    annots;
-  let rot = Array.make n 0 in
-  List.iter
-    (fun (id, k) ->
-      let p = pos_of id in
-      if p >= 0 then rot.(p) <- rot.(p) + k)
-    rotations;
+  let annot_of p = if Array.length annots = 0 then Ir.Annot.none else annots.(p) in
+  let rot p = if Array.length rotations = 0 then 0 else rotations.(p) in
   let amov_arr = Array.of_list amovs in
-  let amov_head = Array.make n (-1) in
+  let amov_head = Array.make (if amov_arr = [||] then 0 else n) (-1) in
   let amov_next = Array.make (Array.length amov_arr) (-1) in
   Array.iteri
     (fun x (a : Smarq_alloc.amov_insertion) ->
-      let p = pos_of a.before in
-      if p >= 0 then begin
-        amov_next.(x) <- amov_head.(p);
-        amov_head.(p) <- x
-      end)
+      let p = a.before_pos in
+      amov_next.(x) <- amov_head.(p);
+      amov_head.(p) <- x)
     amov_arr;
   let rotates = ref 0 in
   for k = 0 to issued.count - 1 do
-    if rot.(issued.pos.(k)) > 0 then incr rotates
+    if rot issued.pos.(k) > 0 then incr rotates
   done;
   let first_rotate_id = !fresh_id in
   fresh_id := first_rotate_id + !rotates;
@@ -472,22 +453,27 @@ let materialize ~body ~index ~(issued : issued) ~annots ~rotations
   let push cycle instr = bundles.(cycle) <- instr :: bundles.(cycle) in
   for k = issued.count - 1 downto 0 do
     let cycle = issued.cycle.(k) and p = issued.pos.(k) in
-    if rot.(p) > 0 then begin
+    if rot p > 0 then begin
       decr rotates;
       push cycle
-        (Ir.Instr.make ~id:(first_rotate_id + !rotates) (Ir.Instr.Rotate rot.(p)))
+        (Ir.Instr.make ~id:(first_rotate_id + !rotates) (Ir.Instr.Rotate (rot p)))
     end;
     let i = body.(p) in
-    push cycle (if annot_set.(p) then Ir.Instr.with_annot i annot_of.(p) else i);
+    push cycle
+      (match annot_of p with
+      | Ir.Annot.No_annot -> i
+      | a -> Ir.Instr.with_annot i a);
     (* AMOVs go just before their anchor, same cycle *)
-    let x = ref amov_head.(p) in
-    while !x >= 0 do
-      let a = amov_arr.(!x) in
-      push cycle
-        (Ir.Instr.make ~id:a.amov_id
-           (Ir.Instr.Amov { src_offset = a.src_offset; dst_offset = a.dst_offset }));
-      x := amov_next.(!x)
-    done
+    if amov_arr <> [||] then begin
+      let x = ref amov_head.(p) in
+      while !x >= 0 do
+        let a = amov_arr.(!x) in
+        push cycle
+          (Ir.Instr.make ~id:a.amov_id
+             (Ir.Instr.Amov { src_offset = a.src_offset; dst_offset = a.dst_offset }));
+        x := amov_next.(!x)
+      done
+    end
   done;
   bundles
 
@@ -504,8 +490,8 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
         match policy.Policy.scheme with
         | Policy.Queue_scheme ->
           Some
-            (Smarq_alloc.create ~body:sb.Ir.Superblock.body ~deps
-               ~ar_count:policy.Policy.ar_count ~fresh_id)
+            (Smarq_alloc.create ~hazards ~deps ~ar_count:policy.Policy.ar_count
+               ~fresh_id ?arena ())
         | Policy.Naive_queue_scheme | Policy.Mask_scheme | Policy.Alat_scheme
         | Policy.No_scheme ->
           None)
@@ -530,49 +516,40 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
   in
   Profile.time profile Profile.add_emit @@ fun () ->
   let issue_seq = issue_seq_of ~body issued in
-  let annots, rotations, amovs =
-    match alloc_result with
-    | Some r -> (r.Smarq_alloc.annots, r.Smarq_alloc.rotations, r.Smarq_alloc.amovs)
-    | None -> ([], [], [])
-  in
-  (* scheme-specific annotation post-passes *)
-  let* annots, rotations, naive_max_offset =
+  let issue = issued.pos and ar_count = policy.Policy.ar_count in
+  (* the scheme's annotations, rotations and AMOVs, by body position *)
+  let* annots, rotations, amovs, max_offset =
     out_of_registers
-      (match policy.Policy.scheme with
-      | Policy.Queue_scheme | Policy.No_scheme -> Ok (annots, rotations, None)
-      | Policy.Alat_scheme ->
+      (match policy.Policy.scheme, alloc_result with
+      | Policy.Queue_scheme, Some r ->
+        Ok (r.Smarq_alloc.annots, r.Smarq_alloc.rotations, r.Smarq_alloc.amovs,
+            r.Smarq_alloc.max_offset)
+      | (Policy.Queue_scheme | Policy.No_scheme), _ -> Ok ([||], [||], [], -1)
+      | Policy.Alat_scheme, _ ->
         Result.map
-          (fun annots -> (annots, rotations, None))
-          (Alat_annot.annotate ~sb ~deps ~hazards ~issue_order:issue_seq
-             ~ar_count:policy.Policy.ar_count)
-      | Policy.Mask_scheme ->
+          (fun annots -> (annots, [||], [], -1))
+          (Alat_annot.annotate ~body ~deps ~hazards ~issue ~ar_count)
+      | Policy.Mask_scheme, _ ->
         Result.map
-          (fun annots -> (annots, rotations, None))
-          (Mask_alloc.annotate ~deps ~hazards ~issue_order:issue_seq
-             ~ar_count:policy.Policy.ar_count)
-      | Policy.Naive_queue_scheme ->
+          (fun annots ->
+            let max_set = ref (-1) in
+            Array.iter
+              (function
+                | Ir.Annot.Mask { set_index = Some i; _ } ->
+                  if i > !max_set then max_set := i
+                | _ -> ())
+              annots;
+            (annots, [||], [], !max_set))
+          (Mask_alloc.annotate ~deps ~hazards ~issue ~ar_count)
+      | Policy.Naive_queue_scheme, _ ->
         Result.map
           (fun (r : Naive_alloc.result) ->
-            (r.Naive_alloc.annots, r.Naive_alloc.rotations,
-             Some r.Naive_alloc.max_offset))
-          (Naive_alloc.annotate ~body:sb.Ir.Superblock.body
-             ~issue_order:issue_seq ~ar_count:policy.Policy.ar_count))
+            (r.Naive_alloc.annots, r.Naive_alloc.rotations, [],
+             r.Naive_alloc.max_offset))
+          (Naive_alloc.annotate ~body ~issue ~ar_count))
   in
   let bundles =
-    materialize ~body ~index:hazards.Hazards.index ~issued ~annots
-      ~rotations ~amovs ~fresh_id
-  in
-  let max_offset =
-    match alloc_result, naive_max_offset with
-    | Some r, _ -> r.Smarq_alloc.max_offset
-    | None, Some m -> m
-    | None, None ->
-      List.fold_left
-        (fun acc (_, a) ->
-          match a with
-          | Ir.Annot.Mask { set_index = Some i; _ } -> max acc i
-          | _ -> acc)
-        (-1) annots
+    materialize ~body ~issued ~annots ~rotations ~amovs ~fresh_id
   in
   let assumed =
     Analysis.Pair_key.union hazards.Hazards.dropped
@@ -583,29 +560,29 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
       ~final_exit:sb.Ir.Superblock.final_exit ~ar_window:(max_offset + 1)
       ~assumed_no_alias:assumed ~source:sb ()
   in
-  let mem_ops = List.length (Ir.Superblock.memory_ops sb) in
+  let mem_ops = ref 0 in
+  Array.iter (fun i -> if Ir.Instr.is_memory i then incr mem_ops) body;
   let p_bits, c_bits, checks, antis, amov_fresh, amov_clear =
     match alloc_result with
     | Some r ->
+      let fresh = ref 0 and clear = ref 0 in
+      List.iter
+        (fun (a : Smarq_alloc.amov_insertion) ->
+          if a.dst_is_fresh then incr fresh else incr clear)
+        r.Smarq_alloc.amovs;
       ( Hashtbl.length r.Smarq_alloc.allocation.Analysis.Constraints.p_bit,
         Hashtbl.length r.Smarq_alloc.allocation.Analysis.Constraints.c_bit,
         List.length r.Smarq_alloc.check_edges,
         List.length r.Smarq_alloc.anti_edges,
-        List.length
-          (List.filter
-             (fun (a : Smarq_alloc.amov_insertion) -> a.dst_is_fresh)
-             r.Smarq_alloc.amovs),
-        List.length
-          (List.filter
-             (fun (a : Smarq_alloc.amov_insertion) -> not a.dst_is_fresh)
-             r.Smarq_alloc.amovs) )
+        !fresh,
+        !clear )
     | None -> (0, 0, 0, 0, 0, 0)
   in
   let stats =
     {
       schedule_length = issued.length;
       instr_count = Ir.Superblock.instr_count sb;
-      mem_ops;
+      mem_ops = !mem_ops;
       p_bits;
       c_bits;
       check_constraints = checks;

@@ -96,4 +96,7 @@ val schedule :
     reduced hazard graph; the test suite holds its issue sequences to
     an independent per-cycle-rescan oracle over the unreduced graph.
     [profile] accumulates per-phase translation timers when given;
-    [arena] lends the hazard builder reusable scratch buffers. *)
+    [arena] lends the hazard builder and the SMARQ allocator reusable
+    scratch buffers.  Annotations, rotations and AMOV anchors reach
+    emission by body position, from whichever allocator or annotator
+    the scheme uses. *)

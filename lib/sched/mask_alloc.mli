@@ -10,8 +10,14 @@
 val annotate :
   deps:Analysis.Depgraph.t ->
   hazards:Hazards.t ->
-  issue_order:(int * Ir.Instr.t) list ->
+  issue:int array ->
   ar_count:int ->
-  ((int * Ir.Annot.t) list, string) result
-(** [Error] when no register is free (the encoding limit bites); the
-    caller rebuilds the region with less speculation. *)
+  (Ir.Annot.t array, string) result
+(** [issue] lists every body position of [hazards] in issue order.  The
+    annotations are by body position, [Ir.Annot.No_annot] for an
+    operation that neither sets nor checks a register.  The working
+    tables are int arrays by body position, and the dependence graph is
+    walked in place: no per-pair or per-instruction allocation beyond
+    the annotations themselves.  [Error] when no register is free (the
+    encoding limit bites); the caller rebuilds the region with less
+    speculation. *)

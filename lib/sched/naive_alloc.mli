@@ -14,16 +14,19 @@
     program-order allocation cannot express (Section 2.4). *)
 
 type result = {
-  annots : (int * Ir.Annot.t) list;
-  rotations : (int * int) list;  (** after instr id, rotate by n *)
+  annots : Ir.Annot.t array;
+      (** by body position, [Ir.Annot.No_annot] off memory operations *)
+  rotations : int array;
+      (** by body position: rotate BASE by this much right after the
+          operation (0 = no rotation) *)
   max_offset : int;
 }
 
 val annotate :
-  body:Ir.Instr.t list ->
-  issue_order:(int * Ir.Instr.t) list ->
+  body:Ir.Instr.t array ->
+  issue:int array ->
   ar_count:int ->
   (result, string) Stdlib.result
-(** [body] in original program order defines register orders;
-    [issue_order] is the schedule.  [Error] when an offset would reach
-    [ar_count]. *)
+(** [body] in original program order defines register orders; [issue]
+    lists its positions in schedule order.  [Error] when an offset would
+    reach [ar_count]. *)

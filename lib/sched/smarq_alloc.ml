@@ -3,7 +3,7 @@ module CD = Analysis.Cycle_detect
 
 type amov_insertion = {
   amov_id : int;
-  before : int;
+  before_pos : int;
   src_instr : int;
   dst_is_fresh : bool;
   src_offset : int;
@@ -11,8 +11,8 @@ type amov_insertion = {
 }
 
 type result = {
-  annots : (int * Ir.Annot.t) list;
-  rotations : (int * int) list;
+  annots : Ir.Annot.t array;
+  rotations : int array;
   amovs : amov_insertion list;
   max_offset : int;
   check_edges : C.edge list;
@@ -21,226 +21,302 @@ type result = {
 }
 
 (* A pending AMOV whose offsets are backpatched once orders are known.
-   [dst_instr = None] means a pure clear (src offset reused). *)
+   Fields are slots; [p_dst = -1] means a pure clear (src offset
+   reused). *)
 type pending_amov = {
   p_amov_id : int;
   p_before : int;
   p_src : int;
-  p_dst : int option;
+  p_dst : int;
   p_base : int;  (* BASE at the AMOV's execution point *)
 }
 
+(* Per-slot flag bits *)
+let scheduled_bit = 1
+let allocated_bit = 2
+let delayed_bit = 4
+let p_bit = 8
+let c_bit = 16
+let ext_p_bit = 32
+
+(* Constraint edge kinds in the edge log *)
+let live_check = 0
+let dead_check = 1  (* retargeted by an AMOV *)
+let anti = 2
+
+type vec = Analysis.Arena.vec
+
+let push = Analysis.Arena.vec_push
+
+(* Allocator state.  A {e slot} names an operation: body position [p]
+   for the instruction at [p], [n + k] for the [k]-th AMOV pseudo-op
+   (an AMOV that takes over a protected range).  Every per-operation
+   table is an array over slots, grown when a pseudo-op is added; the
+   cycle detector numbers its nodes by slot too.  The lists the
+   allocator keeps per slot are int linked lists over one pool of
+   cells ([cell_val], [cell_tag], [cell_next]), newest first, as the
+   cons lists they replace were:
+   - [out_head]: allocation-order successors, each cell tagged with its
+     edge's index in the edge log;
+   - [pc_head]: the checkers of a checkee.
+   The edge log keeps every check and anti edge in insertion order.
+   Ready operations wait in an int FIFO ([ready] from [ready_head]),
+   and [delay_log] lists slots in the order they were delayed — their
+   bases never decrease along it, so the oldest slot still delayed
+   holds the smallest delayed base. *)
 type t = {
+  hz : Hazards.t;
   deps : Analysis.Depgraph.t;
+  n : int;  (* body length: slots below it are body positions *)
   ar_count : int;
   fresh_id : int ref;
   cd : CD.t;
-  alloc : C.allocation;  (* orders, bases, P/C bits *)
-  scheduled : (int, unit) Hashtbl.t;
-  allocated : (int, unit) Hashtbl.t;
-  (* constraint graph bookkeeping *)
-  mutable check_edges : C.edge list;
-  mutable anti_edges : C.edge list;
-  out_edges : (int, int list) Hashtbl.t;  (* allocation-order successors *)
-  indeg : (int, int) Hashtbl.t;
-  check_pairs : (int, unit) Hashtbl.t;  (* existing checks, Pair_key.pack f s *)
-  (* check edges into a not-yet-scheduled checkee, for AMOV retarget:
-     checkee id -> checker ids that are not yet scheduled *)
-  pending_checkers : (int, int list) Hashtbl.t;
+  mutable n_slots : int;
+  mutable slot_id : int array;  (* instruction id of each slot *)
+  mutable flags : Bytes.t;
+  mutable order : int array;
+  mutable base : int array;
+  mutable indeg : int array;
+  mutable holder : int array;
+      (* after "AMOV x -> x'", x's protected range lives in x's
+         register no longer: the pseudo-op now holding it, -1 for
+         itself *)
+  mutable out_head : int array;
+  mutable pc_head : int array;
+  cell_val : vec;
+  cell_tag : vec;
+  cell_next : vec;
+  log_first : vec;
+  log_second : vec;
+  log_kind : vec;
+  ready : vec;
+  mutable ready_head : int;
+  delay_log : vec;
+  mutable delay_oldest : int;  (* no slot before it is still delayed *)
+  mutable n_delayed : int;
+  mutable delayed_p : int;  (* delayed slots with the P bit *)
+  mutable ext_p : int;
+      (* unscheduled operations that extended dependences will force to
+         P: the [second] of an extended edge, until it is scheduled *)
   mutable next_order : int;
-  ready_queue : int Queue.t;
-  in_delay : (int, unit) Hashtbl.t;
-  mutable rotations : (int * int) list;
-  mutable amovs : pending_amov list;
-  (* ids of unscheduled ops that extended deps will force to P *)
-  ext_p_unscheduled : (int, unit) Hashtbl.t;
-  (* after "AMOV x -> x'", x's protected range lives in x's register no
-     longer: holder maps each op to the pseudo-op currently holding its
-     range (absent = itself) *)
-  holder : (int, int) Hashtbl.t;
-  (* set once an offset would reach [ar_count]; the allocator then
-     ignores further operations and [finish] reports it *)
+  rot : int array;  (* by body position: rotate after it *)
+  mutable amovs : pending_amov list;  (* newest first *)
   mutable overflow : string option;
+      (* set once an offset would reach [ar_count]; the allocator then
+         ignores further operations and [finish] reports it *)
+  mutable cur : int;  (* the slot being scheduled, for [visit] *)
+  mutable visit :
+    first:int ->
+    second:int ->
+    kind:Analysis.Depgraph.kind ->
+    strength:Analysis.Depgraph.strength ->
+    unit;
 }
 
-let rec resolve_holder t id =
-  match Hashtbl.find_opt t.holder id with
-  | None -> id
-  | Some h -> resolve_holder t h
+let has t s bit = Char.code (Bytes.unsafe_get t.flags s) land bit <> 0
 
-let has_p t id = Hashtbl.mem t.alloc.C.p_bit id
-let has_c t id = Hashtbl.mem t.alloc.C.c_bit id
-let set_p t id = Hashtbl.replace t.alloc.C.p_bit id ()
-let set_c t id = Hashtbl.replace t.alloc.C.c_bit id ()
-let is_scheduled t id = Hashtbl.mem t.scheduled id
-let is_allocated t id = Hashtbl.mem t.allocated id
-let indeg_of t id = Option.value (Hashtbl.find_opt t.indeg id) ~default:0
+let set t s bit =
+  Bytes.unsafe_set t.flags s
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.flags s) lor bit))
 
-let create ~body ~deps ~ar_count ~fresh_id =
-  let cd = CD.create () in
-  List.iteri
-    (fun idx (i : Ir.Instr.t) -> ignore (CD.init_t cd i.id idx))
-    body;
-  let ext_p_unscheduled = Hashtbl.create 16 in
-  Analysis.Depgraph.iter_edges deps
-    (fun ~first:_ ~second ~kind ~strength:_ ->
-      match kind with
-      | Analysis.Depgraph.Extended ->
-        (* at [second]'s scheduling, an unscheduled [first] forces
-           P(second); count every potential target *)
-        Hashtbl.replace ext_p_unscheduled second ()
-      | Analysis.Depgraph.Real -> ());
-  {
-    deps;
-    ar_count;
-    fresh_id;
-    cd;
-    alloc = C.empty_allocation ();
-    scheduled = Hashtbl.create 64;
-    allocated = Hashtbl.create 64;
-    check_edges = [];
-    anti_edges = [];
-    out_edges = Hashtbl.create 64;
-    indeg = Hashtbl.create 64;
-    check_pairs = Hashtbl.create 64;
-    pending_checkers = Hashtbl.create 64;
-    next_order = 0;
-    ready_queue = Queue.create ();
-    in_delay = Hashtbl.create 64;
-    rotations = [];
-    amovs = [];
-    ext_p_unscheduled;
-    holder = Hashtbl.create 16;
-    overflow = None;
-  }
+let clear t s bit =
+  Bytes.unsafe_set t.flags s
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.flags s) land lnot bit))
 
-let add_graph_edge t f s =
-  let l = Option.value (Hashtbl.find_opt t.out_edges f) ~default:[] in
-  Hashtbl.replace t.out_edges f (s :: l);
-  Hashtbl.replace t.indeg s (indeg_of t s + 1)
+let grow a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let add_check t f s =
-  let key = Analysis.Pair_key.pack f s in
-  if not (Hashtbl.mem t.check_pairs key) then begin
-    Hashtbl.replace t.check_pairs key ();
-    t.check_edges <- { C.first = f; second = s; kind = C.Check } :: t.check_edges;
-    add_graph_edge t f s;
-    let l = Option.value (Hashtbl.find_opt t.pending_checkers s) ~default:[] in
-    Hashtbl.replace t.pending_checkers s (f :: l)
+let slot_of t id =
+  let p = Hazards.position t.hz id in
+  if p < 0 then
+    invalid_arg
+      (Printf.sprintf "Smarq_alloc: dependence names instr %d outside the body"
+         id);
+  p
+
+let rec resolve_holder t s =
+  let h = t.holder.(s) in
+  if h < 0 then s else resolve_holder t h
+
+(* A fresh slot for the pseudo-op [id]. *)
+let add_slot t id =
+  let s = t.n_slots in
+  if s = Array.length t.slot_id then begin
+    let len = 2 * s in
+    t.slot_id <- grow t.slot_id len 0;
+    let flags = Bytes.make len '\000' in
+    Bytes.blit t.flags 0 flags 0 s;
+    t.flags <- flags;
+    t.order <- grow t.order len 0;
+    t.base <- grow t.base len 0;
+    t.indeg <- grow t.indeg len 0;
+    t.holder <- grow t.holder len (-1);
+    t.out_head <- grow t.out_head len (-1);
+    t.pc_head <- grow t.pc_head len (-1)
+  end;
+  t.slot_id.(s) <- id;
+  t.n_slots <- s + 1;
+  s
+
+(* A list cell holding [v] and [tag] in front of [next]; its index. *)
+let cons t v tag next =
+  let k = t.cell_val.len in
+  push t.cell_val v;
+  push t.cell_tag tag;
+  push t.cell_next next;
+  k
+
+let delay t s =
+  set t s delayed_bit;
+  push t.delay_log s;
+  t.n_delayed <- t.n_delayed + 1;
+  if has t s p_bit then t.delayed_p <- t.delayed_p + 1
+
+let undelay t s =
+  if has t s delayed_bit then begin
+    clear t s delayed_bit;
+    t.n_delayed <- t.n_delayed - 1;
+    if has t s p_bit then t.delayed_p <- t.delayed_p - 1
   end
 
-let add_anti t f s =
-  t.anti_edges <- { C.first = f; second = s; kind = C.Anti } :: t.anti_edges;
-  add_graph_edge t f s
+(* Log the constraint edge [f -> s] and add it to the graph. *)
+let add_edge t f s kind =
+  let k = t.log_kind.len in
+  push t.log_first f;
+  push t.log_second s;
+  push t.log_kind kind;
+  t.out_head.(f) <- cons t s k t.out_head.(f);
+  t.indeg.(s) <- t.indeg.(s) + 1
 
-let has_check t f s = Hashtbl.mem t.check_pairs (Analysis.Pair_key.pack f s)
+(* Checks leave their checker only while it is unscheduled, hence
+   before its out-list is dropped on allocation: the out-list knows
+   every check the checker makes. *)
+let has_check t f s =
+  let e = ref t.out_head.(f) in
+  while
+    !e >= 0
+    && not
+         (t.cell_val.buf.(!e) = s
+         && t.log_kind.buf.(t.cell_tag.buf.(!e)) = live_check)
+  do
+    e := t.cell_next.buf.(!e)
+  done;
+  !e >= 0
+
+let add_check t f s =
+  if not (has_check t f s) then begin
+    add_edge t f s live_check;
+    t.pc_head.(s) <- cons t f 0 t.pc_head.(s)
+  end
+
+let add_anti t f s = add_edge t f s anti
+
+(* Unlink the first (newest) constraint edge [f -> s]; a check edge
+   leaves the result too. *)
+let remove_edge t f s =
+  let prev = ref (-1) and e = ref t.out_head.(f) in
+  while !e >= 0 && t.cell_val.buf.(!e) <> s do
+    prev := !e;
+    e := t.cell_next.buf.(!e)
+  done;
+  if !e >= 0 then begin
+    let k = t.cell_tag.buf.(!e) in
+    if t.log_kind.buf.(k) = live_check then t.log_kind.buf.(k) <- dead_check;
+    let next = t.cell_next.buf.(!e) in
+    if !prev < 0 then t.out_head.(f) <- next else t.cell_next.buf.(!prev) <- next
+  end
 
 (* Allocate every ready operation; each allocation may unblock more.
    Stops at the first operation whose offset would overflow. *)
 let drain t =
-  while t.overflow = None && not (Queue.is_empty t.ready_queue) do
-    let x = Queue.pop t.ready_queue in
-    let base_x = Hashtbl.find t.alloc.C.base x in
-    let off = t.next_order - base_x in
+  while t.overflow = None && t.ready_head < t.ready.len do
+    let x = t.ready.buf.(t.ready_head) in
+    t.ready_head <- t.ready_head + 1;
+    if t.ready_head = t.ready.len then begin
+      t.ready_head <- 0;
+      t.ready.len <- 0
+    end;
+    let off = t.next_order - t.base.(x) in
     if off >= t.ar_count then
       t.overflow <-
         Some
-          (Printf.sprintf "instr %d would need offset %d of %d registers" x
-             off t.ar_count)
+          (Printf.sprintf "instr %d would need offset %d of %d registers"
+             t.slot_id.(x) off t.ar_count)
     else begin
-      Hashtbl.replace t.alloc.C.order x t.next_order;
-      Hashtbl.replace t.allocated x ();
-      Hashtbl.remove t.in_delay x;
-      if has_p t x then t.next_order <- t.next_order + 1;
-      List.iter
-        (fun z ->
-          let d = indeg_of t z - 1 in
-          Hashtbl.replace t.indeg z d;
-          if d = 0 && Hashtbl.mem t.in_delay z then Queue.push z t.ready_queue)
-        (Option.value (Hashtbl.find_opt t.out_edges x) ~default:[]);
-      Hashtbl.remove t.out_edges x
+      t.order.(x) <- t.next_order;
+      set t x allocated_bit;
+      undelay t x;
+      if has t x p_bit then t.next_order <- t.next_order + 1;
+      let e = ref t.out_head.(x) in
+      while !e >= 0 do
+        let z = t.cell_val.buf.(!e) in
+        t.indeg.(z) <- t.indeg.(z) - 1;
+        if t.indeg.(z) = 0 && has t z delayed_bit then push t.ready z;
+        e := t.cell_next.buf.(!e)
+      done;
+      t.out_head.(x) <- -1
     end
   done
 
-let allocate_reg t id =
-  Hashtbl.replace t.alloc.C.base id t.next_order;
-  if indeg_of t id = 0 then Queue.push id t.ready_queue
-  else Hashtbl.replace t.in_delay id ();
+let allocate_reg t y =
+  t.base.(y) <- t.next_order;
+  if t.indeg.(y) = 0 then push t.ready y else delay t y;
   let base_before = t.next_order in
   drain t;
-  if t.next_order > base_before then
-    t.rotations <- (id, t.next_order - base_before) :: t.rotations
+  if t.next_order > base_before then t.rot.(y) <- t.next_order - base_before
 
 (* Break a would-be cycle from anti-constraint x -> y by inserting an
    AMOV before y that takes over x's protected range (Section 5.2). *)
 let break_cycle t ~x ~y =
-  let unsched_checkers =
-    List.filter
-      (fun z -> not (is_scheduled t z))
-      (Option.value (Hashtbl.find_opt t.pending_checkers x) ~default:[])
-  in
+  let unsched_checker = ref false in
+  let c = ref t.pc_head.(x) in
+  while !c >= 0 && not !unsched_checker do
+    if not (has t t.cell_val.buf.(!c) scheduled_bit) then unsched_checker := true;
+    c := t.cell_next.buf.(!c)
+  done;
   let amov_id = !(t.fresh_id) in
   incr t.fresh_id;
-  if unsched_checkers = [] then
+  if not !unsched_checker then
     (* nobody will check x's register any more: a pure clear removes
        the range so y cannot hit it *)
     t.amovs <-
-      {
-        p_amov_id = amov_id;
-        p_before = y;
-        p_src = x;
-        p_dst = None;
-        p_base = t.next_order;
-      }
+      { p_amov_id = amov_id; p_before = y; p_src = x; p_dst = -1;
+        p_base = t.next_order }
       :: t.amovs
   else begin
     (* the AMOV becomes a new protected pseudo-op x' *)
-    let x' = amov_id in
+    let x' = add_slot t amov_id in
     ignore (CD.init_t t.cd x' (CD.get_t t.cd y - 1));
-    set_p t x';
-    (* retarget future checks z ->check x to z ->check x' *)
-    List.iter
-      (fun z ->
-        (* remove z->x *)
-        Hashtbl.remove t.check_pairs (Analysis.Pair_key.pack z x);
-        t.check_edges <-
-          List.filter
-            (fun (e : C.edge) -> not (e.C.first = z && e.C.second = x))
-            t.check_edges;
-        (match Hashtbl.find_opt t.out_edges z with
-        | Some l ->
-          let removed = ref false in
-          let l' =
-            List.filter
-              (fun s ->
-                if (not !removed) && s = x then begin
-                  removed := true;
-                  false
-                end
-                else true)
-              l
-          in
-          Hashtbl.replace t.out_edges z l'
-        | None -> ());
-        Hashtbl.replace t.indeg x (indeg_of t x - 1);
+    set t x' p_bit;
+    (* retarget future checks z ->check x to z ->check x', newest
+       checker first; x keeps only its scheduled checkers *)
+    let prev = ref (-1) and c = ref t.pc_head.(x) in
+    while !c >= 0 do
+      let z = t.cell_val.buf.(!c) and next = t.cell_next.buf.(!c) in
+      if has t z scheduled_bit then prev := !c
+      else begin
+        if !prev < 0 then t.pc_head.(x) <- next
+        else t.cell_next.buf.(!prev) <- next;
+        remove_edge t z x;
+        t.indeg.(x) <- t.indeg.(x) - 1;
         CD.remove_edge t.cd z x;
         add_check t z x';
         CD.add_edge t.cd z x';
         (* unscheduled checkers have no incoming constraints, so their
            T may be lowered freely to restore the invariant *)
         if CD.get_t t.cd z >= CD.get_t t.cd x' then
-          CD.set_t t.cd z (CD.get_t t.cd x' - 1))
-      unsched_checkers;
+          CD.set_t t.cd z (CD.get_t t.cd x' - 1)
+      end;
+      c := next
+    done;
     (* the retargeting may have made x itself allocatable *)
-    if indeg_of t x = 0 && Hashtbl.mem t.in_delay x then
-      Queue.push x t.ready_queue;
-    Hashtbl.replace t.pending_checkers x
-      (List.filter (fun z -> is_scheduled t z)
-         (Option.value (Hashtbl.find_opt t.pending_checkers x) ~default:[]));
+    if t.indeg.(x) = 0 && has t x delayed_bit then push t.ready x;
     (* x' is delayed until its checkers are allocated *)
-    Hashtbl.replace t.alloc.C.base x' t.next_order;
-    Hashtbl.replace t.in_delay x' ();
-    Hashtbl.replace t.scheduled x' ();
+    t.base.(x') <- t.next_order;
+    delay t x';
+    set t x' scheduled_bit;
     (* anti x' -> y so y never checks the moved range either *)
     (match CD.try_add_anti t.cd ~x:x' ~y with
     | CD.Ok_already | CD.Ok_shifted _ -> add_anti t x' y
@@ -248,73 +324,152 @@ let break_cycle t ~x ~y =
       (* impossible: x' is fresh with T = T(y) - 1 and y has no path
          to x' *)
       assert false);
-    Hashtbl.replace t.holder x x';
+    t.holder.(x) <- x';
     t.amovs <-
-      {
-        p_amov_id = amov_id;
-        p_before = y;
-        p_src = x;
-        p_dst = Some x';
-        p_base = t.next_order;
-      }
+      { p_amov_id = amov_id; p_before = y; p_src = x; p_dst = x';
+        p_base = t.next_order }
       :: t.amovs
   end
 
-let schedule_op t (instr : Ir.Instr.t) =
-  let y = instr.id in
-  Analysis.Depgraph.iter_into t.deps y
-    (fun ~first:x ~second:_ ~kind:_ ~strength:_ ->
-      if not (is_scheduled t x) then begin
-        (* x executes after y although the dependence says the pair
-           must be alias-checked: x checks y *)
-        set_c t x;
-        set_p t y;
-        add_check t x y;
-        CD.lower_for_check t.cd ~x ~y
-      end
-      else begin
-        (* The range X set may have been moved to a pseudo-op by an
-           earlier AMOV; every ordering obligation applies to whichever
-           register currently holds it. *)
-        let xh = resolve_holder t x in
-        if
-          (not (is_allocated t xh))
-          && has_p t xh && has_c t y
-          && not (has_check t y xh)
-        then begin
-          match CD.try_add_anti t.cd ~x:xh ~y with
-          | CD.Ok_already | CD.Ok_shifted _ -> add_anti t xh y
-          | CD.Cycle _ -> break_cycle t ~x:xh ~y
-        end
-      end);
-  Hashtbl.replace t.scheduled y ();
-  Hashtbl.remove t.ext_p_unscheduled y;
-  if has_p t y || has_c t y then allocate_reg t y
+(* One dependence [first -> cur] of the operation being scheduled. *)
+let visit_dep t first =
+  let y = t.cur in
+  let x = slot_of t first in
+  if not (has t x scheduled_bit) then begin
+    (* x executes after y although the dependence says the pair must be
+       alias-checked: x checks y *)
+    set t x c_bit;
+    set t y p_bit;
+    add_check t x y;
+    CD.lower_for_check t.cd ~x ~y
+  end
+  else begin
+    (* The range X set may have been moved to a pseudo-op by an earlier
+       AMOV; every ordering obligation applies to whichever register
+       currently holds it. *)
+    let xh = resolve_holder t x in
+    if
+      (not (has t xh allocated_bit))
+      && has t xh p_bit && has t y c_bit
+      && not (has_check t y xh)
+    then begin
+      match CD.try_add_anti t.cd ~x:xh ~y with
+      | CD.Ok_already | CD.Ok_shifted _ -> add_anti t xh y
+      | CD.Cycle _ -> break_cycle t ~x:xh ~y
+    end
+  end
 
-let on_schedule t instr = if t.overflow = None then schedule_op t instr
+let ignore_dep ~first:_ ~second:_ ~kind:_ ~strength:_ = ()
+
+let create ~hazards ~deps ~ar_count ~fresh_id ?arena () =
+  let n = Array.length hazards.Hazards.ids in
+  (* the growable lists live in arena vectors 4-11 *)
+  let vec slot =
+    match arena with
+    | Some a -> Analysis.Arena.vec a ~slot
+    | None -> { Analysis.Arena.buf = Array.make 16 0; len = 0 }
+  in
+  let cap = n + 4 in
+  let cd = CD.create ?arena () in
+  for p = n - 1 downto 0 do
+    ignore (CD.init_t cd p p)
+  done;
+  let t =
+    {
+      hz = hazards;
+      deps;
+      n;
+      ar_count;
+      fresh_id;
+      cd;
+      n_slots = n;
+      slot_id = grow hazards.Hazards.ids cap 0;
+      flags = Bytes.make cap '\000';
+      order = Array.make cap 0;
+      base = Array.make cap 0;
+      indeg = Array.make cap 0;
+      holder = Array.make cap (-1);
+      out_head = Array.make cap (-1);
+      pc_head = Array.make cap (-1);
+      cell_val = vec 4;
+      cell_tag = vec 5;
+      cell_next = vec 6;
+      log_first = vec 7;
+      log_second = vec 8;
+      log_kind = vec 9;
+      ready = vec 10;
+      ready_head = 0;
+      delay_log = vec 11;
+      delay_oldest = 0;
+      n_delayed = 0;
+      delayed_p = 0;
+      ext_p = 0;
+      next_order = 0;
+      rot = Array.make n 0;
+      amovs = [];
+      overflow = None;
+      cur = -1;
+      visit = ignore_dep;
+    }
+  in
+  t.visit <- (fun ~first ~second:_ ~kind:_ ~strength:_ -> visit_dep t first);
+  Analysis.Depgraph.iter_edges deps
+    (fun ~first:_ ~second ~kind ~strength:_ ->
+      match kind with
+      | Analysis.Depgraph.Extended ->
+        (* at [second]'s scheduling, an unscheduled [first] forces
+           P(second); count every potential target *)
+        let s = slot_of t second in
+        if not (has t s ext_p_bit) then begin
+          set t s ext_p_bit;
+          t.ext_p <- t.ext_p + 1
+        end
+      | Analysis.Depgraph.Real -> ());
+  t
+
+let schedule_op t y =
+  t.cur <- y;
+  Analysis.Depgraph.iter_into t.deps t.slot_id.(y) t.visit;
+  set t y scheduled_bit;
+  if has t y ext_p_bit then begin
+    clear t y ext_p_bit;
+    t.ext_p <- t.ext_p - 1
+  end;
+  if has t y p_bit || has t y c_bit then allocate_reg t y
+
+let on_schedule t p = if t.overflow = None then schedule_op t p
 
 let overflowed t = t.overflow <> None
 
-let unscheduled_ext_p t = Hashtbl.length t.ext_p_unscheduled
+let unscheduled_ext_p t = t.ext_p
 
 let overflow_risk t ~lookahead_p =
+  let log = t.delay_log in
+  while t.delay_oldest < log.len && not (has t log.buf.(t.delay_oldest) delayed_bit) do
+    t.delay_oldest <- t.delay_oldest + 1
+  done;
   let min_base =
-    Hashtbl.fold
-      (fun id () acc ->
-        match Hashtbl.find_opt t.alloc.C.base id with
-        | Some b -> min b acc
-        | None -> acc)
-      t.in_delay t.next_order
+    if t.delay_oldest < log.len then t.base.(log.buf.(t.delay_oldest))
+    else t.next_order
   in
-  let delayed_p =
-    Hashtbl.fold
-      (fun id () acc -> if has_p t id then acc + 1 else acc)
-      t.in_delay 0
-  in
-  let max_order =
-    t.next_order + delayed_p + unscheduled_ext_p t + lookahead_p
-  in
+  let max_order = t.next_order + t.delayed_p + t.ext_p + lookahead_p in
   max_order - min_base >= t.ar_count
+
+(* The logged edges of one kind as constraint records over instruction
+   ids, in insertion order. *)
+let edge_list t want kind =
+  let l = ref [] in
+  for k = t.log_kind.len - 1 downto 0 do
+    if t.log_kind.buf.(k) = want then
+      l :=
+        {
+          C.first = t.slot_id.(t.log_first.buf.(k));
+          second = t.slot_id.(t.log_second.buf.(k));
+          kind;
+        }
+        :: !l
+  done;
+  !l
 
 let finish t =
   (* drain everything that can still be allocated; remaining delayed
@@ -323,44 +478,27 @@ let finish t =
   match t.overflow with
   | Some reason -> Error reason
   | None ->
-    if Hashtbl.length t.in_delay > 0 then begin
-      let stuck =
-        Hashtbl.fold (fun id () acc -> string_of_int id :: acc) t.in_delay []
-      in
+    if t.n_delayed > 0 then begin
+      let stuck = ref [] in
+      for s = t.n_slots - 1 downto 0 do
+        if has t s delayed_bit then stuck := string_of_int t.slot_id.(s) :: !stuck
+      done;
       invalid_arg
         ("Smarq_alloc.finish: unallocated operations remain: "
-        ^ String.concat "," stuck)
+        ^ String.concat "," !stuck)
     end;
-    let annots =
-      Hashtbl.fold
-        (fun id order acc ->
-          let p = has_p t id and c = has_c t id in
-          if p || c then begin
-            match Hashtbl.find_opt t.alloc.C.base id with
-            | Some base ->
-              (id, Ir.Annot.queue ~offset:(order - base) ~p ~c) :: acc
-            | None -> acc
-          end
-          else acc)
-        t.alloc.C.order []
-    in
     let amovs =
       List.rev_map
         (fun p ->
-          let src_order = Hashtbl.find t.alloc.C.order p.p_src in
-          let src_offset = src_order - p.p_base in
-          let dst_offset =
-            match p.p_dst with
-            | None -> src_offset
-            | Some d -> Hashtbl.find t.alloc.C.order d - p.p_base
-          in
+          let src_offset = t.order.(p.p_src) - p.p_base in
           {
             amov_id = p.p_amov_id;
-            before = p.p_before;
-            src_instr = p.p_src;
-            dst_is_fresh = Option.is_some p.p_dst;
+            before_pos = p.p_before;
+            src_instr = t.slot_id.(p.p_src);
+            dst_is_fresh = p.p_dst >= 0;
             src_offset;
-            dst_offset;
+            dst_offset =
+              (if p.p_dst < 0 then src_offset else t.order.(p.p_dst) - p.p_base);
           })
         t.amovs
     in
@@ -375,27 +513,47 @@ let finish t =
         (Printf.sprintf "amov %d offsets %d,%d outside window %d" a.amov_id
            a.src_offset a.dst_offset t.ar_count)
     | None ->
+      (* the allocation tables, filled once: every allocated slot has an
+         order and a base, and every P or C bit belongs to one *)
+      let allocated = ref 0 in
+      for s = 0 to t.n_slots - 1 do
+        if has t s allocated_bit then incr allocated
+      done;
+      let alloc =
+        {
+          C.order = Hashtbl.create !allocated;
+          base = Hashtbl.create !allocated;
+          p_bit = Hashtbl.create !allocated;
+          c_bit = Hashtbl.create !allocated;
+        }
+      in
+      let annots = Array.make t.n Ir.Annot.none in
+      let max_offset = ref (-1) in
+      for s = 0 to t.n_slots - 1 do
+        let id = t.slot_id.(s) and p = has t s p_bit and c = has t s c_bit in
+        if p then Hashtbl.replace alloc.C.p_bit id ();
+        if c then Hashtbl.replace alloc.C.c_bit id ();
+        if has t s allocated_bit then begin
+          Hashtbl.replace alloc.C.order id t.order.(s);
+          Hashtbl.replace alloc.C.base id t.base.(s);
+          let offset = t.order.(s) - t.base.(s) in
+          if offset > !max_offset then max_offset := offset;
+          if s < t.n then annots.(s) <- Ir.Annot.queue ~offset ~p ~c
+        end
+      done;
       let max_offset =
-        let from_annots =
-          List.fold_left
-            (fun acc (_, a) ->
-              match a with
-              | Ir.Annot.Queue { offset; _ } -> max acc offset
-              | _ -> acc)
-            (-1) annots
-        in
         List.fold_left
           (fun acc (a : amov_insertion) ->
             max acc (max a.src_offset a.dst_offset))
-          from_annots amovs
+          !max_offset amovs
       in
       Ok
         {
           annots;
-          rotations = List.rev t.rotations;
+          rotations = t.rot;
           amovs;
           max_offset;
-          check_edges = List.rev t.check_edges;
-          anti_edges = List.rev t.anti_edges;
-          allocation = t.alloc;
+          check_edges = edge_list t live_check C.Check;
+          anti_edges = edge_list t anti C.Anti;
+          allocation = alloc;
         }

@@ -14,13 +14,21 @@
 
     After the last memory operation has been scheduled, {!finish}
     returns everything the scheduler needs to materialize the region:
-    per-instruction annotations, rotation amounts to insert after given
-    instructions, AMOV instructions to insert before given
-    instructions, and statistics. *)
+    per-position annotations, rotation amounts to insert after given
+    positions, AMOV instructions to insert before given instructions,
+    and statistics.
+
+    The working state is int arrays over {e slots} — a body position,
+    or [n + k] for the [k]-th AMOV pseudo-op — with int linked lists
+    for per-slot edge lists and an int FIFO of ready operations.
+    Scheduling a memory operation allocates only when a table grows:
+    a cycle-detector table, or a list buffer the arena has not yet
+    grown to the region's size.  The allocation tables of the result
+    are filled once, by {!finish}. *)
 
 type amov_insertion = {
   amov_id : int;  (** fresh instruction id for the AMOV *)
-  before : int;  (** insert immediately before this instruction id *)
+  before_pos : int;  (** insert immediately before the op at this body position *)
   src_instr : int;  (** original op whose range moves *)
   dst_is_fresh : bool;  (** false = pure clear (src = dst) *)
   src_offset : int;
@@ -28,32 +36,44 @@ type amov_insertion = {
 }
 
 type result = {
-  annots : (int * Ir.Annot.t) list;  (** memory-op id -> annotation *)
-  rotations : (int * int) list;  (** after instr id, rotate by n *)
-  amovs : amov_insertion list;
+  annots : Ir.Annot.t array;
+      (** by body position: the memory op's queue annotation, or
+          [Ir.Annot.No_annot] for an operation the allocator left
+          alone *)
+  rotations : int array;
+      (** by body position: rotate BASE by this much right after the
+          operation (0 = no rotation) *)
+  amovs : amov_insertion list;  (** in the order they were inserted *)
   max_offset : int;  (** -1 when no register was used *)
   check_edges : Analysis.Constraints.edge list;
   anti_edges : Analysis.Constraints.edge list;
   allocation : Analysis.Constraints.allocation;
-      (** final orders/bases/bits, for validation and statistics *)
+      (** final orders/bases/bits by instruction id, AMOV pseudo-ops
+          included, for validation and statistics *)
 }
 
 type t
 
 val create :
-  body:Ir.Instr.t list ->
+  hazards:Hazards.t ->
   deps:Analysis.Depgraph.t ->
   ar_count:int ->
   fresh_id:int ref ->
+  ?arena:Analysis.Arena.t ->
+  unit ->
   t
-(** [body] in original program order (positions initialize the cycle
-    detector's partial order [T]); [fresh_id] supplies AMOV ids. *)
+(** [hazards] names the body in original program order (its positions
+    initialize the cycle detector's partial order [T] and number the
+    slots); [fresh_id] supplies AMOV ids.  [arena] lends the growable
+    edge and cell lists; the allocator must be finished before the
+    arena is leased again.  Raises [Invalid_argument] when a
+    dependence names an instruction outside the body. *)
 
-val on_schedule : t -> Ir.Instr.t -> unit
-(** Must be called for every memory operation, in issue order.  Once an
-    offset would reach the physical register count even after rotation
-    the allocator has {e overflowed}: it ignores every later call and
-    {!finish} returns [Error]. *)
+val on_schedule : t -> int -> unit
+(** Must be called for every memory operation, by body position, in
+    issue order.  Once an offset would reach the physical register
+    count even after rotation the allocator has {e overflowed}: it
+    ignores every later call and {!finish} returns [Error]. *)
 
 val overflowed : t -> bool
 (** Whether an overflow has been recorded — the scheduler stops early
@@ -63,7 +83,8 @@ val overflow_risk : t -> lookahead_p:int -> bool
 (** Conservative estimate (paper lines 21-31): would scheduling
     speculation that adds [lookahead_p] more protected registers risk
     exceeding the physical count?  The scheduler switches to
-    non-speculation mode while this is true. *)
+    non-speculation mode while this is true.  Reads running counts:
+    allocates nothing. *)
 
 val unscheduled_ext_p : t -> int
 (** Number of not-yet-scheduled operations that extended dependences

@@ -112,6 +112,18 @@ let run_to_commit ?(policy = Sched.Policy.smarq ~ar_count:64)
   in
   go [] [] 0
 
+(* words allocated while [f ()] ran: the minor heap's exact count plus
+   the arrays too large for it, which go straight to the major heap
+   (major words not promoted from the minor heap) *)
+let words_of f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 let case name fn = Alcotest.test_case name `Quick fn
 
 (* Wrap a QCheck property as an alcotest case. *)

@@ -4,7 +4,9 @@
    issues greedily under the issue-width, memory-port and one-branch
    limits, switching to non-speculation mode whenever the SMARQ
    allocator reports overflow risk.  The heap-based scheduler must
-   reproduce its issue sequence exactly. *)
+   reproduce its issue sequence exactly.  The allocator it consults is
+   the oracle one ({!Oracle_smarq_alloc}), so the oracle schedule shares
+   no code with the library's. *)
 
 exception Unschedulable of string
 
@@ -103,7 +105,7 @@ let schedule_core ~sb ~hazards ~heights ~issue_width ~mem_ports
     (* non-speculation mode? *)
     let nonspec =
       match alloc with
-      | Some a -> Sched.Smarq_alloc.overflow_risk a ~lookahead_p:2
+      | Some a -> Oracle_smarq_alloc.overflow_risk a ~lookahead_p:2
       | None -> false
     in
     if nonspec then used_nonspec := true;
@@ -153,7 +155,7 @@ let schedule_core ~sb ~hazards ~heights ~issue_width ~mem_ports
           if is_mem then begin
             decr mslots;
             match alloc with
-            | Some a -> Sched.Smarq_alloc.on_schedule a i
+            | Some a -> Oracle_smarq_alloc.on_schedule a i
             | None -> ()
           end;
           if is_br then branch_used := true;
@@ -191,7 +193,7 @@ let issue_seq ~sb ~deps ~hazards ~policy ~issue_width ~mem_ports ~latency =
     match policy.Sched.Policy.scheme with
     | Sched.Policy.Queue_scheme ->
       Some
-        (Sched.Smarq_alloc.create ~body ~deps
+        (Oracle_smarq_alloc.create ~body ~deps
            ~ar_count:policy.Sched.Policy.ar_count
            ~fresh_id:(ref (Ir.Superblock.max_instr_id sb + 1)))
     | Sched.Policy.Naive_queue_scheme | Sched.Policy.Mask_scheme

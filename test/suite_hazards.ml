@@ -135,17 +135,6 @@ let test_queue_wraparound () =
 (* ---- allocation budgets: the hazard builder and the scheduler
    allocate per result, never per operand, per edge or per cycle ---- *)
 
-(* words allocated while [f ()] ran: the minor heap's exact count plus
-   the arrays too large for it, which go straight to the major heap
-   (major words not promoted from the minor heap) *)
-let words_of f =
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  f ();
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  int_of_float
-    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
 
 let deps_of body =
   let alias = Analysis.May_alias.analyze ~body () in
@@ -216,10 +205,9 @@ let result_size (o : Sched.List_sched.outcome) =
 
 (* words per unit of result size: the id, position, row and issue
    arrays, the bundle lists and the region's own tables *)
-let per_unit = 32
+let per_unit = 24
 
-let test_schedule_alloc_per_result () =
-  let policy = Sched.Policy.none () in
+let schedule_alloc_per_result policy () =
   let arena = Analysis.Arena.create () in
   let measure n =
     let body = sched_body n in
@@ -245,6 +233,8 @@ let test_schedule_alloc_per_result () =
         (w <= per_unit * size))
     [ ("1x", w1, s1); ("4x", w4, s4) ]
 
+let test_schedule_alloc_per_result = schedule_alloc_per_result (Sched.Policy.none ())
+
 let suite =
   ( "hazards",
     [
@@ -257,4 +247,8 @@ let suite =
       case "hazard build allocates nothing per register use"
         test_hazards_alloc_independent_of_uses;
       case "schedule allocates per result size" test_schedule_alloc_per_result;
+      case "schedule allocates per result size under smarq64"
+        (schedule_alloc_per_result (Sched.Policy.smarq ~ar_count:64));
+      case "schedule allocates per result size under efficeon"
+        (schedule_alloc_per_result (Sched.Policy.efficeon ()));
     ] )

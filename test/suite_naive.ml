@@ -123,7 +123,7 @@ let test_naive_never_eliminates () =
   let res =
     Opt.Elim.run
       ~policy:(Sched.Policy.naive_order ~ar_count:64)
-      ~alias ~body ~fresh_id
+      ~alias ~body ~fresh_id ()
   in
   Alcotest.(check int) "no loads eliminated" 0 res.Opt.Elim.loads_eliminated;
   Alcotest.(check int) "no stores eliminated" 0 res.Opt.Elim.stores_eliminated

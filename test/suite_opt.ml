@@ -7,7 +7,7 @@ module DG = Analysis.Depgraph
 let run_elim ?(policy = Sched.Policy.smarq ~ar_count:64) body =
   let alias = Analysis.May_alias.analyze ~body () in
   let fresh_id = ref 1000 in
-  Opt.Elim.run ~policy ~alias ~body ~fresh_id
+  Opt.Elim.run ~policy ~alias ~body ~fresh_id ()
 
 let count_loads body = List.length (List.filter I.is_load body)
 let count_stores body = List.length (List.filter I.is_store body)
@@ -291,6 +291,84 @@ let test_optimizer_known_alias_conservative () =
   Alcotest.(check bool) "conservative after learning" true
     (Hashtbl.find p2 l1.I.id > Hashtbl.find p2 s1.I.id)
 
+(* ---- allocation budgets ---- *)
+
+(* [n] memory operations over two bases with distinct displacements:
+   every load/store pair across the bases may alias, but no two touch
+   exactly the same location, so nothing is eliminated *)
+let unchanged_body n =
+  reset_ids ();
+  List.init n (fun k ->
+      match k mod 3 with
+      | 0 -> ld ~width:8 (f (k mod 8)) (r 2) (8 * k)
+      | 1 -> st ~width:8 (I.Reg (f (k mod 8))) (r 3) (8 * k)
+      | _ -> fadd (f ((k + 1) mod 8)) (f (k mod 8)) (f ((k + 3) mod 8)))
+
+(* Words one [Elim.run] allocates on a warm arena, after a first run. *)
+let elim_words body =
+  let policy = Sched.Policy.smarq ~ar_count:64 in
+  let alias = Analysis.May_alias.analyze ~body () in
+  let arena = Analysis.Arena.create () in
+  let run () = Opt.Elim.run ~policy ~alias ~arena ~body ~fresh_id:(ref 100_000) () in
+  ignore (run ());
+  let out = ref None in
+  let words = words_of (fun () -> out := Some (run ())) in
+  (words, Option.get !out)
+
+let test_elim_unchanged_allocates_nothing () =
+  let measure n =
+    let body = unchanged_body n in
+    let words, res = elim_words body in
+    Alcotest.(check int) "nothing eliminated" 0
+      (res.Opt.Elim.loads_eliminated + res.Opt.Elim.stores_eliminated);
+    Alcotest.(check bool) "the input body itself" true (res.Opt.Elim.body == body);
+    words
+  in
+  let w1 = measure 100 and w4 = measure 400 in
+  (* the pass's state and result records and the harness's boxes:
+     nothing per instruction *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for 100 instructions, %d for 400" w1 w4)
+    true
+    (w1 = w4 && w4 <= 48)
+
+(* [groups] copies of: a store, a load of the same location (forwarded
+   from the store), a may-alias store through another base, and a
+   store the next group's store overwrites *)
+let eliminating_body groups =
+  reset_ids ();
+  List.concat
+    (List.init groups (fun g ->
+         [
+           st ~width:8 (I.Reg (f 1)) (r 3) (16 * g);
+           st ~width:8 (I.Imm g) (r 4) 0;
+           ld ~width:8 (f 2) (r 3) (16 * g);
+           st ~width:8 (I.Reg (f 2)) (r 5) 8;
+           fadd (f 1) (f 2) (f 2);
+         ]))
+
+let test_elim_per_elimination_budget () =
+  List.iter
+    (fun groups ->
+      let words, res = elim_words (eliminating_body groups) in
+      let elims = res.Opt.Elim.loads_eliminated + res.Opt.Elim.stores_eliminated in
+      let survivors = List.length res.Opt.Elim.body in
+      let between =
+        List.fold_left (fun acc (_, l) -> acc + List.length l) 0 res.Opt.Elim.eliminations
+      in
+      let assumed = List.length res.Opt.Elim.assumed_no_alias in
+      Alcotest.(check bool) "eliminates" true (elims >= groups);
+      (* what the result holds — a cons per surviving and per
+         intervening instruction, a pair per assumption — plus a fixed
+         cost per elimination (its records, the replacement move and
+         the edited slot's cell), and nothing per instruction besides *)
+      let budget = (3 * (survivors + between)) + (6 * assumed) + (40 * elims) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d groups: %d words within %d (%d eliminations)" groups
+           words budget elims)
+        true (words <= budget))
+    [ 20; 80 ]
+
 let suite =
   ( "opt",
     [
@@ -318,4 +396,7 @@ let suite =
         test_fallback_tier_selection;
       case "known aliases disable speculation"
         test_optimizer_known_alias_conservative;
+      case "Elim allocates nothing for a body it leaves unchanged"
+        test_elim_unchanged_allocates_nothing;
+      case "Elim allocates per elimination" test_elim_per_elimination_budget;
     ] )

@@ -143,7 +143,7 @@ let prop_assumed_union (seed, n_instrs) =
     (fun policy ->
       let body = sb.Ir.Superblock.body in
       let fresh_id = ref (Ir.Superblock.max_instr_id sb + 1_000) in
-      let elim = Opt.Elim.run ~policy ~alias:(MA.analyze ~body ()) ~body ~fresh_id in
+      let elim = Opt.Elim.run ~policy ~alias:(MA.analyze ~body ()) ~body ~fresh_id () in
       let body' = elim.Opt.Elim.body in
       let sb' = { sb with Ir.Superblock.body = body' } in
       let deps =

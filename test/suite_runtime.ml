@@ -306,6 +306,44 @@ let test_shared_shard_reoptimization () =
         (replay above) (replay q))
     !requests
 
+(* ammp's large superblocks overflow 16 alias registers, so its builds
+   fall back a tier; with injected faults its regions are re-optimized,
+   and those rebuilds overflow again.  Every translation the run makes
+   is captured: replayed, the ones that fell back are exactly the
+   initial builds [overflow_fallbacks] counts plus the re-optimizations
+   [reopt_fallbacks] counts (a gave-up rebuild runs without speculation
+   and never falls back). *)
+let test_reopt_fallbacks_counted () =
+  let program = Workload.Specfp.program ~scale:1 (Workload.Specfp.find "ammp") in
+  let requests = ref [] in
+  let plan = Verify.Fault.plan ~seed:1 ~rate:0.05 () in
+  let r =
+    Runtime.Driver.run ~config:Runtime.Config.default
+      ~hooks:(Verify.Fault.hooks plan)
+      ~capture:(fun q -> requests := q :: !requests)
+      ~scheme:(Smarq.Scheme.to_driver (Smarq.Scheme.Smarq 16))
+      program
+  in
+  let st = r.Runtime.Driver.stats in
+  let fell_back =
+    List.length
+      (List.filter
+         (fun (q : Opt.Optimizer.request) ->
+           (Opt.Optimizer.run_request ~issue_width:Vliw.Config.default.issue_width
+              ~mem_ports:Vliw.Config.default.mem_ports ~latency:default_latency q)
+             .Opt.Optimizer.stats.Opt.Optimizer.fell_back)
+         !requests)
+  in
+  Alcotest.(check bool) "initial builds fell back" true
+    (st.Runtime.Stats.overflow_fallbacks > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d re-optimizations, some falling back"
+       st.Runtime.Stats.reoptimizations)
+    true
+    (st.Runtime.Stats.reopt_fallbacks > 0);
+  Alcotest.(check int) "every fallback counted once" fell_back
+    (st.Runtime.Stats.overflow_fallbacks + st.Runtime.Stats.reopt_fallbacks)
+
 let suite =
   ( "runtime",
     [
@@ -324,6 +362,7 @@ let suite =
         test_suite_benchmarks_equivalent;
       case "shared-shard re-optimization keeps ids unique"
         test_shared_shard_reoptimization;
+      case "re-optimization fallbacks counted" test_reopt_fallbacks_counted;
       case "scheme parsing" test_scheme_parsing;
       qcase ~count:500 "scheme and cache-policy parsing never raise"
         scheme_string_arb prop_scheme_parse_total;
