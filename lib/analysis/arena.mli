@@ -13,7 +13,7 @@
     depgraph builder uses slots 0–15 (and intmap slots 1–2, vector
     slots 0–2), the
     hazard builder 16–31 (and vector slots 16–18),
-    {!Absint} 32–38 (and intmap slot 3), {!Disamb} 40–41 (and vector
+    {!Absint} 32–38 (and intmap slot 3), {!Disamb} 40–42 (and vector
     slot 3), {!May_alias} intmap slot 0, [Opt.Elim] 44 (and the
     instruction array), [Sched.Smarq_alloc] vector slots 4–11 and
     {!Cycle_detect} 45–46 (and vector slots 12–13). *)

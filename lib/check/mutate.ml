@@ -1,5 +1,3 @@
-module C = Analysis.Constraints
-
 type mutation =
   | Drop_check
   | Swap_orders
@@ -139,31 +137,34 @@ let drop_check (o : Opt.Optimizer.t) =
   | _ -> None
 
 (* The offsets of a check edge's two ends, re-annotated as if the
-   allocator had swapped their orders. *)
+   allocator had swapped their orders.  Without AMOVs every slot is a
+   body position. *)
 let swap_orders (o : Opt.Optimizer.t) =
   match scheme o, o.Opt.Optimizer.alloc_result with
   | Sched.Policy.Queue_scheme, Some res
     when res.Sched.Smarq_alloc.amovs = [] -> (
-    let a = res.Sched.Smarq_alloc.allocation in
-    let strictly_ordered (e : C.edge) =
-      match
-        Hashtbl.find_opt a.C.order e.C.first,
-        Hashtbl.find_opt a.C.order e.C.second
-      with
-      | Some o1, Some o2 -> o1 < o2
-      | _ -> false
+    let orders = res.Sched.Smarq_alloc.orders and ids = res.Sched.Smarq_alloc.slot_ids in
+    let checks = res.Sched.Smarq_alloc.checks in
+    let rec first_ordered e =
+      if 2 * e >= Array.length checks then None
+      else
+        let f = checks.(2 * e) and s = checks.((2 * e) + 1) in
+        if orders.(f) >= 0 && orders.(s) >= 0 && orders.(f) < orders.(s) then Some (f, s)
+        else first_ordered (e + 1)
     in
-    match List.find_opt strictly_ordered res.Sched.Smarq_alloc.check_edges with
+    match first_ordered 0 with
     | None -> None
-    | Some e ->
-      let f = e.C.first and s = e.C.second in
-      let swapped id = Hashtbl.find a.C.order (if id = f then s else f) in
+    | Some (f, s) ->
+      let swapped slot = orders.(if slot = f then s else f) in
       Some
         (map_bundles o (fun (i : Ir.Instr.t) ->
-             match Ir.Instr.annot i, Hashtbl.find_opt a.C.base i.id with
-             | Ir.Annot.Queue { p; c; _ }, Some b when i.id = f || i.id = s ->
+             match Ir.Instr.annot i with
+             | Ir.Annot.Queue { p; c; _ } when i.id = ids.(f) || i.id = ids.(s) ->
+               let slot = if i.id = ids.(f) then f else s in
                Ir.Instr.with_annot i
-                 (Ir.Annot.queue ~offset:(swapped i.id - b) ~p ~c)
+                 (Ir.Annot.queue
+                    ~offset:(swapped slot - res.Sched.Smarq_alloc.bases.(slot))
+                    ~p ~c)
              | _ -> i)))
   | _ -> None
 

@@ -174,13 +174,19 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
       region.Ir.Region.entry sb.Ir.Superblock.entry;
   if region.Ir.Region.final_exit <> sb.Ir.Superblock.final_exit then
     flag Sched_complete "region and superblock final exits differ";
-  List.iter
-    (fun (c, (i : Ir.Instr.t)) ->
-      let c' = cyc_of i.id in
+  let issue_pos = o.Opt.Optimizer.issue_pos and issue_cycle = o.Opt.Optimizer.issue_cycle in
+  if Array.length issue_pos <> Array.length issue_cycle then
+    flag Sched_complete "%d issue positions but %d issue cycles" (Array.length issue_pos)
+      (Array.length issue_cycle);
+  for k = 0 to min (Array.length issue_pos) (Array.length issue_cycle) - 1 do
+    let p = issue_pos.(k) and c = issue_cycle.(k) in
+    if p < 0 || p >= n then flag Sched_complete "issue position %d outside the body" p
+    else
+      let c' = cyc_of arr.(p).id in
       if c' >= 0 && c' <> c then
         flag Sched_complete "instruction %d issued at cycle %d but bundled at %d"
-          i.id c c')
-    o.Opt.Optimizer.issue_seq;
+          arr.(p).id c c'
+  done;
 
   (* The cycle-precedence rule the scheduler enforces on every hazard
      edge: successor issues no earlier than predecessor issue plus the
@@ -619,7 +625,7 @@ let verify ~issue_width ~mem_ports ~latency (o : Opt.Optimizer.t) =
   let cert =
     match o.Opt.Optimizer.cert with
     | Some cert -> cert
-    | None -> Analysis.Disamb.of_witnesses []
+    | None -> Analysis.Disamb.empty
   in
   List.iter
     (fun (v : Witness.violation) ->

@@ -19,12 +19,15 @@
    completeness rule still asks whether the dependence graph lost an
    edge, and a region listing certified pairs fails the sync check.
 
-   The certificate is read only through its raw witness array, which
-   must be strictly ascending in this module's own packed keys: pair
-   membership is a binary search over it, never a [Disamb] query.
-   Instructions are found by position (see [index]), not through
-   id-keyed tables, and nothing is allocated per witness or per pair
-   unless a violation is reported.
+   The certificate is read only as data: its key array, and pair by
+   pair its claimed facts and separation code through in-place
+   accessors ([Disamb.x_fact], [y_fact], [separation]).  Its pairs must
+   be strictly ascending in this module's own packed keys of the
+   claimed facts' ids, and its key array must hold exactly those keys:
+   pair membership is then a binary search over that array, never a
+   [Disamb] query.  Instructions are found by position
+   (see [index]), not through id-keyed tables, and nothing is allocated
+   per witness or per pair unless a violation is reported.
 
    Entailment (rather than equality) keeps an honest checker from
    rejecting artifacts over precision differences: any claim at least
@@ -359,8 +362,9 @@ let claim_residue (c : Analysis.Absint.cset) =
   if c.Analysis.Absint.stride = 0 then c.Analysis.Absint.lo
   else c.Analysis.Absint.rem
 
-let claimed_disjoint (w : Analysis.Disamb.witness) =
-  let fx = w.Analysis.Disamb.x and fy = w.Analysis.Disamb.y in
+(* [g] is the claimed separation code: 0 for ranges, the stride of a
+   congruence otherwise *)
+let claimed_disjoint (fx : Analysis.Disamb.fact) (fy : Analysis.Disamb.fact) g =
   if
     not
       (fx.Analysis.Disamb.scale = fy.Analysis.Disamb.scale
@@ -374,9 +378,8 @@ let claimed_disjoint (w : Analysis.Disamb.witness) =
   else
     let cx = fx.Analysis.Disamb.off and cy = fy.Analysis.Disamb.off in
     let wx = fx.Analysis.Disamb.width and wy = fy.Analysis.Disamb.width in
-    match w.Analysis.Disamb.reason with
-    | Analysis.Disamb.Ranges -> range_cond cx wx cy wy
-    | Analysis.Disamb.Congruence g ->
+    if g = 0 then range_cond cx wx cy wy
+    else
       g >= 1
       && g = merge_step cx.Analysis.Absint.stride cy.Analysis.Absint.stride
       &&
@@ -513,19 +516,20 @@ let memory_ops arr =
 
 let no_const = min_int
 
-let witness_key (w : Analysis.Disamb.witness) =
-  pair_key w.Analysis.Disamb.x.Analysis.Disamb.instr
-    w.Analysis.Disamb.y.Analysis.Disamb.instr
+let witness_key cert x =
+  pair_key (Analysis.Disamb.x_fact cert x).Analysis.Disamb.instr
+    (Analysis.Disamb.y_fact cert x).Analysis.Disamb.instr
 
-(* [k] among the witnesses' keys, which [check] first holds to be
-   strictly ascending *)
-let witnessed (ws : Analysis.Disamb.witness array) k =
-  let lo = ref 0 and hi = ref (Array.length ws) in
+(* [k] among the certificate's keys, which [check] first holds to be
+   strictly ascending and to name each pair's claimed facts *)
+let witnessed (keys : int array) k =
+  let n = Array.length keys in
+  let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if witness_key ws.(mid) < k then lo := mid + 1 else hi := mid
+    if keys.(mid) < k then lo := mid + 1 else hi := mid
   done;
-  !lo < Array.length ws && witness_key ws.(!lo) = k
+  !lo < n && keys.(!lo) = k
 
 let check_width flag (f : Analysis.Disamb.fact) (i : Ir.Instr.t) =
   match i.Ir.Instr.op with
@@ -538,104 +542,110 @@ let check_width flag (f : Analysis.Disamb.fact) (i : Ir.Instr.t) =
          (Printf.sprintf "witness width %d of #%d mismatches body"
             f.Analysis.Disamb.width i.Ir.Instr.id))
 
-(* the region's certified list against the witness keys, in order *)
-let rec same_pairs ws x = function
-  | [] -> x = Array.length ws
+(* the region's certified list against the certificate's keys, in
+   order *)
+let rec same_pairs (keys : int array) x = function
+  | [] -> x = Array.length keys
   | (a, b) :: rest ->
-    x < Array.length ws && pair_key a b = witness_key ws.(x) && same_pairs ws (x + 1) rest
+    x < Array.length keys && pair_key a b = keys.(x) && same_pairs keys (x + 1) rest
 
 let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
     ~(region_certified : (int * int) list) ~(deps : Analysis.Depgraph.t) :
     violation list =
   let violations = ref [] in
   let flag v = violations := v :: !violations in
-  let ws = Analysis.Disamb.witnesses cert in
+  let n_pairs = Analysis.Disamb.count cert in
+  let keys = Analysis.Disamb.keys cert in
   let arr = body.instrs in
   let mems = memory_ops arr in
   let mem_index = index mems in
   let out = replay_addresses arr in
 
-  (* endpoints.  The witnesses must be strictly ascending in this
-     module's own keys — the certified pair set is then the witness
-     array itself, searched in place. *)
-  Array.iteri
-    (fun x (w : Analysis.Disamb.witness) ->
-      let fx = w.Analysis.Disamb.x and fy = w.Analysis.Disamb.y in
-      let xi = fx.Analysis.Disamb.instr and yi = fy.Analysis.Disamb.instr in
-      let p = pair_key xi yi in
-      if x > 0 then begin
-        let prev = witness_key ws.(x - 1) in
-        if p = prev then
-          flag (Endpoints (Printf.sprintf "duplicate witness for pair (%d,%d)"
-                             (key_lo p) (key_hi p)))
-        else if p < prev then
-          flag (Endpoints (Printf.sprintf "witness for pair (%d,%d) out of pair order"
-                             (key_lo p) (key_hi p)))
-      end;
-      let px = pos body xi and py = pos body yi in
-      if px < 0 || py < 0 then
+  (* endpoints.  The pairs must be strictly ascending in this module's
+     own keys of their claimed facts, and the certificate's key array
+     must hold exactly those keys — the certified pair set is then that
+     array, searched in place. *)
+  for x = 0 to n_pairs - 1 do
+    let fx = Analysis.Disamb.x_fact cert x and fy = Analysis.Disamb.y_fact cert x in
+    let xi = fx.Analysis.Disamb.instr and yi = fy.Analysis.Disamb.instr in
+    let p = pair_key xi yi in
+    if keys.(x) <> p then
+      flag
+        (Endpoints
+           (Printf.sprintf "pair keyed (%d,%d) claims facts for #%d/#%d"
+              (key_lo keys.(x)) (key_hi keys.(x)) xi yi));
+    if x > 0 then begin
+      let prev = witness_key cert (x - 1) in
+      if p = prev then
+        flag (Endpoints (Printf.sprintf "duplicate witness for pair (%d,%d)"
+                           (key_lo p) (key_hi p)))
+      else if p < prev then
+        flag (Endpoints (Printf.sprintf "witness for pair (%d,%d) out of pair order"
+                           (key_lo p) (key_hi p)))
+    end;
+    let px = pos body xi and py = pos body yi in
+    if px < 0 || py < 0 then
+      flag
+        (Endpoints
+           (Printf.sprintf "witness endpoints #%d/#%d not in region body" xi
+              yi))
+    else
+      let ix = arr.(px) and iy = arr.(py) in
+      if xi = yi then
+        flag (Endpoints (Printf.sprintf "witness relates #%d to itself" xi))
+      else if not (Ir.Instr.is_memory ix && Ir.Instr.is_memory iy) then
         flag
           (Endpoints
-             (Printf.sprintf "witness endpoints #%d/#%d not in region body" xi
-                yi))
-      else
-        let ix = arr.(px) and iy = arr.(py) in
-        if xi = yi then
-          flag (Endpoints (Printf.sprintf "witness relates #%d to itself" xi))
-        else if not (Ir.Instr.is_memory ix && Ir.Instr.is_memory iy) then
+             (Printf.sprintf "witness endpoints #%d/#%d are not both memory"
+                xi yi))
+      else if not (Ir.Instr.is_store ix || Ir.Instr.is_store iy) then
+        flag
+          (Endpoints
+             (Printf.sprintf
+                "witness pair (%d,%d) is load-load: nothing to certify" xi yi))
+      else begin
+        if px >= py then
           flag
             (Endpoints
-               (Printf.sprintf "witness endpoints #%d/#%d are not both memory"
-                  xi yi))
-        else if not (Ir.Instr.is_store ix || Ir.Instr.is_store iy) then
-          flag
-            (Endpoints
-               (Printf.sprintf
-                  "witness pair (%d,%d) is load-load: nothing to certify" xi yi))
-        else begin
-          if px >= py then
-            flag
-              (Endpoints
-                 (Printf.sprintf "witness pair (%d,%d) is not in program order"
-                    xi yi));
-          check_width flag fx ix;
-          check_width flag fy iy
-        end)
-    ws;
+               (Printf.sprintf "witness pair (%d,%d) is not in program order"
+                  xi yi));
+        check_width flag fx ix;
+        check_width flag fy iy
+      end
+  done;
 
   (* derivation: replay and entailment, then separation arithmetic *)
-  Array.iter
-    (fun (w : Analysis.Disamb.witness) ->
-      let fx = w.Analysis.Disamb.x and fy = w.Analysis.Disamb.y in
-      let kx = pos mem_index fx.Analysis.Disamb.instr
-      and ky = pos mem_index fy.Analysis.Disamb.instr in
-      if kx < 0 || ky < 0 || not (derived out kx && derived out ky) then
+  for x = 0 to n_pairs - 1 do
+    let fx = Analysis.Disamb.x_fact cert x and fy = Analysis.Disamb.y_fact cert x in
+    let kx = pos mem_index fx.Analysis.Disamb.instr
+    and ky = pos mem_index fy.Analysis.Disamb.instr in
+    if kx < 0 || ky < 0 || not (derived out kx && derived out ky) then
+      flag
+        (Derivation
+           (Printf.sprintf
+              "replay derives no address for pair (%d,%d)"
+              fx.Analysis.Disamb.instr fy.Analysis.Disamb.instr))
+    else begin
+      if not (entails fx out kx) then
         flag
           (Derivation
              (Printf.sprintf
-                "replay derives no address for pair (%d,%d)"
-                fx.Analysis.Disamb.instr fy.Analysis.Disamb.instr))
-      else begin
-        if not (entails fx out kx) then
-          flag
-            (Derivation
-               (Printf.sprintf
-                  "claimed fact for #%d is not entailed by replay"
-                  fx.Analysis.Disamb.instr));
-        if not (entails fy out ky) then
-          flag
-            (Derivation
-               (Printf.sprintf
-                  "claimed fact for #%d is not entailed by replay"
-                  fy.Analysis.Disamb.instr))
-      end;
-      if not (claimed_disjoint w) then
+                "claimed fact for #%d is not entailed by replay"
+                fx.Analysis.Disamb.instr));
+      if not (entails fy out ky) then
         flag
-          (Separation
+          (Derivation
              (Printf.sprintf
-                "claimed facts for pair (%d,%d) do not imply disjointness"
-                fx.Analysis.Disamb.instr fy.Analysis.Disamb.instr)))
-    ws;
+                "claimed fact for #%d is not entailed by replay"
+                fy.Analysis.Disamb.instr))
+    end;
+    if not (claimed_disjoint fx fy (Analysis.Disamb.separation cert x)) then
+      flag
+        (Separation
+           (Printf.sprintf
+              "claimed facts for pair (%d,%d) do not imply disjointness"
+              fx.Analysis.Disamb.instr fy.Analysis.Disamb.instr))
+  done;
 
   (* Per memory operation, in body order: id, store flag, base, disp,
      width, the replayed constant address ([no_const] if none) and the
@@ -694,7 +704,7 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
   let has_bit b = byte b land (1 lsl (b land 7)) <> 0 in
   Analysis.Depgraph.iter_edges deps
     (fun ~first ~second ~kind:_ ~strength:_ ->
-      if witnessed ws (pair_key first second) then
+      if witnessed keys (pair_key first second) then
         flag
           (Edge_kept
              (Printf.sprintf
@@ -726,7 +736,7 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
       if
         (m_store.(x) || m_store.(y))
         && (not (has_bit (bit x y)))
-        && (not (witnessed ws (pair_key m_id.(x) m_id.(y))))
+        && (not (witnessed keys (pair_key m_id.(x) m_id.(y))))
         && replay_may x y
       then
         flag
@@ -738,11 +748,11 @@ let check ~(cert : Analysis.Disamb.t) ~(body : indexed)
   done;
 
   (* the region lists exactly the certificate's pairs, in its order *)
-  if not (same_pairs ws 0 region_certified) then
+  if not (same_pairs keys 0 region_certified) then
     flag
       (Region_sync
          (Printf.sprintf
             "region lists %d certified pairs, certificate has %d (or they differ)"
-            (List.length region_certified) (Array.length ws)));
+            (List.length region_certified) n_pairs));
 
   List.rev !violations

@@ -15,7 +15,8 @@
 
 type artifact = {
   region : Ir.Region.t;
-  issue_seq : (int * Ir.Instr.t) list;
+  issue_pos : int array;
+  issue_cycle : int array;
   stats : Opt.Optimizer.opt_stats;
   policy_used : Sched.Policy.t;
 }
@@ -28,7 +29,8 @@ type artifact = {
 let artifact_of (o : Opt.Optimizer.t) =
   {
     region = o.Opt.Optimizer.region;
-    issue_seq = o.Opt.Optimizer.issue_seq;
+    issue_pos = o.Opt.Optimizer.issue_pos;
+    issue_cycle = o.Opt.Optimizer.issue_cycle;
     stats = o.Opt.Optimizer.stats;
     policy_used = o.Opt.Optimizer.policy_used;
   }

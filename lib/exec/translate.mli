@@ -16,7 +16,8 @@
     translation".) *)
 type artifact = {
   region : Ir.Region.t;
-  issue_seq : (int * Ir.Instr.t) list;
+  issue_pos : int array;
+  issue_cycle : int array;
   stats : Opt.Optimizer.opt_stats;
   policy_used : Sched.Policy.t;
 }

@@ -12,7 +12,8 @@ type t = {
   stats : opt_stats;
   deps : Analysis.Depgraph.t;
   hazards : Sched.Hazards.t;
-  issue_seq : (int * Ir.Instr.t) list;
+  issue_pos : int array;
+  issue_cycle : int array;
   policy_used : Sched.Policy.t;
   cert : Analysis.Disamb.t option;
 }
@@ -36,21 +37,17 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
      superblock: witnesses are derived in one shot instead of memoized
      on verdict-consultation order, so the depgraph builder's traversal
      order can never change them. *)
-  let certify_into alias body =
-    if policy.Sched.Policy.certify then begin
-      let cert = Analysis.Disamb.certify ?arena ~alias ~body () in
-      Analysis.May_alias.set_certified alias (Analysis.Disamb.keys cert);
-      Some cert
-    end
-    else None
-  in
   let alias =
     P.time profile P.add_alias (fun () ->
         Analysis.May_alias.analyze ~known_alias
           ?const_facts:(facts_for sb.Ir.Superblock.body)
           ?arena ~body:sb.Ir.Superblock.body ())
   in
-  ignore (certify_into alias sb.Ir.Superblock.body : Analysis.Disamb.t option);
+  (* the pre-elimination certificate only steers [Elim]: its pairs
+     alone, no facts *)
+  if policy.Sched.Policy.certify then
+    Analysis.May_alias.set_certified alias
+      (Analysis.Disamb.certified_keys ?arena ~alias ~body:sb.Ir.Superblock.body ());
   let elim =
     Elim.run ~policy ~alias ?arena ~body:sb.Ir.Superblock.body ~fresh_id ()
   in
@@ -62,7 +59,14 @@ let build_once ~policy ~issue_width ~mem_ports ~latency ~fresh_id ~known_alias
           ?const_facts:(facts_for elim.Elim.body)
           ?arena ~body:elim.Elim.body ())
   in
-  let cert = certify_into alias' elim.Elim.body in
+  let cert =
+    if policy.Sched.Policy.certify then begin
+      let cert = Analysis.Disamb.certify ?arena ~alias:alias' ~body:elim.Elim.body () in
+      Analysis.May_alias.set_certified alias' (Analysis.Disamb.keys cert);
+      Some cert
+    end
+    else None
+  in
   let deps =
     P.time profile P.add_depgraph (fun () ->
         Analysis.Depgraph.build ~body:elim.Elim.body ~alias:alias'
@@ -111,7 +115,8 @@ let optimize ~policy ~issue_width ~mem_ports ~latency ~fresh_id
         };
       deps;
       hazards = outcome.Sched.List_sched.hazards;
-      issue_seq = outcome.Sched.List_sched.issue_seq;
+      issue_pos = outcome.Sched.List_sched.issue_pos;
+      issue_cycle = outcome.Sched.List_sched.issue_cycle;
       policy_used;
       cert;
     }

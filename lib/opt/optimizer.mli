@@ -31,8 +31,10 @@ type t = {
       (** dependence graph of the final (post-elimination) body *)
   hazards : Sched.Hazards.t;
       (** hazard graph the schedule was built against *)
-  issue_seq : (int * Ir.Instr.t) list;
-      (** (cycle, instruction) issue order before materialization *)
+  issue_pos : int array;
+      (** issue order before materialization: body positions into
+          [region.source], as {!Sched.List_sched.outcome} has them *)
+  issue_cycle : int array;  (** the issue cycle of each *)
   policy_used : Sched.Policy.t;
       (** policy of the attempt that actually produced the region —
           differs from the requested policy after an overflow fallback *)

@@ -217,7 +217,8 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
         alloc_result = o.Opt.Optimizer.alloc_result;
         stats = o.Opt.Optimizer.stats.Opt.Optimizer.sched_stats;
         hazards = o.Opt.Optimizer.hazards;
-        issue_seq = o.Opt.Optimizer.issue_seq;
+        issue_pos = o.Opt.Optimizer.issue_pos;
+        issue_cycle = o.Opt.Optimizer.issue_cycle;
       }
     in
     Stats.note_region_built stats o ~ws;

@@ -18,7 +18,8 @@ type outcome = {
   alloc_result : Smarq_alloc.result option;
   stats : stats;
   hazards : Hazards.t;
-  issue_seq : (int * Ir.Instr.t) list;
+  issue_pos : int array;
+  issue_cycle : int array;
 }
 
 type failure =
@@ -413,15 +414,6 @@ let schedule_core ~body ~hazards ~issue_width ~mem_ports ~latency
       !used_nonspec )
   end
 
-(* The issue sequence as the (cycle, instruction) list the optimizer
-   artifact exposes, built once from the issue arrays. *)
-let issue_seq_of ~body (issued : issued) =
-  let l = ref [] in
-  for k = issued.count - 1 downto 0 do
-    l := (issued.cycle.(k), body.(issued.pos.(k))) :: !l
-  done;
-  !l
-
 (* Materialize the issue sequence into bundles, splicing in AMOV and
    Rotate instructions and applying annotations.  Annotations and
    rotation amounts come by body position ([No_annot] and 0 leave an
@@ -515,7 +507,6 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
         | None -> Ok None)
   in
   Profile.time profile Profile.add_emit @@ fun () ->
-  let issue_seq = issue_seq_of ~body issued in
   let issue = issued.pos and ar_count = policy.Policy.ar_count in
   (* the scheme's annotations, rotations and AMOVs, by body position *)
   let* annots, rotations, amovs, max_offset =
@@ -570,10 +561,10 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
         (fun (a : Smarq_alloc.amov_insertion) ->
           if a.dst_is_fresh then incr fresh else incr clear)
         r.Smarq_alloc.amovs;
-      ( Hashtbl.length r.Smarq_alloc.allocation.Analysis.Constraints.p_bit,
-        Hashtbl.length r.Smarq_alloc.allocation.Analysis.Constraints.c_bit,
-        List.length r.Smarq_alloc.check_edges,
-        List.length r.Smarq_alloc.anti_edges,
+      ( r.Smarq_alloc.p_bits,
+        r.Smarq_alloc.c_bits,
+        Array.length r.Smarq_alloc.checks / 2,
+        Array.length r.Smarq_alloc.antis / 2,
         !fresh,
         !clear )
     | None -> (0, 0, 0, 0, 0, 0)
@@ -594,4 +585,4 @@ let schedule ~sb ~deps ~policy ~issue_width ~mem_ports ~latency ~fresh_id
       used_nonspec_mode = used_nonspec;
     }
   in
-  Ok { region; alloc_result; stats; hazards; issue_seq }
+  Ok { region; alloc_result; stats; hazards; issue_pos = issued.pos; issue_cycle = issued.cycle }

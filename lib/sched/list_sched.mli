@@ -39,9 +39,14 @@ type outcome = {
   hazards : Hazards.t;
       (** the hazard graph the schedule was built against, kept for
           translation validation ({!Check.Verifier}) *)
-  issue_seq : (int * Ir.Instr.t) list;
-      (** (cycle, instruction) in issue order — the schedule before
-          materialization splices AMOV/ROTATE ops in *)
+  issue_pos : int array;
+      (** the schedule before materialization splices AMOV/ROTATE ops
+          in, one cell per body instruction: the [k]-th instruction
+          issued is body position [issue_pos.(k)] of [region.source] *)
+  issue_cycle : int array;
+      (** [issue_cycle.(k)] is the cycle the [k]-th instruction issued
+          in; never decreasing.  The outcome owns both arrays: no arena
+          lends them. *)
 }
 
 (** Why a region could not be built under the requested policy. *)

@@ -15,9 +15,15 @@ type result = {
   rotations : int array;
   amovs : amov_insertion list;
   max_offset : int;
-  check_edges : C.edge list;
-  anti_edges : C.edge list;
-  allocation : C.allocation;
+  slots : int;
+  slot_ids : int array;
+  orders : int array;
+  bases : int array;
+  flags : Bytes.t;
+  checks : int array;
+  antis : int array;
+  p_bits : int;
+  c_bits : int;
 }
 
 (* A pending AMOV whose offsets are backpatched once orders are known.
@@ -455,21 +461,22 @@ let overflow_risk t ~lookahead_p =
   let max_order = t.next_order + t.delayed_p + t.ext_p + lookahead_p in
   max_order - min_base >= t.ar_count
 
-(* The logged edges of one kind as constraint records over instruction
-   ids, in insertion order. *)
-let edge_list t want kind =
-  let l = ref [] in
-  for k = t.log_kind.len - 1 downto 0 do
-    if t.log_kind.buf.(k) = want then
-      l :=
-        {
-          C.first = t.slot_id.(t.log_first.buf.(k));
-          second = t.slot_id.(t.log_second.buf.(k));
-          kind;
-        }
-        :: !l
+(* The logged edges of one kind as slot pairs, [first] then [second],
+   in insertion order. *)
+let edge_pairs t want =
+  let n = ref 0 in
+  for k = 0 to t.log_kind.len - 1 do
+    if t.log_kind.buf.(k) = want then incr n
   done;
-  !l
+  let a = Array.make (2 * !n) 0 and x = ref 0 in
+  for k = 0 to t.log_kind.len - 1 do
+    if t.log_kind.buf.(k) = want then begin
+      a.(!x) <- t.log_first.buf.(k);
+      a.(!x + 1) <- t.log_second.buf.(k);
+      x := !x + 2
+    end
+  done;
+  a
 
 let finish t =
   (* drain everything that can still be allocated; remaining delayed
@@ -513,33 +520,20 @@ let finish t =
         (Printf.sprintf "amov %d offsets %d,%d outside window %d" a.amov_id
            a.src_offset a.dst_offset t.ar_count)
     | None ->
-      (* the allocation tables, filled once: every allocated slot has an
-         order and a base, and every P or C bit belongs to one *)
-      let allocated = ref 0 in
-      for s = 0 to t.n_slots - 1 do
-        if has t s allocated_bit then incr allocated
-      done;
-      let alloc =
-        {
-          C.order = Hashtbl.create !allocated;
-          base = Hashtbl.create !allocated;
-          p_bit = Hashtbl.create !allocated;
-          c_bit = Hashtbl.create !allocated;
-        }
-      in
+      (* every allocated slot has an order and a base, and every P or C
+         bit belongs to one; an unallocated slot's order becomes -1 *)
       let annots = Array.make t.n Ir.Annot.none in
-      let max_offset = ref (-1) in
+      let max_offset = ref (-1) and p_bits = ref 0 and c_bits = ref 0 in
       for s = 0 to t.n_slots - 1 do
-        let id = t.slot_id.(s) and p = has t s p_bit and c = has t s c_bit in
-        if p then Hashtbl.replace alloc.C.p_bit id ();
-        if c then Hashtbl.replace alloc.C.c_bit id ();
+        let p = has t s p_bit and c = has t s c_bit in
+        if p then incr p_bits;
+        if c then incr c_bits;
         if has t s allocated_bit then begin
-          Hashtbl.replace alloc.C.order id t.order.(s);
-          Hashtbl.replace alloc.C.base id t.base.(s);
           let offset = t.order.(s) - t.base.(s) in
           if offset > !max_offset then max_offset := offset;
           if s < t.n then annots.(s) <- Ir.Annot.queue ~offset ~p ~c
         end
+        else t.order.(s) <- -1
       done;
       let max_offset =
         List.fold_left
@@ -553,7 +547,39 @@ let finish t =
           rotations = t.rot;
           amovs;
           max_offset;
-          check_edges = edge_list t live_check C.Check;
-          anti_edges = edge_list t anti C.Anti;
-          allocation = alloc;
+          slots = t.n_slots;
+          slot_ids = t.slot_id;
+          orders = t.order;
+          bases = t.base;
+          flags = t.flags;
+          checks = edge_pairs t live_check;
+          antis = edge_pairs t anti;
+          p_bits = !p_bits;
+          c_bits = !c_bits;
         }
+
+let is_p (r : result) s = Char.code (Bytes.get r.flags s) land p_bit <> 0
+let is_c (r : result) s = Char.code (Bytes.get r.flags s) land c_bit <> 0
+
+type tables = {
+  allocation : C.allocation;
+  check_edges : C.edge list;
+  anti_edges : C.edge list;
+}
+
+let allocation_tables (r : result) =
+  let allocation = C.empty_allocation () in
+  for s = 0 to r.slots - 1 do
+    let id = r.slot_ids.(s) in
+    if is_p r s then Hashtbl.replace allocation.C.p_bit id ();
+    if is_c r s then Hashtbl.replace allocation.C.c_bit id ();
+    if r.orders.(s) >= 0 then begin
+      Hashtbl.replace allocation.C.order id r.orders.(s);
+      Hashtbl.replace allocation.C.base id r.bases.(s)
+    end
+  done;
+  let edges pairs kind =
+    List.init (Array.length pairs / 2) (fun k ->
+        { C.first = r.slot_ids.(pairs.(2 * k)); second = r.slot_ids.(pairs.((2 * k) + 1)); kind })
+  in
+  { allocation; check_edges = edges r.checks C.Check; anti_edges = edges r.antis C.Anti }

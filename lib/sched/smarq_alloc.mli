@@ -23,8 +23,9 @@
     for per-slot edge lists and an int FIFO of ready operations.
     Scheduling a memory operation allocates only when a table grows:
     a cycle-detector table, or a list buffer the arena has not yet
-    grown to the region's size.  The allocation tables of the result
-    are filled once, by {!finish}. *)
+    grown to the region's size.  The result shares the allocator's
+    slot arrays: {!finish} fills annotations and counts, and copies
+    only the constraint log. *)
 
 type amov_insertion = {
   amov_id : int;  (** fresh instruction id for the AMOV *)
@@ -45,12 +46,46 @@ type result = {
           operation (0 = no rotation) *)
   amovs : amov_insertion list;  (** in the order they were inserted *)
   max_offset : int;  (** -1 when no register was used *)
-  check_edges : Analysis.Constraints.edge list;
-  anti_edges : Analysis.Constraints.edge list;
+  slots : int;
+      (** the operations the arrays below describe, by slot: body
+          position [p < n] for the instruction at [p], [n + k] for the
+          [k]-th AMOV that takes over a protected range (the [k]-th
+          [dst_is_fresh] entry of [amovs]).  Cells from [slots] on are
+          stale. *)
+  slot_ids : int array;  (** instruction id by slot *)
+  orders : int array;  (** register order by slot; -1 for no register *)
+  bases : int array;
+      (** BASE at the operation's execution, by slot, where [orders] is
+          not -1 *)
+  flags : Bytes.t;  (** per-slot bits, read with {!is_p} and {!is_c} *)
+  checks : int array;
+      (** the check constraints [first ->check second] in insertion
+          order, as slot pairs: [first] at [2k], [second] at [2k + 1] *)
+  antis : int array;  (** the anti constraints, likewise *)
+  p_bits : int;  (** slots with the P bit *)
+  c_bits : int;  (** slots with the C bit *)
+}
+
+val is_p : result -> int -> bool
+(** Does the operation at this slot set its register (P bit)? *)
+
+val is_c : result -> int -> bool
+(** Does the operation at this slot check the queue (C bit)? *)
+
+(** The result keyed by instruction id, as the constraint validator
+    reads it. *)
+type tables = {
   allocation : Analysis.Constraints.allocation;
       (** final orders/bases/bits by instruction id, AMOV pseudo-ops
-          included, for validation and statistics *)
+          included *)
+  check_edges : Analysis.Constraints.edge list;  (** in insertion order *)
+  anti_edges : Analysis.Constraints.edge list;
 }
+
+val allocation_tables : result -> tables
+(** A fresh id-keyed view of the result, for validation in the tests
+    ({!Analysis.Constraints.validate}).  The translation path never
+    builds one. *)
 
 type t
 

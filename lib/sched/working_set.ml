@@ -15,48 +15,67 @@ let add a b =
     lower_bound = a.lower_bound + b.lower_bound;
   }
 
-(* Live-range lower bound: sweep the issue sequence counting ranges
-   [issue(Y), last_checker_issue(Y)] that overlap each point. *)
-let live_range_peak ~issue_pos ~check_edges =
-  let last_use = Hashtbl.create 32 in
+(* Live-range lower bound over the region's execution order.  Every
+   operation a check constraint names gets its rank in that order (AMOV
+   pseudo-ops included, ROTATEs left out, which keeps the order): the
+   [k]-th issued body instruction follows the AMOVs anchored at it and
+   at every earlier issued one, in insertion order.  Y's range is live
+   from its own rank to the last rank among Y and its checkers; the
+   peak of the ranges live at one rank is the bound.  A range ending at
+   [r] closes before one starting at [r + 1] opens. *)
+let live_range_peak ~issue_pos (r : Smarq_alloc.result) =
+  let n = Array.length issue_pos in
+  let rank = Array.make r.Smarq_alloc.slots 0 in
+  let anchored = Array.make n 0 in
   List.iter
-    (fun (e : Analysis.Constraints.edge) ->
-      match e.kind with
-      | Analysis.Constraints.Check ->
-        let y = e.second and x = e.first in
-        (match issue_pos x, issue_pos y with
-        | Some px, Some py ->
-          let cur = Option.value (Hashtbl.find_opt last_use y) ~default:py in
-          Hashtbl.replace last_use y (max cur px)
-        | _ -> ())
-      | Analysis.Constraints.Anti -> ())
-    check_edges;
-  (* sweep: +1 at start, -1 after end *)
-  let events = ref [] in
-  Hashtbl.iter
-    (fun y last ->
-      match issue_pos y with
-      | Some start ->
-        events := (start, 1) :: (last + 1, -1) :: !events
-      | None -> ())
-    last_use;
-  let sorted =
-    List.sort
-      (fun (a, da) (b, db) ->
-        let c = Int.compare a b in
-        if c <> 0 then c else Int.compare da db)
-      !events
-  in
+    (fun (a : Smarq_alloc.amov_insertion) ->
+      anchored.(a.before_pos) <- anchored.(a.before_pos) + 1)
+    r.Smarq_alloc.amovs;
+  let before = ref 0 in
+  for k = 0 to n - 1 do
+    let p = issue_pos.(k) in
+    before := !before + anchored.(p);
+    rank.(p) <- k + !before
+  done;
+  (* [anchored.(p)] now counts the AMOVs at [p] still to place *)
+  let slot = ref n in
+  List.iter
+    (fun (a : Smarq_alloc.amov_insertion) ->
+      let p = a.before_pos in
+      if a.dst_is_fresh then begin
+        rank.(!slot) <- rank.(p) - anchored.(p);
+        incr slot
+      end;
+      anchored.(p) <- anchored.(p) - 1)
+    r.Smarq_alloc.amovs;
+  let last = Array.make r.Smarq_alloc.slots (-1) in
+  let checks = r.Smarq_alloc.checks in
+  for e = 0 to (Array.length checks / 2) - 1 do
+    let x = checks.(2 * e) and y = checks.((2 * e) + 1) in
+    last.(y) <- max (max last.(y) rank.(y)) rank.(x)
+  done;
+  (* net range count change at each rank *)
+  let delta = Array.make (n + List.length r.Smarq_alloc.amovs + 1) 0 in
+  for y = 0 to r.Smarq_alloc.slots - 1 do
+    if last.(y) >= 0 then begin
+      delta.(rank.(y)) <- delta.(rank.(y)) + 1;
+      delta.(last.(y) + 1) <- delta.(last.(y) + 1) - 1
+    end
+  done;
   let peak = ref 0 and cur = ref 0 in
-  List.iter
-    (fun (_, d) ->
+  Array.iter
+    (fun d ->
       cur := !cur + d;
       if !cur > !peak then peak := !cur)
-    sorted;
+    delta;
   !peak
 
 let measure ~sb ~(outcome : List_sched.outcome) =
-  let program_order = List.length (Ir.Superblock.memory_ops sb) in
+  let program_order =
+    List.fold_left
+      (fun k i -> if Ir.Instr.is_memory i then k + 1 else k)
+      0 sb.Ir.Superblock.body
+  in
   match outcome.List_sched.alloc_result with
   | None ->
     (* no integrated allocation (naive/mask/alat/none): the scheduler's
@@ -68,18 +87,9 @@ let measure ~sb ~(outcome : List_sched.outcome) =
       lower_bound = 0;
     }
   | Some r ->
-    let p_bit_order =
-      Hashtbl.length r.Smarq_alloc.allocation.Analysis.Constraints.p_bit
-    in
-    let smarq = r.Smarq_alloc.max_offset + 1 in
-    (* issue positions from the region's bundles *)
-    let pos_tbl = Hashtbl.create 64 in
-    List.iteri
-      (fun idx (i : Ir.Instr.t) -> Hashtbl.replace pos_tbl i.id idx)
-      (Ir.Region.instrs outcome.List_sched.region);
-    let issue_pos id = Hashtbl.find_opt pos_tbl id in
-    let lower_bound =
-      live_range_peak ~issue_pos
-        ~check_edges:(r.Smarq_alloc.check_edges @ r.Smarq_alloc.anti_edges)
-    in
-    { program_order; p_bit_order; smarq; lower_bound }
+    {
+      program_order;
+      p_bit_order = r.Smarq_alloc.p_bits;
+      smarq = r.Smarq_alloc.max_offset + 1;
+      lower_bound = live_range_peak ~issue_pos:outcome.List_sched.issue_pos r;
+    }

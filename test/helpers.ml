@@ -31,6 +31,18 @@ let sb_of body =
 
 let default_latency = Vliw.Config.latency Vliw.Config.default
 
+(* The issue sequence of a translation as (cycle, instruction) pairs. *)
+let issue_seq (o : Opt.Optimizer.t) =
+  let body = Array.of_list o.Opt.Optimizer.region.Ir.Region.source.Ir.Superblock.body in
+  List.init (Array.length o.Opt.Optimizer.issue_pos) (fun k ->
+      (o.Opt.Optimizer.issue_cycle.(k), body.(o.Opt.Optimizer.issue_pos.(k))))
+
+(* An allocator result's id-keyed tables, and every constraint edge:
+   checks, then antis. *)
+let allocation_of r =
+  let v = Sched.Smarq_alloc.allocation_tables r in
+  (v.Sched.Smarq_alloc.allocation, v.Sched.Smarq_alloc.check_edges @ v.Sched.Smarq_alloc.anti_edges)
+
 (* The outcome of a schedule the test expects to succeed. *)
 let scheduled = function
   | Ok outcome -> outcome
@@ -112,9 +124,21 @@ let run_to_commit ?(policy = Sched.Policy.smarq ~ar_count:64)
   in
   go [] [] 0
 
+(* Allocation spans read minor words from [Gc.minor_words], which counts
+   the live minor heap too and so is exact.  The minor field of
+   [Gc.counters] and [Gc.quick_stat] moves only at a minor collection
+   and can lag by up to a whole minor heap. *)
+
+(* words the minor heap saw while [f ()] ran *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. before)
+
 (* words allocated while [f ()] ran: the minor heap's exact count plus
    the arrays too large for it, which go straight to the major heap
-   (major words not promoted from the minor heap) *)
+   (major words not promoted from the minor heap; [Gc.counters]'s major
+   and promoted fields are current) *)
 let words_of f =
   let _, promoted0, major0 = Gc.counters () in
   let minor0 = Gc.minor_words () in

@@ -74,9 +74,17 @@ let compare_results ~ids (r : SA.result) (o : OA.result) =
         && a.SA.dst_offset = b.OA.dst_offset))
     r.SA.amovs o.OA.amovs;
   expect "max offset" (r.SA.max_offset = o.OA.max_offset);
-  expect "check edges" (r.SA.check_edges = o.OA.check_edges);
-  expect "anti edges" (r.SA.anti_edges = o.OA.anti_edges);
-  expect "allocation tables" (same_allocation r.SA.allocation o.OA.allocation)
+  (* the slot arrays, read through the id-keyed view, and the counts
+     kept beside them *)
+  let v = SA.allocation_tables r in
+  expect "check edges" (v.SA.check_edges = o.OA.check_edges);
+  expect "anti edges" (v.SA.anti_edges = o.OA.anti_edges);
+  expect "allocation tables" (same_allocation v.SA.allocation o.OA.allocation);
+  expect "P-bit count" (r.SA.p_bits = Hashtbl.length o.OA.allocation.C.p_bit);
+  expect "C-bit count" (r.SA.c_bits = Hashtbl.length o.OA.allocation.C.c_bit);
+  expect "slot count"
+    (r.SA.slots
+    = n + List.length (List.filter (fun (a : OA.amov_insertion) -> a.OA.dst_is_fresh) o.OA.amovs))
 
 (* Feed both allocators the issue stream [issue_seq] (cycle,
    instruction), the way the list scheduler does: overflow risk at each
@@ -170,6 +178,35 @@ type seen = {
 let new_seen () =
   { cases = 0; finished = 0; fresh_amovs = 0; clearing_amovs = 0; eliminations = 0 }
 
+(* The flat certificate against the record-building oracle: its keys,
+   its record view witness by witness, and the keys-only path. *)
+let compare_certificate ~alias ~body =
+  let cert = Analysis.Disamb.certify ~arena ~alias ~body () in
+  let keys, ws = Oracle_disamb.certify ~alias ~body in
+  expect "certificate keys" (Analysis.Disamb.keys cert = keys);
+  let view = Analysis.Disamb.witnesses cert in
+  expect "witness count" (Array.length view = Array.length ws);
+  Array.iteri
+    (fun k w -> if w <> ws.(k) then fail "witness %d of %d" k (Array.length ws))
+    view;
+  expect "keys-only certification"
+    (Analysis.Disamb.certified_keys ~arena ~alias ~body () = keys);
+  cert
+
+(* The alias analysis [Opt.Optimizer] builds for [body] under [policy],
+   its certificate checked against the oracle's when certifying. *)
+let analyze ~policy ~known_alias body =
+  let const_facts =
+    if policy.Sched.Policy.static_disambiguation then
+      Some (Analysis.Absint.analyze ~body ())
+    else None
+  in
+  let alias = Analysis.May_alias.analyze ~known_alias ?const_facts ~body () in
+  if policy.Sched.Policy.certify then
+    Analysis.May_alias.set_certified alias
+      (Analysis.Disamb.keys (compare_certificate ~alias ~body));
+  alias
+
 (* The optimizer's pipeline up to scheduling, for [policy] — the same
    analysis, certification and elimination inputs [Opt.Optimizer] gives
    the scheduler — then the oracle scheduler's issue order, and the
@@ -178,18 +215,7 @@ let compare_backend ?(seen = new_seen ()) ?(known_alias = []) ~config ~policy
     (sb : Ir.Superblock.t) =
   seen.cases <- seen.cases + 1;
   let fresh_base = Ir.Superblock.max_instr_id sb + 1 in
-  let analyze body =
-    let const_facts =
-      if policy.Sched.Policy.static_disambiguation then
-        Some (Analysis.Absint.analyze ~body ())
-      else None
-    in
-    let alias = Analysis.May_alias.analyze ~known_alias ?const_facts ~body () in
-    if policy.Sched.Policy.certify then
-      Analysis.May_alias.set_certified alias
-        (Analysis.Disamb.keys (Analysis.Disamb.certify ~alias ~body ()));
-    alias
-  in
+  let analyze = analyze ~policy ~known_alias in
   let body = sb.Ir.Superblock.body in
   let e = compare_elim ~policy ~alias:(analyze body) ~body ~fresh_base in
   if e.Opt.Elim.eliminations <> [] then seen.eliminations <- seen.eliminations + 1;
@@ -246,11 +272,25 @@ let compare_artifact (o : Opt.Optimizer.t) =
     in
     List.iter
       (fun (_, (i : I.t)) -> if I.is_memory i then OA.on_schedule ora i)
-      o.Opt.Optimizer.issue_seq;
-    match OA.finish ora with
+      (issue_seq o);
+    (match OA.finish ora with
     | Ok want -> compare_results ~ids:hazards.Sched.Hazards.ids r want
     | Error why ->
-      fail "the oracle allocator overflows where the region built: %s" why)
+      fail "the oracle allocator overflows where the region built: %s" why);
+    let sb = o.Opt.Optimizer.region.Ir.Region.source in
+    let ws =
+      Sched.Working_set.measure ~sb
+        ~outcome:
+          {
+            Sched.List_sched.region = o.Opt.Optimizer.region;
+            alloc_result = o.Opt.Optimizer.alloc_result;
+            stats = o.Opt.Optimizer.stats.Opt.Optimizer.sched_stats;
+            hazards;
+            issue_pos = o.Opt.Optimizer.issue_pos;
+            issue_cycle = o.Opt.Optimizer.issue_cycle;
+          }
+    in
+    expect "working set" (ws = Oracle_working_set.measure ~sb ~region:o.Opt.Optimizer.region r))
 
 let genprog_policies =
   [
@@ -301,6 +341,24 @@ let prop_genprog_backend (seed, params) =
         (fun policy ->
           compare_backend ~config:Vliw.Config.default ~policy sb)
         genprog_policies)
+
+(* The certificates of a Genprog body followed by bump units (whose
+   pairs the certifier proves), before and after elimination, under
+   each of the eight campaign schemes with certification on. *)
+let prop_genprog_certificate arb =
+  let body = Suite_pairkey.cert_body arb in
+  let sb = sb_of body in
+  report (fun () ->
+      List.iter
+        (fun scheme ->
+          let policy =
+            Sched.Policy.with_certify (Smarq.Scheme.to_driver scheme).Runtime.Driver.policy
+          in
+          let alias = analyze ~policy ~known_alias:[] body in
+          let fresh_id = ref (Ir.Superblock.max_instr_id sb + 1) in
+          let e = Opt.Elim.run ~policy ~alias ~arena ~body ~fresh_id () in
+          ignore (analyze ~policy ~known_alias:[] e.Opt.Elim.body : Analysis.May_alias.t))
+        Verify.Campaign.schemes)
 
 (* Every translation request the ten suite programs make under the
    eight campaign schemes, certification off and on: the pipeline
@@ -369,8 +427,9 @@ let test_amov_family () =
     List.iter
       (fun ar_count ->
         try
-          compare_backend ~seen ~config:Vliw.Config.default
-            ~policy:(Sched.Policy.smarq ~ar_count) sb
+          let policy = Sched.Policy.smarq ~ar_count in
+          compare_backend ~seen ~config:Vliw.Config.default ~policy sb;
+          compare_artifact (optimize ~policy sb)
         with Mismatch why ->
           Alcotest.failf "seed %d at %d registers: %s" seed ar_count why)
       [ 4; 8 ]
@@ -390,4 +449,6 @@ let suite =
       case "captured suite requests = oracles, 8 schemes"
         test_captured_backend;
       case "AMOV family at 4 and 8 registers = oracle" test_amov_family;
+      qcase ~count:150 "certificate record view = record-building oracle, 8 schemes"
+        Suite_pairkey.cert_body_arb prop_genprog_certificate;
     ] )

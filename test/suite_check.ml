@@ -514,16 +514,21 @@ let test_spurious_compare_rejected () =
   (* the artifact with anti edge [e] dropped and [y] at order [ox] *)
   let without_anti (o : Opt.Optimizer.t) (res : Sched.Smarq_alloc.result) e ox by =
     let y = e.C.second in
-    let a = res.Sched.Smarq_alloc.allocation in
-    let order = Hashtbl.copy a.C.order in
-    Hashtbl.replace order y ox;
-    let res =
-      {
-        res with
-        Sched.Smarq_alloc.allocation = { a with C.order };
-        anti_edges = List.filter (fun e' -> e' <> e) res.Sched.Smarq_alloc.anti_edges;
-      }
+    let ids = res.Sched.Smarq_alloc.slot_ids in
+    let orders = Array.copy res.Sched.Smarq_alloc.orders in
+    for s = 0 to res.Sched.Smarq_alloc.slots - 1 do
+      if ids.(s) = y then orders.(s) <- ox
+    done;
+    let antis = res.Sched.Smarq_alloc.antis in
+    let kept =
+      List.filter
+        (fun k -> ids.(antis.(2 * k)) <> e.C.first || ids.(antis.((2 * k) + 1)) <> y)
+        (List.init (Array.length antis / 2) Fun.id)
     in
+    let antis =
+      Array.of_list (List.concat_map (fun k -> [ antis.(2 * k); antis.((2 * k) + 1) ]) kept)
+    in
+    let res = { res with Sched.Smarq_alloc.orders; antis } in
     let retarget (i : I.t) =
       match Ir.Instr.annot i with
       | Ir.Annot.Queue { p; c; _ } when i.I.id = y ->
@@ -535,10 +540,8 @@ let test_spurious_compare_rejected () =
       { region with Ir.Region.bundles = Array.map (List.map retarget) region.Ir.Region.bundles }
     in
     let consistent =
-      C.validate res.Sched.Smarq_alloc.allocation
-        ~edges:(res.Sched.Smarq_alloc.check_edges @ res.Sched.Smarq_alloc.anti_edges)
-        ~ar_count:64
-      = Ok ()
+      let a, edges = allocation_of res in
+      C.validate a ~edges ~ar_count:64 = Ok ()
     in
     if consistent then Some { o with Opt.Optimizer.region; alloc_result = Some res } else None
   in
@@ -548,7 +551,8 @@ let test_spurious_compare_rejected () =
     match o.Opt.Optimizer.alloc_result with
     | None -> None
     | Some res ->
-      let a = res.Sched.Smarq_alloc.allocation in
+      let v = Sched.Smarq_alloc.allocation_tables res in
+      let a = v.Sched.Smarq_alloc.allocation in
       let moved x =
         List.exists
           (fun (m : Sched.Smarq_alloc.amov_insertion) -> m.src_instr = x)
@@ -561,7 +565,7 @@ let test_spurious_compare_rejected () =
             when by <= ox && real_edge o e.C.first e.C.second && not (moved e.C.first) ->
             Option.map (fun o' -> (o, o')) (without_anti o res e ox by)
           | _ -> None)
-        res.Sched.Smarq_alloc.anti_edges
+        v.Sched.Smarq_alloc.anti_edges
   in
   match List.find_map candidate (List.init 25 succ) with
   | None -> Alcotest.fail "no smarq64 artifact has a usable anti edge"

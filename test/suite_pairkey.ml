@@ -258,12 +258,6 @@ let prop_certificate_recomputed arb =
 
 (* ---- allocation budgets ---- *)
 
-(* words the minor heap saw while [f ()] ran *)
-let minor_words_of f =
-  let before = Gc.minor_words () in
-  f ();
-  int_of_float (Gc.minor_words () -. before)
-
 (* the measurement's own boxed floats and closures *)
 let slack = 64
 
@@ -499,11 +493,11 @@ let bump_chain k =
            mk (I.Binop (I.Add, r 1, I.Reg (r 1), I.Imm 64));
          ]))
 
-(* A witness record is four words (header and three fields) plus its
-   key and its array slot; a fact, its origin and offset set, the value
-   they are read from and its slot in the shared-facts array stay
-   under [per_fact]. *)
-let per_witness = 6
+(* A certified pair is three cells: its key, its endpoints' fact
+   indexes and its separation code; a fact, its origin and offset set,
+   the value they are read from and its slot in the shared-facts array
+   stay under [per_fact]. *)
+let per_witness = 3
 let per_fact = 24
 
 let test_certify_shares_facts () =
@@ -537,6 +531,56 @@ let test_certify_shares_facts () =
     (Printf.sprintf
        "4x body grows by %d words: within %d (%d more certified pairs, %d more ops)"
        (w4 - w1) budget (c4 - c1) (m4 - m1))
+    true
+    (w4 - w1 <= budget)
+
+(* Over 256 certified pairs, in words well inside the minor heap: an
+   array that size made from a young value ([Array.init] of records)
+   would force a minor collection.  The fewest of three runs, so a
+   collection another domain happens to start does not count. *)
+let test_certify_no_forced_minor () =
+  let arena = Analysis.Arena.create () in
+  let body = bump_chain 32 in
+  let alias = MA.analyze ~const_facts:(AI.analyze ~body ()) ~body () in
+  ignore (D.certify ~arena ~alias ~body ());
+  let cert = ref None in
+  let once () =
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    let words = minor_words_of (fun () -> cert := Some (D.certify ~arena ~alias ~body ())) in
+    ((Gc.quick_stat ()).Gc.minor_collections - before, words)
+  in
+  let collections, words = min (once ()) (min (once ()) (once ())) in
+  let pairs = D.count (Option.get !cert) in
+  Alcotest.(check bool) (Printf.sprintf "%d certified pairs > 256" pairs) true (pairs > 256);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words within a tenth of the minor heap" words)
+    true
+    (words * 10 <= (Gc.get ()).Gc.minor_heap_size);
+  Alcotest.(check int) "minor collections during certify" 0 collections
+
+(* Both bodies certify more than 256 pairs, so the certificate's int
+   arrays go straight to the major heap: what the minor heap sees grows
+   with the memory ops the pairs name (a fact each), not with the pairs
+   (16 times as many in the larger body). *)
+let test_certify_minor_per_named_op () =
+  let arena = Analysis.Arena.create () in
+  let measure k =
+    let body = bump_chain k in
+    let alias = MA.analyze ~const_facts:(AI.analyze ~body ()) ~body () in
+    let run () = ignore (Sys.opaque_identity (D.certify ~arena ~alias ~body ())) in
+    run ();
+    (minor_words_of run, k, D.count (D.certify ~arena ~alias ~body ()))
+  in
+  ignore (measure 96);
+  let w1, m1, c1 = measure 24 and w4, m4, c4 = measure 96 in
+  Alcotest.(check bool) "over 256 pairs in both" true (c1 > 256 && c4 > 256);
+  let budget = (per_fact * (m4 - m1)) + slack in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "4x body grows the minor heap's share by %d words: within %d (%d more named ops, %d \
+        more certified pairs)"
+       (w4 - w1) budget (m4 - m1) (c4 - c1))
     true
     (w4 - w1 <= budget)
 
@@ -615,4 +659,7 @@ let suite =
         test_certify_shares_facts;
       case "per-register tables are sized by the registers a body names"
         test_tables_follow_registers;
+      case "certify forces no minor collection" test_certify_no_forced_minor;
+      case "certify allocates nothing per certified pair on the minor heap"
+        test_certify_minor_per_named_op;
     ] )

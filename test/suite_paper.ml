@@ -36,7 +36,7 @@ let test_figure5_elimination_and_checks () =
     let has_check f s =
       List.exists
         (fun (e : C.edge) -> e.C.first = f && e.C.second = s)
-        res.Sched.Smarq_alloc.check_edges
+        (Sched.Smarq_alloc.allocation_tables res).Sched.Smarq_alloc.check_edges
     in
     (* EXTENDED-DEPENDENCE 1: the intervening may-alias store M4 must
        check the forwarding source M2 even though they are not
@@ -99,7 +99,7 @@ let test_figure9_elimination_and_checks () =
     let has_check f s =
       List.exists
         (fun (e : C.edge) -> e.C.first = f && e.C.second = s)
-        res.Sched.Smarq_alloc.check_edges
+        (Sched.Smarq_alloc.allocation_tables res).Sched.Smarq_alloc.check_edges
     in
     (* EXTENDED-DEPENDENCE 2: the overwriter checks the intervening
        load, not the intervening store *)

@@ -97,10 +97,8 @@ let prop_allocation_valid (seed, params) =
   | None -> true  (* fell back to no speculation *)
   | Some r ->
     (match
-       C.validate r.Sched.Smarq_alloc.allocation
-         ~edges:
-           (r.Sched.Smarq_alloc.check_edges @ r.Sched.Smarq_alloc.anti_edges)
-         ~ar_count:64
+       let a, edges = allocation_of r in
+       C.validate a ~edges ~ar_count:64
      with
     | Ok () -> true
     | Error problems ->
@@ -115,9 +113,7 @@ let prop_constraints_acyclic (seed, params) =
   match o.Opt.Optimizer.alloc_result with
   | None -> true
   | Some r ->
-    not
-      (C.has_cycle
-         (r.Sched.Smarq_alloc.check_edges @ r.Sched.Smarq_alloc.anti_edges))
+    not (C.has_cycle (snd (allocation_of r)))
 
 (* Hard scheduling edges hold in the final issue order. *)
 let prop_schedule_respects_hazards (seed, params) =

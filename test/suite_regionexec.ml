@@ -132,8 +132,7 @@ let test_amov_cycle_breaking () =
   match o.Opt.Optimizer.alloc_result with
   | Some res ->
     Alcotest.(check bool) "acyclic" false
-      (Analysis.Constraints.has_cycle
-         (res.Sched.Smarq_alloc.check_edges @ res.Sched.Smarq_alloc.anti_edges))
+      (Analysis.Constraints.has_cycle (snd (allocation_of res)))
   | None -> Alcotest.fail "queue allocation expected"
 
 let test_amov_region_executes_correctly () =
@@ -177,12 +176,6 @@ let test_rotate_amov_are_free_slots () =
 
 (* ---- host allocation: the executor allocates per region execution,
    not per executed instruction ---- *)
-
-(* words the minor heap saw while [f ()] ran *)
-let minor_words_of f =
-  let before = Gc.minor_words () in
-  f ();
-  int_of_float (Gc.minor_words () -. before)
 
 (* one instruction per bundle, no alias annotations *)
 let straight_region body =

@@ -75,7 +75,7 @@ let test_figure4_no_unnecessary_check () =
         (fun (e : C.edge) ->
           (e.C.first = a && e.C.second = b)
           || (e.C.first = b && e.C.second = a))
-        (r.Sched.Smarq_alloc.check_edges @ r.Sched.Smarq_alloc.anti_edges)
+        (snd (allocation_of r))
     in
     Alcotest.(check bool) "no M0/M2 constraint" false
       (between m0.I.id m2.I.id)
@@ -87,9 +87,8 @@ let test_constraints_validate () =
   | None -> Alcotest.fail "queue scheme expected"
   | Some r ->
     (match
-       C.validate r.Sched.Smarq_alloc.allocation
-         ~edges:(r.Sched.Smarq_alloc.check_edges @ r.Sched.Smarq_alloc.anti_edges)
-         ~ar_count:64
+       let a, edges = allocation_of r in
+       C.validate a ~edges ~ar_count:64
      with
     | Ok () -> ()
     | Error problems ->
@@ -279,7 +278,7 @@ let test_order_base_offset_invariant () =
   match outcome.Sched.List_sched.alloc_result with
   | None -> Alcotest.fail "queue scheme expected"
   | Some res ->
-    let a = res.Sched.Smarq_alloc.allocation in
+    let a, _ = allocation_of res in
     Hashtbl.iter
       (fun id order ->
         match C.offset a id with
@@ -344,7 +343,7 @@ let test_fast_alloc_agrees () =
   match outcome.Sched.List_sched.alloc_result with
   | None -> Alcotest.fail "queue scheme expected"
   | Some res ->
-    let a = res.Sched.Smarq_alloc.allocation in
+    let a, edges = allocation_of res in
     let issue_order =
       List.filter_map
         (fun (i : I.t) -> if I.is_memory i then Some i.I.id else None)
@@ -354,7 +353,7 @@ let test_fast_alloc_agrees () =
        Sched.Fast_alloc.allocate ~issue_order
          ~p_bit:(Hashtbl.mem a.C.p_bit)
          ~c_bit:(Hashtbl.mem a.C.c_bit)
-         ~edges:(res.Sched.Smarq_alloc.check_edges @ res.Sched.Smarq_alloc.anti_edges)
+         ~edges
      with
     | Error { Sched.Fast_alloc.cycle } ->
       Alcotest.failf "fast alloc found a cycle: %d witness edges"

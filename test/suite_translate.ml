@@ -269,7 +269,7 @@ let check_region ~config (r : Opt.Optimizer.request) (o : Opt.Optimizer.t) =
     Error "heights differ from the oracle's memoized heights"
   else if Sched.Hazards.(o.Opt.Optimizer.hazards.dropped) <> hazards.dropped
   then Error "dropped pairs differ from the all-pairs oracle"
-  else if issue_seq <> o.Opt.Optimizer.issue_seq then
+  else if issue_seq <> Helpers.issue_seq o then
     Error "issue sequence differs from the rescan scheduler oracle"
   else Ok ()
 
