@@ -7,7 +7,6 @@ type t = {
   verify : Check.Verifier.mode;
   certify : bool;
   max_reopts : int;
-  watchdog : int option;
 }
 
 let default =
@@ -20,5 +19,4 @@ let default =
     verify = Check.Verifier.Off;
     certify = false;
     max_reopts = 10;
-    watchdog = None;
   }

@@ -44,21 +44,13 @@ type t = {
           [Stats.certified_alias_faults] as a hard soundness error. *)
   max_reopts : int;
       (** re-optimizations of one region before it is rebuilt without
-          speculation for good (the give-up rung). *)
-  watchdog : int option;
-      (** the livelock bound (default [2 * max_reopts + 10], at least
-          1): a region that alias-faults more than this many times
-          without a single commit in between — possible only when
-          violations keep arriving after the ladder has given
-          speculation up, i.e. under fault injection or a
-          pathologically false-positive detector — is degraded to
-          interpreter-only execution (its translation invalidated, the
-          label blacklisted, [Stats.degraded_regions] incremented).
-          Execution always makes forward progress because the
-          interpreter cannot alias-fault. *)
+          speculation for good (the give-up rung).  It also sets the
+          livelock watchdog, {!Lifecycle.watchdog}: a region that
+          alias-faults more often than that without a commit in
+          between is degraded to interpreter-only execution. *)
 }
 
 val default : t
 (** Machine derived from the scheme, fuel 1e9, no unrolling, unbounded
     translation cache, verification and certification off,
-    [max_reopts] 10, the default watchdog. *)
+    [max_reopts] 10. *)

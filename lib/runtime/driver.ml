@@ -5,19 +5,8 @@ type scheme = {
 
 type cache_entry = {
   mutable region : Ir.Region.t;
-  mutable known_alias : (int * int) list;
-      (* newest-first, the order handed to the optimizer *)
-  known_alias_set : (int, unit) Hashtbl.t;
-      (* membership mirror of [known_alias], keyed by
-         [Analysis.Pair_key.norm] *)
-  mutable pinned : int list;
-  pinned_set : (int, unit) Hashtbl.t;
-  mutable reopts : int;
-  mutable gave_up : bool;
-  mutable faults_since_commit : int;
-      (* consecutive alias faults with no commit in between — the
-         livelock watchdog's forward-progress measure *)
   sb : Ir.Superblock.t;
+  mutable life : Lifecycle.t;
 }
 
 (* A translation cache that outlives one [run] — the serve subsystem
@@ -64,8 +53,6 @@ let no_hooks =
     deadline = (fun () -> false);
   }
 
-let pair_key (a, b) = Analysis.Pair_key.norm a b
-
 (* the faulting pair among a region's assumed keys, in either
    orientation: a binary search per orientation, on every rollback *)
 let assumed_mem (region : Ir.Region.t) a b =
@@ -73,46 +60,13 @@ let assumed_mem (region : Ir.Region.t) a b =
   Analysis.Pair_key.mem keys (Analysis.Pair_key.pack a b)
   || Analysis.Pair_key.mem keys (Analysis.Pair_key.pack b a)
 
-let known_mem entry pair = Hashtbl.mem entry.known_alias_set (pair_key pair)
-
-let add_known entry pair =
-  entry.known_alias <- pair :: entry.known_alias;
-  Hashtbl.replace entry.known_alias_set (pair_key pair) ()
-
-(* Expand pinned instructions into known-alias pairs against every
-   memory operation of the superblock: the blunt but terminating way to
-   take an operation out of speculation entirely.  Pairs already known
-   (or generated by an earlier pin) are not added again — the optimizer
-   treats the list as a set, but duplicates would grow it without
-   bound across re-optimizations. *)
-let known_with_pins entry =
-  match entry.pinned with
-  | [] -> entry.known_alias
-  | pins ->
-    let mems = Ir.Superblock.memory_ops entry.sb in
-    let seen = Hashtbl.copy entry.known_alias_set in
-    List.fold_left
-      (fun acc pin ->
-        List.fold_left
-          (fun acc (m : Ir.Instr.t) ->
-            if m.id = pin || Hashtbl.mem seen (pair_key (pin, m.id)) then acc
-            else begin
-              Hashtbl.replace seen (pair_key (pin, m.id)) ();
-              (pin, m.id) :: acc
-            end)
-          acc mems)
-      entry.known_alias pins
-
 let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
     ~(scheme : scheme) program =
   let { Config.fuel; unroll; tcache_policy; tcache_capacity; verify; certify;
-        max_reopts; watchdog; vliw } =
+        max_reopts; vliw } =
     config
   in
   let config = Option.value vliw ~default:Vliw.Config.default in
-  let watchdog =
-    match watchdog with Some w -> max 1 w | None -> (2 * max_reopts) + 10
-  in
   let detector = hooks.detector scheme.detector in
   let stats = Stats.create () in
   let translate_profile = stats.Stats.translate in
@@ -197,9 +151,6 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
       ~mem_ports:config.Vliw.Config.mem_ports ~latency ~fresh_id ~known_alias
       ~profile:translate_profile ~arena sb
   in
-  let optimize_superblock ~known_alias sb =
-    optimize_with ~policy ~known_alias sb
-  in
   let build_region label =
     let sb =
       Frontend.Region_form.form ~program ~liveness ~profiler ~fresh_id label
@@ -211,7 +162,7 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
           ~default:sb
       else sb
     in
-    let o = optimize_superblock ~known_alias:[] sb in
+    let o = optimize_with ~policy ~known_alias:[] sb in
     let ws = Sched.Working_set.measure ~sb ~outcome:{
         Sched.List_sched.region = o.Opt.Optimizer.region;
         alloc_result = o.Opt.Optimizer.alloc_result;
@@ -226,51 +177,21 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
     if verify_artifact o then
       Tcache.Store.insert cache label
         ~size:(Ir.Region.instr_count o.Opt.Optimizer.region)
-        {
-          region = o.Opt.Optimizer.region;
-          known_alias = [];
-          known_alias_set = Hashtbl.create 8;
-          pinned = [];
-          pinned_set = Hashtbl.create 8;
-          reopts = 0;
-          gave_up = false;
-          faults_since_commit = 0;
-          sb;
-        }
+        { region = o.Opt.Optimizer.region; sb; life = Lifecycle.fresh }
     else
       (* the translation failed validation: never install it — the
          label falls back to the interpreter, like a watchdog kill *)
       degrade label
   in
-  let pin entry id =
-    if not (Hashtbl.mem entry.pinned_set id) then begin
-      entry.pinned <- id :: entry.pinned;
-      Hashtbl.replace entry.pinned_set id ();
-      stats.Stats.pinned_ops <- stats.Stats.pinned_ops + 1
-    end
-  in
-  let reoptimize entry (v : Hw.Detector.violation) =
-    stats.Stats.reoptimizations <- stats.Stats.reoptimizations + 1;
-    entry.reopts <- entry.reopts + 1;
-    let pair = (v.Hw.Detector.setter, v.Hw.Detector.checker) in
-    if entry.reopts > max_reopts then begin
-      (* a gave-up region can still fault (injected or false-positive
-         violations survive the unspeculated rebuild); count it once *)
-      if not entry.gave_up then begin
-        entry.gave_up <- true;
-        stats.Stats.gave_up_regions <- stats.Stats.gave_up_regions + 1
-      end
-    end
-    else if known_mem entry pair then begin
-      (* the same pair violated twice: pin both ops out of speculation *)
-      pin entry v.Hw.Detector.setter;
-      pin entry v.Hw.Detector.checker
-    end
-    else add_known entry pair;
+  (* the rebuild after a rollback: the rung says whether it speculates *)
+  let reoptimize entry =
     let o =
-      if entry.gave_up then
+      match entry.life.Lifecycle.rung with
+      | Lifecycle.Unspeculated ->
         optimize_with ~policy:(Sched.Policy.none ()) ~known_alias:[] entry.sb
-      else optimize_superblock ~known_alias:(known_with_pins entry) entry.sb
+      | Lifecycle.Speculative _ ->
+        optimize_with ~policy
+          ~known_alias:(Lifecycle.known_alias entry.life ~sb:entry.sb) entry.sb
     in
     charge_optimize o.Opt.Optimizer.stats.Opt.Optimizer.work_units;
     if o.Opt.Optimizer.stats.Opt.Optimizer.fell_back then
@@ -332,7 +253,7 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
       (match r.Vliw.Region_exec.outcome with
       | Vliw.Region_exec.Committed ->
         stats.Stats.region_commits <- stats.Stats.region_commits + 1;
-        entry.faults_since_commit <- 0;
+        entry.life <- Lifecycle.commit entry.life;
         if r.Vliw.Region_exec.side_exit then begin
           let l = r.Vliw.Region_exec.exit_label in
           (match entry.region.Ir.Region.final_exit with
@@ -365,13 +286,15 @@ let run ?(config = Config.default) ?tcache ?(hooks = no_hooks) ?capture
              wrong — count it as a hard soundness error *)
           stats.Stats.certified_alias_faults <-
             stats.Stats.certified_alias_faults + 1;
-        entry.faults_since_commit <- entry.faults_since_commit + 1;
-        if entry.faults_since_commit > watchdog then
-          (* no forward progress despite the whole re-optimization
-             ladder: stop translating this region and fall back to the
-             interpreter, which cannot alias-fault *)
-          degrade label
-        else reoptimize entry v;
+        let life, transition =
+          Lifecycle.fault ~max_reopts ~setter ~checker entry.life
+        in
+        entry.life <- life;
+        Stats.note_transition stats transition;
+        (match transition with
+        | Lifecycle.Degrade -> degrade label
+        | Learned | Pinned _ | Gave_up | Retried_unspeculated ->
+          reoptimize entry);
         step ~chain_from:None label)
     | None ->
       let b = Ir.Program.block program label in

@@ -4,12 +4,12 @@
     VLIW, and service alias exceptions by rolling back and
     re-optimizing conservatively.
 
-    Re-optimization policy: the violating pair is added to the region's
-    known-alias set; if the same pair violates again (possible only for
-    schemes with false positives), both operations are pinned —
-    excluded from speculation entirely; after [Config.max_reopts] the
-    region is rebuilt without speculation for good.  Every run option
-    lives in one {!Config.t}. *)
+    Re-optimization policy: each cached region carries one
+    {!Lifecycle.t}, and each rollback steps it; the transition it
+    returns says whether to learn the pair, pin its ops, give
+    speculation up or degrade the region to the interpreter.  The
+    transition table is in {!Lifecycle}.  Every run option lives in one
+    {!Config.t}. *)
 
 (** What a run speculates with: the scheduler's policy and the
     hardware model that checks it ([Smarq.Scheme.to_driver] builds one
@@ -23,8 +23,8 @@ type cache
 (** A translation cache that outlives one {!run}: the serve subsystem
     keeps one per tenant shard and threads it through successive driver
     runs, so a tenant's hot regions stay translated across requests.
-    The cached entry type (translation + re-optimization state) is
-    private to the driver.  A cache must not be shared by two
+    The cached entry type (translation + {!Lifecycle.t}) is private to
+    the driver.  A cache must not be shared by two
     {e concurrent} runs — the serve layer guarantees this by keying
     shards per worker domain. *)
 
@@ -94,18 +94,20 @@ val run :
     configured by [config] (default {!Config.default}; its [vliw =
     None] means [Vliw.Config.default] here).  The fields' doc comments
     give the semantics of fuel, unrolling, the code cache, validation,
-    certification and the watchdog.
+    certification and the re-optimization ladder.
 
     [tcache] substitutes a pre-existing {!cache} (e.g. a tenant's
     shard) for the run-private store — [config]'s cache policy and
     capacity are then ignored, cached translations and their
     re-optimization state survive across runs of the same program, and
     the run's stats fold in only the telemetry delta accumulated during
-    this run.  Degradation (watchdog and verifier blacklists) remains
-    run-local even with a shared cache.  Committed region exits are
-    chained to resident translations so repeat dispatches skip the
-    cache lookup; the cache's telemetry is folded into the result's
-    [stats].
+    this run; a fault streak a deadline cut short carries into the next
+    run's watchdog count.  Degradation (watchdog and verifier
+    blacklists) remains run-local even with a shared cache: a degraded
+    label's translation is dropped, and the next run rebuilds it.
+    Committed region exits are chained to resident translations so
+    repeat dispatches skip the cache lookup; the cache's telemetry is
+    folded into the result's [stats].
 
     [capture], when given, is called once per translation the run
     performs (initial builds, re-optimizations, gave-up rebuilds alike),

@@ -162,6 +162,18 @@ let note_region_built t (o : Opt.Optimizer.t) ~ws =
   end;
   t.working_set <- Sched.Working_set.add t.working_set ws
 
+let note_transition t (transition : Lifecycle.transition) =
+  match transition with
+  | Degrade -> ()
+  | Learned | Retried_unspeculated ->
+    t.reoptimizations <- t.reoptimizations + 1
+  | Pinned n ->
+    t.reoptimizations <- t.reoptimizations + 1;
+    t.pinned_ops <- t.pinned_ops + n
+  | Gave_up ->
+    t.reoptimizations <- t.reoptimizations + 1;
+    t.gave_up_regions <- t.gave_up_regions + 1
+
 let note_reject t rules =
   t.rejected_regions <- t.rejected_regions + 1;
   List.iter

@@ -31,8 +31,10 @@ type t = {
       (** rollbacks whose violation the harness marked as injected —
           recovery work caused by the campaign, not the workload *)
   mutable degraded_regions : int;
-      (** regions the livelock watchdog blacklisted to interpreter-only
-          execution after faulting repeatedly without a commit *)
+      (** regions blacklisted to interpreter-only execution for the
+          rest of the run: by the livelock watchdog after faulting
+          repeatedly without a commit, or by a static-verifier
+          rejection *)
   (* translation validation *)
   mutable verified_regions : int;
       (** regions the static verifier examined (0 with verification off) *)
@@ -105,6 +107,13 @@ type t = {
 val create : unit -> t
 
 val note_region_built : t -> Opt.Optimizer.t -> ws:Sched.Working_set.t -> unit
+
+val note_transition : t -> Lifecycle.transition -> unit
+(** Count one step of a region's re-optimization ladder: every
+    transition but [Degrade] is one re-optimization, [Pinned n] pins [n]
+    ops and [Gave_up] gives one region up.  [Degrade] counts nothing
+    here: the degradation itself counts it, in [degraded_regions], a
+    path a verifier rejection shares. *)
 
 val note_reject : t -> string list -> unit
 (** Record a rejected region; the list holds the names of the violated

@@ -53,8 +53,8 @@ val plan : ?storm_length:int -> seed:int -> rate:float -> unit -> plan
     translation-cache fault with probability [rate /. 8].
     [storm_length] (default 16, clamped to >= 2) is how many
     consecutive region executions a storm covers — make it exceed the
-    driver's [max_reopts] to reach the give-up rung and its [watchdog]
-    to reach degradation.  [rate] is clamped to [0, 1]. *)
+    driver's [max_reopts] to reach the give-up rung and
+    {!Runtime.Lifecycle.watchdog} to reach degradation.  [rate] is clamped to [0, 1]. *)
 
 val forced_storm : ?length:int -> seed:int -> unit -> plan
 (** A campaign that does nothing but storm: every region execution

@@ -61,50 +61,38 @@ let optimize ?(policy = Sched.Policy.smarq ~ar_count:64) ?(known_alias = []) sb
     ~latency:default_latency ~fresh_id ~known_alias sb
 
 (* Execute an optimized region against the trace of the original
-   superblock, iterating fault -> known-alias -> re-optimize like the
-   runtime does.  Returns the number of faults serviced.  Asserts final
-   machine equality with the reference. *)
+   superblock, stepping [Runtime.Lifecycle] on each fault and
+   re-optimizing as the runtime does, with the default [max_reopts].
+   Returns the number of faults serviced.  Asserts final machine
+   equality with the reference. *)
 let run_to_commit ?(policy = Sched.Policy.smarq ~ar_count:64)
     ?(detector = Hw.Queue.detector (Hw.Queue.create ~size:64)) ~init sb =
   let config = Vliw.Config.default in
+  let max_reopts = Runtime.Config.default.Runtime.Config.max_reopts in
   let ref_machine = Vliw.Machine.create () in
   List.iter (fun (reg, v) -> Vliw.Machine.set_reg ref_machine reg v) init;
   let machine = Vliw.Machine.copy ref_machine in
   let trace = Frontend.Interp.trace_superblock ref_machine sb in
-  let mems = Ir.Superblock.memory_ops sb in
-  (* mirror the runtime's escalation: learn the pair first; if the same
-     pair faults again (a scheme with false positives), pin both ops
-     out of speculation entirely *)
-  let expand known pinned =
-    List.fold_left
-      (fun acc pin ->
-        List.fold_left
-          (fun acc (m : Ir.Instr.t) ->
-            if m.id = pin then acc else (pin, m.id) :: acc)
-          acc mems)
-      known pinned
-  in
-  let pair_known (a, b) known =
-    List.exists (fun (x, y) -> (x = a && y = b) || (x = b && y = a)) known
-  in
-  let rec go known pinned faults =
-    if faults > 60 then Alcotest.fail "did not converge after 60 faults";
-    (* like the runtime: after too many faults, give up on speculation
-       for this region entirely *)
-    let policy =
-      if faults >= 12 then Sched.Policy.none () else policy
+  let rec go life faults =
+    let o =
+      match life.Runtime.Lifecycle.rung with
+      | Runtime.Lifecycle.Unspeculated ->
+        optimize ~policy:(Sched.Policy.none ()) sb
+      | Runtime.Lifecycle.Speculative _ ->
+        optimize ~policy
+          ~known_alias:(Runtime.Lifecycle.known_alias life ~sb) sb
     in
-    let o = optimize ~policy ~known_alias:(expand known pinned) sb in
     let r = Vliw.Region_exec.make_result () in
     Vliw.Region_exec.run ~config ~detector ~machine o.Opt.Optimizer.region r;
     match r.Vliw.Region_exec.outcome with
-    | Vliw.Region_exec.Alias_fault v ->
-      let pair = (v.Hw.Detector.setter, v.Hw.Detector.checker) in
-      if pair_known pair known then
-        go known
-          (v.Hw.Detector.setter :: v.Hw.Detector.checker :: pinned)
-          (faults + 1)
-      else go (pair :: known) pinned (faults + 1)
+    | Vliw.Region_exec.Alias_fault v -> (
+      match
+        Runtime.Lifecycle.fault ~max_reopts ~setter:v.Hw.Detector.setter
+          ~checker:v.Hw.Detector.checker life
+      with
+      | _, Runtime.Lifecycle.Degrade ->
+        Alcotest.failf "degraded after %d faults" (faults + 1)
+      | life, _ -> go life (faults + 1))
     | Vliw.Region_exec.Committed ->
       let exit_label = next_label r o.Opt.Optimizer.region in
       let expected_exit =
@@ -122,7 +110,7 @@ let run_to_commit ?(policy = Sched.Policy.smarq ~ar_count:64)
       end;
       faults
   in
-  go [] [] 0
+  go Runtime.Lifecycle.fresh 0
 
 (* Allocation spans read minor words from [Gc.minor_words], which counts
    the live minor heap too and so is exact.  The minor field of

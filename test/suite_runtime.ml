@@ -304,7 +304,127 @@ let test_shared_shard_reoptimization () =
       Alcotest.(check (pair string bool))
         (q.Opt.Optimizer.sb.Ir.Superblock.entry ^ ": no stalled tier")
         (replay above) (replay q))
-    !requests
+    !requests;
+  (* the driver hands the optimizer its known pairs in key order; the
+     optimizer must treat them as a set, so every re-optimization
+     replays to the same artifact with the pairs reversed and flipped *)
+  let artifact (q : Opt.Optimizer.request) =
+    Exec.Translate.artifact_of
+      (Opt.Optimizer.run_request ~issue_width:Vliw.Config.default.issue_width
+         ~mem_ports:Vliw.Config.default.mem_ports ~latency:default_latency q)
+  in
+  let reopts =
+    List.filter
+      (fun (q : Opt.Optimizer.request) -> q.Opt.Optimizer.known_alias <> [])
+      !requests
+  in
+  Alcotest.(check bool) "captured re-optimizations with known pairs" true
+    (reopts <> []);
+  List.iter
+    (fun (q : Opt.Optimizer.request) ->
+      let shuffled =
+        {
+          q with
+          Opt.Optimizer.known_alias =
+            List.rev_map (fun (a, b) -> (b, a)) q.Opt.Optimizer.known_alias;
+        }
+      in
+      Alcotest.(check bool)
+        (q.Opt.Optimizer.sb.Ir.Superblock.entry ^ ": pair order immaterial")
+        true
+        (Exec.Translate.equal_artifact (artifact q) (artifact shuffled)))
+    reopts
+
+(* One shard, successive runs: the re-optimization state of a cached
+   region lives in the shard and outlives the run; degradation does
+   not.  A storm run is cut by a deadline after [k] faults, and the
+   next run on the shard continues the same storm: its region is not
+   rebuilt, and it resumes the ladder where the cut left it.  The fault
+   streak is part of that state: the faults of the cut run count
+   towards the next run's watchdog, so it degrades the region [k]
+   faults early.  The run after that rebuilds the degraded label. *)
+let test_shared_shard_lifecycle () =
+  let program = colliding_loop ~iters:300 in
+  let oracle = Verify.Oracle.reference program in
+  let max_reopts = 3 in
+  let config =
+    {
+      Runtime.Config.default with
+      vliw = Some (Vliw.Config.with_alias_registers Vliw.Config.default 64);
+      max_reopts;
+    }
+  in
+  let scheme = Smarq.Scheme.to_driver (Smarq.Scheme.Smarq 64) in
+  let unspeculated = (Sched.Policy.none ()).Sched.Policy.name in
+  List.iter
+    (fun (k, rung, pinned, gave_up) ->
+      let cache =
+        Runtime.Driver.make_cache ~policy:Tcache.Policy.Unbounded ()
+      in
+      let plan = Verify.Fault.forced_storm ~seed:5 () in
+      (* the initial build and one re-optimization per fault *)
+      let first = ref [] in
+      let cut =
+        Runtime.Driver.run ~config ~tcache:cache
+          ~hooks:
+            {
+              (Verify.Fault.hooks plan) with
+              Runtime.Driver.deadline = (fun () -> List.length !first > k);
+            }
+          ~capture:(fun q -> first := q :: !first)
+          ~scheme program
+      in
+      Alcotest.(check int) (rung ^ ": cut after k faults") k
+        cut.Runtime.Driver.stats.Runtime.Stats.rollbacks;
+      let second = ref [] in
+      let r =
+        Runtime.Driver.run ~config ~tcache:cache
+          ~hooks:(Verify.Fault.hooks plan)
+          ~capture:(fun q -> second := q :: !second)
+          ~scheme program
+      in
+      let st = r.Runtime.Driver.stats in
+      Alcotest.(check (list string)) (rung ^ ": equals the oracle") []
+        (Verify.Oracle.divergence oracle r);
+      Alcotest.(check int) (rung ^ ": region not rebuilt") 0
+        st.Runtime.Stats.regions_built;
+      Alcotest.(check int) (rung ^ ": ops newly pinned") pinned
+        st.Runtime.Stats.pinned_ops;
+      Alcotest.(check int) (rung ^ ": gave up") gave_up
+        st.Runtime.Stats.gave_up_regions;
+      Alcotest.(check int) (rung ^ ": the streak carries over")
+        (Runtime.Lifecycle.watchdog ~max_reopts + 1 - k)
+        st.Runtime.Stats.rollbacks;
+      Alcotest.(check int) (rung ^ ": degraded") 1
+        st.Runtime.Stats.degraded_regions;
+      let last = List.hd !first and next = List.hd (List.rev !second) in
+      if gave_up = 0 then
+        Alcotest.(check string) (rung ^ ": rebuilt unspeculated") unspeculated
+          next.Opt.Optimizer.policy.Sched.Policy.name
+      else
+        Alcotest.(check bool) (rung ^ ": known pairs kept") true
+          (List.for_all
+             (fun p -> List.mem p next.Opt.Optimizer.known_alias)
+             last.Opt.Optimizer.known_alias);
+      let after = Runtime.Driver.run ~config ~tcache:cache ~scheme program in
+      let st = after.Runtime.Driver.stats in
+      Alcotest.(check (list string))
+        (rung ^ ": rebuilt run equals the oracle")
+        [] (Verify.Oracle.divergence oracle after);
+      Alcotest.(check int) (rung ^ ": the degraded label is rebuilt") 1
+        st.Runtime.Stats.regions_built;
+      Alcotest.(check bool) (rung ^ ": and runs as a region") true
+        (st.Runtime.Stats.region_entries > 100);
+      Alcotest.(check int) (rung ^ ": from a fresh ladder") 0
+        st.Runtime.Stats.gave_up_regions)
+    [
+      (* learned the pair: its repeat pins both ops *)
+      (1, "learned", 2, 1);
+      (* pinned both: the repeat pins nothing new *)
+      (2, "pinned", 0, 1);
+      (* gave up at fault 4: every fault retries unspeculated *)
+      (5, "unspeculated", 0, 0);
+    ]
 
 (* ammp's large superblocks overflow 16 alias registers, so its builds
    fall back a tier; with injected faults its regions are re-optimized,
@@ -366,4 +486,6 @@ let suite =
       case "scheme parsing" test_scheme_parsing;
       qcase ~count:500 "scheme and cache-policy parsing never raise"
         scheme_string_arb prop_scheme_parse_total;
+      case "shared shard keeps the ladder, not degradation"
+        test_shared_shard_lifecycle;
     ] )

@@ -143,6 +143,14 @@ let qtest_campaign_converges =
       ignore (check_campaign ~seed ~rate ());
       true)
 
+(* the fewest re-optimizations that reach the pin rung (the second
+   fault on the sticky pair) before the give-up rung *)
+let storm_max_reopts = 2
+
+(* the watchdog degrades a region on the fault after its bound, so a
+   storm ends after exactly this many rollbacks and region entries *)
+let storm_faults = Runtime.Lifecycle.watchdog ~max_reopts:storm_max_reopts + 1
+
 let test_storm_walks_the_ladder () =
   (* an endless violation storm on one hot region must climb every
      rung — known-alias, pin, give-up — and then be degraded by the
@@ -156,8 +164,7 @@ let test_storm_walks_the_ladder () =
         {
           Runtime.Config.default with
           vliw = Some (Vliw.Config.with_alias_registers Vliw.Config.default 64);
-          max_reopts = 5;
-          watchdog = Some 9;
+          max_reopts = storm_max_reopts;
           fuel = 10_000_000;
         }
       ~hooks:(Verify.Fault.hooks plan)
@@ -176,7 +183,7 @@ let test_storm_walks_the_ladder () =
   Alcotest.(check int) "watchdog degraded the region" 1
     st.Runtime.Stats.degraded_regions;
   Alcotest.(check bool) "no livelock: bounded rollbacks" true
-    (st.Runtime.Stats.rollbacks <= 12);
+    (st.Runtime.Stats.rollbacks <= storm_faults);
   Alcotest.(check int) "every rollback was injected"
     st.Runtime.Stats.rollbacks st.Runtime.Stats.spurious_rollbacks;
   Alcotest.(check bool) "state equals oracle despite the storm" true
@@ -191,8 +198,7 @@ let test_degraded_region_stays_interpreted () =
         {
           Runtime.Config.default with
           vliw = Some (Vliw.Config.with_alias_registers Vliw.Config.default 64);
-          max_reopts = 5;
-          watchdog = Some 9;
+          max_reopts = storm_max_reopts;
           fuel = 10_000_000;
         }
       ~hooks:(Verify.Fault.hooks plan)
@@ -203,7 +209,7 @@ let test_degraded_region_stays_interpreted () =
   (* after degradation the loop runs interpreted: region entries stop
      at the watchdog bound while interpreted instructions dominate *)
   Alcotest.(check bool) "region entries bounded by the watchdog" true
-    (st.Runtime.Stats.region_entries <= 12);
+    (st.Runtime.Stats.region_entries <= storm_faults);
   Alcotest.(check bool) "the loop ran interpreted afterwards" true
     (st.Runtime.Stats.instrs_interpreted > 2000)
 
